@@ -21,11 +21,13 @@ pipeline models stores as non-blocking through a store buffer).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from itertools import repeat
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.replacement import LRUPolicy, ReplacementPolicy
 from repro.core.errors import ConfigurationError
+from repro.core.validation import require_positive
 from repro.yieldmodel.constraints import BASE_ACCESS_CYCLES
 
 __all__ = ["WayConfig", "AccessResult", "SetAssociativeCache"]
@@ -102,8 +104,7 @@ class WayConfig:
         return band != self.disabled_band
 
 
-@dataclass(frozen=True)
-class AccessResult:
+class AccessResult(NamedTuple):
     """Outcome of one cache lookup."""
 
     hit: bool
@@ -114,18 +115,13 @@ class AccessResult:
     evicted_dirty: bool = False
 
 
-class _Line:
-    """One resident block (slotted: millions are churned per run)."""
-
-    __slots__ = ("tag", "dirty")
-
-    def __init__(self, tag: int, dirty: bool = False) -> None:
-        self.tag = tag
-        self.dirty = dirty
-
-
 class SetAssociativeCache:
     """Functional set-associative cache with yield-aware configuration.
+
+    Each set keeps a tag list and a dirty list indexed by way (``None``
+    marks an empty way) plus, under the default LRU policy, a recency
+    list of its filled ways, least recent first. Any other
+    ``policy_factory`` gets one policy object per set instead.
 
     Parameters
     ----------
@@ -135,7 +131,8 @@ class SetAssociativeCache:
         Way latencies and disables; defaults to all ways at the base
         latency.
     policy_factory:
-        Creates one :class:`ReplacementPolicy` per set (default LRU).
+        Creates one :class:`ReplacementPolicy` per set (default LRU,
+        which is kept inline as recency lists).
     name:
         Label used in statistics.
     """
@@ -153,55 +150,79 @@ class SetAssociativeCache:
             if config is not None
             else WayConfig.uniform(geometry.associativity)
         )
-        if self.config.num_ways != geometry.associativity:
+        ways = geometry.associativity
+        if self.config.num_ways != ways:
             raise ConfigurationError(
                 f"config has {self.config.num_ways} ways, geometry has "
-                f"{geometry.associativity}"
+                f"{ways}"
             )
         self.name = name
-        self._policy_factory = policy_factory
-        self._eligible: List[Tuple[int, ...]] = []
-        self._lines: List[Dict[int, Optional[_Line]]] = [
-            {w: None for w in range(geometry.associativity)}
-            for _ in range(geometry.num_sets)
-        ]
-        self._policies: List[ReplacementPolicy] = [
-            policy_factory() for _ in range(geometry.num_sets)
-        ]
-        # The way configuration is frozen, so each set's eligible-way
-        # list can be computed once here instead of per access. An
-        # H-YAPD band disable on a cache with fewer ways than bands can
-        # leave an address group with *zero* usable ways — reject that
-        # here with a clear error instead of letting a replacement
-        # policy fail mid-simulation.
-        group_eligible: Dict[int, Tuple[int, ...]] = {}
-        for set_index in range(geometry.num_sets):
-            group = geometry.address_group(set_index, self.config.num_bands)
-            if group not in group_eligible:
-                eligible = tuple(
-                    w
-                    for w in range(geometry.associativity)
-                    if self.config.way_enabled_for_group(w, group)
-                )
-                if not eligible:
-                    raise ConfigurationError(
-                        f"{name}: H-YAPD band disable leaves address group "
-                        f"{group} with zero usable ways "
-                        f"({geometry.associativity} ways, "
-                        f"{self.config.num_bands} bands, band "
-                        f"{self.config.disabled_band} disabled)"
-                    )
-                group_eligible[group] = eligible
-            self._eligible.append(group_eligible[group])
+        num_sets = geometry.num_sets
+        self._offset_bits = geometry.block_bytes.bit_length() - 1
+        self._set_bits = num_sets.bit_length() - 1
+        self._set_mask = num_sets - 1
+        self._latencies = self.config.latencies
+        self._tags: List[List[Optional[int]]] = list(
+            map(list, repeat((None,) * ways, num_sets))
+        )
+        self._dirty: List[List[bool]] = list(
+            map(list, repeat((False,) * ways, num_sets))
+        )
+        # Under LRU every filled way is in its set's recency list and
+        # nothing else is, so a set has an empty eligible way exactly
+        # when its list is shorter than its eligible ways, and the victim
+        # is the list's head.
+        self._recency: Optional[List[List[int]]] = None
+        self._policies: Optional[List[ReplacementPolicy]] = None
+        if policy_factory is LRUPolicy:
+            self._recency = list(map(list, repeat((), num_sets)))
+        else:
+            self._policies = [policy_factory() for _ in range(num_sets)]
+        self._eligible = self._eligible_per_set()
         # statistics
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.way_hits = [0] * geometry.associativity
+        self.way_hits = [0] * ways
 
-    # ------------------------------------------------------------------
-    def _group(self, set_index: int) -> int:
-        return self.geometry.address_group(set_index, self.config.num_bands)
+    def _eligible_per_set(self) -> List[Tuple[int, ...]]:
+        """Each set's usable ways, from its H-YAPD address group.
+
+        The way configuration is frozen, so this is computed once. An
+        H-YAPD band disable on a cache with fewer ways than bands can
+        leave an address group with *zero* usable ways — rejected here
+        with a clear error instead of letting a replacement policy fail
+        mid-simulation.
+        """
+        geometry = self.geometry
+        config = self.config
+        num_sets = geometry.num_sets
+        num_bands = config.num_bands
+        # CacheGeometry.address_group arithmetic, hoisted out of the
+        # per-set loop: groups are contiguous runs of sets_per_group sets.
+        require_positive(num_bands, "num_groups")
+        sets_per_group = max(num_sets // num_bands, 1)
+        last_group = min((num_sets - 1) // sets_per_group, num_bands - 1)
+        eligible_per_set: List[Tuple[int, ...]] = []
+        for group in range(last_group + 1):
+            eligible = tuple(
+                w
+                for w in range(geometry.associativity)
+                if config.way_enabled_for_group(w, group)
+            )
+            if not eligible:
+                raise ConfigurationError(
+                    f"{self.name}: H-YAPD band disable leaves address "
+                    f"group {group} with zero usable ways "
+                    f"({geometry.associativity} ways, {num_bands} bands, "
+                    f"band {config.disabled_band} disabled)"
+                )
+            end = (
+                num_sets if group == last_group
+                else (group + 1) * sets_per_group
+            )
+            eligible_per_set += [eligible] * (end - len(eligible_per_set))
+        return eligible_per_set
 
     def eligible_ways(self, set_index: int) -> List[int]:
         """Ways usable for this set under the current configuration."""
@@ -214,18 +235,43 @@ class SetAssociativeCache:
     # ------------------------------------------------------------------
     def lookup(self, address: int) -> AccessResult:
         """Probe without modifying any state (no LRU update)."""
-        set_index = self.geometry.set_index(address)
-        tag = self.geometry.tag(address)
-        for way in self._eligible[set_index]:
-            line = self._lines[set_index][way]
-            if line is not None and line.tag == tag:
-                return AccessResult(
-                    hit=True,
-                    way=way,
-                    latency=self.config.latencies[way],
-                    set_index=set_index,
-                )
-        return AccessResult(hit=False, way=None, latency=None, set_index=set_index)
+        block = address >> self._offset_bits
+        set_index = block & self._set_mask
+        tags = self._tags[set_index]
+        tag = block >> self._set_bits
+        if tag in tags:
+            way = tags.index(tag)
+            return AccessResult(True, way, self._latencies[way], set_index)
+        return AccessResult(False, None, None, set_index)
+
+    def access_way(self, address: int, write: bool = False) -> int:
+        """:meth:`access` on plain ints: the way that hit, or -1 on a miss.
+
+        Only eligible ways are ever filled, so the first tag match in the
+        set is the hit (a block is never resident twice: :meth:`fill`
+        re-probes). This is the hierarchy's per-access path; it builds
+        no result object.
+        """
+        block = address >> self._offset_bits
+        set_index = block & self._set_mask
+        tags = self._tags[set_index]
+        tag = block >> self._set_bits
+        if tag not in tags:
+            self.misses += 1
+            return -1
+        way = tags.index(tag)
+        self.hits += 1
+        self.way_hits[way] += 1
+        if self._recency is not None:
+            recency = self._recency[set_index]
+            if recency[-1] != way:
+                recency.remove(way)
+                recency.append(way)
+        else:
+            self._policies[set_index].touch(way)
+        if write:
+            self._dirty[set_index][way] = True
+        return way
 
     def access(self, address: int, write: bool = False) -> AccessResult:
         """Look up ``address``; on a hit update LRU (and dirty for writes).
@@ -233,136 +279,67 @@ class SetAssociativeCache:
         Misses do *not* allocate — call :meth:`fill` when the refill
         arrives, which is how the hierarchy models non-blocking misses.
         """
-        result = self.lookup(address)
-        set_index = result.set_index
-        if result.hit:
-            assert result.way is not None
-            self.hits += 1
-            self.way_hits[result.way] += 1
-            self._policies[set_index].touch(result.way)
-            if write:
-                line = self._lines[set_index][result.way]
-                assert line is not None
-                line.dirty = True
-        else:
-            self.misses += 1
-        return result
+        way = self.access_way(address, write)
+        set_index = (address >> self._offset_bits) & self._set_mask
+        if way < 0:
+            return AccessResult(False, None, None, set_index)
+        return AccessResult(True, way, self._latencies[way], set_index)
 
     def fill(self, address: int, dirty: bool = False) -> AccessResult:
         """Install the block of ``address``, evicting if necessary."""
-        probe = self.lookup(address)
-        if probe.hit:
+        block = address >> self._offset_bits
+        set_index = block & self._set_mask
+        tags = self._tags[set_index]
+        tag = block >> self._set_bits
+        recency = None if self._recency is None else self._recency[set_index]
+        if tag in tags:
             # Another outstanding miss already refilled this block.
-            assert probe.way is not None
-            self._policies[probe.set_index].touch(probe.way)
+            way = tags.index(tag)
+            if recency is None:
+                self._policies[set_index].touch(way)
+            elif recency[-1] != way:
+                recency.remove(way)
+                recency.append(way)
             if dirty:
-                line = self._lines[probe.set_index][probe.way]
-                assert line is not None
-                line.dirty = True
-            return probe
-        set_index = probe.set_index
-        tag = self.geometry.tag(address)
+                self._dirty[set_index][way] = True
+            return AccessResult(True, way, self._latencies[way], set_index)
         eligible = self._eligible[set_index]
-        empty = [w for w in eligible if self._lines[set_index][w] is None]
+        dirty_bits = self._dirty[set_index]
         evicted_block: Optional[int] = None
         evicted_dirty = False
+        if recency is not None and len(recency) == len(eligible):
+            empty = ()  # a full recency list is a full set
+        else:
+            empty = [w for w in eligible if tags[w] is None]
         if empty:
             # Spread cold fills across the empty ways (hash by block
             # address): always picking the lowest index would park the
             # long-lived hot blocks in the low ways and starve the high
             # ways of hits, which would bias every per-way-latency
             # experiment.
-            way = empty[self.geometry.block_address(address) % len(empty)]
+            way = empty[block % len(empty)]
         else:
-            way = self._policies[set_index].victim(eligible)
-            victim = self._lines[set_index][way]
-            assert victim is not None
-            set_bits = self.geometry.num_sets.bit_length() - 1
-            evicted_block = (victim.tag << set_bits) | set_index
-            evicted_dirty = victim.dirty
-            self.evictions += 1
-        self._lines[set_index][way] = _Line(tag=tag, dirty=dirty)
-        self._policies[set_index].touch(way)
-        return AccessResult(
-            hit=False,
-            way=way,
-            latency=self.config.latencies[way],
-            set_index=set_index,
-            evicted_block=evicted_block,
-            evicted_dirty=evicted_dirty,
-        )
-
-    # ------------------------------------------------------------------
-    def run_compiled(self, trace) -> Tuple[int, int, int]:
-        """Replay a compiled trace's memory ops through this cache.
-
-        Semantically identical to the per-access reference loop::
-
-            for instr in trace.instructions():
-                if instr.address is None:
-                    continue
-                write = instr.op is OpClass.STORE
-                result = cache.access(instr.address, write=write)
-                if not result.hit:
-                    cache.fill(instr.address, dirty=write)
-
-        but batched: the (set index, tag, write) columns come pre-split
-        from :meth:`CompiledTrace.memory_ops`, attribute lookups are
-        hoisted into locals, the common hit path is short-circuited, and
-        no per-access :class:`AccessResult` objects are allocated —
-        ``fill``'s re-probe is skipped because nothing can intervene
-        between the missed lookup and the refill here. Statistics
-        (hits/misses/evictions/way_hits) accumulate exactly as in the
-        reference; the deltas are returned as ``(hits, misses,
-        evictions)``.
-
-        ``trace`` is any object with a
-        ``memory_ops(geometry) -> (sets, tags, writes, count)`` method —
-        in practice :class:`repro.workloads.compiled.CompiledTrace`.
-        """
-        set_indices, tags, writes, count = trace.memory_ops(self.geometry)
-        lines = self._lines
-        policies = self._policies
-        eligible = self._eligible
-        way_hits = self.way_hits
-        make_line = _Line
-        set_bits = self.geometry.num_sets.bit_length() - 1
-        hits = 0
-        misses = 0
-        evictions = 0
-        for i in range(count):
-            set_index = set_indices[i]
-            tag = tags[i]
-            set_lines = lines[set_index]
-            elig = eligible[set_index]
-            hit_way = -1
-            for way in elig:
-                line = set_lines[way]
-                if line is not None and line.tag == tag:
-                    hit_way = way
-                    break
-            if hit_way >= 0:
-                hits += 1
-                way_hits[hit_way] += 1
-                policies[set_index].touch(hit_way)
-                if writes[i]:
-                    set_lines[hit_way].dirty = True
-                continue
-            misses += 1
-            empty = [w for w in elig if set_lines[w] is None]
-            if empty:
-                # Same cold-fill spread as fill(): hash by block address,
-                # which is exactly (tag << set_bits) | set_index.
-                way = empty[((tag << set_bits) | set_index) % len(empty)]
+            if recency is None:
+                way = self._policies[set_index].victim(eligible)
             else:
-                way = policies[set_index].victim(elig)
-                evictions += 1
-            set_lines[way] = make_line(tag, bool(writes[i]))
-            policies[set_index].touch(way)
-        self.hits += hits
-        self.misses += misses
-        self.evictions += evictions
-        return hits, misses, evictions
+                way = recency.pop(0)
+            evicted_block = (tags[way] << self._set_bits) | set_index
+            evicted_dirty = dirty_bits[way]
+            self.evictions += 1
+        tags[way] = tag
+        dirty_bits[way] = dirty
+        if recency is None:
+            self._policies[set_index].touch(way)
+        else:
+            recency.append(way)
+        return AccessResult(
+            False,
+            way,
+            self._latencies[way],
+            set_index,
+            evicted_block,
+            evicted_dirty,
+        )
 
     # ------------------------------------------------------------------
     @property

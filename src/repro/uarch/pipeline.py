@@ -27,38 +27,59 @@ The paper's two key mechanisms are modelled faithfully:
 
 Mispredicted branches stall fetch from the moment they are fetched until
 they resolve at execute; the front-end depth then refills naturally.
+
+Kernel
+------
+
+:meth:`PipelineEngine.run` is one loop over local variables. Each
+iteration is one cycle with something to do, and runs the stages in this
+order: completion and miss-discovery events, commit, issue, dispatch,
+fetch, then a jump to the next cycle at which anything can happen.
+Instruction fields are read straight from the compiled trace's columns
+by sequence number, so the only per-instruction object is
+:class:`_Inst`. Functional-unit pools and the next cycle's reservations
+(load-bypass occupancy and slow-way port blocking) are small lists
+indexed by pool.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Deque, Dict, Iterable, Iterator, List, Optional
+from typing import List
 
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.core.errors import SimulationError
 from repro.uarch.config import CoreConfig
 from repro.uarch.isa import FU_KIND, FU_LATENCIES, OpClass
 from repro.uarch.lbb import LoadBypassBuffers
-from repro.uarch.trace import NUM_REGISTERS, TraceInstruction
+from repro.uarch.trace import NUM_REGISTERS
 
 __all__ = ["PipelineEngine"]
 
 #: Safety valve: cycles without any commit before declaring deadlock.
 _DEADLOCK_LIMIT = 200_000
 
+#: Op code -> class: the enum definition order, which is also the
+#: encoding of ``repro.workloads.compiled.CompiledTrace.ops``.
+_OPS = tuple(OpClass)
+_LOAD = _OPS.index(OpClass.LOAD)
+_STORE = _OPS.index(OpClass.STORE)
+#: Functional-unit pool names, and each op code's pool index and latency.
+_POOLS = tuple(dict.fromkeys(FU_KIND[op] for op in _OPS))
+_OP_POOL = tuple(_POOLS.index(FU_KIND[op]) for op in _OPS)
+_OP_LATENCY = tuple(FU_LATENCIES[op] for op in _OPS)
+#: The pool a slow L1D way blocks for one cycle (its cache port).
+_MEM_POOL = _POOLS.index("mem")
+_IDLE_POOLS = (0,) * len(_POOLS)
+
 
 class _Inst:
-    """Mutable per-instruction pipeline state."""
+    """Mutable per-instruction pipeline state; ``seq`` is its trace index."""
 
     __slots__ = (
         "seq",
         "op",
-        "dest",
-        "srcs",
-        "address",
-        "pc",
-        "mispredicted",
         "fetch_cycle",
         "producers",
         "waiters",
@@ -68,27 +89,12 @@ class _Inst:
         "done",
         "wake_time",
         "completed",
-        "replays",
     )
 
-    def __init__(
-        self,
-        seq: int,
-        op: OpClass,
-        dest: Optional[int],
-        srcs: tuple,
-        address: Optional[int],
-        pc: int,
-        mispredicted: bool,
-    ) -> None:
+    def __init__(self, seq: int, op: int, fetch_cycle: int) -> None:
         self.seq = seq
         self.op = op
-        self.dest = dest
-        self.srcs = srcs
-        self.address = address
-        self.pc = pc
-        self.mispredicted = mispredicted
-        self.fetch_cycle = 0
+        self.fetch_cycle = fetch_cycle
         self.producers: List["_Inst"] = []
         self.waiters: List["_Inst"] = []
         self.remaining = 0
@@ -97,16 +103,10 @@ class _Inst:
         self.done = -1
         self.wake_time = -1
         self.completed = False
-        self.replays = 0
-
-
-#: Op-code -> OpClass decode table for packed traces; the order is the
-#: enum definition order, matching ``repro.workloads.compiled.OP_CODES``.
-_OP_TABLE = tuple(OpClass)
 
 
 class PipelineEngine:
-    """Runs one trace through the configured core and hierarchy.
+    """Runs one compiled trace through the configured core and hierarchy.
 
     Parameters
     ----------
@@ -114,417 +114,415 @@ class PipelineEngine:
         Core parameters.
     hierarchy:
         The memory hierarchy (carries the yield-aware L1D configuration).
+        Every cache access goes through :meth:`MemoryHierarchy.data_access`
+        (once per load and store) or
+        :meth:`MemoryHierarchy.instruction_fetch`.
     trace:
-        Iterable of :class:`TraceInstruction` (consumed lazily), or a
-        :class:`repro.workloads.compiled.CompiledTrace` — the packed
-        fast path reads instruction fields straight out of the compiled
-        buffers, skipping per-instruction object construction and
-        re-validation (the trace was validated when compiled).
+        A :class:`repro.workloads.compiled.CompiledTrace`; its columns
+        were validated when it was packed. :class:`repro.uarch.Simulator`
+        packs plain instruction iterables before they get here.
+    warmup_instructions:
+        Instructions whose commit ends the warmup window: counters and
+        cache statistics are zeroed at the commit that reaches this
+        count, before that cycle's issue stage.
     """
 
     def __init__(
         self,
         config: CoreConfig,
         hierarchy: MemoryHierarchy,
-        trace: Iterable[TraceInstruction],
+        trace,
         warmup_instructions: int = 0,
     ) -> None:
         self.config = config
         self.hierarchy = hierarchy
-        # Detected by attribute, not isinstance: importing the compiled
-        # module here would be circular (workloads.generator imports
-        # repro.uarch.isa while repro.uarch's own __init__ runs).
-        if getattr(trace, "is_compiled_trace", False):
-            self._compiled = trace
-            self._compiled_pos = 0
-            self._trace: Optional[Iterator[TraceInstruction]] = None
-        else:
-            self._compiled = None
-            self._compiled_pos = 0
-            self._trace = iter(trace)
+        self.trace = trace
         self.lbb = LoadBypassBuffers(slack=config.lbb_slack)
         self.warmup_instructions = warmup_instructions
         self.warmup_cycle = 0
-        self._warm = warmup_instructions == 0
-
         self.cycle = 0
-        self._fetch_seq = 0
-        self._trace_exhausted = False
-        self._fetch_blocked_on: Optional[_Inst] = None
-        self._fetch_stall_until = 0
-        self._last_fetch_block: Optional[int] = None
-
-        self._frontend: Deque[_Inst] = deque()  # fetched, awaiting dispatch
-        self._rob: Deque[_Inst] = deque()
-        self._iq_used = 0
-        self._last_writer: List[Optional[_Inst]] = [None] * NUM_REGISTERS
-
-        self._ready: List = []  # heap of (time, seq, inst)
-        self._events: List = []  # heap of (time, kind, seq, inst)
-        #: Latest revised wake-up of any miss-discovered load. While
-        #: ``cycle >= _revision_horizon`` — every instruction window with
-        #: no pending slow load — the issue stage can skip the
-        #: producer-revision re-check entirely: an unrevised producer's
-        #: wake time is always folded into the consumer's ready time
-        #: before it enters the ready heap.
-        self._revision_horizon = 0
-        self._fu_reserved: Dict[int, Dict[str, int]] = {}
-        self._commit_count = 0
-        self._last_commit_cycle = 0
-
-        # statistics
+        # statistics, written by run()
         self.committed = 0
-        self.issued = 0
         self.replay_count = 0
         self.branch_mispredicts = 0
         self.load_count = 0
         self.store_count = 0
         self.slow_way_hits = 0
 
-    # ------------------------------------------------------------------
-    # helpers
-    # ------------------------------------------------------------------
-    def _push_ready(self, inst: _Inst, time: int) -> None:
-        inst.ready_time = max(inst.ready_time, time)
-        heapq.heappush(self._ready, (inst.ready_time, inst.seq, inst))
-
-    def _wake_consumers(self, inst: _Inst, wake_time: int) -> None:
-        """Producer ``inst`` issued (or revised): wake waiting consumers."""
-        inst.wake_time = wake_time
-        for consumer in inst.waiters:
-            if consumer.issued:
-                continue
-            consumer.remaining -= 1
-            consumer.ready_time = max(consumer.ready_time, wake_time)
-            if consumer.remaining <= 0:
-                self._push_ready(consumer, consumer.ready_time)
-        inst.waiters = []
-
-    def _end_warmup(self) -> None:
-        """Reset measurement counters once the warmup window commits.
-
-        Cache *contents* are kept (that is the point of warming up); only
-        the statistics are zeroed, and the CPI window starts here.
-        """
-        self._warm = True
-        self.warmup_cycle = self.cycle
-        self.replay_count = 0
-        self.branch_mispredicts = 0
-        self.load_count = 0
-        self.store_count = 0
-        self.slow_way_hits = 0
-        self.issued = 0
-        self.lbb.total_stalls = 0
-        self.lbb.overflows = 0
-        self.hierarchy.l1d.reset_statistics()
-        self.hierarchy.l1i.reset_statistics()
-        self.hierarchy.l2.reset_statistics()
-        self.hierarchy.l2_accesses = 0
-        self.hierarchy.memory_accesses = 0
-
-    def _revise_load_wakeup(self, load: _Inst) -> None:
-        """Miss discovered at the load's execute stage: re-wake consumers.
-
-        Consumers that issued inside the shadow replay on their own; the
-        rest are re-timed for the refill.
-        """
-        new_wake = max(load.done - self.config.sched_to_exec_stages, self.cycle + 1)
-        load.wake_time = new_wake
-        if new_wake > self._revision_horizon:
-            self._revision_horizon = new_wake
-
-    # ------------------------------------------------------------------
-    # pipeline stages (called in reverse order each cycle)
-    # ------------------------------------------------------------------
-    def _do_commit(self) -> None:
-        count = 0
-        while (
-            self._rob
-            and count < self.config.commit_width
-            and self._rob[0].completed
-            and self._rob[0].done <= self.cycle
-        ):
-            self._rob.popleft()
-            self.committed += 1
-            self._last_commit_cycle = self.cycle
-            count += 1
-            if not self._warm and self.committed >= self.warmup_instructions:
-                self._end_warmup()
-
-    def _process_events(self) -> None:
-        while self._events and self._events[0][0] <= self.cycle:
-            _, kind, _, inst = heapq.heappop(self._events)
-            if kind == 0:  # completion
-                inst.completed = True
-            else:  # miss discovery: revise consumer wake-up
-                self._revise_load_wakeup(inst)
-
-    def _issue_load(self, inst: _Inst, exec_start: int) -> int:
-        """Access the hierarchy; returns the data-available cycle."""
-        assert inst.address is not None
-        access = self.hierarchy.data_access(inst.address, write=False)
-        self.load_count += 1
-        done = exec_start + access.latency
-        predicted = self.config.predicted_load_latency
-        if access.l1_hit and access.latency > predicted:
-            # A 5-cycle way occupies its cache port one cycle longer,
-            # blocking one memory issue slot next cycle.
-            self.slow_way_hits += 1
-            reserved = self._fu_reserved.setdefault(self.cycle + 1, {})
-            reserved["mem"] = reserved.get("mem", 0) + 1
-        if access.latency > predicted + self.config.lbb_slack:
-            # Effectively a miss for the scheduler: consumers issued in
-            # the shadow will replay; the rest are re-woken when the miss
-            # is discovered at our execute stage.
-            heapq.heappush(self._events, (exec_start, 1, inst.seq, inst))
-        return done
-
-    def _do_issue(self) -> None:
-        # Load-bypass-buffer occupancy blocks the functional-unit input it
-        # sits in front of, so reservations made by earlier stalls count
-        # against this cycle's pool.
-        cycle = self.cycle
-        config = self.config
-        ready = self._ready
-        fu_kind = FU_KIND
-        fu_pools = config.fu_pools
-        issue_width = config.issue_width
-        sched_stages = config.sched_to_exec_stages
-        heappop = heapq.heappop
-        # No pending slow load means no producer wake-up can have been
-        # revised past this cycle — skip the re-check per pop.
-        check_revised = self._revision_horizon > cycle
-        fu_used: Dict[str, int] = self._fu_reserved.pop(cycle, {})
-        issued = 0
-        deferred: List[_Inst] = []
-        while ready and issued < issue_width:
-            time, _, inst = ready[0]
-            if time > cycle:
-                break
-            heappop(ready)
-            if inst.issued or time < inst.ready_time:
-                continue  # stale heap entry
-            # A producer's wake-up may have been revised after this entry
-            # was queued (miss discovery): the scheduler was informed, so
-            # re-time the consumer without spending an issue slot.
-            if check_revised:
-                revised = max(
-                    (p.wake_time for p in inst.producers), default=0
-                )
-                if revised > cycle:
-                    self._push_ready(inst, revised)
-                    continue
-            kind = fu_kind[inst.op]
-            if fu_used.get(kind, 0) >= fu_pools[kind]:
-                deferred.append(inst)
-                continue
-
-            # Will the data actually be there when we reach execute?
-            exec_start = cycle + sched_stages
-            data_ready = 0
-            for producer in inst.producers:
-                if not producer.issued:
-                    raise SimulationError(
-                        "consumer scheduled before its producer issued"
-                    )
-                data_ready = max(data_ready, producer.done)
-            shortfall = data_ready - exec_start
-
-            fu_used[kind] = fu_used.get(kind, 0) + 1
-            issued += 1
-            self.issued += 1
-
-            if shortfall > 0:
-                if shortfall > config.lbb_slack or not self.lbb.try_hold(
-                    exec_start, shortfall
-                ):
-                    # Speculatively issued under a miss (or no buffer
-                    # space): squash and replay when the data arrives.
-                    self.replay_count += 1
-                    inst.replays += 1
-                    retry = max(data_ready - sched_stages, cycle + 1)
-                    self._push_ready(inst, retry)
-                    continue
-                # Absorbed by a load-bypass buffer: the buffered operand
-                # occupies this FU's input, blocking one issue of the same
-                # kind next cycle.
-                exec_start += shortfall
-                reserved = self._fu_reserved.setdefault(cycle + 1, {})
-                reserved[kind] = reserved.get(kind, 0) + 1
-
-            inst.issued = True
-            self._iq_used -= 1
-            # If this instruction itself slipped into a bypass buffer, the
-            # scheduler knows and delays its dependents by the same slip.
-            slip = exec_start - (cycle + sched_stages)
-            if inst.op is OpClass.LOAD:
-                inst.done = self._issue_load(inst, exec_start)
-                wake = cycle + config.predicted_load_latency + slip
-            elif inst.op is OpClass.STORE:
-                assert inst.address is not None
-                self.hierarchy.data_access(inst.address, write=True)
-                self.store_count += 1
-                inst.done = exec_start + FU_LATENCIES[inst.op]
-                wake = inst.done
-            else:
-                latency = FU_LATENCIES[inst.op]
-                inst.done = exec_start + latency
-                wake = inst.done - sched_stages
-            heapq.heappush(self._events, (inst.done, 0, inst.seq, inst))
-            self._wake_consumers(inst, wake)
-            if inst.mispredicted:
-                self.branch_mispredicts += 1
-                self._fetch_stall_until = max(
-                    self._fetch_stall_until, inst.done + 1
-                )
-                if self._fetch_blocked_on is inst:
-                    self._fetch_blocked_on = None
-        for inst in deferred:  # structural hazard: retry next cycle
-            self._push_ready(inst, cycle + 1)
-
-    def _do_dispatch(self) -> None:
-        count = 0
-        while (
-            self._frontend
-            and count < self.config.fetch_width
-            and len(self._rob) < self.config.rob_size
-            and self._iq_used < self.config.iq_size
-        ):
-            inst = self._frontend[0]
-            if inst.fetch_cycle + self.config.frontend_stages > self.cycle:
-                break
-            self._frontend.popleft()
-            self._rob.append(inst)
-            self._iq_used += 1
-            count += 1
-
-            inst.ready_time = self.cycle + 1
-            for src in inst.srcs:
-                producer = self._last_writer[src]
-                if producer is None or producer.completed:
-                    continue
-                inst.producers.append(producer)
-                if producer.issued:
-                    inst.ready_time = max(inst.ready_time, producer.wake_time)
-                else:
-                    inst.remaining += 1
-                    producer.waiters.append(inst)
-            if inst.dest is not None:
-                self._last_writer[inst.dest] = inst
-            if inst.remaining == 0:
-                self._push_ready(inst, inst.ready_time)
-
-    def _do_fetch(self) -> None:
-        if self._fetch_blocked_on is not None:
-            return
-        if self.cycle < self._fetch_stall_until:
-            return
-        if self._trace_exhausted:
-            return
-        if len(self._frontend) >= 3 * self.config.fetch_width:
-            return
-        compiled = self._compiled
-        fetched = 0
-        while fetched < self.config.fetch_width:
-            if compiled is not None:
-                # Packed fast path: read fields straight from the
-                # compiled buffers (validated once, at compile time).
-                pos = self._compiled_pos
-                if pos >= compiled.length:
-                    self._trace_exhausted = True
-                    break
-                self._compiled_pos = pos + 1
-                dest = compiled.dests[pos]
-                s0 = compiled.src0[pos]
-                s1 = compiled.src1[pos]
-                address = compiled.addresses[pos]
-                inst = _Inst(
-                    self._fetch_seq,
-                    _OP_TABLE[compiled.ops[pos]],
-                    None if dest < 0 else dest,
-                    () if s0 < 0 else ((s0,) if s1 < 0 else (s0, s1)),
-                    None if address < 0 else address,
-                    compiled.pcs[pos],
-                    bool(compiled.mispredicts[pos]),
-                )
-            else:
-                try:
-                    raw = next(self._trace)
-                except StopIteration:
-                    self._trace_exhausted = True
-                    break
-                inst = _Inst(
-                    self._fetch_seq,
-                    raw.op,
-                    raw.dest,
-                    raw.srcs,
-                    raw.address,
-                    raw.pc,
-                    raw.mispredicted,
-                )
-            self._fetch_seq += 1
-            fetched += 1
-
-            # Instruction cache: pay the miss latency when entering a new
-            # block; the 2-cycle hit latency is part of the front end.
-            block = self.hierarchy.l1i.geometry.block_address(inst.pc)
-            if block != self._last_fetch_block:
-                self._last_fetch_block = block
-                latency = self.hierarchy.instruction_fetch(inst.pc)
-                extra = latency - self.hierarchy.config.l1i_latency
-                if extra > 0:
-                    self._fetch_stall_until = max(
-                        self._fetch_stall_until, self.cycle + extra
-                    )
-            self._frontend.append(inst)
-            inst.fetch_cycle = self.cycle
-            if inst.mispredicted:
-                self._fetch_blocked_on = inst
-                break
-            if self.cycle < self._fetch_stall_until:
-                break
-
-    # ------------------------------------------------------------------
-    def _next_event_time(self) -> Optional[int]:
-        """Earliest future cycle at which anything can happen."""
-        candidates: List[int] = []
-        if self._events:
-            candidates.append(self._events[0][0])
-        if self._ready:
-            candidates.append(self._ready[0][0])
-        if self._frontend:
-            candidates.append(
-                self._frontend[0].fetch_cycle + self.config.frontend_stages
-            )
-        if (
-            not self._trace_exhausted
-            and self._fetch_blocked_on is None
-            and len(self._frontend) < 3 * self.config.fetch_width
-        ):
-            candidates.append(max(self._fetch_stall_until, self.cycle + 1))
-        future = [c for c in candidates if c > self.cycle]
-        return min(future) if future else None
+    def _reset_hierarchy_statistics(self) -> None:
+        hierarchy = self.hierarchy
+        hierarchy.l1d.reset_statistics()
+        hierarchy.l1i.reset_statistics()
+        hierarchy.l2.reset_statistics()
+        hierarchy.l2_accesses = 0
+        hierarchy.memory_accesses = 0
 
     def run(self) -> None:
         """Simulate until every fetched instruction has committed."""
-        while True:
-            self._process_events()
-            self._do_commit()
-            self._do_issue()
-            self._do_dispatch()
-            self._do_fetch()
-            if (
-                self._trace_exhausted
-                and not self._rob
-                and not self._frontend
-            ):
-                break
-            if self.cycle - self._last_commit_cycle > _DEADLOCK_LIMIT:
-                raise SimulationError(
-                    f"no commit for {_DEADLOCK_LIMIT} cycles "
-                    f"(cycle {self.cycle}, committed {self.committed})"
-                )
-            nxt = self._next_event_time()
-            self.cycle = nxt if nxt is not None else self.cycle + 1
-            if self.cycle % 50_000 == 0:
-                self.lbb.release_before(self.cycle)
+        config = self.config
+        hierarchy = self.hierarchy
+        lbb = self.lbb
+        # Bound here, so instrumentation that wraps these methods on the
+        # class sees every access.
+        data_access = hierarchy.data_access
+        instruction_fetch = hierarchy.instruction_fetch
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+
+        trace = self.trace
+        length = trace.length
+        ops = trace.ops
+        dests = trace.dests
+        src0 = trace.src0
+        src1 = trace.src1
+        addresses = trace.addresses
+        pcs = trace.pcs
+        mispredicts = trace.mispredicts
+
+        fetch_width = config.fetch_width
+        frontend_limit = 3 * fetch_width
+        frontend_stages = config.frontend_stages
+        issue_width = config.issue_width
+        commit_width = config.commit_width
+        iq_size = config.iq_size
+        rob_size = config.rob_size
+        sched = config.sched_to_exec_stages
+        predicted = config.predicted_load_latency
+        lbb_slack = config.lbb_slack
+        pool_sizes = [config.fu_pools[name] for name in _POOLS]
+        op_pool = _OP_POOL
+        op_latency = _OP_LATENCY
+        l1i_offset_bits = hierarchy.l1i.geometry.block_bytes.bit_length() - 1
+        l1i_latency = hierarchy.config.l1i_latency
+        warmup = self.warmup_instructions
+        warm = warmup == 0
+
+        cycle = 0
+        warmup_cycle = 0
+        last_commit_cycle = 0
+        # fetch
+        position = 0  # next trace index to fetch (= its sequence number)
+        exhausted = False
+        blocked_on = None  # the unissued mispredicted branch, if any
+        stall_until = 0
+        last_fetch_block = None
+        # window
+        frontend = deque()  # fetched, awaiting dispatch
+        rob = deque()
+        iq_used = 0
+        last_writer: List = [None] * NUM_REGISTERS
+        ready: List = []  # heap of (ready_time, seq, inst)
+        events: List = []  # heap of (time, kind, seq, inst)
+        deferred: List[_Inst] = []
+        # Latest revised wake-up of any miss-discovered load. While
+        # ``cycle >= revision_horizon`` — every instruction window with
+        # no pending slow load — the issue stage skips the producer
+        # re-check: an unrevised producer's wake time is always folded
+        # into the consumer's ready time before it enters the heap.
+        revision_horizon = 0
+        # Per-pool issues this cycle, and reservations made for the next
+        # cycle. Those count only if that very cycle is simulated; the
+        # jump to the next cycle with work may pass over it.
+        pool_used = list(_IDLE_POOLS)
+        reserved = list(_IDLE_POOLS)
+        reserved_cycle = -1
+        # statistics
+        committed = 0
+        replays = 0
+        mispredicted = 0
+        loads = 0
+        stores = 0
+        slow_way_hits = 0
+
+        try:
+            while True:
+                # -- events: completions, and misses discovered at execute
+                while events and events[0][0] <= cycle:
+                    _, kind, _, inst = heappop(events)
+                    if kind == 0:
+                        inst.completed = True
+                    else:
+                        # Consumers issued in the shadow replay on their
+                        # own; the rest are re-timed for the refill.
+                        wake = inst.done - sched
+                        if wake <= cycle:
+                            wake = cycle + 1
+                        inst.wake_time = wake
+                        if wake > revision_horizon:
+                            revision_horizon = wake
+
+                # -- commit
+                count = 0
+                while rob and count < commit_width:
+                    head = rob[0]
+                    if not head.completed or head.done > cycle:
+                        break
+                    rob.popleft()
+                    committed += 1
+                    last_commit_cycle = cycle
+                    count += 1
+                    if not warm and committed >= warmup:
+                        # Cache *contents* are kept (that is the point of
+                        # warming up); only the statistics are zeroed,
+                        # and the CPI window starts here.
+                        warm = True
+                        warmup_cycle = cycle
+                        replays = 0
+                        mispredicted = 0
+                        loads = 0
+                        stores = 0
+                        slow_way_hits = 0
+                        lbb.total_stalls = 0
+                        lbb.overflows = 0
+                        self._reset_hierarchy_statistics()
+
+                # -- issue
+                if ready and ready[0][0] <= cycle:
+                    if reserved_cycle == cycle:
+                        pool_used, reserved = reserved, pool_used
+                    else:
+                        pool_used[:] = _IDLE_POOLS
+                    check_revised = revision_horizon > cycle
+                    issued = 0
+                    while ready and issued < issue_width:
+                        entry = ready[0]
+                        if entry[0] > cycle:
+                            break
+                        heappop(ready)
+                        inst = entry[2]
+                        if inst.issued or entry[0] < inst.ready_time:
+                            continue  # stale heap entry
+                        producers = inst.producers
+                        if check_revised:
+                            # A producer's wake-up may have been revised
+                            # after this entry was queued (miss discovery):
+                            # re-time the consumer without an issue slot.
+                            revised = 0
+                            for producer in producers:
+                                if producer.wake_time > revised:
+                                    revised = producer.wake_time
+                            if revised > cycle:
+                                if revised > inst.ready_time:
+                                    inst.ready_time = revised
+                                heappush(
+                                    ready, (inst.ready_time, inst.seq, inst)
+                                )
+                                continue
+                        op = inst.op
+                        pool = op_pool[op]
+                        if pool_used[pool] >= pool_sizes[pool]:
+                            deferred.append(inst)  # structural hazard
+                            continue
+
+                        # Will the data actually be there at execute?
+                        exec_start = cycle + sched
+                        data_ready = 0
+                        for producer in producers:
+                            if not producer.issued:
+                                raise SimulationError(
+                                    "consumer scheduled before its producer "
+                                    "issued"
+                                )
+                            if producer.done > data_ready:
+                                data_ready = producer.done
+                        pool_used[pool] += 1
+                        issued += 1
+                        shortfall = data_ready - exec_start
+                        if shortfall > 0:
+                            if shortfall > lbb_slack or not lbb.try_hold(
+                                exec_start, shortfall
+                            ):
+                                # Speculatively issued under a miss (or no
+                                # buffer space): squash and replay when the
+                                # data arrives.
+                                replays += 1
+                                retry = data_ready - sched
+                                if retry <= cycle:
+                                    retry = cycle + 1
+                                if retry > inst.ready_time:
+                                    inst.ready_time = retry
+                                heappush(
+                                    ready, (inst.ready_time, inst.seq, inst)
+                                )
+                                continue
+                            # Absorbed by a load-bypass buffer: the operand
+                            # occupies this FU's input, blocking one issue
+                            # of the same kind next cycle.
+                            exec_start += shortfall
+                            if reserved_cycle != cycle + 1:
+                                reserved[:] = _IDLE_POOLS
+                                reserved_cycle = cycle + 1
+                            reserved[pool] += 1
+
+                        inst.issued = True
+                        iq_used -= 1
+                        seq = inst.seq
+                        if op == _LOAD:
+                            access = data_access(addresses[seq], False)
+                            latency = access[0]
+                            loads += 1
+                            done = exec_start + latency
+                            if latency > predicted and access[1]:
+                                # A 5-cycle way holds its cache port one
+                                # cycle longer, blocking one memory issue
+                                # slot next cycle.
+                                slow_way_hits += 1
+                                if reserved_cycle != cycle + 1:
+                                    reserved[:] = _IDLE_POOLS
+                                    reserved_cycle = cycle + 1
+                                reserved[_MEM_POOL] += 1
+                            if latency > predicted + lbb_slack:
+                                # A miss for the scheduler: discovered at
+                                # this load's execute stage.
+                                heappush(events, (exec_start, 1, seq, inst))
+                            # Dependents wake on the predicted latency,
+                            # delayed by this load's own bypass slip.
+                            wake = predicted + exec_start - sched
+                        elif op == _STORE:
+                            data_access(addresses[seq], True)
+                            stores += 1
+                            done = exec_start + op_latency[op]
+                            wake = done
+                        else:
+                            done = exec_start + op_latency[op]
+                            wake = done - sched
+                        inst.done = done
+                        heappush(events, (done, 0, seq, inst))
+                        inst.wake_time = wake
+                        for consumer in inst.waiters:
+                            if consumer.issued:
+                                continue
+                            consumer.remaining -= 1
+                            if wake > consumer.ready_time:
+                                consumer.ready_time = wake
+                            if consumer.remaining <= 0:
+                                heappush(
+                                    ready,
+                                    (consumer.ready_time, consumer.seq,
+                                     consumer),
+                                )
+                        inst.waiters.clear()
+                        if mispredicts[seq]:
+                            mispredicted += 1
+                            if done + 1 > stall_until:
+                                stall_until = done + 1
+                            if blocked_on is inst:
+                                blocked_on = None
+                    if deferred:
+                        for inst in deferred:  # retry next cycle
+                            if cycle + 1 > inst.ready_time:
+                                inst.ready_time = cycle + 1
+                            heappush(ready, (inst.ready_time, inst.seq, inst))
+                        deferred.clear()
+
+                # -- dispatch
+                count = 0
+                while (
+                    frontend
+                    and count < fetch_width
+                    and len(rob) < rob_size
+                    and iq_used < iq_size
+                ):
+                    inst = frontend[0]
+                    if inst.fetch_cycle + frontend_stages > cycle:
+                        break
+                    frontend.popleft()
+                    rob.append(inst)
+                    iq_used += 1
+                    count += 1
+                    seq = inst.seq
+                    ready_time = cycle + 1
+                    for src in (src0[seq], src1[seq]):
+                        if src < 0:
+                            break
+                        producer = last_writer[src]
+                        if producer is None or producer.completed:
+                            continue
+                        inst.producers.append(producer)
+                        if producer.issued:
+                            if producer.wake_time > ready_time:
+                                ready_time = producer.wake_time
+                        else:
+                            inst.remaining += 1
+                            producer.waiters.append(inst)
+                    inst.ready_time = ready_time
+                    dest = dests[seq]
+                    if dest >= 0:
+                        last_writer[dest] = inst
+                    if inst.remaining == 0:
+                        heappush(ready, (ready_time, seq, inst))
+
+                # -- fetch
+                if (
+                    blocked_on is None
+                    and cycle >= stall_until
+                    and not exhausted
+                    and len(frontend) < frontend_limit
+                ):
+                    fetched = 0
+                    while fetched < fetch_width:
+                        if position >= length:
+                            exhausted = True
+                            break
+                        inst = _Inst(position, ops[position], cycle)
+                        fetched += 1
+                        # Instruction cache: pay the miss latency when
+                        # entering a new block; the hit latency is part
+                        # of the front end.
+                        pc = pcs[position]
+                        block = pc >> l1i_offset_bits
+                        if block != last_fetch_block:
+                            last_fetch_block = block
+                            extra = instruction_fetch(pc) - l1i_latency
+                            if extra > 0 and cycle + extra > stall_until:
+                                stall_until = cycle + extra
+                        frontend.append(inst)
+                        mispredicted_branch = mispredicts[position]
+                        position += 1
+                        if mispredicted_branch:
+                            blocked_on = inst
+                            break
+                        if cycle < stall_until:
+                            break
+
+                if exhausted and not rob and not frontend:
+                    break
+                if cycle - last_commit_cycle > _DEADLOCK_LIMIT:
+                    raise SimulationError(
+                        f"no commit for {_DEADLOCK_LIMIT} cycles "
+                        f"(cycle {cycle}, committed {committed})"
+                    )
+
+                # -- next cycle: the earliest future one at which anything
+                # can happen (0 while there is none)
+                upcoming = 0
+                if events and events[0][0] > cycle:
+                    upcoming = events[0][0]
+                if ready:
+                    time = ready[0][0]
+                    if time > cycle and (not upcoming or time < upcoming):
+                        upcoming = time
+                if frontend:
+                    time = frontend[0].fetch_cycle + frontend_stages
+                    if time > cycle and (not upcoming or time < upcoming):
+                        upcoming = time
+                if (
+                    not exhausted
+                    and blocked_on is None
+                    and len(frontend) < frontend_limit
+                ):
+                    time = stall_until if stall_until > cycle else cycle + 1
+                    if not upcoming or time < upcoming:
+                        upcoming = time
+                cycle = upcoming if upcoming else cycle + 1
+                if cycle % 50_000 == 0:
+                    lbb.release_before(cycle)
+        finally:
+            self.cycle = cycle
+            self.warmup_cycle = warmup_cycle
+            self.committed = committed
+            self.replay_count = replays
+            self.branch_mispredicts = mispredicted
+            self.load_count = loads
+            self.store_count = stores
+            self.slow_way_hits = slow_way_hits

@@ -109,15 +109,20 @@ class Simulator:
     ) -> SimResult:
         """Simulate ``trace`` to completion and return the result.
 
-        ``trace`` may be a plain iterable of :class:`TraceInstruction`
-        or a :class:`repro.workloads.compiled.CompiledTrace`; a compiled
-        trace replays through the pipeline's packed fast path under a
-        ``ctrace.replay`` span, so flamegraphs attribute time to compile
-        vs replay.
+        ``trace`` may be a :class:`repro.workloads.compiled.CompiledTrace`
+        or a plain iterable of :class:`TraceInstruction`, which is packed
+        into one first. The replay runs under a ``ctrace.replay`` span,
+        so flamegraphs attribute time to compile vs replay.
 
         ``warmup`` instructions are executed first to warm the caches;
         CPI and all counters cover only the instructions after them.
         """
+        # Imported here: repro.workloads imports repro.uarch.isa, so a
+        # module-level import would be circular.
+        from repro.workloads.compiled import CompiledTrace
+
+        if not isinstance(trace, CompiledTrace):
+            trace = CompiledTrace.from_instructions(trace)
         hierarchy = MemoryHierarchy(
             config=self.hierarchy_config,
             l1d_config=self.l1d_config,
@@ -126,15 +131,9 @@ class Simulator:
         engine = PipelineEngine(
             self.core, hierarchy, trace, warmup_instructions=warmup
         )
-        compiled = getattr(trace, "is_compiled_trace", False)
         with trace_span("simulator.run", warmup=warmup) as sp:
             start = time.perf_counter()
-            if compiled:
-                with trace_span(
-                    "ctrace.replay", instructions=trace.length
-                ):
-                    engine.run()
-            else:
+            with trace_span("ctrace.replay", instructions=trace.length):
                 engine.run()
             elapsed = time.perf_counter() - start
         if engine.committed <= warmup:

@@ -5,16 +5,15 @@ Every experiment sweeps many (chip, scheme) configurations over the
 regenerated that stream — and re-ran ``TraceInstruction`` validation —
 once per simulation. This module lowers a generated trace into packed
 stdlib :mod:`array` buffers exactly once and replays those buffers
-through the fast paths:
+through the simulation kernel:
 
 * :class:`CompiledTrace` — column-packed instruction fields (op code,
-  dest/src registers, data address, pc, mispredict flag) plus per-cache-
-  geometry pre-split ``(set index, tag, write)`` columns for the memory
-  ops, memoized per geometry. Prefix views share the parent's buffers,
-  which is what makes one long compiled trace serve every shorter
-  request for the same ``(profile, seed)`` — the generator's draws are
-  consumed one instruction at a time, so ``generate(n)`` is a strict
-  prefix of ``generate(m)`` for ``n <= m``.
+  dest/src registers, data address, pc, mispredict flag), which the
+  pipeline kernel reads by sequence number. Prefix views share the
+  parent's buffers, which is what makes one long compiled trace serve
+  every shorter request for the same ``(profile, seed)`` — the
+  generator's draws are consumed one instruction at a time, so
+  ``generate(n)`` is a strict prefix of ``generate(m)`` for ``n <= m``.
 * :func:`get_compiled_trace` — the process-level cache keyed by
   ``(profile name, seed)``. Workers resolve the compiled-trace *key*
   shipped by the engine dispatch against this cache instead of
@@ -26,11 +25,6 @@ through the fast paths:
 Compilation is wrapped in a ``ctrace.compile`` span and replay (in
 :class:`repro.uarch.simulator.Simulator`) in ``ctrace.replay``, so
 ``repro trace flamegraph`` attributes time to compile vs replay.
-
-The per-access APIs (``TraceGenerator.generate`` +
-``SetAssociativeCache.access``/``fill``) stay untouched as the
-differential-testing reference; anything that installs custom per-access
-hooks simply keeps using them and bypasses the compiled path.
 """
 
 from __future__ import annotations
@@ -38,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from array import array
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.core.validation import require_positive
 from repro.obs.trace import span as trace_span
@@ -59,8 +53,6 @@ __all__ = [
 OP_CODES: Dict[OpClass, int] = {op: code for code, op in enumerate(OpClass)}
 OP_TABLE: Tuple[OpClass, ...] = tuple(OpClass)
 
-_STORE_CODE = OP_CODES[OpClass.STORE]
-
 #: ``-1`` marks "no register" / "no address" in the packed columns.
 _NONE = -1
 
@@ -70,15 +62,8 @@ class CompiledTrace:
 
     Instances are immutable in practice: the arrays are filled once at
     compile time and only read afterwards. :meth:`prefix` returns a view
-    sharing the same buffers with a shorter ``length``; geometry splits
-    are memoized on the root's dict, so every prefix of one compilation
-    shares one split per cache geometry.
+    sharing the same buffers with a shorter ``length``.
     """
-
-    #: Duck-typing sentinel — the pipeline cannot import this module
-    #: (workloads.generator imports uarch.isa, so uarch -> workloads
-    #: would be circular) and checks this attribute instead.
-    is_compiled_trace = True
 
     __slots__ = (
         "profile_name",
@@ -92,8 +77,6 @@ class CompiledTrace:
         "pcs",
         "mispredicts",
         "_root",
-        "_splits",
-        "_mem_count",
         "_digest",
     )
 
@@ -122,10 +105,6 @@ class CompiledTrace:
         self.mispredicts = mispredicts
         self.length = len(ops) if length is None else length
         self._root = _root
-        self._splits: Dict[Tuple[int, int, int], Tuple[array, array, array]] = (
-            {} if _root is None else _root._splits
-        )
-        self._mem_count: Optional[int] = None
         self._digest: Optional[str] = None
 
     # ------------------------------------------------------------------
@@ -222,11 +201,7 @@ class CompiledTrace:
 
     # ------------------------------------------------------------------
     def instructions(self) -> Iterator[TraceInstruction]:
-        """Reconstruct the (validated) instruction objects.
-
-        This is the reference path: the differential tests replay a
-        compiled trace through it and assert the fast paths match.
-        """
+        """Reconstruct the (validated) instruction objects of this view."""
         op_table = OP_TABLE
         ops = self.ops
         dests = self.dests
@@ -253,54 +228,6 @@ class CompiledTrace:
 
     def __len__(self) -> int:
         return self.length
-
-    # ------------------------------------------------------------------
-    def memory_op_count(self) -> int:
-        """Number of loads + stores within :attr:`length`."""
-        if self._mem_count is None:
-            addresses = self.addresses
-            self._mem_count = sum(
-                1 for i in range(self.length) if addresses[i] >= 0
-            )
-        return self._mem_count
-
-    def memory_ops(self, geometry) -> Tuple[array, array, array, int]:
-        """Pre-split memory ops for ``geometry``.
-
-        Returns ``(set_indices, tags, writes, count)`` where the arrays
-        cover every memory op of the *root* buffers (memoized per
-        geometry — all prefixes share one split) and ``count`` is how
-        many of them fall within this view's :attr:`length`. A prefix's
-        memory ops are exactly the first ``count`` entries because
-        instruction order is preserved.
-        """
-        split_key = (
-            geometry.capacity_bytes,
-            geometry.associativity,
-            geometry.block_bytes,
-        )
-        split = self._splits.get(split_key)
-        if split is None:
-            set_indices = array("l")
-            tags = array("q")
-            writes = array("b")
-            offset_bits = geometry.block_bytes.bit_length() - 1
-            set_mask = geometry.num_sets - 1
-            tag_shift = geometry.num_sets.bit_length() - 1
-            ops = self.ops
-            addresses = self.addresses
-            store_code = _STORE_CODE
-            for i in range(len(ops)):
-                address = addresses[i]
-                if address < 0:
-                    continue
-                block = address >> offset_bits
-                set_indices.append(block & set_mask)
-                tags.append(block >> tag_shift)
-                writes.append(1 if ops[i] == store_code else 0)
-            split = (set_indices, tags, writes)
-            self._splits[split_key] = split
-        return split[0], split[1], split[2], self.memory_op_count()
 
 
 # ----------------------------------------------------------------------

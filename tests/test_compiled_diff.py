@@ -1,12 +1,15 @@
-"""Differential tests: compiled-trace fast paths vs the per-access reference.
+"""Differential tests: compiled traces and the in-place cache vs the oracles.
 
-The compiled kernels (`CompiledTrace` + `SetAssociativeCache.run_compiled`
-+ the pipeline's packed fetch path) exist purely for speed — they must be
-*bit-identical* to the per-access APIs they bypass. These tests sweep 150
+The production cache keeps per-set tag, dirty and recency lists and the
+pipeline replays compiled traces; both must be *bit-identical* to the
+reference implementations in ``tests/oracles``. These tests sweep 150
 randomized (profile, geometry, way-configuration, policy) configurations
-through both paths and assert equality of every observable: cache
-hit/miss/eviction/per-way counters, resident line state, and — for the
-pipeline subset — the full :class:`SimResult` including cycle counts.
+through the access/fill loop of both caches, under LRU, FIFO and random
+replacement, and assert equality of every observable: each access and
+fill result, hit/miss/eviction/per-way counters and resident line state.
+A pipeline subset compares the full :class:`SimResult` of the kernel on a
+compiled trace against the oracle engine on the generated instruction
+stream, including cycle counts.
 
 The way configurations cover every scheme overlay the yield experiments
 produce: healthy, VACA (5-cycle ways), YAPD (disabled ways), H-YAPD
@@ -20,6 +23,9 @@ import random
 import numpy as np
 import pytest
 
+from oracles import simulate as oracle_simulate
+from oracles.replacement import LRUPolicy as OracleLRUPolicy
+from oracles.setassoc import SetAssociativeCache as OracleCache
 from repro.cache.geometry import CacheGeometry
 from repro.cache.replacement import FIFOPolicy, LRUPolicy, RandomPolicy
 from repro.cache.setassoc import SetAssociativeCache, WayConfig
@@ -79,9 +85,9 @@ def _overlay_config(rng: random.Random, ways: int, overlay: str) -> WayConfig:
     return WayConfig(latencies=tuple(latencies))
 
 
-def _policy_factory(kind: str):
+def _policy_factory(kind: str, oracle: bool = False):
     if kind == "lru":
-        return LRUPolicy
+        return OracleLRUPolicy if oracle else LRUPolicy
     if kind == "fifo":
         return FIFOPolicy
     # Seeded per set-construction: both caches of a differential pair get
@@ -111,18 +117,27 @@ def _make_cases(count: int):
 _CASES = _make_cases(150)
 
 
-def _reference_replay(cache: SetAssociativeCache, trace) -> None:
-    """The per-access reference: access(); fill() on miss."""
+_RESULT_FIELDS = (
+    "hit", "way", "latency", "set_index", "evicted_block", "evicted_dirty",
+)
+
+
+def _replay(cache, trace):
+    """access(); fill() on miss — the fields of every result, in order."""
+    results = []
     for instr in trace.instructions():
         if instr.address is None:
             continue
         write = instr.op is OpClass.STORE
         result = cache.access(instr.address, write=write)
+        results.append(tuple(getattr(result, f) for f in _RESULT_FIELDS))
         if not result.hit:
-            cache.fill(instr.address, dirty=write)
+            fill = cache.fill(instr.address, dirty=write)
+            results.append(tuple(getattr(fill, f) for f in _RESULT_FIELDS))
+    return results
 
 
-def _cache_state(cache: SetAssociativeCache):
+def _oracle_state(cache: OracleCache):
     lines = []
     for set_index in range(cache.geometry.num_sets):
         for way in range(cache.geometry.associativity):
@@ -138,25 +153,45 @@ def _cache_state(cache: SetAssociativeCache):
     )
 
 
+def _cache_state(cache: SetAssociativeCache):
+    lines = []
+    for set_index in range(cache.geometry.num_sets):
+        for way in range(cache.geometry.associativity):
+            tag = cache._tags[set_index][way]
+            if tag is not None:
+                lines.append(
+                    (set_index, way, tag, cache._dirty[set_index][way])
+                )
+    return (
+        cache.hits,
+        cache.misses,
+        cache.evictions,
+        tuple(cache.way_hits),
+        tuple(lines),
+    )
+
+
 @pytest.mark.parametrize("profile,geometry,config,policy,seed", _CASES)
 def test_run_compiled_matches_reference(profile, geometry, config, policy, seed):
+    """The in-place cache's access/fill loop against the oracle cache's.
+
+    (Named for the batched replay this battery used to check; the
+    per-access loop is now the only replay.)
+    """
     trace = get_compiled_trace(get_profile(profile), seed, 600)
-    reference = SetAssociativeCache(
+    reference = OracleCache(
+        geometry, config=config,
+        policy_factory=_policy_factory(policy, oracle=True),
+    )
+    cache = SetAssociativeCache(
         geometry, config=config, policy_factory=_policy_factory(policy)
     )
-    _reference_replay(reference, trace)
-    fast = SetAssociativeCache(
-        geometry, config=config, policy_factory=_policy_factory(policy)
-    )
-    hits, misses, evictions = fast.run_compiled(trace)
-    assert (hits, misses, evictions) == (
-        reference.hits, reference.misses, reference.evictions,
-    )
-    assert _cache_state(fast) == _cache_state(reference)
+    assert _replay(cache, trace) == _replay(reference, trace)
+    assert _cache_state(cache) == _oracle_state(reference)
 
 
 # ----------------------------------------------------------------------
-# pipeline: compiled replay must reproduce cycle counts exactly
+# pipeline: the kernel must reproduce the oracle's cycle counts exactly
 # ----------------------------------------------------------------------
 def _make_pipeline_cases(count: int):
     rng = random.Random(777)
@@ -188,16 +223,17 @@ def test_pipeline_compiled_matches_reference(profile, config, uniform, seed):
     prof = get_profile(profile)
     length, warmup = 700, 100
     compiled = get_compiled_trace(prof, seed, length)
-    reference = Simulator(
-        l1d_config=config, uniform_load_latency=uniform
-    ).run(TraceGenerator(prof, seed=seed).generate(length), warmup=warmup)
+    reference = oracle_simulate(
+        TraceGenerator(prof, seed=seed).generate(length), warmup,
+        l1d_config=config, uniform_load_latency=uniform,
+    )
     fast = Simulator(
         l1d_config=config, uniform_load_latency=uniform
     ).run(compiled, warmup=warmup)
-    # SimResult is a frozen dataclass: == covers instructions, cycles,
-    # replays, LBB stalls, slow-way hits, mispredicts, loads, stores and
-    # the full hierarchy counter snapshot.
-    assert fast == reference
+    # The repr covers instructions, cycles, replays, LBB stalls, slow-way
+    # hits, mispredicts, loads, stores and the full hierarchy counter
+    # snapshot, float miss rates included.
+    assert repr(fast) == repr(reference)
 
 
 # ----------------------------------------------------------------------
