@@ -14,8 +14,9 @@ the result). Properties:
 * **Corruption tolerance** — a truncated, garbled, or wrong-version entry
   is discarded (and unlinked) on load and simply recomputed; a broken
   cache can never fail an experiment.
-* **LRU size cap** — loads refresh an entry's mtime; saves evict the
-  stalest entries once the store exceeds its byte budget.
+* **LRU size cap** — loads refresh an entry's mtime; saves keep a
+  running byte total and, once it crosses the budget, rescan the store
+  and evict the stalest entries (see :class:`ResultStore`).
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ import json
 import os
 import pathlib
 import tempfile
+import threading
 import time
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -35,14 +37,83 @@ __all__ = ["ResultStore", "SCHEMA_VERSION", "canonical_json"]
 #: Bump when the payload encoding of any kind changes incompatibly.
 SCHEMA_VERSION = 1
 
+#: Container levels :func:`_json_pieces` opens before encoding a value in
+#: one piece: the wrapper, the payload, and the payload's top-level values,
+#: such as a population's ``cases`` list.
+_STREAM_DEPTH = 3
+
+#: List items per piece: one ``json.dumps`` per run of items keeps the
+#: per-call cost off small items and each piece small (64 chips ~ 70 kB).
+_RUN = 64
+
+_SEPARATORS = (",", ":")
+
+#: A rescan past the cap evicts down to this fraction of it, so a store
+#: at its budget does not rescan on every save.
+_EVICT_TO = 0.9
+
+#: Name prefix of a save's temporary file; one older than
+#: :data:`_STALE_TMP_SECONDS` belongs to a writer that died mid-save.
+_TMP_PREFIX = ".tmp-"
+_STALE_TMP_SECONDS = 3600.0
+
 
 def canonical_json(value: object) -> str:
     """Deterministic JSON encoding (sorted keys, no whitespace)."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
+def _json_pieces(value: object, depth: int) -> Iterator[str]:
+    """Compact JSON text of ``value`` in pieces, C-encoded.
+
+    The pieces join to exactly ``json.dumps(value, separators=(",", ":"))``.
+    ``json.dump`` would write the same bytes through the pure-Python
+    encoder; one ``json.dumps`` of a whole population holds its full
+    text in memory. Within ``depth`` container levels a dict yields one
+    piece per key and a list one piece per run of :data:`_RUN` items,
+    the run's encoding with its brackets cut off. A dict with a
+    non-``str`` key is encoded whole, since ``json`` renders such keys
+    as strings that a bare ``json.dumps(key)`` would not.
+    """
+    if depth > 0 and isinstance(value, dict) and all(
+        isinstance(key, str) for key in value
+    ):
+        yield "{"
+        for index, (key, item) in enumerate(value.items()):
+            yield ("," if index else "") + json.dumps(key) + ":"
+            yield from _json_pieces(item, depth - 1)
+        yield "}"
+    elif depth > 0 and isinstance(value, (list, tuple)):
+        yield "["
+        for start in range(0, len(value), _RUN):
+            run = json.dumps(value[start:start + _RUN], separators=_SEPARATORS)
+            yield ("," if start else "") + run[1:-1]
+        yield "]"
+    else:
+        yield json.dumps(value, separators=_SEPARATORS)
+
+
 class ResultStore:
     """On-disk JSON store with content-addressed keys and an LRU cap.
+
+    A save writes the entry to a ``.tmp-*`` file in the entry's directory
+    and moves it into place with ``os.replace``, so a reader sees the old
+    entry, the new one or none, never a partial one. The text is streamed in
+    small C-encoded pieces (:func:`_json_pieces`) and is byte-equal to
+    ``json.dump(wrapper, handle, separators=(",", ":"))``.
+
+    With a cap, the process scans the store once, at its first save, and
+    then adds each save's bytes to a running total (under a lock, since
+    serve saves from several engine threads). When the total crosses
+    ``max_bytes`` it rescans: entries sorted by mtime, which loads
+    refresh, are evicted stalest first down to 90% of the cap. Every
+    scan also deletes ``.tmp-*`` files older than an hour, which a
+    writer killed mid-save leaves behind. Overwrites and entries deleted
+    by loads or other processes make the total count high, which only
+    brings the next rescan forward; it never counts low. Another
+    process's saves are counted at this process's next rescan, so with
+    several writers the store can exceed the cap by what the others
+    saved since then; each rescan brings it back under.
 
     Parameters
     ----------
@@ -67,6 +138,10 @@ class ResultStore:
         self.root = pathlib.Path(root)
         self.max_bytes = max_bytes if max_bytes and max_bytes > 0 else None
         self.metrics = metrics
+        #: Bytes of the store as this process counts them; ``None``
+        #: until the first capped save scans the store.
+        self._total: Optional[int] = None
+        self._total_lock = threading.Lock()
 
     def _count(self, name: str, amount: float = 1.0) -> None:
         if self.metrics is not None:
@@ -131,15 +206,20 @@ class ResultStore:
         """Atomically persist ``payload`` under ``(kind, key)``."""
         path = self.path_for(kind, key)
         wrapper = {"version": SCHEMA_VERSION, "kind": kind, "payload": payload}
+        if self.max_bytes is not None:
+            with self._total_lock:
+                if self._total is None:
+                    self._total = self._rescan()
         start = time.perf_counter()
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(
-                dir=str(path.parent), prefix=".tmp-", suffix=".json"
+                dir=str(path.parent), prefix=_TMP_PREFIX, suffix=".json"
             )
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(wrapper, handle, separators=(",", ":"))
+                    for piece in _json_pieces(wrapper, _STREAM_DEPTH):
+                        handle.write(piece)
                 written = os.path.getsize(tmp)
                 os.replace(tmp, path)
             finally:
@@ -150,16 +230,22 @@ class ResultStore:
         self._count("store.save")
         self._count("store.bytes_written", written)
         self._observe("store.save_seconds", time.perf_counter() - start)
-        self._enforce_cap()
+        if self.max_bytes is not None:
+            with self._total_lock:
+                if self._total is not None:  # None: clear() ran meanwhile
+                    self._total += written
+                    if self._total > self.max_bytes:
+                        self._total = self._rescan()
 
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
     def entries(self) -> List[pathlib.Path]:
-        """Every entry file currently in the store."""
+        """Every entry file currently in the store (temp files excluded)."""
         if not self.root.is_dir():
             return []
-        return sorted(self.root.glob("*/*.json"))
+        # Entries are "<key>.json"; temp files start with a dot.
+        return sorted(self.root.glob("*/[!.]*.json"))
 
     def info(self) -> Dict[str, object]:
         """Store location, entry count, and sizes (``repro cache info``)."""
@@ -182,20 +268,41 @@ class ResultStore:
         }
 
     def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
+        """Delete every entry; returns how many were removed.
+
+        Also deletes stale temp files; the next capped save rescans.
+        """
         removed = 0
-        for path in self.entries():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                continue
+        with self._total_lock:
+            self._sweep_stale_temps()
+            for path in self.entries():
+                try:
+                    path.unlink()
+                    removed += 1
+                except OSError:
+                    continue
+            self._total = None
         return removed
 
-    def _enforce_cap(self) -> None:
-        """Evict least-recently-used entries beyond the byte budget."""
-        if self.max_bytes is None:
-            return
+    def _sweep_stale_temps(self) -> None:
+        """Delete temp files a writer left behind over an hour ago."""
+        cutoff = time.time() - _STALE_TMP_SECONDS
+        for path in self.root.glob(f"*/{_TMP_PREFIX}*"):
+            try:
+                if path.stat().st_mtime < cutoff:
+                    path.unlink()
+            except OSError:
+                continue
+
+    def _rescan(self) -> int:
+        """Scan the store, evict past the cap; returns the bytes kept.
+
+        Sweeps stale temp files, then, if the entries exceed
+        ``max_bytes``, evicts the least recently used ones until they
+        fit in :data:`_EVICT_TO` of it, always keeping the newest entry.
+        Callers hold ``_total_lock``.
+        """
+        self._sweep_stale_temps()
         stamped = []
         total = 0
         for path in self.entries():
@@ -205,12 +312,17 @@ class ResultStore:
                 continue
             stamped.append((stat.st_mtime, stat.st_size, path))
             total += stat.st_size
+        if total <= self.max_bytes:
+            return total
         stamped.sort()  # oldest access first
-        while total > self.max_bytes and len(stamped) > 1:
-            _, size, path = stamped.pop(0)
+        target = int(self.max_bytes * _EVICT_TO)
+        for _, size, path in stamped[:-1]:
+            if total <= target:
+                break
             try:
                 path.unlink()
             except OSError:
                 continue
             total -= size
             self._count("store.evictions")
+        return total

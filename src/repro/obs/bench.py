@@ -135,14 +135,11 @@ def _prepare_population_path(value: str):
     return prepare
 
 
-def _prepare_store_roundtrip(engine):
-    from repro.engine.store import ResultStore
-
-    tmp = tempfile.TemporaryDirectory(prefix="repro-bench-store-")
-    store = ResultStore(pathlib.Path(tmp.name))
+def _store_roundtrip(store, cleanup):
+    """The timed body of the store cases: 40 saves, then 40 loads."""
     payload = {"rows": [[i, i * 0.5, f"cfg-{i}"] for i in range(200)]}
     keys = [
-        ResultStore.key_for("bench", {"index": i, "payload": "fixed"})
+        store.key_for("bench", {"index": i, "payload": "fixed"})
         for i in range(40)
     ]
 
@@ -155,8 +152,31 @@ def _prepare_store_roundtrip(engine):
                 loaded += 1
         return loaded
 
-    run.cleanup = tmp.cleanup
+    run.cleanup = cleanup
     return run
+
+
+def _prepare_store_roundtrip(engine):
+    from repro.engine.store import ResultStore
+
+    tmp = tempfile.TemporaryDirectory(prefix="repro-bench-store-")
+    return _store_roundtrip(ResultStore(pathlib.Path(tmp.name)), tmp.cleanup)
+
+
+def _prepare_store_10k(engine):
+    """The store round trip on 10,000 entries under the default cap."""
+    from repro.engine.core import EngineConfig
+    from repro.engine.store import ResultStore
+
+    tmp = tempfile.TemporaryDirectory(prefix="repro-bench-store10k-")
+    root = pathlib.Path(tmp.name)
+    seeder = ResultStore(root)  # no cap, so seeding stays linear
+    for i in range(10_000):
+        seeder.save(
+            "bench", seeder.key_for("bench", {"seed": i}), {"index": i}
+        )
+    store = ResultStore(root, EngineConfig().max_cache_bytes)
+    return _store_roundtrip(store, tmp.cleanup)
 
 
 def _prepare_simulation(benchmark: str):
@@ -296,6 +316,7 @@ SUITES: Dict[str, List[Benchmark]] = {
         Benchmark("population.columnar", _prepare_population_path("1")),
         Benchmark("population.reference", _prepare_population_path("0")),
         Benchmark("engine.store_roundtrip", _prepare_store_roundtrip),
+        Benchmark("engine.store_10k", _prepare_store_10k),
     ],
     "pipeline": [
         Benchmark("pipeline.sim_gzip", _prepare_simulation("gzip")),

@@ -60,7 +60,7 @@ class HYAPD(Scheme):
             * circuit.total_peripheral_leakage()
             / circuit.num_bands
         )
-        return circuit.total_leakage - array_saving - peripheral_saving
+        return case.total_leakage - array_saving - peripheral_saving
 
     def _band_feasible(self, case: ChipCase, band: int) -> Optional[float]:
         """Post-rescue leakage if gating ``band`` satisfies everything."""

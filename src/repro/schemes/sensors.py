@@ -123,7 +123,7 @@ def yield_with_sensor(cases, scheme, sensor: LeakageSensor):
                 if way.way != outcome.disabled_way
             )
         else:
-            true_leak = case.circuit.total_leakage
+            true_leak = case.total_leakage
             delay_ok = max(case.way_cycles) <= (outcome.max_cycles or 4)
         if delay_ok and case.constraints.meets_leakage(true_leak):
             actual += 1

@@ -239,7 +239,7 @@ class PopulationResult:
         """
         constraints = policy.derive(
             [case.circuit.access_delay for case in self.cases],
-            [case.circuit.total_leakage for case in self.cases],
+            [case.total_leakage for case in self.cases],
         )
         return PopulationResult(
             constraints=constraints,
@@ -320,7 +320,7 @@ class PopulationResult:
         paper's "normalized leakage power" axis.
         """
         cases = self.select(horizontal)
-        leakages = [case.circuit.total_leakage for case in cases]
+        leakages = [case.total_leakage for case in cases]
         mean = sum(leakages) / len(leakages)
         delays = [case.circuit.access_delay for case in cases]
         return [leak / mean for leak in leakages], delays

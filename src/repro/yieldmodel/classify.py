@@ -218,17 +218,29 @@ class ChipCase:
             if not self.constraints.meets_delay(d)
         )
 
-    @property
+    @cached_property
+    def way_leakages(self) -> Tuple[float, ...]:
+        """Total leakage power (W) of every way."""
+        return self.circuit.way_leakages
+
+    @cached_property
+    def total_leakage(self) -> float:
+        """Total cache leakage power (W)."""
+        # Not summed from way_leakages: only rescues read those, and
+        # caching the tuple on every passing chip costs memory.
+        return self.circuit.total_leakage
+
+    @cached_property
     def leakage_violation(self) -> bool:
         """True when total leakage exceeds the power limit."""
-        return not self.constraints.meets_leakage(self.circuit.total_leakage)
+        return not self.constraints.meets_leakage(self.total_leakage)
 
     @property
     def delay_violation(self) -> bool:
         """True when any way misses the 4-cycle latency."""
         return bool(self.delay_violating_ways)
 
-    @property
+    @cached_property
     def passes(self) -> bool:
         """True when the chip needs no yield-aware scheme at all."""
         return not (self.leakage_violation or self.delay_violation)
@@ -252,11 +264,11 @@ class ChipCase:
     # ------------------------------------------------------------------
     def leakage_after_disabling_way(self, way: int) -> float:
         """Total leakage (W) with one way fully gated off."""
-        return self.circuit.total_leakage - self.circuit.ways[way].leakage
+        return self.total_leakage - self.way_leakages[way]
 
     def max_leakage_way(self) -> int:
         """The way with the highest total leakage (YAPD's disable choice)."""
-        leakages = self.circuit.way_leakages
+        leakages = self.way_leakages
         return max(range(len(leakages)), key=lambda w: leakages[w])
 
     def way_cycles_without_band(self, band: int) -> Tuple[int, ...]:

@@ -5,9 +5,10 @@ replaced with one fused kernel: ``pipeline.py`` (the stage-method
 ``PipelineEngine``), ``hierarchy.py`` and ``setassoc.py`` (the
 dataclass-per-access cache hierarchy) and ``replacement.py`` (the
 per-set LRU policy object). Only their imports differ from the originals,
-so that each oracle module uses its oracle siblings. They are never
-imported by ``src/``; their job is to pin every statistic the production
-kernel reports, bit for bit.
+so that each oracle module uses its oracle siblings. ``classify.py`` is
+the per-chip classification before its leakage facts were cached. They
+are never imported by ``src/``; their job is to pin every statistic the
+production code reports, bit for bit.
 """
 
 from __future__ import annotations

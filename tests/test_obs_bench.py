@@ -276,6 +276,7 @@ class TestHarness:
             "population.columnar",
             "population.reference",
             "engine.store_roundtrip",
+            "engine.store_10k",
         ]
         for result in results:
             assert len(result.samples) == 2
@@ -364,7 +365,7 @@ class TestBenchCli:
         assert history.is_file()
         records, skipped = load_history(history)
         assert skipped == 0
-        assert len(records) == 8  # 2 runs x 4 benchmarks
+        assert len(records) == 10  # 2 runs x 5 benchmarks
         assert len(run_ids(records)) == 2
         assert all(r["provenance"]["python"] for r in records)
         assert (tmp_path / "BENCH_engine.json").is_file()
