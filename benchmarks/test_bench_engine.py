@@ -40,7 +40,7 @@ def test_bench_engine_population(benchmark, tmp_path, request):
     start = time.perf_counter()
     parallel_pop = engine.population(settings)
     parallel_s = time.perf_counter() - start
-    assert len(parallel_pop.cases) == len(serial_pop.cases) == chips
+    assert parallel_pop.population == serial_pop.population == chips
 
     # Warm-store load in a fresh engine (fresh-process semantics).
     engine = configure_engine(workers=1, cache_dir=tmp_path / "pool")
@@ -49,7 +49,7 @@ def test_bench_engine_population(benchmark, tmp_path, request):
     )
     assert engine.stats.jobs_run == 0
     assert engine.stats.jobs_cached_disk == 1
-    assert len(warm_pop.cases) == chips
+    assert warm_pop.population == chips
 
     cache_hit_s = max(benchmark.stats.stats.mean, 1e-9)
     benchmark.extra_info["chips"] = chips

@@ -44,7 +44,7 @@ def main() -> None:
     population = YieldStudy(seed=2006, count=500).run()
     case = next(
         c
-        for c in population.cases
+        for c in map(population.case, range(population.population))
         if not c.passes and c.configuration == "3-1-0"
     )
 

@@ -24,7 +24,8 @@ WARMUP = 8_000
 
 def find_delay_victim(population):
     """A chip whose only problem is one slow (5-cycle) way: 3-1-0."""
-    for case in population.cases:
+    for index in range(population.population):
+        case = population.case(index)
         if case.loss_reason.value.startswith("delay") and case.configuration == "3-1-0":
             return case
     raise SystemExit("no 3-1-0 chip in this population; raise the count")

@@ -20,6 +20,8 @@ paths; leakage is unchanged.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
 from typing import NamedTuple, Tuple
 
 from repro.circuit import devices, interconnect, sram
@@ -80,8 +82,12 @@ class WayCircuitResult(NamedTuple):
 
     @property
     def array_leakage(self) -> float:
-        """Total array leakage power (W) of the way."""
-        return sum(self.band_leakage)
+        """Total array leakage power (W) of the way.
+
+        Leakage totals add left to right (``sum()`` of floats is
+        compensated since Python 3.12; columns must match on any Python).
+        """
+        return reduce(add, self.band_leakage, 0.0)
 
     @property
     def leakage(self) -> float:
@@ -133,15 +139,15 @@ class CacheCircuitResult(NamedTuple):
     @property
     def total_leakage(self) -> float:
         """Total cache leakage power (W)."""
-        return sum(self.way_leakages)
+        return reduce(add, self.way_leakages, 0.0)
 
     def band_array_leakage(self, band: int) -> float:
         """Array leakage (W) of horizontal band ``band`` summed over ways."""
-        return sum(way.band_leakage[band] for way in self.ways)
+        return reduce(add, (way.band_leakage[band] for way in self.ways), 0.0)
 
     def total_peripheral_leakage(self) -> float:
         """Leakage (W) of all way peripheries."""
-        return sum(way.peripheral_leakage for way in self.ways)
+        return reduce(add, (way.peripheral_leakage for way in self.ways), 0.0)
 
 
 class CacheCircuitModel:
@@ -513,13 +519,13 @@ class CacheCircuitModel:
             * self.tech.vdd
             for band in range(self.org.num_bands)
         )
-        peripheral = sum(
+        peripheral = reduce(add, (
             subthreshold_current(
                 PERIPHERAL_LEAK_WIDTHS[name], way.peripheral(name), self.tech
             )
             * self.tech.vdd
             for name in PERIPHERAL_SEGMENTS
-        )
+        ), 0.0)
         return WayCircuitResult(
             way=way.way,
             band_delays=band_delays,

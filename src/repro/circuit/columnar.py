@@ -11,15 +11,15 @@ association so each element is bit-identical to the per-way evaluation
 
 The entry point, :func:`evaluate_population_pair`, is the columnar
 mirror of :meth:`CacheCircuitModel.evaluate_pair`: one pass over the
-columns produces the regular *and* H-YAPD results (they differ only by
-the uniform post-decoder delay scale), materialised back into the same
-:class:`CacheCircuitResult` tuples the per-chip path returns — so the
-engine's store payloads are byte-identical whichever path computed them.
+columns produces the regular *and* H-YAPD :class:`CircuitColumns` (they
+differ only by the uniform post-decoder delay scale). Population results
+stay columns from here on; :meth:`CircuitColumns.circuit` turns one row
+back into the :class:`CacheCircuitResult` the per-chip path returns.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -33,54 +33,142 @@ from repro.circuit.cache_model import (
 from repro.core.errors import ConfigurationError
 from repro.variation.columnar import ColumnarPopulation
 
-__all__ = [
-    "CircuitColumns",
-    "evaluate_population_columns",
-    "evaluate_population_pair",
-    "materialize_results",
-]
+__all__ = ["CircuitColumns", "evaluate_population_pair"]
 
 # PARAMETER_NAMES order of the trailing parameter axis.
 _LGATE, _VT, _METAL_WIDTH, _METAL_THICKNESS, _ILD = range(5)
 
+#: (WayCircuitResult field, array dimensions) of each circuit column.
+_FIELD_DIMS = (
+    ("band_delays", 3), ("band_leakage", 3), ("peripheral_leakage", 2)
+)
 
-class CircuitColumns(NamedTuple):
-    """Scale-independent circuit outputs of one population, as columns.
 
-    ``base_delays`` carries each (chip, way, band) access-path delay
-    *including* its residual but before the post-decoder scale — the
-    quantity the regular and H-YAPD organisations share. Multiply by a
-    model's delay scale to get that organisation's band delays.
+class CircuitColumns:
+    """A list of :class:`CacheCircuitResult` as read-only columns.
+
+    Chip ``i`` is row ``i``. Way and access delays and way and total
+    leakage are derived once, here, with the per-chip arithmetic.
     """
 
-    chip_ids: Tuple[int, ...]
-    base_delays: np.ndarray  # (C, W, B)
-    band_leakage: np.ndarray  # (C, W, B)
-    peripheral_leakage: np.ndarray  # (C, W)
+    def __init__(
+        self,
+        chip_ids: Sequence[int],
+        band_delays: np.ndarray,
+        band_leakage: np.ndarray,
+        peripheral_leakage: np.ndarray,
+        hyapd: bool = False,
+    ) -> None:
+        if (
+            band_delays.ndim != 3
+            or band_leakage.shape != band_delays.shape
+            or peripheral_leakage.shape != band_delays.shape[:2]
+            or len(chip_ids) != band_delays.shape[0]
+        ):
+            raise ConfigurationError(
+                "circuit columns need (chips, ways, bands) delays and "
+                "leakage, (chips, ways) peripheral leakage and one id per chip"
+            )
+        self.chip_ids = tuple(chip_ids)
+        self.hyapd = bool(hyapd)
+        self.band_delays = band_delays  # (C, W, B) seconds
+        self.band_leakage = band_leakage  # (C, W, B) watts
+        self.peripheral_leakage = peripheral_leakage  # (C, W) watts
+        self.way_delays = band_delays.max(axis=2, initial=-np.inf)  # (C, W)
+        self.access_delays = self.way_delays.max(axis=1, initial=-np.inf)
+        self.way_leakages = left_sum(band_leakage, 2) + peripheral_leakage
+        self.total_leakage = left_sum(self.way_leakages, 1)  # (C,)
+        for array in vars(self).values():
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
 
-    def way_delays(self, delay_scale: float = 1.0) -> np.ndarray:
-        """Per-way access delay (s): max over bands, scaled. (C, W)."""
-        return (self.base_delays * delay_scale).max(axis=2)
+    def __len__(self) -> int:
+        return len(self.chip_ids)
 
-    def access_delays(self, delay_scale: float = 1.0) -> np.ndarray:
-        """Whole-cache access delay (s) per chip: slowest way. (C,)."""
-        return self.way_delays(delay_scale).max(axis=1)
+    @property
+    def num_ways(self) -> int:
+        return self.band_delays.shape[1]
 
-    def total_leakage(self) -> np.ndarray:
-        """Total cache leakage (W) per chip, summed in the per-chip
-        reference's left-to-right order (bands, then periphery, then
-        ways) so the values are bit-identical to
-        ``CacheCircuitResult.total_leakage``. (C,)."""
-        num_ways = self.band_leakage.shape[1]
-        num_bands = self.band_leakage.shape[2]
-        total = None
-        for way in range(num_ways):
-            acc = self.band_leakage[:, way, 0].copy()
-            for band in range(1, num_bands):
-                acc += self.band_leakage[:, way, band]
-            acc += self.peripheral_leakage[:, way]
-            total = acc if total is None else total + acc
-        return total
+    @property
+    def num_bands(self) -> int:
+        return self.band_delays.shape[2]
+
+    def circuit(self, index: int) -> CacheCircuitResult:
+        """Chip ``index`` as a per-chip :class:`CacheCircuitResult`."""
+        delays = self.band_delays[index].tolist()
+        leakage = self.band_leakage[index].tolist()
+        peripheral = self.peripheral_leakage[index].tolist()
+        return CacheCircuitResult(
+            self.chip_ids[index],
+            tuple(
+                WayCircuitResult(
+                    way, tuple(delays[way]), tuple(leakage[way]),
+                    peripheral[way],
+                )
+                for way in range(self.num_ways)
+            ),
+            self.hyapd,
+        )
+
+    @classmethod
+    def from_circuits(
+        cls, circuits: Sequence[CacheCircuitResult]
+    ) -> "CircuitColumns":
+        """Columns of per-chip results; a ragged list (ways or bands that
+        vary, ways out of order, mixed architectures) is refused."""
+        hyapd = {circuit.hyapd for circuit in circuits}
+        if len(hyapd) > 1 or any(
+            way.way != index
+            for circuit in circuits
+            for index, way in enumerate(circuit.ways)
+        ):
+            raise ConfigurationError(
+                "ragged population: mixed architectures or ways out of order"
+            )
+        arrays = []
+        for field, ndim in _FIELD_DIMS:
+            rows = [[getattr(way, field) for way in c.ways] for c in circuits]
+            try:
+                array = np.array(rows, dtype=float) if rows else (
+                    np.zeros((0,) * ndim)
+                )
+            except ValueError:  # inhomogeneous nested lengths
+                array = None
+            if array is None or array.ndim != ndim:
+                raise ConfigurationError(
+                    "ragged population: ways or bands vary between chips"
+                )
+            arrays.append(array)
+        return cls(
+            [circuit.chip_id for circuit in circuits], *arrays,
+            hyapd=hyapd.pop() if hyapd else False,
+        )
+
+    @classmethod
+    def concatenate(
+        cls, parts: Sequence["CircuitColumns"]
+    ) -> "CircuitColumns":
+        """Shards in chip order as one population (empty shards skipped)."""
+        parts = [part for part in parts if len(part)] or list(parts[:1])
+        if len(parts) == 1:
+            return parts[0]
+        return cls(
+            [chip_id for part in parts for chip_id in part.chip_ids],
+            np.concatenate([part.band_delays for part in parts]),
+            np.concatenate([part.band_leakage for part in parts]),
+            np.concatenate([part.peripheral_leakage for part in parts]),
+            parts[0].hyapd,
+        )
+
+
+def left_sum(array: np.ndarray, axis: int) -> np.ndarray:
+    """Sum over ``axis`` from 0.0, left to right, as ``reduce(add, ...,
+    0.0)`` does per chip (``ndarray.sum`` adds pairwise: other rounding)."""
+    parts = np.moveaxis(array, axis, 0)
+    total = np.zeros(parts.shape[1:])
+    for part in parts:
+        total += part
+    return total
 
 
 def _effective_vt(
@@ -153,13 +241,17 @@ def _subthreshold_leakage(
     )
 
 
-def evaluate_population_columns(
+def _base_columns(
     model: CacheCircuitModel, population: ColumnarPopulation
-) -> CircuitColumns:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Evaluate every chip's access paths and leakage in bulk.
 
-    The body is :meth:`CacheCircuitModel._way_base` with arrays in place
-    of scalars — same subexpressions, same accumulation order.
+    Returns ``(base_delays, band_leakage, peripheral_leakage)``:
+    ``base_delays`` is each (chip, way, band) access-path delay including
+    its residual but before the post-decoder scale — the quantity the
+    regular and H-YAPD organisations share. The body is
+    :meth:`CacheCircuitModel._way_base` with arrays in place of scalars —
+    same subexpressions, same accumulation order.
     """
     if population.num_bands != model.org.num_bands:
         raise ConfigurationError(
@@ -320,56 +412,19 @@ def evaluate_population_columns(
             PERIPHERAL_LEAK_WIDTHS["outdriver"], out[..., _LGATE], out_vt, model
         )
     )
-    return CircuitColumns(
-        chip_ids=population.chip_ids,
-        base_delays=base_delays,
-        band_leakage=band_leakage,
-        peripheral_leakage=peripheral,
-    )
-
-
-def materialize_results(
-    columns: CircuitColumns, delay_scale: float, hyapd: bool
-) -> List[CacheCircuitResult]:
-    """Columns -> per-chip :class:`CacheCircuitResult` list, one scale."""
-    delays = (columns.base_delays * delay_scale).tolist()
-    leakage = columns.band_leakage.tolist()
-    peripheral = columns.peripheral_leakage.tolist()
-    num_ways = columns.base_delays.shape[1]
-    ways_range = range(num_ways)
-    results = []
-    for index, chip_id in enumerate(columns.chip_ids):
-        chip_delays = delays[index]
-        chip_leakage = leakage[index]
-        chip_peripheral = peripheral[index]
-        results.append(
-            CacheCircuitResult(
-                chip_id,
-                tuple(
-                    WayCircuitResult(
-                        way,
-                        tuple(chip_delays[way]),
-                        tuple(chip_leakage[way]),
-                        chip_peripheral[way],
-                    )
-                    for way in ways_range
-                ),
-                hyapd,
-            )
-        )
-    return results
+    return base_delays, band_leakage, peripheral
 
 
 def evaluate_population_pair(
     regular_model: CacheCircuitModel,
     hyapd_model: CacheCircuitModel,
     population: ColumnarPopulation,
-) -> Tuple[List[CacheCircuitResult], List[CacheCircuitResult]]:
+) -> Tuple[CircuitColumns, CircuitColumns]:
     """Columnar mirror of :meth:`CacheCircuitModel.evaluate_pair`.
 
-    One bulk evaluation, materialised under both post-decoder scales.
-    The band-leakage tuples are shared between the two results, exactly
-    as the per-chip pair evaluation shares them.
+    One bulk evaluation, scaled by both post-decoder delay scales. The
+    two architectures share their leakage arrays, exactly as the
+    per-chip pair evaluation shares the band-leakage tuples.
     """
     if regular_model.hyapd or not hyapd_model.hyapd:
         raise ConfigurationError(
@@ -384,50 +439,22 @@ def evaluate_population_pair(
             "evaluate_population_pair needs both models to share "
             "tech/org/sizing"
         )
-    columns = evaluate_population_columns(regular_model, population)
-    regular_scale = regular_model._delay_scale
-    hyapd_scale = hyapd_model._delay_scale
-    reg_delays = (columns.base_delays * regular_scale).tolist()
-    h_delays = (columns.base_delays * hyapd_scale).tolist()
-    leakage = columns.band_leakage.tolist()
-    peripheral = columns.peripheral_leakage.tolist()
-    num_ways = columns.base_delays.shape[1]
-    ways_range = range(num_ways)
-    regular: List[CacheCircuitResult] = []
-    horizontal: List[CacheCircuitResult] = []
-    for index, chip_id in enumerate(columns.chip_ids):
-        chip_reg = reg_delays[index]
-        chip_h = h_delays[index]
-        chip_leakage = [tuple(row) for row in leakage[index]]
-        chip_peripheral = peripheral[index]
-        regular.append(
-            CacheCircuitResult(
-                chip_id,
-                tuple(
-                    WayCircuitResult(
-                        way,
-                        tuple(chip_reg[way]),
-                        chip_leakage[way],
-                        chip_peripheral[way],
-                    )
-                    for way in ways_range
-                ),
-                False,
-            )
-        )
-        horizontal.append(
-            CacheCircuitResult(
-                chip_id,
-                tuple(
-                    WayCircuitResult(
-                        way,
-                        tuple(chip_h[way]),
-                        chip_leakage[way],
-                        chip_peripheral[way],
-                    )
-                    for way in ways_range
-                ),
-                True,
-            )
-        )
-    return regular, horizontal
+    base_delays, band_leakage, peripheral = _base_columns(
+        regular_model, population
+    )
+    return (
+        CircuitColumns(
+            population.chip_ids,
+            base_delays * regular_model._delay_scale,
+            band_leakage,
+            peripheral,
+            hyapd=False,
+        ),
+        CircuitColumns(
+            population.chip_ids,
+            base_delays * hyapd_model._delay_scale,
+            band_leakage,
+            peripheral,
+            hyapd=True,
+        ),
+    )

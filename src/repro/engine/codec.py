@@ -13,9 +13,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.circuit.cache_model import CacheCircuitResult, WayCircuitResult
+from repro.circuit.columnar import CircuitColumns
 from repro.uarch.simulator import SimResult
 from repro.yieldmodel.analysis import PopulationResult
-from repro.yieldmodel.classify import ChipCase
 from repro.yieldmodel.constraints import ConstraintPolicy, YieldConstraints
 
 __all__ = [
@@ -39,22 +39,28 @@ def policy_identity(policy: ConstraintPolicy) -> Dict[str, object]:
 
 
 # ----------------------------------------------------------------------
-# circuit results
+# populations
 # ----------------------------------------------------------------------
-def _encode_circuit(circuit: CacheCircuitResult) -> dict:
-    return {
-        "chip_id": circuit.chip_id,
-        "hyapd": circuit.hyapd,
-        "ways": [
+def _encode_columns(columns: CircuitColumns) -> list:
+    """One architecture's columns as the per-chip JSON list."""
+    ways = range(columns.num_ways)
+    return [
+        {"chip_id": chip_id, "hyapd": columns.hyapd, "ways": [
             {
-                "way": way.way,
-                "band_delays": list(way.band_delays),
-                "band_leakage": list(way.band_leakage),
-                "peripheral_leakage": way.peripheral_leakage,
+                "way": way,
+                "band_delays": delays[way],
+                "band_leakage": leakage[way],
+                "peripheral_leakage": peripheral[way],
             }
-            for way in circuit.ways
-        ],
-    }
+            for way in ways
+        ]}
+        for chip_id, delays, leakage, peripheral in zip(
+            columns.chip_ids,
+            columns.band_delays.tolist(),
+            columns.band_leakage.tolist(),
+            columns.peripheral_leakage.tolist(),
+        )
+    ]
 
 
 def _decode_circuit(data: dict) -> CacheCircuitResult:
@@ -73,9 +79,6 @@ def _decode_circuit(data: dict) -> CacheCircuitResult:
     )
 
 
-# ----------------------------------------------------------------------
-# populations
-# ----------------------------------------------------------------------
 def encode_population(result: PopulationResult) -> dict:
     """Flatten a population result (both architectures) to JSON."""
     return {
@@ -84,13 +87,18 @@ def encode_population(result: PopulationResult) -> dict:
             "delay_limit": result.constraints.delay_limit,
             "leakage_limit": result.constraints.leakage_limit,
         },
-        "cases": [_encode_circuit(case.circuit) for case in result.cases],
-        "h_cases": [_encode_circuit(case.circuit) for case in result.h_cases],
+        "cases": _encode_columns(result.regular),
+        "h_cases": _encode_columns(result.horizontal),
     }
 
 
 def decode_population(payload: dict) -> PopulationResult:
-    """Rebuild a population result from a stored payload."""
+    """Rebuild a population result from a stored payload.
+
+    A ragged payload — one no rectangular population encodes to — is
+    refused with :class:`ConfigurationError`, which the engine treats
+    as a damaged store entry and recomputes.
+    """
     constraints = YieldConstraints(
         delay_limit=payload["constraints"]["delay_limit"],
         leakage_limit=payload["constraints"]["leakage_limit"],
@@ -102,14 +110,12 @@ def decode_population(payload: dict) -> PopulationResult:
     )
     return PopulationResult(
         constraints=constraints,
-        cases=[
-            ChipCase(circuit=_decode_circuit(data), constraints=constraints)
-            for data in payload["cases"]
-        ],
-        h_cases=[
-            ChipCase(circuit=_decode_circuit(data), constraints=constraints)
-            for data in payload["h_cases"]
-        ],
+        regular=CircuitColumns.from_circuits(
+            [_decode_circuit(data) for data in payload["cases"]]
+        ),
+        horizontal=CircuitColumns.from_circuits(
+            [_decode_circuit(data) for data in payload["h_cases"]]
+        ),
         policy=policy,
     )
 

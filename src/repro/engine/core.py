@@ -34,6 +34,9 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
+from repro.circuit.columnar import CircuitColumns
 from repro.core.validation import env_int, env_positive_int, require_positive
 from repro.core.errors import ConfigurationError
 from repro.engine.codec import (
@@ -196,7 +199,7 @@ class Engine:
             if payload is not None:
                 try:
                     result = decode(payload)
-                except (KeyError, TypeError, ValueError):
+                except (ConfigurationError, KeyError, TypeError, ValueError):
                     return None  # stale/garbled payload: recompute
                 self.stats.jobs_cached_disk += 1
                 self._memo[key] = result
@@ -312,13 +315,12 @@ class Engine:
         """
         from repro.yieldmodel.statistics import wilson_interval
 
-        for arch, cases in (
-            ("regular", result.cases), ("horizontal", result.h_cases)
-        ):
-            total = len(cases)
+        for arch, horizontal in (("regular", False), ("horizontal", True)):
+            passes = result.chips(horizontal).passes
+            total = passes.shape[0]
             if total <= 0:
                 continue
-            ships = sum(1 for case in cases if case.passes)
+            ships = int(np.count_nonzero(passes))
             low, high = wilson_interval(ships, total)
             self.metrics.gauge(f"yield.estimate.{arch}.base").set(
                 ships / total
@@ -350,9 +352,7 @@ class Engine:
             shards = self._executor.run(
                 population_shard, jobs, self.stats, progress=progress
             )
-        regular = [circuit for shard in shards for circuit in shard[0]]
-        horizontal = [circuit for shard in shards for circuit in shard[1]]
-        return study.assemble(regular, horizontal)
+        return study.assemble(*_concatenate_shards(shards))
 
     def _population_jobs(self, seed: int, chips: int) -> List[Tuple[int, int, int]]:
         """Split ``chips`` ids into shard jobs (one job on the serial path)."""
@@ -400,57 +400,36 @@ class Engine:
         from repro.yieldmodel.analysis import YieldStudy
         from repro.yieldmodel.statistics import wilson_interval
 
+        def halfwidth(passes) -> float:
+            ships = int(np.count_nonzero(passes))
+            low, high = wilson_interval(ships, len(passes), spec.confidence)
+            return (high - low) / 2.0
+
         cap = min(
             spec.max_chips if spec.max_chips is not None else settings.chips,
             settings.chips,
         )
-        regular: List = []
-        horizontal: List = []
+        shards: List = []
+        drawn = 0
         while True:
-            take = min(spec.batch_size, cap - len(regular))
-            jobs = self._range_jobs(
-                settings.seed, len(regular), len(regular) + take
-            )
+            take = min(spec.batch_size, cap - drawn)
+            jobs = self._range_jobs(settings.seed, drawn, drawn + take)
             with trace_span(
                 "engine.dispatch", kind="population", jobs=len(jobs),
                 columnar=columnar_enabled(), adaptive=True,
                 **self._dispatch_provenance(),
             ):
-                shards = self._executor.run(
+                shards.extend(self._executor.run(
                     population_shard, jobs, self.stats, progress=progress
-                )
-            for shard in shards:
-                regular.extend(shard[0])
-                horizontal.extend(shard[1])
-            if len(regular) >= cap:
-                break
-            if spec.ci_target is None:
-                continue
-            constraints = policy.derive(
-                [c.access_delay for c in regular],
-                [c.total_leakage for c in regular],
-            )
-            total = len(regular)
-            done = True
-            for circuits in (regular, horizontal):
-                ships = sum(
-                    1
-                    for c in circuits
-                    if c.total_leakage <= constraints.leakage_limit
-                    and all(
-                        d <= constraints.delay_limit for d in c.way_delays
-                    )
-                )
-                low, high = wilson_interval(ships, total, spec.confidence)
-                if (high - low) / 2.0 > spec.ci_target:
-                    done = False
-                    break
-            if done:
-                break
-        study = YieldStudy(
-            seed=settings.seed, count=len(regular), policy=policy
-        )
-        return study.assemble(regular, horizontal)
+                ))
+            drawn += take
+            study = YieldStudy(seed=settings.seed, count=drawn, policy=policy)
+            result = study.assemble(*_concatenate_shards(shards))
+            if drawn >= cap or spec.ci_target is not None and all(
+                halfwidth(result.chips(horizontal).passes) <= spec.ci_target
+                for horizontal in (False, True)
+            ):
+                return result
 
     # ------------------------------------------------------------------
     # yield estimates
@@ -798,6 +777,14 @@ class Engine:
         if self._submit_pool is not None:
             self._submit_pool.shutdown(wait=True)
             self._submit_pool = None
+
+
+def _concatenate_shards(shards) -> Tuple[CircuitColumns, CircuitColumns]:
+    """Population shards' (regular, horizontal) columns in chip order."""
+    return (
+        CircuitColumns.concatenate([shard[0] for shard in shards]),
+        CircuitColumns.concatenate([shard[1] for shard in shards]),
+    )
 
 
 # ----------------------------------------------------------------------

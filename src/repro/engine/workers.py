@@ -14,9 +14,9 @@ one job is one complete, self-contained simulation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
-from repro.circuit.cache_model import CacheCircuitResult
+from repro.circuit.columnar import CircuitColumns
 from repro.obs.trace import span as trace_span
 
 __all__ = ["estimate_shard", "population_shard", "simulation_job"]
@@ -33,10 +33,10 @@ EstimateJob = Dict[str, object]
 
 def population_shard(
     job: PopulationJob,
-) -> Tuple[List[CacheCircuitResult], List[CacheCircuitResult]]:
+) -> Tuple[CircuitColumns, CircuitColumns]:
     """Evaluate chips ``[start, stop)`` of a Monte Carlo population.
 
-    Returns the (regular, H-YAPD) circuit results for the shard; the
+    Returns the (regular, H-YAPD) circuit columns for the shard; the
     parent process concatenates shards in order and derives constraints
     over the full population, which makes the result independent of the
     shard layout.

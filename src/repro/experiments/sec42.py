@@ -29,15 +29,13 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
     nominal_horizontal = horizontal.nominal().access_delay
 
     pop = population(settings)
-    mean_regular = sum(
-        case.circuit.access_delay for case in pop.cases
-    ) / len(pop.cases)
-    mean_horizontal = sum(
-        case.circuit.access_delay for case in pop.h_cases
-    ) / len(pop.h_cases)
+    mean_regular = sum(pop.regular.access_delays.tolist()) / pop.population
+    mean_horizontal = (
+        sum(pop.horizontal.access_delays.tolist()) / pop.population
+    )
 
-    base_losses = sum(1 for case in pop.cases if not case.passes)
-    h_losses = sum(1 for case in pop.h_cases if not case.passes)
+    base_losses = pop.population - int(pop.chips(False).passes.sum())
+    h_losses = pop.population - int(pop.chips(True).passes.sum())
 
     rows = [
         ["nominal access delay, regular (ps)", round(units.to_ps(nominal_regular), 1)],

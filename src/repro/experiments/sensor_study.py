@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import List
 
+import numpy as np
+
 from repro.experiments.common import (
     ExperimentResult,
     ExperimentSettings,
@@ -33,8 +35,9 @@ SWEEP = (
 
 def run(settings: ExperimentSettings) -> ExperimentResult:
     pop = population(settings)
-    failing = [case for case in pop.cases if not case.passes]
-    perfect_saved = sum(1 for case in failing if YAPD().rescue(case).saved)
+    chips = pop.chips()
+    failing = [chips.case(i) for i in np.flatnonzero(~chips.passes).tolist()]
+    perfect_saved = int((YAPD().decide(chips).saved & ~chips.passes).sum())
 
     rows: List[List[object]] = []
     data = {}
@@ -42,7 +45,7 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
         sensor = LeakageSensor(
             relative_noise=noise, quantisation_levels=levels, seed=settings.seed
         )
-        believed, actual = yield_with_sensor(pop.cases, YAPD(), sensor)
+        believed, actual = yield_with_sensor(failing, YAPD(), sensor)
         false_saves = believed - actual
         rows.append(
             [

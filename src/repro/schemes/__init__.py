@@ -1,9 +1,9 @@
 """The paper's yield-aware cache schemes (Section 4).
 
-Every scheme consumes a :class:`~repro.yieldmodel.classify.ChipCase`
-(one manufactured chip held against the yield constraints) and produces a
-:class:`~repro.schemes.base.RescueOutcome` saying whether the chip can be
-shipped, and in what configuration:
+Every scheme's ``decide`` says which chips of a population's
+:class:`~repro.yieldmodel.classify.ChipColumns` can be shipped, and in
+what configuration; ``rescue`` says it for one ``ChipCase`` as a
+:class:`~repro.schemes.base.RescueOutcome`:
 
 * :class:`~repro.schemes.yapd.YAPD` — power down one delay- or
   leakage-offending vertical way (Selective Cache Ways + Gated-Vdd).
@@ -23,7 +23,7 @@ shipped, and in what configuration:
   for studying the paper's in-the-field deployment story.
 """
 
-from repro.schemes.base import RescueOutcome, Scheme
+from repro.schemes.base import ColumnarScheme, Decisions, RescueOutcome, Scheme
 from repro.schemes.yapd import YAPD
 from repro.schemes.hyapd import HYAPD
 from repro.schemes.vaca import DeepVACA, VACA
@@ -32,6 +32,8 @@ from repro.schemes.binning import NaiveBinning
 from repro.schemes.adaptive import AdaptiveHybrid
 
 __all__ = [
+    "ColumnarScheme",
+    "Decisions",
     "RescueOutcome",
     "Scheme",
     "YAPD",

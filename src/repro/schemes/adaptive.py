@@ -18,9 +18,11 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Tuple
 
-from repro.schemes.base import RescueOutcome, Scheme
+import numpy as np
+
+from repro.schemes.base import Decisions, RescueOutcome, Scheme
 from repro.schemes.hybrid import Hybrid
-from repro.yieldmodel.classify import ChipCase, VACA_MAX_CYCLES
+from repro.yieldmodel.classify import ChipCase, ChipColumns, VACA_MAX_CYCLES
 from repro.yieldmodel.constraints import BASE_ACCESS_CYCLES
 
 __all__ = ["AdaptiveHybrid", "TableEstimator"]
@@ -70,6 +72,20 @@ class AdaptiveHybrid(Scheme):
     def __init__(self, estimator: Estimator) -> None:
         self.estimator = estimator
         self._fixed = Hybrid()
+
+    def decide(self, chips: ChipColumns) -> Decisions:
+        """:meth:`rescue` (a per-chip estimator call) on failing chips."""
+        saved = chips.passes.copy()
+        way_cycles = chips.way_cycles.copy()
+        disabled_way = np.full(chips.count, -1)
+        for index in np.flatnonzero(~chips.passes).tolist():
+            outcome = self.rescue(chips.case(index))
+            if outcome.saved:
+                saved[index] = True
+                way_cycles[index] = [c or 0 for c in outcome.way_cycles]
+                if outcome.disabled_way is not None:
+                    disabled_way[index] = outcome.disabled_way
+        return Decisions.of(chips, saved, way_cycles, disabled_way)
 
     def _candidates(self, case: ChipCase):
         """All single-disable-or-none configurations that meet constraints.

@@ -1,22 +1,28 @@
-"""Scheme interface and rescue outcomes.
+"""Scheme interface, decisions and rescue outcomes.
 
-A scheme is a pure function from a :class:`ChipCase` to a
-:class:`RescueOutcome`. Outcomes carry the post-rescue cache shape — which
-way or horizontal band was powered down and the access cycles of every
-surviving way — which is exactly what the functional cache model and the
-pipeline simulator need to measure the performance cost of the rescue.
+:meth:`Scheme.decide` decides every chip of a population's
+:class:`~repro.yieldmodel.classify.ChipColumns` at once
+(:class:`Decisions`, one row per chip); :meth:`Scheme.rescue` decides one
+:class:`ChipCase` as a :class:`RescueOutcome`. Outcomes carry the
+post-rescue cache shape — which way or horizontal band was powered down
+and the access cycles of every surviving way — which is exactly what the
+functional cache model and the pipeline simulator need to measure the
+performance cost of the rescue. A :class:`ColumnarScheme`'s array
+``decide`` is its only decision logic and ``rescue`` its one-chip view.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from repro.core.errors import ConfigurationError
-from repro.yieldmodel.classify import ChipCase
+from repro.yieldmodel.classify import ChipCase, ChipColumns
 
-__all__ = ["RescueOutcome", "Scheme"]
+__all__ = ["ColumnarScheme", "Decisions", "RescueOutcome", "Scheme"]
 
 
 @dataclass(frozen=True)
@@ -77,11 +83,46 @@ class RescueOutcome:
         return max(enabled) if enabled else None
 
 
+class Decisions(NamedTuple):
+    """Row ``i`` is chip ``i``'s :class:`RescueOutcome` as columns.
+
+    ``way_cycles`` uses 0 for a disabled way and ``disabled_way``/
+    ``disabled_band`` -1 for none; they matter only where ``saved``.
+    """
+
+    saved: np.ndarray  # (C,) bool
+    way_cycles: np.ndarray  # (C, W) int
+    disabled_way: np.ndarray  # (C,) int
+    disabled_band: np.ndarray  # (C,) int
+
+    @classmethod
+    def of(
+        cls,
+        chips: ChipColumns,
+        saved: np.ndarray,
+        way_cycles: Optional[np.ndarray] = None,
+        disabled_way: Optional[np.ndarray] = None,
+        disabled_band: Optional[np.ndarray] = None,
+    ) -> "Decisions":
+        """Decisions defaulting to the unchanged cycles and no power-down."""
+        none = np.full(chips.count, -1)
+        return cls(
+            saved=saved,
+            way_cycles=chips.way_cycles if way_cycles is None else way_cycles,
+            disabled_way=none if disabled_way is None else disabled_way,
+            disabled_band=none if disabled_band is None else disabled_band,
+        )
+
+
 class Scheme(abc.ABC):
     """A yield-aware rescue scheme."""
 
     #: Display name used in tables; subclasses override.
     name: str = "scheme"
+
+    @abc.abstractmethod
+    def decide(self, chips: ChipColumns) -> Decisions:
+        """Decide every chip of ``chips`` at once; never mutates them."""
 
     @abc.abstractmethod
     def rescue(self, case: ChipCase) -> RescueOutcome:
@@ -111,3 +152,34 @@ class Scheme(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
+
+
+class ColumnarScheme(Scheme):
+    """A scheme whose array :meth:`decide` is its only decision logic."""
+
+    def rescue(self, case: ChipCase) -> RescueOutcome:
+        """One-chip view of :meth:`decide` (row 0 of the case's columns)."""
+        if case.passes:
+            return self._pass_through(case)
+        chips = ChipColumns.of_cases([case])
+        decided = self.decide(chips)
+        note = self._note(chips, decided)
+        if not decided.saved[0]:
+            return self._lost(case, note)
+        way = int(decided.disabled_way[0])
+        band = int(decided.disabled_band[0])
+        return RescueOutcome(
+            scheme=self.name,
+            saved=True,
+            configuration=case.configuration,
+            disabled_way=None if way < 0 else way,
+            disabled_band=None if band < 0 else band,
+            way_cycles=tuple(
+                cycles or None for cycles in decided.way_cycles[0].tolist()
+            ),
+            note=note,
+        )
+
+    @abc.abstractmethod
+    def _note(self, chips: ChipColumns, decided: Decisions) -> str:
+        """Why the failing chip in row 0 was saved or lost."""

@@ -10,15 +10,18 @@ Leakage violations are untouched.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.errors import ConfigurationError
-from repro.schemes.base import RescueOutcome, Scheme
-from repro.yieldmodel.classify import ChipCase
+from repro.schemes.base import ColumnarScheme, Decisions
+from repro.schemes.vaca import served_within
+from repro.yieldmodel.classify import ChipColumns
 from repro.yieldmodel.constraints import BASE_ACCESS_CYCLES
 
 __all__ = ["NaiveBinning"]
 
 
-class NaiveBinning(Scheme):
+class NaiveBinning(ColumnarScheme):
     """Run the whole cache at a uniformly higher access latency.
 
     Parameters
@@ -35,23 +38,18 @@ class NaiveBinning(Scheme):
         self.target_cycles = target_cycles
         self.name = f"Binning@{target_cycles}"
 
-    def rescue(self, case: ChipCase) -> RescueOutcome:
-        if case.passes:
-            return self._pass_through(case)
-        if case.leakage_violation:
-            return self._lost(case, "re-binning cannot reduce leakage")
-        if max(case.way_cycles) > self.target_cycles:
-            return self._lost(
-                case,
-                f"a way needs more than {self.target_cycles} cycles",
-            )
-        way_cycles = tuple(
-            self.target_cycles for _ in range(case.circuit.num_ways)
+    def decide(self, chips: ChipColumns) -> Decisions:
+        saved = served_within(chips, self.target_cycles)
+        rebinned = saved & ~chips.passes
+        return Decisions.of(
+            chips,
+            saved,
+            np.where(rebinned[:, None], self.target_cycles, chips.way_cycles),
         )
-        return RescueOutcome(
-            scheme=self.name,
-            saved=True,
-            configuration=case.configuration,
-            way_cycles=way_cycles,
-            note=f"entire cache re-binned at {self.target_cycles} cycles",
-        )
+
+    def _note(self, chips: ChipColumns, decided: Decisions) -> str:
+        if decided.saved[0]:
+            return f"entire cache re-binned at {self.target_cycles} cycles"
+        if chips.leakage_violation[0]:
+            return "re-binning cannot reduce leakage"
+        return f"a way needs more than {self.target_cycles} cycles"

@@ -14,24 +14,68 @@ circuits cannot be turned off completely — modelled by
 ``peripheral_save_fraction`` of the band's proportional share of the
 peripheral leakage.
 
-H-YAPD must be applied to a :class:`ChipCase` built from the H-YAPD cache
+H-YAPD must be applied to chips evaluated with the H-YAPD cache
 organisation (its 2.5% slower access paths); the analysis layer takes care
 of that pairing.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import numpy as np
 
+from repro.circuit.columnar import left_sum
+from repro.core.errors import ConfigurationError
 from repro.core.validation import require_in_range
-from repro.schemes.base import RescueOutcome, Scheme
-from repro.yieldmodel.classify import ChipCase
+from repro.schemes.base import ColumnarScheme, Decisions
+from repro.yieldmodel.classify import ChipColumns
 from repro.yieldmodel.constraints import BASE_ACCESS_CYCLES
 
 __all__ = ["HYAPD"]
 
 
-class HYAPD(Scheme):
+def delays_without_band(
+    chips: ChipColumns, needed: np.ndarray
+) -> np.ndarray:
+    """``[i, w, b]``: way ``w``'s ``delay_without_band(b)`` on chip ``i``
+    (a one-band cache has none: an error for the chips ``needed``)."""
+    band_delays = chips.circuits.band_delays
+    bands = band_delays.shape[2]
+    if bands < 2:
+        if needed.any():
+            raise ConfigurationError(
+                "cannot power down the only band of a way"
+            )
+        return band_delays
+    out = np.empty_like(band_delays)
+    for band in range(bands):
+        others = [b for b in range(bands) if b != band]
+        out[:, :, band] = band_delays[:, :, others].max(axis=2)
+    return out
+
+
+def leakage_without_band(
+    chips: ChipColumns, peripheral_save_fraction: float
+) -> np.ndarray:
+    """``[i, b]``: chip ``i``'s leakage with band ``b`` gated off,
+    ``(total - band array) - fraction * peripheral / bands``."""
+    circuits = chips.circuits
+    saving = (
+        peripheral_save_fraction
+        * left_sum(circuits.peripheral_leakage, 1)
+        / circuits.num_bands
+    )
+    band_array = left_sum(circuits.band_leakage, 1)  # summed over ways
+    return (chips.total_leakage[:, None] - band_array) - saving[:, None]
+
+
+def cheapest_band(feasible: np.ndarray, leakage: np.ndarray) -> np.ndarray:
+    """Per chip, the first feasible band with strictly the lowest
+    leakage (-1: none is feasible)."""
+    best = np.where(feasible, leakage, np.inf).argmin(axis=1)
+    return np.where(feasible.any(axis=1), best, -1)
+
+
+class HYAPD(ColumnarScheme):
     """Power down one horizontal band across all ways.
 
     Parameters
@@ -50,54 +94,22 @@ class HYAPD(Scheme):
         )
         self.peripheral_save_fraction = peripheral_save_fraction
 
-    # ------------------------------------------------------------------
-    def leakage_after_disabling_band(self, case: ChipCase, band: int) -> float:
-        """Total leakage (W) with horizontal band ``band`` gated off."""
-        circuit = case.circuit
-        array_saving = circuit.band_array_leakage(band)
-        peripheral_saving = (
-            self.peripheral_save_fraction
-            * circuit.total_peripheral_leakage()
-            / circuit.num_bands
+    def decide(self, chips: ChipColumns) -> Decisions:
+        limits = chips.constraints
+        leakage = leakage_without_band(chips, self.peripheral_save_fraction)
+        feasible = (
+            delays_without_band(chips, ~chips.passes) <= limits.delay_limit
+        ).all(axis=1) & (leakage <= limits.leakage_limit)
+        band = cheapest_band(feasible, leakage)
+        rescued = ~chips.passes & (band >= 0)
+        return Decisions.of(
+            chips,
+            chips.passes | rescued,
+            np.where(rescued[:, None], BASE_ACCESS_CYCLES, chips.way_cycles),
+            disabled_band=np.where(rescued, band, -1),
         )
-        return case.total_leakage - array_saving - peripheral_saving
 
-    def _band_feasible(self, case: ChipCase, band: int) -> Optional[float]:
-        """Post-rescue leakage if gating ``band`` satisfies everything."""
-        delays_ok = all(
-            case.constraints.meets_delay(way.delay_without_band(band))
-            for way in case.circuit.ways
-        )
-        if not delays_ok:
-            return None
-        leakage = self.leakage_after_disabling_band(case, band)
-        if not case.constraints.meets_leakage(leakage):
-            return None
-        return leakage
-
-    # ------------------------------------------------------------------
-    def rescue(self, case: ChipCase) -> RescueOutcome:
-        if case.passes:
-            return self._pass_through(case)
-
-        best_band: Optional[int] = None
-        best_leakage = float("inf")
-        for band in range(case.circuit.num_bands):
-            leakage = self._band_feasible(case, band)
-            if leakage is not None and leakage < best_leakage:
-                best_band, best_leakage = band, leakage
-
-        if best_band is None:
-            return self._lost(case, "no single horizontal band repairs the chip")
-
-        way_cycles = tuple(
-            BASE_ACCESS_CYCLES for _ in range(case.circuit.num_ways)
-        )
-        return RescueOutcome(
-            scheme=self.name,
-            saved=True,
-            configuration=case.configuration,
-            disabled_band=best_band,
-            way_cycles=way_cycles,
-            note=f"disabled horizontal band {best_band}",
-        )
+    def _note(self, chips: ChipColumns, decided: Decisions) -> str:
+        if decided.saved[0]:
+            return f"disabled horizontal band {int(decided.disabled_band[0])}"
+        return "no single horizontal band repairs the chip"

@@ -9,99 +9,76 @@ limit, and — like YAPD — at most one unit may ever be disabled.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import numpy as np
 
-from repro.schemes.base import RescueOutcome, Scheme
-from repro.schemes.hyapd import HYAPD
-from repro.yieldmodel.classify import ChipCase, VACA_MAX_CYCLES
+from repro.schemes.base import ColumnarScheme, Decisions
+from repro.schemes.hyapd import (
+    HYAPD,
+    cheapest_band,
+    delays_without_band,
+    leakage_without_band,
+)
+from repro.schemes.vaca import served_within
+from repro.yieldmodel.classify import (
+    ChipColumns,
+    VACA_MAX_CYCLES,
+    cycles_for_delays,
+)
 
 __all__ = ["Hybrid", "HybridHorizontal"]
 
 
-class Hybrid(Scheme):
+class Hybrid(ColumnarScheme):
     """VACA latencies plus at most one vertical way power-down."""
 
     name = "Hybrid"
 
-    def rescue(self, case: ChipCase) -> RescueOutcome:
-        if case.passes:
-            return self._pass_through(case)
-
+    def decide(self, chips: ChipColumns) -> Decisions:
         # VACA mode first: keep everything powered if 5 cycles suffice.
-        if not case.leakage_violation and max(case.way_cycles) <= VACA_MAX_CYCLES:
-            return RescueOutcome(
-                scheme=self.name,
-                saved=True,
-                configuration=case.configuration,
-                way_cycles=case.way_cycles,
-                note="slow ways served at 5 cycles (no power-down needed)",
-            )
-
-        target = self._pick_target(case)
-        if target is None:
-            return self._lost(case, self._loss_note(case))
-
-        way_cycles: Tuple[Optional[int], ...] = tuple(
-            None if w == target else case.way_cycles[w]
-            for w in range(case.circuit.num_ways)
+        vaca = served_within(chips, VACA_MAX_CYCLES)
+        # Otherwise disable one way: the single way needing 6+ cycles,
+        # then the leakiest way when leakage is violated. Either must
+        # leave every other way at <= 5 cycles and the leakage in limit.
+        too_slow = chips.way_cycles > VACA_MAX_CYCLES
+        slow_count = too_slow.sum(axis=1)
+        rows = np.arange(chips.count)
+        limit = chips.constraints.leakage_limit
+        slow_way = too_slow.argmax(axis=1)
+        slow_fix = (slow_count == 1) & (
+            chips.way_gated_leakage[rows, slow_way] <= limit
         )
-        return RescueOutcome(
-            scheme=self.name,
-            saved=True,
-            configuration=case.configuration,
-            disabled_way=target,
-            way_cycles=way_cycles,
-            note=f"disabled way {target}, remaining ways at up to 5 cycles",
+        leakiest = chips.leakiest_way
+        leak_fix = (
+            chips.leakage_violation
+            & (slow_count - too_slow[rows, leakiest] == 0)
+            & (chips.way_gated_leakage[rows, leakiest] <= limit)
+        )
+        target = np.where(slow_fix, slow_way, leakiest)
+        disabled = ~vaca & (slow_fix | leak_fix)
+        way_cycles = chips.way_cycles.copy()
+        way_cycles[rows[disabled], target[disabled]] = 0
+        return Decisions.of(
+            chips,
+            vaca | disabled,
+            way_cycles,
+            np.where(disabled, target, -1),
         )
 
-    # ------------------------------------------------------------------
-    def _feasible(self, case: ChipCase, way: int) -> bool:
-        """Would disabling ``way`` satisfy both constraints?"""
-        cycles_ok = all(
-            case.way_cycles[w] <= VACA_MAX_CYCLES
-            for w in range(case.circuit.num_ways)
-            if w != way
-        )
-        leakage_ok = case.constraints.meets_leakage(
-            case.leakage_after_disabling_way(way)
-        )
-        return cycles_ok and leakage_ok
-
-    def _pick_target(self, case: ChipCase) -> Optional[int]:
-        """Choose the single way to disable, honouring the paper's policy.
-
-        Preference order: the (single) way needing 6+ cycles, then the
-        leakiest way; either choice must actually repair the chip.
-        """
-        too_slow = [
-            w for w, c in enumerate(case.way_cycles) if c > VACA_MAX_CYCLES
-        ]
-        if len(too_slow) > 1:
-            return None
-        candidates = []
-        if too_slow:
-            candidates.append(too_slow[0])
-        if case.leakage_violation:
-            leakiest = case.max_leakage_way()
-            if leakiest not in candidates:
-                candidates.append(leakiest)
-        for way in candidates:
-            if self._feasible(case, way):
-                return way
-        return None
-
-    def _loss_note(self, case: ChipCase) -> str:
-        too_slow = [
-            w for w, c in enumerate(case.way_cycles) if c > VACA_MAX_CYCLES
-        ]
-        if len(too_slow) > 1:
-            return f"{len(too_slow)} ways need 6+ cycles; only one may be disabled"
-        if case.leakage_violation:
+    def _note(self, chips: ChipColumns, decided: Decisions) -> str:
+        if decided.saved[0]:
+            way = int(decided.disabled_way[0])
+            if way < 0:
+                return "slow ways served at 5 cycles (no power-down needed)"
+            return f"disabled way {way}, remaining ways at up to 5 cycles"
+        too_slow = int((chips.way_cycles[0] > VACA_MAX_CYCLES).sum())
+        if too_slow > 1:
+            return f"{too_slow} ways need 6+ cycles; only one may be disabled"
+        if chips.leakage_violation[0]:
             return "leakage remains above limit after disabling one way"
         return "no single power-down repairs the chip"
 
 
-class HybridHorizontal(Scheme):
+class HybridHorizontal(ColumnarScheme):
     """VACA latencies plus at most one horizontal band power-down.
 
     Parameters
@@ -115,44 +92,36 @@ class HybridHorizontal(Scheme):
     def __init__(self, peripheral_save_fraction: float = 0.5) -> None:
         self._hyapd = HYAPD(peripheral_save_fraction)
 
-    def rescue(self, case: ChipCase) -> RescueOutcome:
-        if case.passes:
-            return self._pass_through(case)
-
-        if not case.leakage_violation and max(case.way_cycles) <= VACA_MAX_CYCLES:
-            return RescueOutcome(
-                scheme=self.name,
-                saved=True,
-                configuration=case.configuration,
-                way_cycles=case.way_cycles,
-                note="slow ways served at 5 cycles (no power-down needed)",
-            )
-
-        best_band: Optional[int] = None
-        best_leakage = float("inf")
-        best_cycles: Optional[Tuple[int, ...]] = None
-        for band in range(case.circuit.num_bands):
-            cycles = case.way_cycles_without_band(band)
-            if max(cycles) > VACA_MAX_CYCLES:
-                continue
-            leakage = self._hyapd.leakage_after_disabling_band(case, band)
-            if not case.constraints.meets_leakage(leakage):
-                continue
-            if leakage < best_leakage:
-                best_band, best_leakage, best_cycles = band, leakage, cycles
-
-        if best_band is None or best_cycles is None:
-            return self._lost(
-                case, "no single horizontal band repairs the chip"
-            )
-        return RescueOutcome(
-            scheme=self.name,
-            saved=True,
-            configuration=case.configuration,
-            disabled_band=best_band,
-            way_cycles=best_cycles,
-            note=(
-                f"disabled horizontal band {best_band}, "
-                "remaining paths at up to 5 cycles"
-            ),
+    def decide(self, chips: ChipColumns) -> Decisions:
+        vaca = served_within(chips, VACA_MAX_CYCLES)
+        cycles = cycles_for_delays(
+            delays_without_band(chips, ~vaca), chips.constraints
         )
+        leakage = leakage_without_band(
+            chips, self._hyapd.peripheral_save_fraction
+        )
+        feasible = (cycles <= VACA_MAX_CYCLES).all(axis=1) & (
+            leakage <= chips.constraints.leakage_limit
+        )
+        band = cheapest_band(feasible, leakage)
+        disabled = ~vaca & (band >= 0)
+        rows = np.flatnonzero(disabled)
+        way_cycles = chips.way_cycles.copy()
+        way_cycles[rows] = cycles[rows, :, band[rows]]
+        return Decisions.of(
+            chips,
+            vaca | disabled,
+            way_cycles,
+            disabled_band=np.where(disabled, band, -1),
+        )
+
+    def _note(self, chips: ChipColumns, decided: Decisions) -> str:
+        if decided.saved[0]:
+            band = int(decided.disabled_band[0])
+            if band < 0:
+                return "slow ways served at 5 cycles (no power-down needed)"
+            return (
+                f"disabled horizontal band {band}, "
+                "remaining paths at up to 5 cycles"
+            )
+        return "no single horizontal band repairs the chip"

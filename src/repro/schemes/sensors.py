@@ -8,9 +8,10 @@ measurement layer so the deployment question can be studied: *how much of
 YAPD's benefit survives an imperfect sensor?*
 
 :class:`MeasuredChipCase` wraps a true :class:`ChipCase` with a sensor:
-the schemes (which only consume the ``ChipCase`` interface) then make
-their decisions on measured values while the *verdict* — does the rescued
-chip actually meet the limits — is always evaluated on the truth. The
+the schemes (whose decisions read the case's facts through
+:class:`~repro.yieldmodel.classify.ChipColumns`) then decide on measured
+values while the *verdict* — does the rescued chip actually meet the
+limits — is always evaluated on the truth. The
 ``sensor_error`` analysis in :func:`yield_with_sensor` reports how the
 rescue rate degrades with sensor noise.
 """
@@ -19,13 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.core.rng import spawn
 from repro.core.validation import require_non_negative
-from repro.yieldmodel.classify import ChipCase
+from repro.yieldmodel.classify import ChipCase, ChipColumns
 
 __all__ = ["LeakageSensor", "MeasuredChipCase", "yield_with_sensor"]
 
@@ -104,27 +105,37 @@ def yield_with_sensor(cases, scheme, sensor: LeakageSensor):
     Returns ``(decisions_saved, actually_saved)``: chips the scheme
     *believed* it saved, and the subset whose true leakage and delay meet
     the limits after the chosen action. The gap is the sensor's cost.
+    Each chip shape and set of limits is decided in one call.
     """
-    believed = 0
-    actual = 0
+    groups: Dict[tuple, List[MeasuredChipCase]] = {}
     for case in cases:
         if case.passes:
             continue
-        measured = MeasuredChipCase(case, sensor)
-        outcome = scheme.rescue(measured)
-        if not outcome.saved:
-            continue
-        believed += 1
-        if outcome.disabled_way is not None:
-            true_leak = case.leakage_after_disabling_way(outcome.disabled_way)
-            delay_ok = all(
-                case.constraints.meets_delay(way.delay)
-                for way in case.circuit.ways
-                if way.way != outcome.disabled_way
-            )
-        else:
-            true_leak = case.total_leakage
-            delay_ok = max(case.way_cycles) <= (outcome.max_cycles or 4)
-        if delay_ok and case.constraints.meets_leakage(true_leak):
-            actual += 1
+        circuit = case.circuit
+        key = (
+            circuit.num_ways, circuit.num_bands, circuit.hyapd,
+            case.constraints,
+        )
+        groups.setdefault(key, []).append(MeasuredChipCase(case, sensor))
+    believed = 0
+    actual = 0
+    for measured in groups.values():
+        decided = scheme.decide(ChipColumns.of_cases(measured))
+        for index in np.flatnonzero(decided.saved).tolist():
+            believed += 1
+            case = measured[index].truth
+            disabled_way = int(decided.disabled_way[index])
+            if disabled_way >= 0:
+                true_leak = case.leakage_after_disabling_way(disabled_way)
+                delay_ok = all(
+                    case.constraints.meets_delay(way.delay)
+                    for way in case.circuit.ways
+                    if way.way != disabled_way
+                )
+            else:
+                true_leak = case.total_leakage
+                enabled = [c for c in decided.way_cycles[index].tolist() if c]
+                delay_ok = max(case.way_cycles) <= max(enabled, default=4)
+            if delay_ok and case.constraints.meets_leakage(true_leak):
+                actual += 1
     return believed, actual

@@ -14,41 +14,45 @@ minor and the performance degradation can be very high"); the
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.errors import ConfigurationError
-from repro.schemes.base import RescueOutcome, Scheme
-from repro.yieldmodel.classify import ChipCase, VACA_MAX_CYCLES
+from repro.schemes.base import ColumnarScheme, Decisions
+from repro.yieldmodel.classify import ChipColumns, VACA_MAX_CYCLES
 from repro.yieldmodel.constraints import BASE_ACCESS_CYCLES
 
-__all__ = ["VACA", "DeepVACA"]
+__all__ = ["VACA", "DeepVACA", "served_within"]
 
 
-class VACA(Scheme):
+def served_within(chips: ChipColumns, max_cycles: int) -> np.ndarray:
+    """Chips that pass, or whose slowest way needs at most ``max_cycles``
+    with no leakage violation (nothing is powered down). (C,) bool."""
+    return chips.passes | (
+        ~chips.leakage_violation
+        & (chips.way_cycles.max(axis=1) <= max_cycles)
+    )
+
+
+class VACA(ColumnarScheme):
     """Tolerate 5-cycle ways via load-bypass buffers; no power-down."""
 
     name = "VACA"
 
-    def rescue(self, case: ChipCase) -> RescueOutcome:
-        if case.passes:
-            return self._pass_through(case)
-        if case.leakage_violation:
-            return self._lost(case, "VACA cannot reduce leakage")
-        slowest = max(case.way_cycles)
-        if slowest > VACA_MAX_CYCLES:
-            return self._lost(
-                case,
-                f"a way needs {slowest} cycles; load-bypass buffers allow "
-                f"at most {VACA_MAX_CYCLES}",
-            )
-        return RescueOutcome(
-            scheme=self.name,
-            saved=True,
-            configuration=case.configuration,
-            way_cycles=case.way_cycles,
-            note="slow ways served at 5 cycles",
+    def decide(self, chips: ChipColumns) -> Decisions:
+        return Decisions.of(chips, served_within(chips, VACA_MAX_CYCLES))
+
+    def _note(self, chips: ChipColumns, decided: Decisions) -> str:
+        if decided.saved[0]:
+            return "slow ways served at 5 cycles"
+        if chips.leakage_violation[0]:
+            return "VACA cannot reduce leakage"
+        return (
+            f"a way needs {int(chips.way_cycles[0].max())} cycles; "
+            f"load-bypass buffers allow at most {VACA_MAX_CYCLES}"
         )
 
 
-class DeepVACA(Scheme):
+class DeepVACA(ColumnarScheme):
     """VACA with ``slack``-entry load-bypass buffers (paper Section 4.3's
     rejected extension: tolerate ways up to ``4 + slack`` cycles).
 
@@ -69,22 +73,15 @@ class DeepVACA(Scheme):
         """Slowest tolerable way latency."""
         return BASE_ACCESS_CYCLES + self.slack
 
-    def rescue(self, case: ChipCase) -> RescueOutcome:
-        if case.passes:
-            return self._pass_through(case)
-        if case.leakage_violation:
-            return self._lost(case, "cannot reduce leakage")
-        slowest = max(case.way_cycles)
-        if slowest > self.max_cycles:
-            return self._lost(
-                case,
-                f"a way needs {slowest} cycles; {self.slack}-entry buffers "
-                f"allow at most {self.max_cycles}",
-            )
-        return RescueOutcome(
-            scheme=self.name,
-            saved=True,
-            configuration=case.configuration,
-            way_cycles=case.way_cycles,
-            note=f"slow ways served at up to {self.max_cycles} cycles",
+    def decide(self, chips: ChipColumns) -> Decisions:
+        return Decisions.of(chips, served_within(chips, self.max_cycles))
+
+    def _note(self, chips: ChipColumns, decided: Decisions) -> str:
+        if decided.saved[0]:
+            return f"slow ways served at up to {self.max_cycles} cycles"
+        if chips.leakage_violation[0]:
+            return "cannot reduce leakage"
+        return (
+            f"a way needs {int(chips.way_cycles[0].max())} cycles; "
+            f"{self.slack}-entry buffers allow at most {self.max_cycles}"
         )

@@ -15,71 +15,52 @@ whose leakage remains excessive after removing the worst way — stay lost.
 
 from __future__ import annotations
 
-from typing import Optional
+import numpy as np
 
-from repro.schemes.base import RescueOutcome, Scheme
-from repro.yieldmodel.classify import ChipCase
+from repro.schemes.base import ColumnarScheme, Decisions
+from repro.yieldmodel.classify import ChipColumns
 from repro.yieldmodel.constraints import BASE_ACCESS_CYCLES
 
 __all__ = ["YAPD"]
 
 
-class YAPD(Scheme):
+class YAPD(ColumnarScheme):
     """Power down one vertical way to fix a delay or leakage violation."""
 
     name = "YAPD"
 
-    def rescue(self, case: ChipCase) -> RescueOutcome:
-        if case.passes:
-            return self._pass_through(case)
-
-        target = self._pick_target(case)
-        if target is None:
-            return self._lost(case, self._loss_note(case))
-
-        # Re-check both constraints with the target way gated off.
-        remaining_delay_ok = all(
-            case.constraints.meets_delay(way.delay)
-            for way in case.circuit.ways
-            if way.way != target
+    def decide(self, chips: ChipColumns) -> Decisions:
+        # The single way to gate off: the one slow way, else (leakage
+        # only) the leakiest. With at most one slow way and that way
+        # gated off, every remaining way meets the delay limit, so only
+        # the residual leakage is left to check.
+        violators = chips.delay_violations.sum(axis=1)
+        target = np.where(
+            violators == 1,
+            chips.delay_violations.argmax(axis=1),
+            chips.leakiest_way,
         )
-        leakage_ok = case.constraints.meets_leakage(
-            case.leakage_after_disabling_way(target)
+        rows = np.arange(chips.count)
+        rescued = (violators <= 1) & (
+            chips.way_gated_leakage[rows, target]
+            <= chips.constraints.leakage_limit
         )
-        if not (remaining_delay_ok and leakage_ok):
-            return self._lost(case, self._loss_note(case))
-
-        way_cycles = tuple(
-            None if w == target else BASE_ACCESS_CYCLES
-            for w in range(case.circuit.num_ways)
+        saved = chips.passes | rescued
+        rescued &= ~chips.passes
+        way_cycles = np.where(
+            rescued[:, None], BASE_ACCESS_CYCLES, chips.way_cycles
         )
-        return RescueOutcome(
-            scheme=self.name,
-            saved=True,
-            configuration=case.configuration,
-            disabled_way=target,
-            way_cycles=way_cycles,
-            note=f"disabled way {target}",
+        way_cycles[rows[rescued], target[rescued]] = 0
+        return Decisions.of(
+            chips, saved, way_cycles, np.where(rescued, target, -1)
         )
 
-    # ------------------------------------------------------------------
-    def _pick_target(self, case: ChipCase) -> Optional[int]:
-        """Choose the single way to gate off, or None when impossible."""
-        violators = case.delay_violating_ways
-        if len(violators) > 1:
-            return None
-        if violators:
-            # A single slow way: it must go. If leakage is also violated,
-            # the subsequent feasibility check decides whether removing
-            # this way suffices.
-            return violators[0]
-        # Leakage-only violation: remove the leakiest way.
-        return case.max_leakage_way()
-
-    def _loss_note(self, case: ChipCase) -> str:
-        violators = case.delay_violating_ways
-        if len(violators) > 1:
-            return f"{len(violators)} ways violate delay; only one may be disabled"
-        if case.leakage_violation:
+    def _note(self, chips: ChipColumns, decided: Decisions) -> str:
+        if decided.saved[0]:
+            return f"disabled way {int(decided.disabled_way[0])}"
+        violators = int(chips.delay_violations[0].sum())
+        if violators > 1:
+            return f"{violators} ways violate delay; only one may be disabled"
+        if chips.leakage_violation[0]:
             return "leakage remains above limit after disabling one way"
         return "constraints unmet after disabling one way"

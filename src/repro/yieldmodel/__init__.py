@@ -9,8 +9,8 @@ residual losses are tabulated by the reason of loss.
 
 * :mod:`repro.yieldmodel.constraints` — limit policies (nominal, relaxed,
   strict) and the delay -> access-cycles mapping.
-* :mod:`repro.yieldmodel.classify` — per-chip case records and loss
-  classification.
+* :mod:`repro.yieldmodel.classify` — loss classification, as population
+  columns (``ChipColumns``) and one-chip case views (``ChipCase``).
 * :mod:`repro.yieldmodel.analysis` — the population study that regenerates
   Tables 2-5 and Figure 8.
 """

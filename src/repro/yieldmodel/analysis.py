@@ -12,20 +12,23 @@
    the H-YAPD architecture is held to the same absolute limits),
 4. classify every chip and apply any number of schemes.
 
-The result object knows how to produce the paper's loss-breakdown tables
-(Tables 2/3), the relaxed/strict totals (Tables 4/5), the Figure 8
-scatter, and the Table 6 configuration census.
+The result object holds the population as columns and counts from them
+the paper's loss-breakdown tables (Tables 2/3), the relaxed/strict totals
+(Tables 4/5), the Figure 8 scatter, and the Table 6 configuration census;
+each scheme decides the whole population with one array call.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.circuit.cache_model import CacheCircuitModel, CacheCircuitResult
+from repro.circuit.cache_model import CacheCircuitModel
 from repro.circuit.columnar import CircuitColumns, evaluate_population_pair
 from repro.circuit.organization import CacheOrganization, PAPER_ORGANIZATION
 from repro.circuit.technology import Technology, TECH45
@@ -36,11 +39,9 @@ from repro.variation.montecarlo import PAPER_POPULATION
 from repro.variation.sampling import CacheVariationSampler
 from repro.yieldmodel.classify import (
     ChipCase,
+    ChipColumns,
     LossReason,
-    config_keys_columns,
-    loss_census_columns,
-    loss_codes_columns,
-    way_cycles_columns,
+    config_key,
 )
 from repro.yieldmodel.constraints import (
     ConstraintPolicy,
@@ -49,14 +50,13 @@ from repro.yieldmodel.constraints import (
 )
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
-    from repro.schemes.base import RescueOutcome, Scheme
+    from repro.schemes.base import Scheme
 
 __all__ = [
     "LossBreakdown",
     "PopulationResult",
     "YieldStudy",
-    "ColumnarClassification",
-    "classify_population_columns",
+    "derive_constraints",
 ]
 
 #: Order in which loss reasons appear in the paper's tables. The 5-8 way
@@ -212,22 +212,45 @@ def _emit_estimator_gauges(breakdown: LossBreakdown, horizontal: bool) -> None:
         registry.gauge(f"yield.samples.{key}").set(total)
 
 
-@dataclass
 class PopulationResult:
-    """All per-chip cases of one Monte Carlo population."""
+    """One Monte Carlo population: both architectures' circuit columns
+    and their classification (:class:`ChipColumns`, derived once, here).
 
-    constraints: YieldConstraints
-    cases: List[ChipCase]
-    h_cases: List[ChipCase]
-    policy: ConstraintPolicy = NOMINAL_POLICY
+    Every table is counted from these read-only columns; :meth:`case` is
+    the one-chip :class:`ChipCase` view of a row.
+    """
+
+    def __init__(
+        self,
+        constraints: YieldConstraints,
+        regular: CircuitColumns,
+        horizontal: CircuitColumns,
+        policy: ConstraintPolicy = NOMINAL_POLICY,
+    ) -> None:
+        if regular.chip_ids != horizontal.chip_ids:
+            raise ConfigurationError(
+                "regular and horizontal populations hold different chips"
+            )
+        self.constraints = constraints
+        self.policy = policy
+        self.regular = regular
+        self.horizontal = horizontal
+        self._chips = (
+            ChipColumns(regular, constraints),
+            ChipColumns(horizontal, constraints),
+        )
 
     @property
     def population(self) -> int:
-        return len(self.cases)
+        return len(self.regular)
 
-    def select(self, horizontal: bool) -> List[ChipCase]:
-        """The regular- or H-YAPD-architecture cases."""
-        return self.h_cases if horizontal else self.cases
+    def chips(self, horizontal: bool = False) -> ChipColumns:
+        """The regular- or H-YAPD-architecture classification columns."""
+        return self._chips[horizontal]
+
+    def case(self, index: int, horizontal: bool = False) -> ChipCase:
+        """Chip ``index`` of one architecture as a one-chip view."""
+        return self._chips[horizontal].case(index)
 
     def reconstrained(self, policy: ConstraintPolicy) -> "PopulationResult":
         """Re-derive limits under another policy over the *same* chips.
@@ -235,59 +258,33 @@ class PopulationResult:
         Tables 4 and 5 change the constraints without re-manufacturing
         the population; limits are always derived from the regular
         architecture's delays (the design constraint both architectures
-        are held to).
+        are held to). The circuit columns are shared.
         """
-        constraints = policy.derive(
-            [case.circuit.access_delay for case in self.cases],
-            [case.total_leakage for case in self.cases],
-        )
         return PopulationResult(
-            constraints=constraints,
-            cases=[
-                ChipCase(circuit=case.circuit, constraints=constraints)
-                for case in self.cases
-            ],
-            h_cases=[
-                ChipCase(circuit=case.circuit, constraints=constraints)
-                for case in self.h_cases
-            ],
+            constraints=derive_constraints(policy, self.regular),
+            regular=self.regular,
+            horizontal=self.horizontal,
             policy=policy,
         )
 
     # ------------------------------------------------------------------
-    def apply_scheme(
-        self, scheme: "Scheme", horizontal: bool = False
-    ) -> List["RescueOutcome"]:
-        """Run ``scheme`` over every chip of the chosen architecture."""
-        return [scheme.rescue(case) for case in self.select(horizontal)]
-
     def breakdown(
         self,
         schemes: Sequence["Scheme"],
         horizontal: bool = False,
     ) -> LossBreakdown:
         """Build a Tables 2/3-style loss breakdown for ``schemes``."""
-        cases = self.select(horizontal)
-        base_counts: Dict[LossReason, int] = {}
-        for case in cases:
-            reason = case.loss_reason
-            if reason.is_loss:
-                base_counts[reason] = base_counts.get(reason, 0) + 1
-
-        scheme_losses: Dict[str, Dict[LossReason, int]] = {}
-        for scheme in schemes:
-            losses: Dict[LossReason, int] = {}
-            for case in cases:
-                reason = case.loss_reason
-                if not reason.is_loss:
-                    continue
-                if not scheme.rescue(case).saved:
-                    losses[reason] = losses.get(reason, 0) + 1
-            scheme_losses[scheme.name] = losses
+        chips = self._chips[horizontal]
+        failing = ~chips.passes
         result = LossBreakdown(
-            base_counts=base_counts,
-            scheme_losses=scheme_losses,
-            population=len(cases),
+            base_counts=_loss_counts(chips, failing),
+            scheme_losses={
+                scheme.name: _loss_counts(
+                    chips, failing & ~scheme.decide(chips).saved
+                )
+                for scheme in schemes
+            },
+            population=chips.count,
         )
         _emit_estimator_gauges(result, horizontal)
         return result
@@ -300,15 +297,12 @@ class PopulationResult:
         Only chips converted from yield loss to yield gain are counted
         (chips that pass outright never engage a scheme).
         """
+        chips = self._chips[horizontal]
+        saved = ~chips.passes & scheme.decide(chips).saved
         census: Dict[str, int] = {}
-        for case in self.select(horizontal):
-            if case.passes:
-                continue
-            outcome = scheme.rescue(case)
-            if outcome.saved:
-                census[outcome.configuration] = (
-                    census.get(outcome.configuration, 0) + 1
-                )
+        for way_cycles in chips.way_cycles[saved].tolist():
+            key = config_key(way_cycles)
+            census[key] = census.get(key, 0) + 1
         return census
 
     def scatter(
@@ -316,86 +310,38 @@ class PopulationResult:
     ) -> Tuple[List[float], List[float]]:
         """Figure 8 data: (normalized leakage, access delay in seconds).
 
-        Leakage is normalized to the population average, matching the
-        paper's "normalized leakage power" axis.
+        Leakage is normalized to the population average (summed left to
+        right), matching the paper's "normalized leakage power" axis.
         """
-        cases = self.select(horizontal)
-        leakages = [case.total_leakage for case in cases]
-        mean = sum(leakages) / len(leakages)
-        delays = [case.circuit.access_delay for case in cases]
+        circuits = self.horizontal if horizontal else self.regular
+        leakages = circuits.total_leakage.tolist()
+        mean = reduce(add, leakages, 0.0) / len(leakages)
+        delays = circuits.access_delays.tolist()
         return [leak / mean for leak in leakages], delays
 
 
-@dataclass(frozen=True)
-class ColumnarClassification:
-    """Column-wise yield classification of one population.
-
-    The array counterpart of a list of :class:`ChipCase`\\ s: per-way
-    cycle counts, per-chip loss codes (see
-    :func:`~repro.yieldmodel.classify.loss_codes_columns`), and the
-    population delays/leakages the limits were held against. Every
-    derived number matches the per-case classification bit for bit
-    (asserted by the columnar differential battery).
-    """
-
-    constraints: YieldConstraints
-    way_cycles: np.ndarray  # (chips, ways) int
-    loss_codes: np.ndarray  # (chips,) int
-    access_delays: np.ndarray  # (chips,) float
-    total_leakages: np.ndarray  # (chips,) float
-
-    @property
-    def population(self) -> int:
-        return int(self.loss_codes.shape[0])
-
-    def loss_census(self) -> Dict[LossReason, int]:
-        """Failing chips per loss reason — ``LossBreakdown.base_counts``."""
-        return loss_census_columns(self.loss_codes)
-
-    def yield_fraction(self) -> float:
-        """Overall yield — ``LossBreakdown.yield_with(None)``."""
-        losses = int(np.count_nonzero(self.loss_codes))
-        return 1.0 - losses / self.population
-
-    def configuration_keys(self) -> List[str]:
-        """Per-chip Table 6 keys — ``ChipCase.configuration`` columns."""
-        return config_keys_columns(self.way_cycles)
-
-    def scatter(self) -> Tuple[List[float], List[float]]:
-        """Figure 8 data, identical to :meth:`PopulationResult.scatter`."""
-        leakages = self.total_leakages.tolist()
-        mean = sum(leakages) / len(leakages)
-        return [leak / mean for leak in leakages], self.access_delays.tolist()
+def _loss_counts(
+    chips: ChipColumns, among: np.ndarray
+) -> Dict[LossReason, int]:
+    """Chips per loss reason among the failing rows ``among`` selects
+    (leakage first, as :attr:`ChipCase.loss_reason` buckets them)."""
+    leaky = among & chips.leakage_violation
+    counts: Dict[LossReason, int] = {}
+    if leaky.any():
+        counts[LossReason.LEAKAGE] = int(np.count_nonzero(leaky))
+    slow_ways = chips.delay_violations.sum(axis=1)[among & ~leaky]
+    for ways, count in enumerate(np.bincount(slow_ways).tolist()):
+        if ways and count:
+            counts[LossReason.delay(ways)] = count
+    return counts
 
 
-def classify_population_columns(
-    columns: CircuitColumns,
-    policy: ConstraintPolicy = NOMINAL_POLICY,
-    constraints: Optional[YieldConstraints] = None,
-    delay_scale: float = 1.0,
-) -> ColumnarClassification:
-    """Classify a whole evaluated population column-wise.
-
-    The column mirror of :meth:`YieldStudy.assemble` plus per-case
-    classification: derive limits with ``policy`` over these columns
-    (unless explicit ``constraints`` are given — pass the regular
-    architecture's limits when classifying H-YAPD columns, since both
-    architectures are held to the limits derived from the regular
-    population), then bucket every chip. The limit derivation feeds
-    ``policy.derive`` plain Python floats, so the limits equal the
-    per-case path's exactly.
-    """
-    way_delays = columns.way_delays(delay_scale)
-    access_delays = columns.access_delays(delay_scale)
-    leakages = columns.total_leakage()
-    if constraints is None:
-        constraints = policy.derive(access_delays.tolist(), leakages.tolist())
-    return ColumnarClassification(
-        constraints=constraints,
-        way_cycles=way_cycles_columns(way_delays, constraints),
-        loss_codes=loss_codes_columns(way_delays, leakages, constraints),
-        access_delays=access_delays,
-        total_leakages=leakages,
+def derive_constraints(
+    policy: ConstraintPolicy, circuits: CircuitColumns
+) -> YieldConstraints:
+    """``policy``'s limits over a population's access delays and leakage."""
+    return policy.derive(
+        circuits.access_delays.tolist(), circuits.total_leakage.tolist()
     )
 
 
@@ -451,7 +397,7 @@ class YieldStudy:
 
     def evaluate_chips(
         self, start: int, stop: int
-    ) -> Tuple[List["CacheCircuitResult"], List["CacheCircuitResult"]]:
+    ) -> Tuple[CircuitColumns, CircuitColumns]:
         """Evaluate chip ids ``[start, stop)`` under both architectures.
 
         This is the shardable half of :meth:`run`: each chip's RNG stream
@@ -461,9 +407,8 @@ class YieldStudy:
 
         When the columnar fast path applies (stock sampler, positive
         sigmas, ``REPRO_COLUMNAR`` not 0) the range is sampled and
-        evaluated as whole-population arrays instead of chip by chip —
-        same results bit for bit, so callers (and the engine's result
-        store) cannot tell the paths apart.
+        evaluated as whole-population arrays; otherwise chip by chip,
+        converted to columns once — the same columns bit for bit.
         """
         if not 0 <= start <= stop:
             raise ConfigurationError(
@@ -482,21 +427,19 @@ class YieldStudy:
                 return evaluate_population_pair(
                     regular_model, hyapd_model, population
                 )
-        regular = []
-        horizontal = []
-        for chip_id in range(start, stop):
-            cvmap = self.sampler.sample_chip(self.seed, chip_id)
-            reg_result, hyapd_result = regular_model.evaluate_pair(
-                hyapd_model, cvmap
+        pairs = [
+            regular_model.evaluate_pair(
+                hyapd_model, self.sampler.sample_chip(self.seed, chip_id)
             )
-            regular.append(reg_result)
-            horizontal.append(hyapd_result)
-        return regular, horizontal
+            for chip_id in range(start, stop)
+        ]
+        return (
+            CircuitColumns.from_circuits([pair[0] for pair in pairs]),
+            CircuitColumns.from_circuits([pair[1] for pair in pairs]),
+        )
 
     def assemble(
-        self,
-        regular: List["CacheCircuitResult"],
-        horizontal: List["CacheCircuitResult"],
+        self, regular: CircuitColumns, horizontal: CircuitColumns
     ) -> PopulationResult:
         """Derive limits over the full population and classify every chip.
 
@@ -505,20 +448,10 @@ class YieldStudy:
         the complete regular population (never per shard), so assembly is
         independent of how the evaluation was split.
         """
-        if len(regular) != len(horizontal):
-            raise ConfigurationError(
-                "regular and horizontal populations differ in size"
-            )
-        constraints = self.policy.derive(
-            [r.access_delay for r in regular],
-            [r.total_leakage for r in regular],
-        )
         return PopulationResult(
-            constraints=constraints,
-            cases=[ChipCase(circuit=r, constraints=constraints) for r in regular],
-            h_cases=[
-                ChipCase(circuit=h, constraints=constraints) for h in horizontal
-            ],
+            constraints=derive_constraints(self.policy, regular),
+            regular=regular,
+            horizontal=horizontal,
             policy=self.policy,
         )
 

@@ -4,7 +4,8 @@ A :class:`ChipCase` binds one evaluated cache to a set of constraints and
 derives everything the schemes and the tables need: per-way access cycles,
 the delay-violating ways, the leakage verdict, the loss reason bucket, and
 the "a-b-c" way-latency configuration key of Table 6 (a ways at 4 cycles,
-b at 5, c at 6 or more).
+b at 5, c at 6 or more). :class:`ChipColumns` holds them for a whole
+population; a :class:`ChipCase` is the one-chip view of a row.
 
 Bucket semantics follow the paper's tables: a chip that violates the
 leakage limit is counted under "Leakage Constraint" whether or not it also
@@ -19,26 +20,21 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.circuit.cache_model import CacheCircuitResult
+from repro.circuit.columnar import CircuitColumns
 from repro.core.errors import ConfigurationError
 from repro.yieldmodel.constraints import BASE_ACCESS_CYCLES, YieldConstraints
 
 __all__ = [
     "LossReason",
     "ChipCase",
+    "ChipColumns",
     "config_key",
-    "LEAKAGE_CODE",
-    "PASS_CODE",
-    "way_cycles_columns",
-    "delay_violations_columns",
-    "loss_codes_columns",
-    "loss_reason_for_code",
-    "loss_census_columns",
-    "config_keys_columns",
+    "cycles_for_delays",
 ]
 
 #: VACA supports exactly one extra cycle (single-entry load-bypass buffers).
@@ -88,108 +84,6 @@ def config_key(way_cycles: Tuple[int, ...]) -> str:
     if n4 + n5 + n6 != len(way_cycles):
         raise ConfigurationError(f"unclassifiable way cycles {way_cycles}")
     return f"{n4}-{n5}-{n6}"
-
-
-# ----------------------------------------------------------------------
-# column-wise classification (the columnar population fast path)
-# ----------------------------------------------------------------------
-#: Loss code of a leakage-limited chip in :func:`loss_codes_columns`.
-LEAKAGE_CODE = -1
-#: Loss code of a passing chip; positive codes count delay-violating ways.
-PASS_CODE = 0
-
-
-def way_cycles_columns(
-    way_delays: np.ndarray, constraints: YieldConstraints
-) -> np.ndarray:
-    """Vectorised :meth:`YieldConstraints.cycles_for_delay`.
-
-    ``way_delays`` is a ``(chips, ways)`` array of per-way access delays;
-    the result holds each way's access-cycle count. Elementwise the
-    arithmetic is the scalar method's, so every entry equals the
-    per-chip classification bit for bit.
-    """
-    delays = np.asarray(way_delays, dtype=float)
-    if np.any(delays <= 0):
-        raise ConfigurationError("delay must be > 0")
-    slice_time = constraints.delay_limit / BASE_ACCESS_CYCLES
-    stretched = np.ceil(delays / slice_time - 1e-12).astype(np.int64)
-    return np.where(
-        delays <= constraints.delay_limit, BASE_ACCESS_CYCLES, stretched
-    )
-
-
-def delay_violations_columns(
-    way_delays: np.ndarray, constraints: YieldConstraints
-) -> np.ndarray:
-    """Boolean ``(chips, ways)`` mask of ways missing the 4-cycle latency.
-
-    Uses the delay limit directly (not the cycle count): a delay a hair
-    over the limit still rounds to 4 cycles under the reference's 1e-12
-    ceiling guard yet violates :meth:`YieldConstraints.meets_delay`,
-    exactly as :attr:`ChipCase.delay_violating_ways` sees it.
-    """
-    return np.asarray(way_delays, dtype=float) > constraints.delay_limit
-
-
-def loss_codes_columns(
-    way_delays: np.ndarray,
-    total_leakage: np.ndarray,
-    constraints: YieldConstraints,
-) -> np.ndarray:
-    """Per-chip loss codes over a population, as one ``(chips,)`` array.
-
-    ``LEAKAGE_CODE`` (-1) marks leakage-limited chips (taking precedence
-    over delay trouble, as in :attr:`ChipCase.loss_reason`), ``PASS_CODE``
-    (0) passing chips, and a positive code the number of delay-violating
-    ways.
-    """
-    violating = delay_violations_columns(way_delays, constraints).sum(axis=1)
-    leakage = np.asarray(total_leakage, dtype=float) > constraints.leakage_limit
-    return np.where(leakage, LEAKAGE_CODE, violating).astype(np.int64)
-
-
-def loss_reason_for_code(code: int) -> LossReason:
-    """The :class:`LossReason` a :func:`loss_codes_columns` code denotes."""
-    if code == LEAKAGE_CODE:
-        return LossReason.LEAKAGE
-    if code == PASS_CODE:
-        return LossReason.NONE
-    if code < 0:
-        raise ConfigurationError(f"unknown loss code {code}")
-    return LossReason.delay(int(code))
-
-
-def loss_census_columns(codes: np.ndarray) -> Dict[LossReason, int]:
-    """Count failing chips per loss reason from a loss-code column.
-
-    Matches the ``base_counts`` of :class:`LossBreakdown` (passing chips
-    are not counted; insertion order follows code order, which is how
-    the per-case loop encounters reasons only incidentally — compare by
-    content, not order).
-    """
-    codes = np.asarray(codes)
-    census: Dict[LossReason, int] = {}
-    values, counts = np.unique(codes, return_counts=True)
-    for value, count in zip(values.tolist(), counts.tolist()):
-        reason = loss_reason_for_code(value)
-        if reason.is_loss:
-            census[reason] = int(count)
-    return census
-
-
-def config_keys_columns(way_cycles: np.ndarray) -> List[str]:
-    """Table 6 configuration keys for a ``(chips, ways)`` cycle array."""
-    cycles = np.asarray(way_cycles)
-    n4 = (cycles == BASE_ACCESS_CYCLES).sum(axis=1)
-    n5 = (cycles == VACA_MAX_CYCLES).sum(axis=1)
-    n6 = (cycles > VACA_MAX_CYCLES).sum(axis=1)
-    if np.any(n4 + n5 + n6 != cycles.shape[1]):
-        raise ConfigurationError("unclassifiable way cycles in population")
-    return [
-        f"{a}-{b}-{c}"
-        for a, b, c in zip(n4.tolist(), n5.tolist(), n6.tolist())
-    ]
 
 
 @dataclass(frozen=True)
@@ -277,3 +171,97 @@ class ChipCase:
             self.constraints.cycles_for_delay(way.delay_without_band(band))
             for way in self.circuit.ways
         )
+
+
+def cycles_for_delays(
+    delays: np.ndarray, constraints: YieldConstraints
+) -> np.ndarray:
+    """Elementwise :meth:`YieldConstraints.cycles_for_delay` (int array)."""
+    if np.any(delays <= 0):
+        raise ConfigurationError("delay must be > 0")
+    slice_time = constraints.delay_limit / BASE_ACCESS_CYCLES
+    stretched = np.ceil(delays / slice_time - 1e-12).astype(np.int64)
+    return np.where(
+        delays <= constraints.delay_limit, BASE_ACCESS_CYCLES, stretched
+    )
+
+
+class ChipColumns:
+    """A list of :class:`ChipCase` as read-only columns, one row per chip.
+
+    Classified from the circuit columns once, here, except the leakage
+    readings ``way_gated_leakage[i, w]`` (``leakage_after_disabling_way``)
+    and ``leakiest_way[i]`` (``max_leakage_way``), which :meth:`of_cases`
+    takes from each case — so sensor readings drive the decisions too.
+    """
+
+    def __init__(
+        self,
+        circuits: CircuitColumns,
+        constraints: YieldConstraints,
+        way_gated_leakage: Optional[np.ndarray] = None,
+        leakiest_way: Optional[np.ndarray] = None,
+        cases: Optional[Tuple["ChipCase", ...]] = None,
+    ) -> None:
+        way_delays = circuits.way_delays
+        total = circuits.total_leakage
+        self.circuits = circuits
+        self.constraints = constraints
+        #: The cases the leakage readings came from (:meth:`of_cases`).
+        self.cases = cases
+        self.way_cycles = cycles_for_delays(way_delays, constraints)
+        self.delay_violations = ~(way_delays <= constraints.delay_limit)
+        self.total_leakage = total
+        self.leakage_violation = ~(total <= constraints.leakage_limit)
+        self.passes = ~(
+            self.leakage_violation | self.delay_violations.any(axis=1)
+        )
+        self.way_gated_leakage = (
+            total[:, None] - circuits.way_leakages
+            if way_gated_leakage is None
+            else way_gated_leakage
+        )
+        # argmax takes the first of equal maxima, as max(range, key=) does.
+        self.leakiest_way = (
+            circuits.way_leakages.argmax(axis=1)
+            if leakiest_way is None
+            else leakiest_way
+        )
+        for array in vars(self).values():
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
+
+    @classmethod
+    def of_cases(cls, cases: Sequence["ChipCase"]) -> "ChipColumns":
+        """``cases`` as rows, with the leakage readings each case reports.
+
+        The cases must share their limits and their ways/bands shape.
+        """
+        constraints = cases[0].constraints
+        if any(case.constraints != constraints for case in cases):
+            raise ConfigurationError("cases are held to different limits")
+        circuits = CircuitColumns.from_circuits(
+            [case.circuit for case in cases]
+        )
+        ways = range(circuits.num_ways)
+        return cls(
+            circuits,
+            constraints,
+            way_gated_leakage=np.array([
+                [case.leakage_after_disabling_way(way) for way in ways]
+                for case in cases
+            ]),
+            leakiest_way=np.array([case.max_leakage_way() for case in cases]),
+            cases=tuple(cases),
+        )
+
+    @property
+    def count(self) -> int:
+        """Number of chips (rows)."""
+        return self.passes.shape[0]
+
+    def case(self, index: int) -> "ChipCase":
+        """Chip ``index``'s source case, or a one-chip view of the row."""
+        if self.cases is not None:
+            return self.cases[index]
+        return ChipCase(self.circuits.circuit(index), self.constraints)

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Sequence
 
 from repro.core.errors import ConfigurationError
@@ -111,16 +113,19 @@ class ConstraintPolicy:
     def derive(
         self, delays: Sequence[float], leakages: Sequence[float]
     ) -> YieldConstraints:
-        """Compute concrete limits from a population's delays and leakages."""
+        """Compute concrete limits from a population's delays and leakages.
+
+        Sums add left to right: ``sum()`` is compensated since Python 3.12.
+        """
         if len(delays) < 2 or len(leakages) < 2:
             raise ConfigurationError(
                 "need at least two chips to derive population limits"
             )
         n = len(delays)
-        mean_delay = sum(delays) / n
-        var = sum((d - mean_delay) ** 2 for d in delays) / n
+        mean_delay = reduce(add, delays, 0.0) / n
+        var = reduce(add, ((d - mean_delay) ** 2 for d in delays), 0.0) / n
         sigma = math.sqrt(var)
-        mean_leak = sum(leakages) / len(leakages)
+        mean_leak = reduce(add, leakages, 0.0) / len(leakages)
         return YieldConstraints(
             delay_limit=mean_delay + self.delay_sigma_multiple * sigma,
             leakage_limit=self.leakage_mean_multiple * mean_leak,

@@ -23,7 +23,12 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.circuit.columnar import CircuitColumns
 from repro.core.errors import ConfigurationError
+from repro.yieldmodel.analysis import derive_constraints
+from repro.yieldmodel.classify import ChipColumns
 from repro.yieldmodel.constraints import ConstraintPolicy, YieldConstraints
 from repro.yieldmodel.estimators.results import (
     EstimateReport,
@@ -54,24 +59,18 @@ _MAX_TILT = 2.0
 _NEAR_LIMIT_QUANTILE = 0.9
 
 
-def _passes(circuit, constraints: YieldConstraints) -> bool:
-    """Does this chip ship? (mirrors ``ChipCase.passes`` arithmetic)."""
-    if circuit.total_leakage > constraints.leakage_limit:
-        return False
-    for delay in circuit.way_delays:
-        if delay > constraints.delay_limit:
-            return False
-    return True
+def _passing(
+    circuits: CircuitColumns, constraints: YieldConstraints
+) -> np.ndarray:
+    """Which chips ship: the population classification's pass column."""
+    return ChipColumns(circuits, constraints).passes
 
 
-def _derive(policy: ConstraintPolicy, circuits) -> YieldConstraints:
-    return policy.derive(
-        [c.access_delay for c in circuits],
-        [c.total_leakage for c in circuits],
-    )
+def _failures(circuits: CircuitColumns, constraints: YieldConstraints) -> int:
+    return int((~_passing(circuits, constraints)).sum())
 
 
-def _figure_circuits(data: ShardData) -> List[Tuple[str, list]]:
+def _figure_circuits(data: ShardData) -> List[Tuple[str, CircuitColumns]]:
     return [(FIGURES[0], data.regular), (FIGURES[1], data.horizontal)]
 
 
@@ -81,7 +80,7 @@ def _wilson_estimates(
     estimates = []
     total = data.count
     for figure, circuits in _figure_circuits(data):
-        ships = sum(1 for c in circuits if _passes(c, constraints))
+        ships = total - _failures(circuits, constraints)
         low, high = wilson_interval(ships, total, confidence)
         estimates.append(
             YieldEstimate(
@@ -113,7 +112,7 @@ def estimate_fixed(
     """Brute-force Monte Carlo over the full population, Wilson CIs."""
     total = spec.max_chips if spec.max_chips is not None else chips
     data = runner.run(seed, "chip", 0, total)
-    constraints = _derive(policy, data.regular)
+    constraints = derive_constraints(policy, data.regular)
     return EstimateReport(
         kind="fixed",
         spec=spec.identity(),
@@ -145,16 +144,16 @@ def estimate_adaptive(
     legacy fixed-N behaviour.
     """
     cap = spec.max_chips if spec.max_chips is not None else chips
-    data = ShardData([], [], [])
-    batches = 0
+    parts: List[ShardData] = []
+    drawn = 0
     estimates: Tuple[YieldEstimate, ...] = ()
     constraints: Optional[YieldConstraints] = None
     while True:
-        take = min(spec.batch_size, cap - data.count)
-        batch = runner.run(seed, "chip", data.count, data.count + take)
-        data.extend(batch)
-        batches += 1
-        constraints = _derive(policy, data.regular)
+        take = min(spec.batch_size, cap - drawn)
+        parts.append(runner.run(seed, "chip", drawn, drawn + take))
+        drawn += take
+        data = ShardData.join(parts)
+        constraints = derive_constraints(policy, data.regular)
         estimates = _wilson_estimates(data, constraints, spec.confidence)
         if data.count >= cap:
             break
@@ -170,7 +169,7 @@ def estimate_adaptive(
         constraints=constraints,
         estimates=estimates,
         samples_total=data.count,
-        batches=batches,
+        batches=len(parts),
         pilot_samples=0,
     )
 
@@ -264,17 +263,14 @@ def estimate_stratified(
         )
         for h in range(strata)
     ]
-    constraints = policy.derive(
-        [c.access_delay for b in pilot_batches for c in b.regular],
-        [c.total_leakage for b in pilot_batches for c in b.regular],
+    constraints = derive_constraints(
+        policy, ShardData.join(pilot_batches).regular
     )
     drawn = [pilot_each] * strata
     fails: Dict[str, List[int]] = {figure: [0] * strata for figure in FIGURES}
     for h, batch in enumerate(pilot_batches):
         for figure, circuits in _figure_circuits(batch):
-            fails[figure][h] = sum(
-                1 for c in circuits if not _passes(c, constraints)
-            )
+            fails[figure][h] = _failures(circuits, constraints)
     total = strata * pilot_each
     batches = 1
 
@@ -311,9 +307,7 @@ def estimate_stratified(
                 stratum=(h, strata),
             )
             for figure, circuits in _figure_circuits(batch):
-                fails[figure][h] += sum(
-                    1 for c in circuits if not _passes(c, constraints)
-                )
+                fails[figure][h] += _failures(circuits, constraints)
             drawn[h] += extra
         total += budget
         batches += 1
@@ -359,23 +353,23 @@ def _tilt_from_pilot(
     chips nearest the limits (top decile of max(delay, leakage) limit
     utilisation), then points the tilt at their average die-level z.
     """
-    scores = [
-        max(
-            c.access_delay / constraints.delay_limit,
-            c.total_leakage / constraints.leakage_limit,
-        )
-        for c in pilot.regular
-    ]
+    regular = pilot.regular
+    scores = np.maximum(
+        regular.access_delays / constraints.delay_limit,
+        regular.total_leakage / constraints.leakage_limit,
+    ).tolist()
     count = len(scores)
     threshold = sorted(scores)[
         min(count - 1, int(math.floor(_NEAR_LIMIT_QUANTILE * (count - 1))))
     ]
+    failing = ~(
+        _passing(regular, constraints)
+        & _passing(pilot.horizontal, constraints)
+    )
     selected = [
         i
-        for i in range(count)
-        if not _passes(pilot.regular[i], constraints)
-        or not _passes(pilot.horizontal[i], constraints)
-        or scores[i] >= threshold
+        for i, fails in enumerate(failing.tolist())
+        if fails or scores[i] >= threshold
     ]
     tilt = []
     for j in range(NUM_DIE_PARAMS):
@@ -420,7 +414,7 @@ def estimate_is(
             f"{pilot_n}-chip IS pilot"
         )
     pilot = runner.run(seed, "chip", 0, pilot_n)
-    constraints = _derive(policy, pilot.regular)
+    constraints = derive_constraints(policy, pilot.regular)
     tilt = _tilt_from_pilot(pilot, constraints, spec.tilt_scale)
 
     weights: List[float] = []
@@ -430,20 +424,18 @@ def estimate_is(
     while True:
         take = min(spec.batch_size, cap - pilot_n - drawn)
         batch = runner.run(seed, "is-chip", drawn, drawn + take, shift=tilt)
-        for reg, hor, die_z in zip(
-            batch.regular, batch.horizontal, batch.die_z
+        for reg_ships, hor_ships, die_z in zip(
+            _passing(batch.regular, constraints).tolist(),
+            _passing(batch.horizontal, constraints).tolist(),
+            batch.die_z,
         ):
             log_w = sum(
                 t * t / 2.0 - t * zj for t, zj in zip(tilt, die_z)
             )
             w = math.exp(log_w)
             weights.append(w)
-            values[FIGURES[0]].append(
-                0.0 if _passes(reg, constraints) else w
-            )
-            values[FIGURES[1]].append(
-                0.0 if _passes(hor, constraints) else w
-            )
+            values[FIGURES[0]].append(0.0 if reg_ships else w)
+            values[FIGURES[1]].append(0.0 if hor_ships else w)
         drawn += take
         batches += 1
         if pilot_n + drawn >= cap:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.circuit.cache_model import CacheCircuitResult
+from repro.circuit.columnar import CircuitColumns
 from repro.engine.executor import ShardedExecutor
 from repro.obs.trace import span as trace_span
 
@@ -25,16 +25,20 @@ _MIN_SHARD = 16
 
 
 class ShardData(NamedTuple):
-    """One merged batch: circuit results per architecture + raw die z."""
+    """One merged batch: circuit columns per architecture + raw die z."""
 
-    regular: List[CacheCircuitResult]
-    horizontal: List[CacheCircuitResult]
+    regular: CircuitColumns
+    horizontal: CircuitColumns
     die_z: List[Tuple[float, ...]]
 
-    def extend(self, other: "ShardData") -> None:
-        self.regular.extend(other.regular)
-        self.horizontal.extend(other.horizontal)
-        self.die_z.extend(other.die_z)
+    @classmethod
+    def join(cls, parts: Sequence["ShardData"]) -> "ShardData":
+        """Batches (or shards) in chip order as one batch."""
+        return cls(
+            CircuitColumns.concatenate([part[0] for part in parts]),
+            CircuitColumns.concatenate([part[1] for part in parts]),
+            [z for part in parts for z in part[2]],
+        )
 
     @property
     def count(self) -> int:
@@ -115,7 +119,8 @@ class BatchRunner:
         from repro.engine.workers import estimate_shard
 
         if stop <= start:
-            return ShardData([], [], [])
+            empty = CircuitColumns.from_circuits([])
+            return ShardData(empty, empty, [])
         jobs = self._jobs(seed, tag, start, stop, shift, stratum)
         with trace_span(
             "estimator.batch", tag=tag, chips=stop - start, jobs=len(jobs)
@@ -123,9 +128,4 @@ class BatchRunner:
             shards = self.executor.run(
                 estimate_shard, jobs, self.stats, progress=self.progress
             )
-        merged = ShardData([], [], [])
-        for regular, horizontal, die_z in shards:
-            merged.regular.extend(regular)
-            merged.horizontal.extend(horizontal)
-            merged.die_z.extend(die_z)
-        return merged
+        return ShardData.join(shards)

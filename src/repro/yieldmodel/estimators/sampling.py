@@ -5,7 +5,7 @@
 ``[start, stop)`` of one tagged stream through the columnar population
 sampler, optionally transforms the die-level standard-normal slot
 (stratum restriction, importance-sampling mean shift), evaluates both
-architectures, and returns the circuit results plus the transformed
+architectures, and returns their circuit columns plus the transformed
 die-slot z values the parent needs for exact likelihood ratios.
 
 Determinism contract: chip ``i`` of stream ``tag`` always draws from
@@ -29,8 +29,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.circuit.cache_model import CacheCircuitModel, CacheCircuitResult
-from repro.circuit.columnar import evaluate_population_pair
+from repro.circuit.cache_model import CacheCircuitModel
+from repro.circuit.columnar import CircuitColumns, evaluate_population_pair
 from repro.circuit.organization import PAPER_ORGANIZATION
 from repro.circuit.technology import TECH45
 from repro.core.errors import ConfigurationError
@@ -81,15 +81,14 @@ def sample_shard(
     stop: int,
     shift: Optional[Sequence[float]] = None,
     stratum: Optional[Tuple[int, int]] = None,
-) -> Tuple[
-    List[CacheCircuitResult], List[CacheCircuitResult], List[Tuple[float, ...]]
-]:
+) -> Tuple[CircuitColumns, CircuitColumns, List[Tuple[float, ...]]]:
     """Draw, transform and evaluate chips ``[start, stop)`` of one stream.
 
-    Returns ``(regular, horizontal, die_z)`` where ``die_z[i]`` is chip
-    ``start + i``'s die-slot standard-normal vector *after* any
-    transform — i.e. the z the chip was actually manufactured from,
-    which is what the importance-sampling likelihood ratio needs.
+    Returns ``(regular, horizontal, die_z)``: both architectures' circuit
+    columns, and ``die_z[i]``, chip ``start + i``'s die-slot
+    standard-normal vector *after* any transform — i.e. the z the chip
+    was actually manufactured from, which is what the
+    importance-sampling likelihood ratio needs.
     """
     if not 0 <= start <= stop:
         raise ConfigurationError(f"invalid chip range [{start}, {stop})")
@@ -128,13 +127,13 @@ def sample_shard(
         regular, horizontal = evaluate_population_pair(
             regular_model, hyapd_model, population
         )
-    else:
-        regular, horizontal = [], []
-        for i in range(count):
-            cvmap = population.chip_map(i)
-            reg_result, hyapd_result = regular_model.evaluate_pair(
-                hyapd_model, cvmap
-            )
-            regular.append(reg_result)
-            horizontal.append(hyapd_result)
-    return regular, horizontal, z_rows
+        return regular, horizontal, z_rows
+    pairs = [
+        regular_model.evaluate_pair(hyapd_model, population.chip_map(i))
+        for i in range(count)
+    ]
+    return (
+        CircuitColumns.from_circuits([pair[0] for pair in pairs]),
+        CircuitColumns.from_circuits([pair[1] for pair in pairs]),
+        z_rows,
+    )

@@ -17,7 +17,7 @@ estimate carries sampling error; this module quantifies it two ways:
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -132,26 +132,18 @@ def bootstrap_interval(
     )
 
 
-def _ship_flags(population, scheme) -> List[float]:
-    """1.0 per chip that ships (passes outright or is rescued)."""
-    flags = []
-    for case in population.cases:
-        if case.passes:
-            flags.append(1.0)
-        else:
-            flags.append(1.0 if scheme.rescue(case).saved else 0.0)
-    return flags
-
-
 def scheme_yield_interval(
     population, scheme, confidence: float = 0.95
 ) -> Tuple[float, float]:
     """Wilson interval for the yield achieved by ``scheme``.
 
-    ``population`` is a :class:`~repro.yieldmodel.analysis.PopulationResult`.
+    ``population`` is a :class:`~repro.yieldmodel.analysis.PopulationResult`;
+    a chip ships when it passes outright or ``scheme`` rescues it.
     """
-    flags = _ship_flags(population, scheme)
-    return wilson_interval(int(sum(flags)), len(flags), confidence)
+    ships = scheme.decide(population.chips()).saved
+    return wilson_interval(
+        int(np.count_nonzero(ships)), ships.shape[0], confidence
+    )
 
 
 def loss_reduction_interval(
@@ -166,12 +158,9 @@ def loss_reduction_interval(
     Loss reduction is ``1 - residual/base`` — a ratio of correlated
     counts, so the bootstrap resamples (failing, saved) chip pairs.
     """
-    outcomes = []
-    for case in population.cases:
-        if case.passes:
-            continue
-        outcomes.append(1.0 if scheme.rescue(case).saved else 0.0)
-    if not outcomes:
+    chips = population.chips()
+    outcomes = scheme.decide(chips).saved[~chips.passes].astype(float)
+    if not outcomes.size:
         raise ConfigurationError("no failing chips to estimate from")
     return bootstrap_interval(
         outcomes,

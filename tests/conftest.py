@@ -8,7 +8,9 @@ from typing import Optional, Sequence, Tuple
 import pytest
 
 from repro.circuit.cache_model import CacheCircuitResult, WayCircuitResult
+from repro.circuit.columnar import CircuitColumns
 from repro.engine import reset_engine
+from repro.yieldmodel.analysis import PopulationResult
 from repro.yieldmodel.classify import ChipCase
 from repro.yieldmodel.constraints import YieldConstraints
 
@@ -82,6 +84,18 @@ def make_chip(
         delay_limit=delay_limit, leakage_limit=leakage_limit
     )
     return ChipCase(circuit=circuit, constraints=constraints)
+
+
+def make_population(chips: Sequence[ChipCase]) -> PopulationResult:
+    """A population of synthetic chips (both architectures alike).
+
+    The chips must share their limits and their ways/bands shape;
+    chip ids are renumbered in list order.
+    """
+    columns = CircuitColumns.from_circuits(
+        [case.circuit._replace(chip_id=i) for i, case in enumerate(chips)]
+    )
+    return PopulationResult(chips[0].constraints, columns, columns)
 
 
 @pytest.fixture

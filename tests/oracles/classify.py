@@ -5,21 +5,36 @@
 ``way_leakages`` and ``total_leakage`` are added as uncached properties
 over the circuit, because the schemes now read them from the case.
 ``MeasuredChipCase`` and ``yield_with_sensor`` are the original sensor
-layer, built on this ``ChipCase``. Never imported by ``src/``.
+layer, built on this ``ChipCase``, and ``PopulationResult`` the original
+per-chip population result. Never imported by ``src/``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Tuple
+from functools import cached_property, reduce
+from operator import add
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from repro.circuit.cache_model import CacheCircuitResult
 from repro.schemes.sensors import LeakageSensor
+from repro.yieldmodel.analysis import LossBreakdown
 from repro.yieldmodel.classify import LossReason, config_key
-from repro.yieldmodel.constraints import YieldConstraints
+from repro.yieldmodel.constraints import (
+    ConstraintPolicy,
+    NOMINAL_POLICY,
+    YieldConstraints,
+)
 
-__all__ = ["ChipCase", "MeasuredChipCase", "yield_with_sensor"]
+if TYPE_CHECKING:
+    from repro.schemes.base import Scheme
+
+__all__ = [
+    "ChipCase",
+    "MeasuredChipCase",
+    "PopulationResult",
+    "yield_with_sensor",
+]
 
 
 @dataclass(frozen=True)
@@ -167,3 +182,132 @@ def yield_with_sensor(cases, scheme, sensor: LeakageSensor):
         if delay_ok and case.constraints.meets_leakage(true_leak):
             actual += 1
     return believed, actual
+
+
+@dataclass
+class PopulationResult:
+    """All per-chip cases of one Monte Carlo population.
+
+    The original population result: ``breakdown``,
+    ``configuration_census``, ``scatter`` and ``reconstrained`` are
+    verbatim, over this module's ``ChipCase``, except that ``breakdown``
+    publishes no estimator gauges and the scatter's mean adds left to
+    right (what ``sum()`` computed before Python 3.12).
+    """
+
+    constraints: YieldConstraints
+    cases: List[ChipCase]
+    h_cases: List[ChipCase]
+    policy: ConstraintPolicy = NOMINAL_POLICY
+
+    @classmethod
+    def of(cls, pop) -> "PopulationResult":
+        """The oracle form of a production (columnar) population."""
+        return cls(
+            constraints=pop.constraints,
+            cases=[
+                ChipCase(pop.regular.circuit(i), pop.constraints)
+                for i in range(pop.population)
+            ],
+            h_cases=[
+                ChipCase(pop.horizontal.circuit(i), pop.constraints)
+                for i in range(pop.population)
+            ],
+            policy=pop.policy,
+        )
+
+    @property
+    def population(self) -> int:
+        return len(self.cases)
+
+    def select(self, horizontal: bool) -> List[ChipCase]:
+        """The regular- or H-YAPD-architecture cases."""
+        return self.h_cases if horizontal else self.cases
+
+    def reconstrained(self, policy: ConstraintPolicy) -> "PopulationResult":
+        """Re-derive limits under another policy over the *same* chips.
+
+        Tables 4 and 5 change the constraints without re-manufacturing
+        the population; limits are always derived from the regular
+        architecture's delays (the design constraint both architectures
+        are held to).
+        """
+        constraints = policy.derive(
+            [case.circuit.access_delay for case in self.cases],
+            [case.total_leakage for case in self.cases],
+        )
+        return PopulationResult(
+            constraints=constraints,
+            cases=[
+                ChipCase(circuit=case.circuit, constraints=constraints)
+                for case in self.cases
+            ],
+            h_cases=[
+                ChipCase(circuit=case.circuit, constraints=constraints)
+                for case in self.h_cases
+            ],
+            policy=policy,
+        )
+
+    # ------------------------------------------------------------------
+    def breakdown(
+        self,
+        schemes: Sequence["Scheme"],
+        horizontal: bool = False,
+    ) -> LossBreakdown:
+        """Build a Tables 2/3-style loss breakdown for ``schemes``."""
+        cases = self.select(horizontal)
+        base_counts: Dict[LossReason, int] = {}
+        for case in cases:
+            reason = case.loss_reason
+            if reason.is_loss:
+                base_counts[reason] = base_counts.get(reason, 0) + 1
+
+        scheme_losses: Dict[str, Dict[LossReason, int]] = {}
+        for scheme in schemes:
+            losses: Dict[LossReason, int] = {}
+            for case in cases:
+                reason = case.loss_reason
+                if not reason.is_loss:
+                    continue
+                if not scheme.rescue(case).saved:
+                    losses[reason] = losses.get(reason, 0) + 1
+            scheme_losses[scheme.name] = losses
+        return LossBreakdown(
+            base_counts=base_counts,
+            scheme_losses=scheme_losses,
+            population=len(cases),
+        )
+
+    def configuration_census(
+        self, scheme: "Scheme", horizontal: bool = False
+    ) -> Dict[str, int]:
+        """Count saved-from-loss chips per Table 6 configuration key.
+
+        Only chips converted from yield loss to yield gain are counted
+        (chips that pass outright never engage a scheme).
+        """
+        census: Dict[str, int] = {}
+        for case in self.select(horizontal):
+            if case.passes:
+                continue
+            outcome = scheme.rescue(case)
+            if outcome.saved:
+                census[outcome.configuration] = (
+                    census.get(outcome.configuration, 0) + 1
+                )
+        return census
+
+    def scatter(
+        self, horizontal: bool = False
+    ) -> Tuple[List[float], List[float]]:
+        """Figure 8 data: (normalized leakage, access delay in seconds).
+
+        Leakage is normalized to the population average, matching the
+        paper's "normalized leakage power" axis.
+        """
+        cases = self.select(horizontal)
+        leakages = [case.total_leakage for case in cases]
+        mean = reduce(add, leakages, 0.0) / len(leakages)
+        delays = [case.circuit.access_delay for case in cases]
+        return [leak / mean for leak in leakages], delays

@@ -1,11 +1,13 @@
 """Differential battery: cached ``ChipCase`` facts vs the uncached original.
 
-``ChipCase`` computes each chip's leakage facts (``way_leakages``,
-``total_leakage``, ``leakage_violation``, ``passes``) once per case. The
-original class in ``tests/oracles/classify.py`` recomputes them on every
-read. Over 144 seeded populations (regular and H-YAPD architectures;
-nominal, relaxed and strict limits; 2, 4 and 8 ways; plus the ragged
-random circuits of ``test_property_codec.py``) this battery asserts that:
+``ChipCase`` — the one-chip view of a population row — computes each
+chip's leakage facts (``way_leakages``, ``total_leakage``,
+``leakage_violation``, ``passes``) once per case. The original class in
+``tests/oracles/classify.py`` recomputes them on every read. Over 144
+seeded case lists (the one-chip views of 108 study populations: regular
+and H-YAPD architectures; nominal, relaxed and strict limits; 2, 4 and 8
+ways; plus 36 lists of the ragged random circuits of
+``test_property_codec.py``) this battery asserts that:
 
 * every fact equals the oracle's, whatever order the facts are first
   read in;
@@ -13,7 +15,10 @@ random circuits of ``test_property_codec.py``) this battery asserts that:
   :class:`~repro.schemes.base.RescueOutcome`, also through
   ``MeasuredChipCase`` and ``yield_with_sensor``;
 * ``breakdown``, ``configuration_census``, ``scatter`` and
-  ``reconstrained`` give equal results.
+  ``reconstrained`` give results equal to the original per-chip
+  population's, on the study populations and on the rectangular
+  populations inside each ragged seed (ragged populations themselves
+  have no columnar form).
 """
 
 from __future__ import annotations
@@ -25,7 +30,9 @@ import pytest
 
 from oracles.classify import ChipCase as OracleCase
 from oracles.classify import MeasuredChipCase as OracleMeasured
+from oracles.classify import PopulationResult as OraclePopulation
 from oracles.classify import yield_with_sensor as oracle_yield_with_sensor
+from repro.circuit.columnar import CircuitColumns
 from repro.circuit.organization import CacheOrganization
 from repro.schemes import (
     HYAPD,
@@ -116,33 +123,75 @@ def _study_population(seed: int) -> PopulationResult:
     ).run()
 
 
-def _ragged_population(seed: int) -> PopulationResult:
+def _study_cases(seed: int):
+    """(regular cases, H-YAPD cases) as one-chip views of a study."""
+    pop = _study_population(seed)
+    return (
+        [pop.case(i) for i in range(pop.population)],
+        [pop.case(i, horizontal=True) for i in range(pop.population)],
+    )
+
+
+def _ragged_cases(seed: int):
+    """(cases, h_cases) of random circuits whose ways and bands vary
+    from chip to chip; no rectangular population holds them."""
     rng = random.Random(seed)
     constraints = YieldConstraints(
         delay_limit=rng.uniform(1e-9, 3e-9),
         leakage_limit=rng.uniform(0.2, 2.0),
     )
-    return PopulationResult(
-        constraints=constraints,
-        cases=[
+    return (
+        [
             ChipCase(_random_circuit(rng, i), constraints)
             for i in range(CHIPS)
         ],
-        h_cases=[
+        [
             ChipCase(_random_circuit(rng, i), constraints)
             for i in range(CHIPS)
         ],
-        policy=POLICIES[seed % 3],
     )
+
+
+def _ragged_populations(seed: int):
+    """The rectangular populations among a ragged seed's chips.
+
+    Groups every circuit of :func:`_ragged_cases` by (ways, bands,
+    architecture) and holds each group of two or more chips against the
+    seed's limits, as both architectures of one population.
+    """
+    cases, h_cases = _ragged_cases(seed)
+    groups = {}
+    for case in cases + h_cases:
+        circuit = case.circuit
+        shape = (circuit.num_ways, circuit.num_bands, circuit.hyapd)
+        groups.setdefault(shape, []).append(circuit)
+    populations = []
+    for shape in sorted(groups):
+        circuits = [
+            circuit._replace(chip_id=index)
+            for index, circuit in enumerate(groups[shape])
+        ]
+        if len(circuits) < 2:
+            continue
+        columns = CircuitColumns.from_circuits(circuits)
+        populations.append(
+            PopulationResult(
+                constraints=cases[0].constraints,
+                regular=columns,
+                horizontal=columns,
+                policy=POLICIES[seed % 3],
+            )
+        )
+    return populations
 
 
 def _populations():
     params = [
-        pytest.param(_study_population, seed, id=f"study-{seed}")
+        pytest.param(_study_cases, seed, id=f"study-{seed}")
         for seed in STUDY_SEEDS
     ]
     params += [
-        pytest.param(_ragged_population, seed, id=f"ragged-{seed}")
+        pytest.param(_ragged_cases, seed, id=f"ragged-{seed}")
         for seed in RAGGED_SEEDS
     ]
     return params
@@ -157,22 +206,13 @@ def _oracle(case) -> OracleCase:
     return OracleCase(circuit=case.circuit, constraints=case.constraints)
 
 
-def _oracle_population(pop: PopulationResult) -> PopulationResult:
-    return PopulationResult(
-        constraints=pop.constraints,
-        cases=[_oracle(case) for case in pop.cases],
-        h_cases=[_oracle(case) for case in pop.h_cases],
-        policy=pop.policy,
-    )
-
-
 @pytest.mark.parametrize("build,seed", _populations())
 def test_cached_facts_match_oracle(build, seed):
-    pop = build(seed)
+    cases, h_cases = build(seed)
     rng = random.Random(seed)
     schemes = _schemes()
-    assert any(not case.passes for case in pop.cases + pop.h_cases)
-    for case in pop.cases + pop.h_cases:
+    assert any(not case.passes for case in cases + h_cases)
+    for case in cases + h_cases:
         oracle = _oracle(case)
         # Facts in a random first-read order, then again from the cache.
         fresh = _fresh(case)
@@ -195,13 +235,13 @@ def test_cached_facts_match_oracle(build, seed):
 
 @pytest.mark.parametrize("build,seed", _populations()[::6])
 def test_measured_cases_match_oracle(build, seed):
-    pop = build(seed)
-    oracle_cases = [_oracle(case) for case in pop.cases]
+    cases, _ = build(seed)
+    oracle_cases = [_oracle(case) for case in cases]
     for sensor in SENSORS:
         for scheme in _schemes():
-            assert yield_with_sensor(pop.cases, scheme, sensor) == \
+            assert yield_with_sensor(cases, scheme, sensor) == \
                 oracle_yield_with_sensor(oracle_cases, scheme, sensor)
-            for case, oracle in zip(pop.cases, oracle_cases):
+            for case, oracle in zip(cases, oracle_cases):
                 measured = MeasuredChipCase(_fresh(case), sensor)
                 expected = OracleMeasured(oracle, sensor)
                 for fact in FACTS:
@@ -215,29 +255,46 @@ def test_measured_cases_match_oracle(build, seed):
                 assert scheme.rescue(measured) == scheme.rescue(expected)
 
 
-@pytest.mark.parametrize("build,seed", _populations()[::3])
+def _population_params():
+    """Study populations, and each ragged seed's rectangular groups."""
+    params = [
+        pytest.param(lambda seed: [_study_population(seed)], seed,
+                     id=f"study-{seed}")
+        for seed in STUDY_SEEDS
+    ]
+    params += [
+        pytest.param(_ragged_populations, seed, id=f"ragged-{seed}")
+        for seed in RAGGED_SEEDS
+    ]
+    return params
+
+
+@pytest.mark.parametrize("build,seed", _population_params()[::3])
 def test_population_results_match_oracle(build, seed):
-    pop = build(seed)
-    expected = _oracle_population(pop)
-    for horizontal in (False, True):
-        schemes = _schemes()
-        assert pop.breakdown(schemes, horizontal) == \
-            expected.breakdown(schemes, horizontal)
-        for scheme in schemes:
-            assert pop.configuration_census(scheme, horizontal) == \
-                expected.configuration_census(scheme, horizontal)
-        assert pop.scatter(horizontal) == expected.scatter(horizontal)
-    for policy in POLICIES:
-        got = pop.reconstrained(policy)
-        want = expected.reconstrained(policy)
-        assert got.constraints == want.constraints
-        assert got.cases == want.cases and got.h_cases == want.h_cases
-        assert got.breakdown(_schemes()) == want.breakdown(_schemes())
+    populations = build(seed)
+    assert populations
+    for pop in populations:
+        expected = OraclePopulation.of(pop)
+        for horizontal in (False, True):
+            schemes = _schemes()
+            assert pop.breakdown(schemes, horizontal) == \
+                expected.breakdown(schemes, horizontal)
+            for scheme in schemes:
+                assert pop.configuration_census(scheme, horizontal) == \
+                    expected.configuration_census(scheme, horizontal)
+            assert pop.scatter(horizontal) == expected.scatter(horizontal)
+        for policy in POLICIES:
+            got = pop.reconstrained(policy)
+            want = expected.reconstrained(policy)
+            assert got.constraints == want.constraints
+            assert got.regular is pop.regular
+            assert got.horizontal is pop.horizontal
+            assert got.breakdown(_schemes()) == want.breakdown(_schemes())
 
 
 def test_chipcase_stays_a_frozen_two_field_dataclass():
     fields = tuple(f.name for f in dataclasses.fields(ChipCase))
     assert fields == ("circuit", "constraints")
-    case = _study_population(1).cases[0]
+    case = _study_population(1).case(0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         case.circuit = None

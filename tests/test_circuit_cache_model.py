@@ -8,6 +8,8 @@ from repro.circuit import (
     PAPER_ORGANIZATION,
     TECH45,
 )
+from repro.circuit.cache_model import CacheCircuitResult, WayCircuitResult
+from repro.circuit.columnar import CircuitColumns, left_sum
 from repro.circuit.decoder import decoder_delay
 from repro.circuit.paths import access_path_delay
 from repro.circuit.sram import bitline_delay, cell_leakage, senseamp_delay
@@ -15,6 +17,7 @@ from repro.core import units
 from repro.core.errors import ConfigurationError
 from repro.variation.parameters import TABLE1
 from repro.variation.sampling import CacheVariationSampler
+from repro.yieldmodel.constraints import ConstraintPolicy
 
 NOMINAL = TABLE1.nominal()
 
@@ -213,3 +216,54 @@ class TestVariationSensitivity:
             leaks.append(result.total_leakage)
         corr = float(np.corrcoef(np.log(leaks), delays)[0, 1])
         assert corr < -0.5
+
+
+class TestLeftToRightSums:
+    """Leakage totals and population limits add left to right.
+
+    Since Python 3.12 ``sum()`` of floats is compensated. For these
+    positive terms the two orders differ — ``1.0 + 1e-16 + 1e-16`` is
+    ``1.0`` left to right and ``1.0000000000000002`` compensated — and a
+    population's results must not depend on the interpreter. The
+    expected values are the left-to-right ones every interpreter
+    computed before 3.12.
+    """
+
+    TERMS = (1.0, 1e-16, 1e-16)
+
+    def _chip(self) -> CacheCircuitResult:
+        ways = tuple(
+            WayCircuitResult(
+                way=w,
+                band_delays=(1e-9, 1e-9, 1e-9),
+                band_leakage=self.TERMS if w == 0 else (term, 0.0, 0.0),
+                peripheral_leakage=term,
+            )
+            for w, term in enumerate(self.TERMS)
+        )
+        return CacheCircuitResult(chip_id=0, ways=ways)
+
+    def test_circuit_totals(self):
+        chip = self._chip()
+        assert chip.ways[0].array_leakage == 1.0
+        assert chip.ways[0].leakage == 2.0
+        assert chip.band_array_leakage(0) == 1.0
+        assert chip.total_peripheral_leakage() == 1.0
+        # way leakages 2.0, 2e-16, 2e-16: the last two vanish in turn.
+        assert chip.total_leakage == 2.0
+
+    def test_columns_match_the_circuit(self):
+        chip = self._chip()
+        columns = CircuitColumns.from_circuits([chip])
+        assert columns.way_leakages[0].tolist() == list(chip.way_leakages)
+        assert columns.total_leakage[0] == chip.total_leakage
+        assert left_sum(columns.band_leakage, 1)[0, 0] == \
+            chip.band_array_leakage(0)
+        assert left_sum(columns.peripheral_leakage, 1)[0] == \
+            chip.total_peripheral_leakage()
+
+    def test_derived_limits(self):
+        constraints = ConstraintPolicy("sum", 1.0, 3.0).derive(
+            self.TERMS, self.TERMS
+        )
+        assert constraints.leakage_limit == 3.0 * (1.0 / 3)

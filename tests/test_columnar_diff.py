@@ -1,8 +1,8 @@
 """Differential tests: columnar Monte Carlo vs the per-chip reference.
 
 The columnar population pipeline (`ColumnarPopulationSampler` +
-`evaluate_population_pair` + `classify_population_columns`) exists purely
-for speed — it must be *bit-identical* to the per-chip path it bypasses.
+`evaluate_population_pair` + `ChipColumns`) exists purely for speed
+— it must be *bit-identical* to the per-chip path it bypasses.
 These tests sweep 150 randomized (geometry, correlation-factor, residual,
 seed) configurations through both samplers and assert equality of every
 sampled parameter; a subset continues through the circuit model and the
@@ -25,10 +25,7 @@ import numpy as np
 import pytest
 
 from repro.circuit.cache_model import CacheCircuitModel
-from repro.circuit.columnar import (
-    evaluate_population_columns,
-    evaluate_population_pair,
-)
+from repro.circuit.columnar import evaluate_population_pair
 from repro.circuit.organization import CacheOrganization
 from repro.core.errors import ConfigurationError
 from repro.core.rng import spawn
@@ -36,8 +33,13 @@ from repro.engine.codec import encode_population
 from repro.variation.columnar import ColumnarPopulationSampler, columnar_enabled
 from repro.variation.sampling import CacheVariationSampler
 from repro.variation.spatial import CorrelationFactors, MeshLayout
-from repro.yieldmodel.analysis import YieldStudy, classify_population_columns
-from repro.yieldmodel.classify import loss_reason_for_code
+from repro.yieldmodel.analysis import (
+    PopulationResult,
+    YieldStudy,
+    derive_constraints,
+)
+from repro.yieldmodel.classify import ChipCase, ChipColumns, config_key
+from repro.yieldmodel.constraints import NOMINAL_POLICY
 
 #: Meshes and the way counts placed on them: every relation to way 0
 #: (origin / horizontal / vertical / diagonal) occurs, plus degenerate
@@ -185,73 +187,92 @@ class TestCircuitDifferential:
         col_regular, col_hyapd = evaluate_population_pair(
             regular_model, hyapd_model, population
         )
+        assert col_regular.chip_ids == col_hyapd.chip_ids == chip_ids
+        assert (col_regular.hyapd, col_hyapd.hyapd) == (False, True)
         for index, chip_id in enumerate(chip_ids):
             cvmap = sampler.sample_chip(seed, chip_id)
             ref_regular, ref_hyapd = regular_model.evaluate_pair(
                 hyapd_model, cvmap
             )
-            assert col_regular[index] == ref_regular
-            assert col_hyapd[index] == ref_hyapd
+            assert col_regular.circuit(index) == ref_regular
+            assert col_hyapd.circuit(index) == ref_hyapd
 
     @pytest.mark.parametrize("sampler,seed,chip_ids", _CIRCUIT_CASES[:10])
     def test_classification_matches_per_case(self, sampler, seed, chip_ids):
         """Column-wise classification == per-ChipCase classification."""
-        from repro.yieldmodel.classify import ChipCase
-
         org = CacheOrganization(
             num_ways=sampler.num_ways, banks_per_way=sampler.num_bands
         )
         regular_model = CacheCircuitModel(org=org, hyapd=False)
         hyapd_model = CacheCircuitModel(org=org, hyapd=True)
         population = _columns_for(sampler).sample_population(seed, chip_ids)
-        columns = evaluate_population_columns(regular_model, population)
-        classified = classify_population_columns(columns)
         col_regular, col_hyapd = evaluate_population_pair(
             regular_model, hyapd_model, population
         )
+        constraints = derive_constraints(NOMINAL_POLICY, col_regular)
+        classified = ChipColumns(col_regular, constraints)
+        reference = [
+            regular_model.evaluate_pair(
+                hyapd_model, sampler.sample_chip(seed, chip_id)
+            )
+            for chip_id in chip_ids
+        ]
         cases = [
-            ChipCase(circuit=r, constraints=classified.constraints)
-            for r in col_regular
+            ChipCase(circuit=regular, constraints=constraints)
+            for regular, _ in reference
         ]
         for index, case in enumerate(cases):
             assert tuple(classified.way_cycles[index].tolist()) == case.way_cycles
-            code = int(classified.loss_codes[index])
-            assert loss_reason_for_code(code) == case.loss_reason
-            assert classified.access_delays[index] == case.circuit.access_delay
-            assert (
-                classified.total_leakages[index] == case.circuit.total_leakage
+            assert config_key(
+                tuple(classified.way_cycles[index].tolist())
+            ) == case.configuration
+            violating = tuple(
+                np.flatnonzero(classified.delay_violations[index]).tolist()
             )
-        assert classified.configuration_keys() == [
-            case.configuration for case in cases
-        ]
+            assert violating == case.delay_violating_ways
+            assert bool(classified.leakage_violation[index]) == (
+                case.leakage_violation
+            )
+            assert bool(classified.passes[index]) == case.passes
+            assert (
+                col_regular.access_delays[index] == case.circuit.access_delay
+            )
+            assert (
+                classified.total_leakage[index] == case.circuit.total_leakage
+            )
+            assert classified.way_gated_leakage[index].tolist() == [
+                case.leakage_after_disabling_way(way)
+                for way in range(case.circuit.num_ways)
+            ]
+            assert classified.leakiest_way[index] == case.max_leakage_way()
+        pop = PopulationResult(constraints, col_regular, col_hyapd)
         census = {}
         for case in cases:
             if case.loss_reason.is_loss:
                 census[case.loss_reason] = census.get(case.loss_reason, 0) + 1
-        assert classified.loss_census() == census
+        assert pop.breakdown([]).base_counts == census
         passing = sum(1 for case in cases if case.passes)
-        assert classified.yield_fraction() == pytest.approx(
+        assert pop.breakdown([]).yield_with() == pytest.approx(
             passing / len(cases), abs=0.0
         )
         # H-YAPD columns held to the regular population's limits, as the
         # study does.
-        h_classified = classify_population_columns(
-            columns,
-            constraints=classified.constraints,
-            delay_scale=hyapd_model._delay_scale,
-        )
+        h_classified = pop.chips(horizontal=True)
         h_cases = [
-            ChipCase(circuit=h, constraints=classified.constraints)
-            for h in col_hyapd
+            ChipCase(circuit=hyapd, constraints=constraints)
+            for _, hyapd in reference
         ]
+        h_census = {}
         for index, case in enumerate(h_cases):
             assert (
                 tuple(h_classified.way_cycles[index].tolist()) == case.way_cycles
             )
-            assert (
-                loss_reason_for_code(int(h_classified.loss_codes[index]))
-                == case.loss_reason
-            )
+            assert bool(h_classified.passes[index]) == case.passes
+            if case.loss_reason.is_loss:
+                h_census[case.loss_reason] = (
+                    h_census.get(case.loss_reason, 0) + 1
+                )
+        assert pop.breakdown([], horizontal=True).base_counts == h_census
 
 
 #: End-to-end study configurations: the default organisation plus a
@@ -313,13 +334,19 @@ class TestStudyDifferential:
         fast = run("1")
         reference = run("0")
         assert fast.constraints == reference.constraints
-        for got, want in zip(fast.cases, reference.cases):
-            assert got.circuit == want.circuit
-            assert got.loss_reason == want.loss_reason
-            assert got.configuration == want.configuration
-        for got, want in zip(fast.h_cases, reference.h_cases):
-            assert got.circuit == want.circuit
-            assert got.loss_reason == want.loss_reason
+        assert fast.regular.chip_ids == reference.regular.chip_ids
+        for horizontal in (False, True):
+            got = fast.chips(horizontal)
+            want = reference.chips(horizontal)
+            for index in range(count):
+                assert got.circuits.circuit(index) == \
+                    want.circuits.circuit(index)
+                got_case = fast.case(index, horizontal)
+                want_case = reference.case(index, horizontal)
+                assert got_case.loss_reason == want_case.loss_reason
+                assert got_case.configuration == want_case.configuration
+            assert got.way_cycles.tolist() == want.way_cycles.tolist()
+            assert got.passes.tolist() == want.passes.tolist()
         assert fast.breakdown([]).base_counts == reference.breakdown([]).base_counts
         assert (
             fast.breakdown([], horizontal=True).base_counts

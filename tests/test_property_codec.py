@@ -5,15 +5,21 @@ identity — including exact float values, because the determinism suite
 compares cached and freshly computed results bit-for-bit. These tests
 drive both codecs with seeded random payloads through a real JSON
 serialize/parse cycle (exactly what :class:`ResultStore` does on disk).
+Populations are rectangular (one ways/bands shape per population); a
+ragged payload is refused, and the engine recomputes such an entry.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from typing import Optional, Tuple
 
 import pytest
 
+from repro.circuit.cache_model import CacheCircuitResult, WayCircuitResult
+from repro.circuit.columnar import CircuitColumns
+from repro.core.errors import ConfigurationError
 from repro.engine.codec import (
     decode_population,
     decode_simulation,
@@ -22,10 +28,10 @@ from repro.engine.codec import (
     policy_identity,
     way_cycles_identity,
 )
-from repro.circuit.cache_model import CacheCircuitResult, WayCircuitResult
+from repro.engine.core import Engine, EngineConfig
+from repro.experiments.common import ExperimentSettings
 from repro.uarch.simulator import SimResult
 from repro.yieldmodel.analysis import PopulationResult
-from repro.yieldmodel.classify import ChipCase
 from repro.yieldmodel.constraints import ConstraintPolicy, YieldConstraints
 
 NUM_CASES = 25
@@ -36,9 +42,22 @@ def _json_cycle(payload: dict) -> dict:
     return json.loads(json.dumps(payload))
 
 
-def _random_circuit(rng: random.Random, chip_id: int) -> CacheCircuitResult:
-    num_ways = rng.choice((2, 4, 8))
-    num_bands = rng.choice((2, 4))
+def _random_circuit(
+    rng: random.Random,
+    chip_id: int,
+    shape: Optional[Tuple[int, int]] = None,
+    hyapd: Optional[bool] = None,
+) -> CacheCircuitResult:
+    """A random circuit; ways, bands and ``hyapd`` are random unless given.
+
+    With neither given, consecutive calls build a ragged list: ways and
+    bands vary from chip to chip.
+    """
+    if shape is None:
+        num_ways = rng.choice((2, 4, 8))
+        num_bands = rng.choice((2, 4))
+    else:
+        num_ways, num_bands = shape
     ways = tuple(
         WayCircuitResult(
             way=w,
@@ -55,11 +74,14 @@ def _random_circuit(rng: random.Random, chip_id: int) -> CacheCircuitResult:
         for w in range(num_ways)
     )
     return CacheCircuitResult(
-        chip_id=chip_id, ways=ways, hyapd=rng.random() < 0.5
+        chip_id=chip_id,
+        ways=ways,
+        hyapd=rng.random() < 0.5 if hyapd is None else hyapd,
     )
 
 
 def _random_population(rng: random.Random) -> PopulationResult:
+    """A random rectangular population: one (ways, bands) shape."""
     constraints = YieldConstraints(
         delay_limit=rng.uniform(1e-9, 4e-9),
         leakage_limit=rng.uniform(0.1, 2.0),
@@ -70,16 +92,15 @@ def _random_population(rng: random.Random) -> PopulationResult:
         leakage_mean_multiple=rng.uniform(1.0, 2.0),
     )
     count = rng.randint(1, 6)
+    shape = (rng.choice((2, 4, 8)), rng.choice((2, 4)))
     return PopulationResult(
         constraints=constraints,
-        cases=[
-            ChipCase(_random_circuit(rng, i), constraints)
-            for i in range(count)
-        ],
-        h_cases=[
-            ChipCase(_random_circuit(rng, i), constraints)
-            for i in range(count)
-        ],
+        regular=CircuitColumns.from_circuits(
+            [_random_circuit(rng, i, shape, False) for i in range(count)]
+        ),
+        horizontal=CircuitColumns.from_circuits(
+            [_random_circuit(rng, i, shape, True) for i in range(count)]
+        ),
         policy=policy,
     )
 
@@ -110,18 +131,63 @@ def test_population_round_trip(seed):
     decoded = decode_population(_json_cycle(encode_population(original)))
     assert decoded.constraints == original.constraints
     assert policy_identity(decoded.policy) == policy_identity(original.policy)
-    assert decoded.cases == original.cases
-    assert decoded.h_cases == original.h_cases
-    # Derived facts come out identical too (cached_property recomputes
-    # from the decoded circuits).
-    for before, after in zip(
-        original.cases + original.h_cases, decoded.cases + decoded.h_cases
-    ):
-        assert after.circuit.way_delays == before.circuit.way_delays
-        assert after.way_cycles == before.way_cycles
-        assert after.passes == before.passes
+    for horizontal in (False, True):
+        before = original.chips(horizontal)
+        after = decoded.chips(horizontal)
+        assert after.circuits.hyapd == before.circuits.hyapd
+        assert after.circuits.chip_ids == before.circuits.chip_ids
+        for index in range(original.population):
+            assert after.circuits.circuit(index) == \
+                before.circuits.circuit(index)
+        # Derived facts come out identical too (classified again from
+        # the decoded columns).
+        assert after.circuits.way_delays.tolist() == \
+            before.circuits.way_delays.tolist()
+        assert after.way_cycles.tolist() == before.way_cycles.tolist()
+        assert after.passes.tolist() == before.passes.tolist()
     # Stability: encoding the decoded result reproduces the payload.
     assert encode_population(decoded) == encode_population(original)
+
+
+def _ragged(payload: dict, damage: int) -> dict:
+    """``payload`` with one chip made unlike the others."""
+    chip = payload["cases"][-1]
+    if damage == 0:
+        chip["ways"][0]["band_delays"].pop()  # one band fewer
+    elif damage == 1:
+        chip["ways"].pop()  # one way fewer
+    elif damage == 2:
+        chip["hyapd"] = not chip["hyapd"]  # the other architecture
+    else:
+        chip["ways"].reverse()  # ways out of index order
+    return payload
+
+
+@pytest.mark.parametrize("damage", range(4))
+@pytest.mark.parametrize("seed", range(5))
+def test_ragged_population_payload_refused(seed, damage):
+    """No rectangular population encodes to a ragged payload."""
+    rng = random.Random(seed)
+    original = _random_population(rng)
+    while original.population < 2:
+        original = _random_population(rng)
+    payload = _ragged(_json_cycle(encode_population(original)), damage)
+    with pytest.raises(ConfigurationError):
+        decode_population(payload)
+
+
+def test_engine_recomputes_a_ragged_store_entry(tmp_path):
+    settings = ExperimentSettings(seed=5, chips=24)
+    engine = Engine(EngineConfig(workers=1, cache_dir=tmp_path))
+    expected = encode_population(engine.population(settings))
+    key = engine.population_key(settings)
+    engine.store.save("population", key, _ragged(_json_cycle(expected), 0))
+
+    fresh = Engine(EngineConfig(workers=1, cache_dir=tmp_path))
+    assert encode_population(fresh.population(settings)) == expected
+    assert fresh.stats.jobs_run == 1 and fresh.stats.jobs_cached_disk == 0
+    # The recomputed result replaced the damaged entry.
+    assert fresh.store.load("population", key) == _json_cycle(expected)
 
 
 @pytest.mark.parametrize("seed", range(NUM_CASES))

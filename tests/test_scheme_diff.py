@@ -1,0 +1,246 @@
+"""Differential battery: array scheme decisions vs the per-chip originals.
+
+Every paper scheme decides a whole population with one array call
+(``Scheme.decide`` over ``ChipColumns``); ``rescue`` is its one-chip
+view. The original per-chip ``rescue`` bodies live in
+``tests/oracles/schemes.py`` and the original per-chip population result
+in ``tests/oracles/classify.py``. Over 102 seeded populations (regular
+and H-YAPD architectures; nominal, relaxed and strict limits; 2, 4 and
+8 ways) this battery asserts that:
+
+* every chip's saved flag, disabled way or band and post-rescue cycles
+  in ``decide`` equal the oracle's outcome, and the one-chip view
+  returns an equal :class:`RescueOutcome`, note included; H-YAPD's
+  gated-band leakage equals the original's value for value;
+* ``breakdown``, ``configuration_census``, ``scatter`` and the
+  ``reconstrained`` limits equal the oracle population's;
+* ``yield_with_sensor`` and every measured chip's rescue equal the
+  oracle's for three sensor settings.
+
+The chips of the 36 ragged random populations of ``test_chipcase_diff``
+(ways and bands varying from chip to chip) run as one-chip cases.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from oracles import schemes as oracle_schemes
+from oracles.classify import ChipCase as OracleCase
+from oracles.classify import MeasuredChipCase as OracleMeasured
+from oracles.classify import PopulationResult as OraclePopulation
+from oracles.classify import yield_with_sensor as oracle_yield_with_sensor
+from repro.circuit.organization import CacheOrganization
+from repro.schemes import (
+    HYAPD,
+    VACA,
+    YAPD,
+    AdaptiveHybrid,
+    DeepVACA,
+    Hybrid,
+    HybridHorizontal,
+    NaiveBinning,
+)
+from repro.schemes.hyapd import leakage_without_band
+from repro.schemes.sensors import (
+    LeakageSensor,
+    MeasuredChipCase,
+    yield_with_sensor,
+)
+from repro.variation.sampling import CacheVariationSampler
+from repro.variation.spatial import MeshLayout
+from repro.yieldmodel.analysis import PopulationResult, YieldStudy
+from repro.yieldmodel.classify import ChipCase
+from repro.yieldmodel.constraints import (
+    NOMINAL_POLICY,
+    RELAXED_POLICY,
+    STRICT_POLICY,
+    YieldConstraints,
+)
+from test_property_codec import _random_circuit
+
+POLICIES = (NOMINAL_POLICY, RELAXED_POLICY, STRICT_POLICY)
+#: (ways, mesh rows, mesh cols): the associativity sweep's layouts.
+LAYOUTS = ((2, 1, 2), (4, 2, 2), (8, 2, 4))
+CHIPS = 40
+SEEDS = range(102)
+RAGGED_SEEDS = range(36)
+RAGGED_CHIPS = 24
+
+SENSORS = (
+    LeakageSensor(relative_noise=0.0, quantisation_levels=0),
+    LeakageSensor(relative_noise=0.05, quantisation_levels=32, seed=3),
+    LeakageSensor(relative_noise=0.25, quantisation_levels=8, seed=11),
+)
+
+
+def _degradation(way_cycles):
+    """A deterministic estimator for AdaptiveHybrid's choice."""
+    disabled = sum(1 for c in way_cycles if c is None)
+    slow = sum(1 for c in way_cycles if c is not None and c > 4)
+    return 0.011 * disabled + 0.004 * slow
+
+
+def _pairs():
+    """(production scheme, oracle scheme) pairs, parameter variants too.
+
+    AdaptiveHybrid keeps its per-chip ``rescue``, so it is its own
+    oracle: its ``decide`` must agree with that ``rescue``.
+    """
+    o = oracle_schemes
+    adaptive = AdaptiveHybrid(_degradation)
+    return [
+        (YAPD(), o.YAPD()),
+        (HYAPD(), o.HYAPD()),
+        (HYAPD(peripheral_save_fraction=0.0), o.HYAPD(0.0)),
+        (HYAPD(peripheral_save_fraction=1.0), o.HYAPD(1.0)),
+        (VACA(), o.VACA()),
+        (DeepVACA(), o.DeepVACA()),
+        (DeepVACA(slack=0), o.DeepVACA(slack=0)),
+        (Hybrid(), o.Hybrid()),
+        (HybridHorizontal(), o.HybridHorizontal()),
+        (HybridHorizontal(0.0), o.HybridHorizontal(0.0)),
+        (NaiveBinning(), o.NaiveBinning()),
+        (NaiveBinning(target_cycles=6), o.NaiveBinning(target_cycles=6)),
+        (adaptive, adaptive),
+    ]
+
+
+def _study_population(seed: int) -> PopulationResult:
+    ways, rows, cols = LAYOUTS[seed % 3]
+    return YieldStudy(
+        seed=seed,
+        count=CHIPS,
+        policy=POLICIES[(seed // 3) % 3],
+        sampler=CacheVariationSampler(
+            mesh=MeshLayout(rows=rows, cols=cols), num_ways=ways
+        ),
+        organization=CacheOrganization(num_ways=ways),
+    ).run()
+
+
+def _oracle_cases(pop: PopulationResult, horizontal: bool):
+    circuits = pop.horizontal if horizontal else pop.regular
+    return [
+        OracleCase(circuits.circuit(i), pop.constraints)
+        for i in range(pop.population)
+    ]
+
+
+def _row(decided, index: int):
+    """Row ``index`` of decisions as (saved, way, band, cycles)."""
+    if not decided.saved[index]:
+        return (False, None, None, None)
+    way = int(decided.disabled_way[index])
+    band = int(decided.disabled_band[index])
+    return (
+        True,
+        None if way < 0 else way,
+        None if band < 0 else band,
+        tuple(c or None for c in decided.way_cycles[index].tolist()),
+    )
+
+
+def _expected(outcome):
+    if not outcome.saved:
+        return (False, None, None, None)
+    return (
+        True, outcome.disabled_way, outcome.disabled_band, outcome.way_cycles
+    )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_decisions_match_oracle(seed):
+    pop = _study_population(seed)
+    failing = 0
+    for horizontal in (False, True):
+        chips = pop.chips(horizontal)
+        cases = _oracle_cases(pop, horizontal)
+        failing += sum(1 for case in cases if not case.passes)
+        for scheme, oracle in _pairs():
+            decided = scheme.decide(chips)
+            for index, case in enumerate(cases):
+                want = oracle.rescue(case)
+                assert _row(decided, index) == _expected(want), (
+                    scheme.name, index
+                )
+                view = pop.case(index, horizontal)
+                assert scheme.rescue(view) == want, (scheme.name, index)
+    assert failing
+
+
+@pytest.mark.parametrize("seed", SEEDS[::6])
+def test_band_leakage_matches_oracle(seed):
+    """H-YAPD's gated-band leakage, value for value: ``(total - band
+    array) - fraction * peripheral / bands``, in the original's order."""
+    pop = _study_population(seed)
+    for horizontal in (False, True):
+        chips = pop.chips(horizontal)
+        cases = _oracle_cases(pop, horizontal)
+        for fraction in (0.0, 0.5, 1.0):
+            oracle = oracle_schemes.HYAPD(fraction)
+            got = leakage_without_band(chips, fraction).tolist()
+            for row, case in zip(got, cases):
+                assert row == [
+                    oracle.leakage_after_disabling_band(case, band)
+                    for band in range(case.circuit.num_bands)
+                ]
+
+
+@pytest.mark.parametrize("seed", RAGGED_SEEDS)
+def test_ragged_chips_match_oracle(seed):
+    """Chips whose ways and bands vary from chip to chip, one at a time."""
+    rng = random.Random(seed)
+    constraints = YieldConstraints(
+        delay_limit=rng.uniform(1e-9, 3e-9),
+        leakage_limit=rng.uniform(0.2, 2.0),
+    )
+    circuits = [_random_circuit(rng, i) for i in range(2 * RAGGED_CHIPS)]
+    assert any(
+        not ChipCase(circuit, constraints).passes for circuit in circuits
+    )
+    for circuit in circuits:
+        case = ChipCase(circuit, constraints)
+        oracle_case = OracleCase(circuit, constraints)
+        for scheme, oracle in _pairs():
+            assert scheme.rescue(case) == oracle.rescue(oracle_case), (
+                scheme.name
+            )
+
+
+@pytest.mark.parametrize("seed", SEEDS[::3])
+def test_population_results_match_oracle(seed):
+    pop = _study_population(seed)
+    expected = OraclePopulation.of(pop)
+    pairs = _pairs()
+    schemes = [scheme for scheme, _ in pairs]
+    oracles = [oracle for _, oracle in pairs]
+    for horizontal in (False, True):
+        assert pop.breakdown(schemes, horizontal) == expected.breakdown(
+            oracles, horizontal
+        )
+        for scheme, oracle in pairs:
+            assert pop.configuration_census(scheme, horizontal) == \
+                expected.configuration_census(oracle, horizontal)
+        assert pop.scatter(horizontal) == expected.scatter(horizontal)
+    for policy in POLICIES:
+        got = pop.reconstrained(policy)
+        want = expected.reconstrained(policy)
+        assert got.constraints == want.constraints
+        assert got.breakdown(schemes) == want.breakdown(oracles)
+
+
+@pytest.mark.parametrize("seed", SEEDS[::6])
+def test_sensor_yield_matches_oracle(seed):
+    pop = _study_population(seed)
+    cases = [pop.case(i) for i in range(pop.population)]
+    oracle_cases = _oracle_cases(pop, False)
+    for sensor in SENSORS:
+        for scheme, oracle in _pairs():
+            assert yield_with_sensor(cases, scheme, sensor) == \
+                oracle_yield_with_sensor(oracle_cases, oracle, sensor)
+            for case, oracle_case in zip(cases, oracle_cases):
+                assert scheme.rescue(MeasuredChipCase(case, sensor)) == \
+                    oracle.rescue(OracleMeasured(oracle_case, sensor))

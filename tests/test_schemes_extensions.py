@@ -91,7 +91,8 @@ class TestMeasuredChipCase:
 class TestYieldWithSensor:
     @pytest.fixture(scope="class")
     def cases(self):
-        return YieldStudy(seed=2006, count=300).run().cases
+        pop = YieldStudy(seed=2006, count=300).run()
+        return [pop.case(i) for i in range(pop.population)]
 
     def test_perfect_sensor_matches_direct_yapd(self, cases):
         sensor = LeakageSensor(relative_noise=0.0, quantisation_levels=0)

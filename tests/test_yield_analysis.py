@@ -17,33 +17,39 @@ def pop():
 class TestPopulationBasics:
     def test_population_size(self, pop):
         assert pop.population == CHIPS
-        assert len(pop.h_cases) == CHIPS
+        assert len(pop.horizontal) == CHIPS
 
     def test_deterministic(self):
         a = YieldStudy(seed=77, count=60).run()
         b = YieldStudy(seed=77, count=60).run()
-        assert [c.circuit for c in a.cases] == [c.circuit for c in b.cases]
+        assert [a.case(i).circuit for i in range(60)] == [
+            b.case(i).circuit for i in range(60)
+        ]
 
     def test_seed_changes_chips(self):
         a = YieldStudy(seed=1, count=30).run()
         b = YieldStudy(seed=2, count=30).run()
-        assert [c.circuit for c in a.cases] != [c.circuit for c in b.cases]
+        assert [a.case(i).circuit for i in range(30)] != [
+            b.case(i).circuit for i in range(30)
+        ]
 
     def test_same_limits_for_both_architectures(self, pop):
-        assert pop.cases[0].constraints is pop.constraints
-        assert pop.h_cases[0].constraints is pop.constraints
+        assert pop.chips(False).constraints is pop.constraints
+        assert pop.chips(True).constraints is pop.constraints
+        assert pop.case(0).constraints is pop.constraints
+        assert pop.case(0, horizontal=True).constraints is pop.constraints
 
     def test_h_architecture_is_uniformly_slower(self, pop):
-        for case, h_case in zip(pop.cases[:100], pop.h_cases[:100]):
-            assert h_case.circuit.access_delay == pytest.approx(
-                case.circuit.access_delay * 1.025
-            )
+        regular = pop.regular.access_delays[:100].tolist()
+        horizontal = pop.horizontal.access_delays[:100].tolist()
+        for delay, h_delay in zip(regular, horizontal):
+            assert h_delay == pytest.approx(delay * 1.025)
 
     def test_h_architecture_leaks_identically(self, pop):
-        for case, h_case in zip(pop.cases[:100], pop.h_cases[:100]):
-            assert h_case.circuit.total_leakage == pytest.approx(
-                case.circuit.total_leakage
-            )
+        regular = pop.regular.total_leakage[:100].tolist()
+        horizontal = pop.horizontal.total_leakage[:100].tolist()
+        for leakage, h_leakage in zip(regular, horizontal):
+            assert h_leakage == pytest.approx(leakage)
 
     def test_scatter_normalisation(self, pop):
         norm_leak, delays = pop.scatter()
@@ -54,7 +60,9 @@ class TestPopulationBasics:
 class TestBreakdownAccounting:
     def test_base_counts_cover_all_failures(self, pop):
         bd = pop.breakdown([YAPD()])
-        failing = sum(1 for case in pop.cases if not case.passes)
+        failing = sum(
+            1 for i in range(pop.population) if not pop.case(i).passes
+        )
         assert bd.base_total == failing
 
     def test_scheme_losses_never_exceed_base(self, pop):
@@ -102,9 +110,10 @@ class TestBreakdownAccounting:
 class TestCensus:
     def test_census_counts_saved_failures_only(self, pop):
         census = pop.configuration_census(Hybrid())
+        cases = [pop.case(i) for i in range(pop.population)]
         saved_failures = sum(
             1
-            for case in pop.cases
+            for case in cases
             if not case.passes and Hybrid().rescue(case).saved
         )
         assert sum(census.values()) == saved_failures
@@ -119,11 +128,13 @@ class TestReconstrained:
     def test_strict_has_more_losses(self, pop):
         strict = pop.reconstrained(STRICT_POLICY)
         relaxed = pop.reconstrained(RELAXED_POLICY)
-        fail = lambda population: sum(
-            1 for case in population.cases if not case.passes
+        fail = lambda population: int(
+            (~population.chips().passes).sum()
         )
         assert fail(strict) > fail(pop) > fail(relaxed)
 
     def test_same_circuits(self, pop):
         strict = pop.reconstrained(STRICT_POLICY)
-        assert strict.cases[0].circuit is pop.cases[0].circuit
+        assert strict.regular is pop.regular
+        assert strict.horizontal is pop.horizontal
+        assert strict.case(0).circuit == pop.case(0).circuit

@@ -185,10 +185,11 @@ def test_is_unbiased_against_brute_force_across_random_configs():
         cons = report.constraints
         brute_n = 500
         data = runner.run(seed, "chip", 0, brute_n)
-        for figure, circuits in (
+        for figure, columns in (
             ("regular.base", data.regular),
             ("horizontal.base", data.horizontal),
         ):
+            circuits = [columns.circuit(i) for i in range(len(columns))]
             ships = sum(
                 1
                 for c in circuits
@@ -377,8 +378,8 @@ def test_adaptive_population_matches_fixed_prefix(tmp_path):
     reference = engine.population(
         ExperimentSettings(seed=9, chips=stopped), NOMINAL_POLICY
     )
-    assert [c.circuit for c in adaptive.cases] == [
-        c.circuit for c in reference.cases
+    assert [adaptive.case(i).circuit for i in range(stopped)] == [
+        reference.case(i).circuit for i in range(stopped)
     ]
     engine.shutdown()
 

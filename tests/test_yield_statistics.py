@@ -6,9 +6,8 @@ from hypothesis import given, settings as hsettings, strategies as st
 
 from repro.core.errors import ConfigurationError
 from repro.schemes import Hybrid, YAPD
-from repro.schemes.base import RescueOutcome
+from repro.schemes.base import Decisions, RescueOutcome
 from repro.yieldmodel import YieldStudy
-from repro.yieldmodel.analysis import PopulationResult
 from repro.yieldmodel.statistics import (
     bootstrap_interval,
     bootstrap_replicates,
@@ -17,13 +16,16 @@ from repro.yieldmodel.statistics import (
     wilson_interval,
 )
 
-from tests.conftest import make_chip
+from tests.conftest import make_chip, make_population
 
 
 class _NeverSaves:
     """A scheme that rescues nothing (edge-case populations)."""
 
     name = "NeverSaves"
+
+    def decide(self, chips) -> Decisions:
+        return Decisions.of(chips, chips.passes)
 
     def rescue(self, case) -> RescueOutcome:
         return RescueOutcome(
@@ -125,9 +127,7 @@ class TestEdgeCases:
         """Every chip fails and no scheme saves any: yield interval hugs
         zero, loss reduction hugs zero."""
         chips = [make_chip([2.0, 2.0, 2.0, 2.0]) for _ in range(30)]
-        pop = PopulationResult(
-            constraints=chips[0].constraints, cases=chips, h_cases=chips
-        )
+        pop = make_population(chips)
         scheme = _NeverSaves()
         low, high = scheme_yield_interval(pop, scheme)
         assert low == 0.0
@@ -137,9 +137,7 @@ class TestEdgeCases:
 
     def test_loss_reduction_rejects_no_failures(self):
         chips = [make_chip([0.9, 0.9, 0.9, 0.9]) for _ in range(5)]
-        pop = PopulationResult(
-            constraints=chips[0].constraints, cases=chips, h_cases=chips
-        )
+        pop = make_population(chips)
         with pytest.raises(ConfigurationError):
             loss_reduction_interval(pop, _NeverSaves())
 
