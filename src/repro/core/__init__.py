@@ -12,7 +12,7 @@ from repro.core.errors import (
     SimulationError,
     TraceError,
 )
-from repro.core.rng import RandomSource, derive_seed, spawn
+from repro.core.rng import derive_seed, spawn
 from repro.core import units
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "CalibrationError",
     "SimulationError",
     "TraceError",
-    "RandomSource",
     "derive_seed",
     "spawn",
     "units",

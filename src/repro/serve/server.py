@@ -184,6 +184,10 @@ class _BadRequest(Exception):
     """Malformed HTTP framing (connection-fatal)."""
 
 
+#: Header lines one request may carry; more is refused with 400.
+_MAX_HEADER_LINES = 100
+
+
 class YieldServer:
     """Long-running yield-analysis service over one :class:`Engine`."""
 
@@ -348,10 +352,19 @@ class YieldServer:
                 return
 
     async def _read_request(self, reader, peer_host: str) -> Optional[Request]:
+        """Read one request, request line to body, within
+        ``keepalive_timeout``; a client that trickles or stalls any part
+        of it loses the connection (``asyncio.TimeoutError``)."""
+        return await asyncio.wait_for(
+            self._read_request_parts(reader, peer_host),
+            timeout=self.config.keepalive_timeout,
+        )
+
+    async def _read_request_parts(
+        self, reader, peer_host: str
+    ) -> Optional[Request]:
         try:
-            line = await asyncio.wait_for(
-                reader.readline(), timeout=self.config.keepalive_timeout
-            )
+            line = await reader.readline()
         except asyncio.IncompleteReadError:
             return None
         except ValueError:  # request line beyond the stream limit
@@ -363,6 +376,7 @@ class YieldServer:
             raise _BadRequest("malformed request line")
         method, target = parts[0], parts[1]
         headers: Dict[str, str] = {}
+        lines = 0
         while True:
             try:
                 raw = await reader.readline()
@@ -374,6 +388,11 @@ class YieldServer:
                 break
             if not raw:
                 raise _BadRequest("truncated headers")
+            lines += 1
+            if lines > _MAX_HEADER_LINES:
+                raise _BadRequest(
+                    f"more than {_MAX_HEADER_LINES} header lines"
+                )
             name, sep, value = raw.decode("latin-1").partition(":")
             if not sep:
                 raise _BadRequest(f"malformed header line {raw!r}")

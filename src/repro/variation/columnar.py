@@ -7,14 +7,18 @@ small objects each, hundreds of thousands across a 2000-chip population.
 :class:`ColumnarPopulationSampler` draws the *same* population into a
 handful of preallocated NumPy arrays instead:
 
-* raw standard-normal draws are consumed chip by chip from the exact
-  ``spawn(seed, f"chip-{chip_id}")`` generators the per-chip sampler
-  uses, batch by batch in the exact order
-  :meth:`CacheVariationSampler.sample` consumes them (head batch:
-  die + band offsets; then per way: way vector + segments; then the
-  scalar residual loop, whose draw count is data-dependent and therefore
-  cannot be batched) — so every chip's stream position matches the
-  reference draw for draw,
+* every chip's draws come from the exact ``spawn(seed, f"chip-{chip_id}")``
+  stream the per-chip sampler uses, in the order
+  :meth:`CacheVariationSampler.sample` takes them. That order is the
+  sampler's *draw program*: the head batch (die + band offsets), then
+  per way its segment batch followed, per band, by the residual normal,
+  the outlier-test uniform and, on a hit, the outlier-scale uniform.
+  The program is decoded for blocks of chips at once from each stream's
+  raw words (:mod:`repro.core.rng`): every word is decoded as a
+  fast-path normal, and each chip's data-dependent steps — ziggurat slow
+  paths and outlier hits, a few per chip — are found from a sparse list
+  of candidate words and shift the chip's later reads, so every value is
+  bit-identical to the reference draw for draw;
 * the clip/offset/scale arithmetic — the mirror of ``_draw_around`` /
   ``_draw_offsets`` — is then applied to the whole population at once as
   elementwise array operations, which are bit-identical to the per-chip
@@ -25,7 +29,8 @@ The result is a :class:`ColumnarPopulation`: ``(num_chips, num_ways,
 num_bands, num_params)``-shaped parameter arrays the columnar circuit
 model (:mod:`repro.circuit.columnar`) consumes directly. Bit-identity to
 the per-chip reference is asserted by ``tests/test_columnar_diff.py``
-over randomized geometries, correlation factors and seeds.
+over randomized geometries, correlation factors and seeds, and the
+decoder is held to NumPy's ``Generator`` by ``tests/test_rng_decoder.py``.
 
 ``REPRO_COLUMNAR=0`` disables the columnar fast path engine-wide (see
 :func:`columnar_enabled`); the per-chip reference path is kept for
@@ -41,7 +46,13 @@ from typing import NamedTuple, Sequence, Tuple
 import numpy as np
 
 from repro.core.errors import ConfigurationError
-from repro.core.rng import spawn
+from repro.core.rng import (
+    StreamBlock,
+    fast_normals,
+    normals_at,
+    stream_states,
+    uniforms,
+)
 from repro.variation.parameters import PARAMETER_NAMES, ProcessParameters
 from repro.variation.sampling import (
     CacheVariationMap,
@@ -53,12 +64,34 @@ from repro.variation.sampling import (
 __all__ = [
     "ColumnarPopulation",
     "ColumnarPopulationSampler",
+    "NORMAL",
     "RawDraws",
+    "TEST",
     "columnar_enabled",
+    "decode_program",
 ]
 
 _NUM_PARAMS = len(PARAMETER_NAMES)
 _NUM_PERI = len(PERIPHERAL_SEGMENTS)
+
+#: Chips decoded together. Bounds the word matrix and its temporaries
+#: (about 0.8 MB at the stock program) whatever the population size.
+#: Serve draws populations on several engine threads, each with its own
+#: allocator arena that keeps its high-water mark; 256-chip blocks
+#: (2.8 MB) raised the server's peak RSS by about 4%.
+_BLOCK = 64
+#: Words decoded per chip beyond its program length. A stock chip reads
+#: about 5 extra words on average and rarely more than 20; a block with
+#: a longer chip is decoded again over a wider window.
+_SLACK = 32
+#: Words drawn past the window, so that draws starting inside it rarely
+#: need their rows extended.
+_TAIL_WORDS = 16
+
+#: Draw-program op kinds. A candidate word's code uses the same bits: a
+#: word that starts a slow-path normal, a word whose uniform hits.
+NORMAL = 1
+TEST = 2
 
 
 def columnar_enabled() -> bool:
@@ -73,6 +106,119 @@ def columnar_enabled() -> bool:
     return os.environ.get("REPRO_COLUMNAR", "1") != "0"
 
 
+def decode_program(
+    states: Sequence[Tuple[int, int]], kinds: Sequence[int], test_prob: float
+):
+    """Run one draw program on every stream, as ``Generator`` calls would.
+
+    ``kinds[k]`` is op ``k``: :data:`NORMAL` is ``standard_normal()``;
+    :data:`TEST` is ``random() < test_prob``, followed on a hit by one
+    more ``random()``, the hit's scale. ``states`` are PCG64 states from
+    :func:`~repro.core.rng.stream_states`.
+
+    Returns ``(normals, consumed, hit_rows, hit_ops, hit_scales)``:
+    ``normals[i]`` holds stream ``i``'s normal draws in op order,
+    ``consumed[i]`` the words stream ``i`` read in all, and every hit
+    is a (stream, op, scale) triple.
+    """
+    kinds = np.asarray(kinds, dtype=np.uint8)
+    window = kinds.size + _SLACK
+    while True:
+        block = StreamBlock(states, window + _TAIL_WORDS)
+        walked = _walk(block, window, kinds, test_prob)
+        if walked is not None:
+            return walked
+        window *= 2
+
+
+def _walk(block: StreamBlock, window: int, kinds: np.ndarray, test_prob):
+    """:func:`decode_program` over each stream's first ``window`` words.
+
+    Every word is decoded once as a fast-path normal; every word that
+    starts a slow-path normal is decoded as a whole draw, and every word
+    some test op can reach is tested. Without events, op ``k`` reads word
+    ``k``. An event is a normal op whose word starts a slow-path draw (it
+    reads ``extra`` more words) or a test op that hits (its scale draw
+    reads one more). Events are rare and arrive in word order, so each
+    stream walks its sorted list of candidate words once, keeping its
+    shift: a candidate is an event when the op that reads it at that
+    shift has the candidate's kind. Returns ``None`` if some stream reads
+    past the window.
+    """
+    num_ops = kinds.size
+    normal_ops = np.flatnonzero(kinds == NORMAL).astype(np.int32)
+    test_ops = np.flatnonzero(kinds == TEST)
+    words = block.words[:, :window]
+    count = words.shape[0]
+    values, slow = fast_normals(words)
+    code = slow.view(np.uint8)
+    if test_ops.size:
+        # Test op k reads a word in [k, k + window - num_ops].
+        reach = np.zeros(window + 1, dtype=np.int32)
+        np.add.at(reach, test_ops, 1)
+        np.add.at(reach, test_ops + (window - num_ops + 1), -1)
+        hit = uniforms(words) < test_prob
+        hit &= np.cumsum(reach[:window]) > 0
+        code = code + (hit.view(np.uint8) << 1)
+    del words, slow
+
+    flat = np.flatnonzero(code)
+    codes = code.ravel()[flat]
+    del code
+    rows, cols = np.divmod(flat, window)
+    starts = np.searchsorted(rows, np.arange(count + 1)).tolist()
+    extra = np.zeros(flat.size, dtype=np.intp)
+    slow_at = np.flatnonzero(codes & NORMAL)
+    drawn, end = normals_at(block, rows[slow_at], cols[slow_at])
+    values.ravel()[flat[slow_at]] = drawn
+    extra[slow_at] = end - cols[slow_at] - 1
+    del flat, rows, slow_at, drawn, end
+
+    op_kinds = kinds.tolist()
+    cols, codes, extra = cols.tolist(), codes.tolist(), extra.tolist()
+    event_rows, event_ops, event_steps, hits = [], [], [], []
+    consumed = []
+    for row in range(count):
+        shift = 0
+        next_op = 0
+        for i in range(starts[row], starts[row + 1]):
+            op = cols[i] - shift
+            if op < next_op:
+                continue
+            if op >= num_ops:
+                break
+            kind = op_kinds[op]
+            if kind & codes[i]:
+                if kind == NORMAL:
+                    added = extra[i]
+                else:
+                    added = 1
+                    hits.append((row, op, cols[i] + 1))
+                event_rows.append(row)
+                event_ops.append(op + 1)
+                event_steps.append(added)
+                shift += added
+                next_op = op + 1
+        consumed.append(num_ops + shift)
+    if max(consumed, default=0) > window:
+        return None
+
+    # Every normal op's word: its index plus the extra words of the
+    # events before it.
+    offset = np.zeros((count, num_ops + 1), dtype=np.int32)
+    offset[event_rows, event_ops] = event_steps
+    np.cumsum(offset, axis=1, out=offset)
+    read = offset[:, normal_ops]
+    read += normal_ops
+    read += (np.arange(count, dtype=np.int32) * window)[:, None]
+    normals = values.ravel().take(read)
+    hit_rows, hit_ops, scale_at = np.array(
+        hits, dtype=np.intp
+    ).reshape(-1, 3).T
+    hit_scales = uniforms(block.words[hit_rows, scale_at])
+    return normals, np.array(consumed), hit_rows, hit_ops, hit_scales
+
+
 class RawDraws(NamedTuple):
     """Preallocated standard-normal/residual buffers for one population.
 
@@ -80,8 +226,8 @@ class RawDraws(NamedTuple):
     per-way batches (way vector slot first, then the peripheral/band
     segment slots; slots a zero correlation factor never draws stay
     zero, which the finalize arithmetic multiplies by a zero scale), and
-    ``residuals`` the per-(way, band) delay residuals — drawn scalar
-    because their outlier draw is conditional on the preceding uniform.
+    ``residuals`` the per-(way, band) delay residuals: the lognormal
+    core times, on an outlier hit, the outlier scale.
     """
 
     head_z: np.ndarray  # (C, head_n)
@@ -198,6 +344,46 @@ class ColumnarPopulationSampler:
         self._draw_residuals = (
             sampler.path_residual_sigma > 0 or sampler.outlier_band_prob > 0
         )
+        self._build_program()
+
+    def _build_program(self) -> None:
+        """Lay out one chip's draw program for :func:`decode_program`.
+
+        Normals land in one ``(C, normals)`` matrix in op order:
+        ``_way_src``/``_way_dst`` map its columns into ``way_z`` rows and
+        ``_residual_src`` picks the residual normals; ``_cell`` maps a
+        test op to its flat (way, band) residual cell.
+        """
+        sampler = self.sampler
+        kinds = [NORMAL] * self._head_n
+        way_src, way_dst, residual_ops, cells = [], [], [], []
+        row_n = _NUM_PARAMS + self._rest_n
+        for way in range(self.num_ways):
+            count = self._way_counts[way]
+            dst = way * row_n + self._way_starts[way]
+            way_src.extend(range(len(kinds), len(kinds) + count))
+            way_dst.extend(range(dst, dst + count))
+            kinds.extend([NORMAL] * count)
+            if not self._draw_residuals:
+                continue
+            for band in range(self.num_bands):
+                if sampler.path_residual_sigma > 0:
+                    residual_ops.append(len(kinds))
+                    kinds.append(NORMAL)
+                if sampler.outlier_band_prob > 0:
+                    cells.append((len(kinds), way * self.num_bands + band))
+                    kinds.append(TEST)
+        kind = np.array(kinds, dtype=np.uint8)
+        # Column of each normal op in the normals matrix.
+        slot = np.cumsum(kind == NORMAL) - 1
+        cell = np.full(kind.size, -1, dtype=np.intp)
+        for op, flat in cells:
+            cell[op] = flat
+        self._op_kind = kind
+        self._cell = cell
+        self._way_src = slot[way_src]
+        self._way_dst = np.array(way_dst, dtype=np.intp)
+        self._residual_src = slot[residual_ops]
 
     @property
     def supported(self) -> bool:
@@ -206,7 +392,7 @@ class ColumnarPopulationSampler:
         return self.sampler._vectorised
 
     # ------------------------------------------------------------------
-    # per-chip stream consumption
+    # stream decoding
     # ------------------------------------------------------------------
     def allocate(self, num_chips: int) -> RawDraws:
         """Preallocate the draw buffers for ``num_chips`` chips."""
@@ -221,51 +407,49 @@ class ColumnarPopulationSampler:
             ),
         )
 
-    def draw_chip(
-        self, rng: np.random.Generator, index: int, raw: RawDraws
-    ) -> None:
-        """Consume one chip's draws from ``rng`` into row ``index``.
+    def draw(self, seed: int, labels: Sequence[str]) -> RawDraws:
+        """Run the draw program on ``spawn(seed, label)`` for each label.
 
-        The consumption order is the contract: head batch, then per way
-        a segment batch followed by the residual loop — exactly the
-        batches :meth:`CacheVariationSampler.sample` takes, so both
-        samplers leave ``rng`` at the same stream position (locked by
-        the stream-identity regression test).
+        Row ``i`` of the result holds exactly what
+        :meth:`CacheVariationSampler.sample` draws from
+        ``spawn(seed, labels[i])``. Chips are decoded in fixed blocks;
+        a chip's values depend only on its ``(seed, label)``.
         """
-        standard_normal = rng.standard_normal
-        if self._head_n:
-            standard_normal(self._head_n, out=raw.head_z[index])
+        raw = self.allocate(len(labels))
+        for lo in range(0, len(labels), _BLOCK):
+            states = stream_states(seed, labels[lo : lo + _BLOCK])
+            self._draw_block(states, raw, lo)
+        return raw
+
+    def _draw_block(self, states, raw: RawDraws, lo: int) -> None:
+        """Decode one block of chips into rows ``lo:lo + len(states)``."""
         sampler = self.sampler
-        sigma = sampler.path_residual_sigma
-        prob = sampler.outlier_band_prob
-        mean = sampler._residual_mean
+        z, _, hit_rows, hit_ops, hit_scales = decode_program(
+            states, self._op_kind, sampler.outlier_band_prob
+        )
+        count = len(states)
+        hi = lo + count
+        raw.head_z[lo:hi] = z[:, : self._head_n]
+        raw.way_z[lo:hi].reshape(count, -1)[:, self._way_dst] = z[
+            :, self._way_src
+        ]
+        if not self._draw_residuals:
+            return
+        cells = raw.residuals[lo:hi].reshape(count, -1)
+        if sampler.path_residual_sigma > 0:
+            # lognormal(mean, sigma) is exp(mean + sigma * z), libm exp.
+            exponent = (
+                sampler._residual_mean
+                + sampler.path_residual_sigma * z[:, self._residual_src]
+            )
+            cells[:] = np.fromiter(
+                map(math.exp, exponent.ravel().tolist()),
+                dtype=np.float64,
+                count=exponent.size,
+            ).reshape(exponent.shape)
+        # uniform(low, high) is low + (high - low) * random().
         low, high = sampler.outlier_scale_range
-        span = high - low
-        # Same stream, same bits, faster scalar calls: Generator.lognormal
-        # is exp(mean + sigma * standard_normal()) and Generator.uniform
-        # is low + (high - low) * random() — the verbatim C definitions —
-        # so the cheap primitives reproduce the reference's draws exactly
-        # (locked by the stream-identity and differential tests).
-        random = rng.random
-        exp = math.exp
-        num_bands = self.num_bands
-        draw_residuals = self._draw_residuals
-        chip_z = raw.way_z[index]
-        chip_residuals = raw.residuals[index]
-        for way in range(self.num_ways):
-            count = self._way_counts[way]
-            if count:
-                start = self._way_starts[way]
-                standard_normal(count, out=chip_z[way, start : start + count])
-            if draw_residuals:
-                row = chip_residuals[way]
-                for band in range(num_bands):
-                    value = 1.0
-                    if sigma > 0:
-                        value = exp(mean + sigma * standard_normal())
-                    if prob > 0 and random() < prob:
-                        value *= low + span * random()
-                    row[band] = value
+        cells[hit_rows, self._cell[hit_ops]] *= low + (high - low) * hit_scales
 
     # ------------------------------------------------------------------
     # whole-population arithmetic
@@ -348,7 +532,7 @@ class ColumnarPopulationSampler:
     ) -> ColumnarPopulation:
         """Draw the chips ``chip_ids`` of experiment ``seed`` as columns.
 
-        Each chip's generator is ``spawn(seed, f"chip-{chip_id}")`` —
+        Each chip's stream is ``spawn(seed, f"chip-{chip_id}")`` —
         the per-chip sampler's spawn discipline — so any subset of ids,
         in any order, reproduces exactly the chips the reference would
         draw.
@@ -358,9 +542,7 @@ class ColumnarPopulationSampler:
                 "columnar sampling requires a table with positive sigmas "
                 "(the reference falls back to scalar draws)"
             )
-        raw = self.allocate(len(chip_ids))
-        for index, chip_id in enumerate(chip_ids):
-            self.draw_chip(spawn(seed, f"chip-{chip_id}"), index, raw)
+        raw = self.draw(seed, [f"chip-{chip_id}" for chip_id in chip_ids])
         return self.finalize(chip_ids, raw)
 
     def sample_range(

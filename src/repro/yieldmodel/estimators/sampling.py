@@ -9,7 +9,9 @@ architectures, and returns their circuit columns plus the transformed
 die-slot z values the parent needs for exact likelihood ratios.
 
 Determinism contract: chip ``i`` of stream ``tag`` always draws from
-``spawn(seed, f"{tag}-{i}")``, and both transforms are elementwise —
+``spawn(seed, f"{tag}-{i}")`` (decoded with the rest of the shard by
+:meth:`ColumnarPopulationSampler.draw`), and both transforms are
+elementwise —
 so any sharding of an id range concatenates bit-identically, at any
 worker count. The ``"chip"`` tag reproduces exactly the chips of the
 reference fixed-N population (the per-chip sampler's own spawn keys),
@@ -34,7 +36,6 @@ from repro.circuit.columnar import CircuitColumns, evaluate_population_pair
 from repro.circuit.organization import PAPER_ORGANIZATION
 from repro.circuit.technology import TECH45
 from repro.core.errors import ConfigurationError
-from repro.core.rng import spawn
 from repro.variation.columnar import ColumnarPopulationSampler, columnar_enabled
 from repro.variation.parameters import PARAMETER_NAMES
 from repro.variation.sampling import CacheVariationSampler
@@ -100,9 +101,8 @@ def sample_shard(
             "die-level variation (inter_die factor > 0)"
         )
     count = stop - start
-    raw = columnar.allocate(count)
-    for index, chip_id in enumerate(range(start, stop)):
-        columnar.draw_chip(spawn(seed, f"{tag}-{chip_id}"), index, raw)
+    labels = [f"{tag}-{chip_id}" for chip_id in range(start, stop)]
+    raw = columnar.draw(seed, labels)
     die_z = raw.head_z[:, :NUM_DIE_PARAMS]
     if stratum is not None:
         _apply_stratum(die_z, stratum[0], stratum[1])

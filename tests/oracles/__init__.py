@@ -6,8 +6,10 @@ replaced with one fused kernel: ``pipeline.py`` (the stage-method
 dataclass-per-access cache hierarchy) and ``replacement.py`` (the
 per-set LRU policy object). Only their imports differ from the originals,
 so that each oracle module uses its oracle siblings. ``classify.py`` is
-the per-chip classification before its leakage facts were cached. They
-are never imported by ``src/``; their job is to pin every statistic the
+the per-chip classification before its leakage facts were cached, and
+``columnar.py`` the columnar sampler's per-chip ``Generator`` draws
+before populations were decoded from raw stream words. They are never
+imported by ``src/``; their job is to pin every statistic the
 production code reports, bit for bit.
 """
 

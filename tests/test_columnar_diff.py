@@ -11,9 +11,11 @@ run the full :class:`YieldStudy` with ``REPRO_COLUMNAR`` on and off and
 assert equal yield breakdowns, loss-reason censuses, scatter outputs and
 byte-identical store payloads.
 
-A final regression class locks the RNG stream contract: both samplers
-must consume a chip's generator draw for draw, leaving it at the same
-stream position.
+A final regression class locks the RNG stream contract: the columnar
+decoder must read exactly as many words of a chip's stream as the
+reference sampler's generator consumes, and the estimator layer's
+``sample_shard`` (``{tag}-{chip_id}`` streams) must draw exactly what
+the per-chip oracle in ``tests/oracles/columnar.py`` draws.
 """
 
 from __future__ import annotations
@@ -28,9 +30,13 @@ from repro.circuit.cache_model import CacheCircuitModel
 from repro.circuit.columnar import evaluate_population_pair
 from repro.circuit.organization import CacheOrganization
 from repro.core.errors import ConfigurationError
-from repro.core.rng import spawn
+from repro.core.rng import spawn, stream_states
 from repro.engine.codec import encode_population
-from repro.variation.columnar import ColumnarPopulationSampler, columnar_enabled
+from repro.variation.columnar import (
+    ColumnarPopulationSampler,
+    columnar_enabled,
+    decode_program,
+)
 from repro.variation.sampling import CacheVariationSampler
 from repro.variation.spatial import CorrelationFactors, MeshLayout
 from repro.yieldmodel.analysis import (
@@ -40,6 +46,9 @@ from repro.yieldmodel.analysis import (
 )
 from repro.yieldmodel.classify import ChipCase, ChipColumns, config_key
 from repro.yieldmodel.constraints import NOMINAL_POLICY
+from repro.yieldmodel.estimators.sampling import sample_shard
+
+from oracles.columnar import draw as oracle_draw
 
 #: Meshes and the way counts placed on them: every relation to way 0
 #: (origin / horizontal / vertical / diagonal) occurs, plus degenerate
@@ -397,26 +406,40 @@ class TestStudyDifferential:
 
 
 class TestStreamIdentity:
-    """Both samplers must consume a chip's generator draw for draw."""
+    """The decoder reads each chip's stream exactly as far as the
+    reference sampler's generator does."""
 
     @pytest.mark.parametrize(
         "sampler,seed,chip_ids", [_CASES[i] for i in (0, 17, 42, 85, 133)]
     )
     def test_rng_left_at_same_position(self, sampler, seed, chip_ids):
         columnar = _columns_for(sampler)
-        raw = columnar.allocate(1)
-        reference_rng = spawn(seed, f"chip-{chip_ids[0]}")
-        columnar_rng = spawn(seed, f"chip-{chip_ids[0]}")
-        sampler.sample(reference_rng, chip_id=chip_ids[0])
-        columnar.draw_chip(columnar_rng, 0, raw)
-        # If either sampler consumed one draw more or fewer — or drew
-        # through a different generator method — the continuation
-        # streams diverge immediately.
-        assert (
-            reference_rng.standard_normal(16).tolist()
-            == columnar_rng.standard_normal(16).tolist()
+        labels = [f"chip-{chip_id}" for chip_id in chip_ids]
+        _, words_read, _, _, _ = decode_program(
+            stream_states(seed, labels),
+            columnar._op_kind,
+            sampler.outlier_band_prob,
         )
-        assert reference_rng.random(8).tolist() == columnar_rng.random(8).tolist()
+        for chip_id, label, consumed in zip(
+            chip_ids, labels, words_read.tolist()
+        ):
+            reference_rng = spawn(seed, label)
+            sampler.sample(reference_rng, chip_id=chip_id)
+            # A word more or fewer leaves a different PCG64 state.
+            advanced = spawn(seed, label).bit_generator
+            advanced.advance(consumed)
+            assert advanced.state == reference_rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "sampler,seed,chip_ids", [_CASES[i] for i in range(0, 150, 10)]
+    )
+    def test_raw_draws_match_oracle(self, sampler, seed, chip_ids):
+        columnar = _columns_for(sampler)
+        labels = [f"chip-{chip_id}" for chip_id in chip_ids]
+        got = columnar.draw(seed, labels)
+        want = oracle_draw(columnar, seed, labels)
+        for name in ("head_z", "way_z", "residuals"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
     def test_reference_and_fused_sampler_agree(self):
         """The fused sampler and its scalar oracle consume identically
@@ -426,3 +449,30 @@ class TestStreamIdentity:
         b = spawn(5, "chip-0")
         assert sampler.sample(a) == sampler.sample_reference(b)
         assert a.standard_normal(8).tolist() == b.standard_normal(8).tolist()
+
+
+class TestShardDifferential:
+    """``sample_shard`` decodes its ``{tag}-{chip_id}`` streams exactly
+    as the per-chip oracle draws them, before and after its stratum and
+    shift transforms."""
+
+    @pytest.mark.parametrize(
+        "tag,start,stop,shift,stratum",
+        [
+            ("chip", 0, 16, None, None),
+            ("pilot", 5, 29, None, (2, 5)),
+            ("is", 40, 57, (0.5, -0.3, 0.2, 1.0, 0.0), None),
+            ("strat-3", 3, 20, (0.1, 0.0, -0.4, 0.0, 0.3), (0, 4)),
+        ],
+    )
+    def test_shard_matches_oracle_draws(
+        self, monkeypatch, tag, start, stop, shift, stratum
+    ):
+        got = sample_shard(2006, tag, start, stop, shift, stratum)
+        monkeypatch.setattr(ColumnarPopulationSampler, "draw", oracle_draw)
+        want = sample_shard(2006, tag, start, stop, shift, stratum)
+        assert got[2] == want[2]
+        for got_cols, want_cols in zip(got[:2], want[:2]):
+            assert got_cols.chip_ids == want_cols.chip_ids
+            for index in range(stop - start):
+                assert got_cols.circuit(index) == want_cols.circuit(index)

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from repro.core import units
 from repro.core.errors import ConfigurationError
-from repro.core.rng import RandomSource, derive_seed, spawn
+from repro.core.rng import derive_seed, spawn
 from repro.core.validation import (
     require_divides,
     require_in_range,
@@ -69,32 +69,6 @@ class TestDeriveSeed:
         a = spawn(7, "chip-3").normal(size=5)
         b = spawn(7, "chip-4").normal(size=5)
         assert not np.array_equal(a, b)
-
-
-class TestRandomSource:
-    def test_child_reproducible(self):
-        a = RandomSource(5).child("sub").normal(0, 1)
-        b = RandomSource(5).child("sub").normal(0, 1)
-        assert a == b
-
-    def test_children_differ(self):
-        root = RandomSource(5)
-        assert root.child("a").seed != root.child("b").seed
-
-    def test_labels_compose(self):
-        assert RandomSource(5).child("a").label == "root/a"
-
-    def test_uniform_bounds(self):
-        source = RandomSource(11)
-        for _ in range(100):
-            value = source.uniform(2.0, 3.0)
-            assert 2.0 <= value <= 3.0
-
-    def test_integers_bounds(self):
-        source = RandomSource(11)
-        values = {source.integers(0, 4) for _ in range(200)}
-        assert values <= {0, 1, 2, 3}
-        assert len(values) > 1
 
 
 class TestValidation:

@@ -13,7 +13,10 @@ asserted here:
 * overload yields clean 429/503 responses, never a crashed server;
 * progress streams deliver accepted → progress → result;
 * SIGTERM on a live ``repro serve`` process drains in-flight work
-  before exiting 0.
+  before exiting 0;
+* a client that trickles its headers or stalls its body loses the
+  connection within ``keepalive_timeout``, and more than 100 header
+  lines are refused with 400.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -624,3 +628,132 @@ def test_burst_exposes_consistent_prometheus_metrics(tmp_path):
     finally:
         thread.stop()
         engine.shutdown()
+
+
+# ----------------------------------------------------------------------
+# slow and oversized clients
+# ----------------------------------------------------------------------
+#: Keep-alive timeout of the slow-client server: short, so that a
+#: trickling client is cut off quickly.
+_SLOW_TIMEOUT = 0.5
+#: Longest any slow-client test waits for the server; far above
+#: _SLOW_TIMEOUT, so that a server that never times out fails the test
+#: instead of hanging it.
+_GIVE_UP = 4.0
+
+
+@pytest.fixture(scope="module")
+def strict(tmp_path_factory):
+    engine = Engine(
+        EngineConfig(workers=1, cache_dir=tmp_path_factory.mktemp("strict"))
+    )
+    thread = ServerThread(
+        engine, ServeConfig(port=0, keepalive_timeout=_SLOW_TIMEOUT)
+    )
+    host, port = thread.start()
+    yield host, port
+    thread.stop()
+    engine.shutdown()
+
+
+def _closed_by_server(sock: socket.socket) -> bool:
+    """True once the server has closed its end (reads hit EOF)."""
+    sock.settimeout(0.05)
+    try:
+        return sock.recv(1024) == b""
+    except socket.timeout:
+        return False
+    except ConnectionError:
+        return True
+
+
+def _read_response(sock: socket.socket) -> bytes:
+    sock.settimeout(_GIVE_UP)
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(4096)
+        if not chunk:
+            break
+        data += chunk
+    return data
+
+
+def test_trickled_headers_are_cut_off(strict):
+    host, port = strict
+    with socket.create_connection((host, port), timeout=_GIVE_UP) as sock:
+        start = time.monotonic()
+        sock.sendall(b"GET /healthz HTTP/1.1\r\n")
+        closed = False
+        line = 0
+        while time.monotonic() - start < _GIVE_UP:
+            try:
+                sock.sendall(f"x-trickle-{line % 50}: 1\r\n".encode())
+            except ConnectionError:
+                closed = True
+                break
+            line += 1
+            if _closed_by_server(sock):
+                closed = True
+                break
+        elapsed = time.monotonic() - start
+    assert closed, "server kept a trickling client past its timeout"
+    assert elapsed < _SLOW_TIMEOUT + 1.5
+
+
+def test_stalled_body_is_cut_off(strict):
+    host, port = strict
+    with socket.create_connection((host, port), timeout=_GIVE_UP) as sock:
+        start = time.monotonic()
+        sock.sendall(
+            b"POST /v1/population HTTP/1.1\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: 100\r\n\r\n"
+            b'{"seed": 1'
+        )
+        sock.settimeout(_GIVE_UP)
+        try:
+            data = sock.recv(4096)
+        except socket.timeout:
+            data = None
+        except ConnectionError:
+            data = b""
+        elapsed = time.monotonic() - start
+    assert data == b"", "server waited on a stalled body past its timeout"
+    assert elapsed < _SLOW_TIMEOUT + 1.5
+
+
+@pytest.mark.parametrize("count,status", [(100, b"200"), (101, b"400")])
+def test_header_line_limit(strict, count, status):
+    host, port = strict
+    headers = "".join(f"x-h{i}: {i}\r\n" for i in range(count))
+    request = f"GET /healthz HTTP/1.1\r\n{headers}\r\n".encode()
+    with socket.create_connection((host, port), timeout=_GIVE_UP) as sock:
+        sock.sendall(request)
+        response = _read_response(sock)
+    assert response.split(b" ", 2)[1] == status, response[:200]
+
+
+def test_keep_alive_sequence_unaffected(strict):
+    host, port = strict
+    conn = http.client.HTTPConnection(host, port, timeout=_GIVE_UP)
+    try:
+        for _ in range(5):
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            assert response.status == 200
+            json.loads(response.read())
+            sock = conn.sock
+            # Idle for less than the timeout between requests: the
+            # same connection serves the next one.
+            time.sleep(_SLOW_TIMEOUT / 5)
+            assert conn.sock is sock
+        body = json.dumps({"seed": 3, "chips": 16}).encode()
+        conn.request(
+            "POST", "/v1/population", body=body,
+            headers={"Content-Type": "application/json"},
+        )
+        response = conn.getresponse()
+        assert response.status == 200
+        assert json.loads(response.read())["population"] == 16
+    finally:
+        conn.close()
