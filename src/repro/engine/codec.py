@@ -1,19 +1,28 @@
 """JSON codecs for the persistent result store.
 
-Encodes the two expensive result types — an evaluated
-:class:`~repro.yieldmodel.analysis.PopulationResult` and one pipeline
-:class:`~repro.uarch.simulator.SimResult` — to plain-JSON payloads and
-back. Floats survive exactly (``json`` emits ``repr`` shortest-round-trip
-floats), so a result decoded from disk is bit-identical to the freshly
-computed one; the determinism tests rely on this.
+Encodes the expensive result types — an evaluated
+:class:`~repro.yieldmodel.analysis.PopulationResult`, one pipeline
+:class:`~repro.uarch.simulator.SimResult` and a yield estimate — to
+JSON payloads and back, exactly: a result decoded from disk is
+bit-identical to the freshly computed one, which the determinism tests
+rely on. Simulation and estimate floats are plain JSON numbers
+(``json`` writes shortest round-trip ``repr``). A population's circuit
+columns are stored as base64 text of their little-endian float64 bytes
+(``<f8``, C order), so NaN, infinities, ``-0.0`` and subnormals survive
+byte for byte on any host, and neither direction builds per-chip
+objects.
 """
 
 from __future__ import annotations
 
+import base64
+import math
 from typing import Dict, List, Optional, Tuple
 
-from repro.circuit.cache_model import CacheCircuitResult, WayCircuitResult
+import numpy as np
+
 from repro.circuit.columnar import CircuitColumns
+from repro.core.errors import ConfigurationError
 from repro.uarch.simulator import SimResult
 from repro.yieldmodel.analysis import PopulationResult
 from repro.yieldmodel.constraints import ConstraintPolicy, YieldConstraints
@@ -28,6 +37,12 @@ __all__ = [
     "policy_identity",
 ]
 
+#: Byte order and width of a stored circuit column, whatever the host's.
+_STORED = np.dtype("<f8")
+
+#: The stored circuit columns, in :class:`CircuitColumns` argument order.
+_COLUMNS = ("band_delays", "band_leakage", "peripheral_leakage")
+
 
 def policy_identity(policy: ConstraintPolicy) -> Dict[str, object]:
     """The parameters of a constraint policy, for cache keys."""
@@ -41,63 +56,67 @@ def policy_identity(policy: ConstraintPolicy) -> Dict[str, object]:
 # ----------------------------------------------------------------------
 # populations
 # ----------------------------------------------------------------------
-def _encode_columns(columns: CircuitColumns) -> list:
-    """One architecture's columns as the per-chip JSON list."""
-    ways = range(columns.num_ways)
-    return [
-        {"chip_id": chip_id, "hyapd": columns.hyapd, "ways": [
-            {
-                "way": way,
-                "band_delays": delays[way],
-                "band_leakage": leakage[way],
-                "peripheral_leakage": peripheral[way],
-            }
-            for way in ways
-        ]}
-        for chip_id, delays, leakage, peripheral in zip(
-            columns.chip_ids,
-            columns.band_delays.tolist(),
-            columns.band_leakage.tolist(),
-            columns.peripheral_leakage.tolist(),
-        )
-    ]
+def _encode_columns(columns: CircuitColumns) -> Dict[str, str]:
+    """One architecture's circuit columns as base64 ``<f8`` text."""
+    return {
+        name: base64.b64encode(
+            getattr(columns, name).astype(_STORED, copy=False).tobytes()
+        ).decode("ascii")
+        for name in _COLUMNS
+    }
 
 
-def _decode_circuit(data: dict) -> CacheCircuitResult:
-    return CacheCircuitResult(
-        chip_id=int(data["chip_id"]),
-        hyapd=bool(data["hyapd"]),
-        ways=tuple(
-            WayCircuitResult(
-                way=int(way["way"]),
-                band_delays=tuple(way["band_delays"]),
-                band_leakage=tuple(way["band_leakage"]),
-                peripheral_leakage=way["peripheral_leakage"],
+def _decode_columns(
+    data: dict, chip_ids: List[int], ways: int, bands: int, hyapd: bool
+) -> CircuitColumns:
+    """One architecture's stored columns, read in place (no copy on a
+    little-endian host)."""
+    arrays = []
+    for name in _COLUMNS:
+        try:
+            raw = base64.b64decode(data[name], validate=True)
+        except (KeyError, TypeError, ValueError):  # binascii.Error included
+            raise ConfigurationError(
+                f"{name} is missing or not base64"
+            ) from None
+        shape = (len(chip_ids), ways, bands)[
+            : 2 if name == "peripheral_leakage" else 3
+        ]
+        if len(raw) != _STORED.itemsize * math.prod(shape):
+            raise ConfigurationError(
+                f"{name} holds {len(raw)} bytes, not {shape} float64s"
             )
-            for way in data["ways"]
-        ),
-    )
+        arrays.append(
+            np.frombuffer(raw, _STORED).astype(float, copy=False)
+            .reshape(shape)
+        )
+    return CircuitColumns(chip_ids, *arrays, hyapd=hyapd)
 
 
 def encode_population(result: PopulationResult) -> dict:
-    """Flatten a population result (both architectures) to JSON."""
+    """A population result (both architectures) as a JSON payload."""
     return {
         "policy": policy_identity(result.policy),
         "constraints": {
             "delay_limit": result.constraints.delay_limit,
             "leakage_limit": result.constraints.leakage_limit,
         },
-        "cases": _encode_columns(result.regular),
-        "h_cases": _encode_columns(result.horizontal),
+        "chip_ids": list(result.regular.chip_ids),
+        "ways": result.regular.num_ways,
+        "bands": result.regular.num_bands,
+        "regular": _encode_columns(result.regular),
+        "horizontal": _encode_columns(result.horizontal),
     }
 
 
 def decode_population(payload: dict) -> PopulationResult:
     """Rebuild a population result from a stored payload.
 
-    A ragged payload — one no rectangular population encodes to — is
-    refused with :class:`ConfigurationError`, which the engine treats
-    as a damaged store entry and recomputes.
+    A damaged payload — a missing column, text that is not base64, a
+    column whose bytes do not fit the counts, ways or bands that are
+    not counts, chip ids that are not a list of integers — is refused
+    with :class:`ConfigurationError`, which the engine treats as a
+    damaged store entry and recomputes.
     """
     constraints = YieldConstraints(
         delay_limit=payload["constraints"]["delay_limit"],
@@ -108,13 +127,21 @@ def decode_population(payload: dict) -> PopulationResult:
         delay_sigma_multiple=payload["policy"]["delay_sigma_multiple"],
         leakage_mean_multiple=payload["policy"]["leakage_mean_multiple"],
     )
+    chip_ids = payload.get("chip_ids")
+    if not isinstance(chip_ids, list) or any(
+        type(chip_id) is not int for chip_id in chip_ids
+    ):
+        raise ConfigurationError("chip_ids must be a list of integers")
+    ways, bands = payload.get("ways"), payload.get("bands")
+    if any(type(count) is not int or count < 0 for count in (ways, bands)):
+        raise ConfigurationError("ways and bands must be counts")
     return PopulationResult(
         constraints=constraints,
-        regular=CircuitColumns.from_circuits(
-            [_decode_circuit(data) for data in payload["cases"]]
+        regular=_decode_columns(
+            payload.get("regular"), chip_ids, ways, bands, False
         ),
-        horizontal=CircuitColumns.from_circuits(
-            [_decode_circuit(data) for data in payload["h_cases"]]
+        horizontal=_decode_columns(
+            payload.get("horizontal"), chip_ids, ways, bands, True
         ),
         policy=policy,
     )

@@ -1,16 +1,19 @@
 """Content-addressed persistent result store.
 
 Every expensive result (an evaluated Monte Carlo population, one pipeline
-simulation) is stored as one JSON file under ``<root>/<kind>/<key>.json``,
-where ``key`` is the SHA-256 of a canonical JSON encoding of the job's
-full identity (schema version, kind, and every parameter that influences
-the result). Properties:
+simulation, a yield estimate) is stored as one JSON file under
+``<root>/<kind>/<key>.json``, where ``key`` is the SHA-256 of a canonical
+JSON encoding of the job's full identity (schema version, kind, and every
+parameter that influences the result). The payload is what
+:mod:`repro.engine.codec` encodes; a population's circuit columns are
+base64 text of their little-endian float64 bytes. Properties:
 
 * **Content addressing** — identical work always lands on the same file,
   across processes and machines; a parameter change produces a new key.
 * **Versioned schema** — the schema version participates in the key and
   is re-checked on load, so upgrading the on-disk format silently
-  invalidates old entries instead of misreading them.
+  invalidates old entries instead of misreading them. Each is recomputed
+  once; the orphaned files age out under the cap.
 * **Corruption tolerance** — a truncated, garbled, or wrong-version entry
   is discarded (and unlinked) on load and simply recomputed; a broken
   cache can never fail an experiment.
@@ -28,25 +31,15 @@ import pathlib
 import tempfile
 import threading
 import time
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["ResultStore", "SCHEMA_VERSION", "canonical_json"]
 
-#: Bump when the payload encoding of any kind changes incompatibly.
-SCHEMA_VERSION = 1
-
-#: Container levels :func:`_json_pieces` opens before encoding a value in
-#: one piece: the wrapper, the payload, and the payload's top-level values,
-#: such as a population's ``cases`` list.
-_STREAM_DEPTH = 3
-
-#: List items per piece: one ``json.dumps`` per run of items keeps the
-#: per-call cost off small items and each piece small (64 chips ~ 70 kB).
-_RUN = 64
-
-_SEPARATORS = (",", ":")
+#: Bump when the payload encoding of any kind changes incompatibly
+#: (2: population columns as base64 ``<f8`` text).
+SCHEMA_VERSION = 2
 
 #: A rescan past the cap evicts down to this fraction of it, so a store
 #: at its budget does not rescan on every save.
@@ -63,44 +56,16 @@ def canonical_json(value: object) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-def _json_pieces(value: object, depth: int) -> Iterator[str]:
-    """Compact JSON text of ``value`` in pieces, C-encoded.
-
-    The pieces join to exactly ``json.dumps(value, separators=(",", ":"))``.
-    ``json.dump`` would write the same bytes through the pure-Python
-    encoder; one ``json.dumps`` of a whole population holds its full
-    text in memory. Within ``depth`` container levels a dict yields one
-    piece per key and a list one piece per run of :data:`_RUN` items,
-    the run's encoding with its brackets cut off. A dict with a
-    non-``str`` key is encoded whole, since ``json`` renders such keys
-    as strings that a bare ``json.dumps(key)`` would not.
-    """
-    if depth > 0 and isinstance(value, dict) and all(
-        isinstance(key, str) for key in value
-    ):
-        yield "{"
-        for index, (key, item) in enumerate(value.items()):
-            yield ("," if index else "") + json.dumps(key) + ":"
-            yield from _json_pieces(item, depth - 1)
-        yield "}"
-    elif depth > 0 and isinstance(value, (list, tuple)):
-        yield "["
-        for start in range(0, len(value), _RUN):
-            run = json.dumps(value[start:start + _RUN], separators=_SEPARATORS)
-            yield ("," if start else "") + run[1:-1]
-        yield "]"
-    else:
-        yield json.dumps(value, separators=_SEPARATORS)
-
-
 class ResultStore:
     """On-disk JSON store with content-addressed keys and an LRU cap.
 
     A save writes the entry to a ``.tmp-*`` file in the entry's directory
     and moves it into place with ``os.replace``, so a reader sees the old
-    entry, the new one or none, never a partial one. The text is streamed in
-    small C-encoded pieces (:func:`_json_pieces`) and is byte-equal to
-    ``json.dump(wrapper, handle, separators=(",", ":"))``.
+    entry, the new one or none, never a partial one. The text is one
+    C-encoded ``json.dumps`` of the wrapper, byte-equal to
+    ``json.dump(wrapper, handle, separators=(",", ":"))``; no payload
+    holds a large list (populations store their columns as base64
+    text), so one string per entry stays small.
 
     With a cap, the process scans the store once, at its first save, and
     then adds each save's bytes to a running total (under a lock, since
@@ -218,8 +183,7 @@ class ResultStore:
             )
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    for piece in _json_pieces(wrapper, _STREAM_DEPTH):
-                        handle.write(piece)
+                    handle.write(json.dumps(wrapper, separators=(",", ":")))
                 written = os.path.getsize(tmp)
                 os.replace(tmp, path)
             finally:

@@ -179,6 +179,25 @@ def _prepare_store_10k(engine):
     return _store_roundtrip(store, tmp.cleanup)
 
 
+def _prepare_population_store(engine):
+    """A 2000-chip population's store round trip: encode and save it,
+    then load and decode it."""
+    from repro.engine.codec import decode_population, encode_population
+    from repro.engine.store import ResultStore
+
+    population = engine.population(_bench_settings(chips=2000))
+    tmp = tempfile.TemporaryDirectory(prefix="repro-bench-popstore-")
+    store = ResultStore(pathlib.Path(tmp.name))
+    key = store.key_for("population", {"bench": "population_store"})
+
+    def run():
+        store.save("population", key, encode_population(population))
+        return decode_population(store.load("population", key))
+
+    run.cleanup = tmp.cleanup
+    return run
+
+
 def _prepare_simulation(benchmark: str):
     def prepare(engine):
         settings = _bench_settings(chips=16, benchmarks=(benchmark,))
@@ -317,6 +336,7 @@ SUITES: Dict[str, List[Benchmark]] = {
         Benchmark("population.reference", _prepare_population_path("0")),
         Benchmark("engine.store_roundtrip", _prepare_store_roundtrip),
         Benchmark("engine.store_10k", _prepare_store_10k),
+        Benchmark("engine.population_store", _prepare_population_store),
     ],
     "pipeline": [
         Benchmark("pipeline.sim_gzip", _prepare_simulation("gzip")),

@@ -187,6 +187,11 @@ class _BadRequest(Exception):
 #: Header lines one request may carry; more is refused with 400.
 _MAX_HEADER_LINES = 100
 
+#: Open connections the server holds; one accepted past this gets a 503
+#: and is closed, so idle keep-alives cannot use up file descriptors
+#: (512 stays under the common soft limit of 1024).
+_MAX_CONNECTIONS = 512
+
 
 class YieldServer:
     """Long-running yield-analysis service over one :class:`Engine`."""
@@ -310,7 +315,15 @@ class YieldServer:
         task = asyncio.current_task()
         self._connections.add(task)
         try:
-            await self._serve_connection(reader, writer)
+            if len(self._connections) > _MAX_CONNECTIONS:
+                self.metrics.counter("serve.connections.refused").inc()
+                await self._write_json(
+                    writer,
+                    Response.error(503, "too many open connections"),
+                    keep_alive=False,
+                )
+            else:
+                await self._serve_connection(reader, writer)
         except asyncio.CancelledError:
             pass
         except (ConnectionError, TimeoutError, OSError):

@@ -277,6 +277,7 @@ class TestHarness:
             "population.reference",
             "engine.store_roundtrip",
             "engine.store_10k",
+            "engine.population_store",
         ]
         for result in results:
             assert len(result.samples) == 2
@@ -365,7 +366,7 @@ class TestBenchCli:
         assert history.is_file()
         records, skipped = load_history(history)
         assert skipped == 0
-        assert len(records) == 10  # 2 runs x 5 benchmarks
+        assert len(records) == 12  # 2 runs x 6 benchmarks
         assert len(run_ids(records)) == 2
         assert all(r["provenance"]["python"] for r in records)
         assert (tmp_path / "BENCH_engine.json").is_file()

@@ -16,7 +16,9 @@ asserted here:
   before exiting 0;
 * a client that trickles its headers or stalls its body loses the
   connection within ``keepalive_timeout``, and more than 100 header
-  lines are refused with 400.
+  lines are refused with 400;
+* a connection past the open-connection limit gets one 503 and is
+  closed, and a slot freed by a closing client is reused.
 """
 
 from __future__ import annotations
@@ -179,7 +181,7 @@ def test_warm_repeat_zero_dispatch_bit_identical(served):
     assert _dispatches(engine) - before == 0
 
     # And identical to encoding the direct engine result ourselves.
-    from repro.engine.codec import encode_population
+    from repro.engine.codec import decode_population, encode_population
 
     result = engine.population(ExperimentSettings(seed=33, chips=40))
     expected = canonical_json(
@@ -187,6 +189,17 @@ def test_warm_repeat_zero_dispatch_bit_identical(served):
          "result": encode_population(result)}
     ).encode("utf-8")
     assert first == expected
+
+    # The embedded store payload decodes to the engine's very columns.
+    decoded = decode_population(json.loads(first)["result"])
+    for horizontal in (False, True):
+        served_columns = decoded.chips(horizontal).circuits
+        engine_columns = result.chips(horizontal).circuits
+        assert served_columns.chip_ids == engine_columns.chip_ids
+        assert served_columns.hyapd == engine_columns.hyapd
+        for name in ("band_delays", "band_leakage", "peripheral_leakage"):
+            assert getattr(served_columns, name).tobytes() == \
+                getattr(engine_columns, name).tobytes(), name
 
 
 def test_simulations_batch_into_shared_dispatch(served):
@@ -757,3 +770,83 @@ def test_keep_alive_sequence_unaffected(strict):
         assert json.loads(response.read())["population"] == 16
     finally:
         conn.close()
+
+
+# ----------------------------------------------------------------------
+# open-connection limit
+# ----------------------------------------------------------------------
+def _connections_gauge(host, port) -> float:
+    """``serve.connections`` as a fresh, closing scrape reads it."""
+    conn = http.client.HTTPConnection(host, port, timeout=_GIVE_UP)
+    try:
+        conn.request("GET", "/metrics", headers={"Connection": "close"})
+        response = conn.getresponse()
+        assert response.status == 200
+        families = parse_exposition(response.read().decode("utf-8"))
+    finally:
+        conn.close()
+    return families["repro_serve_connections"]["samples"][0][2]
+
+
+def _healthz_on(conn: http.client.HTTPConnection) -> None:
+    conn.request("GET", "/healthz")
+    response = conn.getresponse()
+    assert response.status == 200
+    json.loads(response.read())
+
+
+def test_connections_past_the_limit_get_503(tmp_path, monkeypatch):
+    import repro.serve.server as server_module
+
+    monkeypatch.setattr(server_module, "_MAX_CONNECTIONS", 3)
+    engine = Engine(EngineConfig(workers=1, cache_dir=tmp_path / "store"))
+    thread = ServerThread(engine, ServeConfig(port=0))
+    host, port = thread.start()
+    held = [
+        http.client.HTTPConnection(host, port, timeout=_GIVE_UP)
+        for _ in range(3)
+    ]
+    try:
+        # Three keep-alive connections are served, twice each.
+        for _ in range(2):
+            for conn in held:
+                _healthz_on(conn)
+        # A fourth is told 503 without asking, then closed.
+        with socket.create_connection((host, port), timeout=_GIVE_UP) as sock:
+            sock.settimeout(_GIVE_UP)
+            data = b""
+            while True:
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                data += chunk
+        head, _, body = data.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 503"), data[:200]
+        assert b"Connection: close" in head
+        assert json.loads(body)["status"] == 503
+        # Once one closes, a new connection is served.
+        held.pop(0).close()
+        deadline = time.monotonic() + _GIVE_UP
+        while len(thread.server._connections) > 2:
+            assert time.monotonic() < deadline, "closed connection kept"
+            time.sleep(0.01)
+        fresh = http.client.HTTPConnection(host, port, timeout=_GIVE_UP)
+        held.append(fresh)
+        _healthz_on(fresh)
+        counters = _counters(engine)
+        assert counters["serve.connections.refused"] == 1
+    finally:
+        for conn in held:
+            conn.close()
+    try:
+        # With every client gone, the gauge counts only the scrape.
+        deadline = time.monotonic() + _GIVE_UP
+        while _connections_gauge(host, port) != 1.0:
+            assert time.monotonic() < deadline, "connections not released"
+            time.sleep(0.01)
+        while thread.server._connections:
+            assert time.monotonic() < deadline, "scrape not released"
+            time.sleep(0.01)
+    finally:
+        thread.stop()
+        engine.shutdown()

@@ -126,14 +126,21 @@ def killed_writer(root: str, name: str, phase: str) -> int:
     if phase == "replace":
         os.replace = lambda *args, **kwargs: os._exit(KILLED)
     else:
-        stream = store_module._json_pieces
+        fdopen = os.fdopen
 
-        def dying(value, depth):
-            pieces = list(stream(value, depth))
-            yield from pieces[: len(pieces) // 2]
-            os._exit(KILLED)
+        def dying_fdopen(*args, **kwargs):
+            handle = fdopen(*args, **kwargs)
 
-        store_module._json_pieces = dying
+            def write(text):
+                # Half the entry reaches the temp file, then the writer dies.
+                handle.buffer.write(text[: len(text) // 2].encode("utf-8"))
+                handle.buffer.flush()
+                os._exit(KILLED)
+
+            handle.write = write
+            return handle
+
+        os.fdopen = dying_fdopen
     payload = {"cases": [_payload_for(1, f"{name}-{i}") for i in range(300)]}
     store.save(KIND, _key(name), payload)
     return 0  # not reached
@@ -184,6 +191,7 @@ def test_killed_writer_leaves_no_partial_entry(tmp_path, phase):
         assert child.returncode == KILLED, out
     # The dead writers' temp files are there, but they are not entries.
     assert len(_temps(root)) == 2
+    assert all(temp.stat().st_size > 0 for temp in _temps(root))
     assert store.entries() == [store.path_for(KIND, _key("victim"))]
     assert store.info()["entries"] == 1
     assert store.load(KIND, _key("victim")) == old

