@@ -7,23 +7,43 @@ grid/distance-decay measurements. This library implements both — the
 hierarchical sampler (`CacheVariationSampler`, the default) and a
 grid/Cholesky field sampler (`GridVariationSampler`) — and this example
 runs the full yield pipeline under each to show the headline conclusions
-do not depend on the formulation.
+do not depend on the formulation. `YieldStudy` draws the hierarchical
+population itself; the grid sampler's chips become columns with
+`ColumnarPopulation.from_maps` and go through the same circuit kernel
+and assembly.
 
 Run:  python examples/correlation_models.py [population]
 """
 
 import sys
 
+from repro.circuit import CacheCircuitModel
+from repro.circuit.columnar import evaluate_population_pair
 from repro.schemes import Hybrid, VACA, YAPD
-from repro.variation import CacheVariationSampler, GridVariationSampler
+from repro.variation import ColumnarPopulation, GridVariationSampler
 from repro.yieldmodel import YieldStudy, scheme_yield_interval
+
+
+def hierarchical_population(count: int):
+    return YieldStudy(seed=2006, count=count).run()
+
+
+def grid_population(count: int):
+    sampler = GridVariationSampler()
+    chips = ColumnarPopulation.from_maps(
+        [sampler.sample_chip(2006, chip_id) for chip_id in range(count)]
+    )
+    circuits = evaluate_population_pair(
+        CacheCircuitModel(), CacheCircuitModel(hyapd=True), chips
+    )
+    return YieldStudy(seed=2006, count=count).assemble(*circuits)
 
 
 def main() -> None:
     count = int(sys.argv[1]) if len(sys.argv) > 1 else 600
-    samplers = {
-        "hierarchical (paper factors)": CacheVariationSampler(),
-        "grid field (Friedberg-style)": GridVariationSampler(),
+    models = {
+        "hierarchical (paper factors)": hierarchical_population,
+        "grid field (Friedberg-style)": grid_population,
     }
     schemes = [YAPD(), VACA(), Hybrid()]
 
@@ -34,10 +54,8 @@ def main() -> None:
     header += "  Hybrid yield (95% CI)"
     print(header)
 
-    for label, sampler in samplers.items():
-        population = YieldStudy(
-            seed=2006, count=count, sampler=sampler
-        ).run()
+    for label, draw in models.items():
+        population = draw(count)
         breakdown = population.breakdown(schemes)
         row = f"{label:30s} {breakdown.yield_with():6.1%}"
         for scheme in schemes:

@@ -8,40 +8,34 @@ This walks the library's core loop end to end:
 3. derive the paper's yield limits from a small population,
 4. classify each chip and apply YAPD / VACA / Hybrid to the failures.
 
+:class:`YieldStudy` does steps 1-3 (Table 1 + the paper's correlation
+factors, a 16 KB 4-way cache with 4 banks per way at 45 nm, the nominal
+constraint policy); each chip of the result is a classified case.
+
 Run:  python examples/quickstart.py
 """
 
-from repro.circuit import CacheCircuitModel
 from repro.core import units
 from repro.schemes import Hybrid, VACA, YAPD
-from repro.variation import CacheVariationSampler, MonteCarloEngine
-from repro.yieldmodel import ChipCase
-from repro.yieldmodel.constraints import NOMINAL_POLICY
+from repro.yieldmodel import YieldStudy
 
 
 def main() -> None:
-    sampler = CacheVariationSampler()  # Table 1 + paper correlation factors
-    model = CacheCircuitModel()  # 16 KB, 4-way, 4 banks/way at 45 nm
-    engine = MonteCarloEngine(sampler, seed=42)
-
-    # A small population to derive the delay/leakage limits from.
-    population = engine.map_chips(model.evaluate, count=300)
-    constraints = NOMINAL_POLICY.derive(
-        [chip.access_delay for chip in population],
-        [chip.total_leakage for chip in population],
-    )
+    population = YieldStudy(seed=42, count=300).run()
+    constraints = population.constraints
     print(
         f"limits: delay <= {units.to_ps(constraints.delay_limit):.0f} ps "
         f"(4 cycles), leakage <= {units.to_mw(constraints.leakage_limit):.2f} mW"
     )
 
+    cases = [population.case(i) for i in range(population.population)]
     schemes = [YAPD(), VACA(), Hybrid()]
     shown = 0
-    for circuit in population:
-        case = ChipCase(circuit=circuit, constraints=constraints)
+    for case in cases:
         if case.passes or shown >= 5:
             continue
         shown += 1
+        circuit = case.circuit
         print(
             f"\nchip {circuit.chip_id}: {case.loss_reason.value}, "
             f"configuration {case.configuration}, "
@@ -53,20 +47,9 @@ def main() -> None:
             verdict = "SAVED" if outcome.saved else "lost "
             print(f"  {scheme.name:8s} {verdict} - {outcome.note}")
 
-    failures = sum(
-        1
-        for circuit in population
-        if not ChipCase(circuit=circuit, constraints=constraints).passes
-    )
-    print(f"\n{failures} of {len(population)} chips fail parametric testing;")
-    saved = sum(
-        1
-        for circuit in population
-        if not ChipCase(circuit=circuit, constraints=constraints).passes
-        and Hybrid()
-        .rescue(ChipCase(circuit=circuit, constraints=constraints))
-        .saved
-    )
+    failures = [case for case in cases if not case.passes]
+    print(f"\n{len(failures)} of {len(cases)} chips fail parametric testing;")
+    saved = sum(1 for case in failures if Hybrid().rescue(case).saved)
     print(f"the Hybrid scheme rescues {saved} of them.")
 
 

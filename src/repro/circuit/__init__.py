@@ -8,18 +8,18 @@ first-order analytic model of the same address-to-data path:
 
 * :mod:`repro.circuit.technology` — 45 nm technology constants and the
   calibration knobs of the analytic model.
-* :mod:`repro.circuit.devices` — alpha-power-law MOSFET drive current,
-  gate-length threshold roll-off, and subthreshold leakage.
-* :mod:`repro.circuit.interconnect` — wire R/C (with coupling) and Elmore
-  delay of distributed RC lines.
 * :mod:`repro.circuit.organization` — the physical organisation (4 ways x
   4 banks x 64x128 bits, divided bitlines).
-* :mod:`repro.circuit.sram` — bitline discharge, sense amplifier, and cell
-  leakage models.
-* :mod:`repro.circuit.decoder` — the row-decoder chain.
-* :mod:`repro.circuit.paths` — composition of one address-to-data path.
-* :mod:`repro.circuit.cache_model` — per-way/per-band delay and leakage of
-  a whole cache under a sampled variation map.
+* :mod:`repro.circuit.cache_model` — per-way/per-band delay and leakage
+  results, the device floors, SRAM stage constants and driver sizing,
+  and the model whose ``evaluate`` is a one-chip slice of the kernel.
+* :mod:`repro.circuit.columnar` — the circuit kernel: alpha-power-law
+  drive, gate-length threshold roll-off, subthreshold leakage, wire R/C
+  with coupling, Elmore delay, the decoder chain, bitline, sense and
+  output stages, over whole populations at once.
+
+The composed per-stage physics the kernel is held to bit for bit lives
+in ``tests/oracles/circuit.py``.
 
 The yield experiments depend only on the joint distribution of per-way
 delay and leakage that this model induces, not on absolute picoseconds;

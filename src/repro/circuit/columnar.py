@@ -1,20 +1,21 @@
-"""Columnar circuit evaluation over a sampled population.
+"""Columnar circuit evaluation: the one circuit path.
 
-:meth:`CacheCircuitModel._way_base` evaluates one way at a time with
-scalar Python arithmetic — fine for a chip, dominant for a population.
-This module replays the *same* arithmetic over the whole population at
-once: every scalar expression of the flat kernel becomes the identical
-elementwise expression over ``(chips, ways)``- or ``(chips, ways,
-bands)``-shaped arrays, keeping the reference's operation order and
-association so each element is bit-identical to the per-way evaluation
-(asserted by ``tests/test_columnar_diff.py``).
+Every access-path delay and leakage figure of a sampled population is
+computed here at once: each scalar expression of the composed per-stage
+physics (the device, interconnect, SRAM-stage, decoder and access-path
+functions of the oracle in ``tests/oracles/circuit.py``) becomes the
+identical elementwise expression over ``(chips, ways)``- or ``(chips,
+ways, bands)``-shaped arrays, with band-invariant subterms hoisted and
+the oracle's operation order and association kept, so each element is
+bit-identical to the composed evaluation (asserted by
+``tests/test_columnar_diff.py``).
 
-The entry point, :func:`evaluate_population_pair`, is the columnar
-mirror of :meth:`CacheCircuitModel.evaluate_pair`: one pass over the
-columns produces the regular *and* H-YAPD :class:`CircuitColumns` (they
-differ only by the uniform post-decoder delay scale). Population results
+The production entry point, :func:`evaluate_population_pair`, produces
+the regular *and* H-YAPD :class:`CircuitColumns` in one pass (they
+differ only by the uniform post-decoder delay scale);
+:func:`evaluate_population` serves one architecture. Population results
 stay columns from here on; :meth:`CircuitColumns.circuit` turns one row
-back into the :class:`CacheCircuitResult` the per-chip path returns.
+back into a per-chip :class:`CacheCircuitResult`.
 """
 
 from __future__ import annotations
@@ -23,17 +24,23 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.circuit import devices, sram
 from repro.circuit.cache_model import (
     CacheCircuitModel,
     CacheCircuitResult,
     PERIPHERAL_LEAK_WIDTHS,
+    PRECHARGE_SLEW_FRACTION,
+    PRECHARGE_WIDTH,
+    SENSEAMP_STAGE_CAP,
+    SENSEAMP_STAGE_WIDTH,
+    SENSEAMP_STAGES,
     WayCircuitResult,
+    _MIN_OVERDRIVE,
+    _MIN_VT,
 )
 from repro.core.errors import ConfigurationError
 from repro.variation.columnar import ColumnarPopulation
 
-__all__ = ["CircuitColumns", "evaluate_population_pair"]
+__all__ = ["CircuitColumns", "evaluate_population", "evaluate_population_pair"]
 
 # PARAMETER_NAMES order of the trailing parameter axis.
 _LGATE, _VT, _METAL_WIDTH, _METAL_THICKNESS, _ILD = range(5)
@@ -177,16 +184,16 @@ def _effective_vt(
     """Gate-length roll-off plus the minimum-Vt floor (elementwise)."""
     tech = model.tech
     shortfall = (tech.nominal_lgate - lgate) / tech.nominal_lgate
-    return np.maximum(vt - tech.vt_rolloff * shortfall, devices._MIN_VT)
+    return np.maximum(vt - tech.vt_rolloff * shortfall, _MIN_VT)
 
 
 def _pow_columns(base: np.ndarray, exponent: float) -> np.ndarray:
     """Elementwise ``base ** exponent`` via scalar pow.
 
     NumPy's vectorised pow kernels (SIMD) can differ from the scalar
-    libm pow the per-chip reference uses by one ulp, so the few pow
+    libm pow the composed oracle uses by one ulp, so the few pow
     sites evaluate element by element with Python's ``**`` — the exact
-    operation of the reference. Every other operation in this module
+    operation of the oracle. Every other operation in this module
     (+, -, *, /, min, max) is elementwise IEEE arithmetic and therefore
     identical either way.
     """
@@ -203,9 +210,7 @@ def _pow10_columns(exponent: np.ndarray) -> np.ndarray:
 
 
 def _overdrive_pow(vt: np.ndarray, model: CacheCircuitModel) -> np.ndarray:
-    overdrive = np.maximum(
-        model.tech.vdd - vt, devices._MIN_OVERDRIVE
-    )
+    overdrive = np.maximum(model.tech.vdd - vt, _MIN_OVERDRIVE)
     return _pow_columns(overdrive, model.tech.alpha)
 
 
@@ -249,9 +254,9 @@ def _base_columns(
     Returns ``(base_delays, band_leakage, peripheral_leakage)``:
     ``base_delays`` is each (chip, way, band) access-path delay including
     its residual but before the post-decoder scale — the quantity the
-    regular and H-YAPD organisations share. The body is
-    :meth:`CacheCircuitModel._way_base` with arrays in place of scalars —
-    same subexpressions, same accumulation order.
+    regular and H-YAPD organisations share. The body is the oracle's
+    ``access_path_delay`` per band, flattened, with arrays in place of
+    scalars — same subexpressions, same accumulation order.
     """
     if population.num_bands != model.org.num_bands:
         raise ConfigurationError(
@@ -301,7 +306,7 @@ def _base_columns(
         vdd
         / (
             drive_coeff
-            * (sram.PRECHARGE_WIDTH / pre[..., _LGATE])
+            * (PRECHARGE_WIDTH / pre[..., _LGATE])
             * _overdrive_pow(pre_vt, model)
         )
     )
@@ -309,17 +314,17 @@ def _base_columns(
     # --- sense-amplifier segment
     sa = population.peripherals[:, :, 2, :]
     sa_vt = _effective_vt(sa[..., _LGATE], sa[..., _VT], model)
-    sense = sram.SENSEAMP_STAGES * (
+    sense = SENSEAMP_STAGES * (
         delay_coeff
         * (
             vdd
             / (
                 drive_coeff
-                * (sram.SENSEAMP_STAGE_WIDTH / sa[..., _LGATE])
+                * (SENSEAMP_STAGE_WIDTH / sa[..., _LGATE])
                 * _overdrive_pow(sa_vt, model)
             )
         )
-        * sram.SENSEAMP_STAGE_CAP
+        * SENSEAMP_STAGE_CAP
     )
 
     # --- output-driver segment
@@ -369,7 +374,7 @@ def _base_columns(
     # 4. precharge release and bitline discharge
     bitline_cap = band_c * model._bitline_length + model._bitline_drains
     delay += precharge_k[:, :, None] * (
-        bitline_cap * sram.PRECHARGE_SLEW_FRACTION
+        bitline_cap * PRECHARGE_SLEW_FRACTION
     )
     delay += (
         bitline_cap
@@ -415,16 +420,30 @@ def _base_columns(
     return base_delays, band_leakage, peripheral
 
 
+def evaluate_population(
+    model: CacheCircuitModel, population: ColumnarPopulation
+) -> CircuitColumns:
+    """``model``'s delays and leakage for every chip of ``population``."""
+    base_delays, band_leakage, peripheral = _base_columns(model, population)
+    return CircuitColumns(
+        population.chip_ids,
+        base_delays * model._delay_scale,
+        band_leakage,
+        peripheral,
+        hyapd=model.hyapd,
+    )
+
+
 def evaluate_population_pair(
     regular_model: CacheCircuitModel,
     hyapd_model: CacheCircuitModel,
     population: ColumnarPopulation,
 ) -> Tuple[CircuitColumns, CircuitColumns]:
-    """Columnar mirror of :meth:`CacheCircuitModel.evaluate_pair`.
+    """Both architectures' columns from one bulk evaluation.
 
-    One bulk evaluation, scaled by both post-decoder delay scales. The
-    two architectures share their leakage arrays, exactly as the
-    per-chip pair evaluation shares the band-leakage tuples.
+    The regular and H-YAPD organisations differ only by the uniform
+    post-decoder delay scale, so one evaluation is scaled by both; the
+    two share their leakage arrays.
     """
     if regular_model.hyapd or not hyapd_model.hyapd:
         raise ConfigurationError(

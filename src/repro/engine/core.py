@@ -18,10 +18,6 @@ Configuration comes from the environment (overridable per instance):
 * ``REPRO_CACHE`` — set to ``0`` to disable the persistent store.
 * ``REPRO_CACHE_MB`` — store size cap in MiB (default 512).
 * ``REPRO_JOB_TIMEOUT`` — seconds per pool job before retry (default 900).
-* ``REPRO_COLUMNAR`` — set to ``0`` to disable the columnar population
-  fast path (bit-identical either way; see
-  :mod:`repro.variation.columnar`). Worker processes inherit it, so the
-  switch governs serial and sharded dispatch alike.
 """
 
 from __future__ import annotations
@@ -342,11 +338,8 @@ class Engine:
             seed=settings.seed, count=settings.chips, policy=policy
         )
         jobs = self._population_jobs(settings.seed, settings.chips)
-        from repro.variation.columnar import columnar_enabled
-
         with trace_span(
             "engine.dispatch", kind="population", jobs=len(jobs),
-            columnar=columnar_enabled(),
             **self._dispatch_provenance(),
         ):
             shards = self._executor.run(
@@ -396,7 +389,6 @@ class Engine:
         bit-identical at any worker count; the assembled result equals
         exactly what a fixed population of the stopping size would be.
         """
-        from repro.variation.columnar import columnar_enabled
         from repro.yieldmodel.analysis import YieldStudy
         from repro.yieldmodel.statistics import wilson_interval
 
@@ -416,8 +408,7 @@ class Engine:
             jobs = self._range_jobs(settings.seed, drawn, drawn + take)
             with trace_span(
                 "engine.dispatch", kind="population", jobs=len(jobs),
-                columnar=columnar_enabled(), adaptive=True,
-                **self._dispatch_provenance(),
+                adaptive=True, **self._dispatch_provenance(),
             ):
                 shards.extend(self._executor.run(
                     population_shard, jobs, self.stats, progress=progress

@@ -109,32 +109,6 @@ def _prepare_population(engine):
     return run
 
 
-def _prepare_population_path(value: str):
-    """Population benchmark with the columnar path forced on ("1") or
-    off ("0") via ``REPRO_COLUMNAR``, so one bench run reports both
-    paths side by side; the prior env value is restored on cleanup."""
-
-    def prepare(engine):
-        settings = _bench_settings(chips=64)
-        previous = os.environ.get("REPRO_COLUMNAR")
-        os.environ["REPRO_COLUMNAR"] = value
-
-        def run():
-            engine.clear_memory()
-            return engine.population(settings)
-
-        def cleanup():
-            if previous is None:
-                os.environ.pop("REPRO_COLUMNAR", None)
-            else:
-                os.environ["REPRO_COLUMNAR"] = previous
-
-        run.cleanup = cleanup
-        return run
-
-    return prepare
-
-
 def _store_roundtrip(store, cleanup):
     """The timed body of the store cases: 40 saves, then 40 loads."""
     payload = {"rows": [[i, i * 0.5, f"cfg-{i}"] for i in range(200)]}
@@ -332,8 +306,6 @@ def _prepare_estimator(kind: str):
 SUITES: Dict[str, List[Benchmark]] = {
     "engine": [
         Benchmark("engine.population", _prepare_population),
-        Benchmark("population.columnar", _prepare_population_path("1")),
-        Benchmark("population.reference", _prepare_population_path("0")),
         Benchmark("engine.store_roundtrip", _prepare_store_roundtrip),
         Benchmark("engine.store_10k", _prepare_store_10k),
         Benchmark("engine.population_store", _prepare_population_store),

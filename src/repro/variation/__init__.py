@@ -8,11 +8,15 @@ from Friedberg et al. This subpackage reproduces that machinery:
 
 * :mod:`repro.variation.parameters` — the parameter vector and Table 1.
 * :mod:`repro.variation.spatial` — correlation factors and the 2x2 way mesh.
-* :mod:`repro.variation.sampling` — hierarchical correlated sampling of a
-  full cache (die -> way -> peripheral/array-band segments).
-* :mod:`repro.variation.montecarlo` — population-level Monte Carlo driver.
-* :mod:`repro.variation.columnar` — whole-population columnar sampling,
-  bit-identical to the per-chip sampler (the engine's fast path).
+* :mod:`repro.variation.sampling` — the hierarchical correlated sampling
+  configuration of a full cache (die -> way -> peripheral/array-band
+  segments) and its per-chip variation maps.
+* :mod:`repro.variation.columnar` — the sampler: whole populations drawn
+  as columns, bit-identical per chip to the scalar per-parameter oracle
+  in ``tests/oracles/sampling.py``.
+* :mod:`repro.variation.montecarlo` — the paper's population size.
+* :mod:`repro.variation.gridmodel` — a grid/Cholesky field sampler, an
+  alternative correlation formulation.
 """
 
 from repro.variation.parameters import (
@@ -32,12 +36,10 @@ from repro.variation.sampling import (
     CacheVariationSampler,
     WayVariation,
 )
-from repro.variation.montecarlo import MonteCarloEngine
 from repro.variation.gridmodel import GridCorrelationModel, GridVariationSampler
 from repro.variation.columnar import (
     ColumnarPopulation,
     ColumnarPopulationSampler,
-    columnar_enabled,
 )
 
 __all__ = [
@@ -52,10 +54,8 @@ __all__ = [
     "CacheVariationMap",
     "CacheVariationSampler",
     "WayVariation",
-    "MonteCarloEngine",
     "GridCorrelationModel",
     "GridVariationSampler",
     "ColumnarPopulation",
     "ColumnarPopulationSampler",
-    "columnar_enabled",
 ]

@@ -1,15 +1,15 @@
-"""Columnar Monte Carlo population sampling.
+"""Columnar Monte Carlo population sampling: the one sampling path.
 
-:class:`CacheVariationSampler` draws one chip at a time and materialises
-a tree of :class:`~repro.variation.parameters.ProcessParameters` /
-:class:`~repro.variation.sampling.WayVariation` tuples per chip — tens of
-small objects each, hundreds of thousands across a 2000-chip population.
-:class:`ColumnarPopulationSampler` draws the *same* population into a
-handful of preallocated NumPy arrays instead:
+:class:`ColumnarPopulationSampler` draws a population of
+:class:`~repro.variation.sampling.CacheVariationSampler` chips into a
+handful of preallocated NumPy arrays, not a tree of
+:class:`~repro.variation.parameters.ProcessParameters` /
+:class:`~repro.variation.sampling.WayVariation` tuples per chip:
 
-* every chip's draws come from the exact ``spawn(seed, f"chip-{chip_id}")``
-  stream the per-chip sampler uses, in the order
-  :meth:`CacheVariationSampler.sample` takes them. That order is the
+* every chip's draws come from its own ``spawn(seed, f"chip-{chip_id}")``
+  stream, in the order the paper's hierarchical procedure takes them
+  (one ``Generator`` call per parameter in the scalar oracle,
+  ``tests/oracles/sampling.py``). That order is the
   sampler's *draw program*: the head batch (die + band offsets), then
   per way its segment batch followed, per band, by the residual normal,
   the outlier-test uniform and, on a hit, the outlier-scale uniform.
@@ -19,28 +19,26 @@ handful of preallocated NumPy arrays instead:
   paths and outlier hits, a few per chip — are found from a sparse list
   of candidate words and shift the chip's later reads, so every value is
   bit-identical to the reference draw for draw;
-* the clip/offset/scale arithmetic — the mirror of ``_draw_around`` /
-  ``_draw_offsets`` — is then applied to the whole population at once as
+* the clip/offset/scale arithmetic of the oracle's ``_draw_around`` /
+  ``_draw_offsets`` is then applied to the whole population at once as
   elementwise array operations, which are bit-identical to the per-chip
   arithmetic because each element goes through the same IEEE operations
   in the same order.
 
 The result is a :class:`ColumnarPopulation`: ``(num_chips, num_ways,
 num_bands, num_params)``-shaped parameter arrays the columnar circuit
-model (:mod:`repro.circuit.columnar`) consumes directly. Bit-identity to
-the per-chip reference is asserted by ``tests/test_columnar_diff.py``
-over randomized geometries, correlation factors and seeds, and the
-decoder is held to NumPy's ``Generator`` by ``tests/test_rng_decoder.py``.
-
-``REPRO_COLUMNAR=0`` disables the columnar fast path engine-wide (see
-:func:`columnar_enabled`); the per-chip reference path is kept for
-differential testing and as the escape hatch.
+model (:mod:`repro.circuit.columnar`) consumes directly;
+:meth:`ColumnarPopulation.chip_map` and :meth:`ColumnarPopulation.from_maps`
+convert one chip to and from a per-chip map. Bit-identity to the scalar
+oracle, values and final stream positions, is asserted by
+``tests/test_columnar_diff.py`` over randomized geometries, correlation
+factors and seeds, and the decoder is held to NumPy's ``Generator`` by
+``tests/test_rng_decoder.py``.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -67,7 +65,6 @@ __all__ = [
     "NORMAL",
     "RawDraws",
     "TEST",
-    "columnar_enabled",
     "decode_program",
 ]
 
@@ -92,18 +89,6 @@ _TAIL_WORDS = 16
 #: word that starts a slow-path normal, a word whose uniform hits.
 NORMAL = 1
 TEST = 2
-
-
-def columnar_enabled() -> bool:
-    """Is the columnar population fast path enabled?
-
-    On by default; ``REPRO_COLUMNAR=0`` forces every population through
-    the per-chip reference sampler and circuit model. Both paths are
-    bit-identical (the differential battery is the proof), so the switch
-    only trades speed — it exists so a suspected columnar bug can be
-    ruled out in one rerun.
-    """
-    return os.environ.get("REPRO_COLUMNAR", "1") != "0"
 
 
 def decode_program(
@@ -265,9 +250,8 @@ class ColumnarPopulation(NamedTuple):
     def chip_map(self, index: int) -> CacheVariationMap:
         """Materialise chip ``index`` as a per-chip variation map.
 
-        Produces exactly what :meth:`CacheVariationSampler.sample_chip`
-        would have returned for the same chip — the differential tests
-        compare the two with ``==``.
+        The inverse of :meth:`from_maps`; the differential tests compare
+        it with the scalar oracle's map of the same chip with ``==``.
         """
         if not 0 <= index < self.num_chips:
             raise ConfigurationError(f"chip index {index} out of range")
@@ -304,18 +288,54 @@ class ColumnarPopulation(NamedTuple):
             chip_id=self.chip_ids[index], die=die, ways=tuple(ways)
         )
 
+    @classmethod
+    def from_maps(
+        cls, maps: Sequence[CacheVariationMap]
+    ) -> "ColumnarPopulation":
+        """Per-chip variation maps as columns: the inverse of
+        :meth:`chip_map`. A way without residuals gets unit residuals;
+        maps whose ways or bands vary are refused."""
+        ways = [cvmap.ways for cvmap in maps]
+        try:
+            columns = [np.array(rows, dtype=float) for rows in (
+                [cvmap.die for cvmap in maps],
+                [[way.params for way in chip] for chip in ways],
+                [[[way.peripheral(name) for name in PERIPHERAL_SEGMENTS]
+                  for way in chip] for chip in ways],
+                [[way.bands for way in chip] for chip in ways],
+                [[way.band_residuals or (1.0,) * len(way.bands)
+                  for way in chip] for chip in ways],
+            )]
+        except ValueError:  # inhomogeneous nested lengths
+            columns = []
+        if [column.ndim for column in columns] != [2, 3, 4, 4, 3]:
+            raise ConfigurationError(
+                "from_maps needs at least one chip and the same ways and "
+                "bands in every chip"
+            )
+        return cls(
+            tuple(cvmap.chip_id for cvmap in maps), *columns,
+            has_residuals=any(
+                way.band_residuals for chip in ways for way in chip
+            ),
+        )
+
 
 class ColumnarPopulationSampler:
     """Draws whole populations as columns, bit-identical per chip.
 
     Wraps a configured :class:`CacheVariationSampler` and reuses its
-    precomputed scale/clip vectors, so any table / correlation-factor /
-    geometry configuration the per-chip sampler accepts is supported.
+    precomputed scale/clip vectors, so every table / correlation-factor /
+    geometry configuration the sampler accepts is drawn here. There is
+    no per-parameter skip: a zero correlation factor drops its whole
+    slot from the draw program, and a single parameter's sigma cannot
+    be zero, because :class:`~repro.variation.parameters.ParameterSpec`
+    refuses one.
 
     Parameters
     ----------
     sampler:
-        The reference sampler whose population this one reproduces.
+        The sampling configuration whose population this draws.
     """
 
     def __init__(self, sampler: CacheVariationSampler) -> None:
@@ -385,12 +405,6 @@ class ColumnarPopulationSampler:
         self._way_dst = np.array(way_dst, dtype=np.intp)
         self._residual_src = slot[residual_ops]
 
-    @property
-    def supported(self) -> bool:
-        """False for degenerate tables (a zero-sigma parameter), where
-        the reference itself falls back to per-parameter scalar draws."""
-        return self.sampler._vectorised
-
     # ------------------------------------------------------------------
     # stream decoding
     # ------------------------------------------------------------------
@@ -410,10 +424,10 @@ class ColumnarPopulationSampler:
     def draw(self, seed: int, labels: Sequence[str]) -> RawDraws:
         """Run the draw program on ``spawn(seed, label)`` for each label.
 
-        Row ``i`` of the result holds exactly what
-        :meth:`CacheVariationSampler.sample` draws from
-        ``spawn(seed, labels[i])``. Chips are decoded in fixed blocks;
-        a chip's values depend only on its ``(seed, label)``.
+        Row ``i`` of the result holds exactly what the scalar oracle
+        draws from ``spawn(seed, labels[i])``. Chips are decoded in
+        fixed blocks; a chip's values depend only on its
+        ``(seed, label)``.
         """
         raw = self.allocate(len(labels))
         for lo in range(0, len(labels), _BLOCK):
@@ -459,12 +473,12 @@ class ColumnarPopulationSampler:
     ) -> ColumnarPopulation:
         """Turn raw draws into clipped parameter columns, in bulk.
 
-        Mirrors the reference's fused arithmetic (`sample`) elementwise
+        Mirrors the scalar oracle's per-parameter arithmetic elementwise
         over the whole population: scale the z batch, add the centre,
         clip — same operations in the same order per element, so every
         value is bit-identical to the per-chip computation. Slots whose
         correlation factor is zero multiply a zeroed buffer by a zero
-        scale, which reproduces the reference's "skip the draw, keep the
+        scale, which reproduces the oracle's "skip the draw, keep the
         centre" branch exactly (``x + 0.0 == x`` for the strictly
         positive centres involved).
         """
@@ -532,16 +546,10 @@ class ColumnarPopulationSampler:
     ) -> ColumnarPopulation:
         """Draw the chips ``chip_ids`` of experiment ``seed`` as columns.
 
-        Each chip's stream is ``spawn(seed, f"chip-{chip_id}")`` —
-        the per-chip sampler's spawn discipline — so any subset of ids,
-        in any order, reproduces exactly the chips the reference would
-        draw.
+        Each chip's stream is ``spawn(seed, f"chip-{chip_id}")``, so
+        any subset of ids, in any order, draws exactly the chips a full
+        population holds under those ids.
         """
-        if not self.supported:
-            raise ConfigurationError(
-                "columnar sampling requires a table with positive sigmas "
-                "(the reference falls back to scalar draws)"
-            )
         raw = self.draw(seed, [f"chip-{chip_id}" for chip_id in chip_ids])
         return self.finalize(chip_ids, raw)
 

@@ -1,50 +1,12 @@
-"""Population-level Monte Carlo driver (paper Section 5.1).
+"""Population size of the paper's Monte Carlo (Section 5.1).
 
 The paper characterises yield by simulating 2000 manufactured caches, each
-with an independently drawn set of correlated process parameters. The
-:class:`MonteCarloEngine` produces those populations deterministically from
-an experiment seed and streams them to a consumer (usually the circuit
-model), so populations never need to be held in memory as parameter trees.
+with an independently drawn set of correlated process parameters;
+:class:`~repro.yieldmodel.analysis.YieldStudy` draws that many by default,
+as columns (:mod:`repro.variation.columnar`).
 """
 
-from __future__ import annotations
-
-from typing import Callable, Iterator, List, TypeVar
-
-from repro.core.validation import require_positive
-from repro.variation.sampling import CacheVariationMap, CacheVariationSampler
-
-__all__ = ["MonteCarloEngine"]
-
-T = TypeVar("T")
+__all__ = ["PAPER_POPULATION"]
 
 #: Population size used throughout the paper's evaluation.
 PAPER_POPULATION = 2000
-
-
-class MonteCarloEngine:
-    """Generates deterministic populations of cache variation maps.
-
-    Parameters
-    ----------
-    sampler:
-        The per-chip sampler to draw from.
-    seed:
-        Experiment seed; chip ``i`` of a given seed is always identical.
-    """
-
-    def __init__(self, sampler: CacheVariationSampler, seed: int) -> None:
-        self.sampler = sampler
-        self.seed = int(seed)
-
-    def chips(self, count: int = PAPER_POPULATION) -> Iterator[CacheVariationMap]:
-        """Yield ``count`` independently manufactured caches."""
-        require_positive(count, "count")
-        for chip_id in range(count):
-            yield self.sampler.sample_chip(self.seed, chip_id)
-
-    def map_chips(
-        self, func: Callable[[CacheVariationMap], T], count: int = PAPER_POPULATION
-    ) -> List[T]:
-        """Apply ``func`` to every chip of the population and collect results."""
-        return [func(chip) for chip in self.chips(count)]

@@ -72,6 +72,7 @@ class ParameterSpec:
         require_positive(
             self.three_sigma_fraction, f"{self.name}.three_sigma_fraction"
         )
+        require_positive(self.sigma, f"{self.name}.sigma")
 
     @property
     def sigma(self) -> float:

@@ -15,18 +15,18 @@ row-band structure. Accordingly one cache sample consists of:
 * per-(way, band) array segment vectors, drawn around the way value plus
   the band offset with the row factor.
 
-The circuit model consumes this map to produce per-path delays and per-way
-leakage.
+:class:`CacheVariationSampler` holds this configuration; populations are
+drawn as columns by :mod:`repro.variation.columnar`, and a
+:class:`CacheVariationMap` is one chip of them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.core.errors import ConfigurationError
-from repro.core.rng import spawn
 from repro.core.validation import require_positive
 from repro.variation.parameters import (
     PARAMETER_NAMES,
@@ -121,7 +121,10 @@ class CacheVariationMap(NamedTuple):
 
 
 class CacheVariationSampler:
-    """Draws :class:`CacheVariationMap` instances.
+    """The hierarchical sampling configuration of one cache.
+
+    :class:`~repro.variation.columnar.ColumnarPopulationSampler` draws
+    populations with it; :meth:`sample_chip` is a one-chip slice.
 
     Parameters
     ----------
@@ -196,35 +199,24 @@ class CacheVariationSampler:
         self.clip_sigma = clip_sigma
         self._sigmas = table.sigmas()
         self._nominal = table.nominal()
-        # Vectorised draw plumbing: one rng.normal call per segment batch
-        # consumes the generator stream element-by-element in exactly the
-        # order the per-parameter scalar draws did, so the sampled values
-        # are bit-identical to the original loop (asserted by the
-        # sampler equivalence test). Clip bounds depend only on the table.
+        # Scale and clip vectors of the draw arithmetic, in
+        # PARAMETER_NAMES order, which the columnar sampler applies to
+        # whole populations: a drawn value is ``centre + scale * z``,
+        # clipped to the die mean +/- ``clip_sigma`` sigmas and to the
+        # floor. Tiled scales cover the per-way peripheral and band
+        # segments in draw order.
         nominal_arr = np.array(list(self._nominal))
         sigma_arr = np.array([self._sigmas[n] for n in PARAMETER_NAMES])
         self._nominal_arr = nominal_arr
-        self._sigma_arr = sigma_arr
         self._clip_low = np.maximum(
             nominal_arr - clip_sigma * sigma_arr,
             nominal_arr * self._FLOOR_FRACTION,
         )
         self._clip_high = nominal_arr + clip_sigma * sigma_arr
-        # Fused-draw plumbing: ``Generator.normal(loc, scale)`` computes
-        # ``loc + scale * standard_normal()`` element by element, so a
-        # group of consecutive draws can be taken as one
-        # ``standard_normal`` batch and combined with pre-tiled scale
-        # vectors — same stream consumption, same arithmetic, same bits
-        # (asserted against :meth:`sample_reference` by the equivalence
-        # test). Tiling commutes with the elementwise scale multiply.
-        num_peri = len(PERIPHERAL_SEGMENTS)
-        rest_segments = num_peri + self.num_bands
+        rest_segments = len(PERIPHERAL_SEGMENTS) + self.num_bands
         self._die_scale = sigma_arr * self.factors.inter_die
         self._band_scale = np.tile(sigma_arr, self.num_bands) * self.factors.band
         self._rest_scale = np.tile(sigma_arr, rest_segments) * self.factors.row
-        self._rest_low = np.tile(self._clip_low, rest_segments)
-        self._rest_high = np.tile(self._clip_high, rest_segments)
-        self._zero_offsets = np.zeros(self.num_bands * len(PARAMETER_NAMES))
         self._way_scales = tuple(
             sigma_arr * self.factors.way_factor(way, self.mesh)
             for way in range(self.num_ways)
@@ -235,218 +227,18 @@ class CacheVariationSampler:
         )
         sigma = path_residual_sigma
         self._residual_mean = -0.5 * sigma * sigma
-        # The scalar reference skips the draw for an individual
-        # zero-sigma parameter; the fused batch can only skip whole
-        # zero-factor groups, so fall back to the reference for tables
-        # with degenerate sigmas.
-        self._vectorised = bool(np.all(sigma_arr > 0.0))
-
-    # ------------------------------------------------------------------
-    # drawing helpers
-    # ------------------------------------------------------------------
-    def _clip(self, name: str, value: float) -> float:
-        nominal = getattr(self._nominal, name)
-        sigma = self._sigmas[name]
-        low = max(nominal - self.clip_sigma * sigma, nominal * self._FLOOR_FRACTION)
-        high = nominal + self.clip_sigma * sigma
-        return min(max(value, low), high)
-
-    def _draw_around(
-        self,
-        mean: ProcessParameters,
-        factor: float,
-        rng: np.random.Generator,
-        offsets: Optional[Dict[str, float]] = None,
-    ) -> ProcessParameters:
-        """Draw a vector around ``mean`` with sigma scaled by ``factor``.
-
-        ``offsets`` (absolute, per parameter) are added to the mean before
-        drawing; this is how the shared band component enters.
-        """
-        values = {}
-        for name in PARAMETER_NAMES:
-            centre = getattr(mean, name)
-            if offsets is not None:
-                centre += offsets.get(name, 0.0)
-            sigma = self._sigmas[name] * factor
-            value = centre if sigma == 0.0 else rng.normal(centre, sigma)
-            values[name] = self._clip(name, value)
-        return ProcessParameters(**values)
-
-    def _draw_offsets(
-        self, factor: float, rng: np.random.Generator
-    ) -> Dict[str, float]:
-        """Draw zero-mean absolute offsets with sigma scaled by ``factor``."""
-        if factor == 0.0:
-            return {name: 0.0 for name in PARAMETER_NAMES}
-        return {
-            name: float(rng.normal(0.0, self._sigmas[name] * factor))
-            for name in PARAMETER_NAMES
-        }
-
-    def _draw_residuals(self, rng: np.random.Generator) -> Tuple[float, ...]:
-        """Per-band delay residuals: lognormal core plus rare spot outliers."""
-        if self.path_residual_sigma <= 0 and self.outlier_band_prob <= 0:
-            return ()
-        sigma = self.path_residual_sigma
-        prob = self.outlier_band_prob
-        mean = self._residual_mean
-        lognormal = rng.lognormal
-        uniform = rng.uniform
-        residuals = []
-        for _ in range(self.num_bands):
-            value = 1.0
-            if sigma > 0:
-                value = float(lognormal(mean, sigma))
-            if prob > 0 and uniform() < prob:
-                low, high = self.outlier_scale_range
-                value *= float(uniform(low, high))
-            residuals.append(value)
-        return tuple(residuals)
-
-    # ------------------------------------------------------------------
-    # public API
-    # ------------------------------------------------------------------
-    def sample(self, rng: np.random.Generator, chip_id: int = 0) -> CacheVariationMap:
-        """Draw one cache's full variation map using ``rng``.
-
-        The draws are fused (one ``standard_normal`` batch per dependency
-        group: die+offsets, then one per way) but consume the stream in
-        exactly the order the original per-parameter scalar draws did, so
-        populations are bit-identical across both implementations — see
-        :meth:`sample_reference` and the equivalence test. Parameter
-        values become plain Python floats: same bits, much faster
-        downstream circuit arithmetic than NumPy scalars.
-        """
-        if not self._vectorised:
-            return self.sample_reference(rng, chip_id)
-        n = len(PARAMETER_NAMES)
-        num_bands = self.num_bands
-        num_peri = len(PERIPHERAL_SEGMENTS)
-        factors = self.factors
-        low = self._clip_low
-        high = self._clip_high
-
-        # Head batch: die vector, then the shared per-band offsets
-        # (zero-mean, unclipped — they shift the means the band segments
-        # are drawn around).
-        inter = factors.inter_die
-        band_factor = factors.band
-        head = (n if inter != 0.0 else 0) + (
-            num_bands * n if band_factor != 0.0 else 0
-        )
-        z = rng.standard_normal(head) if head else None
-        pos = 0
-        if inter != 0.0:
-            die_values = self._nominal_arr + self._die_scale * z[:n]
-            pos = n
-        else:
-            die_values = self._nominal_arr
-        die_values = np.minimum(np.maximum(die_values, low), high)
-        die = ProcessParameters(*die_values.tolist())
-        if band_factor != 0.0:
-            band_offsets = 0.0 + self._band_scale * z[pos:]
-        else:
-            band_offsets = self._zero_offsets
-
-        # Per-way batch: way vector, the four peripheral segments, then
-        # the band segments — all centred on values already drawn.
-        row_factor = factors.row
-        rest_n = (num_peri + num_bands) * n
-        rest_scale = self._rest_scale
-        rest_low = self._rest_low
-        rest_high = self._rest_high
-        way_scales = self._way_scales
-        ways = []
-        for way in range(self.num_ways):
-            way_factor = self._way_factors[way]
-            count = (n if way_factor != 0.0 else 0) + (
-                rest_n if row_factor != 0.0 else 0
-            )
-            z = rng.standard_normal(count) if count else None
-            if way_factor != 0.0:
-                way_values = die_values + way_scales[way] * z[:n]
-                offset = n
-            else:
-                way_values = die_values
-                offset = 0
-            way_values = np.minimum(np.maximum(way_values, low), high)
-            way_params = ProcessParameters(*way_values.tolist())
-
-            centres = np.empty(rest_n)
-            centres.reshape(num_peri + num_bands, n)[:] = way_values
-            centres[num_peri * n :] += band_offsets
-            if row_factor != 0.0:
-                rest = centres + rest_scale * z[offset:]
-            else:
-                rest = centres
-            rest = np.minimum(np.maximum(rest, rest_low), rest_high).tolist()
-            peripherals = {
-                name: ProcessParameters(*rest[i * n : (i + 1) * n])
-                for i, name in enumerate(PERIPHERAL_SEGMENTS)
-            }
-            base = num_peri * n
-            bands = tuple(
-                ProcessParameters(*rest[base + b * n : base + (b + 1) * n])
-                for b in range(num_bands)
-            )
-            residuals = self._draw_residuals(rng)
-            ways.append(
-                WayVariation(
-                    way=way,
-                    params=way_params,
-                    bands=bands,
-                    band_residuals=residuals,
-                    **peripherals,
-                )
-            )
-        return CacheVariationMap(chip_id=chip_id, die=die, ways=tuple(ways))
-
-    def sample_reference(
-        self, rng: np.random.Generator, chip_id: int = 0
-    ) -> CacheVariationMap:
-        """Scalar reference implementation of :meth:`sample`.
-
-        Kept as the differential-testing oracle: draws every parameter
-        with an individual generator call, exactly as the original
-        sampler did. :meth:`sample` must match it bit for bit.
-        """
-        die = self._draw_around(self._nominal, self.factors.inter_die, rng)
-        band_offsets = [
-            self._draw_offsets(self.factors.band, rng) for _ in range(self.num_bands)
-        ]
-        ways = []
-        for way in range(self.num_ways):
-            way_factor = self.factors.way_factor(way, self.mesh)
-            way_params = self._draw_around(die, way_factor, rng)
-            peripherals = {
-                name: self._draw_around(way_params, self.factors.row, rng)
-                for name in PERIPHERAL_SEGMENTS
-            }
-            bands = tuple(
-                self._draw_around(
-                    way_params, self.factors.row, rng, offsets=band_offsets[band]
-                )
-                for band in range(self.num_bands)
-            )
-            residuals = self._draw_residuals(rng)
-            ways.append(
-                WayVariation(
-                    way=way,
-                    params=way_params,
-                    bands=bands,
-                    band_residuals=residuals,
-                    **peripherals,
-                )
-            )
-        return CacheVariationMap(chip_id=chip_id, die=die, ways=tuple(ways))
 
     def sample_chip(self, seed: int, chip_id: int) -> CacheVariationMap:
         """Draw the variation map of chip ``chip_id`` under experiment ``seed``.
 
-        Each chip gets an independent generator derived from the seed and
+        Each chip gets an independent stream derived from the seed and
         its id, so populations are stable under reordering and can be
-        sampled in parallel.
+        sampled in parallel. A one-chip slice of
+        :class:`~repro.variation.columnar.ColumnarPopulationSampler`.
         """
-        rng = spawn(seed, f"chip-{chip_id}")
-        return self.sample(rng, chip_id=chip_id)
+        from repro.variation.columnar import ColumnarPopulationSampler
+
+        population = ColumnarPopulationSampler(self).sample_population(
+            seed, (chip_id,)
+        )
+        return population.chip_map(0)

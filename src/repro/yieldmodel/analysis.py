@@ -34,7 +34,7 @@ from repro.circuit.organization import CacheOrganization, PAPER_ORGANIZATION
 from repro.circuit.technology import Technology, TECH45
 from repro.core.errors import ConfigurationError
 from repro.core.validation import require_positive
-from repro.variation.columnar import ColumnarPopulationSampler, columnar_enabled
+from repro.variation.columnar import ColumnarPopulationSampler
 from repro.variation.montecarlo import PAPER_POPULATION
 from repro.variation.sampling import CacheVariationSampler
 from repro.yieldmodel.classify import (
@@ -360,8 +360,11 @@ class YieldStudy:
     tech, organization:
         Circuit model inputs.
     sampler:
-        Variation sampler; defaults to the paper's Table 1 / correlation
-        factor configuration.
+        Variation sampler configuration; defaults to the paper's Table 1
+        / correlation factor configuration. Populations are drawn by
+        :class:`~repro.variation.columnar.ColumnarPopulationSampler`, so
+        it must be a :class:`CacheVariationSampler`; a population from
+        another sampler goes through :meth:`assemble`.
     """
 
     seed: int = 2006
@@ -373,27 +376,13 @@ class YieldStudy:
 
     def __post_init__(self) -> None:
         require_positive(self.count, "count")
-
-    def _columnar_sampler(self) -> Optional[ColumnarPopulationSampler]:
-        """The columnar fast-path sampler, or None when unavailable.
-
-        The fast path requires the stock sampler type (a subclass could
-        override the draw procedure the columnar sampler mirrors) and a
-        non-degenerate table (see
-        :attr:`ColumnarPopulationSampler.supported`). Built lazily and
-        cached on the study; the ``REPRO_COLUMNAR`` switch is checked at
-        call time so flipping it between runs takes effect.
-        """
-        cached = self.__dict__.get("_columnar_cache", False)
-        if cached is not False:
-            return cached
-        columnar: Optional[ColumnarPopulationSampler] = None
-        if type(self.sampler) is CacheVariationSampler:
-            candidate = ColumnarPopulationSampler(self.sampler)
-            if candidate.supported:
-                columnar = candidate
-        self.__dict__["_columnar_cache"] = columnar
-        return columnar
+        if not isinstance(self.sampler, CacheVariationSampler):
+            raise ConfigurationError(
+                "YieldStudy draws with a CacheVariationSampler, got "
+                f"{type(self.sampler).__name__}; evaluate other samplers' "
+                "chips with evaluate_population_pair and pass the columns "
+                "to assemble()"
+            )
 
     def evaluate_chips(
         self, start: int, stop: int
@@ -404,38 +393,18 @@ class YieldStudy:
         is derived from ``(seed, chip_id)`` alone, so disjoint id ranges
         can be evaluated in any order — or in parallel processes — and
         concatenated into the exact serial population.
-
-        When the columnar fast path applies (stock sampler, positive
-        sigmas, ``REPRO_COLUMNAR`` not 0) the range is sampled and
-        evaluated as whole-population arrays; otherwise chip by chip,
-        converted to columns once — the same columns bit for bit.
         """
-        if not 0 <= start <= stop:
-            raise ConfigurationError(
-                f"invalid chip range [{start}, {stop})"
-            )
-        regular_model = CacheCircuitModel(
-            tech=self.tech, org=self.organization, hyapd=False
+        population = ColumnarPopulationSampler(self.sampler).sample_range(
+            self.seed, start, stop
         )
-        hyapd_model = CacheCircuitModel(
-            tech=self.tech, org=self.organization, hyapd=True
-        )
-        if columnar_enabled():
-            columnar = self._columnar_sampler()
-            if columnar is not None:
-                population = columnar.sample_range(self.seed, start, stop)
-                return evaluate_population_pair(
-                    regular_model, hyapd_model, population
-                )
-        pairs = [
-            regular_model.evaluate_pair(
-                hyapd_model, self.sampler.sample_chip(self.seed, chip_id)
-            )
-            for chip_id in range(start, stop)
-        ]
-        return (
-            CircuitColumns.from_circuits([pair[0] for pair in pairs]),
-            CircuitColumns.from_circuits([pair[1] for pair in pairs]),
+        return evaluate_population_pair(
+            CacheCircuitModel(
+                tech=self.tech, org=self.organization, hyapd=False
+            ),
+            CacheCircuitModel(
+                tech=self.tech, org=self.organization, hyapd=True
+            ),
+            population,
         )
 
     def assemble(

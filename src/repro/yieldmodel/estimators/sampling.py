@@ -16,13 +16,10 @@ so any sharding of an id range concatenates bit-identically, at any
 worker count. The ``"chip"`` tag reproduces exactly the chips of the
 reference fixed-N population (the per-chip sampler's own spawn keys),
 which is what makes pilot batches a strict prefix of the brute-force
-population.
-
-``REPRO_COLUMNAR=0`` switches circuit evaluation to the per-chip
-reference path (``chip_map`` + ``evaluate_pair``); sampling always goes
-through the columnar sampler, which is bit-identical to the per-chip
-reference by the PR-7 differential battery — so the escape hatch trades
-speed only, exactly as it does for plain populations.
+population. Sampling and evaluation are the population path's own
+columnar sampler and :func:`evaluate_population_pair`; the differential
+battery holds both to the scalar and composed oracles in
+``tests/oracles/``.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from repro.circuit.columnar import CircuitColumns, evaluate_population_pair
 from repro.circuit.organization import PAPER_ORGANIZATION
 from repro.circuit.technology import TECH45
 from repro.core.errors import ConfigurationError
-from repro.variation.columnar import ColumnarPopulationSampler, columnar_enabled
+from repro.variation.columnar import ColumnarPopulationSampler
 from repro.variation.parameters import PARAMETER_NAMES
 from repro.variation.sampling import CacheVariationSampler
 from repro.yieldmodel.estimators.normal import ndtri, normal_cdf
@@ -95,10 +92,10 @@ def sample_shard(
         raise ConfigurationError(f"invalid chip range [{start}, {stop})")
     sampler = CacheVariationSampler()
     columnar = ColumnarPopulationSampler(sampler)
-    if not columnar.supported or not columnar._die_drawn:
+    if not columnar._die_drawn:
         raise ConfigurationError(
-            "yield estimators require the stock variation table with "
-            "die-level variation (inter_die factor > 0)"
+            "yield estimators require die-level variation "
+            "(inter_die factor > 0)"
         )
     count = stop - start
     labels = [f"{tag}-{chip_id}" for chip_id in range(start, stop)]
@@ -117,23 +114,9 @@ def sample_shard(
     z_rows = [
         tuple(float(v) for v in die_z[i]) for i in range(count)
     ]
-    regular_model = CacheCircuitModel(
-        tech=TECH45, org=PAPER_ORGANIZATION, hyapd=False
+    regular, horizontal = evaluate_population_pair(
+        CacheCircuitModel(tech=TECH45, org=PAPER_ORGANIZATION, hyapd=False),
+        CacheCircuitModel(tech=TECH45, org=PAPER_ORGANIZATION, hyapd=True),
+        population,
     )
-    hyapd_model = CacheCircuitModel(
-        tech=TECH45, org=PAPER_ORGANIZATION, hyapd=True
-    )
-    if columnar_enabled():
-        regular, horizontal = evaluate_population_pair(
-            regular_model, hyapd_model, population
-        )
-        return regular, horizontal, z_rows
-    pairs = [
-        regular_model.evaluate_pair(hyapd_model, population.chip_map(i))
-        for i in range(count)
-    ]
-    return (
-        CircuitColumns.from_circuits([pair[0] for pair in pairs]),
-        CircuitColumns.from_circuits([pair[1] for pair in pairs]),
-        z_rows,
-    )
+    return regular, horizontal, z_rows

@@ -6,11 +6,16 @@ replaced with one fused kernel: ``pipeline.py`` (the stage-method
 dataclass-per-access cache hierarchy) and ``replacement.py`` (the
 per-set LRU policy object). Only their imports differ from the originals,
 so that each oracle module uses its oracle siblings. ``classify.py`` is
-the per-chip classification before its leakage facts were cached, and
+the per-chip classification before its leakage facts were cached,
 ``columnar.py`` the columnar sampler's per-chip ``Generator`` draws
-before populations were decoded from raw stream words. They are never
-imported by ``src/``; their job is to pin every statistic the
-production code reports, bit for bit.
+before populations were decoded from raw stream words, and
+``schemes.py`` the per-chip scheme rescues before they became array
+decisions. ``sampling.py`` is the scalar per-parameter sampler and
+``circuit.py`` the composed per-stage circuit physics (devices, wires,
+SRAM stages, decoder, access path) that populations were drawn and
+evaluated with before the columnar sampler and kernel became the only
+production path. They are never imported by ``src/``; their job is to
+pin every statistic the production code reports, bit for bit.
 """
 
 from __future__ import annotations

@@ -31,10 +31,10 @@ def draw_chip(
     """Consume one chip's draws from ``rng`` into row ``index``.
 
     The consumption order is the contract: head batch, then per way
-    a segment batch followed by the residual loop — exactly the
-    batches :meth:`CacheVariationSampler.sample` takes, so both
-    samplers leave ``rng`` at the same stream position (locked by
-    the stream-identity regression test).
+    a segment batch followed by the residual loop — the order the
+    scalar oracle in ``sampling.py`` takes its per-parameter draws, so
+    both leave ``rng`` at the same stream position (locked by the
+    stream-identity regression test).
     """
     standard_normal = rng.standard_normal
     if self._head_n:

@@ -1,5 +1,6 @@
 """Tests for the whole-cache circuit model and its organisation."""
 
+import numpy as np
 import pytest
 
 from repro.circuit import (
@@ -9,17 +10,37 @@ from repro.circuit import (
     TECH45,
 )
 from repro.circuit.cache_model import CacheCircuitResult, WayCircuitResult
-from repro.circuit.columnar import CircuitColumns, left_sum
-from repro.circuit.decoder import decoder_delay
-from repro.circuit.paths import access_path_delay
-from repro.circuit.sram import bitline_delay, cell_leakage, senseamp_delay
+from repro.circuit.columnar import (
+    CircuitColumns,
+    evaluate_population_pair,
+    left_sum,
+)
 from repro.core import units
 from repro.core.errors import ConfigurationError
+from repro.variation.columnar import ColumnarPopulationSampler
 from repro.variation.parameters import TABLE1
 from repro.variation.sampling import CacheVariationSampler
 from repro.yieldmodel.constraints import ConstraintPolicy
 
+from oracles.circuit import (
+    bitline_delay,
+    cell_leakage,
+    decoder_delay,
+    senseamp_delay,
+)
+
 NOMINAL = TABLE1.nominal()
+
+
+def _population(seed: int, count: int) -> CircuitColumns:
+    """Regular-organisation columns of chips ``[0, count)`` of ``seed``."""
+    population = ColumnarPopulationSampler(
+        CacheVariationSampler()
+    ).sample_range(seed, 0, count)
+    regular, _ = evaluate_population_pair(
+        CacheCircuitModel(), CacheCircuitModel(hyapd=True), population
+    )
+    return regular
 
 
 class TestOrganization:
@@ -181,39 +202,18 @@ class TestVariationSensitivity:
         """Paper Section 1 cites ~30% frequency variation; the calibrated
         model's access-delay spread is of that order (sigma/mean within
         10-60%, fat right tail)."""
-        import numpy as np
-
-        sampler = CacheVariationSampler()
-        model = CacheCircuitModel()
-        delays = [
-            model.evaluate(sampler.sample_chip(seed=4, chip_id=i)).access_delay
-            for i in range(300)
-        ]
+        delays = _population(seed=4, count=300).access_delays
         ratio = float(np.std(delays) / np.mean(delays))
         assert 0.10 < ratio < 0.60
 
     def test_leakage_spread_is_wide(self):
         """Leakage spans multiples of its mean (paper Figures 1/8)."""
-        import numpy as np
-
-        sampler = CacheVariationSampler()
-        model = CacheCircuitModel()
-        leaks = [
-            model.evaluate(sampler.sample_chip(seed=4, chip_id=i)).total_leakage
-            for i in range(300)
-        ]
+        leaks = _population(seed=4, count=300).total_leakage
         assert max(leaks) / float(np.mean(leaks)) > 3.0
 
     def test_leakage_delay_anticorrelation(self):
-        import numpy as np
-
-        sampler = CacheVariationSampler()
-        model = CacheCircuitModel()
-        delays, leaks = [], []
-        for i in range(200):
-            result = model.evaluate(sampler.sample_chip(seed=5, chip_id=i))
-            delays.append(result.access_delay)
-            leaks.append(result.total_leakage)
+        circuits = _population(seed=5, count=200)
+        delays, leaks = circuits.access_delays, circuits.total_leakage
         corr = float(np.corrcoef(np.log(leaks), delays)[0, 1])
         assert corr < -0.5
 

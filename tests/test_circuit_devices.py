@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.circuit import devices
+from oracles import circuit as devices
 from repro.circuit.technology import TECH45
 from repro.core import units
 from repro.core.errors import ConfigurationError

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.circuit import interconnect
+from oracles import circuit as interconnect
 from repro.circuit.technology import TECH45
 from repro.core.errors import ConfigurationError
 from repro.variation.parameters import TABLE1

@@ -1,10 +1,16 @@
 """Tests for the operating-temperature models."""
 
+import numpy as np
 import pytest
 
-from repro.circuit import devices, CacheCircuitModel
+from repro.circuit import CacheCircuitModel
+from repro.circuit.columnar import evaluate_population_pair
 from repro.circuit.technology import REFERENCE_TEMPERATURE, TECH45
+from repro.variation.columnar import ColumnarPopulationSampler
 from repro.variation.parameters import TABLE1
+from repro.variation.sampling import CacheVariationSampler
+
+from oracles import circuit as devices
 
 NOMINAL = TABLE1.nominal()
 
@@ -62,17 +68,17 @@ class TestYieldVsTemperature:
         moves *more decades* of leakage at low temperature — relative
         leakage variability is worse cold (the well-known reason burn-in
         binning is done hot)."""
-        from repro.variation import CacheVariationSampler, MonteCarloEngine
-        import numpy as np
+        population = ColumnarPopulationSampler(
+            CacheVariationSampler()
+        ).sample_range(3, 0, 150)
 
         def leak_spread(temperature):
-            model = CacheCircuitModel(
-                tech=TECH45.replace(temperature=temperature)
+            tech = TECH45.replace(temperature=temperature)
+            regular, _ = evaluate_population_pair(
+                CacheCircuitModel(tech=tech),
+                CacheCircuitModel(tech=tech, hyapd=True),
+                population,
             )
-            engine = MonteCarloEngine(CacheVariationSampler(), seed=3)
-            leaks = [
-                r.total_leakage for r in engine.map_chips(model.evaluate, 150)
-            ]
-            return np.std(np.log(leaks))
+            return np.std(np.log(regular.total_leakage))
 
         assert leak_spread(300.0) > leak_spread(400.0)

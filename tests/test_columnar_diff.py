@@ -1,21 +1,23 @@
-"""Differential tests: columnar Monte Carlo vs the per-chip reference.
+"""Differential tests: the columnar population path vs the oracles.
 
-The columnar population pipeline (`ColumnarPopulationSampler` +
-`evaluate_population_pair` + `ChipColumns`) exists purely for speed
-— it must be *bit-identical* to the per-chip path it bypasses.
-These tests sweep 150 randomized (geometry, correlation-factor, residual,
-seed) configurations through both samplers and assert equality of every
-sampled parameter; a subset continues through the circuit model and the
-column-wise classification; and a handful of end-to-end configurations
-run the full :class:`YieldStudy` with ``REPRO_COLUMNAR`` on and off and
-assert equal yield breakdowns, loss-reason censuses, scatter outputs and
-byte-identical store payloads.
+Production draws and evaluates populations one way only:
+`ColumnarPopulationSampler`, `evaluate_population_pair` and
+`ChipColumns`. These tests hold it, bit for bit, to the per-chip
+references in ``tests/oracles/``: the scalar per-parameter sampler
+(``sampling.py``) and the composed per-stage circuit physics
+(``circuit.py``). 150 randomized (geometry, correlation-factor,
+residual, seed) configurations go through the columnar sampler and the
+scalar oracle, which must agree on every sampled parameter and leave
+every chip's stream at the same position; a subset continues through
+the circuit kernel at several temperatures and through the column-wise
+classification; and a handful of end-to-end configurations run the
+full :class:`YieldStudy` once in production and once on the oracles
+alone, asserting equal yield breakdowns, loss-reason censuses, scatter
+outputs and byte-identical store payloads.
 
-A final regression class locks the RNG stream contract: the columnar
-decoder must read exactly as many words of a chip's stream as the
-reference sampler's generator consumes, and the estimator layer's
-``sample_shard`` (``{tag}-{chip_id}`` streams) must draw exactly what
-the per-chip oracle in ``tests/oracles/columnar.py`` draws.
+The stream classes also pin the decoder to the per-chip ``Generator``
+draws of ``tests/oracles/columnar.py``, including the estimator
+layer's ``sample_shard`` (``{tag}-{chip_id}`` streams).
 """
 
 from __future__ import annotations
@@ -32,13 +34,21 @@ from repro.circuit.organization import CacheOrganization
 from repro.core.errors import ConfigurationError
 from repro.core.rng import spawn, stream_states
 from repro.engine.codec import encode_population
+from repro.circuit.technology import TECH45
 from repro.variation.columnar import (
+    ColumnarPopulation,
     ColumnarPopulationSampler,
-    columnar_enabled,
     decode_program,
 )
-from repro.variation.sampling import CacheVariationSampler
+from repro.variation.gridmodel import GridVariationSampler
+from repro.variation.parameters import TABLE1
+from repro.variation.sampling import (
+    CacheVariationMap,
+    CacheVariationSampler,
+    WayVariation,
+)
 from repro.variation.spatial import CorrelationFactors, MeshLayout
+from repro.yieldmodel import analysis
 from repro.yieldmodel.analysis import (
     PopulationResult,
     YieldStudy,
@@ -48,6 +58,8 @@ from repro.yieldmodel.classify import ChipCase, ChipColumns, config_key
 from repro.yieldmodel.constraints import NOMINAL_POLICY
 from repro.yieldmodel.estimators.sampling import sample_shard
 
+from oracles import circuit as circuit_oracle
+from oracles import sampling as sampling_oracle
 from oracles.columnar import draw as oracle_draw
 
 #: Meshes and the way counts placed on them: every relation to way 0
@@ -129,9 +141,27 @@ _CASES = _make_cases(150)
 #: sampler battery above already pins the inputs bit for bit).
 _CIRCUIT_CASES = _CASES[::4]
 
+#: Junction temperatures (K) of the circuit battery: room and hot
+#: binning points around the 85 C calibration point, plus the
+#: ``ablation_temperature`` sweep's own 300, 358 and 400 K.
+_TEMPERATURES = (298.15, 300.0, 358.0, 378.15, 400.0)
+
 
 def _columns_for(sampler: CacheVariationSampler):
     return ColumnarPopulationSampler(sampler)
+
+
+def _uniform_map(chip_id: int, params) -> CacheVariationMap:
+    """A paper-geometry chip with ``params`` in every segment and no
+    residuals (``nominal()``'s shape)."""
+    ways = tuple(
+        WayVariation(
+            way=way, params=params, decoder=params, precharge=params,
+            senseamp=params, outdriver=params, bands=(params,) * 4,
+        )
+        for way in range(4)
+    )
+    return CacheVariationMap(chip_id=chip_id, die=params, ways=ways)
 
 
 class TestSamplerDifferential:
@@ -144,9 +174,38 @@ class TestSamplerDifferential:
         for index, chip_id in enumerate(chip_ids):
             # NamedTuple equality: exact float comparison over the die
             # vector, every way/peripheral/band vector and the residuals.
-            assert population.chip_map(index) == sampler.sample_chip(
-                seed, chip_id
+            assert population.chip_map(index) == sampling_oracle.sample_chip(
+                sampler, seed, chip_id
             )
+
+    @pytest.mark.parametrize(
+        "sampler,seed,chip_ids", [_CASES[i] for i in range(0, 150, 15)]
+    )
+    def test_from_maps_inverts_chip_map(self, sampler, seed, chip_ids):
+        population = _columns_for(sampler).sample_population(seed, chip_ids)
+        rebuilt = ColumnarPopulation.from_maps(
+            [population.chip_map(i) for i in range(len(chip_ids))]
+        )
+        assert rebuilt.chip_ids == population.chip_ids
+        assert rebuilt.has_residuals == population.has_residuals
+        for name in (
+            "die", "way_params", "peripherals", "bands", "band_residuals"
+        ):
+            assert getattr(rebuilt, name).tobytes() == \
+                getattr(population, name).tobytes()
+        # sample_chip is the one-chip slice of the same population.
+        assert sampler.sample_chip(seed, chip_ids[1]) == \
+            population.chip_map(1)
+
+    def test_from_maps_refuses_ragged_and_empty(self):
+        maps = [
+            CacheVariationSampler(num_ways=ways).sample_chip(1, 0)
+            for ways in (4, 2)
+        ]
+        with pytest.raises(ConfigurationError):
+            ColumnarPopulation.from_maps(maps)
+        with pytest.raises(ConfigurationError):
+            ColumnarPopulation.from_maps([])
 
     def test_sample_range_matches_sample_population(self):
         sampler = CacheVariationSampler()
@@ -171,40 +230,74 @@ class TestSamplerDifferential:
         with pytest.raises(ConfigurationError):
             columnar.allocate(-1)
 
-    def test_unsupported_sampler_refuses(self):
-        """Degenerate tables fall back to scalar draws in the reference;
-        the columnar sampler must refuse them rather than diverge."""
-        sampler = CacheVariationSampler()
-        sampler._vectorised = False  # simulate a zero-sigma table
-        columnar = _columns_for(sampler)
-        assert not columnar.supported
-        with pytest.raises(ConfigurationError):
-            columnar.sample_population(1, range(4))
 
 
 class TestCircuitDifferential:
-    """Columns through the circuit model vs per-chip evaluate_pair."""
+    """Columns through the circuit kernel vs the composed physics."""
 
     @pytest.mark.parametrize("sampler,seed,chip_ids", _CIRCUIT_CASES)
     def test_pair_matches_per_chip(self, sampler, seed, chip_ids):
         org = CacheOrganization(
             num_ways=sampler.num_ways, banks_per_way=sampler.num_bands
         )
-        regular_model = CacheCircuitModel(org=org, hyapd=False)
-        hyapd_model = CacheCircuitModel(org=org, hyapd=True)
         population = _columns_for(sampler).sample_population(seed, chip_ids)
-        col_regular, col_hyapd = evaluate_population_pair(
-            regular_model, hyapd_model, population
-        )
-        assert col_regular.chip_ids == col_hyapd.chip_ids == chip_ids
-        assert (col_regular.hyapd, col_hyapd.hyapd) == (False, True)
-        for index, chip_id in enumerate(chip_ids):
-            cvmap = sampler.sample_chip(seed, chip_id)
-            ref_regular, ref_hyapd = regular_model.evaluate_pair(
-                hyapd_model, cvmap
+        maps = [population.chip_map(i) for i in range(len(chip_ids))]
+        for temperature in _TEMPERATURES:
+            tech = TECH45.replace(temperature=temperature)
+            regular_model = CacheCircuitModel(tech=tech, org=org, hyapd=False)
+            hyapd_model = CacheCircuitModel(tech=tech, org=org, hyapd=True)
+            col_regular, col_hyapd = evaluate_population_pair(
+                regular_model, hyapd_model, population
             )
-            assert col_regular.circuit(index) == ref_regular
-            assert col_hyapd.circuit(index) == ref_hyapd
+            assert col_regular.chip_ids == col_hyapd.chip_ids == chip_ids
+            assert (col_regular.hyapd, col_hyapd.hyapd) == (False, True)
+            for index, cvmap in enumerate(maps):
+                assert col_regular.circuit(index) == circuit_oracle.evaluate(
+                    regular_model, cvmap
+                )
+                assert col_hyapd.circuit(index) == circuit_oracle.evaluate(
+                    hyapd_model, cvmap
+                )
+
+    @pytest.mark.parametrize("hyapd", (False, True))
+    @pytest.mark.parametrize("temperature", _TEMPERATURES)
+    def test_one_chip_slices_match_composed(self, temperature, hyapd):
+        """``evaluate`` and ``nominal`` are one-row slices of the kernel."""
+        model = CacheCircuitModel(
+            tech=TECH45.replace(temperature=temperature), hyapd=hyapd
+        )
+        cvmap = CacheVariationSampler().sample_chip(9, 4)
+        assert model.evaluate(cvmap) == circuit_oracle.evaluate(model, cvmap)
+        assert model.nominal() == circuit_oracle.evaluate(
+            model, _uniform_map(-1, TABLE1.nominal())
+        )
+
+    @pytest.mark.parametrize("temperature", _TEMPERATURES)
+    def test_floors_match_composed(self, temperature):
+        """Every segment past the threshold, overdrive and wire-spacing
+        floors, which sampled chips reach only in their tails."""
+        nominal = TABLE1.nominal()
+        maps = [
+            _uniform_map(chip_id, params)
+            for chip_id, params in enumerate((
+                nominal._replace(lgate=nominal.lgate * 0.7),  # Vt floor
+                nominal._replace(vt=0.88),  # overdrive floor
+                nominal._replace(metal_width=0.45e-6),  # spacing floor
+            ))
+        ]
+        tech = TECH45.replace(temperature=temperature)
+        models = (
+            CacheCircuitModel(tech=tech),
+            CacheCircuitModel(tech=tech, hyapd=True),
+        )
+        columns = evaluate_population_pair(
+            *models, ColumnarPopulation.from_maps(maps)
+        )
+        for model, circuits in zip(models, columns):
+            for index, cvmap in enumerate(maps):
+                assert circuits.circuit(index) == circuit_oracle.evaluate(
+                    model, cvmap
+                )
 
     @pytest.mark.parametrize("sampler,seed,chip_ids", _CIRCUIT_CASES[:10])
     def test_classification_matches_per_case(self, sampler, seed, chip_ids):
@@ -220,11 +313,16 @@ class TestCircuitDifferential:
         )
         constraints = derive_constraints(NOMINAL_POLICY, col_regular)
         classified = ChipColumns(col_regular, constraints)
-        reference = [
-            regular_model.evaluate_pair(
-                hyapd_model, sampler.sample_chip(seed, chip_id)
-            )
+        maps = [
+            sampling_oracle.sample_chip(sampler, seed, chip_id)
             for chip_id in chip_ids
+        ]
+        reference = [
+            (
+                circuit_oracle.evaluate(regular_model, cvmap),
+                circuit_oracle.evaluate(hyapd_model, cvmap),
+            )
+            for cvmap in maps
         ]
         cases = [
             ChipCase(circuit=regular, constraints=constraints)
@@ -325,23 +423,29 @@ def _study_configs():
 
 
 class TestStudyDifferential:
-    """Full YieldStudy with REPRO_COLUMNAR on vs off."""
+    """A production YieldStudy vs one run on the oracles alone."""
 
     @pytest.mark.parametrize("seed,count,org,sampler", _study_configs())
     def test_population_result_identical(
         self, monkeypatch, seed, count, org, sampler
     ):
-        def run(flag: str):
-            monkeypatch.setenv("REPRO_COLUMNAR", flag)
-            study = YieldStudy(
+        def run():
+            return YieldStudy(
                 seed=seed, count=count, organization=org, sampler=sampler
-            )
-            if flag == "1":
-                assert study._columnar_sampler() is not None
-            return study.run()
+            ).run()
 
-        fast = run("1")
-        reference = run("0")
+        fast = run()
+        # Scalar draws per chip and composed evaluation per chip, turned
+        # into columns only at the end.
+        monkeypatch.setattr(
+            ColumnarPopulationSampler, "sample_range",
+            sampling_oracle.sample_range,
+        )
+        monkeypatch.setattr(
+            analysis, "evaluate_population_pair",
+            circuit_oracle.evaluate_population_pair,
+        )
+        reference = run()
         assert fast.constraints == reference.constraints
         assert fast.regular.chip_ids == reference.regular.chip_ids
         for horizontal in (False, True):
@@ -364,54 +468,46 @@ class TestStudyDifferential:
         assert fast.scatter() == reference.scatter()
         assert fast.scatter(horizontal=True) == reference.scatter(horizontal=True)
         # The store payload — what the engine persists — must be
-        # byte-identical whichever path computed it.
+        # byte-identical to the one the oracles produce.
         fast_bytes = json.dumps(encode_population(fast), sort_keys=True)
         ref_bytes = json.dumps(encode_population(reference), sort_keys=True)
         assert fast_bytes == ref_bytes
 
-    def test_env_toggle(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COLUMNAR", raising=False)
-        assert columnar_enabled()
-        monkeypatch.setenv("REPRO_COLUMNAR", "0")
-        assert not columnar_enabled()
-        monkeypatch.setenv("REPRO_COLUMNAR", "1")
-        assert columnar_enabled()
-
-    def test_subclass_sampler_falls_back(self, monkeypatch):
-        """A sampler subclass could override the draw procedure the
-        columnar sampler mirrors — the fast path must decline it."""
+    def test_subclass_sampler_takes_columnar_path(self, monkeypatch):
+        """A sampler subclass is a configuration like any other: its
+        population is drawn by the columnar sampler."""
 
         class TweakedSampler(CacheVariationSampler):
             pass
 
-        monkeypatch.setenv("REPRO_COLUMNAR", "1")
-        study = YieldStudy(seed=3, count=8, sampler=TweakedSampler())
-        assert study._columnar_sampler() is None
-        result = study.run()  # reference path still works
-        assert result.population == 8
+        calls = []
+        sample_range = ColumnarPopulationSampler.sample_range
 
-    def test_degenerate_table_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COLUMNAR", "1")
-        sampler = CacheVariationSampler()
-        sampler._vectorised = False
-        study = YieldStudy(seed=3, count=8, sampler=sampler)
-        assert study._columnar_sampler() is None
-        assert study.run().population == 8
+        def spy(self, seed, start, stop):
+            calls.append(type(self.sampler))
+            return sample_range(self, seed, start, stop)
 
-    def test_columnar_cache_memoized(self):
-        study = YieldStudy(seed=3, count=8)
-        first = study._columnar_sampler()
-        assert first is not None
-        assert study._columnar_sampler() is first
+        monkeypatch.setattr(ColumnarPopulationSampler, "sample_range", spy)
+        result = YieldStudy(seed=3, count=8, sampler=TweakedSampler()).run()
+        assert calls == [TweakedSampler]
+        stock = YieldStudy(seed=3, count=8).run()
+        assert encode_population(result) == encode_population(stock)
+
+    def test_other_samplers_refused(self):
+        with pytest.raises(ConfigurationError, match="CacheVariationSampler"):
+            YieldStudy(seed=3, count=8, sampler=GridVariationSampler())
+
+    def test_non_positive_count_refused(self):
+        for count in (0, -1):
+            with pytest.raises(ConfigurationError):
+                YieldStudy(seed=3, count=count)
 
 
 class TestStreamIdentity:
     """The decoder reads each chip's stream exactly as far as the
-    reference sampler's generator does."""
+    scalar oracle's generator does."""
 
-    @pytest.mark.parametrize(
-        "sampler,seed,chip_ids", [_CASES[i] for i in (0, 17, 42, 85, 133)]
-    )
+    @pytest.mark.parametrize("sampler,seed,chip_ids", _CASES)
     def test_rng_left_at_same_position(self, sampler, seed, chip_ids):
         columnar = _columns_for(sampler)
         labels = [f"chip-{chip_id}" for chip_id in chip_ids]
@@ -424,7 +520,9 @@ class TestStreamIdentity:
             chip_ids, labels, words_read.tolist()
         ):
             reference_rng = spawn(seed, label)
-            sampler.sample(reference_rng, chip_id=chip_id)
+            sampling_oracle.sample_reference(
+                sampler, reference_rng, chip_id=chip_id
+            )
             # A word more or fewer leaves a different PCG64 state.
             advanced = spawn(seed, label).bit_generator
             advanced.advance(consumed)
@@ -440,15 +538,6 @@ class TestStreamIdentity:
         want = oracle_draw(columnar, seed, labels)
         for name in ("head_z", "way_z", "residuals"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-
-    def test_reference_and_fused_sampler_agree(self):
-        """The fused sampler and its scalar oracle consume identically
-        (pre-existing contract the columnar path builds on)."""
-        sampler = CacheVariationSampler()
-        a = spawn(5, "chip-0")
-        b = spawn(5, "chip-0")
-        assert sampler.sample(a) == sampler.sample_reference(b)
-        assert a.standard_normal(8).tolist() == b.standard_normal(8).tolist()
 
 
 class TestShardDifferential:

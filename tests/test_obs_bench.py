@@ -273,8 +273,6 @@ class TestHarness:
         results = run_suite("engine", repeats=2, warmup=0)
         assert [r.bench for r in results] == [
             "engine.population",
-            "population.columnar",
-            "population.reference",
             "engine.store_roundtrip",
             "engine.store_10k",
             "engine.population_store",
@@ -366,7 +364,7 @@ class TestBenchCli:
         assert history.is_file()
         records, skipped = load_history(history)
         assert skipped == 0
-        assert len(records) == 12  # 2 runs x 6 benchmarks
+        assert len(records) == 8  # 2 runs x 4 benchmarks
         assert len(run_ids(records)) == 2
         assert all(r["provenance"]["python"] for r in records)
         assert (tmp_path / "BENCH_engine.json").is_file()

@@ -123,13 +123,23 @@ class TestGridVariationSampler:
             GridVariationSampler(num_ways=2)
 
     def test_yield_pipeline_compatible(self):
-        """The full yield study runs with the grid sampler plugged in."""
+        """Grid chips go through the columnar circuit kernel and the yield
+        study's assembly."""
+        from repro.circuit.columnar import evaluate_population_pair
         from repro.schemes import Hybrid, YAPD
+        from repro.variation.columnar import ColumnarPopulation
         from repro.yieldmodel import YieldStudy
 
-        pop = YieldStudy(
-            seed=2006, count=200, sampler=GridVariationSampler()
-        ).run()
+        sampler = GridVariationSampler()
+        population = ColumnarPopulation.from_maps(
+            [sampler.sample_chip(2006, chip_id) for chip_id in range(200)]
+        )
+        pop = YieldStudy(seed=2006, count=200).assemble(
+            *evaluate_population_pair(
+                CacheCircuitModel(), CacheCircuitModel(hyapd=True), population
+            )
+        )
+        assert pop.population == 200
         bd = pop.breakdown([YAPD(), Hybrid()])
         if bd.base_total:
             assert bd.scheme_total("Hybrid") <= bd.scheme_total("YAPD")

@@ -27,6 +27,15 @@ class TestParameterSpec:
         with pytest.raises(ConfigurationError):
             ParameterSpec("vt", 0.0, 0.1)
 
+    def test_rejects_sigma_that_underflows_to_zero(self):
+        """Positive inputs whose product underflows leave no variation;
+        the samplers' draw arithmetic assumes every sigma is positive."""
+        assert 0.22 * 5e-324 / 3.0 == 0.0
+        with pytest.raises(ConfigurationError, match="sigma"):
+            ParameterSpec("vt", 0.22, 5e-324)
+        with pytest.raises(ConfigurationError, match="sigma"):
+            TABLE1.scaled(1e-320)
+
 
 class TestTable1:
     """Pin the paper's Table 1 values exactly."""

@@ -5,14 +5,26 @@ import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
 from repro.core.errors import ConfigurationError
-from repro.variation.montecarlo import MonteCarloEngine
+from repro.variation.columnar import (
+    ColumnarPopulation,
+    ColumnarPopulationSampler,
+)
 from repro.variation.parameters import PARAMETER_NAMES, TABLE1
 from repro.variation.sampling import CacheVariationSampler, PERIPHERAL_SEGMENTS
 from repro.variation.spatial import CorrelationFactors
 
+VT = PARAMETER_NAMES.index("vt")
+
 
 def make_sampler(**kwargs) -> CacheVariationSampler:
     return CacheVariationSampler(**kwargs)
+
+
+def draw(seed: int, count: int, **kwargs) -> ColumnarPopulation:
+    """Chips ``[0, count)`` of ``seed`` as columns."""
+    return ColumnarPopulationSampler(make_sampler(**kwargs)).sample_range(
+        seed, 0, count
+    )
 
 
 class TestSamplerStructure:
@@ -67,92 +79,72 @@ class TestSamplerStructure:
 
 class TestSamplerStatistics:
     def test_all_values_positive_and_clipped(self):
-        sampler = make_sampler()
-        for chip_id in range(50):
-            cvmap = sampler.sample_chip(seed=3, chip_id=chip_id)
-            for way in cvmap.ways:
-                for params in [way.params, way.decoder, *way.bands]:
-                    for name in PARAMETER_NAMES:
-                        value = getattr(params, name)
-                        nominal = getattr(TABLE1.nominal(), name)
-                        assert value > 0
-                        # die draw clipped at 3 sigma; children can stray a
-                        # little past but must stay within die +/- child
-                        # clip; allow a generous global envelope.
-                        assert value < nominal * 3
+        population = draw(seed=3, count=50)
+        nominal = np.array(list(TABLE1.nominal()))
+        for values in (
+            population.way_params,
+            population.peripherals[:, :, PERIPHERAL_SEGMENTS.index("decoder")],
+            population.bands,
+        ):
+            assert (values > 0).all()
+            # die draw clipped at 3 sigma; children can stray a
+            # little past but must stay within die +/- child
+            # clip; allow a generous global envelope.
+            assert (values < nominal * 3).all()
 
     def test_die_mean_tracks_nominal(self):
-        sampler = make_sampler()
-        vts = [
-            sampler.sample_chip(seed=11, chip_id=i).die.vt for i in range(400)
-        ]
+        vts = draw(seed=11, count=400).die[:, VT]
         mean = float(np.mean(vts))
         assert mean == pytest.approx(TABLE1.nominal().vt, rel=0.02)
 
     def test_way_correlation_ordering(self):
         """Way 1 (horizontal, factor .375) tracks way 0 tighter than way 3
         (diagonal, .7125)."""
-        sampler = make_sampler(path_residual_sigma=0.0, outlier_band_prob=0.0)
-        d1, d3 = [], []
-        for i in range(400):
-            cvmap = sampler.sample_chip(seed=13, chip_id=i)
-            base = cvmap.ways[0].params.vt
-            d1.append(cvmap.ways[1].params.vt - base)
-            d3.append(cvmap.ways[3].params.vt - base)
+        vt = draw(
+            seed=13, count=400, path_residual_sigma=0.0, outlier_band_prob=0.0
+        ).way_params[:, :, VT]
+        d1 = vt[:, 1] - vt[:, 0]
+        d3 = vt[:, 3] - vt[:, 0]
         assert np.std(d3) > np.std(d1) * 1.2
 
     def test_band_offsets_shared_across_ways(self):
         """The same band index in different ways is positively correlated."""
-        sampler = make_sampler(path_residual_sigma=0.0, outlier_band_prob=0.0)
-        a, b = [], []
-        for i in range(400):
-            cvmap = sampler.sample_chip(seed=17, chip_id=i)
-            way_means = [
-                np.mean([band.vt for band in way.bands]) for way in cvmap.ways
-            ]
-            # deviation of band 2 from its way mean, in two ways
-            a.append(cvmap.ways[0].bands[2].vt - way_means[0])
-            b.append(cvmap.ways[3].bands[2].vt - way_means[3])
+        band_vt = draw(
+            seed=17, count=400, path_residual_sigma=0.0, outlier_band_prob=0.0
+        ).bands[..., VT]
+        way_means = band_vt.mean(axis=2)
+        # deviation of band 2 from its way mean, in two ways
+        a = band_vt[:, 0, 2] - way_means[:, 0]
+        b = band_vt[:, 3, 2] - way_means[:, 3]
         corr = float(np.corrcoef(a, b)[0, 1])
         assert corr > 0.5
 
     def test_band_factor_zero_decorrelates(self):
         factors = CorrelationFactors().with_band(0.0)
-        sampler = make_sampler(
-            factors=factors, path_residual_sigma=0.0, outlier_band_prob=0.0
+        population = draw(
+            seed=17, count=400, factors=factors,
+            path_residual_sigma=0.0, outlier_band_prob=0.0,
         )
-        a, b = [], []
-        for i in range(400):
-            cvmap = sampler.sample_chip(seed=17, chip_id=i)
-            a.append(cvmap.ways[0].bands[2].vt - cvmap.ways[0].params.vt)
-            b.append(cvmap.ways[3].bands[2].vt - cvmap.ways[3].params.vt)
+        band_vt = population.bands[:, :, 2, VT]
+        offsets = band_vt - population.way_params[..., VT]
+        a, b = offsets[:, 0], offsets[:, 3]
         corr = float(np.corrcoef(a, b)[0, 1])
         assert abs(corr) < 0.2
 
     def test_residuals_unit_mean(self):
-        sampler = make_sampler(outlier_band_prob=0.0)
-        values = []
-        for i in range(300):
-            cvmap = sampler.sample_chip(seed=23, chip_id=i)
-            for way in cvmap.ways:
-                values.extend(way.band_residuals)
+        values = draw(seed=23, count=300, outlier_band_prob=0.0).band_residuals
         assert float(np.mean(values)) == pytest.approx(1.0, rel=0.05)
 
     def test_outliers_appear_at_configured_rate(self):
-        sampler = make_sampler(
+        residuals = draw(
+            seed=29,
+            count=200,
             path_residual_sigma=0.0,
             outlier_band_prob=0.05,
             outlier_scale_range=(1.5, 1.5),
-        )
-        hits = total = 0
-        for i in range(200):
-            cvmap = sampler.sample_chip(seed=29, chip_id=i)
-            for way in cvmap.ways:
-                for residual in way.band_residuals:
-                    total += 1
-                    if residual > 1.4:
-                        hits += 1
-        assert hits / total == pytest.approx(0.05, abs=0.02)
+        ).band_residuals
+        hits = int(np.count_nonzero(residuals > 1.4))
+        assert hits / residuals.size == pytest.approx(0.05, abs=0.02)
 
     def test_residuals_disabled(self):
         sampler = make_sampler(path_residual_sigma=0.0, outlier_band_prob=0.0)
@@ -161,29 +153,18 @@ class TestSamplerStatistics:
         assert cvmap.ways[0].band_residual(2) == 1.0
 
 
-class TestMonteCarloEngine:
-    def test_population_size(self):
-        engine = MonteCarloEngine(make_sampler(), seed=5)
-        chips = list(engine.chips(25))
-        assert len(chips) == 25
-        assert [c.chip_id for c in chips] == list(range(25))
-
-    def test_map_chips(self):
-        engine = MonteCarloEngine(make_sampler(), seed=5)
-        vts = engine.map_chips(lambda c: c.die.vt, count=10)
-        assert len(vts) == 10
-
+class TestPopulationDraws:
     def test_prefix_stability(self):
         """Chip i is identical regardless of population size."""
-        engine = MonteCarloEngine(make_sampler(), seed=5)
-        small = list(engine.chips(3))
-        large = list(engine.chips(6))
-        assert small == large[:3]
-
-    def test_rejects_non_positive_count(self):
-        engine = MonteCarloEngine(make_sampler(), seed=5)
-        with pytest.raises(ConfigurationError):
-            list(engine.chips(0))
+        columnar = ColumnarPopulationSampler(make_sampler())
+        small = columnar.sample_range(5, 0, 3)
+        large = columnar.sample_range(5, 0, 6)
+        assert small.chip_ids == large.chip_ids[:3]
+        for name in (
+            "die", "way_params", "peripherals", "bands", "band_residuals"
+        ):
+            assert getattr(small, name).tobytes() == \
+                getattr(large, name)[:3].tobytes()
 
 
 @hsettings(max_examples=20, deadline=None)

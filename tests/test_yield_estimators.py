@@ -6,7 +6,7 @@ Covers, per ISSUE 10:
   randomized configurations (paired chip streams, CI agreement),
 * Neyman-allocation property tests,
 * adaptive-stopping determinism at 1 vs 4 workers (byte-equal payloads),
-* ``REPRO_COLUMNAR=0`` parity for every estimator kind,
+* parity with the composed circuit oracle for every estimator kind,
 * the zero-population guards and the gauge-cardinality cap,
 * warm byte-identity through the engine store and the serve layer.
 """
@@ -39,8 +39,11 @@ from repro.yieldmodel.estimators import (
     normal_cdf,
     run_estimate,
 )
+from repro.yieldmodel.estimators import sampling as estimator_sampling
 from repro.yieldmodel.estimators.core import estimate_is
 from repro.yieldmodel.statistics import wilson_interval
+
+from oracles import circuit as circuit_oracle
 
 
 def _blob(report) -> str:
@@ -316,12 +319,15 @@ def test_estimators_bit_deterministic_across_worker_counts(tmp_path, spec):
     ],
 )
 def test_estimators_columnar_off_parity(monkeypatch, kind, extra):
-    """REPRO_COLUMNAR=0 changes speed only, never a single bit."""
+    """With the columnar kernel swapped for the composed per-chip circuit
+    oracle, every estimator payload is byte-identical."""
     runner = BatchRunner(workers=1)
     spec = EstimatorSpec(kind=kind, **extra)
-    monkeypatch.delenv("REPRO_COLUMNAR", raising=False)
     fast = run_estimate(runner, spec, 17, 240, NOMINAL_POLICY)
-    monkeypatch.setenv("REPRO_COLUMNAR", "0")
+    monkeypatch.setattr(
+        estimator_sampling, "evaluate_population_pair",
+        circuit_oracle.evaluate_population_pair,
+    )
     slow = run_estimate(runner, spec, 17, 240, NOMINAL_POLICY)
     assert _blob(fast) == _blob(slow)
 
