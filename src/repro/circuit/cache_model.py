@@ -36,7 +36,6 @@ from typing import NamedTuple, Tuple
 from repro.circuit.organization import CacheOrganization, PAPER_ORGANIZATION
 from repro.circuit.technology import Technology, TECH45
 from repro.core import units
-from repro.core.errors import ConfigurationError
 from repro.core.validation import require_positive
 from repro.variation.columnar import ColumnarPopulation
 from repro.variation.parameters import TABLE1, VariationTable
@@ -202,17 +201,6 @@ class WayCircuitResult(NamedTuple):
         """Total leakage power (W) of the way (array + periphery)."""
         return self.array_leakage + self.peripheral_leakage
 
-    def delay_without_band(self, band: int) -> float:
-        """Way delay (s) if horizontal band ``band`` were powered down."""
-        remaining = [d for i, d in enumerate(self.band_delays) if i != band]
-        if not remaining:
-            raise ConfigurationError("cannot power down the only band of a way")
-        return max(remaining)
-
-    def critical_band(self) -> int:
-        """Index of the band holding this way's critical path."""
-        return max(range(len(self.band_delays)), key=lambda i: self.band_delays[i])
-
 
 class CacheCircuitResult(NamedTuple):
     """Delay and leakage of one manufactured cache."""
@@ -248,14 +236,6 @@ class CacheCircuitResult(NamedTuple):
     def total_leakage(self) -> float:
         """Total cache leakage power (W)."""
         return reduce(add, self.way_leakages, 0.0)
-
-    def band_array_leakage(self, band: int) -> float:
-        """Array leakage (W) of horizontal band ``band`` summed over ways."""
-        return reduce(add, (way.band_leakage[band] for way in self.ways), 0.0)
-
-    def total_peripheral_leakage(self) -> float:
-        """Leakage (W) of all way peripheries."""
-        return reduce(add, (way.peripheral_leakage for way in self.ways), 0.0)
 
 
 class CacheCircuitModel:

@@ -100,6 +100,20 @@ class CircuitColumns:
     def num_bands(self) -> int:
         return self.band_delays.shape[2]
 
+    def take(self, rows: np.ndarray) -> "CircuitColumns":
+        """The chips at indices ``rows``, in that order, as new columns.
+
+        Every column is computed row by row, so each taken row keeps its
+        bytes; ``take(np.arange(n))`` is the ``n``-chip population.
+        """
+        return CircuitColumns(
+            [self.chip_ids[index] for index in rows.tolist()],
+            self.band_delays[rows],
+            self.band_leakage[rows],
+            self.peripheral_leakage[rows],
+            self.hyapd,
+        )
+
     def circuit(self, index: int) -> CacheCircuitResult:
         """Chip ``index`` as a per-chip :class:`CacheCircuitResult`."""
         delays = self.band_delays[index].tolist()
@@ -258,6 +272,11 @@ def _base_columns(
     ``access_path_delay`` per band, flattened, with arrays in place of
     scalars — same subexpressions, same accumulation order.
     """
+    if population.num_ways != model.org.num_ways:
+        raise ConfigurationError(
+            f"population has {population.num_ways} ways, "
+            f"organisation expects {model.org.num_ways}"
+        )
     if population.num_bands != model.org.num_bands:
         raise ConfigurationError(
             f"population has {population.num_bands} bands, "

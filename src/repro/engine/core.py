@@ -261,7 +261,10 @@ class Engine:
         """The evaluated Monte Carlo population for ``settings``/``policy``.
 
         ``progress`` (optional) is called as ``progress(done, total)``
-        after each dispatched shard completes; cache hits never call it.
+        after each dispatched shard completes; cache hits, and
+        populations whose chips a live population already holds (see
+        :meth:`YieldStudy.live_chips`), dispatch nothing and never call
+        it.
         ``estimator`` (default: the engine config's spec) selects how the
         population is sized: ``None``/``fixed`` evaluate exactly
         ``settings.chips`` chips; ``adaptive`` draws batches of the same
@@ -337,15 +340,21 @@ class Engine:
         study = YieldStudy(
             seed=settings.seed, count=settings.chips, policy=policy
         )
-        jobs = self._population_jobs(settings.seed, settings.chips)
-        with trace_span(
-            "engine.dispatch", kind="population", jobs=len(jobs),
-            **self._dispatch_provenance(),
-        ):
-            shards = self._executor.run(
-                population_shard, jobs, self.stats, progress=progress
-            )
-        return study.assemble(*_concatenate_shards(shards))
+        # Chips a live population already holds are not dispatched; the
+        # workers' columns are offered on, as the in-process shard's are.
+        columns = study.live_chips(settings.chips)
+        if columns is None:
+            jobs = self._population_jobs(settings.seed, settings.chips)
+            with trace_span(
+                "engine.dispatch", kind="population", jobs=len(jobs),
+                **self._dispatch_provenance(),
+            ):
+                shards = self._executor.run(
+                    population_shard, jobs, self.stats, progress=progress
+                )
+            columns = _concatenate_shards(shards)
+            study.keep_live(*columns)
+        return study.assemble(*columns)
 
     def _population_jobs(self, seed: int, chips: int) -> List[Tuple[int, int, int]]:
         """Split ``chips`` ids into shard jobs (one job on the serial path)."""

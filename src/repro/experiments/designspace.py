@@ -10,7 +10,12 @@
   measured at a binning temperature; the thermal models (leakage ~T^2
   with a T-scaled swing, mobility falling with T) shift both the leakage
   spread and the delay distribution, moving the balance between the two
-  loss mechanisms.
+  loss mechanisms. Temperature enters only the circuit model, so the
+  sweep draws its chips once and evaluates them at each temperature.
+
+The 4-way point of the associativity sweep is the paper's configuration,
+so it takes its chips from the paper population when that is live (see
+:class:`~repro.yieldmodel.analysis.YieldStudy`).
 """
 
 from __future__ import annotations
@@ -100,11 +105,13 @@ _TEMPERATURES = (300.0, 358.0, 400.0)
 def run_ablation_temperature(settings: ExperimentSettings) -> ExperimentResult:
     """Yield-loss composition vs binning temperature."""
     chips = min(settings.chips, 800)
+    draws = YieldStudy(seed=settings.seed, count=chips).draw(0, chips)
     rows: List[List[object]] = []
     data = {}
     for temperature in _TEMPERATURES:
         tech = TECH45.replace(temperature=temperature)
-        pop = YieldStudy(seed=settings.seed, count=chips, tech=tech).run()
+        study = YieldStudy(seed=settings.seed, count=chips, tech=tech)
+        pop = study.assemble(*study.evaluate(draws))
         bd = pop.breakdown([Hybrid()])
         leak = bd.base_counts.get(LossReason.LEAKAGE, 0)
         delay = bd.base_total - leak

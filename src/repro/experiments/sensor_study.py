@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
 from repro.experiments.common import (
     ExperimentResult,
     ExperimentSettings,
@@ -34,9 +32,7 @@ SWEEP = (
 
 
 def run(settings: ExperimentSettings) -> ExperimentResult:
-    pop = population(settings)
-    chips = pop.chips()
-    failing = [chips.case(i) for i in np.flatnonzero(~chips.passes).tolist()]
+    chips = population(settings).chips()
     perfect_saved = int((YAPD().decide(chips).saved & ~chips.passes).sum())
 
     rows: List[List[object]] = []
@@ -45,7 +41,7 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
         sensor = LeakageSensor(
             relative_noise=noise, quantisation_levels=levels, seed=settings.seed
         )
-        believed, actual = yield_with_sensor(failing, YAPD(), sensor)
+        believed, actual = yield_with_sensor(chips, YAPD(), sensor)
         false_saves = believed - actual
         rows.append(
             [

@@ -16,7 +16,7 @@ simulations via :mod:`repro.uarch`).
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -74,12 +74,17 @@ class AdaptiveHybrid(Scheme):
         self._fixed = Hybrid()
 
     def decide(self, chips: ChipColumns) -> Decisions:
-        """:meth:`rescue` (a per-chip estimator call) on failing chips."""
+        """A per-chip estimator call on each failing row, with the row's
+        leakage readings (measured ones too)."""
         saved = chips.passes.copy()
         way_cycles = chips.way_cycles.copy()
         disabled_way = np.full(chips.count, -1)
         for index in np.flatnonzero(~chips.passes).tolist():
-            outcome = self.rescue(chips.case(index))
+            outcome = self._choose(
+                chips.case(index),
+                int(chips.leakiest_way[index]),
+                chips.way_gated_leakage[index].tolist(),
+            )
             if outcome.saved:
                 saved[index] = True
                 way_cycles[index] = [c or 0 for c in outcome.way_cycles]
@@ -87,12 +92,14 @@ class AdaptiveHybrid(Scheme):
                     disabled_way[index] = outcome.disabled_way
         return Decisions.of(chips, saved, way_cycles, disabled_way)
 
-    def _candidates(self, case: ChipCase):
+    def _candidates(self, case: ChipCase, leakiest: int, gated: List[float]):
         """All single-disable-or-none configurations that meet constraints.
 
         Only *sensible* disables are considered: a slow way, or the
         leakiest way when the chip violates the power limit — never a
-        healthy way.
+        healthy way. ``leakiest`` and ``gated`` are the chip's leakage
+        readings (``max_leakage_way`` and ``leakage_after_disabling_way``
+        of every way).
         """
         # Option A: no power-down (pure VACA behaviour).
         if not case.leakage_violation and max(case.way_cycles) <= VACA_MAX_CYCLES:
@@ -104,16 +111,14 @@ class AdaptiveHybrid(Scheme):
             if cycles > BASE_ACCESS_CYCLES
         }
         if case.leakage_violation:
-            candidates.add(case.max_leakage_way())
+            candidates.add(leakiest)
         for way in sorted(candidates):
             cycles_ok = all(
                 case.way_cycles[w] <= VACA_MAX_CYCLES
                 for w in range(case.circuit.num_ways)
                 if w != way
             )
-            leak_ok = case.constraints.meets_leakage(
-                case.leakage_after_disabling_way(way)
-            )
+            leak_ok = case.constraints.meets_leakage(gated[way])
             if cycles_ok and leak_ok:
                 yield way, tuple(
                     None if w == way else case.way_cycles[w]
@@ -123,10 +128,24 @@ class AdaptiveHybrid(Scheme):
     def rescue(self, case: ChipCase) -> RescueOutcome:
         if case.passes:
             return self._pass_through(case)
+        return self._choose(
+            case,
+            case.max_leakage_way(),
+            [
+                case.leakage_after_disabling_way(way)
+                for way in range(case.circuit.num_ways)
+            ],
+        )
 
+    def _choose(
+        self, case: ChipCase, leakiest: int, gated: List[float]
+    ) -> RescueOutcome:
+        """The cheapest feasible option for the failing ``case``."""
         best = None
         best_cost = float("inf")
-        for disabled_way, way_cycles in self._candidates(case):
+        for disabled_way, way_cycles in self._candidates(
+            case, leakiest, gated
+        ):
             cost = self.estimator(way_cycles)
             if cost < best_cost:
                 best, best_cost = (disabled_way, way_cycles), cost

@@ -19,6 +19,7 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from repro.circuit.columnar import CircuitColumns
 from repro.core.errors import ConfigurationError
 from repro.yieldmodel.classify import ChipCase, ChipColumns
 
@@ -161,7 +162,9 @@ class ColumnarScheme(Scheme):
         """One-chip view of :meth:`decide` (row 0 of the case's columns)."""
         if case.passes:
             return self._pass_through(case)
-        chips = ChipColumns.of_cases([case])
+        chips = ChipColumns(
+            CircuitColumns.from_circuits([case.circuit]), case.constraints
+        )
         decided = self.decide(chips)
         note = self._note(chips, decided)
         if not decided.saved[0]:

@@ -36,8 +36,9 @@ __all__ = ["HYAPD"]
 def delays_without_band(
     chips: ChipColumns, needed: np.ndarray
 ) -> np.ndarray:
-    """``[i, w, b]``: way ``w``'s ``delay_without_band(b)`` on chip ``i``
-    (a one-band cache has none: an error for the chips ``needed``)."""
+    """``[i, w, b]``: way ``w``'s delay on chip ``i`` with band ``b``
+    powered down, its slowest other band (a one-band cache has none: an
+    error for the chips ``needed``)."""
     band_delays = chips.circuits.band_delays
     bands = band_delays.shape[2]
     if bands < 2:

@@ -7,28 +7,29 @@ on-die sensors do not — they quantise and drift. This module models that
 measurement layer so the deployment question can be studied: *how much of
 YAPD's benefit survives an imperfect sensor?*
 
-:class:`MeasuredChipCase` wraps a true :class:`ChipCase` with a sensor:
-the schemes (whose decisions read the case's facts through
-:class:`~repro.yieldmodel.classify.ChipColumns`) then decide on measured
-values while the *verdict* — does the rescued chip actually meet the
-limits — is always evaluated on the truth. The
-``sensor_error`` analysis in :func:`yield_with_sensor` reports how the
-rescue rate degrades with sensor noise.
+:meth:`LeakageSensor.measure` reads every chip's ways at once.
+:func:`measured_failing` gives a population's failing chips as
+:class:`~repro.yieldmodel.classify.ChipColumns` whose leakage readings —
+which way is leakiest, what a way's power-down leaves — are the
+measured ones; :func:`yield_with_sensor` decides them in one call and
+judges every believed save on the true columns. The gap between the two
+counts is the sensor's cost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, List, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.core.rng import spawn
+from repro.circuit.columnar import left_sum
+from repro.core.rng import StreamBlock, normals_at, stream_states
 from repro.core.validation import require_non_negative
-from repro.yieldmodel.classify import ChipCase, ChipColumns
+from repro.yieldmodel.classify import ChipColumns
+from repro.yieldmodel.constraints import BASE_ACCESS_CYCLES
 
-__all__ = ["LeakageSensor", "MeasuredChipCase", "yield_with_sensor"]
+__all__ = ["LeakageSensor", "measured_failing", "yield_with_sensor"]
 
 
 @dataclass(frozen=True)
@@ -55,87 +56,88 @@ class LeakageSensor:
         require_non_negative(self.relative_noise, "relative_noise")
         require_non_negative(self.quantisation_levels, "quantisation_levels")
 
-    def measure_ways(
-        self, chip_id: int, true_values: Tuple[float, ...]
-    ) -> Tuple[float, ...]:
-        """Measured per-way leakage for one chip (deterministic per chip)."""
-        rng = spawn(self.seed, f"sensor-{chip_id}")
-        noisy = [
-            value * float(np.exp(rng.normal(0.0, self.relative_noise)))
-            for value in true_values
-        ]
+    def measure(
+        self, chip_ids: Sequence[int], way_leakages: np.ndarray
+    ) -> np.ndarray:
+        """Measured ``(chips, ways)`` leakage, deterministic per chip.
+
+        Chip ``c``'s way ``w`` reads ``true * exp(noise)``, where the
+        noise is the ``w``-th ``normal(0.0, relative_noise)`` draw of
+        stream ``spawn(seed, f"sensor-{c}")``; with quantisation, each
+        reading rounds (half to even) to a multiple of the chip's largest
+        reading over the levels.
+        """
+        count, ways = way_leakages.shape
+        labels = [f"sensor-{chip_id}" for chip_id in chip_ids]
+        block = StreamBlock(stream_states(self.seed, labels), ways + 2)
+        rows = np.arange(count)
+        pos = np.zeros(count, dtype=np.int64)
+        noise = np.empty((count, ways))
+        for way in range(ways):
+            z, pos = normals_at(block, rows, pos)
+            noise[:, way] = 0.0 + self.relative_noise * z
+        readings = way_leakages * np.exp(noise)
         if not self.quantisation_levels:
-            return tuple(noisy)
-        step = max(noisy) / self.quantisation_levels or 1.0
-        return tuple(round(value / step) * step for value in noisy)
+            return readings
+        step = readings.max(axis=1) / self.quantisation_levels
+        step[step == 0.0] = 1.0
+        return np.rint(readings / step[:, None]) * step[:, None]
 
 
-class MeasuredChipCase(ChipCase):
-    """A chip case whose *leakage readings* come through a sensor.
+def measured_failing(
+    chips: ChipColumns, sensor: LeakageSensor
+) -> Tuple[np.ndarray, ChipColumns]:
+    """The failing rows of ``chips`` and their columns as ``sensor``
+    reads them: true circuits and limits, measured leakage readings.
 
-    Delay classification is unchanged (speed paths are characterised by
-    the tester's clock sweep, which is precise); only the leakage-driven
-    decisions — which way is leakiest, whether a rescue's residual
-    leakage passes — are taken on measured values. The true case remains
-    available as ``truth`` for verdicts.
+    Delays are the true ones (the tester's clock sweep is precise); a
+    measured total adds the readings left to right.
     """
-
-    def __init__(self, truth: ChipCase, sensor: LeakageSensor) -> None:
-        super().__init__(circuit=truth.circuit, constraints=truth.constraints)
-        object.__setattr__(self, "truth", truth)
-        object.__setattr__(self, "sensor", sensor)
-
-    @cached_property
-    def measured_way_leakage(self) -> Tuple[float, ...]:
-        return self.sensor.measure_ways(
-            self.circuit.chip_id, self.circuit.way_leakages
-        )
-
-    def max_leakage_way(self) -> int:
-        measured = self.measured_way_leakage
-        return max(range(len(measured)), key=lambda w: measured[w])
-
-    def leakage_after_disabling_way(self, way: int) -> float:
-        return sum(self.measured_way_leakage) - self.measured_way_leakage[way]
+    failing = np.flatnonzero(~chips.passes)
+    circuits = chips.circuits.take(failing)
+    readings = sensor.measure(circuits.chip_ids, circuits.way_leakages)
+    return failing, ChipColumns(
+        circuits,
+        chips.constraints,
+        way_gated_leakage=left_sum(readings, 1)[:, None] - readings,
+        leakiest_way=readings.argmax(axis=1),
+    )
 
 
-def yield_with_sensor(cases, scheme, sensor: LeakageSensor):
+def yield_with_sensor(
+    chips: ChipColumns, scheme, sensor: LeakageSensor
+) -> Tuple[int, int]:
     """Rescue rate of ``scheme`` when decisions go through ``sensor``.
 
-    Returns ``(decisions_saved, actually_saved)``: chips the scheme
-    *believed* it saved, and the subset whose true leakage and delay meet
-    the limits after the chosen action. The gap is the sensor's cost.
-    Each chip shape and set of limits is decided in one call.
+    Returns ``(decisions_saved, actually_saved)`` over the failing chips
+    of ``chips``: chips the scheme *believed* it saved, deciding on
+    :func:`measured_failing`, and the subset whose true leakage and
+    delay meet the limits after the chosen action.
     """
-    groups: Dict[tuple, List[MeasuredChipCase]] = {}
-    for case in cases:
-        if case.passes:
-            continue
-        circuit = case.circuit
-        key = (
-            circuit.num_ways, circuit.num_bands, circuit.hyapd,
-            case.constraints,
-        )
-        groups.setdefault(key, []).append(MeasuredChipCase(case, sensor))
-    believed = 0
-    actual = 0
-    for measured in groups.values():
-        decided = scheme.decide(ChipColumns.of_cases(measured))
-        for index in np.flatnonzero(decided.saved).tolist():
-            believed += 1
-            case = measured[index].truth
-            disabled_way = int(decided.disabled_way[index])
-            if disabled_way >= 0:
-                true_leak = case.leakage_after_disabling_way(disabled_way)
-                delay_ok = all(
-                    case.constraints.meets_delay(way.delay)
-                    for way in case.circuit.ways
-                    if way.way != disabled_way
-                )
-            else:
-                true_leak = case.total_leakage
-                enabled = [c for c in decided.way_cycles[index].tolist() if c]
-                delay_ok = max(case.way_cycles) <= max(enabled, default=4)
-            if delay_ok and case.constraints.meets_leakage(true_leak):
-                actual += 1
-    return believed, actual
+    failing, measured = measured_failing(chips, sensor)
+    decided = scheme.decide(measured)
+    saved = np.flatnonzero(decided.saved)
+    rows = failing[saved]
+    disabled = decided.disabled_way[saved]
+    gated = disabled >= 0
+    ways = np.arange(chips.circuits.num_ways)
+    # A powered-down way: the other ways must meet the delay limit. No
+    # power-down: no way may need more cycles than the slowest way the
+    # decision keeps on (4 when it keeps none).
+    others_fast = ~(
+        chips.delay_violations[rows] & (ways != disabled[:, None])
+    ).any(axis=1)
+    cycles = decided.way_cycles[saved]
+    kept = np.where(
+        (cycles != 0).any(axis=1), cycles.max(axis=1), BASE_ACCESS_CYCLES
+    )
+    delay_ok = np.where(
+        gated, others_fast, chips.way_cycles[rows].max(axis=1) <= kept
+    )
+    true_leakage = np.where(
+        gated,
+        chips.way_gated_leakage[rows, np.maximum(disabled, 0)],
+        chips.total_leakage[rows],
+    )
+    leakage_ok = true_leakage <= chips.constraints.leakage_limit
+    return int(saved.size), int(np.count_nonzero(delay_ok & leakage_ok))

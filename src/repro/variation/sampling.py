@@ -197,6 +197,12 @@ class CacheVariationSampler:
         self.num_ways = num_ways
         self.num_bands = num_bands
         self.clip_sigma = clip_sigma
+        #: The constructor values (mesh resolved), which fix every draw.
+        self.identity = (
+            table, factors, self.mesh, num_ways, num_bands, clip_sigma,
+            path_residual_sigma, outlier_band_prob,
+            tuple(outlier_scale_range),
+        )
         self._sigmas = table.sigmas()
         self._nominal = table.nominal()
         # Scale and clip vectors of the draw arithmetic, in
@@ -227,6 +233,17 @@ class CacheVariationSampler:
         )
         sigma = path_residual_sigma
         self._residual_mean = -0.5 * sigma * sigma
+
+    # Equal samplers draw equal chips. The type takes part because the
+    # columnar sampler reads the derived arrays above, which a subclass
+    # may change.
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CacheVariationSampler):
+            return NotImplemented
+        return (type(self), self.identity) == (type(other), other.identity)
+
+    def __hash__(self) -> int:
+        return hash((type(self), self.identity))
 
     def sample_chip(self, seed: int, chip_id: int) -> CacheVariationMap:
         """Draw the variation map of chip ``chip_id`` under experiment ``seed``.

@@ -12,6 +12,13 @@
    the H-YAPD architecture is held to the same absolute limits),
 4. classify every chip and apply any number of schemes.
 
+Steps 1 and 2 are skipped when the process already holds the chips: a
+study of ``n`` chips takes the first ``n`` rows of a live population with
+the same seed, sampler, technology and organisation, found in a
+weak-valued *live-chip index* (the rows are the same bytes a fresh draw
+and evaluation would give). Only whole computed populations enter the
+index; shards and :meth:`YieldStudy.assemble`'s inputs do not.
+
 The result object holds the population as columns and counts from them
 the paper's loss-breakdown tables (Tables 2/3), the relaxed/strict totals
 (Tables 4/5), the Figure 8 scatter, and the Table 6 configuration census;
@@ -21,6 +28,7 @@ each scheme decides the whole population with one array call.
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
@@ -34,7 +42,10 @@ from repro.circuit.organization import CacheOrganization, PAPER_ORGANIZATION
 from repro.circuit.technology import Technology, TECH45
 from repro.core.errors import ConfigurationError
 from repro.core.validation import require_positive
-from repro.variation.columnar import ColumnarPopulationSampler
+from repro.variation.columnar import (
+    ColumnarPopulation,
+    ColumnarPopulationSampler,
+)
 from repro.variation.montecarlo import PAPER_POPULATION
 from repro.variation.sampling import CacheVariationSampler
 from repro.yieldmodel.classify import (
@@ -345,6 +356,19 @@ def derive_constraints(
     )
 
 
+#: The live-chip index: ``(chips key, hyapd)`` to the circuit columns of
+#: the largest live population of those chips (see
+#: :meth:`YieldStudy._chips_key`). Chip ``i``'s row depends only on its
+#: stream ``spawn(seed, f"chip-{i}")``, the sampler, the technology and
+#: the organisation, so the first ``n`` rows of any population of the
+#: same chips are the ``n``-chip population byte for byte. Values are
+#: weak: the index never keeps a population alive, and needs no bound.
+_live_chips: "weakref.WeakValueDictionary[tuple, CircuitColumns]" = (
+    weakref.WeakValueDictionary()
+)
+_live_lock = threading.Lock()
+
+
 @dataclass
 class YieldStudy:
     """End-to-end Monte Carlo yield study.
@@ -384,19 +408,17 @@ class YieldStudy:
                 "to assemble()"
             )
 
-    def evaluate_chips(
-        self, start: int, stop: int
-    ) -> Tuple[CircuitColumns, CircuitColumns]:
-        """Evaluate chip ids ``[start, stop)`` under both architectures.
-
-        This is the shardable half of :meth:`run`: each chip's RNG stream
-        is derived from ``(seed, chip_id)`` alone, so disjoint id ranges
-        can be evaluated in any order — or in parallel processes — and
-        concatenated into the exact serial population.
-        """
-        population = ColumnarPopulationSampler(self.sampler).sample_range(
+    def draw(self, start: int, stop: int) -> ColumnarPopulation:
+        """The process parameters of chip ids ``[start, stop)``."""
+        return ColumnarPopulationSampler(self.sampler).sample_range(
             self.seed, start, stop
         )
+
+    def evaluate(
+        self, population: ColumnarPopulation
+    ) -> Tuple[CircuitColumns, CircuitColumns]:
+        """Drawn chips under both architectures, at this study's
+        technology and organisation."""
         return evaluate_population_pair(
             CacheCircuitModel(
                 tech=self.tech, org=self.organization, hyapd=False
@@ -407,6 +429,58 @@ class YieldStudy:
             population,
         )
 
+    def evaluate_chips(
+        self, start: int, stop: int
+    ) -> Tuple[CircuitColumns, CircuitColumns]:
+        """Evaluate chip ids ``[start, stop)`` under both architectures.
+
+        This is the shardable half of :meth:`run`: each chip's RNG stream
+        is derived from ``(seed, chip_id)`` alone, so disjoint id ranges
+        can be evaluated in any order — or in parallel processes — and
+        concatenated into the exact serial population. A whole population
+        (``start`` 0) is the first rows of a live one with the same chips
+        when there is one (:meth:`live_chips`), and is offered to later
+        studies when it is computed; a shard of a larger job is not.
+        """
+        if start:
+            return self.evaluate(self.draw(start, stop))
+        shared = self.live_chips(stop)
+        if shared is not None:
+            return shared
+        columns = self.evaluate(self.draw(0, stop))
+        self.keep_live(*columns)
+        return columns
+
+    def _chips_key(self) -> tuple:
+        """What fixes every row: seed, sampler type and configuration,
+        technology and organisation (not the count or the policy)."""
+        return (self.seed, self.sampler, self.tech, self.organization)
+
+    def live_chips(
+        self, count: int
+    ) -> Optional[Tuple[CircuitColumns, CircuitColumns]]:
+        """The first ``count`` chips of a live population of these chips,
+        both architectures, or ``None`` if no live one holds that many."""
+        key = self._chips_key()
+        with _live_lock:
+            held = [_live_chips.get((key, hyapd)) for hyapd in (False, True)]
+        if any(columns is None or len(columns) < count for columns in held):
+            return None
+        rows = np.arange(count)
+        return held[0].take(rows), held[1].take(rows)
+
+    def keep_live(
+        self, regular: CircuitColumns, horizontal: CircuitColumns
+    ) -> None:
+        """Offer computed chips ``[0, n)`` to later studies of these chips
+        for as long as something else keeps them alive."""
+        key = self._chips_key()
+        with _live_lock:
+            for hyapd, columns in ((False, regular), (True, horizontal)):
+                held = _live_chips.get((key, hyapd))
+                if held is None or len(held) < len(columns):
+                    _live_chips[key, hyapd] = columns
+
     def assemble(
         self, regular: CircuitColumns, horizontal: CircuitColumns
     ) -> PopulationResult:
@@ -415,7 +489,9 @@ class YieldStudy:
         ``regular``/``horizontal`` are the concatenated shard outputs of
         :meth:`evaluate_chips` in chip-id order. Limits always come from
         the complete regular population (never per shard), so assembly is
-        independent of how the evaluation was split.
+        independent of how the evaluation was split. The columns may come
+        from anywhere (another sampler's chips, say), so they are never
+        offered to later studies.
         """
         return PopulationResult(
             constraints=derive_constraints(self.policy, regular),

@@ -5,7 +5,9 @@ derives everything the schemes and the tables need: per-way access cycles,
 the delay-violating ways, the leakage verdict, the loss reason bucket, and
 the "a-b-c" way-latency configuration key of Table 6 (a ways at 4 cycles,
 b at 5, c at 6 or more). :class:`ChipColumns` holds them for a whole
-population; a :class:`ChipCase` is the one-chip view of a row.
+population, with the two leakage readings the schemes decide on (true
+by default, measured in the sensor study); a :class:`ChipCase` is the
+one-chip view of a row.
 
 Bucket semantics follow the paper's tables: a chip that violates the
 leakage limit is counted under "Leakage Constraint" whether or not it also
@@ -20,7 +22,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -165,13 +167,6 @@ class ChipCase:
         leakages = self.way_leakages
         return max(range(len(leakages)), key=lambda w: leakages[w])
 
-    def way_cycles_without_band(self, band: int) -> Tuple[int, ...]:
-        """Per-way cycles if horizontal band ``band`` were powered down."""
-        return tuple(
-            self.constraints.cycles_for_delay(way.delay_without_band(band))
-            for way in self.circuit.ways
-        )
-
 
 def cycles_for_delays(
     delays: np.ndarray, constraints: YieldConstraints
@@ -189,10 +184,11 @@ def cycles_for_delays(
 class ChipColumns:
     """A list of :class:`ChipCase` as read-only columns, one row per chip.
 
-    Classified from the circuit columns once, here, except the leakage
-    readings ``way_gated_leakage[i, w]`` (``leakage_after_disabling_way``)
-    and ``leakiest_way[i]`` (``max_leakage_way``), which :meth:`of_cases`
-    takes from each case — so sensor readings drive the decisions too.
+    Classified from the circuit columns once, here. The two leakage
+    readings the schemes decide on — ``way_gated_leakage[i, w]``
+    (``leakage_after_disabling_way``) and ``leakiest_way[i]``
+    (``max_leakage_way``) — default to the true values; the sensor study
+    passes measured ones (:func:`repro.schemes.sensors.yield_with_sensor`).
     """
 
     def __init__(
@@ -201,14 +197,11 @@ class ChipColumns:
         constraints: YieldConstraints,
         way_gated_leakage: Optional[np.ndarray] = None,
         leakiest_way: Optional[np.ndarray] = None,
-        cases: Optional[Tuple["ChipCase", ...]] = None,
     ) -> None:
         way_delays = circuits.way_delays
         total = circuits.total_leakage
         self.circuits = circuits
         self.constraints = constraints
-        #: The cases the leakage readings came from (:meth:`of_cases`).
-        self.cases = cases
         self.way_cycles = cycles_for_delays(way_delays, constraints)
         self.delay_violations = ~(way_delays <= constraints.delay_limit)
         self.total_leakage = total
@@ -231,37 +224,11 @@ class ChipColumns:
             if isinstance(array, np.ndarray):
                 array.flags.writeable = False
 
-    @classmethod
-    def of_cases(cls, cases: Sequence["ChipCase"]) -> "ChipColumns":
-        """``cases`` as rows, with the leakage readings each case reports.
-
-        The cases must share their limits and their ways/bands shape.
-        """
-        constraints = cases[0].constraints
-        if any(case.constraints != constraints for case in cases):
-            raise ConfigurationError("cases are held to different limits")
-        circuits = CircuitColumns.from_circuits(
-            [case.circuit for case in cases]
-        )
-        ways = range(circuits.num_ways)
-        return cls(
-            circuits,
-            constraints,
-            way_gated_leakage=np.array([
-                [case.leakage_after_disabling_way(way) for way in ways]
-                for case in cases
-            ]),
-            leakiest_way=np.array([case.max_leakage_way() for case in cases]),
-            cases=tuple(cases),
-        )
-
     @property
     def count(self) -> int:
         """Number of chips (rows)."""
         return self.passes.shape[0]
 
     def case(self, index: int) -> "ChipCase":
-        """Chip ``index``'s source case, or a one-chip view of the row."""
-        if self.cases is not None:
-            return self.cases[index]
+        """Chip ``index`` as a one-chip view of the row."""
         return ChipCase(self.circuits.circuit(index), self.constraints)

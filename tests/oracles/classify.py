@@ -4,9 +4,14 @@
 ``leakage_violation`` and ``passes`` from the circuit on every read.
 ``way_leakages`` and ``total_leakage`` are added as uncached properties
 over the circuit, because the schemes now read them from the case.
-``MeasuredChipCase`` and ``yield_with_sensor`` are the original sensor
-layer, built on this ``ChipCase``, and ``PopulationResult`` the original
-per-chip population result. Never imported by ``src/``.
+``measure_ways``, ``MeasuredChipCase`` and ``yield_with_sensor`` are the
+original per-chip sensor layer, built on this ``ChipCase`` (measured
+totals add left to right, as every leakage total does), and
+``PopulationResult`` the original per-chip population result. The
+per-chip circuit helpers only the oracles read (``delay_without_band``,
+``critical_band``, ``band_array_leakage`` and
+``total_peripheral_leakage``) are the original methods as functions.
+Never imported by ``src/``.
 """
 
 from __future__ import annotations
@@ -16,7 +21,11 @@ from functools import cached_property, reduce
 from operator import add
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-from repro.circuit.cache_model import CacheCircuitResult
+import numpy as np
+
+from repro.circuit.cache_model import CacheCircuitResult, WayCircuitResult
+from repro.core.errors import ConfigurationError
+from repro.core.rng import spawn
 from repro.schemes.sensors import LeakageSensor
 from repro.yieldmodel.analysis import LossBreakdown
 from repro.yieldmodel.classify import LossReason, config_key
@@ -33,8 +42,51 @@ __all__ = [
     "ChipCase",
     "MeasuredChipCase",
     "PopulationResult",
+    "band_array_leakage",
+    "critical_band",
+    "delay_without_band",
+    "measure_ways",
+    "total_peripheral_leakage",
     "yield_with_sensor",
 ]
+
+
+def delay_without_band(way: WayCircuitResult, band: int) -> float:
+    """Way delay (s) if horizontal band ``band`` were powered down."""
+    remaining = [d for i, d in enumerate(way.band_delays) if i != band]
+    if not remaining:
+        raise ConfigurationError("cannot power down the only band of a way")
+    return max(remaining)
+
+
+def critical_band(way: WayCircuitResult) -> int:
+    """Index of the band holding this way's critical path."""
+    return max(range(len(way.band_delays)), key=lambda i: way.band_delays[i])
+
+
+def band_array_leakage(circuit: CacheCircuitResult, band: int) -> float:
+    """Array leakage (W) of horizontal band ``band`` summed over ways."""
+    return reduce(add, (way.band_leakage[band] for way in circuit.ways), 0.0)
+
+
+def total_peripheral_leakage(circuit: CacheCircuitResult) -> float:
+    """Leakage (W) of all way peripheries."""
+    return reduce(add, (way.peripheral_leakage for way in circuit.ways), 0.0)
+
+
+def measure_ways(
+    sensor: LeakageSensor, chip_id: int, true_values: Tuple[float, ...]
+) -> Tuple[float, ...]:
+    """Measured per-way leakage for one chip (deterministic per chip)."""
+    rng = spawn(sensor.seed, f"sensor-{chip_id}")
+    noisy = [
+        value * float(np.exp(rng.normal(0.0, sensor.relative_noise)))
+        for value in true_values
+    ]
+    if not sensor.quantisation_levels:
+        return tuple(noisy)
+    step = max(noisy) / sensor.quantisation_levels or 1.0
+    return tuple(round(value / step) * step for value in noisy)
 
 
 @dataclass(frozen=True)
@@ -118,7 +170,7 @@ class ChipCase:
     def way_cycles_without_band(self, band: int) -> Tuple[int, ...]:
         """Per-way cycles if horizontal band ``band`` were powered down."""
         return tuple(
-            self.constraints.cycles_for_delay(way.delay_without_band(band))
+            self.constraints.cycles_for_delay(delay_without_band(way, band))
             for way in self.circuit.ways
         )
 
@@ -140,8 +192,8 @@ class MeasuredChipCase(ChipCase):
 
     @cached_property
     def measured_way_leakage(self) -> Tuple[float, ...]:
-        return self.sensor.measure_ways(
-            self.circuit.chip_id, self.circuit.way_leakages
+        return measure_ways(
+            self.sensor, self.circuit.chip_id, self.circuit.way_leakages
         )
 
     def max_leakage_way(self) -> int:
@@ -149,7 +201,8 @@ class MeasuredChipCase(ChipCase):
         return max(range(len(measured)), key=lambda w: measured[w])
 
     def leakage_after_disabling_way(self, way: int) -> float:
-        return sum(self.measured_way_leakage) - self.measured_way_leakage[way]
+        measured = self.measured_way_leakage
+        return reduce(add, measured, 0.0) - measured[way]
 
 
 def yield_with_sensor(cases, scheme, sensor: LeakageSensor):

@@ -7,8 +7,10 @@ calls, over the ``ChipCase`` interface (facts, ``max_leakage_way``,
 circuit's per-way results). ``OracleScheme`` carries the original
 ``Scheme`` base's ``_pass_through`` and ``_lost``, and every outcome is
 the production :class:`RescueOutcome`, so outcomes compare with ``==``.
-Only the base class and the imports differ from the originals. Never
-imported by ``src/``.
+Only the base class, the imports and the circuit helpers
+(``band_array_leakage``, ``total_peripheral_leakage`` and
+``delay_without_band``, once circuit methods, now functions of
+``.classify``) differ from the originals. Never imported by ``src/``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,12 @@ from repro.schemes.base import RescueOutcome
 from repro.yieldmodel.classify import VACA_MAX_CYCLES
 from repro.yieldmodel.constraints import BASE_ACCESS_CYCLES
 
-from .classify import ChipCase
+from .classify import (
+    ChipCase,
+    band_array_leakage,
+    delay_without_band,
+    total_peripheral_leakage,
+)
 
 __all__ = [
     "DeepVACA",
@@ -144,10 +151,10 @@ class HYAPD(OracleScheme):
     def leakage_after_disabling_band(self, case: ChipCase, band: int) -> float:
         """Total leakage (W) with horizontal band ``band`` gated off."""
         circuit = case.circuit
-        array_saving = circuit.band_array_leakage(band)
+        array_saving = band_array_leakage(circuit, band)
         peripheral_saving = (
             self.peripheral_save_fraction
-            * circuit.total_peripheral_leakage()
+            * total_peripheral_leakage(circuit)
             / circuit.num_bands
         )
         return case.total_leakage - array_saving - peripheral_saving
@@ -155,7 +162,7 @@ class HYAPD(OracleScheme):
     def _band_feasible(self, case: ChipCase, band: int) -> Optional[float]:
         """Post-rescue leakage if gating ``band`` satisfies everything."""
         delays_ok = all(
-            case.constraints.meets_delay(way.delay_without_band(band))
+            case.constraints.meets_delay(delay_without_band(way, band))
             for way in case.circuit.ways
         )
         if not delays_ok:

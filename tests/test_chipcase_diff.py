@@ -12,8 +12,12 @@ ways; plus 36 lists of the ragged random circuits of
 * every fact equals the oracle's, whatever order the facts are first
   read in;
 * every scheme in :mod:`repro.schemes` returns an equal
-  :class:`~repro.schemes.base.RescueOutcome`, also through
-  ``MeasuredChipCase`` and ``yield_with_sensor``;
+  :class:`~repro.schemes.base.RescueOutcome`;
+* the sensor study's measured columns hold the per-chip measured
+  cases' facts and readings, every failing row is decided as the oracle
+  scheme rescues its measured case, and the columnar
+  ``yield_with_sensor`` equals the per-chip one, on the study
+  populations and the ragged seeds' rectangular populations;
 * ``breakdown``, ``configuration_census``, ``scatter`` and
   ``reconstrained`` give results equal to the original per-chip
   population's, on the study populations and on the rectangular
@@ -28,6 +32,7 @@ import random
 
 import pytest
 
+from oracles import schemes as oracle_schemes
 from oracles.classify import ChipCase as OracleCase
 from oracles.classify import MeasuredChipCase as OracleMeasured
 from oracles.classify import PopulationResult as OraclePopulation
@@ -46,7 +51,7 @@ from repro.schemes import (
 )
 from repro.schemes.sensors import (
     LeakageSensor,
-    MeasuredChipCase,
+    measured_failing,
     yield_with_sensor,
 )
 from repro.variation.sampling import CacheVariationSampler
@@ -60,6 +65,7 @@ from repro.yieldmodel.constraints import (
     YieldConstraints,
 )
 from test_property_codec import _random_circuit
+from test_scheme_diff import _expected, _row
 
 #: Every derived fact a scheme or table reads from a case.
 FACTS = (
@@ -233,28 +239,6 @@ def test_cached_facts_match_oracle(build, seed):
         assert fresh == _fresh(case) and hash(fresh) == hash(_fresh(case))
 
 
-@pytest.mark.parametrize("build,seed", _populations()[::6])
-def test_measured_cases_match_oracle(build, seed):
-    cases, _ = build(seed)
-    oracle_cases = [_oracle(case) for case in cases]
-    for sensor in SENSORS:
-        for scheme in _schemes():
-            assert yield_with_sensor(cases, scheme, sensor) == \
-                oracle_yield_with_sensor(oracle_cases, scheme, sensor)
-            for case, oracle in zip(cases, oracle_cases):
-                measured = MeasuredChipCase(_fresh(case), sensor)
-                expected = OracleMeasured(oracle, sensor)
-                for fact in FACTS:
-                    assert getattr(measured, fact) == \
-                        getattr(expected, fact), fact
-                assert measured.max_leakage_way() == \
-                    expected.max_leakage_way()
-                for way in range(case.circuit.num_ways):
-                    assert measured.leakage_after_disabling_way(way) == \
-                        expected.leakage_after_disabling_way(way)
-                assert scheme.rescue(measured) == scheme.rescue(expected)
-
-
 def _population_params():
     """Study populations, and each ragged seed's rectangular groups."""
     params = [
@@ -267,6 +251,58 @@ def _population_params():
         for seed in RAGGED_SEEDS
     ]
     return params
+
+
+def _oracle_schemes():
+    """:func:`_schemes` as the per-chip oracles (AdaptiveHybrid is its
+    own), in the same order."""
+    o = oracle_schemes
+    return [
+        o.YAPD(),
+        o.HYAPD(),
+        o.HYAPD(0.0),
+        o.VACA(),
+        o.DeepVACA(),
+        o.Hybrid(),
+        o.HybridHorizontal(),
+        o.NaiveBinning(),
+        o.NaiveBinning(target_cycles=6),
+        AdaptiveHybrid(_degradation),
+    ]
+
+
+@pytest.mark.parametrize("build,seed", _population_params()[::6])
+def test_measured_cases_match_oracle(build, seed):
+    """The sensor study on measured columns vs the per-chip measured
+    cases: readings, decisions and the rescue counts."""
+    for pop in build(seed):
+        chips = pop.chips()
+        oracle_cases = [
+            OracleCase(pop.regular.circuit(i), pop.constraints)
+            for i in range(pop.population)
+        ]
+        for sensor in SENSORS:
+            failing, measured = measured_failing(chips, sensor)
+            expected = [
+                OracleMeasured(oracle_cases[index], sensor)
+                for index in failing.tolist()
+            ]
+            for row, case in enumerate(expected):
+                for fact in FACTS:
+                    assert getattr(measured.case(row), fact) == \
+                        getattr(case, fact), fact
+                assert measured.leakiest_way[row] == case.max_leakage_way()
+                assert measured.way_gated_leakage[row].tolist() == [
+                    case.leakage_after_disabling_way(way)
+                    for way in range(case.circuit.num_ways)
+                ]
+            for scheme, oracle in zip(_schemes(), _oracle_schemes()):
+                assert yield_with_sensor(chips, scheme, sensor) == \
+                    oracle_yield_with_sensor(oracle_cases, oracle, sensor)
+                decided = scheme.decide(measured)
+                for row, case in enumerate(expected):
+                    assert _row(decided, row) == \
+                        _expected(oracle.rescue(case)), scheme.name
 
 
 @pytest.mark.parametrize("build,seed", _population_params()[::3])

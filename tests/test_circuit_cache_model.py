@@ -20,6 +20,7 @@ from repro.core.errors import ConfigurationError
 from repro.variation.columnar import ColumnarPopulationSampler
 from repro.variation.parameters import TABLE1
 from repro.variation.sampling import CacheVariationSampler
+from repro.yieldmodel.analysis import YieldStudy
 from repro.yieldmodel.constraints import ConstraintPolicy
 
 from oracles.circuit import (
@@ -27,6 +28,12 @@ from oracles.circuit import (
     cell_leakage,
     decoder_delay,
     senseamp_delay,
+)
+from oracles.classify import (
+    band_array_leakage,
+    critical_band,
+    delay_without_band,
+    total_peripheral_leakage,
 )
 
 NOMINAL = TABLE1.nominal()
@@ -114,7 +121,7 @@ class TestNominalModel:
     def test_far_band_is_critical(self):
         """With uniform parameters the farthest bank's path is slowest."""
         way = CacheCircuitModel().nominal().ways[0]
-        assert way.critical_band() == PAPER_ORGANIZATION.num_bands - 1
+        assert critical_band(way) == PAPER_ORGANIZATION.num_bands - 1
         assert list(way.band_delays) == sorted(way.band_delays)
 
     def test_nominal_leakage_plausible(self):
@@ -124,7 +131,7 @@ class TestNominalModel:
 
     def test_peripheral_fraction_small(self):
         nominal = CacheCircuitModel().nominal()
-        fraction = nominal.total_peripheral_leakage() / nominal.total_leakage
+        fraction = total_peripheral_leakage(nominal) / nominal.total_leakage
         assert 0.02 < fraction < 0.20
 
     def test_hyapd_overhead_exact(self):
@@ -162,18 +169,27 @@ class TestEvaluatedChips:
         with pytest.raises(ConfigurationError):
             model.evaluate(sampler.sample_chip(seed=1, chip_id=0))
 
+    def test_way_mismatch_rejected(self):
+        sampler = CacheVariationSampler(num_ways=2)
+        with pytest.raises(ConfigurationError, match="2 ways"):
+            CacheCircuitModel().evaluate(sampler.sample_chip(1, 0))
+        with pytest.raises(ConfigurationError, match="4 ways"):
+            YieldStudy(
+                seed=1, count=10, organization=CacheOrganization(num_ways=8)
+            ).run()
+
     def test_delay_without_band_reduces(self):
         sampler = CacheVariationSampler()
         result = CacheCircuitModel().evaluate(sampler.sample_chip(seed=2, chip_id=3))
         for way in result.ways:
-            critical = way.critical_band()
-            assert way.delay_without_band(critical) <= way.delay
+            critical = critical_band(way)
+            assert delay_without_band(way, critical) <= way.delay
 
     def test_band_array_leakage_sums(self):
         sampler = CacheVariationSampler()
         result = CacheCircuitModel().evaluate(sampler.sample_chip(seed=2, chip_id=3))
         total_bands = sum(
-            result.band_array_leakage(b) for b in range(result.num_bands)
+            band_array_leakage(result, b) for b in range(result.num_bands)
         )
         array_total = sum(way.array_leakage for way in result.ways)
         assert total_bands == pytest.approx(array_total)
@@ -247,8 +263,8 @@ class TestLeftToRightSums:
         chip = self._chip()
         assert chip.ways[0].array_leakage == 1.0
         assert chip.ways[0].leakage == 2.0
-        assert chip.band_array_leakage(0) == 1.0
-        assert chip.total_peripheral_leakage() == 1.0
+        assert band_array_leakage(chip, 0) == 1.0
+        assert total_peripheral_leakage(chip) == 1.0
         # way leakages 2.0, 2e-16, 2e-16: the last two vanish in turn.
         assert chip.total_leakage == 2.0
 
@@ -258,9 +274,9 @@ class TestLeftToRightSums:
         assert columns.way_leakages[0].tolist() == list(chip.way_leakages)
         assert columns.total_leakage[0] == chip.total_leakage
         assert left_sum(columns.band_leakage, 1)[0, 0] == \
-            chip.band_array_leakage(0)
+            band_array_leakage(chip, 0)
         assert left_sum(columns.peripheral_leakage, 1)[0] == \
-            chip.total_peripheral_leakage()
+            total_peripheral_leakage(chip)
 
     def test_derived_limits(self):
         constraints = ConstraintPolicy("sum", 1.0, 3.0).derive(

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -436,16 +437,40 @@ class TestStudyDifferential:
 
         fast = run()
         # Scalar draws per chip and composed evaluation per chip, turned
-        # into columns only at the end.
+        # into columns only at the end. ``fast`` stays live, so the
+        # oracle study gets an empty live-chip index of its own, and the
+        # counts prove the oracles ran.
         monkeypatch.setattr(
-            ColumnarPopulationSampler, "sample_range",
-            sampling_oracle.sample_range,
+            analysis, "_live_chips", weakref.WeakValueDictionary()
+        )
+        drawn, evaluated = [], []
+
+        def oracle_sample_range(self, seed, start, stop):
+            drawn.append(stop - start)
+            return sampling_oracle.sample_range(self, seed, start, stop)
+
+        def oracle_evaluate(regular_model, hyapd_model, population):
+            evaluated.append(population.num_chips)
+            return circuit_oracle.evaluate_population_pair(
+                regular_model, hyapd_model, population
+            )
+
+        monkeypatch.setattr(
+            ColumnarPopulationSampler, "sample_range", oracle_sample_range
         )
         monkeypatch.setattr(
-            analysis, "evaluate_population_pair",
-            circuit_oracle.evaluate_population_pair,
+            analysis, "evaluate_population_pair", oracle_evaluate
         )
         reference = run()
+        assert sum(drawn) == sum(evaluated) == count
+        for got, want in (
+            (fast.regular, reference.regular),
+            (fast.horizontal, reference.horizontal),
+        ):
+            for name in ("band_delays", "band_leakage", "peripheral_leakage"):
+                assert not np.shares_memory(
+                    getattr(got, name), getattr(want, name)
+                )
         assert fast.constraints == reference.constraints
         assert fast.regular.chip_ids == reference.regular.chip_ids
         for horizontal in (False, True):

@@ -222,6 +222,7 @@ def test_engine_recomputes_a_ragged_store_entry(tmp_path):
     expected = encode_population(engine.population(settings))
     key = engine.population_key(settings)
     engine.store.save("population", key, _ragged(_json_cycle(expected), 0))
+    engine.clear_memory()  # no live population left to share its chips
 
     fresh = Engine(EngineConfig(workers=1, cache_dir=tmp_path))
     assert encode_population(fresh.population(settings)) == expected

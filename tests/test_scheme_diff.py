@@ -14,8 +14,9 @@ and H-YAPD architectures; nominal, relaxed and strict limits; 2, 4 and
   gated-band leakage equals the original's value for value;
 * ``breakdown``, ``configuration_census``, ``scatter`` and the
   ``reconstrained`` limits equal the oracle population's;
-* ``yield_with_sensor`` and every measured chip's rescue equal the
-  oracle's for three sensor settings.
+* the columnar ``yield_with_sensor`` equals the per-chip oracle's for
+  three sensor settings, and every failing row's decision on measured
+  columns equals the oracle's rescue of that chip's measured case.
 
 The chips of the 36 ragged random populations of ``test_chipcase_diff``
 (ways and bands varying from chip to chip) run as one-chip cases.
@@ -46,7 +47,7 @@ from repro.schemes import (
 from repro.schemes.hyapd import leakage_without_band
 from repro.schemes.sensors import (
     LeakageSensor,
-    MeasuredChipCase,
+    measured_failing,
     yield_with_sensor,
 )
 from repro.variation.sampling import CacheVariationSampler
@@ -235,12 +236,19 @@ def test_population_results_match_oracle(seed):
 @pytest.mark.parametrize("seed", SEEDS[::6])
 def test_sensor_yield_matches_oracle(seed):
     pop = _study_population(seed)
-    cases = [pop.case(i) for i in range(pop.population)]
+    chips = pop.chips()
     oracle_cases = _oracle_cases(pop, False)
     for sensor in SENSORS:
+        failing, measured = measured_failing(chips, sensor)
+        assert failing.size
         for scheme, oracle in _pairs():
-            assert yield_with_sensor(cases, scheme, sensor) == \
+            assert yield_with_sensor(chips, scheme, sensor) == \
                 oracle_yield_with_sensor(oracle_cases, oracle, sensor)
-            for case, oracle_case in zip(cases, oracle_cases):
-                assert scheme.rescue(MeasuredChipCase(case, sensor)) == \
-                    oracle.rescue(OracleMeasured(oracle_case, sensor))
+            decided = scheme.decide(measured)
+            for row, index in enumerate(failing.tolist()):
+                want = oracle.rescue(
+                    OracleMeasured(oracle_cases[index], sensor)
+                )
+                assert _row(decided, row) == _expected(want), (
+                    scheme.name, index
+                )

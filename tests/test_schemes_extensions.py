@@ -1,15 +1,14 @@
 """Tests for the extension schemes: DeepVACA and the sensor layer."""
 
+import numpy as np
 import pytest
 
+from repro.circuit.columnar import CircuitColumns
 from repro.core.errors import ConfigurationError
 from repro.schemes import DeepVACA, VACA, YAPD
-from repro.schemes.sensors import (
-    LeakageSensor,
-    MeasuredChipCase,
-    yield_with_sensor,
-)
+from repro.schemes.sensors import LeakageSensor, yield_with_sensor
 from repro.yieldmodel import YieldStudy
+from repro.yieldmodel.classify import ChipColumns
 from tests.conftest import make_chip
 
 
@@ -43,70 +42,70 @@ class TestDeepVACA:
 
 
 class TestLeakageSensor:
+    VALUES = np.array([[1.0, 2.0, 3.0, 4.0]])
+
     def test_perfect_sensor_is_identity(self):
         sensor = LeakageSensor(relative_noise=0.0, quantisation_levels=0)
-        values = (1.0, 2.0, 3.0, 4.0)
-        assert sensor.measure_ways(7, values) == values
+        assert sensor.measure([7], self.VALUES).tolist() == \
+            self.VALUES.tolist()
 
     def test_noisy_sensor_perturbs(self):
         sensor = LeakageSensor(relative_noise=0.2, quantisation_levels=0)
-        values = (1.0, 2.0, 3.0, 4.0)
-        assert sensor.measure_ways(7, values) != values
+        assert sensor.measure([7], self.VALUES).tolist() != \
+            self.VALUES.tolist()
 
     def test_deterministic_per_chip(self):
         sensor = LeakageSensor(relative_noise=0.1)
-        values = (1.0, 2.0, 3.0, 4.0)
-        assert sensor.measure_ways(7, values) == sensor.measure_ways(7, values)
-        assert sensor.measure_ways(7, values) != sensor.measure_ways(8, values)
+        values = np.repeat(self.VALUES, 2, axis=0)
+        both = sensor.measure([7, 8], values).tolist()
+        assert both[0] == sensor.measure([7], self.VALUES).tolist()[0]
+        assert both[1] == sensor.measure([8], self.VALUES).tolist()[0]
+        assert both[0] != both[1]
 
     def test_quantisation_limits_codes(self):
         sensor = LeakageSensor(relative_noise=0.0, quantisation_levels=4)
-        measured = sensor.measure_ways(1, (0.1, 0.2, 0.3, 1.0))
+        measured = sensor.measure([1], np.array([[0.1, 0.2, 0.3, 1.0]]))
         step = 1.0 / 4
-        for value in measured:
+        for value in measured[0].tolist():
             assert value / step == pytest.approx(round(value / step))
 
-
-class TestMeasuredChipCase:
     def test_noise_can_flip_the_leakiest_way(self):
         case = make_chip(
             [0.9] * 4, way_leakages=[0.30, 0.31, 0.30, 0.30]
         )
         truth = case.max_leakage_way()
+        columns = ChipColumns(
+            CircuitColumns.from_circuits([case.circuit]), case.constraints
+        )
         flips = 0
         for seed in range(30):
             sensor = LeakageSensor(relative_noise=0.2, seed=seed)
-            measured = MeasuredChipCase(case, sensor)
-            if measured.max_leakage_way() != truth:
+            measured = sensor.measure(
+                columns.circuits.chip_ids, columns.circuits.way_leakages
+            )
+            if measured.argmax(axis=1)[0] != truth:
                 flips += 1
         assert flips > 0  # a near-tie is fragile under 20% noise
-
-    def test_truth_preserved(self, leaky_chip):
-        sensor = LeakageSensor(relative_noise=0.3, seed=3)
-        measured = MeasuredChipCase(leaky_chip, sensor)
-        assert measured.truth is leaky_chip
-        assert measured.circuit is leaky_chip.circuit
 
 
 class TestYieldWithSensor:
     @pytest.fixture(scope="class")
-    def cases(self):
-        pop = YieldStudy(seed=2006, count=300).run()
-        return [pop.case(i) for i in range(pop.population)]
+    def chips(self):
+        return YieldStudy(seed=2006, count=300).run().chips()
 
-    def test_perfect_sensor_matches_direct_yapd(self, cases):
+    def test_perfect_sensor_matches_direct_yapd(self, chips):
         sensor = LeakageSensor(relative_noise=0.0, quantisation_levels=0)
-        believed, actual = yield_with_sensor(cases, YAPD(), sensor)
-        direct = sum(
-            1 for c in cases if not c.passes and YAPD().rescue(c).saved
+        believed, actual = yield_with_sensor(chips, YAPD(), sensor)
+        direct = int(
+            np.count_nonzero(~chips.passes & YAPD().decide(chips).saved)
         )
         assert believed == actual == direct
 
-    def test_noise_creates_false_saves_or_losses(self, cases):
+    def test_noise_creates_false_saves_or_losses(self, chips):
         sensor = LeakageSensor(relative_noise=0.4, quantisation_levels=4, seed=9)
-        believed, actual = yield_with_sensor(cases, YAPD(), sensor)
+        believed, actual = yield_with_sensor(chips, YAPD(), sensor)
         perfect_believed, perfect_actual = yield_with_sensor(
-            cases, YAPD(), LeakageSensor(0.0, 0)
+            chips, YAPD(), LeakageSensor(0.0, 0)
         )
         assert actual <= believed
         # a very bad sensor cannot beat the perfect one in true saves

