@@ -17,7 +17,7 @@ from repro.schemes import AdaptiveHybrid
 from repro.schemes.adaptive import TableEstimator
 from repro.uarch import Simulator
 from repro.workloads import TraceGenerator, get_profile
-from repro.yieldmodel import YieldStudy
+from repro.yieldmodel import YieldStudy, config_key
 
 TRACE = 10_000
 WARMUP = 8_000
@@ -41,14 +41,17 @@ def degradation(benchmark: str, cycles) -> float:
 
 def main() -> None:
     print("finding a 3-1-0 chip...")
-    population = YieldStudy(seed=2006, count=500).run()
-    case = next(
-        c
-        for c in map(population.case, range(population.population))
-        if not c.passes and c.configuration == "3-1-0"
+    chips = YieldStudy(seed=2006, count=500).run().chips()
+    index = next(
+        i
+        for i in (~chips.passes).nonzero()[0].tolist()
+        if config_key(chips.way_cycles[i].tolist()) == "3-1-0"
     )
 
-    print(f"chip {case.circuit.chip_id}: way cycles {case.way_cycles}\n")
+    print(
+        f"chip {chips.circuits.chip_ids[index]}: way cycles "
+        f"{tuple(chips.way_cycles[index].tolist())}\n"
+    )
     print(f"{'workload':10s} {'keep@5':>8s} {'disable':>8s}  adaptive choice")
     for benchmark in BENCHMARKS:
         keep = degradation(benchmark, KEEP_SLOW)
@@ -56,11 +59,11 @@ def main() -> None:
         estimator = TableEstimator(
             {KEEP_SLOW: keep, DISABLE: drop}, default=1.0
         )
-        outcome = AdaptiveHybrid(estimator).rescue(case)
+        way = int(AdaptiveHybrid(estimator).decide(chips).disabled_way[index])
         choice = (
             "keep the slow way (VACA mode)"
-            if outcome.disabled_way is None
-            else f"disable way {outcome.disabled_way} (YAPD mode)"
+            if way < 0
+            else f"disable way {way} (YAPD mode)"
         )
         print(f"{benchmark:10s} {keep:8.2%} {drop:8.2%}  {choice}")
 

@@ -10,14 +10,38 @@ This walks the library's core loop end to end:
 
 :class:`YieldStudy` does steps 1-3 (Table 1 + the paper's correlation
 factors, a 16 KB 4-way cache with 4 banks per way at 45 nm, the nominal
-constraint policy); each chip of the result is a classified case.
+constraint policy); each chip of the result is a row of classification
+columns, and each scheme decides all rows in one call.
 
 Run:  python examples/quickstart.py
 """
 
 from repro.core import units
 from repro.schemes import Hybrid, VACA, YAPD
-from repro.yieldmodel import YieldStudy
+from repro.yieldmodel import LossReason, YieldStudy, config_key
+
+
+def loss_reason(chips, index: int) -> LossReason:
+    """A failing chip's loss bucket: leakage first, then the number of
+    delay-violating ways."""
+    if chips.leakage_violation[index]:
+        return LossReason.LEAKAGE
+    return LossReason.delay(int(chips.delay_violations[index].sum()))
+
+
+def describe(decided, index: int) -> str:
+    """A decision row: what it powers down and the way cycles it ships."""
+    if not decided.saved[index]:
+        return "lost"
+    way = int(decided.disabled_way[index])
+    band = int(decided.disabled_band[index])
+    off = (
+        f"way {way} off, " if way >= 0
+        else f"band {band} off, " if band >= 0
+        else ""
+    )
+    cycles = tuple(c or None for c in decided.way_cycles[index].tolist())
+    return f"SAVED - {off}way cycles {cycles}"
 
 
 def main() -> None:
@@ -28,28 +52,23 @@ def main() -> None:
         f"(4 cycles), leakage <= {units.to_mw(constraints.leakage_limit):.2f} mW"
     )
 
-    cases = [population.case(i) for i in range(population.population)]
+    chips = population.chips()
     schemes = [YAPD(), VACA(), Hybrid()]
-    shown = 0
-    for case in cases:
-        if case.passes or shown >= 5:
-            continue
-        shown += 1
-        circuit = case.circuit
+    decisions = [scheme.decide(chips) for scheme in schemes]
+    failing = (~chips.passes).nonzero()[0].tolist()
+    for index in failing[:5]:
         print(
-            f"\nchip {circuit.chip_id}: {case.loss_reason.value}, "
-            f"configuration {case.configuration}, "
-            f"delay {units.to_ps(circuit.access_delay):.0f} ps, "
-            f"leakage {units.to_mw(circuit.total_leakage):.2f} mW"
+            f"\nchip {chips.circuits.chip_ids[index]}: "
+            f"{loss_reason(chips, index).value}, "
+            f"configuration {config_key(chips.way_cycles[index].tolist())}, "
+            f"delay {units.to_ps(chips.circuits.access_delays[index]):.0f} ps, "
+            f"leakage {units.to_mw(chips.total_leakage[index]):.2f} mW"
         )
-        for scheme in schemes:
-            outcome = scheme.rescue(case)
-            verdict = "SAVED" if outcome.saved else "lost "
-            print(f"  {scheme.name:8s} {verdict} - {outcome.note}")
+        for scheme, decided in zip(schemes, decisions):
+            print(f"  {scheme.name:8s} {describe(decided, index)}")
 
-    failures = [case for case in cases if not case.passes]
-    print(f"\n{len(failures)} of {len(cases)} chips fail parametric testing;")
-    saved = sum(1 for case in failures if Hybrid().rescue(case).saved)
+    print(f"\n{len(failing)} of {chips.count} chips fail parametric testing;")
+    saved = int(decisions[-1].saved[failing].sum())
     print(f"the Hybrid scheme rescues {saved} of them.")
 
 

@@ -16,18 +16,19 @@ from repro.cache.setassoc import WayConfig
 from repro.schemes import Hybrid, NaiveBinning, VACA, YAPD
 from repro.uarch import Simulator
 from repro.workloads import TraceGenerator, get_profile
-from repro.yieldmodel import YieldStudy
+from repro.yieldmodel import LossReason, YieldStudy, config_key
 
 TRACE = 12_000
 WARMUP = 8_000
 
 
-def find_delay_victim(population):
-    """A chip whose only problem is one slow (5-cycle) way: 3-1-0."""
-    for index in range(population.population):
-        case = population.case(index)
-        if case.loss_reason.value.startswith("delay") and case.configuration == "3-1-0":
-            return case
+def find_delay_victim(chips) -> int:
+    """The row of a chip whose only problem is one slow (5-cycle) way:
+    3-1-0, no leakage violation."""
+    for index in (~chips.passes).nonzero()[0].tolist():
+        cycles = chips.way_cycles[index].tolist()
+        if not chips.leakage_violation[index] and config_key(cycles) == "3-1-0":
+            return index
     raise SystemExit("no 3-1-0 chip in this population; raise the count")
 
 
@@ -48,20 +49,25 @@ def main() -> None:
     benchmarks = sys.argv[1:] or ["gzip", "twolf", "swim"]
     print("simulating 500 manufactured caches to find a 3-1-0 victim...")
     population = YieldStudy(seed=2006, count=500).run()
-    case = find_delay_victim(population)
+    chips = population.chips()
+    index = find_delay_victim(chips)
+    reason = LossReason.delay(int(chips.delay_violations[index].sum()))
     print(
-        f"chip {case.circuit.chip_id}: way cycles {case.way_cycles} "
-        f"({case.loss_reason.value})\n"
+        f"chip {chips.circuits.chip_ids[index]}: way cycles "
+        f"{tuple(chips.way_cycles[index].tolist())} ({reason.value})\n"
     )
 
     options = []
     for scheme in (YAPD(), VACA(), Hybrid(), NaiveBinning(5)):
-        outcome = scheme.rescue(case)
-        if outcome.saved:
-            options.append((scheme.name, outcome))
-            print(f"{scheme.name:10s} saves the chip: {outcome.note}")
-        else:
-            print(f"{scheme.name:10s} cannot save it: {outcome.note}")
+        decided = scheme.decide(chips)
+        if not decided.saved[index]:
+            print(f"{scheme.name:10s} cannot save it")
+            continue
+        way = int(decided.disabled_way[index])
+        cycles = tuple(c or None for c in decided.way_cycles[index].tolist())
+        options.append((scheme.name, cycles))
+        off = f"way {way} off, " if way >= 0 else ""
+        print(f"{scheme.name:10s} saves the chip: {off}way cycles {cycles}")
 
     print(f"\n{'benchmark':10s} {'healthy':>8s}", end="")
     for name, _ in options:
@@ -71,12 +77,9 @@ def main() -> None:
     for benchmark in benchmarks:
         base = measure(benchmark, None)
         print(f"{benchmark:10s} {base:8.3f}", end="")
-        for name, outcome in options:
-            uniform = (
-                outcome.max_cycles if name.startswith("Binning") else None
-            )
-            cycles = None if uniform else outcome.way_cycles
-            cpi = measure(benchmark, cycles, uniform=uniform)
+        for name, cycles in options:
+            uniform = max(cycles) if name.startswith("Binning") else None
+            cpi = measure(benchmark, None if uniform else cycles, uniform)
             print(f" {100 * (cpi / base - 1):+9.2f}%", end="")
         print()
 

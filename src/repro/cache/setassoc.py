@@ -76,20 +76,6 @@ class WayConfig:
         """All ways enabled at the same latency (the healthy-chip config)."""
         return cls(latencies=tuple(latency for _ in range(ways)))
 
-    @classmethod
-    def from_cycles(
-        cls,
-        way_cycles: Tuple[Optional[int], ...],
-        disabled_band: Optional[int] = None,
-        num_bands: int = 4,
-    ) -> "WayConfig":
-        """Build from a scheme's :class:`RescueOutcome.way_cycles`."""
-        return cls(
-            latencies=way_cycles,
-            disabled_band=disabled_band,
-            num_bands=num_bands,
-        )
-
     @property
     def num_ways(self) -> int:
         return len(self.latencies)

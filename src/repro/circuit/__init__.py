@@ -10,13 +10,14 @@ first-order analytic model of the same address-to-data path:
   calibration knobs of the analytic model.
 * :mod:`repro.circuit.organization` — the physical organisation (4 ways x
   4 banks x 64x128 bits, divided bitlines).
-* :mod:`repro.circuit.cache_model` — per-way/per-band delay and leakage
-  results, the device floors, SRAM stage constants and driver sizing,
-  and the model whose ``evaluate`` is a one-chip slice of the kernel.
+* :mod:`repro.circuit.cache_model` — the model the kernel evaluates:
+  the device floors, SRAM stage constants and driver sizing, and the
+  zero-variation ``nominal`` reference.
 * :mod:`repro.circuit.columnar` — the circuit kernel: alpha-power-law
   drive, gate-length threshold roll-off, subthreshold leakage, wire R/C
   with coupling, Elmore delay, the decoder chain, bitline, sense and
-  output stages, over whole populations at once.
+  output stages, over whole populations at once, into per-(way, band)
+  delay and leakage columns.
 
 The composed per-stage physics the kernel is held to bit for bit lives
 in ``tests/oracles/circuit.py``.
@@ -28,11 +29,7 @@ see DESIGN.md for the substitution argument.
 
 from repro.circuit.technology import Technology, TECH45
 from repro.circuit.organization import CacheOrganization, PAPER_ORGANIZATION
-from repro.circuit.cache_model import (
-    CacheCircuitModel,
-    CacheCircuitResult,
-    WayCircuitResult,
-)
+from repro.circuit.cache_model import CacheCircuitModel
 
 __all__ = [
     "Technology",
@@ -40,6 +37,4 @@ __all__ = [
     "CacheOrganization",
     "PAPER_ORGANIZATION",
     "CacheCircuitModel",
-    "CacheCircuitResult",
-    "WayCircuitResult",
 ]

@@ -1,8 +1,9 @@
-"""Whole-cache delay and leakage under a sampled variation map.
+"""Whole-cache delay and leakage under sampled process variation.
 
 :class:`CacheCircuitModel` is the reproduction's stand-in for the paper's
-per-chip HSPICE run: given a :class:`~repro.variation.sampling.CacheVariationMap`
-it produces a :class:`CacheCircuitResult` holding
+per-chip HSPICE run: the circuit kernel evaluates a sampled population
+under it into :class:`~repro.circuit.columnar.CircuitColumns`, holding
+for every chip
 
 * the delay of every (way, band) access path — the paper's
   "critical/near-critical paths" of each way,
@@ -18,8 +19,9 @@ overhead of the reorganised post-decoders (Section 4.2) uniformly to all
 paths; leakage is unchanged.
 
 The arithmetic itself runs over whole populations in
-:mod:`repro.circuit.columnar`; :meth:`CacheCircuitModel.evaluate` is its
-one-chip slice. This module holds what that kernel reads: the device
+:mod:`repro.circuit.columnar`; :meth:`CacheCircuitModel.nominal` is its
+one-row zero-variation reference. This module holds what that kernel
+reads: the device
 floors, the SRAM stage constants and the driver sizing. The composed
 per-stage physics it is held to (device, interconnect, SRAM-stage,
 decoder and access-path functions) is the oracle in
@@ -29,9 +31,7 @@ decoder and access-path functions) is the oracle in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
-from typing import NamedTuple, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 from repro.circuit.organization import CacheOrganization, PAPER_ORGANIZATION
 from repro.circuit.technology import Technology, TECH45
@@ -41,9 +41,10 @@ from repro.variation.columnar import ColumnarPopulation
 from repro.variation.parameters import TABLE1, VariationTable
 from repro.variation.sampling import CacheVariationMap, WayVariation
 
+if TYPE_CHECKING:  # the kernel module imports this one
+    from repro.circuit.columnar import CircuitColumns
+
 __all__ = [
-    "WayCircuitResult",
-    "CacheCircuitResult",
     "CacheCircuitModel",
     "DecoderSizing",
     "PathSizing",
@@ -160,84 +161,6 @@ class PathSizing:
 DEFAULT_PATH_SIZING = PathSizing()
 
 
-class WayCircuitResult(NamedTuple):
-    """Delay and leakage of one cache way (one row of
-    :class:`~repro.circuit.columnar.CircuitColumns`, viewed per way).
-
-    Attributes
-    ----------
-    way:
-        Way index.
-    band_delays:
-        Access-path delay (s) through each horizontal band of this way.
-    band_leakage:
-        Array leakage power (W) of each band of this way.
-    peripheral_leakage:
-        Leakage power (W) of this way's decoder/precharge/sense/output
-        periphery.
-    """
-
-    way: int
-    band_delays: Tuple[float, ...]
-    band_leakage: Tuple[float, ...]
-    peripheral_leakage: float
-
-    @property
-    def delay(self) -> float:
-        """Access delay (s) of the way: its slowest band path."""
-        return max(self.band_delays)
-
-    @property
-    def array_leakage(self) -> float:
-        """Total array leakage power (W) of the way.
-
-        Leakage totals add left to right (``sum()`` of floats is
-        compensated since Python 3.12; columns must match on any Python).
-        """
-        return reduce(add, self.band_leakage, 0.0)
-
-    @property
-    def leakage(self) -> float:
-        """Total leakage power (W) of the way (array + periphery)."""
-        return self.array_leakage + self.peripheral_leakage
-
-
-class CacheCircuitResult(NamedTuple):
-    """Delay and leakage of one manufactured cache."""
-
-    chip_id: int
-    ways: Tuple[WayCircuitResult, ...]
-    hyapd: bool = False
-
-    @property
-    def num_ways(self) -> int:
-        return len(self.ways)
-
-    @property
-    def num_bands(self) -> int:
-        return len(self.ways[0].band_delays)
-
-    @property
-    def way_delays(self) -> Tuple[float, ...]:
-        """Access delay (s) of every way."""
-        return tuple(way.delay for way in self.ways)
-
-    @property
-    def access_delay(self) -> float:
-        """Cache access delay (s): the slowest way (paper Section 5.1)."""
-        return max(self.way_delays)
-
-    @property
-    def way_leakages(self) -> Tuple[float, ...]:
-        """Total leakage power (W) of every way."""
-        return tuple(way.leakage for way in self.ways)
-
-    @property
-    def total_leakage(self) -> float:
-        """Total cache leakage power (W)."""
-        return reduce(add, self.way_leakages, 0.0)
-
-
 class CacheCircuitModel:
     """Evaluates sampled caches into delays and leakage.
 
@@ -311,16 +234,10 @@ class CacheCircuitModel:
             for i, width in enumerate(widths)
         )
 
-    def evaluate(self, cvmap: CacheVariationMap) -> CacheCircuitResult:
-        """Evaluate one sampled cache: a one-chip slice of
-        :func:`~repro.circuit.columnar.evaluate_population`."""
+    def nominal(self, table: VariationTable = TABLE1) -> "CircuitColumns":
+        """The zero-variation cache (design reference) as one row."""
         from repro.circuit.columnar import evaluate_population
 
-        population = ColumnarPopulation.from_maps([cvmap])
-        return evaluate_population(self, population).circuit(0)
-
-    def nominal(self, table: VariationTable = TABLE1) -> CacheCircuitResult:
-        """Evaluate the zero-variation cache (design reference)."""
         nominal = table.nominal()
         ways = tuple(
             WayVariation(
@@ -335,4 +252,4 @@ class CacheCircuitModel:
             for w in range(self.org.num_ways)
         )
         cvmap = CacheVariationMap(chip_id=-1, die=nominal, ways=ways)
-        return self.evaluate(cvmap)
+        return evaluate_population(self, ColumnarPopulation.from_maps([cvmap]))

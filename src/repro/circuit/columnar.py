@@ -14,8 +14,7 @@ The production entry point, :func:`evaluate_population_pair`, produces
 the regular *and* H-YAPD :class:`CircuitColumns` in one pass (they
 differ only by the uniform post-decoder delay scale);
 :func:`evaluate_population` serves one architecture. Population results
-stay columns from here on; :meth:`CircuitColumns.circuit` turns one row
-back into a per-chip :class:`CacheCircuitResult`.
+stay columns from here on, one row per chip.
 """
 
 from __future__ import annotations
@@ -26,14 +25,12 @@ import numpy as np
 
 from repro.circuit.cache_model import (
     CacheCircuitModel,
-    CacheCircuitResult,
     PERIPHERAL_LEAK_WIDTHS,
     PRECHARGE_SLEW_FRACTION,
     PRECHARGE_WIDTH,
     SENSEAMP_STAGE_CAP,
     SENSEAMP_STAGE_WIDTH,
     SENSEAMP_STAGES,
-    WayCircuitResult,
     _MIN_OVERDRIVE,
     _MIN_VT,
 )
@@ -45,17 +42,14 @@ __all__ = ["CircuitColumns", "evaluate_population", "evaluate_population_pair"]
 # PARAMETER_NAMES order of the trailing parameter axis.
 _LGATE, _VT, _METAL_WIDTH, _METAL_THICKNESS, _ILD = range(5)
 
-#: (WayCircuitResult field, array dimensions) of each circuit column.
-_FIELD_DIMS = (
-    ("band_delays", 3), ("band_leakage", 3), ("peripheral_leakage", 2)
-)
-
 
 class CircuitColumns:
-    """A list of :class:`CacheCircuitResult` as read-only columns.
+    """A population's delays and leakage as read-only columns.
 
-    Chip ``i`` is row ``i``. Way and access delays and way and total
-    leakage are derived once, here, with the per-chip arithmetic.
+    Chip ``i`` is row ``i``: the access-path delay (s) and array leakage
+    (W) of every (way, band), and the peripheral leakage (W) of every
+    way. Way and access delays (slowest band, slowest way) and way and
+    total leakage (added left to right) are derived once, here.
     """
 
     def __init__(
@@ -112,57 +106,6 @@ class CircuitColumns:
             self.band_leakage[rows],
             self.peripheral_leakage[rows],
             self.hyapd,
-        )
-
-    def circuit(self, index: int) -> CacheCircuitResult:
-        """Chip ``index`` as a per-chip :class:`CacheCircuitResult`."""
-        delays = self.band_delays[index].tolist()
-        leakage = self.band_leakage[index].tolist()
-        peripheral = self.peripheral_leakage[index].tolist()
-        return CacheCircuitResult(
-            self.chip_ids[index],
-            tuple(
-                WayCircuitResult(
-                    way, tuple(delays[way]), tuple(leakage[way]),
-                    peripheral[way],
-                )
-                for way in range(self.num_ways)
-            ),
-            self.hyapd,
-        )
-
-    @classmethod
-    def from_circuits(
-        cls, circuits: Sequence[CacheCircuitResult]
-    ) -> "CircuitColumns":
-        """Columns of per-chip results; a ragged list (ways or bands that
-        vary, ways out of order, mixed architectures) is refused."""
-        hyapd = {circuit.hyapd for circuit in circuits}
-        if len(hyapd) > 1 or any(
-            way.way != index
-            for circuit in circuits
-            for index, way in enumerate(circuit.ways)
-        ):
-            raise ConfigurationError(
-                "ragged population: mixed architectures or ways out of order"
-            )
-        arrays = []
-        for field, ndim in _FIELD_DIMS:
-            rows = [[getattr(way, field) for way in c.ways] for c in circuits]
-            try:
-                array = np.array(rows, dtype=float) if rows else (
-                    np.zeros((0,) * ndim)
-                )
-            except ValueError:  # inhomogeneous nested lengths
-                array = None
-            if array is None or array.ndim != ndim:
-                raise ConfigurationError(
-                    "ragged population: ways or bands vary between chips"
-                )
-            arrays.append(array)
-        return cls(
-            [circuit.chip_id for circuit in circuits], *arrays,
-            hyapd=hyapd.pop() if hyapd else False,
         )
 
     @classmethod

@@ -25,8 +25,8 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
     """Compare regular vs H-YAPD organisation delays."""
     regular = CacheCircuitModel(hyapd=False)
     horizontal = CacheCircuitModel(hyapd=True)
-    nominal_regular = regular.nominal().access_delay
-    nominal_horizontal = horizontal.nominal().access_delay
+    nominal_regular = regular.nominal().access_delays.tolist()[0]
+    nominal_horizontal = horizontal.nominal().access_delays.tolist()[0]
 
     pop = population(settings)
     mean_regular = sum(pop.regular.access_delays.tolist()) / pop.population

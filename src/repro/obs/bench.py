@@ -39,7 +39,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.obs.metrics import get_metrics
-from repro.obs.provenance import config_hash, provenance_stamp
+from repro.obs.provenance import config_hash
 
 __all__ = [
     "Benchmark",
@@ -49,7 +49,6 @@ __all__ = [
     "SUITES",
     "append_history",
     "available_suites",
-    "bench_run",
     "latest_path",
     "load_history",
     "make_record",
@@ -638,37 +637,3 @@ def samples_by_bench(
             continue
         out[record["bench"]] = [float(s) for s in record["samples"]]
     return out
-
-
-def bench_run(
-    suite: str,
-    repeats: int = 5,
-    warmup: int = 1,
-    workers: int = 1,
-    history: pathlib.Path = DEFAULT_HISTORY_PATH,
-    latest_dir: pathlib.Path = pathlib.Path("."),
-    created: Optional[float] = None,
-) -> Tuple[str, List[Dict[str, object]]]:
-    """Run one suite and persist its records (harness + store in one call).
-
-    Returns ``(run_id, records)``; the records are appended to
-    ``history`` and mirrored into ``BENCH_<suite>.json``.
-    """
-    results = run_suite(suite, repeats=repeats, warmup=warmup, workers=workers)
-    created = time.time() if created is None else created
-    provenance = provenance_stamp(
-        workers=workers,
-        config={
-            "suite": suite,
-            "repeats": repeats,
-            "warmup": warmup,
-            "workers": workers,
-        },
-    )
-    run_id = new_run_id(suite, created, provenance)
-    records = [
-        make_record(result, run_id, created, provenance) for result in results
-    ]
-    append_history(history, records)
-    write_latest(suite, records, latest_dir)
-    return run_id, records

@@ -2,8 +2,8 @@
 
 Every scheme's ``decide`` says which chips of a population's
 :class:`~repro.yieldmodel.classify.ChipColumns` can be shipped, and in
-what configuration; ``rescue`` says it for one ``ChipCase`` as a
-:class:`~repro.schemes.base.RescueOutcome`:
+what configuration, as :class:`~repro.schemes.base.Decisions` (one row
+per chip):
 
 * :class:`~repro.schemes.yapd.YAPD` — power down one delay- or
   leakage-offending vertical way (Selective Cache Ways + Gated-Vdd).
@@ -23,7 +23,7 @@ what configuration; ``rescue`` says it for one ``ChipCase`` as a
   for studying the paper's in-the-field deployment story.
 """
 
-from repro.schemes.base import ColumnarScheme, Decisions, RescueOutcome, Scheme
+from repro.schemes.base import Decisions, Scheme
 from repro.schemes.yapd import YAPD
 from repro.schemes.hyapd import HYAPD
 from repro.schemes.vaca import DeepVACA, VACA
@@ -32,9 +32,7 @@ from repro.schemes.binning import NaiveBinning
 from repro.schemes.adaptive import AdaptiveHybrid
 
 __all__ = [
-    "ColumnarScheme",
     "Decisions",
-    "RescueOutcome",
     "Scheme",
     "YAPD",
     "HYAPD",

@@ -16,13 +16,12 @@ simulations via :mod:`repro.uarch`).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.schemes.base import Decisions, RescueOutcome, Scheme
-from repro.schemes.hybrid import Hybrid
-from repro.yieldmodel.classify import ChipCase, ChipColumns, VACA_MAX_CYCLES
+from repro.schemes.base import Decisions, Scheme
+from repro.yieldmodel.classify import ChipColumns, VACA_MAX_CYCLES
 from repro.yieldmodel.constraints import BASE_ACCESS_CYCLES
 
 __all__ = ["AdaptiveHybrid", "TableEstimator"]
@@ -30,6 +29,10 @@ __all__ = ["AdaptiveHybrid", "TableEstimator"]
 #: An estimator maps (way_cycles with None for disabled ways) to a
 #: predicted fractional CPI degradation for the target workload.
 Estimator = Callable[[Tuple[Optional[int], ...]], float]
+
+#: One option for a failing chip: the way it powers down (-1 for none)
+#: and the way cycles it ships, with None for that way.
+Option = Tuple[int, Tuple[Optional[int], ...]]
 
 
 class TableEstimator:
@@ -71,98 +74,65 @@ class AdaptiveHybrid(Scheme):
 
     def __init__(self, estimator: Estimator) -> None:
         self.estimator = estimator
-        self._fixed = Hybrid()
 
     def decide(self, chips: ChipColumns) -> Decisions:
-        """A per-chip estimator call on each failing row, with the row's
-        leakage readings (measured ones too)."""
+        """The cheapest feasible option of each failing row, read with
+        the row's leakage readings (measured ones too)."""
         saved = chips.passes.copy()
         way_cycles = chips.way_cycles.copy()
         disabled_way = np.full(chips.count, -1)
+        gated_ok = chips.way_gated_leakage <= chips.constraints.leakage_limit
         for index in np.flatnonzero(~chips.passes).tolist():
-            outcome = self._choose(
-                chips.case(index),
-                int(chips.leakiest_way[index]),
-                chips.way_gated_leakage[index].tolist(),
+            best = self._cheapest(
+                self._options(
+                    chips.way_cycles[index].tolist(),
+                    bool(chips.leakage_violation[index]),
+                    int(chips.leakiest_way[index]),
+                    gated_ok[index].tolist(),
+                )
             )
-            if outcome.saved:
+            if best is not None:
+                way, cycles = best
                 saved[index] = True
-                way_cycles[index] = [c or 0 for c in outcome.way_cycles]
-                if outcome.disabled_way is not None:
-                    disabled_way[index] = outcome.disabled_way
+                disabled_way[index] = way
+                way_cycles[index] = [c or 0 for c in cycles]
         return Decisions.of(chips, saved, way_cycles, disabled_way)
 
-    def _candidates(self, case: ChipCase, leakiest: int, gated: List[float]):
-        """All single-disable-or-none configurations that meet constraints.
+    @staticmethod
+    def _options(
+        cycles: List[int], leaky: bool, leakiest: int, gated_ok: List[bool]
+    ) -> Iterator[Option]:
+        """Every single-power-down-or-none option that meets constraints.
 
         Only *sensible* disables are considered: a slow way, or the
         leakiest way when the chip violates the power limit — never a
-        healthy way. ``leakiest`` and ``gated`` are the chip's leakage
-        readings (``max_leakage_way`` and ``leakage_after_disabling_way``
-        of every way).
+        healthy way. ``gated_ok[w]``: gating way ``w`` off leaves the
+        leakage within the limit.
         """
         # Option A: no power-down (pure VACA behaviour).
-        if not case.leakage_violation and max(case.way_cycles) <= VACA_MAX_CYCLES:
-            yield None, case.way_cycles
+        if not leaky and max(cycles) <= VACA_MAX_CYCLES:
+            yield -1, tuple(cycles)
         # Option B: disable exactly one offending way.
         candidates = {
-            w
-            for w, cycles in enumerate(case.way_cycles)
-            if cycles > BASE_ACCESS_CYCLES
+            w for w, c in enumerate(cycles) if c > BASE_ACCESS_CYCLES
         }
-        if case.leakage_violation:
+        if leaky:
             candidates.add(leakiest)
         for way in sorted(candidates):
-            cycles_ok = all(
-                case.way_cycles[w] <= VACA_MAX_CYCLES
-                for w in range(case.circuit.num_ways)
-                if w != way
+            others_ok = all(
+                c <= VACA_MAX_CYCLES for w, c in enumerate(cycles) if w != way
             )
-            leak_ok = case.constraints.meets_leakage(gated[way])
-            if cycles_ok and leak_ok:
+            if others_ok and gated_ok[way]:
                 yield way, tuple(
-                    None if w == way else case.way_cycles[w]
-                    for w in range(case.circuit.num_ways)
+                    None if w == way else c for w, c in enumerate(cycles)
                 )
 
-    def rescue(self, case: ChipCase) -> RescueOutcome:
-        if case.passes:
-            return self._pass_through(case)
-        return self._choose(
-            case,
-            case.max_leakage_way(),
-            [
-                case.leakage_after_disabling_way(way)
-                for way in range(case.circuit.num_ways)
-            ],
-        )
-
-    def _choose(
-        self, case: ChipCase, leakiest: int, gated: List[float]
-    ) -> RescueOutcome:
-        """The cheapest feasible option for the failing ``case``."""
+    def _cheapest(self, options: Iterator[Option]) -> Optional[Option]:
+        """The first option with strictly the lowest predicted cost."""
         best = None
         best_cost = float("inf")
-        for disabled_way, way_cycles in self._candidates(
-            case, leakiest, gated
-        ):
-            cost = self.estimator(way_cycles)
+        for option in options:
+            cost = self.estimator(option[1])
             if cost < best_cost:
-                best, best_cost = (disabled_way, way_cycles), cost
-        if best is None:
-            return self._lost(case, "no feasible single power-down option")
-
-        disabled_way, way_cycles = best
-        note = (
-            "kept all ways (VACA mode)"
-            if disabled_way is None
-            else f"disabled way {disabled_way}"
-        )
-        return RescueOutcome(
-            scheme=self.name,
-            saved=True,
-            configuration=case.configuration,
-            disabled_way=disabled_way,
-            way_cycles=way_cycles,
-            note=f"{note}; predicted degradation {best_cost:.2%}",
-        )
+                best, best_cost = option, cost
+        return best

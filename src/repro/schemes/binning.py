@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.errors import ConfigurationError
-from repro.schemes.base import ColumnarScheme, Decisions
+from repro.schemes.base import Decisions, Scheme
 from repro.schemes.vaca import served_within
 from repro.yieldmodel.classify import ChipColumns
 from repro.yieldmodel.constraints import BASE_ACCESS_CYCLES
@@ -21,7 +21,7 @@ from repro.yieldmodel.constraints import BASE_ACCESS_CYCLES
 __all__ = ["NaiveBinning"]
 
 
-class NaiveBinning(ColumnarScheme):
+class NaiveBinning(Scheme):
     """Run the whole cache at a uniformly higher access latency.
 
     Parameters
@@ -46,10 +46,3 @@ class NaiveBinning(ColumnarScheme):
             saved,
             np.where(rebinned[:, None], self.target_cycles, chips.way_cycles),
         )
-
-    def _note(self, chips: ChipColumns, decided: Decisions) -> str:
-        if decided.saved[0]:
-            return f"entire cache re-binned at {self.target_cycles} cycles"
-        if chips.leakage_violation[0]:
-            return "re-binning cannot reduce leakage"
-        return f"a way needs more than {self.target_cycles} cycles"

@@ -26,7 +26,7 @@ import numpy as np
 from repro.circuit.columnar import left_sum
 from repro.core.errors import ConfigurationError
 from repro.core.validation import require_in_range
-from repro.schemes.base import ColumnarScheme, Decisions
+from repro.schemes.base import Decisions, Scheme
 from repro.yieldmodel.classify import ChipColumns
 from repro.yieldmodel.constraints import BASE_ACCESS_CYCLES
 
@@ -76,7 +76,7 @@ def cheapest_band(feasible: np.ndarray, leakage: np.ndarray) -> np.ndarray:
     return np.where(feasible.any(axis=1), best, -1)
 
 
-class HYAPD(ColumnarScheme):
+class HYAPD(Scheme):
     """Power down one horizontal band across all ways.
 
     Parameters
@@ -109,8 +109,3 @@ class HYAPD(ColumnarScheme):
             np.where(rescued[:, None], BASE_ACCESS_CYCLES, chips.way_cycles),
             disabled_band=np.where(rescued, band, -1),
         )
-
-    def _note(self, chips: ChipColumns, decided: Decisions) -> str:
-        if decided.saved[0]:
-            return f"disabled horizontal band {int(decided.disabled_band[0])}"
-        return "no single horizontal band repairs the chip"

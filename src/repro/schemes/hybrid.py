@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.schemes.base import ColumnarScheme, Decisions
+from repro.schemes.base import Decisions, Scheme
 from repro.schemes.hyapd import (
     HYAPD,
     cheapest_band,
@@ -28,7 +28,7 @@ from repro.yieldmodel.classify import (
 __all__ = ["Hybrid", "HybridHorizontal"]
 
 
-class Hybrid(ColumnarScheme):
+class Hybrid(Scheme):
     """VACA latencies plus at most one vertical way power-down."""
 
     name = "Hybrid"
@@ -64,21 +64,8 @@ class Hybrid(ColumnarScheme):
             np.where(disabled, target, -1),
         )
 
-    def _note(self, chips: ChipColumns, decided: Decisions) -> str:
-        if decided.saved[0]:
-            way = int(decided.disabled_way[0])
-            if way < 0:
-                return "slow ways served at 5 cycles (no power-down needed)"
-            return f"disabled way {way}, remaining ways at up to 5 cycles"
-        too_slow = int((chips.way_cycles[0] > VACA_MAX_CYCLES).sum())
-        if too_slow > 1:
-            return f"{too_slow} ways need 6+ cycles; only one may be disabled"
-        if chips.leakage_violation[0]:
-            return "leakage remains above limit after disabling one way"
-        return "no single power-down repairs the chip"
 
-
-class HybridHorizontal(ColumnarScheme):
+class HybridHorizontal(Scheme):
     """VACA latencies plus at most one horizontal band power-down.
 
     Parameters
@@ -114,14 +101,3 @@ class HybridHorizontal(ColumnarScheme):
             way_cycles,
             disabled_band=np.where(disabled, band, -1),
         )
-
-    def _note(self, chips: ChipColumns, decided: Decisions) -> str:
-        if decided.saved[0]:
-            band = int(decided.disabled_band[0])
-            if band < 0:
-                return "slow ways served at 5 cycles (no power-down needed)"
-            return (
-                f"disabled horizontal band {band}, "
-                "remaining paths at up to 5 cycles"
-            )
-        return "no single horizontal band repairs the chip"

@@ -27,7 +27,6 @@ from repro.circuit.columnar import left_sum
 from repro.core.rng import StreamBlock, normals_at, stream_states
 from repro.core.validation import require_non_negative
 from repro.yieldmodel.classify import ChipColumns
-from repro.yieldmodel.constraints import BASE_ACCESS_CYCLES
 
 __all__ = ["LeakageSensor", "measured_failing", "yield_with_sensor"]
 
@@ -113,31 +112,16 @@ def yield_with_sensor(
     of ``chips``: chips the scheme *believed* it saved, deciding on
     :func:`measured_failing`, and the subset whose true leakage and
     delay meet the limits after the chosen action.
+
+    Only the gated-way readings are measured: every scheme checks its
+    action's delays, band leakage and leakage verdict on the true
+    values. So a believed save is actual unless it gates off a way
+    whose true gated leakage exceeds the limit.
     """
     failing, measured = measured_failing(chips, sensor)
     decided = scheme.decide(measured)
     saved = np.flatnonzero(decided.saved)
-    rows = failing[saved]
-    disabled = decided.disabled_way[saved]
-    gated = disabled >= 0
-    ways = np.arange(chips.circuits.num_ways)
-    # A powered-down way: the other ways must meet the delay limit. No
-    # power-down: no way may need more cycles than the slowest way the
-    # decision keeps on (4 when it keeps none).
-    others_fast = ~(
-        chips.delay_violations[rows] & (ways != disabled[:, None])
-    ).any(axis=1)
-    cycles = decided.way_cycles[saved]
-    kept = np.where(
-        (cycles != 0).any(axis=1), cycles.max(axis=1), BASE_ACCESS_CYCLES
-    )
-    delay_ok = np.where(
-        gated, others_fast, chips.way_cycles[rows].max(axis=1) <= kept
-    )
-    true_leakage = np.where(
-        gated,
-        chips.way_gated_leakage[rows, np.maximum(disabled, 0)],
-        chips.total_leakage[rows],
-    )
-    leakage_ok = true_leakage <= chips.constraints.leakage_limit
-    return int(saved.size), int(np.count_nonzero(delay_ok & leakage_ok))
+    way = decided.disabled_way[saved]
+    true_gated = chips.way_gated_leakage[failing[saved], np.maximum(way, 0)]
+    actual = (way < 0) | (true_gated <= chips.constraints.leakage_limit)
+    return int(saved.size), int(np.count_nonzero(actual))

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.errors import ConfigurationError
-from repro.schemes.base import ColumnarScheme, Decisions
+from repro.schemes.base import Decisions, Scheme
 from repro.yieldmodel.classify import ChipColumns, VACA_MAX_CYCLES
 from repro.yieldmodel.constraints import BASE_ACCESS_CYCLES
 
@@ -33,7 +33,7 @@ def served_within(chips: ChipColumns, max_cycles: int) -> np.ndarray:
     )
 
 
-class VACA(ColumnarScheme):
+class VACA(Scheme):
     """Tolerate 5-cycle ways via load-bypass buffers; no power-down."""
 
     name = "VACA"
@@ -41,18 +41,8 @@ class VACA(ColumnarScheme):
     def decide(self, chips: ChipColumns) -> Decisions:
         return Decisions.of(chips, served_within(chips, VACA_MAX_CYCLES))
 
-    def _note(self, chips: ChipColumns, decided: Decisions) -> str:
-        if decided.saved[0]:
-            return "slow ways served at 5 cycles"
-        if chips.leakage_violation[0]:
-            return "VACA cannot reduce leakage"
-        return (
-            f"a way needs {int(chips.way_cycles[0].max())} cycles; "
-            f"load-bypass buffers allow at most {VACA_MAX_CYCLES}"
-        )
 
-
-class DeepVACA(ColumnarScheme):
+class DeepVACA(Scheme):
     """VACA with ``slack``-entry load-bypass buffers (paper Section 4.3's
     rejected extension: tolerate ways up to ``4 + slack`` cycles).
 
@@ -75,13 +65,3 @@ class DeepVACA(ColumnarScheme):
 
     def decide(self, chips: ChipColumns) -> Decisions:
         return Decisions.of(chips, served_within(chips, self.max_cycles))
-
-    def _note(self, chips: ChipColumns, decided: Decisions) -> str:
-        if decided.saved[0]:
-            return f"slow ways served at up to {self.max_cycles} cycles"
-        if chips.leakage_violation[0]:
-            return "cannot reduce leakage"
-        return (
-            f"a way needs {int(chips.way_cycles[0].max())} cycles; "
-            f"{self.slack}-entry buffers allow at most {self.max_cycles}"
-        )

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.schemes.base import ColumnarScheme, Decisions
+from repro.schemes.base import Decisions, Scheme
 from repro.yieldmodel.classify import ChipColumns
 from repro.yieldmodel.constraints import BASE_ACCESS_CYCLES
 
 __all__ = ["YAPD"]
 
 
-class YAPD(ColumnarScheme):
+class YAPD(Scheme):
     """Power down one vertical way to fix a delay or leakage violation."""
 
     name = "YAPD"
@@ -54,13 +54,3 @@ class YAPD(ColumnarScheme):
         return Decisions.of(
             chips, saved, way_cycles, np.where(rescued, target, -1)
         )
-
-    def _note(self, chips: ChipColumns, decided: Decisions) -> str:
-        if decided.saved[0]:
-            return f"disabled way {int(decided.disabled_way[0])}"
-        violators = int(chips.delay_violations[0].sum())
-        if violators > 1:
-            return f"{violators} ways violate delay; only one may be disabled"
-        if chips.leakage_violation[0]:
-            return "leakage remains above limit after disabling one way"
-        return "constraints unmet after disabling one way"

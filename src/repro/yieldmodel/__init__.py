@@ -8,9 +8,10 @@ loss. The yield-aware schemes then try to *rescue* failing chips, and the
 residual losses are tabulated by the reason of loss.
 
 * :mod:`repro.yieldmodel.constraints` — limit policies (nominal, relaxed,
-  strict) and the delay -> access-cycles mapping.
-* :mod:`repro.yieldmodel.classify` — loss classification, as population
-  columns (``ChipColumns``) and one-chip case views (``ChipCase``).
+  strict).
+* :mod:`repro.yieldmodel.classify` — the delay -> access-cycles mapping
+  and loss classification, as population columns (``ChipColumns``), one
+  row per chip.
 * :mod:`repro.yieldmodel.analysis` — the population study that regenerates
   Tables 2-5 and Figure 8.
 """
@@ -23,7 +24,7 @@ from repro.yieldmodel.constraints import (
     STRICT_POLICY,
     BASE_ACCESS_CYCLES,
 )
-from repro.yieldmodel.classify import ChipCase, LossReason, config_key
+from repro.yieldmodel.classify import LossReason, config_key
 from repro.yieldmodel.analysis import (
     LossBreakdown,
     PopulationResult,
@@ -43,7 +44,6 @@ __all__ = [
     "RELAXED_POLICY",
     "STRICT_POLICY",
     "BASE_ACCESS_CYCLES",
-    "ChipCase",
     "LossReason",
     "config_key",
     "LossBreakdown",

@@ -48,12 +48,7 @@ from repro.variation.columnar import (
 )
 from repro.variation.montecarlo import PAPER_POPULATION
 from repro.variation.sampling import CacheVariationSampler
-from repro.yieldmodel.classify import (
-    ChipCase,
-    ChipColumns,
-    LossReason,
-    config_key,
-)
+from repro.yieldmodel.classify import ChipColumns, LossReason, config_key
 from repro.yieldmodel.constraints import (
     ConstraintPolicy,
     NOMINAL_POLICY,
@@ -227,8 +222,7 @@ class PopulationResult:
     """One Monte Carlo population: both architectures' circuit columns
     and their classification (:class:`ChipColumns`, derived once, here).
 
-    Every table is counted from these read-only columns; :meth:`case` is
-    the one-chip :class:`ChipCase` view of a row.
+    Every table is counted from these read-only columns.
     """
 
     def __init__(
@@ -258,10 +252,6 @@ class PopulationResult:
     def chips(self, horizontal: bool = False) -> ChipColumns:
         """The regular- or H-YAPD-architecture classification columns."""
         return self._chips[horizontal]
-
-    def case(self, index: int, horizontal: bool = False) -> ChipCase:
-        """Chip ``index`` of one architecture as a one-chip view."""
-        return self._chips[horizontal].case(index)
 
     def reconstrained(self, policy: ConstraintPolicy) -> "PopulationResult":
         """Re-derive limits under another policy over the *same* chips.
@@ -335,7 +325,8 @@ def _loss_counts(
     chips: ChipColumns, among: np.ndarray
 ) -> Dict[LossReason, int]:
     """Chips per loss reason among the failing rows ``among`` selects
-    (leakage first, as :attr:`ChipCase.loss_reason` buckets them)."""
+    (a leaky chip in the leakage bucket whatever its delays; the rest by
+    their number of delay-violating ways)."""
     leaky = among & chips.leakage_violation
     counts: Dict[LossReason, int] = {}
     if leaky.any():
@@ -400,6 +391,9 @@ class YieldStudy:
 
     def __post_init__(self) -> None:
         require_positive(self.count, "count")
+        # Refuse before drawing a chip an organisation whose every way
+        # could violate delay with no loss bucket to count it in.
+        LossReason.delay(self.organization.num_ways)
         if not isinstance(self.sampler, CacheVariationSampler):
             raise ConfigurationError(
                 "YieldStudy draws with a CacheVariationSampler, got "

@@ -1,13 +1,13 @@
-"""Per-chip yield classification (paper Tables 2, 3 and 6).
+"""Population yield classification (paper Tables 2, 3 and 6).
 
-A :class:`ChipCase` binds one evaluated cache to a set of constraints and
-derives everything the schemes and the tables need: per-way access cycles,
-the delay-violating ways, the leakage verdict, the loss reason bucket, and
-the "a-b-c" way-latency configuration key of Table 6 (a ways at 4 cycles,
-b at 5, c at 6 or more). :class:`ChipColumns` holds them for a whole
-population, with the two leakage readings the schemes decide on (true
-by default, measured in the sensor study); a :class:`ChipCase` is the
-one-chip view of a row.
+:class:`ChipColumns` binds a population's circuit columns to a set of
+constraints and derives, once, everything the schemes and the tables
+need, one row per chip: per-way access cycles, the delay-violating ways,
+the leakage verdict, and the two leakage readings the schemes decide on
+(true by default, measured in the sensor study). :func:`config_key`
+gives a row's "a-b-c" way-latency configuration key of Table 6 (a ways
+at 4 cycles, b at 5, c at 6 or more), and :class:`LossReason` its loss
+bucket.
 
 Bucket semantics follow the paper's tables: a chip that violates the
 leakage limit is counted under "Leakage Constraint" whether or not it also
@@ -20,20 +20,16 @@ leakage-bucket chips, which fixes this reading); the "Delay Constraint
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.circuit.cache_model import CacheCircuitResult
 from repro.circuit.columnar import CircuitColumns
 from repro.core.errors import ConfigurationError
 from repro.yieldmodel.constraints import BASE_ACCESS_CYCLES, YieldConstraints
 
 __all__ = [
     "LossReason",
-    "ChipCase",
     "ChipColumns",
     "config_key",
     "cycles_for_delays",
@@ -69,10 +65,6 @@ class LossReason(enum.Enum):
                 f"no delay bucket for {num_ways} violating ways"
             ) from None
 
-    @property
-    def is_loss(self) -> bool:
-        return self is not LossReason.NONE
-
 
 def config_key(way_cycles: Tuple[int, ...]) -> str:
     """Table 6 configuration key for a tuple of per-way access cycles.
@@ -88,90 +80,14 @@ def config_key(way_cycles: Tuple[int, ...]) -> str:
     return f"{n4}-{n5}-{n6}"
 
 
-@dataclass(frozen=True)
-class ChipCase:
-    """One manufactured chip held against a set of yield constraints."""
-
-    circuit: CacheCircuitResult
-    constraints: YieldConstraints
-
-    # ------------------------------------------------------------------
-    # derived facts
-    # ------------------------------------------------------------------
-    @cached_property
-    def way_cycles(self) -> Tuple[int, ...]:
-        """Access cycles each way needs at the binned frequency."""
-        return tuple(
-            self.constraints.cycles_for_delay(d) for d in self.circuit.way_delays
-        )
-
-    @cached_property
-    def delay_violating_ways(self) -> Tuple[int, ...]:
-        """Indices of ways that miss the 4-cycle design latency."""
-        return tuple(
-            w
-            for w, d in enumerate(self.circuit.way_delays)
-            if not self.constraints.meets_delay(d)
-        )
-
-    @cached_property
-    def way_leakages(self) -> Tuple[float, ...]:
-        """Total leakage power (W) of every way."""
-        return self.circuit.way_leakages
-
-    @cached_property
-    def total_leakage(self) -> float:
-        """Total cache leakage power (W)."""
-        # Not summed from way_leakages: only rescues read those, and
-        # caching the tuple on every passing chip costs memory.
-        return self.circuit.total_leakage
-
-    @cached_property
-    def leakage_violation(self) -> bool:
-        """True when total leakage exceeds the power limit."""
-        return not self.constraints.meets_leakage(self.total_leakage)
-
-    @property
-    def delay_violation(self) -> bool:
-        """True when any way misses the 4-cycle latency."""
-        return bool(self.delay_violating_ways)
-
-    @cached_property
-    def passes(self) -> bool:
-        """True when the chip needs no yield-aware scheme at all."""
-        return not (self.leakage_violation or self.delay_violation)
-
-    @cached_property
-    def loss_reason(self) -> LossReason:
-        """The paper's loss bucket for this chip."""
-        if self.leakage_violation:
-            return LossReason.LEAKAGE
-        if self.delay_violation:
-            return LossReason.delay(len(self.delay_violating_ways))
-        return LossReason.NONE
-
-    @cached_property
-    def configuration(self) -> str:
-        """Table 6 way-latency configuration key (e.g. ``"3-1-0"``)."""
-        return config_key(self.way_cycles)
-
-    # ------------------------------------------------------------------
-    # helpers the schemes use
-    # ------------------------------------------------------------------
-    def leakage_after_disabling_way(self, way: int) -> float:
-        """Total leakage (W) with one way fully gated off."""
-        return self.total_leakage - self.way_leakages[way]
-
-    def max_leakage_way(self) -> int:
-        """The way with the highest total leakage (YAPD's disable choice)."""
-        leakages = self.way_leakages
-        return max(range(len(leakages)), key=lambda w: leakages[w])
-
-
 def cycles_for_delays(
     delays: np.ndarray, constraints: YieldConstraints
 ) -> np.ndarray:
-    """Elementwise :meth:`YieldConstraints.cycles_for_delay` (int array)."""
+    """Access cycles each delay (s) needs (int array, elementwise).
+
+    4 cycles within the limit; one more cycle per additional quarter of
+    the limit (the access is pipelined over equal cycle slices).
+    """
     if np.any(delays <= 0):
         raise ConfigurationError("delay must be > 0")
     slice_time = constraints.delay_limit / BASE_ACCESS_CYCLES
@@ -182,13 +98,13 @@ def cycles_for_delays(
 
 
 class ChipColumns:
-    """A list of :class:`ChipCase` as read-only columns, one row per chip.
+    """A population's classification as read-only columns, one row per chip.
 
     Classified from the circuit columns once, here. The two leakage
-    readings the schemes decide on — ``way_gated_leakage[i, w]``
-    (``leakage_after_disabling_way``) and ``leakiest_way[i]``
-    (``max_leakage_way``) — default to the true values; the sensor study
-    passes measured ones (:func:`repro.schemes.sensors.yield_with_sensor`).
+    readings the schemes decide on — ``way_gated_leakage[i, w]``, the
+    total leakage with way ``w`` gated off, and ``leakiest_way[i]`` —
+    default to the true values; the sensor study passes measured ones
+    (:func:`repro.schemes.sensors.yield_with_sensor`).
     """
 
     def __init__(
@@ -214,7 +130,7 @@ class ChipColumns:
             if way_gated_leakage is None
             else way_gated_leakage
         )
-        # argmax takes the first of equal maxima, as max(range, key=) does.
+        # argmax takes the first of equal maxima.
         self.leakiest_way = (
             circuits.way_leakages.argmax(axis=1)
             if leakiest_way is None
@@ -229,6 +145,3 @@ class ChipColumns:
         """Number of chips (rows)."""
         return self.passes.shape[0]
 
-    def case(self, index: int) -> "ChipCase":
-        """Chip ``index`` as a one-chip view of the row."""
-        return ChipCase(self.circuits.circuit(index), self.constraints)

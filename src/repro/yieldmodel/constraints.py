@@ -1,4 +1,4 @@
-"""Yield constraints and the delay-to-cycles mapping.
+"""Yield constraints and the policies that derive them.
 
 The paper adopts Rao et al.'s methodology: the *performance limit* is the
 population mean plus a multiple of its standard deviation, and the *power
@@ -17,7 +17,8 @@ The delay limit corresponds to the cache's design latency of 4 cycles: a
 way whose delay fits within the limit answers in 4 cycles; each additional
 quarter of the limit buys one more cycle (a 5-cycle access grants the
 array 25% more time). Ways needing 6 or more cycles are beyond what VACA's
-single-entry load-bypass buffers can absorb.
+single-entry load-bypass buffers can absorb. The mapping runs over whole
+populations in :func:`repro.yieldmodel.classify.cycles_for_delays`.
 """
 
 from __future__ import annotations
@@ -64,27 +65,6 @@ class YieldConstraints:
     def __post_init__(self) -> None:
         require_positive(self.delay_limit, "delay_limit")
         require_positive(self.leakage_limit, "leakage_limit")
-
-    def cycles_for_delay(self, delay: float) -> int:
-        """Access cycles a path of the given delay (s) needs.
-
-        4 cycles within the limit; one more cycle per additional quarter
-        of the limit (the access is pipelined over equal cycle slices).
-        """
-        if delay <= 0:
-            raise ConfigurationError(f"delay must be > 0, got {delay}")
-        if delay <= self.delay_limit:
-            return BASE_ACCESS_CYCLES
-        slice_time = self.delay_limit / BASE_ACCESS_CYCLES
-        return int(math.ceil(delay / slice_time - 1e-12))
-
-    def meets_delay(self, delay: float) -> bool:
-        """True when the delay fits the 4-cycle design latency."""
-        return delay <= self.delay_limit
-
-    def meets_leakage(self, leakage: float) -> bool:
-        """True when the total leakage fits the power limit."""
-        return leakage <= self.leakage_limit
 
 
 @dataclass(frozen=True)

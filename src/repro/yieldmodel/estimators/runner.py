@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.circuit.columnar import CircuitColumns
 from repro.engine.executor import ShardedExecutor
 from repro.obs.trace import span as trace_span
@@ -119,7 +121,9 @@ class BatchRunner:
         from repro.engine.workers import estimate_shard
 
         if stop <= start:
-            empty = CircuitColumns.from_circuits([])
+            empty = CircuitColumns(
+                (), np.zeros((0, 0, 0)), np.zeros((0, 0, 0)), np.zeros((0, 0))
+            )
             return ShardData(empty, empty, [])
         jobs = self._jobs(seed, tag, start, stop, shift, stratum)
         with trace_span(

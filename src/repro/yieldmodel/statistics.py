@@ -10,8 +10,8 @@ estimate carries sampling error; this module quantifies it two ways:
   chips, usable for any per-chip statistic (e.g. loss *reduction*, which
   is a ratio of two correlated counts and has no closed form).
 
-`PopulationResult.yield_interval` style helpers are provided through
-:func:`scheme_yield_interval`, which resamples rescue outcomes directly.
+:func:`scheme_yield_interval` and :func:`loss_reduction_interval` apply
+them to a population's scheme decisions.
 """
 
 from __future__ import annotations

@@ -6,16 +6,19 @@ replaced with one fused kernel: ``pipeline.py`` (the stage-method
 dataclass-per-access cache hierarchy) and ``replacement.py`` (the
 per-set LRU policy object). Only their imports differ from the originals,
 so that each oracle module uses its oracle siblings. ``classify.py`` is
-the per-chip classification before its leakage facts were cached,
+the per-chip classification (``ChipCase``, with its own scalar
+delay-to-cycles and limit checks) before its leakage facts were cached,
 ``columnar.py`` the columnar sampler's per-chip ``Generator`` draws
 before populations were decoded from raw stream words, and
-``schemes.py`` the per-chip scheme rescues before they became array
+``schemes.py`` the per-chip scheme rescues (``RescueOutcome``, the
+paper schemes and ``AdaptiveHybrid``) before they became array
 decisions. ``sampling.py`` is the scalar per-parameter sampler and
 ``circuit.py`` the composed per-stage circuit physics (devices, wires,
 SRAM stages, decoder, access path) that populations were drawn and
 evaluated with before the columnar sampler and kernel became the only
-production path. They are never imported by ``src/``; their job is to
-pin every statistic the production code reports, bit for bit.
+production path, with the per-chip result types it returns. They are
+never imported by ``src/``; their job is to pin every statistic the
+production code reports, bit for bit.
 """
 
 from __future__ import annotations

@@ -12,8 +12,12 @@ too. ``evaluate_way_reference`` is the model's
 ``self`` is the model: each band's delay is ``access_path_delay`` times
 its residual and the post-decoder scale.
 
-``evaluate`` and ``evaluate_population_pair`` wrap it per chip, which is
-what :meth:`repro.circuit.cache_model.CacheCircuitModel.evaluate` and
+``WayCircuitResult`` and ``CacheCircuitResult`` are the per-chip result
+types the model once returned, verbatim; ``circuit`` and
+``from_circuits`` are the ``CircuitColumns`` methods that converted one
+row to and from them, now functions. ``evaluate`` and
+``evaluate_population_pair`` wrap the composed physics per chip, which
+is what :func:`repro.circuit.columnar.evaluate_population` and
 :func:`repro.circuit.columnar.evaluate_population_pair` must reproduce
 bit for bit. Never imported by ``src/``.
 """
@@ -22,11 +26,12 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import add
-from typing import Tuple
+from typing import NamedTuple, Sequence, Tuple
+
+import numpy as np
 
 from repro.circuit.cache_model import (
     CacheCircuitModel,
-    CacheCircuitResult,
     DEFAULT_DECODER_SIZING,
     DEFAULT_PATH_SIZING,
     DecoderSizing,
@@ -37,7 +42,6 @@ from repro.circuit.cache_model import (
     SENSEAMP_STAGE_CAP,
     SENSEAMP_STAGE_WIDTH,
     SENSEAMP_STAGES,
-    WayCircuitResult,
     _MIN_OVERDRIVE,
     _MIN_SPACING_FRACTION,
     _MIN_VT,
@@ -55,10 +59,13 @@ from repro.variation.sampling import (
 )
 
 __all__ = [
+    "CacheCircuitResult",
+    "WayCircuitResult",
     "access_path_delay",
     "bitline_capacitance",
     "bitline_delay",
     "cell_leakage",
+    "circuit",
     "decoder_delay",
     "drive_current",
     "effective_resistance",
@@ -67,6 +74,7 @@ __all__ = [
     "evaluate",
     "evaluate_population_pair",
     "evaluate_way_reference",
+    "from_circuits",
     "precharge_delay",
     "senseamp_delay",
     "stage_delay",
@@ -76,6 +84,142 @@ __all__ = [
     "wire_resistance",
     "wire_resistance_per_m",
 ]
+
+
+# ----------------------------------------------------------------------
+# per-chip results and their columns
+# ----------------------------------------------------------------------
+class WayCircuitResult(NamedTuple):
+    """Delay and leakage of one cache way.
+
+    Attributes
+    ----------
+    way:
+        Way index.
+    band_delays:
+        Access-path delay (s) through each horizontal band of this way.
+    band_leakage:
+        Array leakage power (W) of each band of this way.
+    peripheral_leakage:
+        Leakage power (W) of this way's decoder/precharge/sense/output
+        periphery.
+    """
+
+    way: int
+    band_delays: Tuple[float, ...]
+    band_leakage: Tuple[float, ...]
+    peripheral_leakage: float
+
+    @property
+    def delay(self) -> float:
+        """Access delay (s) of the way: its slowest band path."""
+        return max(self.band_delays)
+
+    @property
+    def array_leakage(self) -> float:
+        """Total array leakage power (W) of the way.
+
+        Leakage totals add left to right (``sum()`` of floats is
+        compensated since Python 3.12; columns must match on any Python).
+        """
+        return reduce(add, self.band_leakage, 0.0)
+
+    @property
+    def leakage(self) -> float:
+        """Total leakage power (W) of the way (array + periphery)."""
+        return self.array_leakage + self.peripheral_leakage
+
+
+class CacheCircuitResult(NamedTuple):
+    """Delay and leakage of one manufactured cache."""
+
+    chip_id: int
+    ways: Tuple[WayCircuitResult, ...]
+    hyapd: bool = False
+
+    @property
+    def num_ways(self) -> int:
+        return len(self.ways)
+
+    @property
+    def num_bands(self) -> int:
+        return len(self.ways[0].band_delays)
+
+    @property
+    def way_delays(self) -> Tuple[float, ...]:
+        """Access delay (s) of every way."""
+        return tuple(way.delay for way in self.ways)
+
+    @property
+    def access_delay(self) -> float:
+        """Cache access delay (s): the slowest way (paper Section 5.1)."""
+        return max(self.way_delays)
+
+    @property
+    def way_leakages(self) -> Tuple[float, ...]:
+        """Total leakage power (W) of every way."""
+        return tuple(way.leakage for way in self.ways)
+
+    @property
+    def total_leakage(self) -> float:
+        """Total cache leakage power (W)."""
+        return reduce(add, self.way_leakages, 0.0)
+
+
+#: (WayCircuitResult field, array dimensions) of each circuit column.
+_FIELD_DIMS = (
+    ("band_delays", 3), ("band_leakage", 3), ("peripheral_leakage", 2)
+)
+
+
+def circuit(columns: CircuitColumns, index: int) -> CacheCircuitResult:
+    """Chip ``index`` of ``columns`` as a per-chip :class:`CacheCircuitResult`."""
+    delays = columns.band_delays[index].tolist()
+    leakage = columns.band_leakage[index].tolist()
+    peripheral = columns.peripheral_leakage[index].tolist()
+    return CacheCircuitResult(
+        columns.chip_ids[index],
+        tuple(
+            WayCircuitResult(
+                way, tuple(delays[way]), tuple(leakage[way]),
+                peripheral[way],
+            )
+            for way in range(columns.num_ways)
+        ),
+        columns.hyapd,
+    )
+
+
+def from_circuits(circuits: Sequence[CacheCircuitResult]) -> CircuitColumns:
+    """Columns of per-chip results; a ragged list (ways or bands that
+    vary, ways out of order, mixed architectures) is refused."""
+    hyapd = {circuit.hyapd for circuit in circuits}
+    if len(hyapd) > 1 or any(
+        way.way != index
+        for circuit in circuits
+        for index, way in enumerate(circuit.ways)
+    ):
+        raise ConfigurationError(
+            "ragged population: mixed architectures or ways out of order"
+        )
+    arrays = []
+    for field, ndim in _FIELD_DIMS:
+        rows = [[getattr(way, field) for way in c.ways] for c in circuits]
+        try:
+            array = np.array(rows, dtype=float) if rows else (
+                np.zeros((0,) * ndim)
+            )
+        except ValueError:  # inhomogeneous nested lengths
+            array = None
+        if array is None or array.ndim != ndim:
+            raise ConfigurationError(
+                "ragged population: ways or bands vary between chips"
+            )
+        arrays.append(array)
+    return CircuitColumns(
+        [circuit.chip_id for circuit in circuits], *arrays,
+        hyapd=hyapd.pop() if hyapd else False,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -387,7 +531,7 @@ def evaluate_way_reference(
 def evaluate(
     model: CacheCircuitModel, cvmap: CacheVariationMap
 ) -> CacheCircuitResult:
-    """The reference for ``model.evaluate(cvmap)``."""
+    """The composed evaluation of one sampled cache under ``model``."""
     return CacheCircuitResult(
         chip_id=cvmap.chip_id,
         ways=tuple(evaluate_way_reference(model, way) for way in cvmap.ways),
@@ -404,6 +548,6 @@ def evaluate_population_pair(
     ``population`` through the composed physics, as columns."""
     maps = [population.chip_map(i) for i in range(population.num_chips)]
     return tuple(
-        CircuitColumns.from_circuits([evaluate(model, m) for m in maps])
+        from_circuits([evaluate(model, m) for m in maps])
         for model in (regular_model, hyapd_model)
     )

@@ -4,18 +4,24 @@
 ``leakage_violation`` and ``passes`` from the circuit on every read.
 ``way_leakages`` and ``total_leakage`` are added as uncached properties
 over the circuit, because the schemes now read them from the case.
-``measure_ways``, ``MeasuredChipCase`` and ``yield_with_sensor`` are the
-original per-chip sensor layer, built on this ``ChipCase`` (measured
-totals add left to right, as every leakage total does), and
-``PopulationResult`` the original per-chip population result. The
-per-chip circuit helpers only the oracles read (``delay_without_band``,
-``critical_band``, ``band_array_leakage`` and
+``cycles_for_delay``, ``meets_delay`` and ``meets_leakage`` are the
+original scalar ``YieldConstraints`` methods as functions of the
+constraints, so this classification shares no line of its rule with
+production's ``cycles_for_delays``. ``measure_ways``,
+``MeasuredChipCase`` and ``yield_with_sensor`` are the original
+per-chip sensor layer, built on this ``ChipCase`` (measured totals add
+left to right, as every leakage total does); ``yield_with_sensor``
+judges a believed save as production does, by the true leakage of the
+way it gates off. ``PopulationResult`` is the original per-chip
+population result. The per-chip circuit helpers only the oracles read
+(``delay_without_band``, ``critical_band``, ``band_array_leakage`` and
 ``total_peripheral_leakage``) are the original methods as functions.
 Never imported by ``src/``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import add
@@ -23,17 +29,19 @@ from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.circuit.cache_model import CacheCircuitResult, WayCircuitResult
 from repro.core.errors import ConfigurationError
 from repro.core.rng import spawn
 from repro.schemes.sensors import LeakageSensor
 from repro.yieldmodel.analysis import LossBreakdown
 from repro.yieldmodel.classify import LossReason, config_key
 from repro.yieldmodel.constraints import (
+    BASE_ACCESS_CYCLES,
     ConstraintPolicy,
     NOMINAL_POLICY,
     YieldConstraints,
 )
+
+from .circuit import CacheCircuitResult, WayCircuitResult, circuit
 
 if TYPE_CHECKING:
     from repro.schemes.base import Scheme
@@ -44,11 +52,38 @@ __all__ = [
     "PopulationResult",
     "band_array_leakage",
     "critical_band",
+    "cycles_for_delay",
     "delay_without_band",
     "measure_ways",
+    "meets_delay",
+    "meets_leakage",
     "total_peripheral_leakage",
     "yield_with_sensor",
 ]
+
+
+def cycles_for_delay(constraints: YieldConstraints, delay: float) -> int:
+    """Access cycles a path of the given delay (s) needs.
+
+    4 cycles within the limit; one more cycle per additional quarter
+    of the limit (the access is pipelined over equal cycle slices).
+    """
+    if delay <= 0:
+        raise ConfigurationError(f"delay must be > 0, got {delay}")
+    if delay <= constraints.delay_limit:
+        return BASE_ACCESS_CYCLES
+    slice_time = constraints.delay_limit / BASE_ACCESS_CYCLES
+    return int(math.ceil(delay / slice_time - 1e-12))
+
+
+def meets_delay(constraints: YieldConstraints, delay: float) -> bool:
+    """True when the delay fits the 4-cycle design latency."""
+    return delay <= constraints.delay_limit
+
+
+def meets_leakage(constraints: YieldConstraints, leakage: float) -> bool:
+    """True when the total leakage fits the power limit."""
+    return leakage <= constraints.leakage_limit
 
 
 def delay_without_band(way: WayCircuitResult, band: int) -> float:
@@ -114,7 +149,8 @@ class ChipCase:
     def way_cycles(self) -> Tuple[int, ...]:
         """Access cycles each way needs at the binned frequency."""
         return tuple(
-            self.constraints.cycles_for_delay(d) for d in self.circuit.way_delays
+            cycles_for_delay(self.constraints, d)
+            for d in self.circuit.way_delays
         )
 
     @cached_property
@@ -123,13 +159,13 @@ class ChipCase:
         return tuple(
             w
             for w, d in enumerate(self.circuit.way_delays)
-            if not self.constraints.meets_delay(d)
+            if not meets_delay(self.constraints, d)
         )
 
     @property
     def leakage_violation(self) -> bool:
         """True when total leakage exceeds the power limit."""
-        return not self.constraints.meets_leakage(self.circuit.total_leakage)
+        return not meets_leakage(self.constraints, self.circuit.total_leakage)
 
     @property
     def delay_violation(self) -> bool:
@@ -170,7 +206,7 @@ class ChipCase:
     def way_cycles_without_band(self, band: int) -> Tuple[int, ...]:
         """Per-way cycles if horizontal band ``band`` were powered down."""
         return tuple(
-            self.constraints.cycles_for_delay(delay_without_band(way, band))
+            cycles_for_delay(self.constraints, delay_without_band(way, band))
             for way in self.circuit.ways
         )
 
@@ -211,6 +247,8 @@ def yield_with_sensor(cases, scheme, sensor: LeakageSensor):
     Returns ``(decisions_saved, actually_saved)``: chips the scheme
     *believed* it saved, and the subset whose true leakage and delay meet
     the limits after the chosen action. The gap is the sensor's cost.
+    Only the gated-way readings are measured, so a believed save is
+    actual unless the way it gates off truly leaks past the limit.
     """
     believed = 0
     actual = 0
@@ -222,17 +260,10 @@ def yield_with_sensor(cases, scheme, sensor: LeakageSensor):
         if not outcome.saved:
             continue
         believed += 1
-        if outcome.disabled_way is not None:
-            true_leak = case.leakage_after_disabling_way(outcome.disabled_way)
-            delay_ok = all(
-                case.constraints.meets_delay(way.delay)
-                for way in case.circuit.ways
-                if way.way != outcome.disabled_way
-            )
-        else:
-            true_leak = case.circuit.total_leakage
-            delay_ok = max(case.way_cycles) <= (outcome.max_cycles or 4)
-        if delay_ok and case.constraints.meets_leakage(true_leak):
+        if outcome.disabled_way is None or meets_leakage(
+            case.constraints,
+            case.leakage_after_disabling_way(outcome.disabled_way),
+        ):
             actual += 1
     return believed, actual
 
@@ -259,11 +290,11 @@ class PopulationResult:
         return cls(
             constraints=pop.constraints,
             cases=[
-                ChipCase(pop.regular.circuit(i), pop.constraints)
+                ChipCase(circuit(pop.regular, i), pop.constraints)
                 for i in range(pop.population)
             ],
             h_cases=[
-                ChipCase(pop.horizontal.circuit(i), pop.constraints)
+                ChipCase(circuit(pop.horizontal, i), pop.constraints)
                 for i in range(pop.population)
             ],
             policy=pop.policy,
@@ -313,7 +344,7 @@ class PopulationResult:
         base_counts: Dict[LossReason, int] = {}
         for case in cases:
             reason = case.loss_reason
-            if reason.is_loss:
+            if reason is not LossReason.NONE:
                 base_counts[reason] = base_counts.get(reason, 0) + 1
 
         scheme_losses: Dict[str, Dict[LossReason, int]] = {}
@@ -321,7 +352,7 @@ class PopulationResult:
             losses: Dict[LossReason, int] = {}
             for case in cases:
                 reason = case.loss_reason
-                if not reason.is_loss:
+                if reason is LossReason.NONE:
                     continue
                 if not scheme.rescue(case).saved:
                     losses[reason] = losses.get(reason, 0) + 1

@@ -1,4 +1,4 @@
-"""The seven paper schemes' per-chip ``rescue`` bodies before the array
+"""The paper schemes' per-chip ``rescue`` bodies before the array
 decisions replaced them.
 
 Each class is the original verbatim: ``rescue`` and the helpers it
@@ -6,20 +6,25 @@ calls, over the ``ChipCase`` interface (facts, ``max_leakage_way``,
 ``leakage_after_disabling_way``, ``way_cycles_without_band`` and the
 circuit's per-way results). ``OracleScheme`` carries the original
 ``Scheme`` base's ``_pass_through`` and ``_lost``, and every outcome is
-the production :class:`RescueOutcome`, so outcomes compare with ``==``.
-Only the base class, the imports and the circuit helpers
-(``band_array_leakage``, ``total_peripheral_leakage`` and
-``delay_without_band``, once circuit methods, now functions of
-``.classify``) differ from the originals. Never imported by ``src/``.
+a ``RescueOutcome``, the original outcome type verbatim.
+``AdaptiveHybrid`` is the original per-chip ``rescue``, ``_candidates``
+and ``_choose`` of the adaptive scheme. Only the base class, the
+imports, the circuit helpers (``band_array_leakage``,
+``total_peripheral_leakage`` and ``delay_without_band``, once circuit
+methods, now functions of ``.classify``) and the constraint checks
+(``meets_delay`` and ``meets_leakage``, once ``YieldConstraints``
+methods, now functions of ``.classify``) differ from the originals.
+Never imported by ``src/``.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.validation import require_in_range
-from repro.schemes.base import RescueOutcome
+from repro.schemes.adaptive import Estimator
 from repro.yieldmodel.classify import VACA_MAX_CYCLES
 from repro.yieldmodel.constraints import BASE_ACCESS_CYCLES
 
@@ -27,18 +32,80 @@ from .classify import (
     ChipCase,
     band_array_leakage,
     delay_without_band,
+    meets_delay,
+    meets_leakage,
     total_peripheral_leakage,
 )
 
 __all__ = [
+    "AdaptiveHybrid",
     "DeepVACA",
     "HYAPD",
     "Hybrid",
     "HybridHorizontal",
     "NaiveBinning",
+    "RescueOutcome",
     "VACA",
     "YAPD",
 ]
+
+
+@dataclass(frozen=True)
+class RescueOutcome:
+    """Result of applying a scheme to one failing (or passing) chip.
+
+    Attributes
+    ----------
+    scheme:
+        Name of the scheme that produced this outcome.
+    saved:
+        True when the chip meets all constraints after the rescue.
+    configuration:
+        The chip's *pre-rescue* Table 6 way-latency key (e.g. ``"3-1-0"``),
+        recorded so saved chips can be grouped by configuration.
+    disabled_way:
+        Index of the powered-down vertical way, if any.
+    disabled_band:
+        Index of the powered-down horizontal band, if any.
+    way_cycles:
+        Post-rescue access cycles per way; ``None`` entries are disabled
+        ways. ``None`` overall when the chip is lost.
+    note:
+        Human-readable explanation (why lost, or what was done).
+    """
+
+    scheme: str
+    saved: bool
+    configuration: str
+    disabled_way: Optional[int] = None
+    disabled_band: Optional[int] = None
+    way_cycles: Optional[Tuple[Optional[int], ...]] = None
+    note: str = ""
+
+    def __post_init__(self) -> None:
+        if self.disabled_way is not None and self.disabled_band is not None:
+            raise ConfigurationError(
+                "a rescue cannot disable both a way and a band"
+            )
+        if self.saved and self.way_cycles is None:
+            raise ConfigurationError("a saved chip must carry its way cycles")
+
+    @property
+    def enabled_ways(self) -> Tuple[int, ...]:
+        """Indices of ways still powered after the rescue."""
+        if self.way_cycles is None:
+            return ()
+        return tuple(
+            w for w, cycles in enumerate(self.way_cycles) if cycles is not None
+        )
+
+    @property
+    def max_cycles(self) -> Optional[int]:
+        """Slowest enabled way's latency, or None when lost."""
+        if self.way_cycles is None:
+            return None
+        enabled = [c for c in self.way_cycles if c is not None]
+        return max(enabled) if enabled else None
 
 
 class OracleScheme:
@@ -82,12 +149,12 @@ class YAPD(OracleScheme):
 
         # Re-check both constraints with the target way gated off.
         remaining_delay_ok = all(
-            case.constraints.meets_delay(way.delay)
+            meets_delay(case.constraints, way.delay)
             for way in case.circuit.ways
             if way.way != target
         )
-        leakage_ok = case.constraints.meets_leakage(
-            case.leakage_after_disabling_way(target)
+        leakage_ok = meets_leakage(
+            case.constraints, case.leakage_after_disabling_way(target)
         )
         if not (remaining_delay_ok and leakage_ok):
             return self._lost(case, self._loss_note(case))
@@ -162,13 +229,13 @@ class HYAPD(OracleScheme):
     def _band_feasible(self, case: ChipCase, band: int) -> Optional[float]:
         """Post-rescue leakage if gating ``band`` satisfies everything."""
         delays_ok = all(
-            case.constraints.meets_delay(delay_without_band(way, band))
+            meets_delay(case.constraints, delay_without_band(way, band))
             for way in case.circuit.ways
         )
         if not delays_ok:
             return None
         leakage = self.leakage_after_disabling_band(case, band)
-        if not case.constraints.meets_leakage(leakage):
+        if not meets_leakage(case.constraints, leakage):
             return None
         return leakage
 
@@ -312,8 +379,8 @@ class Hybrid(OracleScheme):
             for w in range(case.circuit.num_ways)
             if w != way
         )
-        leakage_ok = case.constraints.meets_leakage(
-            case.leakage_after_disabling_way(way)
+        leakage_ok = meets_leakage(
+            case.constraints, case.leakage_after_disabling_way(way)
         )
         return cycles_ok and leakage_ok
 
@@ -386,7 +453,7 @@ class HybridHorizontal(OracleScheme):
             if max(cycles) > VACA_MAX_CYCLES:
                 continue
             leakage = self._hyapd.leakage_after_disabling_band(case, band)
-            if not case.constraints.meets_leakage(leakage):
+            if not meets_leakage(case.constraints, leakage):
                 continue
             if leakage < best_leakage:
                 best_band, best_leakage, best_cycles = band, leakage, cycles
@@ -444,4 +511,95 @@ class NaiveBinning(OracleScheme):
             configuration=case.configuration,
             way_cycles=way_cycles,
             note=f"entire cache re-binned at {self.target_cycles} cycles",
+        )
+
+
+class AdaptiveHybrid(OracleScheme):
+    """Hybrid that picks keep-slow vs disable per predicted degradation.
+
+    Parameters
+    ----------
+    estimator:
+        Predicts fractional CPI degradation of a candidate configuration
+        for the target workload.
+    """
+
+    name = "Adaptive-Hybrid"
+
+    def __init__(self, estimator: Estimator) -> None:
+        self.estimator = estimator
+
+    def _candidates(self, case: ChipCase, leakiest: int, gated: List[float]):
+        """All single-disable-or-none configurations that meet constraints.
+
+        Only *sensible* disables are considered: a slow way, or the
+        leakiest way when the chip violates the power limit — never a
+        healthy way. ``leakiest`` and ``gated`` are the chip's leakage
+        readings (``max_leakage_way`` and ``leakage_after_disabling_way``
+        of every way).
+        """
+        # Option A: no power-down (pure VACA behaviour).
+        if not case.leakage_violation and max(case.way_cycles) <= VACA_MAX_CYCLES:
+            yield None, case.way_cycles
+        # Option B: disable exactly one offending way.
+        candidates = {
+            w
+            for w, cycles in enumerate(case.way_cycles)
+            if cycles > BASE_ACCESS_CYCLES
+        }
+        if case.leakage_violation:
+            candidates.add(leakiest)
+        for way in sorted(candidates):
+            cycles_ok = all(
+                case.way_cycles[w] <= VACA_MAX_CYCLES
+                for w in range(case.circuit.num_ways)
+                if w != way
+            )
+            leak_ok = meets_leakage(case.constraints, gated[way])
+            if cycles_ok and leak_ok:
+                yield way, tuple(
+                    None if w == way else case.way_cycles[w]
+                    for w in range(case.circuit.num_ways)
+                )
+
+    def rescue(self, case: ChipCase) -> RescueOutcome:
+        if case.passes:
+            return self._pass_through(case)
+        return self._choose(
+            case,
+            case.max_leakage_way(),
+            [
+                case.leakage_after_disabling_way(way)
+                for way in range(case.circuit.num_ways)
+            ],
+        )
+
+    def _choose(
+        self, case: ChipCase, leakiest: int, gated: List[float]
+    ) -> RescueOutcome:
+        """The cheapest feasible option for the failing ``case``."""
+        best = None
+        best_cost = float("inf")
+        for disabled_way, way_cycles in self._candidates(
+            case, leakiest, gated
+        ):
+            cost = self.estimator(way_cycles)
+            if cost < best_cost:
+                best, best_cost = (disabled_way, way_cycles), cost
+        if best is None:
+            return self._lost(case, "no feasible single power-down option")
+
+        disabled_way, way_cycles = best
+        note = (
+            "kept all ways (VACA mode)"
+            if disabled_way is None
+            else f"disabled way {disabled_way}"
+        )
+        return RescueOutcome(
+            scheme=self.name,
+            saved=True,
+            configuration=case.configuration,
+            disabled_way=disabled_way,
+            way_cycles=way_cycles,
+            note=f"{note}; predicted degradation {best_cost:.2%}",
         )

@@ -44,10 +44,6 @@ class TestWayConfig:
         with pytest.raises(ConfigurationError):
             WayConfig(latencies=(4, 4, 4, 4), disabled_band=4)
 
-    def test_from_cycles(self):
-        config = WayConfig.from_cycles((4, 5, None, 4))
-        assert config.latencies == (4, 5, None, 4)
-
 
 class TestBasicBehaviour:
     def test_miss_then_fill_then_hit(self):

@@ -1,18 +1,17 @@
-"""Differential battery: cached ``ChipCase`` facts vs the uncached original.
+"""Differential battery: classification rows vs the per-chip original.
 
-``ChipCase`` — the one-chip view of a population row — computes each
-chip's leakage facts (``way_leakages``, ``total_leakage``,
-``leakage_violation``, ``passes``) once per case. The original class in
-``tests/oracles/classify.py`` recomputes them on every read. Over 144
-seeded case lists (the one-chip views of 108 study populations: regular
-and H-YAPD architectures; nominal, relaxed and strict limits; 2, 4 and 8
-ways; plus 36 lists of the ragged random circuits of
-``test_property_codec.py``) this battery asserts that:
+``ChipColumns`` classifies a whole population once, one row per chip.
+The original per-chip class, ``ChipCase`` in ``tests/oracles/classify.py``,
+recomputes each fact from the circuit on every read, with its own scalar
+delay-to-cycles and limit checks. Over 144 seeded case lists (the rows of
+108 study populations: regular and H-YAPD architectures; nominal,
+relaxed and strict limits; 2, 4 and 8 ways; plus 36 lists of the ragged
+random circuits of ``test_property_codec.py``, each circuit a one-row
+population) this battery asserts that:
 
-* every fact equals the oracle's, whatever order the facts are first
-  read in;
-* every scheme in :mod:`repro.schemes` returns an equal
-  :class:`~repro.schemes.base.RescueOutcome`;
+* every row's way cycles, violating ways, leakage facts, verdict, loss
+  bucket, configuration, gated leakage and leakiest way equal the
+  oracle case's;
 * the sensor study's measured columns hold the per-chip measured
   cases' facts and readings, every failing row is decided as the oracle
   scheme rescues its measured case, and the columnar
@@ -27,17 +26,17 @@ ways; plus 36 lists of the ragged random circuits of
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 from oracles import schemes as oracle_schemes
+from oracles.circuit import circuit, from_circuits
 from oracles.classify import ChipCase as OracleCase
 from oracles.classify import MeasuredChipCase as OracleMeasured
 from oracles.classify import PopulationResult as OraclePopulation
 from oracles.classify import yield_with_sensor as oracle_yield_with_sensor
-from repro.circuit.columnar import CircuitColumns
 from repro.circuit.organization import CacheOrganization
 from repro.schemes import (
     HYAPD,
@@ -57,7 +56,7 @@ from repro.schemes.sensors import (
 from repro.variation.sampling import CacheVariationSampler
 from repro.variation.spatial import MeshLayout
 from repro.yieldmodel.analysis import PopulationResult, YieldStudy
-from repro.yieldmodel.classify import ChipCase
+from repro.yieldmodel.classify import ChipColumns
 from repro.yieldmodel.constraints import (
     NOMINAL_POLICY,
     RELAXED_POLICY,
@@ -65,20 +64,8 @@ from repro.yieldmodel.constraints import (
     YieldConstraints,
 )
 from test_property_codec import _random_circuit
-from test_scheme_diff import _expected, _row
-
-#: Every derived fact a scheme or table reads from a case.
-FACTS = (
-    "way_leakages",
-    "total_leakage",
-    "leakage_violation",
-    "delay_violation",
-    "passes",
-    "way_cycles",
-    "delay_violating_ways",
-    "loss_reason",
-    "configuration",
-)
+from test_scheme_diff import _expected
+from tests.conftest import configuration, decision_row, loss_reason
 
 POLICIES = (NOMINAL_POLICY, RELAXED_POLICY, STRICT_POLICY)
 #: (ways, mesh rows, mesh cols): the associativity sweep's layouts.
@@ -116,6 +103,23 @@ def _schemes():
     ]
 
 
+def _oracle_schemes():
+    """:func:`_schemes` as the per-chip oracles, in the same order."""
+    o = oracle_schemes
+    return [
+        o.YAPD(),
+        o.HYAPD(),
+        o.HYAPD(0.0),
+        o.VACA(),
+        o.DeepVACA(),
+        o.Hybrid(),
+        o.HybridHorizontal(),
+        o.NaiveBinning(),
+        o.NaiveBinning(target_cycles=6),
+        o.AdaptiveHybrid(_degradation),
+    ]
+
+
 def _study_population(seed: int) -> PopulationResult:
     ways, rows, cols = LAYOUTS[seed % 3]
     return YieldStudy(
@@ -129,60 +133,59 @@ def _study_population(seed: int) -> PopulationResult:
     ).run()
 
 
-def _study_cases(seed: int):
-    """(regular cases, H-YAPD cases) as one-chip views of a study."""
+def _study_rows(seed: int):
+    """A study's regular and H-YAPD classification columns."""
     pop = _study_population(seed)
-    return (
-        [pop.case(i) for i in range(pop.population)],
-        [pop.case(i, horizontal=True) for i in range(pop.population)],
-    )
+    return [pop.chips(), pop.chips(horizontal=True)]
 
 
-def _ragged_cases(seed: int):
-    """(cases, h_cases) of random circuits whose ways and bands vary
-    from chip to chip; no rectangular population holds them."""
+def _ragged_circuits(seed: int):
+    """(limits, circuits, h_circuits) of random circuits whose ways and
+    bands vary from chip to chip; no rectangular population holds them."""
     rng = random.Random(seed)
     constraints = YieldConstraints(
         delay_limit=rng.uniform(1e-9, 3e-9),
         leakage_limit=rng.uniform(0.2, 2.0),
     )
     return (
-        [
-            ChipCase(_random_circuit(rng, i), constraints)
-            for i in range(CHIPS)
-        ],
-        [
-            ChipCase(_random_circuit(rng, i), constraints)
-            for i in range(CHIPS)
-        ],
+        constraints,
+        [_random_circuit(rng, i) for i in range(CHIPS)],
+        [_random_circuit(rng, i) for i in range(CHIPS)],
     )
+
+
+def _ragged_rows(seed: int):
+    """Every ragged circuit of a seed as a one-row population."""
+    constraints, circuits, h_circuits = _ragged_circuits(seed)
+    return [
+        ChipColumns(from_circuits([chip]), constraints)
+        for chip in circuits + h_circuits
+    ]
 
 
 def _ragged_populations(seed: int):
     """The rectangular populations among a ragged seed's chips.
 
-    Groups every circuit of :func:`_ragged_cases` by (ways, bands,
+    Groups every circuit of :func:`_ragged_circuits` by (ways, bands,
     architecture) and holds each group of two or more chips against the
     seed's limits, as both architectures of one population.
     """
-    cases, h_cases = _ragged_cases(seed)
+    constraints, circuits, h_circuits = _ragged_circuits(seed)
     groups = {}
-    for case in cases + h_cases:
-        circuit = case.circuit
-        shape = (circuit.num_ways, circuit.num_bands, circuit.hyapd)
-        groups.setdefault(shape, []).append(circuit)
+    for chip in circuits + h_circuits:
+        shape = (chip.num_ways, chip.num_bands, chip.hyapd)
+        groups.setdefault(shape, []).append(chip)
     populations = []
     for shape in sorted(groups):
-        circuits = [
-            circuit._replace(chip_id=index)
-            for index, circuit in enumerate(groups[shape])
-        ]
-        if len(circuits) < 2:
+        if len(groups[shape]) < 2:
             continue
-        columns = CircuitColumns.from_circuits(circuits)
+        columns = from_circuits([
+            chip._replace(chip_id=index)
+            for index, chip in enumerate(groups[shape])
+        ])
         populations.append(
             PopulationResult(
-                constraints=cases[0].constraints,
+                constraints=constraints,
                 regular=columns,
                 horizontal=columns,
                 policy=POLICIES[seed % 3],
@@ -191,52 +194,50 @@ def _ragged_populations(seed: int):
     return populations
 
 
+def _assert_row_matches(chips: ChipColumns, row: int, case) -> None:
+    """Row ``row`` of ``chips`` holds the facts and leakage readings of
+    the oracle ``case``."""
+    assert tuple(chips.way_cycles[row].tolist()) == case.way_cycles
+    assert tuple(np.flatnonzero(chips.delay_violations[row]).tolist()) == \
+        case.delay_violating_ways
+    assert bool(chips.delay_violations[row].any()) == case.delay_violation
+    assert chips.circuits.way_leakages[row].tolist() == \
+        list(case.way_leakages)
+    assert chips.total_leakage[row] == case.total_leakage
+    assert bool(chips.leakage_violation[row]) == case.leakage_violation
+    assert bool(chips.passes[row]) == case.passes
+    assert loss_reason(chips, row) == case.loss_reason
+    assert configuration(chips, row) == case.configuration
+    assert chips.way_gated_leakage[row].tolist() == [
+        case.leakage_after_disabling_way(way)
+        for way in range(case.circuit.num_ways)
+    ]
+    assert chips.leakiest_way[row] == case.max_leakage_way()
+
+
 def _populations():
     params = [
-        pytest.param(_study_cases, seed, id=f"study-{seed}")
+        pytest.param(_study_rows, seed, id=f"study-{seed}")
         for seed in STUDY_SEEDS
     ]
     params += [
-        pytest.param(_ragged_cases, seed, id=f"ragged-{seed}")
+        pytest.param(_ragged_rows, seed, id=f"ragged-{seed}")
         for seed in RAGGED_SEEDS
     ]
     return params
 
 
-def _fresh(case) -> ChipCase:
-    """A production case with nothing read yet."""
-    return ChipCase(circuit=case.circuit, constraints=case.constraints)
-
-
-def _oracle(case) -> OracleCase:
-    return OracleCase(circuit=case.circuit, constraints=case.constraints)
-
-
 @pytest.mark.parametrize("build,seed", _populations())
 def test_cached_facts_match_oracle(build, seed):
-    cases, h_cases = build(seed)
-    rng = random.Random(seed)
-    schemes = _schemes()
-    assert any(not case.passes for case in cases + h_cases)
-    for case in cases + h_cases:
-        oracle = _oracle(case)
-        # Facts in a random first-read order, then again from the cache.
-        fresh = _fresh(case)
-        for fact in rng.sample(FACTS, len(FACTS)):
-            assert getattr(fresh, fact) == getattr(oracle, fact), fact
-        for fact in FACTS:
-            assert getattr(fresh, fact) == getattr(oracle, fact), fact
-        for way in range(case.circuit.num_ways):
-            assert fresh.leakage_after_disabling_way(way) == \
-                oracle.leakage_after_disabling_way(way)
-        assert fresh.max_leakage_way() == oracle.max_leakage_way()
-        # Every scheme, first on an unread case, then on a read one.
-        for scheme in schemes:
-            expected = scheme.rescue(oracle)
-            assert scheme.rescue(_fresh(case)) == expected, scheme.name
-            assert scheme.rescue(fresh) == expected, scheme.name
-        # Cached facts stay out of equality and hashing.
-        assert fresh == _fresh(case) and hash(fresh) == hash(_fresh(case))
+    populations = build(seed)
+    assert any((~chips.passes).any() for chips in populations)
+    for chips in populations:
+        for row in range(chips.count):
+            _assert_row_matches(
+                chips,
+                row,
+                OracleCase(circuit(chips.circuits, row), chips.constraints),
+            )
 
 
 def _population_params():
@@ -253,24 +254,6 @@ def _population_params():
     return params
 
 
-def _oracle_schemes():
-    """:func:`_schemes` as the per-chip oracles (AdaptiveHybrid is its
-    own), in the same order."""
-    o = oracle_schemes
-    return [
-        o.YAPD(),
-        o.HYAPD(),
-        o.HYAPD(0.0),
-        o.VACA(),
-        o.DeepVACA(),
-        o.Hybrid(),
-        o.HybridHorizontal(),
-        o.NaiveBinning(),
-        o.NaiveBinning(target_cycles=6),
-        AdaptiveHybrid(_degradation),
-    ]
-
-
 @pytest.mark.parametrize("build,seed", _population_params()[::6])
 def test_measured_cases_match_oracle(build, seed):
     """The sensor study on measured columns vs the per-chip measured
@@ -278,7 +261,7 @@ def test_measured_cases_match_oracle(build, seed):
     for pop in build(seed):
         chips = pop.chips()
         oracle_cases = [
-            OracleCase(pop.regular.circuit(i), pop.constraints)
+            OracleCase(circuit(pop.regular, i), pop.constraints)
             for i in range(pop.population)
         ]
         for sensor in SENSORS:
@@ -288,20 +271,13 @@ def test_measured_cases_match_oracle(build, seed):
                 for index in failing.tolist()
             ]
             for row, case in enumerate(expected):
-                for fact in FACTS:
-                    assert getattr(measured.case(row), fact) == \
-                        getattr(case, fact), fact
-                assert measured.leakiest_way[row] == case.max_leakage_way()
-                assert measured.way_gated_leakage[row].tolist() == [
-                    case.leakage_after_disabling_way(way)
-                    for way in range(case.circuit.num_ways)
-                ]
+                _assert_row_matches(measured, row, case)
             for scheme, oracle in zip(_schemes(), _oracle_schemes()):
                 assert yield_with_sensor(chips, scheme, sensor) == \
                     oracle_yield_with_sensor(oracle_cases, oracle, sensor)
                 decided = scheme.decide(measured)
                 for row, case in enumerate(expected):
-                    assert _row(decided, row) == \
+                    assert decision_row(decided, row) == \
                         _expected(oracle.rescue(case)), scheme.name
 
 
@@ -313,11 +289,12 @@ def test_population_results_match_oracle(build, seed):
         expected = OraclePopulation.of(pop)
         for horizontal in (False, True):
             schemes = _schemes()
+            oracles = _oracle_schemes()
             assert pop.breakdown(schemes, horizontal) == \
-                expected.breakdown(schemes, horizontal)
-            for scheme in schemes:
+                expected.breakdown(oracles, horizontal)
+            for scheme, oracle in zip(schemes, oracles):
                 assert pop.configuration_census(scheme, horizontal) == \
-                    expected.configuration_census(scheme, horizontal)
+                    expected.configuration_census(oracle, horizontal)
             assert pop.scatter(horizontal) == expected.scatter(horizontal)
         for policy in POLICIES:
             got = pop.reconstrained(policy)
@@ -325,12 +302,5 @@ def test_population_results_match_oracle(build, seed):
             assert got.constraints == want.constraints
             assert got.regular is pop.regular
             assert got.horizontal is pop.horizontal
-            assert got.breakdown(_schemes()) == want.breakdown(_schemes())
-
-
-def test_chipcase_stays_a_frozen_two_field_dataclass():
-    fields = tuple(f.name for f in dataclasses.fields(ChipCase))
-    assert fields == ("circuit", "constraints")
-    case = _study_population(1).case(0)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        case.circuit = None
+            assert got.breakdown(_schemes()) == \
+                want.breakdown(_oracle_schemes())

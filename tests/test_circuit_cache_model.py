@@ -9,24 +9,31 @@ from repro.circuit import (
     PAPER_ORGANIZATION,
     TECH45,
 )
-from repro.circuit.cache_model import CacheCircuitResult, WayCircuitResult
 from repro.circuit.columnar import (
     CircuitColumns,
+    evaluate_population,
     evaluate_population_pair,
     left_sum,
 )
 from repro.core import units
 from repro.core.errors import ConfigurationError
-from repro.variation.columnar import ColumnarPopulationSampler
+from repro.variation.columnar import (
+    ColumnarPopulation,
+    ColumnarPopulationSampler,
+)
 from repro.variation.parameters import TABLE1
-from repro.variation.sampling import CacheVariationSampler
+from repro.variation.sampling import CacheVariationMap, CacheVariationSampler
 from repro.yieldmodel.analysis import YieldStudy
 from repro.yieldmodel.constraints import ConstraintPolicy
 
 from oracles.circuit import (
+    CacheCircuitResult,
+    WayCircuitResult,
     bitline_delay,
     cell_leakage,
+    circuit,
     decoder_delay,
+    from_circuits,
     senseamp_delay,
 )
 from oracles.classify import (
@@ -37,6 +44,20 @@ from oracles.classify import (
 )
 
 NOMINAL = TABLE1.nominal()
+
+
+def _evaluate(
+    model: CacheCircuitModel, cvmap: CacheVariationMap
+) -> CacheCircuitResult:
+    """One sampled cache through the kernel, as a per-chip result."""
+    return circuit(
+        evaluate_population(model, ColumnarPopulation.from_maps([cvmap])), 0
+    )
+
+
+def _nominal(model: CacheCircuitModel) -> CacheCircuitResult:
+    """The model's one-row nominal cache as a per-chip result."""
+    return circuit(model.nominal(), 0)
 
 
 def _population(seed: int, count: int) -> CircuitColumns:
@@ -109,41 +130,39 @@ class TestStageModels:
 
 class TestNominalModel:
     def test_nominal_delay_plausible(self):
-        model = CacheCircuitModel()
-        delay = model.nominal().access_delay
+        delay = CacheCircuitModel().nominal().access_delays[0]
         assert 200 * units.PS < delay < 2 * units.NS
 
     def test_nominal_symmetric_across_ways(self):
-        nominal = CacheCircuitModel().nominal()
-        delays = nominal.way_delays
+        delays = CacheCircuitModel().nominal().way_delays[0].tolist()
         assert all(d == pytest.approx(delays[0]) for d in delays)
 
     def test_far_band_is_critical(self):
         """With uniform parameters the farthest bank's path is slowest."""
-        way = CacheCircuitModel().nominal().ways[0]
+        way = _nominal(CacheCircuitModel()).ways[0]
         assert critical_band(way) == PAPER_ORGANIZATION.num_bands - 1
         assert list(way.band_delays) == sorted(way.band_delays)
 
     def test_nominal_leakage_plausible(self):
         """A 16 KB low-Vt L1 leaks milliwatts at 45 nm."""
-        leak = CacheCircuitModel().nominal().total_leakage
+        leak = CacheCircuitModel().nominal().total_leakage[0]
         assert 1e-3 < leak < 1.0
 
     def test_peripheral_fraction_small(self):
-        nominal = CacheCircuitModel().nominal()
+        nominal = _nominal(CacheCircuitModel())
         fraction = total_peripheral_leakage(nominal) / nominal.total_leakage
         assert 0.02 < fraction < 0.20
 
     def test_hyapd_overhead_exact(self):
-        regular = CacheCircuitModel(hyapd=False).nominal().access_delay
-        horizontal = CacheCircuitModel(hyapd=True).nominal().access_delay
+        regular = CacheCircuitModel(hyapd=False).nominal().access_delays[0]
+        horizontal = CacheCircuitModel(hyapd=True).nominal().access_delays[0]
         assert horizontal / regular == pytest.approx(
             1 + TECH45.hyapd_delay_overhead
         )
 
     def test_hyapd_leakage_unchanged(self):
-        regular = CacheCircuitModel(hyapd=False).nominal().total_leakage
-        horizontal = CacheCircuitModel(hyapd=True).nominal().total_leakage
+        regular = CacheCircuitModel(hyapd=False).nominal().total_leakage[0]
+        horizontal = CacheCircuitModel(hyapd=True).nominal().total_leakage[0]
         assert horizontal == pytest.approx(regular)
 
 
@@ -151,7 +170,7 @@ class TestEvaluatedChips:
     def test_evaluate_shape(self):
         sampler = CacheVariationSampler()
         model = CacheCircuitModel()
-        result = model.evaluate(sampler.sample_chip(seed=1, chip_id=0))
+        result = _evaluate(model, sampler.sample_chip(seed=1, chip_id=0))
         assert result.num_ways == 4
         assert result.num_bands == 4
         assert result.access_delay == max(result.way_delays)
@@ -161,18 +180,18 @@ class TestEvaluatedChips:
         sampler = CacheVariationSampler()
         model = CacheCircuitModel()
         cvmap = sampler.sample_chip(seed=1, chip_id=0)
-        assert model.evaluate(cvmap) == model.evaluate(cvmap)
+        assert _evaluate(model, cvmap) == _evaluate(model, cvmap)
 
     def test_band_mismatch_rejected(self):
         sampler = CacheVariationSampler(num_bands=2)
         model = CacheCircuitModel()
         with pytest.raises(ConfigurationError):
-            model.evaluate(sampler.sample_chip(seed=1, chip_id=0))
+            _evaluate(model, sampler.sample_chip(seed=1, chip_id=0))
 
     def test_way_mismatch_rejected(self):
         sampler = CacheVariationSampler(num_ways=2)
         with pytest.raises(ConfigurationError, match="2 ways"):
-            CacheCircuitModel().evaluate(sampler.sample_chip(1, 0))
+            _evaluate(CacheCircuitModel(), sampler.sample_chip(1, 0))
         with pytest.raises(ConfigurationError, match="4 ways"):
             YieldStudy(
                 seed=1, count=10, organization=CacheOrganization(num_ways=8)
@@ -180,14 +199,18 @@ class TestEvaluatedChips:
 
     def test_delay_without_band_reduces(self):
         sampler = CacheVariationSampler()
-        result = CacheCircuitModel().evaluate(sampler.sample_chip(seed=2, chip_id=3))
+        result = _evaluate(
+            CacheCircuitModel(), sampler.sample_chip(seed=2, chip_id=3)
+        )
         for way in result.ways:
             critical = critical_band(way)
             assert delay_without_band(way, critical) <= way.delay
 
     def test_band_array_leakage_sums(self):
         sampler = CacheVariationSampler()
-        result = CacheCircuitModel().evaluate(sampler.sample_chip(seed=2, chip_id=3))
+        result = _evaluate(
+            CacheCircuitModel(), sampler.sample_chip(seed=2, chip_id=3)
+        )
         total_bands = sum(
             band_array_leakage(result, b) for b in range(result.num_bands)
         )
@@ -199,10 +222,10 @@ class TestEvaluatedChips:
             path_residual_sigma=0.0, outlier_band_prob=0.0
         )
         cvmap = sampler.sample_chip(seed=3, chip_id=0)
-        base = CacheCircuitModel().evaluate(cvmap)
+        base = _evaluate(CacheCircuitModel(), cvmap)
         boosted = cvmap.ways[0]._replace(band_residuals=(2.0, 1.0, 1.0, 1.0))
         cvmap = cvmap._replace(ways=(boosted,) + cvmap.ways[1:])
-        scaled = CacheCircuitModel().evaluate(cvmap)
+        scaled = _evaluate(CacheCircuitModel(), cvmap)
         assert scaled.ways[0].band_delays[0] == pytest.approx(
             2 * base.ways[0].band_delays[0]
         )
@@ -270,7 +293,7 @@ class TestLeftToRightSums:
 
     def test_columns_match_the_circuit(self):
         chip = self._chip()
-        columns = CircuitColumns.from_circuits([chip])
+        columns = from_circuits([chip])
         assert columns.way_leakages[0].tolist() == list(chip.way_leakages)
         assert columns.total_leakage[0] == chip.total_leakage
         assert left_sum(columns.band_leakage, 1)[0, 0] == \

@@ -54,8 +54,8 @@ class TestTemperatureScaling:
         hot_model = CacheCircuitModel(tech=TECH45)
         cold = cold_model.nominal()
         hot = hot_model.nominal()
-        assert cold.total_leakage < hot.total_leakage
-        assert cold.access_delay < hot.access_delay
+        assert cold.total_leakage[0] < hot.total_leakage[0]
+        assert cold.access_delays[0] < hot.access_delays[0]
 
     def test_temperature_must_be_positive(self):
         with pytest.raises(Exception):

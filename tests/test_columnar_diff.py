@@ -10,10 +10,11 @@ residual, seed) configurations go through the columnar sampler and the
 scalar oracle, which must agree on every sampled parameter and leave
 every chip's stream at the same position; a subset continues through
 the circuit kernel at several temperatures and through the column-wise
-classification; and a handful of end-to-end configurations run the
-full :class:`YieldStudy` once in production and once on the oracles
-alone, asserting equal yield breakdowns, loss-reason censuses, scatter
-outputs and byte-identical store payloads.
+classification, held to the per-chip ``ChipCase`` of
+``tests/oracles/classify.py``; and a handful of end-to-end
+configurations run the full :class:`YieldStudy` once in production and
+once on the oracles alone, asserting equal yield breakdowns, loss-reason
+censuses, scatter outputs and byte-identical store payloads.
 
 The stream classes also pin the decoder to the per-chip ``Generator``
 draws of ``tests/oracles/columnar.py``, including the estimator
@@ -30,7 +31,10 @@ import numpy as np
 import pytest
 
 from repro.circuit.cache_model import CacheCircuitModel
-from repro.circuit.columnar import evaluate_population_pair
+from repro.circuit.columnar import (
+    evaluate_population,
+    evaluate_population_pair,
+)
 from repro.circuit.organization import CacheOrganization
 from repro.core.errors import ConfigurationError
 from repro.core.rng import spawn, stream_states
@@ -55,13 +59,16 @@ from repro.yieldmodel.analysis import (
     YieldStudy,
     derive_constraints,
 )
-from repro.yieldmodel.classify import ChipCase, ChipColumns, config_key
+from repro.yieldmodel.classify import ChipColumns, LossReason, config_key
 from repro.yieldmodel.constraints import NOMINAL_POLICY
 from repro.yieldmodel.estimators.sampling import sample_shard
 
 from oracles import circuit as circuit_oracle
 from oracles import sampling as sampling_oracle
+from oracles.circuit import circuit
+from oracles.classify import ChipCase
 from oracles.columnar import draw as oracle_draw
+from tests.conftest import configuration, loss_reason
 
 #: Meshes and the way counts placed on them: every relation to way 0
 #: (origin / horizontal / vertical / diagonal) occurs, plus degenerate
@@ -253,23 +260,24 @@ class TestCircuitDifferential:
             assert col_regular.chip_ids == col_hyapd.chip_ids == chip_ids
             assert (col_regular.hyapd, col_hyapd.hyapd) == (False, True)
             for index, cvmap in enumerate(maps):
-                assert col_regular.circuit(index) == circuit_oracle.evaluate(
+                assert circuit(col_regular, index) == circuit_oracle.evaluate(
                     regular_model, cvmap
                 )
-                assert col_hyapd.circuit(index) == circuit_oracle.evaluate(
+                assert circuit(col_hyapd, index) == circuit_oracle.evaluate(
                     hyapd_model, cvmap
                 )
 
     @pytest.mark.parametrize("hyapd", (False, True))
     @pytest.mark.parametrize("temperature", _TEMPERATURES)
     def test_one_chip_slices_match_composed(self, temperature, hyapd):
-        """``evaluate`` and ``nominal`` are one-row slices of the kernel."""
+        """One chip and ``nominal`` are one-row populations of the kernel."""
         model = CacheCircuitModel(
             tech=TECH45.replace(temperature=temperature), hyapd=hyapd
         )
         cvmap = CacheVariationSampler().sample_chip(9, 4)
-        assert model.evaluate(cvmap) == circuit_oracle.evaluate(model, cvmap)
-        assert model.nominal() == circuit_oracle.evaluate(
+        one = evaluate_population(model, ColumnarPopulation.from_maps([cvmap]))
+        assert circuit(one, 0) == circuit_oracle.evaluate(model, cvmap)
+        assert circuit(model.nominal(), 0) == circuit_oracle.evaluate(
             model, _uniform_map(-1, TABLE1.nominal())
         )
 
@@ -296,13 +304,13 @@ class TestCircuitDifferential:
         )
         for model, circuits in zip(models, columns):
             for index, cvmap in enumerate(maps):
-                assert circuits.circuit(index) == circuit_oracle.evaluate(
+                assert circuit(circuits, index) == circuit_oracle.evaluate(
                     model, cvmap
                 )
 
     @pytest.mark.parametrize("sampler,seed,chip_ids", _CIRCUIT_CASES[:10])
     def test_classification_matches_per_case(self, sampler, seed, chip_ids):
-        """Column-wise classification == per-ChipCase classification."""
+        """Column-wise classification == the oracle's per-chip cases."""
         org = CacheOrganization(
             num_ways=sampler.num_ways, banks_per_way=sampler.num_bands
         )
@@ -356,7 +364,7 @@ class TestCircuitDifferential:
         pop = PopulationResult(constraints, col_regular, col_hyapd)
         census = {}
         for case in cases:
-            if case.loss_reason.is_loss:
+            if case.loss_reason is not LossReason.NONE:
                 census[case.loss_reason] = census.get(case.loss_reason, 0) + 1
         assert pop.breakdown([]).base_counts == census
         passing = sum(1 for case in cases if case.passes)
@@ -376,7 +384,7 @@ class TestCircuitDifferential:
                 tuple(h_classified.way_cycles[index].tolist()) == case.way_cycles
             )
             assert bool(h_classified.passes[index]) == case.passes
-            if case.loss_reason.is_loss:
+            if case.loss_reason is not LossReason.NONE:
                 h_census[case.loss_reason] = (
                     h_census.get(case.loss_reason, 0) + 1
                 )
@@ -477,12 +485,11 @@ class TestStudyDifferential:
             got = fast.chips(horizontal)
             want = reference.chips(horizontal)
             for index in range(count):
-                assert got.circuits.circuit(index) == \
-                    want.circuits.circuit(index)
-                got_case = fast.case(index, horizontal)
-                want_case = reference.case(index, horizontal)
-                assert got_case.loss_reason == want_case.loss_reason
-                assert got_case.configuration == want_case.configuration
+                want_circuit = circuit(want.circuits, index)
+                assert circuit(got.circuits, index) == want_circuit
+                want_case = ChipCase(want_circuit, reference.constraints)
+                assert loss_reason(got, index) == want_case.loss_reason
+                assert configuration(got, index) == want_case.configuration
             assert got.way_cycles.tolist() == want.way_cycles.tolist()
             assert got.passes.tolist() == want.passes.tolist()
         assert fast.breakdown([]).base_counts == reference.breakdown([]).base_counts
@@ -589,4 +596,4 @@ class TestShardDifferential:
         for got_cols, want_cols in zip(got[:2], want[:2]):
             assert got_cols.chip_ids == want_cols.chip_ids
             for index in range(stop - start):
-                assert got_cols.circuit(index) == want_cols.circuit(index)
+                assert circuit(got_cols, index) == circuit(want_cols, index)

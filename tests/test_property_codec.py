@@ -23,7 +23,6 @@ from typing import Optional, Tuple
 import numpy as np
 import pytest
 
-from repro.circuit.cache_model import CacheCircuitResult, WayCircuitResult
 from repro.circuit.columnar import CircuitColumns
 from repro.core.errors import ConfigurationError
 from repro.engine.codec import (
@@ -40,6 +39,13 @@ from repro.experiments.common import ExperimentSettings
 from repro.uarch.simulator import SimResult
 from repro.yieldmodel.analysis import PopulationResult
 from repro.yieldmodel.constraints import ConstraintPolicy, YieldConstraints
+
+from oracles.circuit import (
+    CacheCircuitResult,
+    WayCircuitResult,
+    circuit,
+    from_circuits,
+)
 
 NUM_CASES = 25
 
@@ -102,10 +108,10 @@ def _random_population(rng: random.Random) -> PopulationResult:
     shape = (rng.choice((2, 4, 8)), rng.choice((2, 4)))
     return PopulationResult(
         constraints=constraints,
-        regular=CircuitColumns.from_circuits(
+        regular=from_circuits(
             [_random_circuit(rng, i, shape, False) for i in range(count)]
         ),
-        horizontal=CircuitColumns.from_circuits(
+        horizontal=from_circuits(
             [_random_circuit(rng, i, shape, True) for i in range(count)]
         ),
         policy=policy,
@@ -144,8 +150,8 @@ def test_population_round_trip(seed):
         assert after.circuits.hyapd == before.circuits.hyapd
         assert after.circuits.chip_ids == before.circuits.chip_ids
         for index in range(original.population):
-            assert after.circuits.circuit(index) == \
-                before.circuits.circuit(index)
+            assert circuit(after.circuits, index) == \
+                circuit(before.circuits, index)
         # Derived facts come out identical too (classified again from
         # the decoded columns).
         assert after.circuits.way_delays.tolist() == \

@@ -1,34 +1,40 @@
 """Differential battery: array scheme decisions vs the per-chip originals.
 
-Every paper scheme decides a whole population with one array call
-(``Scheme.decide`` over ``ChipColumns``); ``rescue`` is its one-chip
-view. The original per-chip ``rescue`` bodies live in
-``tests/oracles/schemes.py`` and the original per-chip population result
-in ``tests/oracles/classify.py``. Over 102 seeded populations (regular
-and H-YAPD architectures; nominal, relaxed and strict limits; 2, 4 and
-8 ways) this battery asserts that:
+Every scheme decides a whole population with one array call
+(``Scheme.decide`` over ``ChipColumns``). The original per-chip
+``rescue`` bodies live in ``tests/oracles/schemes.py`` (the paper
+schemes and ``AdaptiveHybrid``) and the original per-chip population
+result in ``tests/oracles/classify.py``. Over 102 seeded populations
+(regular and H-YAPD architectures; nominal, relaxed and strict limits;
+2, 4 and 8 ways) this battery asserts that:
 
 * every chip's saved flag, disabled way or band and post-rescue cycles
-  in ``decide`` equal the oracle's outcome, and the one-chip view
-  returns an equal :class:`RescueOutcome`, note included; H-YAPD's
-  gated-band leakage equals the original's value for value;
+  in ``decide`` equal the oracle's outcome; H-YAPD's gated-band leakage
+  equals the original's value for value;
 * ``breakdown``, ``configuration_census``, ``scatter`` and the
   ``reconstrained`` limits equal the oracle population's;
 * the columnar ``yield_with_sensor`` equals the per-chip oracle's for
-  three sensor settings, and every failing row's decision on measured
-  columns equals the oracle's rescue of that chip's measured case.
+  three sensor settings, every failing row's decision on measured
+  columns equals the oracle's rescue of that chip's measured case, and
+  with a perfect sensor every believed save is an actual one;
+* every decision keeps the invariants the per-chip outcome type
+  enforced: never a way and a band disabled together, a saved failing
+  row's cycles 0 exactly at its disabled way and at least 4 elsewhere,
+  and passing rows saved unchanged.
 
 The chips of the 36 ragged random populations of ``test_chipcase_diff``
-(ways and bands varying from chip to chip) run as one-chip cases.
+(ways and bands varying from chip to chip) run as one-row columns.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from oracles import schemes as oracle_schemes
+from oracles.circuit import circuit, from_circuits
 from oracles.classify import ChipCase as OracleCase
 from oracles.classify import MeasuredChipCase as OracleMeasured
 from oracles.classify import PopulationResult as OraclePopulation
@@ -53,7 +59,7 @@ from repro.schemes.sensors import (
 from repro.variation.sampling import CacheVariationSampler
 from repro.variation.spatial import MeshLayout
 from repro.yieldmodel.analysis import PopulationResult, YieldStudy
-from repro.yieldmodel.classify import ChipCase
+from repro.yieldmodel.classify import ChipColumns
 from repro.yieldmodel.constraints import (
     NOMINAL_POLICY,
     RELAXED_POLICY,
@@ -61,6 +67,7 @@ from repro.yieldmodel.constraints import (
     YieldConstraints,
 )
 from test_property_codec import _random_circuit
+from tests.conftest import decision_row
 
 POLICIES = (NOMINAL_POLICY, RELAXED_POLICY, STRICT_POLICY)
 #: (ways, mesh rows, mesh cols): the associativity sweep's layouts.
@@ -85,13 +92,8 @@ def _degradation(way_cycles):
 
 
 def _pairs():
-    """(production scheme, oracle scheme) pairs, parameter variants too.
-
-    AdaptiveHybrid keeps its per-chip ``rescue``, so it is its own
-    oracle: its ``decide`` must agree with that ``rescue``.
-    """
+    """(production scheme, oracle scheme) pairs, parameter variants too."""
     o = oracle_schemes
-    adaptive = AdaptiveHybrid(_degradation)
     return [
         (YAPD(), o.YAPD()),
         (HYAPD(), o.HYAPD()),
@@ -105,7 +107,7 @@ def _pairs():
         (HybridHorizontal(0.0), o.HybridHorizontal(0.0)),
         (NaiveBinning(), o.NaiveBinning()),
         (NaiveBinning(target_cycles=6), o.NaiveBinning(target_cycles=6)),
-        (adaptive, adaptive),
+        (AdaptiveHybrid(_degradation), o.AdaptiveHybrid(_degradation)),
     ]
 
 
@@ -125,23 +127,9 @@ def _study_population(seed: int) -> PopulationResult:
 def _oracle_cases(pop: PopulationResult, horizontal: bool):
     circuits = pop.horizontal if horizontal else pop.regular
     return [
-        OracleCase(circuits.circuit(i), pop.constraints)
+        OracleCase(circuit(circuits, i), pop.constraints)
         for i in range(pop.population)
     ]
-
-
-def _row(decided, index: int):
-    """Row ``index`` of decisions as (saved, way, band, cycles)."""
-    if not decided.saved[index]:
-        return (False, None, None, None)
-    way = int(decided.disabled_way[index])
-    band = int(decided.disabled_band[index])
-    return (
-        True,
-        None if way < 0 else way,
-        None if band < 0 else band,
-        tuple(c or None for c in decided.way_cycles[index].tolist()),
-    )
 
 
 def _expected(outcome):
@@ -163,12 +151,8 @@ def test_decisions_match_oracle(seed):
         for scheme, oracle in _pairs():
             decided = scheme.decide(chips)
             for index, case in enumerate(cases):
-                want = oracle.rescue(case)
-                assert _row(decided, index) == _expected(want), (
-                    scheme.name, index
-                )
-                view = pop.case(index, horizontal)
-                assert scheme.rescue(view) == want, (scheme.name, index)
+                assert decision_row(decided, index) == \
+                    _expected(oracle.rescue(case)), (scheme.name, index)
     assert failing
 
 
@@ -192,7 +176,8 @@ def test_band_leakage_matches_oracle(seed):
 
 @pytest.mark.parametrize("seed", RAGGED_SEEDS)
 def test_ragged_chips_match_oracle(seed):
-    """Chips whose ways and bands vary from chip to chip, one at a time."""
+    """Chips whose ways and bands vary from chip to chip, each as a
+    one-row population."""
     rng = random.Random(seed)
     constraints = YieldConstraints(
         delay_limit=rng.uniform(1e-9, 3e-9),
@@ -200,15 +185,14 @@ def test_ragged_chips_match_oracle(seed):
     )
     circuits = [_random_circuit(rng, i) for i in range(2 * RAGGED_CHIPS)]
     assert any(
-        not ChipCase(circuit, constraints).passes for circuit in circuits
+        not OracleCase(chip, constraints).passes for chip in circuits
     )
-    for circuit in circuits:
-        case = ChipCase(circuit, constraints)
-        oracle_case = OracleCase(circuit, constraints)
+    for chip in circuits:
+        row = ChipColumns(from_circuits([chip]), constraints)
+        oracle_case = OracleCase(chip, constraints)
         for scheme, oracle in _pairs():
-            assert scheme.rescue(case) == oracle.rescue(oracle_case), (
-                scheme.name
-            )
+            assert decision_row(scheme.decide(row)) == \
+                _expected(oracle.rescue(oracle_case)), scheme.name
 
 
 @pytest.mark.parametrize("seed", SEEDS[::3])
@@ -249,6 +233,58 @@ def test_sensor_yield_matches_oracle(seed):
                 want = oracle.rescue(
                     OracleMeasured(oracle_cases[index], sensor)
                 )
-                assert _row(decided, row) == _expected(want), (
+                assert decision_row(decided, row) == _expected(want), (
                     scheme.name, index
+                )
+
+
+@pytest.mark.parametrize("seed", SEEDS[::17])
+def test_perfect_sensor_saves_what_it_believes(seed):
+    """A perfect sensor reads the true leakage, so every save a scheme
+    believes in is an actual one, on both architectures."""
+    pop = _study_population(seed)
+    perfect = SENSORS[0]
+    believed_any = False
+    for horizontal in (False, True):
+        chips = pop.chips(horizontal)
+        for scheme, _ in _pairs():
+            believed, actual = yield_with_sensor(chips, scheme, perfect)
+            assert believed == actual, (scheme.name, horizontal)
+            assert believed == np.count_nonzero(
+                ~chips.passes & scheme.decide(chips).saved
+            ), (scheme.name, horizontal)
+            believed_any |= believed > 0
+    assert believed_any
+
+
+def _assert_decision_invariants(chips: ChipColumns, decided, name: str):
+    way = decided.disabled_way
+    band = decided.disabled_band
+    saved = decided.saved
+    assert not (saved & (way >= 0) & (band >= 0)).any(), name
+    rows = np.flatnonzero(saved & ~chips.passes)
+    cycles = decided.way_cycles[rows]
+    at_way = np.arange(chips.circuits.num_ways) == way[rows, None]
+    assert (cycles[at_way] == 0).all(), name
+    assert (cycles[~at_way] >= 4).all(), name
+    passing = chips.passes
+    assert saved[passing].all(), name
+    assert (decided.way_cycles[passing] == chips.way_cycles[passing]).all(), \
+        name
+    assert (way[passing] == -1).all() and (band[passing] == -1).all(), name
+
+
+@pytest.mark.parametrize("seed", SEEDS[::3])
+def test_decision_invariants(seed):
+    """Every scheme setting on true and sensor-measured columns."""
+    pop = _study_population(seed)
+    for horizontal in (False, True):
+        chips = pop.chips(horizontal)
+        columns = [chips] + [
+            measured_failing(chips, sensor)[1] for sensor in SENSORS
+        ]
+        for scheme, _ in _pairs():
+            for rows in columns:
+                _assert_decision_invariants(
+                    rows, scheme.decide(rows), scheme.name
                 )

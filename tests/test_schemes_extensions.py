@@ -3,35 +3,34 @@
 import numpy as np
 import pytest
 
-from repro.circuit.columnar import CircuitColumns
 from repro.core.errors import ConfigurationError
 from repro.schemes import DeepVACA, VACA, YAPD
 from repro.schemes.sensors import LeakageSensor, yield_with_sensor
 from repro.yieldmodel import YieldStudy
-from repro.yieldmodel.classify import ChipColumns
-from tests.conftest import make_chip
+from tests.conftest import decision_row, make_chip
 
 
 class TestDeepVACA:
     def test_slack_two_tolerates_six_cycles(self):
         case = make_chip([0.9, 0.9, 0.9, 1.45])  # a 6-cycle way
-        assert not VACA().rescue(case).saved
-        outcome = DeepVACA(2).rescue(case)
+        assert not VACA().decide(case).saved[0]
+        outcome = decision_row(DeepVACA(2).decide(case))
         assert outcome.saved
         assert outcome.way_cycles == (4, 4, 4, 6)
 
     def test_slack_two_still_bounded(self):
         case = make_chip([0.9, 0.9, 0.9, 1.6])  # a 7-cycle way
-        assert not DeepVACA(2).rescue(case).saved
-        assert DeepVACA(3).rescue(case).saved
+        assert not DeepVACA(2).decide(case).saved[0]
+        assert DeepVACA(3).decide(case).saved[0]
 
     def test_slack_one_equals_vaca(self):
         for delays in ([0.9, 1.2, 0.9, 0.9], [0.9, 1.3, 0.9, 0.9]):
             case = make_chip(delays)
-            assert DeepVACA(1).rescue(case).saved == VACA().rescue(case).saved
+            assert DeepVACA(1).decide(case).saved[0] == \
+                VACA().decide(case).saved[0]
 
     def test_leakage_still_unfixable(self, leaky_chip):
-        assert not DeepVACA(3).rescue(leaky_chip).saved
+        assert not DeepVACA(3).decide(leaky_chip).saved[0]
 
     def test_max_cycles(self):
         assert DeepVACA(2).max_cycles == 6
@@ -73,15 +72,12 @@ class TestLeakageSensor:
         case = make_chip(
             [0.9] * 4, way_leakages=[0.30, 0.31, 0.30, 0.30]
         )
-        truth = case.max_leakage_way()
-        columns = ChipColumns(
-            CircuitColumns.from_circuits([case.circuit]), case.constraints
-        )
+        truth = case.leakiest_way[0]
         flips = 0
         for seed in range(30):
             sensor = LeakageSensor(relative_noise=0.2, seed=seed)
             measured = sensor.measure(
-                columns.circuits.chip_ids, columns.circuits.way_leakages
+                case.circuits.chip_ids, case.circuits.way_leakages
             )
             if measured.argmax(axis=1)[0] != truth:
                 flips += 1

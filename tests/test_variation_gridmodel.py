@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.circuit import CacheCircuitModel
+from repro.circuit.columnar import evaluate_population
 from repro.core.errors import ConfigurationError
+from repro.variation.columnar import ColumnarPopulation
 from repro.variation.gridmodel import GridCorrelationModel, GridVariationSampler
 from repro.variation.parameters import TABLE1
 
@@ -74,9 +76,11 @@ class TestGridVariationSampler:
 
     def test_feeds_circuit_model(self):
         cvmap = GridVariationSampler().sample_chip(seed=2, chip_id=1)
-        result = CacheCircuitModel().evaluate(cvmap)
-        assert result.access_delay > 0
-        assert result.total_leakage > 0
+        result = evaluate_population(
+            CacheCircuitModel(), ColumnarPopulation.from_maps([cvmap])
+        )
+        assert result.access_delays[0] > 0
+        assert result.total_leakage[0] > 0
 
     def test_adjacent_bands_more_correlated_than_distant(self):
         """The field is smooth: neighbouring bands track each other more

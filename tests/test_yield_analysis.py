@@ -1,9 +1,15 @@
 """Tests for the population yield study (small, fast populations)."""
 
+import numpy as np
 import pytest
 
+from repro.circuit.organization import CacheOrganization
+from repro.core.errors import ConfigurationError
 from repro.schemes import HYAPD, Hybrid, HybridHorizontal, VACA, YAPD
+from repro.variation.sampling import CacheVariationSampler
+from repro.variation.spatial import MeshLayout
 from repro.yieldmodel import LossReason, YieldStudy
+from repro.yieldmodel.analysis import PopulationResult
 from repro.yieldmodel.constraints import RELAXED_POLICY, STRICT_POLICY
 
 CHIPS = 400
@@ -14,6 +20,15 @@ def pop():
     return YieldStudy(seed=2006, count=CHIPS).run()
 
 
+def _column_bytes(pop: PopulationResult):
+    """Every circuit column of both architectures, as bytes."""
+    return [
+        getattr(circuits, name).tobytes()
+        for circuits in (pop.regular, pop.horizontal)
+        for name in ("band_delays", "band_leakage", "peripheral_leakage")
+    ]
+
+
 class TestPopulationBasics:
     def test_population_size(self, pop):
         assert pop.population == CHIPS
@@ -22,22 +37,16 @@ class TestPopulationBasics:
     def test_deterministic(self):
         a = YieldStudy(seed=77, count=60).run()
         b = YieldStudy(seed=77, count=60).run()
-        assert [a.case(i).circuit for i in range(60)] == [
-            b.case(i).circuit for i in range(60)
-        ]
+        assert _column_bytes(a) == _column_bytes(b)
 
     def test_seed_changes_chips(self):
         a = YieldStudy(seed=1, count=30).run()
         b = YieldStudy(seed=2, count=30).run()
-        assert [a.case(i).circuit for i in range(30)] != [
-            b.case(i).circuit for i in range(30)
-        ]
+        assert _column_bytes(a) != _column_bytes(b)
 
     def test_same_limits_for_both_architectures(self, pop):
         assert pop.chips(False).constraints is pop.constraints
         assert pop.chips(True).constraints is pop.constraints
-        assert pop.case(0).constraints is pop.constraints
-        assert pop.case(0, horizontal=True).constraints is pop.constraints
 
     def test_h_architecture_is_uniformly_slower(self, pop):
         regular = pop.regular.access_delays[:100].tolist()
@@ -60,9 +69,7 @@ class TestPopulationBasics:
 class TestBreakdownAccounting:
     def test_base_counts_cover_all_failures(self, pop):
         bd = pop.breakdown([YAPD()])
-        failing = sum(
-            1 for i in range(pop.population) if not pop.case(i).passes
-        )
+        failing = int(np.count_nonzero(~pop.chips().passes))
         assert bd.base_total == failing
 
     def test_scheme_losses_never_exceed_base(self, pop):
@@ -110,11 +117,9 @@ class TestBreakdownAccounting:
 class TestCensus:
     def test_census_counts_saved_failures_only(self, pop):
         census = pop.configuration_census(Hybrid())
-        cases = [pop.case(i) for i in range(pop.population)]
-        saved_failures = sum(
-            1
-            for case in cases
-            if not case.passes and Hybrid().rescue(case).saved
+        chips = pop.chips()
+        saved_failures = int(
+            np.count_nonzero(~chips.passes & Hybrid().decide(chips).saved)
         )
         assert sum(census.values()) == saved_failures
 
@@ -137,4 +142,38 @@ class TestReconstrained:
         strict = pop.reconstrained(STRICT_POLICY)
         assert strict.regular is pop.regular
         assert strict.horizontal is pop.horizontal
-        assert strict.case(0).circuit == pop.case(0).circuit
+        assert _column_bytes(strict) == _column_bytes(pop)
+
+
+class TestStudyRefusals:
+    def test_more_ways_than_delay_buckets_refused_before_drawing(
+        self, monkeypatch
+    ):
+        """A 16-way study could meet a chip with more violating ways
+        than the loss buckets count; it is refused before any chip is
+        drawn, not after the whole population is evaluated."""
+
+        def draw(*args):
+            raise AssertionError("a refused study drew chips")
+
+        monkeypatch.setattr(YieldStudy, "draw", draw)
+        with pytest.raises(ConfigurationError, match="16 violating ways"):
+            YieldStudy(
+                seed=1,
+                count=400,
+                organization=CacheOrganization(num_ways=16),
+                sampler=CacheVariationSampler(
+                    num_ways=16, mesh=MeshLayout(rows=4, cols=4)
+                ),
+            )
+
+    def test_eight_ways_accepted(self):
+        study = YieldStudy(
+            seed=1,
+            count=8,
+            organization=CacheOrganization(num_ways=8),
+            sampler=CacheVariationSampler(
+                num_ways=8, mesh=MeshLayout(rows=2, cols=4)
+            ),
+        )
+        assert study.run().population == 8

@@ -1,11 +1,12 @@
-"""Tests for per-chip loss classification and Table 6 config keys."""
+"""Tests for loss classification rows and Table 6 config keys."""
 
 import pytest
 
+from oracles.circuit import circuit
 from oracles.classify import ChipCase as OracleCase
 from repro.core.errors import ConfigurationError
 from repro.yieldmodel.classify import LossReason, config_key
-from tests.conftest import make_chip
+from tests.conftest import configuration, loss_reason, make_chip
 
 
 class TestConfigKey:
@@ -42,59 +43,56 @@ class TestLossReason:
         with pytest.raises(ConfigurationError):
             LossReason.delay(9)
 
-    def test_is_loss(self):
-        assert not LossReason.NONE.is_loss
-        assert LossReason.LEAKAGE.is_loss
-
 
 class TestChipCase:
+    """One chip's row of the classification columns."""
+
     def test_healthy_chip_passes(self, healthy_chip):
-        assert healthy_chip.passes
-        assert healthy_chip.loss_reason is LossReason.NONE
-        assert healthy_chip.configuration == "4-0-0"
+        assert healthy_chip.passes[0]
+        assert loss_reason(healthy_chip) is LossReason.NONE
+        assert configuration(healthy_chip) == "4-0-0"
 
     def test_one_slow_way(self, one_slow_way_chip):
-        case = one_slow_way_chip
-        assert not case.passes
-        assert case.loss_reason is LossReason.DELAY_1
-        assert case.delay_violating_ways == (3,)
-        assert case.way_cycles == (4, 4, 4, 5)
-        assert case.configuration == "3-1-0"
+        chip = one_slow_way_chip
+        assert not chip.passes[0]
+        assert loss_reason(chip) is LossReason.DELAY_1
+        assert chip.delay_violations[0].tolist() == [False, False, False, True]
+        assert chip.way_cycles[0].tolist() == [4, 4, 4, 5]
+        assert configuration(chip) == "3-1-0"
 
     def test_leakage_chip(self, leaky_chip):
-        assert leaky_chip.loss_reason is LossReason.LEAKAGE
-        assert leaky_chip.leakage_violation
-        assert not leaky_chip.delay_violation
-        assert leaky_chip.configuration == "4-0-0"
+        assert loss_reason(leaky_chip) is LossReason.LEAKAGE
+        assert leaky_chip.leakage_violation[0]
+        assert not leaky_chip.delay_violations[0].any()
+        assert configuration(leaky_chip) == "4-0-0"
 
     def test_leakage_takes_priority_over_delay(self):
         """A chip violating both is counted in the leakage bucket (the
         Table 6 4-0-0 accounting confirms this reading)."""
-        case = make_chip(
+        chip = make_chip(
             [0.9, 0.9, 0.9, 1.2], way_leakages=[0.3, 0.3, 0.3, 0.3]
         )
-        assert case.loss_reason is LossReason.LEAKAGE
+        assert loss_reason(chip) is LossReason.LEAKAGE
 
     def test_multi_way_delay_bucket(self):
-        case = make_chip([1.1, 1.2, 0.9, 1.3])
-        assert case.loss_reason is LossReason.DELAY_3
-        assert case.delay_violating_ways == (0, 1, 3)
+        chip = make_chip([1.1, 1.2, 0.9, 1.3])
+        assert loss_reason(chip) is LossReason.DELAY_3
+        assert chip.delay_violations[0].tolist() == [True, True, False, True]
 
     def test_six_plus_configuration(self):
-        case = make_chip([0.9, 0.9, 0.9, 1.6])
-        assert case.way_cycles[3] == 7
-        assert case.configuration == "3-0-1"
+        chip = make_chip([0.9, 0.9, 0.9, 1.6])
+        assert chip.way_cycles[0, 3] == 7
+        assert configuration(chip) == "3-0-1"
 
     def test_max_leakage_way(self):
-        case = make_chip(
+        chip = make_chip(
             [0.9] * 4, way_leakages=[0.1, 0.4, 0.2, 0.1]
         )
-        assert case.max_leakage_way() == 1
+        assert chip.leakiest_way[0] == 1
 
     def test_leakage_after_disabling_way(self):
-        case = make_chip([0.9] * 4, way_leakages=[0.1, 0.4, 0.2, 0.1])
-        remaining = case.leakage_after_disabling_way(1)
-        assert remaining == pytest.approx(0.4)
+        chip = make_chip([0.9] * 4, way_leakages=[0.1, 0.4, 0.2, 0.1])
+        assert chip.way_gated_leakage[0, 1] == pytest.approx(0.4)
 
     def test_way_cycles_without_band(self):
         """Removing the critical band lowers the cycle classification."""
@@ -104,9 +102,9 @@ class TestChipCase:
             [0.9] * 4,
             [0.9] * 4,
         ]
-        case = make_chip(
+        chip = make_chip(
             [1.2, 0.9, 0.9, 0.9], band_profiles=profiles
         )
-        assert case.way_cycles[0] == 5
-        oracle = OracleCase(case.circuit, case.constraints)
+        assert chip.way_cycles[0, 0] == 5
+        oracle = OracleCase(circuit(chip.circuits, 0), chip.constraints)
         assert oracle.way_cycles_without_band(3)[0] == 4

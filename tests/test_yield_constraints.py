@@ -1,9 +1,12 @@
 """Tests for yield constraints, policies, and the cycles mapping."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.circuit.columnar import CircuitColumns
 from repro.core.errors import ConfigurationError
+from repro.yieldmodel.classify import ChipColumns, cycles_for_delays
 from repro.yieldmodel.constraints import (
     BASE_ACCESS_CYCLES,
     ConstraintPolicy,
@@ -56,41 +59,54 @@ class TestPolicies:
 class TestCyclesMapping:
     CONSTRAINTS = YieldConstraints(delay_limit=1.0, leakage_limit=1.0)
 
+    def _cycles(self, delay: float) -> int:
+        return int(cycles_for_delays(np.array([delay]), self.CONSTRAINTS)[0])
+
+    def _chip(self, delay: float, leakage: float) -> ChipColumns:
+        """A one-way, one-band chip of the given delay and leakage."""
+        circuits = CircuitColumns(
+            [0], np.array([[[delay]]]), np.array([[[leakage]]]),
+            np.zeros((1, 1)),
+        )
+        return ChipColumns(circuits, self.CONSTRAINTS)
+
     def test_within_limit_is_base(self):
-        assert self.CONSTRAINTS.cycles_for_delay(0.5) == BASE_ACCESS_CYCLES
-        assert self.CONSTRAINTS.cycles_for_delay(1.0) == BASE_ACCESS_CYCLES
+        assert self._cycles(0.5) == BASE_ACCESS_CYCLES
+        assert self._cycles(1.0) == BASE_ACCESS_CYCLES
 
     def test_five_cycle_band(self):
         """One extra cycle buys one extra quarter of the limit."""
-        assert self.CONSTRAINTS.cycles_for_delay(1.01) == 5
-        assert self.CONSTRAINTS.cycles_for_delay(1.25) == 5
+        assert self._cycles(1.01) == 5
+        assert self._cycles(1.25) == 5
 
     def test_six_cycle_band(self):
-        assert self.CONSTRAINTS.cycles_for_delay(1.26) == 6
-        assert self.CONSTRAINTS.cycles_for_delay(1.50) == 6
+        assert self._cycles(1.26) == 6
+        assert self._cycles(1.50) == 6
 
     def test_deep_tail(self):
-        assert self.CONSTRAINTS.cycles_for_delay(2.0) == 8
+        assert self._cycles(2.0) == 8
 
     def test_rejects_non_positive_delay(self):
         with pytest.raises(ConfigurationError):
-            self.CONSTRAINTS.cycles_for_delay(0.0)
+            self._cycles(0.0)
 
     def test_meets_predicates(self):
-        assert self.CONSTRAINTS.meets_delay(1.0)
-        assert not self.CONSTRAINTS.meets_delay(1.0001)
-        assert self.CONSTRAINTS.meets_leakage(1.0)
-        assert not self.CONSTRAINTS.meets_leakage(1.1)
+        """The limits are inclusive: a chip exactly at one meets it."""
+        assert not self._chip(1.0, 1.0).delay_violations[0, 0]
+        assert self._chip(1.0001, 1.0).delay_violations[0, 0]
+        assert not self._chip(1.0, 1.0).leakage_violation[0]
+        assert self._chip(1.0, 1.1).leakage_violation[0]
+        assert self._chip(1.0, 1.0).passes[0]
 
     @given(st.floats(min_value=1e-6, max_value=10.0))
     def test_cycles_monotone_and_bounded_below(self, delay):
-        cycles = self.CONSTRAINTS.cycles_for_delay(delay)
+        cycles = self._cycles(delay)
         assert cycles >= BASE_ACCESS_CYCLES
         # one more quarter-limit never decreases the cycle count
-        assert self.CONSTRAINTS.cycles_for_delay(delay + 0.25) >= cycles
+        assert self._cycles(delay + 0.25) >= cycles
 
     @given(st.floats(min_value=0.01, max_value=5.0))
     def test_cycles_give_enough_time(self, delay):
         """cycles * (limit/4) always covers the delay."""
-        cycles = self.CONSTRAINTS.cycles_for_delay(delay)
+        cycles = self._cycles(delay)
         assert cycles * (1.0 / BASE_ACCESS_CYCLES) >= delay - 1e-9

@@ -6,7 +6,7 @@ from hypothesis import given, settings as hsettings, strategies as st
 
 from repro.core.errors import ConfigurationError
 from repro.schemes import Hybrid, YAPD
-from repro.schemes.base import Decisions, RescueOutcome
+from repro.schemes.base import Decisions
 from repro.yieldmodel import YieldStudy
 from repro.yieldmodel.statistics import (
     bootstrap_interval,
@@ -26,11 +26,6 @@ class _NeverSaves:
 
     def decide(self, chips) -> Decisions:
         return Decisions.of(chips, chips.passes)
-
-    def rescue(self, case) -> RescueOutcome:
-        return RescueOutcome(
-            scheme=self.name, saved=False, configuration=case.configuration
-        )
 
 
 class TestWilson:
