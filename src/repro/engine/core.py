@@ -25,8 +25,6 @@ from __future__ import annotations
 import math
 import os
 import pathlib
-import threading
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -133,15 +131,6 @@ class Engine:
         )
         self._memo: Dict[str, object] = {}
         self._provenance: Optional[Dict[str, object]] = None
-        # Scheduler state: in-flight dedup table plus the thread pool the
-        # async submission API (`submit_*`) runs leaders on. A key appears
-        # in `_inflight` from the moment a leader claims it until its
-        # result (or error) is settled, so concurrent identical
-        # submissions — the serve layer's whole request mix — collapse
-        # onto one computation.
-        self._inflight: Dict[str, Future] = {}
-        self._inflight_lock = threading.Lock()
-        self._submit_pool: Optional[ThreadPoolExecutor] = None
 
     def provenance(self) -> Dict[str, object]:
         """Provenance stamp of this engine's code and configuration.
@@ -207,6 +196,10 @@ class Engine:
         if self.store is not None:
             self.store.save(kind, key, encode(result))
 
+    def memoised(self, key: str) -> bool:
+        """Is ``key`` in the in-process memo (answerable with no I/O)?"""
+        return key in self._memo
+
     def has_cached(self, kind: str, key: str) -> bool:
         """Is ``(kind, key)`` answerable without computing?
 
@@ -220,11 +213,6 @@ class Engine:
         if self.store is not None:
             return self.store.path_for(kind, key).is_file()
         return False
-
-    def inflight_count(self) -> int:
-        """How many distinct jobs are currently being computed."""
-        with self._inflight_lock:
-            return len(self._inflight)
 
     # ------------------------------------------------------------------
     # populations
@@ -618,165 +606,6 @@ class Engine:
             if results[index] is None:
                 results[index] = self._memo[key]
         return results
-
-    # ------------------------------------------------------------------
-    # async submission (the scheduler face: serve layer, dashboards)
-    # ------------------------------------------------------------------
-    def _pool(self) -> ThreadPoolExecutor:
-        if self._submit_pool is None:
-            self._submit_pool = ThreadPoolExecutor(
-                max_workers=max(4, self.config.workers),
-                thread_name_prefix="repro-engine",
-            )
-        return self._submit_pool
-
-    def _claim(self, kind: str, key: str) -> Tuple[Future, bool]:
-        """The in-flight future for ``key`` and whether we lead it.
-
-        Joining an existing flight bumps ``engine.inflight.joined``; a
-        fresh claim bumps ``engine.inflight.leader``. The leader must
-        settle the future via :meth:`_finish`.
-        """
-        with self._inflight_lock:
-            future = self._inflight.get(key)
-            if future is not None:
-                self.metrics.counter(f"engine.inflight.joined.{kind}").inc()
-                return future, False
-            future = Future()
-            self._inflight[key] = future
-            self.metrics.counter(f"engine.inflight.leader.{kind}").inc()
-            self.metrics.gauge("engine.inflight").set(len(self._inflight))
-            return future, True
-
-    def _finish(self, key: str, future: Future, result, error) -> None:
-        with self._inflight_lock:
-            self._inflight.pop(key, None)
-            self.metrics.gauge("engine.inflight").set(len(self._inflight))
-        if error is not None:
-            future.set_exception(error)
-        else:
-            future.set_result(result)
-
-    def submit_population(
-        self,
-        settings,
-        policy: ConstraintPolicy = NOMINAL_POLICY,
-        progress: Optional[Callable[[int, int], None]] = None,
-    ) -> Future:
-        """Submit one population job; returns a ``concurrent.futures.Future``.
-
-        Concurrent submissions of the same job identity coalesce onto a
-        single computation (single-flight): the first caller becomes the
-        leader and runs :meth:`population` on the engine's thread pool,
-        later callers receive the same future. A memoised result resolves
-        immediately without touching the pool.
-        """
-        key = self.population_key(settings, policy, self.config.estimator)
-        if key in self._memo:
-            self.metrics.counter("engine.inflight.cached.population").inc()
-            future: Future = Future()
-            future.set_result(self._memo[key])
-            return future
-        future, leader = self._claim("population", key)
-        if leader:
-            def lead() -> None:
-                try:
-                    result = self.population(settings, policy, progress=progress)
-                except Exception as exc:  # settled into the future
-                    self._finish(key, future, None, exc)
-                else:
-                    self._finish(key, future, result, None)
-
-            self._pool().submit(lead)
-        return future
-
-    def submit_estimate(
-        self,
-        settings,
-        policy: ConstraintPolicy = NOMINAL_POLICY,
-        estimator: Optional[EstimatorSpec] = None,
-        progress: Optional[Callable[[int, int], None]] = None,
-    ) -> Future:
-        """Submit one yield-estimate job (single-flight, like populations)."""
-        spec = estimator if estimator is not None else self.config.estimator
-        if spec is None:
-            spec = EstimatorSpec()
-        key = self.estimate_key(settings, policy, spec)
-        if key in self._memo:
-            self.metrics.counter("engine.inflight.cached.estimate").inc()
-            future: Future = Future()
-            future.set_result(self._memo[key])
-            return future
-        future, leader = self._claim("estimate", key)
-        if leader:
-            def lead() -> None:
-                try:
-                    result = self.estimate(
-                        settings, policy, estimator=spec, progress=progress
-                    )
-                except Exception as exc:  # settled into the future
-                    self._finish(key, future, None, exc)
-                else:
-                    self._finish(key, future, result, None)
-
-            self._pool().submit(lead)
-        return future
-
-    def submit_simulations(
-        self,
-        settings,
-        specs: List[SimulationSpec],
-        progress: Optional[Callable[[int, int], None]] = None,
-    ) -> List[Future]:
-        """Submit a batch of simulations; one future per spec, in order.
-
-        Specs already memoised resolve immediately; specs another caller
-        is already computing join that flight; the rest are claimed and
-        computed through **one** :meth:`simulate_many` call — a single
-        pool dispatch for the whole fresh set, which is what the serve
-        layer's batcher relies on.
-        """
-        futures: List[Future] = []
-        fresh: List[Tuple[str, Future, SimulationSpec]] = []
-        claimed: Dict[str, Future] = {}
-        for spec in specs:
-            key = self.simulation_key(settings, spec)
-            if key in claimed:
-                futures.append(claimed[key])
-                continue
-            if key in self._memo:
-                self.metrics.counter("engine.inflight.cached.simulation").inc()
-                future = Future()
-                future.set_result(self._memo[key])
-                futures.append(future)
-                continue
-            future, leader = self._claim("simulation", key)
-            if leader:
-                fresh.append((key, future, spec))
-                claimed[key] = future
-            futures.append(future)
-        if fresh:
-            def lead() -> None:
-                try:
-                    results = self.simulate_many(
-                        settings, [spec for _, _, spec in fresh],
-                        progress=progress,
-                    )
-                except Exception as exc:
-                    for key, future, _ in fresh:
-                        self._finish(key, future, None, exc)
-                else:
-                    for (key, future, _), result in zip(fresh, results):
-                        self._finish(key, future, result, None)
-
-            self._pool().submit(lead)
-        return futures
-
-    def shutdown(self) -> None:
-        """Stop the submission thread pool (in-flight leaders finish)."""
-        if self._submit_pool is not None:
-            self._submit_pool.shutdown(wait=True)
-            self._submit_pool = None
 
 
 def _concatenate_shards(shards) -> Tuple[CircuitColumns, CircuitColumns]:

@@ -69,7 +69,7 @@ class ResultStore:
 
     With a cap, the process scans the store once, at its first save, and
     then adds each save's bytes to a running total (under a lock, since
-    serve saves from several engine threads). When the total crosses
+    serve saves from the threads of its pool). When the total crosses
     ``max_bytes`` it rescans: entries sorted by mtime, which loads
     refresh, are evicted stalest first down to 90% of the cap. Every
     scan also deletes ``.tmp-*`` files older than an hour, which a

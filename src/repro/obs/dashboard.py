@@ -96,7 +96,7 @@ _DASH_SCRIPT = """
     spark("spark-p95", p95s);
     text("q-active", fmt(gauges["serve.active"], 0));
     text("q-queued", fmt(gauges["serve.queued"], 0));
-    text("q-inflight", fmt(gauges["engine.inflight"], 0));
+    text("q-inflight", fmt(gauges["serve.flights"], 0));
     text("q-batchpend", fmt(gauges["serve.batch.pending"], 0));
     text("q-fill", fmt(gauges["serve.batch.fill_ratio"], 2));
     text("adm-ok", fmt(counter(counters, "serve.admit.accepted"), 0));
@@ -241,7 +241,7 @@ def dashboard_html(
             "Queues &amp; batching",
             f'<div>active <b id="q-active">{g("serve.active"):.0f}</b> · '
             f'queued <b id="q-queued">{g("serve.queued"):.0f}</b> · '
-            f'in-flight <b id="q-inflight">{g("engine.inflight"):.0f}</b>'
+            f'in-flight <b id="q-inflight">{g("serve.flights"):.0f}</b>'
             "</div>"
             f'<div>batch pending <b id="q-batchpend">'
             f'{g("serve.batch.pending"):.0f}</b> · fill '

@@ -1,7 +1,7 @@
 """``repro serve`` — a long-running yield-analysis service.
 
-A stdlib-only asyncio HTTP/JSON front end over the
-:mod:`repro.engine` scheduler: population / simulation / experiment
+A stdlib-only asyncio HTTP/JSON front end over the synchronous
+:mod:`repro.engine` library: population / simulation / experiment
 queries keyed by the engine's deterministic job identities, answered
 from the warm store when possible, coalesced when duplicated in flight,
 batched into shared pool dispatches when compatible, and admission-

@@ -7,16 +7,20 @@ dispatch. The batcher holds each arriving request for a short window
 (default 10 ms); everything compatible that lands inside the window
 rides the same dispatch. Under a bursty sweep this turns N near-
 simultaneous requests into one trip through the process pool; under
-light load it costs at most the window.
+light load it costs at most the window, so the server sends only cold
+simulations here.
 
-Per-spec deduplication happens beneath us in
-:meth:`Engine.submit_simulations` (its in-flight table), so a batch may
-even contain duplicates — they collapse onto one future.
+Each dispatch runs ``simulate_many`` on the executor it is given (the
+server's thread pool). The server's coalescer keeps one flight per job,
+so a batch never holds the same simulation twice; if it did,
+``simulate_many`` computes each distinct spec once.
 """
 
 from __future__ import annotations
 
 import asyncio
+from concurrent.futures import Executor
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
@@ -45,8 +49,11 @@ class SimulationBatcher:
         window: float = 0.01,
         max_batch: int = 64,
         registry: Optional[MetricsRegistry] = None,
+        executor: Optional[Executor] = None,
     ) -> None:
         self.engine = engine
+        #: Where ``simulate_many`` runs (``None``: the loop's default).
+        self.executor = executor
         self.window = window
         self.max_batch = max_batch
         self.registry = (
@@ -95,7 +102,7 @@ class SimulationBatcher:
         """Dispatch every waiting bucket now (drain path)."""
         for key in list(self._buckets):
             self._flush(key)
-        # Futures resolve via call_soon_threadsafe; yield until none wait.
+        # Waiters resolve when their dispatch returns; yield until none wait.
         while self._pending:
             await asyncio.sleep(0.005)
 
@@ -106,7 +113,6 @@ class SimulationBatcher:
             return
         if bucket.handle is not None:
             bucket.handle.cancel()
-        loop = asyncio.get_running_loop()
         specs = [spec for spec, _, _ in bucket.entries]
         callbacks = [cb for _, _, cb in bucket.entries if cb is not None]
 
@@ -124,22 +130,25 @@ class SimulationBatcher:
         self.registry.gauge("serve.batch.fill_ratio").set(
             len(specs) / self.max_batch
         )
-        futures = self.engine.submit_simulations(
-            bucket.settings, specs, progress=progress if callbacks else None
+        dispatch = asyncio.get_running_loop().run_in_executor(
+            self.executor,
+            partial(
+                self.engine.simulate_many, bucket.settings, specs,
+                progress=progress if callbacks else None,
+            ),
         )
-        for (_, waiter, _), engine_future in zip(bucket.entries, futures):
-            engine_future.add_done_callback(
-                lambda ef, w=waiter: loop.call_soon_threadsafe(
-                    self._resolve, w, ef
-                )
-            )
+        dispatch.add_done_callback(partial(self._resolve, bucket.entries))
 
     @staticmethod
-    def _resolve(waiter: asyncio.Future, engine_future) -> None:
-        if waiter.cancelled():
-            return
-        error = engine_future.exception()
-        if error is not None:
-            waiter.set_exception(error)
-        else:
-            waiter.set_result(engine_future.result())
+    def _resolve(entries, dispatch: asyncio.Future) -> None:
+        """Hand each waiter its result, or the dispatch's one error."""
+        error = None if dispatch.cancelled() else dispatch.exception()
+        for index, (_, waiter, _) in enumerate(entries):
+            if waiter.done():
+                continue
+            if dispatch.cancelled():
+                waiter.cancel()
+            elif error is not None:
+                waiter.set_exception(error)
+            else:
+                waiter.set_result(dispatch.result()[index])

@@ -11,8 +11,12 @@ started the flight — never aborts the job for the others. Progress
 events the engine reports are broadcast to every subscriber of the
 flight, so all coalesced clients see the same job advance.
 
-Runs entirely on the server's event loop; engine calls happen on worker
-threads and re-enter the loop via ``call_soon_threadsafe``.
+This is the service's only single-flight table; the engine beneath it
+is a synchronous library. The ``serve.flights`` gauge counts the
+distinct jobs in flight.
+
+Runs entirely on the server's event loop; engine calls happen on the
+server's thread pool and re-enter the loop via ``call_soon_threadsafe``.
 """
 
 from __future__ import annotations
@@ -57,14 +61,14 @@ class Coalescer:
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self._flights: Dict[str, Flight] = {}
+        self._count_flights()
 
     def flight_count(self) -> int:
         """How many distinct jobs are currently in flight."""
         return len(self._flights)
 
-    def pending(self) -> int:
-        """How many requests are currently attached to flights."""
-        return sum(f.waiters for f in self._flights.values())
+    def _count_flights(self) -> None:
+        self.registry.gauge("serve.flights").set(len(self._flights))
 
     def get(self, key: str) -> Optional[Flight]:
         """The existing flight for ``key``, or ``None``."""
@@ -98,6 +102,7 @@ class Coalescer:
         if flight is None:
             flight = Flight(key)
             self._flights[key] = flight
+            self._count_flights()
             self.registry.counter("serve.coalesce.leader").inc()
             flight.task = asyncio.get_running_loop().create_task(
                 self._lead(flight, start)
@@ -122,5 +127,6 @@ class Coalescer:
             flight.error = exc
         finally:
             self._flights.pop(flight.key, None)
+            self._count_flights()
             flight.publish({"event": "done", "ok": flight.error is None})
             flight.done.set()

@@ -226,12 +226,14 @@ def parse_estimate(body: object) -> EstimateQuery:
 
     body = _require_dict(body)
     policy = policy_by_name(str(body.get("policy", "nominal")))
+    settings = _settings_from(body)
     try:
         spec = EstimatorSpec.from_payload(body.get("estimator", {}))
+        spec.sample_cap(settings.chips)  # refuse a pilot-only sample cap
     except ReproError as exc:
         raise ProtocolError(str(exc)) from None
     return EstimateQuery(
-        settings=_settings_from(body),
+        settings=settings,
         policy=policy,
         spec=spec,
         stream=bool(body.get("stream", False)),

@@ -9,7 +9,7 @@ functions ``handler(server, request)`` returning a
 
 from __future__ import annotations
 
-from typing import Awaitable, Callable, Dict, List, Optional, Tuple
+from typing import Awaitable, Callable, Dict, List, Optional
 
 __all__ = ["Router", "RouteError"]
 
@@ -44,14 +44,6 @@ class Router:
         instead of letting a scanner mint unbounded label values.
         """
         return path in self._routes
-
-    def routes(self) -> List[Tuple[str, str]]:
-        """Every registered (method, path), sorted — for docs/healthz."""
-        return sorted(
-            (method, path)
-            for path, methods in self._routes.items()
-            for method in methods
-        )
 
     def resolve(self, method: str, path: str) -> Handler:
         """The handler for ``method path``; raises :class:`RouteError`."""

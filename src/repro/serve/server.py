@@ -12,9 +12,12 @@ HTTP/JSON API. The request path composes the rest of this package:
    a compute slot or are told 429/503; per-client round-robin keeps one
    flooding client from starving the rest.
 4. **Coalescing** (:mod:`repro.serve.coalescer`) — concurrent identical
-   queries share one flight and one computation.
-5. **Batching** (:mod:`repro.serve.batcher`) — compatible simulation
-   jobs landing within the batch window ride one pool dispatch.
+   queries share one flight and one computation. Inside a flight, a
+   result already in the engine's memo is answered on the loop; every
+   other engine call (store reads, computation, whole experiments) runs
+   on the server's one thread pool.
+5. **Batching** (:mod:`repro.serve.batcher`) — cold simulation jobs
+   landing within the batch window ride one pool dispatch.
 6. **Observability** — every request runs inside a ``serve.request``
    trace span (the existing JSONL format) carrying a request id that is
    echoed back as ``X-Repro-Request-Id``, recorded into the rolling
@@ -44,7 +47,9 @@ import os
 import signal
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import AsyncIterator, Dict, List, Optional, Tuple
 
 from repro.engine.store import canonical_json
@@ -207,8 +212,15 @@ class YieldServer:
             registry=self.metrics,
         )
         self.coalescer = Coalescer(registry=self.metrics)
+        #: Runs every engine call that leaves the loop; shut down after
+        #: the drain.
+        self.pool = ThreadPoolExecutor(
+            max_workers=max(4, engine.config.workers),
+            thread_name_prefix="repro-serve-pool",
+        )
         self.batcher = SimulationBatcher(
-            engine, window=self.config.batch_window, registry=self.metrics
+            engine, window=self.config.batch_window, registry=self.metrics,
+            executor=self.pool,
         )
         self.rollup = RequestRollup(
             window_seconds=self.config.window_seconds,
@@ -286,9 +298,11 @@ class YieldServer:
             task.cancel()
         if self._connections:
             await asyncio.gather(*self._connections, return_exceptions=True)
-        # Stop the sampler thread *after* the drain (its gauges stay live
-        # for late /metrics scrapes) but before releasing the loop, so no
-        # thread outlives the server and no gauge writes land afterwards.
+        # Stop the pool and the sampler thread *after* the drain (the
+        # sampler's gauges stay live for late /metrics scrapes) but before
+        # releasing the loop, so no thread outlives the server and no
+        # gauge writes land afterwards.
+        self.pool.shutdown(wait=True, cancel_futures=True)
         self.sampler.stop()
         if self.request_log is not None:
             self.request_log.close()
@@ -587,8 +601,9 @@ class YieldServer:
 
         Warm queries (cache-answerable) and joiners of an existing
         flight don't add compute, so they bypass admission; returns
-        whether a slot was actually acquired (and must be released).
-        Annotates the request's disposition for the rollup middleware.
+        whether a slot was actually acquired (and must be released by
+        :meth:`_run_flight`). Annotates the request's disposition for
+        the rollup middleware.
         """
         if self.coalescer.get(key) is not None:
             request.disposition["coalesced"] = True
@@ -601,17 +616,54 @@ class YieldServer:
         await self.admission.acquire(request.client)
         return True
 
-    async def _run_flight(self, key: str, kind: str, request: Request, start):
-        held = await self._admitted(key, kind, request)
+    def _off_loop(self, call, *args) -> asyncio.Future:
+        """``call(*args)`` on the server's thread pool."""
+        return asyncio.get_running_loop().run_in_executor(
+            self.pool, call, *args
+        )
+
+    def _engine_job(self, key: str, call):
+        """A flight ``start`` for one engine job, ``call(progress=None)``.
+
+        A result already in the engine's memo under ``key`` comes back on
+        the loop, with no thread hop; ``call`` still goes through the
+        engine's own lookup, which counts the memo hit. Anything else
+        (store reads, computation) runs on the server's pool, with
+        progress fanned out to the flight's subscribers.
+        """
+
+        async def start(flight: Flight):
+            if self.engine.memoised(key):
+                return call()
+            return await self._off_loop(
+                partial(call, progress=self._progress_publisher(flight))
+            )
+
+        return start
+
+    async def _run_flight(
+        self, key: str, kind: str, start, payload, held: bool,
+        stream: bool = False,
+    ) -> Response:
+        """The response to one job; releases the slot (``held``) after.
+
+        With ``stream`` it is the job's NDJSON event stream, and the slot
+        goes when the stream ends; otherwise it is the payload of the
+        flight's result.
+        """
+        if stream:
+            return Response(200, stream=self._stream_flight(
+                key, kind, start, payload, held
+            ))
         try:
-            return await self.coalescer.run(key, start)
+            result = await self.coalescer.run(key, start)
         finally:
             if held:
                 self.admission.release()
+        return Response(200, payload(result))
 
     def _stream_flight(
-        self, key: str, kind: str, request: Request, start, payload,
-        held: bool,
+        self, key: str, kind: str, start, payload, held: bool,
     ) -> AsyncIterator[dict]:
         """NDJSON event stream for one job (accepted → progress → result).
 
@@ -684,10 +736,7 @@ async def _handle_healthz(server: YieldServer, request: Request) -> Response:
         "status": "draining" if server.draining else "ok",
         "pid": os.getpid(),
         "uptime_seconds": round(time.time() - server.started, 3),
-        "engine": {
-            "workers": server.engine.config.workers,
-            "inflight": server.engine.inflight_count(),
-        },
+        "engine": {"workers": server.engine.config.workers},
         "store": store.info() if store is not None else None,
         "compiled_traces": trace_cache_info(),
         "admission": {
@@ -696,7 +745,7 @@ async def _handle_healthz(server: YieldServer, request: Request) -> Response:
             "max_active": server.admission.max_active,
             "max_queued": server.admission.max_queued,
         },
-        "flights": server.coalescer.flight_count(),
+        "flights": int(counters.gauge("serve.flights").value),
         "batch_pending": server.batcher.pending(),
         "requests": {
             "total": counters.counter("serve.requests").value,
@@ -745,7 +794,6 @@ async def _handle_metrics(server: YieldServer, request: Request) -> Response:
             "serve.uptime_seconds": time.time() - server.started,
             "serve.draining": 1.0 if server.draining else 0.0,
             "serve.connections": float(len(server._connections)),
-            "serve.flights": float(server.coalescer.flight_count()),
         },
     )
     return Response.text(200, text, content_type=PROM_CONTENT_TYPE)
@@ -769,73 +817,54 @@ async def _handle_dashboard(server: YieldServer, request: Request) -> Response:
 
 async def _handle_population(server: YieldServer, request: Request) -> Response:
     query = parse_population(request.json())
-
-    async def start(flight: Flight):
-        future = server.engine.submit_population(
-            query.settings, query.policy,
-            progress=server._progress_publisher(flight),
-        )
-        return await asyncio.wrap_future(future)
+    start = server._engine_job(query.key, partial(
+        server.engine.population, query.settings, query.policy
+    ))
 
     def payload(result) -> dict:
         return population_payload(result, query.detail)
 
-    if query.stream:
-        held = await server._admitted(query.key, "population", request)
-        return Response(200, stream=server._stream_flight(
-            query.key, "population", request, start, payload, held
-        ))
-    result = await server._run_flight(
-        query.key, "population", request, start
+    held = await server._admitted(query.key, "population", request)
+    return await server._run_flight(
+        query.key, "population", start, payload, held, query.stream
     )
-    return Response(200, payload(result))
 
 
 async def _handle_estimate(server: YieldServer, request: Request) -> Response:
     query = parse_estimate(request.json())
-
-    async def start(flight: Flight):
-        future = server.engine.submit_estimate(
-            query.settings, query.policy, estimator=query.spec,
-            progress=server._progress_publisher(flight),
-        )
-        return await asyncio.wrap_future(future)
-
-    if query.stream:
-        held = await server._admitted(query.key, "estimate", request)
-        return Response(200, stream=server._stream_flight(
-            query.key, "estimate", request, start, estimate_payload, held
-        ))
-    result = await server._run_flight(query.key, "estimate", request, start)
-    return Response(200, estimate_payload(result))
+    start = server._engine_job(query.key, partial(
+        server.engine.estimate, query.settings, query.policy,
+        estimator=query.spec,
+    ))
+    held = await server._admitted(query.key, "estimate", request)
+    return await server._run_flight(
+        query.key, "estimate", start, estimate_payload, held, query.stream
+    )
 
 
 async def _handle_simulate(server: YieldServer, request: Request) -> Response:
     query = parse_simulation(request.json())
-
-    async def start(flight: Flight):
-        return await server.batcher.simulate(
-            query.settings, query.spec,
-            progress=server._progress_publisher(flight),
-        )
-
-    if query.stream:
-        held = await server._admitted(query.key, "simulation", request)
-        if held:
-            request.disposition["batched"] = True
-        return Response(200, stream=server._stream_flight(
-            query.key, "simulation", request, start,
-            simulation_payload, held,
-        ))
     held = await server._admitted(query.key, "simulation", request)
     if held:
+        # Only cold simulations wait out the batch window.
         request.disposition["batched"] = True
-    try:
-        result = await server.coalescer.run(query.key, start)
-    finally:
-        if held:
-            server.admission.release()
-    return Response(200, simulation_payload(result))
+
+        async def start(flight: Flight):
+            return await server.batcher.simulate(
+                query.settings, query.spec,
+                progress=server._progress_publisher(flight),
+            )
+    else:
+        def simulate(progress=None):
+            return server.engine.simulate_many(
+                query.settings, [query.spec], progress=progress
+            )[0]
+
+        start = server._engine_job(query.key, simulate)
+    return await server._run_flight(
+        query.key, "simulation", start, simulation_payload, held,
+        query.stream,
+    )
 
 
 async def _handle_experiment(server: YieldServer, request: Request) -> Response:
@@ -843,15 +872,13 @@ async def _handle_experiment(server: YieldServer, request: Request) -> Response:
 
     query = parse_experiment(request.json())
 
-    async def start(flight: Flight):
-        return await asyncio.get_running_loop().run_in_executor(
-            None, run_experiment, query.name, query.settings
-        )
+    def start(flight: Flight):
+        return server._off_loop(run_experiment, query.name, query.settings)
 
-    result = await server._run_flight(
-        query.key, "experiment", request, start
+    held = await server._admitted(query.key, "experiment", request)
+    return await server._run_flight(
+        query.key, "experiment", start, experiment_payload, held
     )
-    return Response(200, experiment_payload(result))
 
 
 # ----------------------------------------------------------------------

@@ -110,7 +110,7 @@ def estimate_fixed(
     policy: ConstraintPolicy,
 ) -> EstimateReport:
     """Brute-force Monte Carlo over the full population, Wilson CIs."""
-    total = spec.max_chips if spec.max_chips is not None else chips
+    total = spec.sample_cap(chips)
     data = runner.run(seed, "chip", 0, total)
     constraints = derive_constraints(policy, data.regular)
     return EstimateReport(
@@ -143,7 +143,7 @@ def estimate_adaptive(
     report. Without a ``ci_target`` the estimator runs to its cap — the
     legacy fixed-N behaviour.
     """
-    cap = spec.max_chips if spec.max_chips is not None else chips
+    cap = spec.sample_cap(chips)
     parts: List[ShardData] = []
     drawn = 0
     estimates: Tuple[YieldEstimate, ...] = ()
@@ -249,13 +249,8 @@ def estimate_stratified(
     strata = spec.strata
     weight = 1.0 / strata
     z = z_score(spec.confidence)
-    cap = spec.max_chips if spec.max_chips is not None else chips
-    pilot_each = max(4, spec.pilot_chips // strata)
-    if cap < strata * pilot_each + strata:
-        raise ConfigurationError(
-            f"sample cap {cap} leaves no room beyond the "
-            f"{strata}x{pilot_each}-chip stratified pilot"
-        )
+    cap = spec.sample_cap(chips)
+    pilot_each = spec.stratum_pilot_chips
 
     pilot_batches = [
         runner.run(
@@ -406,13 +401,8 @@ def estimate_is(
     under both measures.
     """
     z = z_score(spec.confidence)
-    cap = spec.max_chips if spec.max_chips is not None else chips
+    cap = spec.sample_cap(chips)
     pilot_n = spec.pilot_chips
-    if cap <= pilot_n + 1:
-        raise ConfigurationError(
-            f"sample cap {cap} leaves no room beyond the "
-            f"{pilot_n}-chip IS pilot"
-        )
     pilot = runner.run(seed, "chip", 0, pilot_n)
     constraints = derive_constraints(policy, pilot.regular)
     tilt = _tilt_from_pilot(pilot, constraints, spec.tilt_scale)

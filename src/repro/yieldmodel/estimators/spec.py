@@ -95,6 +95,34 @@ class EstimatorSpec:
             )
 
     # ------------------------------------------------------------------
+    @property
+    def stratum_pilot_chips(self) -> int:
+        """Pilot chips the stratified estimator draws in each stratum."""
+        return max(4, self.pilot_chips // self.strata)
+
+    def sample_cap(self, chips: int) -> int:
+        """The most chips this spec draws for a ``chips``-chip run.
+
+        The stratified and IS kinds spend part of the cap on a pilot; a
+        cap that leaves no room past it raises
+        :class:`~repro.core.errors.ConfigurationError` before any chip
+        is drawn, so callers can refuse the request up front.
+        """
+        cap = self.max_chips if self.max_chips is not None else chips
+        if self.kind == "stratified":
+            pilot_each = self.stratum_pilot_chips
+            if cap < self.strata * pilot_each + self.strata:
+                raise ConfigurationError(
+                    f"sample cap {cap} leaves no room beyond the "
+                    f"{self.strata}x{pilot_each}-chip stratified pilot"
+                )
+        elif self.kind == "is" and cap <= self.pilot_chips + 1:
+            raise ConfigurationError(
+                f"sample cap {cap} leaves no room beyond the "
+                f"{self.pilot_chips}-chip IS pilot"
+            )
+        return cap
+
     def identity(self) -> Dict[str, object]:
         """The spec's contribution to a content-addressed job key.
 

@@ -293,36 +293,6 @@ class TestEngineConfigFromEnv:
 
 
 class TestInflightDedup:
-    def test_concurrent_submissions_share_one_computation(self, tmp_path):
-        engine = configure_engine(workers=1, cache_dir=tmp_path)
-        settings = ExperimentSettings(seed=123, chips=400)
-        futures = [engine.submit_population(settings) for _ in range(4)]
-        results = [f.result(timeout=60) for f in futures]
-        assert all(r is results[0] for r in results)
-        counters = engine.metrics.snapshot()["counters"]
-        assert counters["engine.inflight.leader.population"] == 1
-        assert counters["engine.inflight.joined.population"] == 3
-        stage = engine.metrics.snapshot()["histograms"]["stage.population"]
-        assert stage["count"] == 1
-
-    def test_cached_submission_resolves_immediately(self, tmp_path):
-        engine = configure_engine(workers=1, cache_dir=tmp_path)
-        settings = ExperimentSettings(seed=124, chips=30)
-        engine.submit_population(settings).result(timeout=60)
-        future = engine.submit_population(settings)
-        assert future.done()
-        counters = engine.metrics.snapshot()["counters"]
-        assert counters["engine.inflight.cached.population"] == 1
-
-    def test_submit_simulations_single_dispatch(self, tmp_path):
-        engine = configure_engine(workers=1, cache_dir=tmp_path)
-        settings = ExperimentSettings(**SMALL)
-        specs = [("gzip", None, None), ("mcf", None, None)]
-        futures = engine.submit_simulations(settings, specs)
-        results = [f.result(timeout=60) for f in futures]
-        assert results[0].instructions > 0
-        assert engine.inflight_count() == 0
-
     def test_progress_callback_reports_completion(self, tmp_path):
         engine = configure_engine(workers=1, cache_dir=tmp_path)
         settings = ExperimentSettings(seed=125, chips=40)

@@ -18,7 +18,12 @@ asserted here:
   connection within ``keepalive_timeout``, and more than 100 header
   lines are refused with 400;
 * a connection past the open-connection limit gets one 503 and is
-  closed, and a slot freed by a closing client is reused.
+  closed, and a slot freed by a closing client is reused;
+* only cold simulations wait out the batch window, and an estimate
+  whose sample cap leaves no room past its pilot is refused with 400;
+* a failing micro-batch fails only its own waiters, and a drain lets
+  an open batch and a mid-progress stream finish before the server's
+  pool stops.
 """
 
 from __future__ import annotations
@@ -58,7 +63,6 @@ def served(tmp_path_factory):
     host, port = thread.start()
     yield engine, host, port
     thread.stop()
-    engine.shutdown()
 
 
 def _counters(engine):
@@ -345,7 +349,6 @@ def test_overload_yields_429_and_503(tmp_path):
             assert client.healthz()["status"] == "ok"
     finally:
         thread.stop()
-        engine.shutdown()
 
 
 # ----------------------------------------------------------------------
@@ -418,7 +421,7 @@ def test_healthz_exposes_live_detail(served):
     requests = health["requests"]
     assert requests["total"] >= requests["warm"] + requests["cold"]
     assert requests["windowed"] >= 1
-    assert health["engine"]["inflight"] == 0
+    assert health["flights"] == 0
 
 
 def test_request_id_propagates_to_spans_and_debug_ring(served, tmp_path):
@@ -484,7 +487,6 @@ def test_request_log_written_as_jsonl(tmp_path):
             request_id = client.last_request_id
     finally:
         thread.stop()
-        engine.shutdown()
     entries = [
         json.loads(line)
         for line in log_path.read_text(encoding="utf-8").splitlines()
@@ -522,7 +524,6 @@ def test_sampler_thread_stops_with_server(tmp_path):
                 pytest.fail("resource sampler never published gauges")
     finally:
         thread.stop()
-        engine.shutdown()
     # The background /proc sampler must not outlive the server.
     lingering = [
         t for t in threading.enumerate()
@@ -602,7 +603,7 @@ def test_burst_exposes_consistent_prometheus_metrics(tmp_path):
 
         # Queue-depth and in-flight gauges exist and read idle now.
         for family in ("repro_serve_active", "repro_serve_queued",
-                       "repro_engine_inflight"):
+                       "repro_serve_flights"):
             assert families[family]["type"] == "gauge"
             assert families[family]["samples"][0][2] == 0.0
 
@@ -640,7 +641,6 @@ def test_burst_exposes_consistent_prometheus_metrics(tmp_path):
         assert "/v1/population" in page
     finally:
         thread.stop()
-        engine.shutdown()
 
 
 # ----------------------------------------------------------------------
@@ -666,7 +666,6 @@ def strict(tmp_path_factory):
     host, port = thread.start()
     yield host, port
     thread.stop()
-    engine.shutdown()
 
 
 def _closed_by_server(sock: socket.socket) -> bool:
@@ -849,4 +848,190 @@ def test_connections_past_the_limit_get_503(tmp_path, monkeypatch):
             time.sleep(0.01)
     finally:
         thread.stop()
-        engine.shutdown()
+
+
+# ----------------------------------------------------------------------
+# request rules: warm simulations, undersized estimates
+# ----------------------------------------------------------------------
+def test_warm_simulation_skips_the_batch_window(tmp_path):
+    engine = Engine(EngineConfig(workers=1, cache_dir=tmp_path / "store"))
+    thread = ServerThread(engine, ServeConfig(port=0, batch_window=0.5))
+    host, port = thread.start()
+    body = dict(benchmark="gzip", seed=61, trace_length=1000, warmup=100)
+    try:
+        with ServeClient(host, port) as client:
+            first = client.simulate(**body)  # cold: batched
+            before = _counters(engine).get("serve.batch.dispatches", 0)
+            for clear_memory in (False, True):  # memo hit, then store read
+                if clear_memory:
+                    engine.clear_memory()
+                start = time.perf_counter()
+                repeat = client.simulate(**body)
+                elapsed = time.perf_counter() - start
+                assert repeat == first
+                assert elapsed < 0.25, (clear_memory, elapsed)
+        assert _counters(engine).get("serve.batch.dispatches", 0) == before
+    finally:
+        thread.stop()
+
+
+def test_undersized_estimate_refused_before_admission(served):
+    engine, host, port = served
+    before = _counters(engine)
+    with ServeClient(host, port) as client:
+        for kind in ("stratified", "is"):
+            with pytest.raises(ServeError) as info:
+                client.estimate(seed=5, chips=200, estimator={"kind": kind})
+            assert info.value.status == 400, info.value
+            assert "leaves no room" in info.value.body["error"]
+    after = _counters(engine)
+    for name in ("serve.errors", "serve.request.cold"):
+        assert after.get(name, 0) == before.get(name, 0), name
+
+
+# ----------------------------------------------------------------------
+# fault battery: failing batches, drain with open work
+# ----------------------------------------------------------------------
+def _gauges(engine):
+    return engine.metrics.snapshot()["gauges"]
+
+
+def test_failing_batch_fails_only_its_waiters(tmp_path, monkeypatch):
+    engine = Engine(EngineConfig(workers=1, cache_dir=tmp_path / "store"))
+    bad_seed, good_seed = 71, 72
+    simulate_many = engine.simulate_many
+
+    def failing(settings, specs, progress=None):
+        if settings.seed == bad_seed:
+            raise RuntimeError("simulation backend failed")
+        return simulate_many(settings, specs, progress=progress)
+
+    monkeypatch.setattr(engine, "simulate_many", failing)
+    thread = ServerThread(engine, ServeConfig(port=0, batch_window=0.5))
+    host, port = thread.start()
+    jobs = [(bad_seed, b) for b in ("gzip", "mcf", "swim")]
+    jobs += [(good_seed, b) for b in ("gzip", "mcf")]
+    outcomes = {}
+    barrier = threading.Barrier(len(jobs))
+
+    def query(seed, benchmark):
+        barrier.wait()
+        try:
+            with ServeClient(host, port) as client:
+                client.simulate(
+                    benchmark, seed=seed, trace_length=1000, warmup=100
+                )
+            outcomes[seed, benchmark] = (200, None)
+        except ServeError as exc:
+            outcomes[seed, benchmark] = (exc.status, exc.body)
+
+    try:
+        before = _counters(engine).get("serve.batch.dispatches", 0)
+        threads = [threading.Thread(target=query, args=job) for job in jobs]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        bad = [outcomes[job] for job in jobs if job[0] == bad_seed]
+        good = [outcomes[job] for job in jobs if job[0] == good_seed]
+        assert [status for status, _ in bad] == [500, 500, 500]
+        assert bad[0][1] == bad[1][1] == bad[2][1]
+        assert "simulation backend failed" in bad[0][1]["error"]
+        assert good == [(200, None), (200, None)]
+        # One batch per settings identity.
+        assert _counters(engine)["serve.batch.dispatches"] - before == 2
+        with ServeClient(host, port) as client:
+            health = client.healthz()
+        assert health["flights"] == 0 and health["batch_pending"] == 0
+        assert health["admission"]["active"] == 0
+        gauges = _gauges(engine)
+        for gauge in ("serve.flights", "serve.batch.pending", "serve.active"):
+            assert gauges[gauge] == 0.0, gauge
+    finally:
+        thread.stop()
+
+
+def _pool_threads():
+    return {
+        t.ident for t in threading.enumerate()
+        if t.name.startswith("repro-serve-pool")
+    }
+
+
+def test_drain_finishes_open_batch_and_stream(tmp_path, monkeypatch):
+    before = _pool_threads()
+    engine = Engine(EngineConfig(workers=1, cache_dir=tmp_path / "store"))
+    # The population pauses after its first shard until the drain is on.
+    population, release = engine.population, threading.Event()
+
+    def paused(settings, policy, progress=None, estimator=None):
+        def report(done, total):
+            progress(done, total)
+            if done == 1:
+                release.wait(30)
+
+        return population(settings, policy, progress=report,
+                          estimator=estimator)
+
+    monkeypatch.setattr(engine, "population", paused)
+    # A window far longer than the test: only the drain flushes it.
+    thread = ServerThread(engine, ServeConfig(port=0, batch_window=5.0))
+    host, port = thread.start()
+    outcome = {}
+    progressed = threading.Event()
+
+    def stream():
+        events = []
+        with ServeClient(host, port, timeout=60) as client:
+            for event in client.population_stream(seed=93, chips=2000):
+                events.append(event)
+                if event["event"] == "progress":
+                    progressed.set()
+        outcome["stream"] = events
+
+    def simulate():
+        with ServeClient(host, port, timeout=60) as client:
+            outcome["simulate"] = client.simulate(
+                "mcf", seed=94, trace_length=1000, warmup=100
+            )
+
+    workers = [threading.Thread(target=stream),
+               threading.Thread(target=simulate)]
+    idle = http.client.HTTPConnection(host, port, timeout=_GIVE_UP)
+    try:
+        _healthz_on(idle)  # a keep-alive connection for after the drain
+        for worker in workers:
+            worker.start()
+        assert progressed.wait(30), "the stream never reported progress"
+        deadline = time.monotonic() + 10
+        with ServeClient(host, port) as probe:
+            while probe.healthz()["batch_pending"] < 1:
+                assert time.monotonic() < deadline, "simulation not batched"
+                time.sleep(0.01)
+        thread._loop.call_soon_threadsafe(thread.server.request_shutdown)
+        deadline = time.monotonic() + 10
+        while not thread.server.draining:
+            assert time.monotonic() < deadline, "shutdown never started"
+            time.sleep(0.01)
+        idle.request("POST", "/v1/population",
+                     body=json.dumps({"seed": 95, "chips": 16}).encode())
+        assert idle.getresponse().status == 503
+        assert "stream" not in outcome  # still mid-progress
+        release.set()
+        for worker in workers:
+            worker.join(timeout=60)
+        assert outcome["simulate"]["kind"] == "simulation"
+        events = outcome["stream"]
+        assert [e["event"] for e in events if e["event"] != "progress"] == [
+            "accepted", "result"
+        ]
+        assert events[-1]["payload"]["kind"] == "population"
+    finally:
+        release.set()
+        idle.close()
+        thread.stop()
+    assert not thread._thread.is_alive()
+    assert _pool_threads() - before == set()
+    gauges = _gauges(engine)
+    for gauge in ("serve.flights", "serve.batch.pending", "serve.active"):
+        assert gauges[gauge] == 0.0, gauge

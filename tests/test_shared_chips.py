@@ -299,15 +299,12 @@ def test_assemble_registers_nothing(draws):
 def test_two_worker_engine_shares_its_population(draws):
     seed = 9141
     engine = Engine(EngineConfig(workers=2, persistent=False))
-    try:
-        engine.population(ExperimentSettings(seed=seed, chips=96))
-        del draws[:]  # the workers, or the degraded in-process path
-        jobs = engine.stats.jobs_run
-        study = YieldStudy(seed=seed, count=40).run()
-        smaller = engine.population(ExperimentSettings(seed=seed, chips=64))
-        assert draws == [] and engine.stats.jobs_run == jobs
-    finally:
-        engine.shutdown()
+    engine.population(ExperimentSettings(seed=seed, chips=96))
+    del draws[:]  # the workers, or the degraded in-process path
+    jobs = engine.stats.jobs_run
+    study = YieldStudy(seed=seed, count=40).run()
+    smaller = engine.population(ExperimentSettings(seed=seed, chips=64))
+    assert draws == [] and engine.stats.jobs_run == jobs
     analysis._live_chips.clear()  # recompute from nothing
     assert _bytes(study) == _bytes(YieldStudy(seed=seed, count=40).run())
     assert _bytes(smaller) == _bytes(YieldStudy(seed=seed, count=64).run())

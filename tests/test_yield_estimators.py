@@ -146,6 +146,18 @@ def test_spec_validation_bounds():
         EstimatorSpec(confidence=0.5)
 
 
+def test_spec_sample_cap_leaves_room_past_the_pilot():
+    assert EstimatorSpec().sample_cap(200) == 200
+    assert EstimatorSpec(kind="adaptive", max_chips=50).sample_cap(200) == 50
+    # Four strata of 50 pilot chips need at least one more chip each.
+    assert EstimatorSpec(kind="stratified").sample_cap(204) == 204
+    with pytest.raises(ConfigurationError, match="4x50-chip"):
+        EstimatorSpec(kind="stratified").sample_cap(203)
+    assert EstimatorSpec(kind="is").sample_cap(202) == 202
+    with pytest.raises(ConfigurationError, match="200-chip IS pilot"):
+        EstimatorSpec(kind="is").sample_cap(201)
+
+
 # ----------------------------------------------------------------------
 # IS unbiasedness vs brute force (the 50-config battery)
 # ----------------------------------------------------------------------
@@ -307,7 +319,6 @@ def test_estimators_bit_deterministic_across_worker_counts(tmp_path, spec):
         )
         report = engine.estimate(settings, RELAXED_POLICY, estimator=spec)
         blobs.append(_blob(report))
-        engine.shutdown()
     assert blobs[0] == blobs[1]
 
 
@@ -394,7 +405,6 @@ def test_adaptive_population_matches_fixed_prefix(tmp_path):
         for name in ("band_delays", "band_leakage", "peripheral_leakage"):
             assert getattr(got, name).tobytes() == \
                 getattr(want, name).tobytes()
-    engine.shutdown()
 
 
 def test_population_rejects_weighted_estimators(tmp_path):
@@ -405,7 +415,6 @@ def test_population_rejects_weighted_estimators(tmp_path):
             engine.population(
                 settings, NOMINAL_POLICY, estimator=EstimatorSpec(kind=kind)
             )
-    engine.shutdown()
 
 
 # ----------------------------------------------------------------------
@@ -418,14 +427,12 @@ def test_estimate_warm_store_byte_identity(tmp_path):
     cold = first.estimate(settings, NOMINAL_POLICY, estimator=spec)
     key = first.estimate_key(settings, NOMINAL_POLICY, spec)
     stored = first.store.path_for("estimate", key).read_bytes()
-    first.shutdown()
     second = Engine(EngineConfig(workers=1, cache_dir=tmp_path / "s"))
     warm = second.estimate(settings, NOMINAL_POLICY, estimator=spec)
     assert _blob(warm) == _blob(cold)
     assert second.store.path_for("estimate", key).read_bytes() == stored
     # Warm call computed nothing.
     assert second.stats.jobs_cached_disk >= 1
-    second.shutdown()
 
 
 def test_estimate_key_separates_specs_and_fixed_population_key_is_legacy():
@@ -464,7 +471,6 @@ def test_estimate_emits_obs_gauges(tmp_path):
     assert gauges["yield.ess.regular.base"] <= gauges[
         "yield.samples.regular.base"
     ]
-    engine.shutdown()
 
 
 # ----------------------------------------------------------------------
@@ -542,7 +548,6 @@ def test_serve_estimate_warm_repeat_is_byte_identical(tmp_path):
         client.close()
     finally:
         thread.stop()
-        engine.shutdown()
 
 
 def test_serve_estimate_rejects_bad_specs(tmp_path):
@@ -565,7 +570,6 @@ def test_serve_estimate_rejects_bad_specs(tmp_path):
             assert err.value.status == 400
     finally:
         thread.stop()
-        engine.shutdown()
 
 
 # ----------------------------------------------------------------------
@@ -588,5 +592,4 @@ def test_estimators_experiment_runs_and_reports_all_kinds(tmp_path):
         policies = {row[0] for row in result.rows}
         assert policies == {p.name for p in PAPER_POLICIES}
     finally:
-        engine_core._ENGINE.shutdown()
         engine_core._ENGINE = previous
