@@ -22,7 +22,6 @@ Configuration comes from the environment (overridable per instance):
 
 from __future__ import annotations
 
-import math
 import os
 import pathlib
 from dataclasses import dataclass, replace
@@ -30,7 +29,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.circuit.columnar import CircuitColumns
 from repro.core.validation import env_int, env_positive_int, require_positive
 from repro.core.errors import ConfigurationError
 from repro.engine.codec import (
@@ -46,7 +44,7 @@ from repro.engine.codec import (
 from repro.engine.executor import ShardedExecutor
 from repro.engine.stats import EngineStats
 from repro.engine.store import ResultStore
-from repro.engine.workers import population_shard, simulation_job
+from repro.engine.workers import simulation_job
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import provenance_stamp
 from repro.obs.trace import span as trace_span, tracing_enabled
@@ -64,10 +62,6 @@ __all__ = [
 
 #: One simulation request: (benchmark, way_cycles, uniform_latency).
 SimulationSpec = Tuple[str, Optional[Tuple[Optional[int], ...]], Optional[int]]
-
-#: Smallest population shard worth shipping to a worker.
-_MIN_SHARD = 16
-
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -317,6 +311,18 @@ class Engine:
             )
             self.metrics.gauge(f"yield.samples.{arch}.base").set(total)
 
+    def _chip_dispatcher(self, progress: Optional[Callable[[int, int], None]]):
+        """The one chip-range dispatcher, over this engine's executor:
+        every population and every estimate draws its chips through it."""
+        from repro.yieldmodel.estimators import BatchRunner
+
+        return BatchRunner(
+            executor=self._executor,
+            stats=self.stats,
+            progress=progress,
+            provenance=self._dispatch_provenance,
+        )
+
     def _compute_population(
         self,
         settings,
@@ -329,44 +335,15 @@ class Engine:
             seed=settings.seed, count=settings.chips, policy=policy
         )
         # Chips a live population already holds are not dispatched; the
-        # workers' columns are offered on, as the in-process shard's are.
+        # dispatched chips are offered on, as a study's own are.
         columns = study.live_chips(settings.chips)
         if columns is None:
-            jobs = self._population_jobs(settings.seed, settings.chips)
-            with trace_span(
-                "engine.dispatch", kind="population", jobs=len(jobs),
-                **self._dispatch_provenance(),
-            ):
-                shards = self._executor.run(
-                    population_shard, jobs, self.stats, progress=progress
-                )
-            columns = _concatenate_shards(shards)
+            data = self._chip_dispatcher(progress).run(
+                settings.seed, "chip", 0, settings.chips
+            )
+            columns = data.regular, data.horizontal
             study.keep_live(*columns)
         return study.assemble(*columns)
-
-    def _population_jobs(self, seed: int, chips: int) -> List[Tuple[int, int, int]]:
-        """Split ``chips`` ids into shard jobs (one job on the serial path)."""
-        return self._range_jobs(seed, 0, chips)
-
-    def _range_jobs(
-        self, seed: int, start: int, stop: int
-    ) -> List[Tuple[int, int, int]]:
-        """Split chip ids ``[start, stop)`` into shard jobs.
-
-        Per-chip RNG streams depend only on ``(seed, chip_id)``, so the
-        concatenated shards are bit-identical to the serial evaluation
-        for any layout; the layout only affects load balance.
-        """
-        if self.config.workers <= 1:
-            return [(seed, start, stop)]
-        shard = max(
-            _MIN_SHARD,
-            math.ceil((stop - start) / (self.config.workers * 4)),
-        )
-        return [
-            (seed, lo, min(lo + shard, stop))
-            for lo in range(start, stop, shard)
-        ]
 
     def _compute_population_adaptive(
         self,
@@ -375,49 +352,18 @@ class Engine:
         spec: EstimatorSpec,
         progress: Optional[Callable[[int, int], None]] = None,
     ):
-        """Sequential population batches with CI-driven early stopping.
-
-        Draws ``spec.batch_size`` chips of the reference stream per
-        round, re-derives the policy limits over the cumulative
-        population (they are population statistics), and stops once the
-        Wilson half-width of both architectures' base yields is at or
-        below ``spec.ci_target`` — or at the cap. The stopping decision
-        is a pure function of the drawn chips, so the result is
-        bit-identical at any worker count; the assembled result equals
-        exactly what a fixed population of the stopping size would be.
-        """
+        """Exactly the chips the adaptive estimator stops at, capped at
+        ``settings.chips``, assembled as a population: the result equals
+        a fixed population of the stopping size."""
         from repro.yieldmodel.analysis import YieldStudy
-        from repro.yieldmodel.statistics import wilson_interval
+        from repro.yieldmodel.estimators import adaptive_chips
 
-        def halfwidth(passes) -> float:
-            ships = int(np.count_nonzero(passes))
-            low, high = wilson_interval(ships, len(passes), spec.confidence)
-            return (high - low) / 2.0
-
-        cap = min(
-            spec.max_chips if spec.max_chips is not None else settings.chips,
-            settings.chips,
+        cap = min(spec.sample_cap(settings.chips), settings.chips)
+        data, _ = adaptive_chips(
+            self._chip_dispatcher(progress), spec, settings.seed, cap, policy
         )
-        shards: List = []
-        drawn = 0
-        while True:
-            take = min(spec.batch_size, cap - drawn)
-            jobs = self._range_jobs(settings.seed, drawn, drawn + take)
-            with trace_span(
-                "engine.dispatch", kind="population", jobs=len(jobs),
-                adaptive=True, **self._dispatch_provenance(),
-            ):
-                shards.extend(self._executor.run(
-                    population_shard, jobs, self.stats, progress=progress
-                ))
-            drawn += take
-            study = YieldStudy(seed=settings.seed, count=drawn, policy=policy)
-            result = study.assemble(*_concatenate_shards(shards))
-            if drawn >= cap or spec.ci_target is not None and all(
-                halfwidth(result.chips(horizontal).passes) <= spec.ci_target
-                for horizontal in (False, True)
-            ):
-                return result
+        study = YieldStudy(seed=settings.seed, count=data.count, policy=policy)
+        return study.assemble(data.regular, data.horizontal)
 
     # ------------------------------------------------------------------
     # yield estimates
@@ -458,7 +404,7 @@ class Engine:
         for ``(seed, chips, policy, spec)`` at any worker count. Results
         are cached like every other engine job.
         """
-        from repro.yieldmodel.estimators import BatchRunner, run_estimate
+        from repro.yieldmodel.estimators import run_estimate
 
         spec = estimator if estimator is not None else self.config.estimator
         if spec is None:
@@ -474,15 +420,10 @@ class Engine:
                 self._emit_estimate_gauges(cached)
                 return cached
             sp.set(source="computed")
-            runner = BatchRunner(
-                executor=self._executor,
-                workers=self.config.workers,
-                stats=self.stats,
-                progress=progress,
-            )
             with self.stats.stage("estimate"):
                 report = run_estimate(
-                    runner, spec, settings.seed, settings.chips, policy
+                    self._chip_dispatcher(progress), spec, settings.seed,
+                    settings.chips, policy,
                 )
             self._settle("estimate", key, report, encode_estimate)
         self._emit_estimate_gauges(report)
@@ -606,14 +547,6 @@ class Engine:
             if results[index] is None:
                 results[index] = self._memo[key]
         return results
-
-
-def _concatenate_shards(shards) -> Tuple[CircuitColumns, CircuitColumns]:
-    """Population shards' (regular, horizontal) columns in chip order."""
-    return (
-        CircuitColumns.concatenate([shard[0] for shard in shards]),
-        CircuitColumns.concatenate([shard[1] for shard in shards]),
-    )
 
 
 # ----------------------------------------------------------------------

@@ -5,54 +5,32 @@ single plain-data job argument, so the executor can ship them over a
 ``ProcessPoolExecutor`` unchanged and also run them in-process for the
 serial path and the degraded-retry path.
 
-Determinism: a population shard covers chip ids ``[start, stop)`` and
-every chip's RNG is derived from ``(seed, chip_id)`` alone, so any
-sharding of the id range concatenates to the exact serial population.
-A simulation job's trace RNG is derived from ``(seed, benchmark)``, so
-one job is one complete, self-contained simulation.
+Determinism: a chip shard covers chip ids ``[start, stop)`` of one
+tagged stream and every chip's RNG is derived from ``(seed, tag,
+chip_id)`` alone, so any sharding of the id range concatenates to the
+exact serial population. A simulation job's trace RNG is derived from
+``(seed, benchmark)``, so one job is one complete, self-contained
+simulation.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
-from repro.circuit.columnar import CircuitColumns
 from repro.obs.trace import span as trace_span
 
-__all__ = ["estimate_shard", "population_shard", "simulation_job"]
+__all__ = ["chip_shard", "simulation_job"]
 
-#: Population shard job: (seed, start chip id, stop chip id).
-PopulationJob = Tuple[int, int, int]
+#: Chip shard job: plain-dict stream range (see :func:`chip_shard`).
+ChipJob = Dict[str, object]
 
 #: Simulation job: plain-dict identity (see :func:`simulation_job`).
 SimulationJob = Dict[str, object]
 
-#: Estimator shard job: plain-dict stream range (see :func:`estimate_shard`).
-EstimateJob = Dict[str, object]
 
-
-def population_shard(
-    job: PopulationJob,
-) -> Tuple[CircuitColumns, CircuitColumns]:
-    """Evaluate chips ``[start, stop)`` of a Monte Carlo population.
-
-    Returns the (regular, H-YAPD) circuit columns for the shard; the
-    parent process concatenates shards in order and derives constraints
-    over the full population, which makes the result independent of the
-    shard layout.
-    """
-    from repro.yieldmodel.analysis import YieldStudy
-
-    seed, start, stop = job
-    with trace_span(
-        "worker:population_shard", start=start, stop=stop, seed=seed
-    ):
-        study = YieldStudy(seed=seed, count=max(stop, 1))
-        return study.evaluate_chips(start, stop)
-
-
-def estimate_shard(job: EstimateJob):
-    """Draw and evaluate one tagged estimator chip range.
+def chip_shard(job: ChipJob):
+    """Draw and evaluate one tagged chip range: every population shard
+    and every estimator batch.
 
     ``job`` carries ``seed``, ``tag``, ``start``, ``stop`` and the
     optional die-slot transforms ``shift`` (IS mean tilt, list of
@@ -70,7 +48,7 @@ def estimate_shard(job: EstimateJob):
     shift = job.get("shift")
     stratum = job.get("stratum")
     with trace_span(
-        "worker:estimate_shard", tag=tag, start=start, stop=stop, seed=seed
+        "worker:chip_shard", tag=tag, start=start, stop=stop, seed=seed
     ):
         return sample_shard(
             seed,

@@ -25,6 +25,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.errors import ConfigurationError
 from repro.core.validation import env_int, require_positive
 from repro.engine import SimulationSpec, get_engine
 from repro.schemes import Hybrid, HybridHorizontal, HYAPD, VACA, YAPD
@@ -72,7 +73,11 @@ class ExperimentSettings:
     )
 
     def __post_init__(self) -> None:
-        require_positive(self.chips, "chips")
+        if self.chips < 2:
+            raise ConfigurationError(
+                "need at least two chips to derive population limits, "
+                f"got {self.chips}"
+            )
         require_positive(self.trace_length, "trace_length")
         if self.warmup < 0:
             raise ValueError("warmup must be >= 0")

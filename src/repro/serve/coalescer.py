@@ -32,8 +32,7 @@ __all__ = ["Coalescer", "Flight"]
 class Flight:
     """One in-flight job and its subscribers."""
 
-    __slots__ = ("key", "done", "result", "error", "subscribers", "waiters",
-                 "task")
+    __slots__ = ("key", "done", "result", "error", "subscribers", "task")
 
     def __init__(self, key: str) -> None:
         self.key = key
@@ -42,7 +41,6 @@ class Flight:
         self.error: Optional[BaseException] = None
         #: Event queues of streaming subscribers (progress fan-out).
         self.subscribers: List[asyncio.Queue] = []
-        self.waiters = 0
         self.task: Optional[asyncio.Task] = None
 
     def subscribe(self) -> asyncio.Queue:
@@ -84,19 +82,16 @@ class Coalescer:
                 break
             await asyncio.wait(tasks)
 
-    async def run(
-        self,
-        key: str,
-        start: Callable[[Flight], Awaitable[object]],
-        flight_out: Optional[List[Flight]] = None,
-    ) -> object:
-        """Await the result for ``key``, computing it at most once.
+    def join(
+        self, key: str, start: Callable[[Flight], Awaitable[object]]
+    ) -> Flight:
+        """The flight for ``key``, started now if there is none.
 
         ``start(flight)`` is awaited inside the flight's own task, only
-        for the first caller per key; later callers join and await the
-        shared outcome. ``flight_out`` (when given) receives the flight
-        before any await, so streaming callers can subscribe to progress
-        without racing the computation.
+        for the first caller per key; later callers join. Synchronous, so
+        the flight is registered before the caller's next await: a
+        request that creates or joins its flight in its handler is seen
+        by every identical request after it.
         """
         flight = self._flights.get(key)
         if flight is None:
@@ -109,16 +104,21 @@ class Coalescer:
             )
         else:
             self.registry.counter("serve.coalesce.joined").inc()
-        if flight_out is not None:
-            flight_out.append(flight)
-        flight.waiters += 1
-        try:
-            await flight.done.wait()
-        finally:
-            flight.waiters -= 1
+        return flight
+
+    @staticmethod
+    async def wait(flight: Flight) -> object:
+        """The shared outcome of ``flight`` (its result, or its error)."""
+        await flight.done.wait()
         if flight.error is not None:
             raise flight.error
         return flight.result
+
+    async def run(
+        self, key: str, start: Callable[[Flight], Awaitable[object]]
+    ) -> object:
+        """Await the result for ``key``, computing it at most once."""
+        return await self.wait(self.join(key, start))
 
     async def _lead(self, flight: Flight, start) -> None:
         try:

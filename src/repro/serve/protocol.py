@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro.cache.hierarchy import PAPER_HIERARCHY
+from repro.cache.setassoc import WayConfig
 from repro.core.errors import ReproError
 from repro.engine.codec import encode_population, encode_simulation
 from repro.yieldmodel.constraints import ConstraintPolicy, PAPER_POLICIES
@@ -200,7 +202,21 @@ def parse_simulation(body: object) -> SimulationQuery:
                 "field 'way_cycles' must be a list of integers / nulls"
             )
         way_cycles = tuple(way_cycles)
+        ways = PAPER_HIERARCHY.l1d_geometry.associativity
+        if len(way_cycles) != ways:
+            raise ProtocolError(
+                f"field 'way_cycles' has {len(way_cycles)} ways, "
+                f"the L1D has {ways}"
+            )
+        try:
+            WayConfig(latencies=way_cycles)
+        except ReproError as exc:
+            raise ProtocolError(f"field 'way_cycles': {exc}") from None
     uniform_latency = _int_field(body, "uniform_latency", None)
+    if uniform_latency is not None and uniform_latency < 1:
+        raise ProtocolError(
+            f"field 'uniform_latency' must be >= 1, got {uniform_latency}"
+        )
     settings = _settings_from(body)
     from repro.workloads import get_profile
 

@@ -50,7 +50,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import AsyncIterator, Dict, List, Optional, Tuple
+from typing import AsyncIterator, Dict, Optional, Tuple
 
 from repro.engine.store import canonical_json
 from repro.obs.promtext import CONTENT_TYPE as PROM_CONTENT_TYPE
@@ -589,8 +589,7 @@ class YieldServer:
             writer.write(b"0\r\n\r\n")
             await writer.drain()
         finally:
-            # Run the generator's cleanup now (admission release), not
-            # whenever the GC gets to it.
+            # Close the generator now, not whenever the GC gets to it.
             await response.stream.aclose()
 
     # ------------------------------------------------------------------
@@ -601,9 +600,9 @@ class YieldServer:
 
         Warm queries (cache-answerable) and joiners of an existing
         flight don't add compute, so they bypass admission; returns
-        whether a slot was actually acquired (and must be released by
-        :meth:`_run_flight`). Annotates the request's disposition for
-        the rollup middleware.
+        whether a slot was actually acquired (:meth:`_run_flight` hands
+        it back when the flight settles). Annotates the request's
+        disposition for the rollup middleware.
         """
         if self.coalescer.get(key) is not None:
             request.disposition["coalesced"] = True
@@ -645,16 +644,16 @@ class YieldServer:
         self, key: str, kind: str, start, payload, held: bool,
         stream: bool = False,
     ) -> Response:
-        """The response to one job; releases the slot (``held``) after.
+        """The response to one job; a held slot goes back when the job's
+        flight settles.
 
-        With ``stream`` it is the job's NDJSON event stream, and the slot
-        goes when the stream ends; otherwise it is the payload of the
-        flight's result.
+        With ``stream`` it is the job's NDJSON event stream; otherwise it
+        is the payload of the flight's result. Either way the flight is
+        created or joined before this request's next await, so an
+        identical request after it joins instead of counting cold.
         """
         if stream:
-            return Response(200, stream=self._stream_flight(
-                key, kind, start, payload, held
-            ))
+            return self._stream_flight(key, kind, start, payload, held)
         try:
             result = await self.coalescer.run(key, start)
         finally:
@@ -664,52 +663,45 @@ class YieldServer:
 
     def _stream_flight(
         self, key: str, kind: str, start, payload, held: bool,
-    ) -> AsyncIterator[dict]:
+    ) -> Response:
         """NDJSON event stream for one job (accepted → progress → result).
 
-        Admission (``held``) was acquired by the handler *before* the
-        200 header went out, so an overloaded server still rejects the
-        request with a plain 429/503 response; the slot is released when
-        the stream finishes (or the client goes away).
+        The flight is joined and subscribed to here, before the 200
+        header goes out, so no progress event is missed; admission was
+        settled before that too, so an overloaded server still rejects
+        the request with a plain 429/503. The slot goes back when the
+        flight settles, even if the client resets before its stream
+        starts.
         """
+        coalesced = self.coalescer.get(key) is not None
+        flight = self.coalescer.join(key, start)
+        if held:
+            flight.task.add_done_callback(
+                lambda _: self.admission.release()
+            )
+        queue = flight.subscribe()
 
         async def events() -> AsyncIterator[dict]:
+            yield {
+                "event": "accepted",
+                "key": key,
+                "kind": kind,
+                "coalesced": coalesced,
+            }
+            while True:
+                event = await queue.get()
+                if event.get("event") == "done":
+                    break
+                yield event
             try:
-                flights: List[Flight] = []
-                task = asyncio.get_running_loop().create_task(
-                    self.coalescer.run(key, start, flight_out=flights)
-                )
-                await asyncio.sleep(0)  # let the flight register
-                flight = flights[0] if flights else None
-                queue = (
-                    flight.subscribe()
-                    if flight is not None and not flight.done.is_set()
-                    else None
-                )
-                yield {
-                    "event": "accepted",
-                    "key": key,
-                    "kind": kind,
-                    "coalesced": flight is not None and flight.waiters > 1,
-                }
-                if queue is not None:
-                    while True:
-                        event = await queue.get()
-                        if event.get("event") == "done":
-                            break
-                        yield event
-                try:
-                    result = await task
-                except Exception as exc:
-                    yield {"event": "error", "status": 500,
-                           "error": f"{type(exc).__name__}: {exc}"}
-                    return
-                yield {"event": "result", "payload": payload(result)}
-            finally:
-                if held:
-                    self.admission.release()
+                result = await self.coalescer.wait(flight)
+            except Exception as exc:
+                yield {"event": "error", "status": 500,
+                       "error": f"{type(exc).__name__}: {exc}"}
+                return
+            yield {"event": "result", "payload": payload(result)}
 
-        return events()
+        return Response(200, stream=events())
 
     def _progress_publisher(self, flight: Flight):
         """A thread-safe ``progress(done, total)`` that feeds the flight."""

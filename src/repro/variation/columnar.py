@@ -6,13 +6,14 @@ handful of preallocated NumPy arrays, not a tree of
 :class:`~repro.variation.parameters.ProcessParameters` /
 :class:`~repro.variation.sampling.WayVariation` tuples per chip:
 
-* every chip's draws come from its own ``spawn(seed, f"chip-{chip_id}")``
-  stream, in the order the paper's hierarchical procedure takes them
-  (one ``Generator`` call per parameter in the scalar oracle,
-  ``tests/oracles/sampling.py``). That order is the
-  sampler's *draw program*: the head batch (die + band offsets), then
-  per way its segment batch followed, per band, by the residual normal,
-  the outlier-test uniform and, on a hit, the outlier-scale uniform.
+* every chip's draws come from its own ``spawn(seed, f"{tag}-{chip_id}")``
+  stream (tag ``"chip"`` for the reference population), in the order
+  the paper's hierarchical procedure takes them (one ``Generator`` call
+  per parameter in the scalar oracle, ``tests/oracles/sampling.py``).
+  That order is the sampler's *draw program*: the head batch (die +
+  band offsets), then per way its segment batch followed, per band, by
+  the residual normal, the outlier-test uniform and, on a hit, the
+  outlier-scale uniform.
   The program is decoded for blocks of chips at once from each stream's
   raw words (:mod:`repro.core.rng`): every word is decoded as a
   fast-path normal, and each chip's data-dependent steps — ziggurat slow
@@ -39,7 +40,7 @@ factors and seeds, and the decoder is held to NumPy's ``Generator`` by
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -541,22 +542,31 @@ class ColumnarPopulationSampler:
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def sample_population(
-        self, seed: int, chip_ids: Sequence[int]
-    ) -> ColumnarPopulation:
-        """Draw the chips ``chip_ids`` of experiment ``seed`` as columns.
-
-        Each chip's stream is ``spawn(seed, f"chip-{chip_id}")``, so
-        any subset of ids, in any order, draws exactly the chips a full
-        population holds under those ids.
-        """
-        raw = self.draw(seed, [f"chip-{chip_id}" for chip_id in chip_ids])
-        return self.finalize(chip_ids, raw)
-
     def sample_range(
-        self, seed: int, start: int, stop: int
+        self,
+        seed: int,
+        start: int,
+        stop: int,
+        tag: str = "chip",
+        die_z: Optional[Callable[[np.ndarray], None]] = None,
     ) -> ColumnarPopulation:
-        """Draw chip ids ``[start, stop)`` (the population-shard shape)."""
+        """Draw chip ids ``[start, stop)`` of stream ``tag`` as columns.
+
+        Chip ``i`` draws from ``spawn(seed, f"{tag}-{i}")`` alone, so any
+        split of an id range concatenates to the whole range; tag
+        ``"chip"`` is the reference population. ``die_z`` (optional) is
+        called with the ``(chips, 5)`` die-slot standard normals before
+        they are scaled, and may rewrite them in place.
+        """
         if not 0 <= start <= stop:
             raise ConfigurationError(f"invalid chip range [{start}, {stop})")
-        return self.sample_population(seed, range(start, stop))
+        if die_z is not None and not self._die_drawn:
+            raise ConfigurationError(
+                "rewriting the die slot requires die-level variation "
+                "(inter_die factor > 0)"
+            )
+        chip_ids = range(start, stop)
+        raw = self.draw(seed, [f"{tag}-{chip_id}" for chip_id in chip_ids])
+        if die_z is not None:
+            die_z(raw.head_z[:, :_NUM_PARAMS])
+        return self.finalize(chip_ids, raw)

@@ -255,7 +255,7 @@ class CacheVariationSampler:
         """
         from repro.variation.columnar import ColumnarPopulationSampler
 
-        population = ColumnarPopulationSampler(self).sample_population(
-            seed, (chip_id,)
+        population = ColumnarPopulationSampler(self).sample_range(
+            seed, chip_id, chip_id + 1
         )
         return population.chip_map(0)

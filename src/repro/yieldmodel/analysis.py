@@ -423,28 +423,6 @@ class YieldStudy:
             population,
         )
 
-    def evaluate_chips(
-        self, start: int, stop: int
-    ) -> Tuple[CircuitColumns, CircuitColumns]:
-        """Evaluate chip ids ``[start, stop)`` under both architectures.
-
-        This is the shardable half of :meth:`run`: each chip's RNG stream
-        is derived from ``(seed, chip_id)`` alone, so disjoint id ranges
-        can be evaluated in any order — or in parallel processes — and
-        concatenated into the exact serial population. A whole population
-        (``start`` 0) is the first rows of a live one with the same chips
-        when there is one (:meth:`live_chips`), and is offered to later
-        studies when it is computed; a shard of a larger job is not.
-        """
-        if start:
-            return self.evaluate(self.draw(start, stop))
-        shared = self.live_chips(stop)
-        if shared is not None:
-            return shared
-        columns = self.evaluate(self.draw(0, stop))
-        self.keep_live(*columns)
-        return columns
-
     def _chips_key(self) -> tuple:
         """What fixes every row: seed, sampler type and configuration,
         technology and organisation (not the count or the policy)."""
@@ -480,12 +458,12 @@ class YieldStudy:
     ) -> PopulationResult:
         """Derive limits over the full population and classify every chip.
 
-        ``regular``/``horizontal`` are the concatenated shard outputs of
-        :meth:`evaluate_chips` in chip-id order. Limits always come from
-        the complete regular population (never per shard), so assembly is
-        independent of how the evaluation was split. The columns may come
-        from anywhere (another sampler's chips, say), so they are never
-        offered to later studies.
+        ``regular``/``horizontal`` hold the population in chip-id order
+        (:meth:`run`'s chips, or the engine's concatenated chip shards).
+        Limits always come from the complete regular population (never
+        per shard), so assembly is independent of how the evaluation was
+        split. The columns may come from anywhere (another sampler's
+        chips, say), so they are never offered to later studies.
         """
         return PopulationResult(
             constraints=derive_constraints(self.policy, regular),
@@ -495,5 +473,14 @@ class YieldStudy:
         )
 
     def run(self) -> PopulationResult:
-        """Sample, evaluate both architectures, derive limits, classify."""
-        return self.assemble(*self.evaluate_chips(0, self.count))
+        """Sample, evaluate both architectures, derive limits, classify.
+
+        The chips are the first ``count`` rows of a live population with
+        the same chips when there is one (:meth:`live_chips`); otherwise
+        they are drawn and evaluated here, then offered to later studies.
+        """
+        columns = self.live_chips(self.count)
+        if columns is None:
+            columns = self.evaluate(self.draw(0, self.count))
+            self.keep_live(*columns)
+        return self.assemble(*columns)

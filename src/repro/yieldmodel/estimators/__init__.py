@@ -27,6 +27,7 @@ decision is a pure function of the drawn data.
 
 from repro.yieldmodel.estimators.core import (
     ESTIMATOR_KINDS,
+    adaptive_chips,
     estimate_adaptive,
     estimate_fixed,
     estimate_is,
@@ -46,6 +47,7 @@ __all__ = [
     "EstimatorSpec",
     "ShardData",
     "YieldEstimate",
+    "adaptive_chips",
     "estimate_adaptive",
     "estimate_fixed",
     "estimate_is",

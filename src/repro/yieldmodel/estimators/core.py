@@ -21,7 +21,7 @@ tracking the base yield of both architectures. Shared discipline:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from repro.yieldmodel.statistics import wilson_interval, z_score
 
 __all__ = [
     "ESTIMATOR_KINDS",
+    "adaptive_chips",
     "estimate_adaptive",
     "estimate_fixed",
     "estimate_is",
@@ -128,6 +129,40 @@ def estimate_fixed(
 # ----------------------------------------------------------------------
 # adaptive sequential
 # ----------------------------------------------------------------------
+def adaptive_chips(
+    runner: BatchRunner,
+    spec: EstimatorSpec,
+    seed: int,
+    cap: int,
+    policy: ConstraintPolicy,
+) -> Tuple[ShardData, int]:
+    """Sequential batches of the reference stream with CI-driven stopping.
+
+    Draws ``spec.batch_size`` chips per round and stops at ``cap`` chips
+    or, with a ``ci_target``, once the Wilson half-width of every
+    tracked figure is at or below it, the limits re-derived over the
+    cumulative chips (they are population statistics). Returns the
+    joined chips and the number of batches. The stopping decision is a
+    pure function of the drawn chips, so they are the first N chips of
+    the reference population at any worker count. The adaptive estimate
+    and the adaptive population both stop here.
+    """
+    parts: List[ShardData] = []
+    drawn = 0
+    while True:
+        take = min(spec.batch_size, cap - drawn)
+        parts.append(runner.run(seed, "chip", drawn, drawn + take))
+        drawn += take
+        data = ShardData.join(parts)
+        if drawn >= cap:
+            return data, len(parts)
+        if spec.ci_target is not None:
+            constraints = derive_constraints(policy, data.regular)
+            estimates = _wilson_estimates(data, constraints, spec.confidence)
+            if _max_halfwidth(estimates) <= spec.ci_target:
+                return data, len(parts)
+
+
 def estimate_adaptive(
     runner: BatchRunner,
     spec: EstimatorSpec,
@@ -135,41 +170,24 @@ def estimate_adaptive(
     chips: int,
     policy: ConstraintPolicy,
 ) -> EstimateReport:
-    """Sequential batches of the reference stream with CI-driven stopping.
+    """Wilson estimates over the chips :func:`adaptive_chips` stops at.
 
-    Limits are re-derived over the cumulative population after every
-    batch (they are population statistics), so at any stopping point N
-    the estimate equals exactly what ``fixed`` with N chips would
-    report. Without a ``ci_target`` the estimator runs to its cap — the
-    legacy fixed-N behaviour.
+    At any stopping point N the estimate equals exactly what ``fixed``
+    with N chips would report. Without a ``ci_target`` the estimator
+    runs to its cap — the legacy fixed-N behaviour.
     """
-    cap = spec.sample_cap(chips)
-    parts: List[ShardData] = []
-    drawn = 0
-    estimates: Tuple[YieldEstimate, ...] = ()
-    constraints: Optional[YieldConstraints] = None
-    while True:
-        take = min(spec.batch_size, cap - drawn)
-        parts.append(runner.run(seed, "chip", drawn, drawn + take))
-        drawn += take
-        data = ShardData.join(parts)
-        constraints = derive_constraints(policy, data.regular)
-        estimates = _wilson_estimates(data, constraints, spec.confidence)
-        if data.count >= cap:
-            break
-        if (
-            spec.ci_target is not None
-            and _max_halfwidth(estimates) <= spec.ci_target
-        ):
-            break
+    data, batches = adaptive_chips(
+        runner, spec, seed, spec.sample_cap(chips), policy
+    )
+    constraints = derive_constraints(policy, data.regular)
     return EstimateReport(
         kind="adaptive",
         spec=spec.identity(),
         policy=policy.name,
         constraints=constraints,
-        estimates=estimates,
+        estimates=_wilson_estimates(data, constraints, spec.confidence),
         samples_total=data.count,
-        batches=len(parts),
+        batches=batches,
         pilot_samples=0,
     )
 
@@ -366,9 +384,10 @@ def _tilt_from_pilot(
         for i, fails in enumerate(failing.tolist())
         if fails or scores[i] >= threshold
     ]
+    die_z = pilot.die_z.tolist()
     tilt = []
     for j in range(NUM_DIE_PARAMS):
-        mean = sum(pilot.die_z[i][j] for i in selected) / len(selected)
+        mean = sum(die_z[i][j] for i in selected) / len(selected)
         tilt.append(max(-_MAX_TILT, min(_MAX_TILT, tilt_scale * mean)))
     return tilt
 
@@ -417,7 +436,7 @@ def estimate_is(
         for reg_ships, hor_ships, die_z in zip(
             _passing(batch.regular, constraints).tolist(),
             _passing(batch.horizontal, constraints).tolist(),
-            batch.die_z,
+            batch.die_z.tolist(),
         ):
             log_w = sum(
                 t * t / 2.0 - t * zj for t, zj in zip(tilt, die_z)
@@ -488,8 +507,4 @@ def run_estimate(
     policy: ConstraintPolicy,
 ) -> EstimateReport:
     """Run the estimator ``spec`` selects (the engine's entry point)."""
-    if chips < 2:
-        raise ConfigurationError(
-            f"need at least two chips to estimate yield, got {chips}"
-        )
     return _ESTIMATORS[spec.kind](runner, spec, seed, chips, policy)

@@ -1,18 +1,20 @@
-"""Batch dispatch: the bridge between estimators and the worker pool.
+"""Chip-range dispatch: the one path from a chip range to the worker pool.
 
-A :class:`BatchRunner` turns one tagged chip range into shard jobs,
-ships them through a :class:`~repro.engine.executor.ShardedExecutor`
-(the engine's own, when driven from :meth:`Engine.estimate`), and merges
-the shards back in chip-id order. Because every chip is keyed by
-``(seed, tag, chip_id)`` alone and the executor returns results in job
-order, the merged batch is bit-identical at any worker count — the
-estimators above this layer never see how the work was split.
+A :class:`BatchRunner` turns one tagged chip range into
+:func:`~repro.engine.workers.chip_shard` jobs, ships them through a
+:class:`~repro.engine.executor.ShardedExecutor` (the engine's own, when
+built by :class:`~repro.engine.core.Engine`), and merges the shards back
+in chip-id order. Populations (tag ``"chip"``) and every estimator batch
+come through here. Because every chip is keyed by ``(seed, tag,
+chip_id)`` alone and the executor returns results in job order, the
+merged batch is bit-identical at any worker count — nothing above this
+layer sees how the work was split.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,16 +24,16 @@ from repro.obs.trace import span as trace_span
 
 __all__ = ["BatchRunner", "ShardData"]
 
-#: Smallest shard worth shipping to a worker (matches engine dispatch).
+#: Smallest shard worth shipping to a worker.
 _MIN_SHARD = 16
 
 
 class ShardData(NamedTuple):
-    """One merged batch: circuit columns per architecture + raw die z."""
+    """One merged batch: circuit columns per architecture + die-slot z."""
 
     regular: CircuitColumns
     horizontal: CircuitColumns
-    die_z: List[Tuple[float, ...]]
+    die_z: np.ndarray  # (chips, 5) float64, the die-slot normals
 
     @classmethod
     def join(cls, parts: Sequence["ShardData"]) -> "ShardData":
@@ -39,7 +41,7 @@ class ShardData(NamedTuple):
         return cls(
             CircuitColumns.concatenate([part[0] for part in parts]),
             CircuitColumns.concatenate([part[1] for part in parts]),
-            [z for part in parts for z in part[2]],
+            np.concatenate([part[2] for part in parts]),
         )
 
     @property
@@ -53,30 +55,33 @@ class BatchRunner:
     Parameters
     ----------
     executor:
-        The sharded executor to dispatch on (``None`` builds a serial one).
-    workers:
-        Worker count used to size shards (mirrors engine population jobs).
+        The sharded executor to dispatch on; its worker count sizes the
+        shards. Default: a serial one.
     stats:
         Optional :class:`~repro.engine.stats.EngineStats` fed per-job
         compute time.
     progress:
         Optional ``progress(done, total)`` per completed shard of each
         dispatch (the serve layer's streaming hook).
+    provenance:
+        Optional ``provenance()`` returning extra attributes for each
+        ``engine.dispatch`` span (the engine's provenance stamp when
+        tracing is on).
     """
 
     def __init__(
         self,
         executor: Optional[ShardedExecutor] = None,
-        workers: int = 1,
         stats=None,
         progress: Optional[Callable[[int, int], None]] = None,
+        provenance: Optional[Callable[[], Dict[str, object]]] = None,
     ) -> None:
         self.executor = (
-            executor if executor is not None else ShardedExecutor(workers=1)
+            executor if executor is not None else ShardedExecutor()
         )
-        self.workers = max(1, int(workers))
         self.stats = stats
         self.progress = progress
+        self.provenance = provenance if provenance is not None else dict
 
     # ------------------------------------------------------------------
     def _jobs(
@@ -88,17 +93,18 @@ class BatchRunner:
         shift: Optional[Sequence[float]],
         stratum: Optional[Tuple[int, int]],
     ) -> List[dict]:
+        """Split chip ids ``[start, stop)`` into shard jobs (one job on
+        the serial path); the layout only affects load balance."""
         base = {
             "seed": seed,
             "tag": tag,
             "shift": list(shift) if shift is not None else None,
             "stratum": list(stratum) if stratum is not None else None,
         }
-        if self.workers <= 1:
+        workers = self.executor.workers
+        if workers <= 1:
             return [dict(base, start=start, stop=stop)]
-        shard = max(
-            _MIN_SHARD, math.ceil((stop - start) / (self.workers * 4))
-        )
+        shard = max(_MIN_SHARD, math.ceil((stop - start) / (workers * 4)))
         return [
             dict(base, start=lo, stop=min(lo + shard, stop))
             for lo in range(start, stop, shard)
@@ -118,18 +124,14 @@ class BatchRunner:
         # repro.engine.core, and repro.engine.workers imports back into
         # the estimators package — the lazy import keeps the package
         # import graph acyclic.
-        from repro.engine.workers import estimate_shard
+        from repro.engine.workers import chip_shard
 
-        if stop <= start:
-            empty = CircuitColumns(
-                (), np.zeros((0, 0, 0)), np.zeros((0, 0, 0)), np.zeros((0, 0))
-            )
-            return ShardData(empty, empty, [])
         jobs = self._jobs(seed, tag, start, stop, shift, stratum)
         with trace_span(
-            "estimator.batch", tag=tag, chips=stop - start, jobs=len(jobs)
+            "engine.dispatch", tag=tag, chips=stop - start, jobs=len(jobs),
+            **self.provenance(),
         ):
             shards = self.executor.run(
-                estimate_shard, jobs, self.stats, progress=self.progress
+                chip_shard, jobs, self.stats, progress=self.progress
             )
         return ShardData.join(shards)

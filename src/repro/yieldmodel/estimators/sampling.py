@@ -1,41 +1,37 @@
-"""Shard-level sampling for the estimator layer.
+"""Shard-level sampling: the body of the one chip job.
 
 :func:`sample_shard` is the worker body behind
-:func:`repro.engine.workers.estimate_shard`: it draws chips
-``[start, stop)`` of one tagged stream through the columnar population
-sampler, optionally transforms the die-level standard-normal slot
-(stratum restriction, importance-sampling mean shift), evaluates both
-architectures, and returns their circuit columns plus the transformed
-die-slot z values the parent needs for exact likelihood ratios.
+:func:`repro.engine.workers.chip_shard`, the job every population and
+every estimator batch runs: it draws chips ``[start, stop)`` of one
+tagged stream through
+:meth:`~repro.variation.columnar.ColumnarPopulationSampler.sample_range`,
+optionally transforms the die-level standard-normal slot there (stratum
+restriction, importance-sampling mean shift), evaluates both
+architectures with :meth:`~repro.yieldmodel.analysis.YieldStudy.evaluate`
+(the sampler and circuit models are a default ``YieldStudy``'s), and
+returns their circuit columns plus the die-slot z values the parent
+needs for exact likelihood ratios.
 
 Determinism contract: chip ``i`` of stream ``tag`` always draws from
-``spawn(seed, f"{tag}-{i}")`` (decoded with the rest of the shard by
-:meth:`ColumnarPopulationSampler.draw`), and both transforms are
-elementwise —
-so any sharding of an id range concatenates bit-identically, at any
-worker count. The ``"chip"`` tag reproduces exactly the chips of the
-reference fixed-N population (the per-chip sampler's own spawn keys),
-which is what makes pilot batches a strict prefix of the brute-force
-population. Sampling and evaluation are the population path's own
-columnar sampler and :func:`evaluate_population_pair`; the differential
-battery holds both to the scalar and composed oracles in
-``tests/oracles/``.
+``spawn(seed, f"{tag}-{i}")``, and both transforms are elementwise, so
+any sharding of an id range concatenates bit-identically, at any worker
+count. The ``"chip"`` tag is the reference population's stream, which
+is what makes pilot batches and adaptive populations strict prefixes of
+the brute-force population. The differential battery holds sampling and
+evaluation to the scalar and composed oracles in ``tests/oracles/``.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.circuit.cache_model import CacheCircuitModel
-from repro.circuit.columnar import CircuitColumns, evaluate_population_pair
-from repro.circuit.organization import PAPER_ORGANIZATION
-from repro.circuit.technology import TECH45
+from repro.circuit.columnar import CircuitColumns
 from repro.core.errors import ConfigurationError
 from repro.variation.columnar import ColumnarPopulationSampler
 from repro.variation.parameters import PARAMETER_NAMES
-from repro.variation.sampling import CacheVariationSampler
+from repro.yieldmodel.analysis import YieldStudy
 from repro.yieldmodel.estimators.normal import ndtri, normal_cdf
 
 __all__ = ["NUM_DIE_PARAMS", "STRATUM_PARAM", "sample_shard"]
@@ -79,7 +75,7 @@ def sample_shard(
     stop: int,
     shift: Optional[Sequence[float]] = None,
     stratum: Optional[Tuple[int, int]] = None,
-) -> Tuple[CircuitColumns, CircuitColumns, List[Tuple[float, ...]]]:
+) -> Tuple[CircuitColumns, CircuitColumns, np.ndarray]:
     """Draw, transform and evaluate chips ``[start, stop)`` of one stream.
 
     Returns ``(regular, horizontal, die_z)``: both architectures' circuit
@@ -88,35 +84,24 @@ def sample_shard(
     was actually manufactured from, which is what the
     importance-sampling likelihood ratio needs.
     """
-    if not 0 <= start <= stop:
-        raise ConfigurationError(f"invalid chip range [{start}, {stop})")
-    sampler = CacheVariationSampler()
-    columnar = ColumnarPopulationSampler(sampler)
-    if not columnar._die_drawn:
+    if shift is not None and len(shift) != NUM_DIE_PARAMS:
         raise ConfigurationError(
-            "yield estimators require die-level variation "
-            "(inter_die factor > 0)"
+            f"shift must have {NUM_DIE_PARAMS} components, got {len(shift)}"
         )
-    count = stop - start
-    labels = [f"{tag}-{chip_id}" for chip_id in range(start, stop)]
-    raw = columnar.draw(seed, labels)
-    die_z = raw.head_z[:, :NUM_DIE_PARAMS]
-    if stratum is not None:
-        _apply_stratum(die_z, stratum[0], stratum[1])
-    if shift is not None:
-        if len(shift) != NUM_DIE_PARAMS:
-            raise ConfigurationError(
-                f"shift must have {NUM_DIE_PARAMS} components, "
-                f"got {len(shift)}"
-            )
-        die_z += np.asarray(shift, dtype=float)
-    population = columnar.finalize(list(range(start, stop)), raw)
-    z_rows = [
-        tuple(float(v) for v in die_z[i]) for i in range(count)
-    ]
-    regular, horizontal = evaluate_population_pair(
-        CacheCircuitModel(tech=TECH45, org=PAPER_ORGANIZATION, hyapd=False),
-        CacheCircuitModel(tech=TECH45, org=PAPER_ORGANIZATION, hyapd=True),
-        population,
+    kept = []
+
+    def rewrite(die_z: np.ndarray) -> None:
+        if stratum is not None:
+            _apply_stratum(die_z, stratum[0], stratum[1])
+        if shift is not None:
+            die_z += np.asarray(shift, dtype=float)
+        kept.append(die_z.copy())
+
+    # The study's own models, so a population's chips match the
+    # live-chip key of the YieldStudy they are filed under.
+    study = YieldStudy(seed=seed)
+    population = ColumnarPopulationSampler(study.sampler).sample_range(
+        seed, start, stop, tag=tag, die_z=rewrite
     )
-    return regular, horizontal, z_rows
+    regular, horizontal = study.evaluate(population)
+    return regular, horizontal, kept[0]

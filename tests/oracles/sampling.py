@@ -7,8 +7,8 @@ functions whose ``self`` is the sampler: every parameter is one
 ``Generator`` call, die first, then the shared band offsets, then per
 way its vector, its peripheral and band segments and its residuals.
 ``sample_chip`` runs them on ``spawn(seed, f"chip-{chip_id}")``, which
-is what ``ColumnarPopulationSampler.sample_population`` must reproduce
-chip for chip, value for value and to the last word of each stream;
+is what ``ColumnarPopulationSampler`` must reproduce chip for chip,
+value for value and to the last word of each stream;
 ``sample_range`` is the oracle-only stand-in for
 ``ColumnarPopulationSampler.sample_range``. Never imported by ``src/``.
 """

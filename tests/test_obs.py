@@ -362,7 +362,7 @@ class TestCli:
         assert records, "traced run produced no spans"
         names = {r["name"] for r in records}
         assert "engine.population" in names
-        assert "worker:population_shard" in names
+        assert "worker:chip_shard" in names
         assert "stage:experiment:fig8" in names
         # Spans from the main process and at least one pool worker
         # merged into one file.

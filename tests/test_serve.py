@@ -23,7 +23,12 @@ asserted here:
   whose sample cap leaves no room past its pilot is refused with 400;
 * a failing micro-batch fails only its own waiters, and a drain lets
   an open batch and a mid-progress stream finish before the server's
-  pool stops.
+  pool stops;
+* identical streaming requests share one cold flight, and a stream
+  whose client resets while queued gives its slot back when its flight
+  settles;
+* a way configuration, latency or chip count the engine would refuse
+  gets 400 before admission, and leaves a batch-mate's 200 alone.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import os
 import re
 import signal
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -1035,3 +1041,181 @@ def test_drain_finishes_open_batch_and_stream(tmp_path, monkeypatch):
     gauges = _gauges(engine)
     for gauge in ("serve.flights", "serve.batch.pending", "serve.active"):
         assert gauges[gauge] == 0.0, gauge
+
+
+# ----------------------------------------------------------------------
+# streaming flights, parameters refused at parse time
+# ----------------------------------------------------------------------
+def _settled(host, port, timeout: float = 10.0) -> dict:
+    """``/healthz`` once no flight, slot or queue entry is left, or at
+    ``timeout`` (the caller asserts on what it returns)."""
+    deadline = time.monotonic() + timeout
+    with ServeClient(host, port) as probe:
+        while True:
+            health = probe.healthz()
+            admission = health["admission"]
+            if health["flights"] == admission["active"] == \
+                    admission["queued"] == 0 or time.monotonic() > deadline:
+                return health
+            time.sleep(0.02)
+
+
+def test_reset_queued_stream_gives_its_slot_back(tmp_path, monkeypatch):
+    """A cold stream whose client resets while it waits for admission
+    still runs its flight, and the slot comes back when the flight
+    settles: the drain does not wait out its timeout."""
+    engine = Engine(EngineConfig(workers=1, cache_dir=tmp_path / "store"))
+    population, release = engine.population, threading.Event()
+    occupier_seed = 81
+
+    def paused(settings, policy, progress=None, estimator=None):
+        if settings.seed == occupier_seed:
+            release.wait(30)
+        return population(settings, policy, progress=progress,
+                          estimator=estimator)
+
+    monkeypatch.setattr(engine, "population", paused)
+    drain_timeout = 3.0
+    thread = ServerThread(engine, ServeConfig(
+        port=0, max_active=1, drain_timeout=drain_timeout
+    ))
+    host, port = thread.start()
+    outcome = {}
+
+    def occupy():
+        with ServeClient(host, port, client_id="occupier", timeout=60) as c:
+            outcome["occupier"] = c.population(seed=occupier_seed, chips=64)
+
+    occupier = threading.Thread(target=occupy)
+    try:
+        occupier.start()
+        _wait_for_admission(host, port, "active")
+        body = json.dumps({"seed": 82, "chips": 32, "stream": True})
+        sock = socket.create_connection((host, port), timeout=_GIVE_UP)
+        sock.sendall(
+            b"POST /v1/population HTTP/1.1\r\nHost: test\r\n"
+            + f"Content-Length: {len(body)}\r\n\r\n{body}".encode()
+        )
+        _wait_for_admission(host, port, "queued")
+        # SO_LINGER 0: close with a reset, not a FIN.
+        sock.setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+        )
+        sock.close()
+        time.sleep(0.3)  # the server sees the reset before the grant
+        release.set()
+        occupier.join(timeout=60)
+        assert outcome["occupier"]["kind"] == "population"
+        health = _settled(host, port)
+        assert health["admission"]["active"] == 0
+        assert health["admission"]["queued"] == 0
+        assert health["flights"] == 0
+        started = time.monotonic()
+        thread.stop()
+        assert time.monotonic() - started < drain_timeout
+        assert not thread._thread.is_alive()
+        assert _counters(engine).get("serve.drain.timeout", 0) == 0
+    finally:
+        release.set()
+        thread.stop()
+
+
+def _wait_for_admission(host, port, field: str) -> None:
+    deadline = time.monotonic() + 10
+    with ServeClient(host, port, client_id="probe") as probe:
+        while probe.healthz()["admission"][field] < 1:
+            assert time.monotonic() < deadline, f"admission {field} stayed 0"
+            time.sleep(0.01)
+
+
+def test_identical_streams_share_one_cold_flight(tmp_path):
+    """Six identical streaming populations that reach the server in one
+    event-loop turn: one cold request leads the flight, five join it."""
+    engine = Engine(EngineConfig(workers=1, cache_dir=tmp_path / "store"))
+    thread = ServerThread(engine, ServeConfig(port=0))
+    host, port = thread.start()
+    body = json.dumps({"seed": 502, "chips": 64, "stream": True}).encode()
+    held, sent = threading.Event(), threading.Event()
+
+    def hold():
+        held.set()
+        sent.wait(10)
+
+    conns = [
+        http.client.HTTPConnection(host, port, timeout=60) for _ in range(6)
+    ]
+    try:
+        # Hold the server's loop while all six requests go out, so it
+        # reads them together.
+        thread._loop.call_soon_threadsafe(hold)
+        assert held.wait(10)
+        for conn in conns:
+            conn.request("POST", "/v1/population", body=body)
+        time.sleep(0.1)
+        sent.set()
+        finals = []
+        for conn in conns:
+            response = conn.getresponse()
+            assert response.status == 200
+            events = [
+                json.loads(line)
+                for line in response.read().splitlines() if line.strip()
+            ]
+            assert events[0]["event"] == "accepted"
+            finals.append(events[-1])
+        counters = _counters(engine)
+        assert counters.get("serve.request.cold", 0) == 1
+        assert counters["serve.coalesce.leader"] == 1
+        assert counters["serve.coalesce.joined"] == 5
+        assert finals[0]["event"] == "result"
+        assert all(final == finals[0] for final in finals)
+        assert _settled(host, port)["admission"]["active"] == 0
+    finally:
+        sent.set()
+        for conn in conns:
+            conn.close()
+        thread.stop()
+
+
+def test_parameters_the_engine_refuses_get_400(tmp_path):
+    """A bad way configuration and a one-chip population are refused by
+    the parser, before admission: a valid simulation in the same batch
+    window still gets 200, and ``serve.errors`` does not move."""
+    engine = Engine(EngineConfig(workers=1, cache_dir=tmp_path / "store"))
+    thread = ServerThread(engine, ServeConfig(port=0, batch_window=0.3))
+    host, port = thread.start()
+    outcomes = {}
+    barrier = threading.Barrier(2)
+
+    def query(way_cycles):
+        barrier.wait()
+        try:
+            with ServeClient(host, port) as client:
+                client.simulate(
+                    "gzip", seed=9, trace_length=1000, warmup=100,
+                    way_cycles=way_cycles,
+                )
+            outcomes[tuple(way_cycles)] = 200
+        except ServeError as exc:
+            outcomes[tuple(way_cycles)] = exc.status
+
+    try:
+        threads = [
+            threading.Thread(target=query, args=(cycles,))
+            for cycles in ([4, 4, 4, 5], [0, 4, 4, 4])
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert outcomes == {(4, 4, 4, 5): 200, (0, 4, 4, 4): 400}
+        with ServeClient(host, port) as client:
+            with pytest.raises(ServeError) as info:
+                client.population(seed=9, chips=1)
+            assert info.value.status == 400, info.value
+            assert "two chips" in info.value.body["error"]
+        counters = _counters(engine)
+        assert counters.get("serve.errors", 0) == 0
+        assert counters.get("serve.request.cold", 0) == 1
+    finally:
+        thread.stop()

@@ -17,6 +17,7 @@ from repro.serve.batcher import SimulationBatcher
 from repro.serve.coalescer import Coalescer
 from repro.serve.protocol import (
     ProtocolError,
+    parse_estimate,
     parse_experiment,
     parse_population,
     parse_simulation,
@@ -217,17 +218,15 @@ class TestCoalescer:
     def test_progress_fans_out_to_subscribers(self):
         async def scenario():
             co = Coalescer()
-            flights = []
             seen = []
 
             async def start(flight):
                 flight.publish({"event": "progress", "done": 1, "total": 2})
                 return "ok"
 
-            task = asyncio.ensure_future(co.run("k", start, flights))
-            await asyncio.sleep(0)
-            queue = flights[0].subscribe()
-            await task
+            flight = co.join("k", start)
+            queue = flight.subscribe()
+            assert await co.wait(flight) == "ok"
             while not queue.empty():
                 seen.append(queue.get_nowait())
             # Terminal done event always lands, even for late subscribers.
@@ -404,6 +403,22 @@ class TestProtocol:
             {"benchmark": "gcc", "way_cycles": [1, None, 2, 1]}
         )
         assert query.spec == ("gcc", (1, None, 2, 1), None)
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"way_cycles": [0, 4, 4, 4]}, "latency must be >= 1"),
+        ({"way_cycles": [99, 99]}, "the L1D has 4"),
+        ({"way_cycles": [None, None, None, None]}, "one way must stay"),
+        ({"uniform_latency": 0}, "uniform_latency"),
+    ])
+    def test_simulation_refuses_what_the_engine_refuses(self, fields, message):
+        with pytest.raises(ProtocolError, match=message):
+            parse_simulation(dict(fields, benchmark="gzip"))
+
+    def test_one_chip_refused(self):
+        with pytest.raises(ProtocolError, match="two chips"):
+            parse_population({"chips": 1})
+        with pytest.raises(ProtocolError, match="two chips"):
+            parse_estimate({"chips": 1})
 
     def test_experiment_rejects_unknown_name(self):
         with pytest.raises(ProtocolError, match="unknown experiment"):

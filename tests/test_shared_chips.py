@@ -16,7 +16,8 @@ asserts that:
 * the index holds weak references only: a dropped holder is gone, and
   :meth:`YieldStudy.assemble` (which takes columns from anywhere, grid
   chips included) registers nothing;
-* a 2-worker engine shares what its workers computed, and the
+* a 2-worker engine shares what its workers computed, its chip shards
+  draw every range they are sent and register nothing, and the
   ``engine.population`` bench case still samples on every repeat;
 * studies on more threads than cores, switching every microsecond, give
   their serial twins' bytes;
@@ -64,6 +65,7 @@ from repro.yieldmodel.constraints import (
     RELAXED_POLICY,
     STRICT_POLICY,
 )
+from repro.yieldmodel.estimators import EstimatorSpec
 
 SENSORS = (
     LeakageSensor(relative_noise=0.0, quantisation_levels=0),
@@ -115,9 +117,9 @@ def draws(monkeypatch):
     counts = []
     sample_range = ColumnarPopulationSampler.sample_range
 
-    def spy(self, seed, start, stop):
+    def spy(self, seed, start, stop, *args, **kwargs):
         counts.append(stop - start)
-        return sample_range(self, seed, start, stop)
+        return sample_range(self, seed, start, stop, *args, **kwargs)
 
     monkeypatch.setattr(ColumnarPopulationSampler, "sample_range", spy)
     return counts
@@ -176,16 +178,41 @@ def test_a_smaller_population_never_displaces_a_larger(draws):
     assert analysis._live_chips[key] is large.regular
 
 
-def test_shards_neither_look_up_nor_register(draws):
-    seed, config = 9112, _config()
-    holder = _study(seed, config, 32).run()
-    del draws[:]
-    study = _study(seed, config, 32)
-    tail = study.evaluate_chips(16, 32)
-    assert draws == [16]  # drawn, though the live population holds them
-    assert tail[0].chip_ids == holder.regular.chip_ids[16:]
-    assert analysis._live_chips[(study._chips_key(), False)] is \
-        holder.regular
+def test_shards_neither_look_up_nor_register(tmp_path, monkeypatch):
+    """The engine's 2-worker chip shards draw every chip they are sent,
+    though a live population holds some, and register none: only the
+    engine offers a whole fixed population on."""
+    seed = 9112
+    holder = _study(seed, _config(), 32).run()
+    key = (_study(seed, _config(), 1)._chips_key(), False)
+    log = tmp_path / "draws"
+    sample_range = ColumnarPopulationSampler.sample_range
+
+    def spy(self, seed, start, stop, *args, **kwargs):
+        # Pool workers are forked processes: they report through a file.
+        with open(log, "a") as handle:
+            handle.write(f"{start} {stop}\n")
+        return sample_range(self, seed, start, stop, *args, **kwargs)
+
+    def drawn():
+        lines = log.read_text().splitlines()
+        log.unlink()
+        return sorted(tuple(map(int, line.split())) for line in lines)
+
+    monkeypatch.setattr(ColumnarPopulationSampler, "sample_range", spy)
+    engine = Engine(EngineConfig(workers=2, persistent=False))
+    # One 16-chip shard per adaptive batch, each run in process.
+    engine.population(
+        ExperimentSettings(seed=seed, chips=48),
+        estimator=EstimatorSpec(kind="adaptive", batch_size=16),
+    )
+    assert drawn() == [(0, 16), (16, 32), (32, 48)]
+    assert analysis._live_chips[key] is holder.regular
+    # Four 16-chip shards over the pool; the engine registers the whole.
+    fixed = engine.population(ExperimentSettings(seed=seed, chips=64))
+    assert drawn() == [(0, 16), (16, 32), (32, 48), (48, 64)]
+    assert fixed.regular.chip_ids[:32] == holder.regular.chip_ids
+    assert analysis._live_chips[key] is fixed.regular
 
 
 # ----------------------------------------------------------------------

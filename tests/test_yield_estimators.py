@@ -8,7 +8,10 @@ Covers, per ISSUE 10:
 * adaptive-stopping determinism at 1 vs 4 workers (byte-equal payloads),
 * parity with the composed circuit oracle for every estimator kind,
 * the zero-population guards and the gauge-cardinality cap,
-* warm byte-identity through the engine store and the serve layer.
+* warm byte-identity through the engine store and the serve layer,
+* one chip path: a fixed estimate reports its population's limits, pass
+  counts and Wilson bounds, estimate dispatches carry the population's
+  provenance, and adaptive populations match at 1 and 2 workers.
 """
 
 from __future__ import annotations
@@ -20,9 +23,10 @@ import random
 import pytest
 
 from repro.core.errors import ConfigurationError
-from repro.engine.codec import encode_estimate
+from repro.engine.codec import encode_estimate, encode_population
 from repro.engine.core import Engine, EngineConfig
 from repro.experiments.common import ExperimentSettings
+from repro.yieldmodel import analysis
 from repro.yieldmodel.analysis import LossBreakdown
 from repro.yieldmodel.classify import LossReason
 from repro.yieldmodel.constraints import (
@@ -39,7 +43,6 @@ from repro.yieldmodel.estimators import (
     normal_cdf,
     run_estimate,
 )
-from repro.yieldmodel.estimators import sampling as estimator_sampling
 from repro.yieldmodel.estimators.core import estimate_is
 from repro.yieldmodel.statistics import wilson_interval
 
@@ -177,7 +180,7 @@ def test_is_unbiased_against_brute_force_across_random_configs():
     both by a wide margin.
     """
     rng = random.Random(20060101)
-    runner = BatchRunner(workers=1)
+    runner = BatchRunner()
     disagreements = 0
     signed_errors = []
     configs = 52
@@ -229,7 +232,7 @@ def test_is_unbiased_against_brute_force_across_random_configs():
 
 
 def test_is_effective_sample_size_is_sane():
-    runner = BatchRunner(workers=1)
+    runner = BatchRunner()
     spec = EstimatorSpec(kind="is", pilot_chips=60)
     report = estimate_is(runner, spec, 11, 200, RELAXED_POLICY)
     estimate = report.estimate_for("regular.base")
@@ -241,7 +244,7 @@ def test_is_effective_sample_size_is_sane():
 # stratified estimator
 # ----------------------------------------------------------------------
 def test_stratified_agrees_with_fixed_within_ci():
-    runner = BatchRunner(workers=1)
+    runner = BatchRunner()
     for policy in PAPER_POLICIES:
         fixed = run_estimate(
             runner, EstimatorSpec(kind="fixed"), 2006, 1200, policy
@@ -291,7 +294,7 @@ def test_stratified_stratum_transform_preserves_measure():
 
 
 def test_stratified_refuses_cap_smaller_than_pilot():
-    runner = BatchRunner(workers=1)
+    runner = BatchRunner()
     spec = EstimatorSpec(kind="stratified", pilot_chips=64, strata=4)
     with pytest.raises(ConfigurationError):
         run_estimate(runner, spec, 1, 60, NOMINAL_POLICY)
@@ -334,11 +337,11 @@ def test_estimators_bit_deterministic_across_worker_counts(tmp_path, spec):
 def test_estimators_columnar_off_parity(monkeypatch, kind, extra):
     """With the columnar kernel swapped for the composed per-chip circuit
     oracle, every estimator payload is byte-identical."""
-    runner = BatchRunner(workers=1)
+    runner = BatchRunner()
     spec = EstimatorSpec(kind=kind, **extra)
     fast = run_estimate(runner, spec, 17, 240, NOMINAL_POLICY)
     monkeypatch.setattr(
-        estimator_sampling, "evaluate_population_pair",
+        analysis, "evaluate_population_pair",
         circuit_oracle.evaluate_population_pair,
     )
     slow = run_estimate(runner, spec, 17, 240, NOMINAL_POLICY)
@@ -346,7 +349,7 @@ def test_estimators_columnar_off_parity(monkeypatch, kind, extra):
 
 
 def test_adaptive_stops_early_on_tail_yield():
-    runner = BatchRunner(workers=1)
+    runner = BatchRunner()
     tail = ConstraintPolicy("tail", 3.0, 8.0)
     adaptive = run_estimate(
         runner,
@@ -367,7 +370,7 @@ def test_adaptive_stops_early_on_tail_yield():
 
 
 def test_adaptive_without_target_matches_fixed_exactly():
-    runner = BatchRunner(workers=1)
+    runner = BatchRunner()
     adaptive = run_estimate(
         runner,
         EstimatorSpec(kind="adaptive", batch_size=100),
@@ -415,6 +418,69 @@ def test_population_rejects_weighted_estimators(tmp_path):
             engine.population(
                 settings, NOMINAL_POLICY, estimator=EstimatorSpec(kind=kind)
             )
+
+
+# ----------------------------------------------------------------------
+# one chip path: populations and estimates read the same chips
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("policy", PAPER_POLICIES, ids=lambda p: p.name)
+def test_fixed_estimate_reports_the_population(policy):
+    engine = Engine(EngineConfig(workers=1, persistent=False))
+    settings = ExperimentSettings(seed=47, chips=300)
+    population = engine.population(settings, policy)
+    report = engine.estimate(
+        settings, policy, estimator=EstimatorSpec(kind="fixed")
+    )
+    assert report.constraints == population.constraints
+    for figure, horizontal in (
+        ("regular.base", False), ("horizontal.base", True)
+    ):
+        ships = int(population.chips(horizontal).passes.sum())
+        estimate = report.estimate_for(figure)
+        assert estimate.samples == population.population == 300
+        assert estimate.estimate == ships / 300
+        assert (estimate.ci_low, estimate.ci_high) == \
+            wilson_interval(ships, 300)
+
+
+def test_estimate_dispatch_carries_population_provenance(tmp_path):
+    from repro.obs import configure_tracing, load_spans
+    from repro.obs.trace import disable_tracing
+
+    trace = tmp_path / "t.jsonl"
+    configure_tracing(trace)
+    try:
+        engine = Engine(EngineConfig(workers=1, persistent=False))
+        settings = ExperimentSettings(seed=5, chips=32)
+        engine.population(settings)
+        engine.estimate(
+            settings,
+            estimator=EstimatorSpec(kind="adaptive", batch_size=16),
+        )
+    finally:
+        disable_tracing()
+    dispatches = [
+        r["attrs"] for r in load_spans(trace) if r["name"] == "engine.dispatch"
+    ]
+    assert sorted(a["chips"] for a in dispatches) == [16, 16, 32]
+    stamp = engine.provenance()
+    for attrs in dispatches:
+        assert attrs["tag"] == "chip" and attrs["jobs"] == 1
+        assert attrs["sha"] == stamp["git_sha"]
+        assert attrs["dirty"] == stamp["dirty"]
+        assert attrs["config"] == stamp["config_hash"]
+
+
+def test_adaptive_population_identical_at_one_and_two_workers():
+    settings = ExperimentSettings(seed=53, chips=400)
+    spec = EstimatorSpec(kind="adaptive", ci_target=0.05, batch_size=64)
+    blobs = []
+    for workers in (1, 2):
+        engine = Engine(EngineConfig(workers=workers, persistent=False))
+        result = engine.population(settings, RELAXED_POLICY, estimator=spec)
+        assert result.population < 400  # stopped on its CI target
+        blobs.append(json.dumps(encode_population(result), sort_keys=True))
+    assert blobs[0] == blobs[1]
 
 
 # ----------------------------------------------------------------------
@@ -494,8 +560,6 @@ def test_loss_breakdown_zero_base_loss_reduction_is_zero():
 
 
 def test_estimator_gauge_series_are_capped():
-    from repro.yieldmodel import analysis
-
     saved = set(analysis._gauge_series_seen)
     try:
         analysis._gauge_series_seen.clear()
