@@ -7,21 +7,14 @@ address remapping. The pipeline simulator (:mod:`repro.uarch`) drives a
 :class:`~repro.cache.hierarchy.MemoryHierarchy` built from these models.
 
 * :mod:`repro.cache.geometry` — sets/ways/blocks arithmetic.
-* :mod:`repro.cache.replacement` — LRU (the paper's policy) plus FIFO and
-  random for experimentation.
-* :mod:`repro.cache.setassoc` — the set-associative cache with way
-  latencies, way disable, and H-YAPD horizontal-way disable.
+* :mod:`repro.cache.setassoc` — the set-associative LRU cache (the
+  paper's policy) with way latencies, way disable, and H-YAPD
+  horizontal-way disable.
 * :mod:`repro.cache.hierarchy` — L1I + L1D + unified L2 + memory, with
   the paper's Section 5.2 parameters as defaults.
 """
 
 from repro.cache.geometry import CacheGeometry
-from repro.cache.replacement import (
-    LRUPolicy,
-    FIFOPolicy,
-    RandomPolicy,
-    ReplacementPolicy,
-)
 from repro.cache.setassoc import AccessResult, SetAssociativeCache, WayConfig
 from repro.cache.hierarchy import (
     HierarchyConfig,
@@ -32,10 +25,6 @@ from repro.cache.hierarchy import (
 
 __all__ = [
     "CacheGeometry",
-    "ReplacementPolicy",
-    "LRUPolicy",
-    "FIFOPolicy",
-    "RandomPolicy",
     "AccessResult",
     "SetAssociativeCache",
     "WayConfig",

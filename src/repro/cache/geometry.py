@@ -1,11 +1,9 @@
-"""Cache geometry arithmetic (sets, ways, blocks, H-YAPD groups)."""
+"""Cache geometry arithmetic (sets, ways, blocks)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
-from repro.core import units
 from repro.core.validation import (
     require_divides,
     require_positive,
@@ -48,50 +46,3 @@ class CacheGeometry:
     def num_sets(self) -> int:
         """Number of sets."""
         return self.capacity_bytes // (self.associativity * self.block_bytes)
-
-    @property
-    def num_blocks(self) -> int:
-        """Total number of blocks."""
-        return self.num_sets * self.associativity
-
-    @cached_property
-    def _offset_bits(self) -> int:
-        return self.block_bytes.bit_length() - 1
-
-    # ------------------------------------------------------------------
-    # address mapping
-    # ------------------------------------------------------------------
-    def block_address(self, address: int) -> int:
-        """The block-aligned identifier of ``address``."""
-        return address >> self._offset_bits
-
-    def set_index(self, address: int) -> int:
-        """The set ``address`` maps to."""
-        return self.block_address(address) & (self.num_sets - 1)
-
-    def tag(self, address: int) -> int:
-        """The tag of ``address``."""
-        return self.block_address(address) >> (self.num_sets.bit_length() - 1)
-
-    # ------------------------------------------------------------------
-    # H-YAPD address groups
-    # ------------------------------------------------------------------
-    def address_group(self, set_index: int, num_groups: int) -> int:
-        """The H-YAPD address group of a set (paper Figure 5).
-
-        The paper partitions the line (set) space into ``num_groups``
-        contiguous ranges; each range occupies a *different* horizontal
-        band in each way, so disabling one band removes exactly one
-        candidate way per group.
-        """
-        require_positive(num_groups, "num_groups")
-        sets_per_group = max(self.num_sets // num_groups, 1)
-        return min(set_index // sets_per_group, num_groups - 1)
-
-    def describe(self) -> str:
-        """Human-readable summary, e.g. ``"16KB/4-way/32B (128 sets)"``."""
-        kb = self.capacity_bytes / units.KB
-        return (
-            f"{kb:g}KB/{self.associativity}-way/{self.block_bytes}B "
-            f"({self.num_sets} sets)"
-        )

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.cache.geometry import CacheGeometry
-from repro.cache.replacement import LRUPolicy, ReplacementPolicy
 from repro.core.errors import ConfigurationError
 from repro.core.validation import require_positive
 from repro.yieldmodel.constraints import BASE_ACCESS_CYCLES
@@ -91,7 +90,7 @@ class WayConfig:
 
 
 class AccessResult(NamedTuple):
-    """Outcome of one cache lookup."""
+    """Outcome of one :meth:`SetAssociativeCache.fill`."""
 
     hit: bool
     way: Optional[int]
@@ -102,12 +101,11 @@ class AccessResult(NamedTuple):
 
 
 class SetAssociativeCache:
-    """Functional set-associative cache with yield-aware configuration.
+    """Functional set-associative LRU cache with yield-aware configuration.
 
     Each set keeps a tag list and a dirty list indexed by way (``None``
-    marks an empty way) plus, under the default LRU policy, a recency
-    list of its filled ways, least recent first. Any other
-    ``policy_factory`` gets one policy object per set instead.
+    marks an empty way) and a recency list of its filled ways, least
+    recent first.
 
     Parameters
     ----------
@@ -116,9 +114,6 @@ class SetAssociativeCache:
     config:
         Way latencies and disables; defaults to all ways at the base
         latency.
-    policy_factory:
-        Creates one :class:`ReplacementPolicy` per set (default LRU,
-        which is kept inline as recency lists).
     name:
         Label used in statistics.
     """
@@ -127,7 +122,6 @@ class SetAssociativeCache:
         self,
         geometry: CacheGeometry,
         config: Optional[WayConfig] = None,
-        policy_factory: Callable[[], ReplacementPolicy] = LRUPolicy,
         name: str = "cache",
     ) -> None:
         self.geometry = geometry
@@ -154,16 +148,11 @@ class SetAssociativeCache:
         self._dirty: List[List[bool]] = list(
             map(list, repeat((False,) * ways, num_sets))
         )
-        # Under LRU every filled way is in its set's recency list and
-        # nothing else is, so a set has an empty eligible way exactly
-        # when its list is shorter than its eligible ways, and the victim
-        # is the list's head.
-        self._recency: Optional[List[List[int]]] = None
-        self._policies: Optional[List[ReplacementPolicy]] = None
-        if policy_factory is LRUPolicy:
-            self._recency = list(map(list, repeat((), num_sets)))
-        else:
-            self._policies = [policy_factory() for _ in range(num_sets)]
+        # Every filled way is in its set's recency list and nothing else
+        # is, so a set has an empty eligible way exactly when its list is
+        # shorter than its eligible ways, and the victim is the list's
+        # head.
+        self._recency: List[List[int]] = list(map(list, repeat((), num_sets)))
         self._eligible = self._eligible_per_set()
         # statistics
         self.hits = 0
@@ -177,15 +166,14 @@ class SetAssociativeCache:
         The way configuration is frozen, so this is computed once. An
         H-YAPD band disable on a cache with fewer ways than bands can
         leave an address group with *zero* usable ways — rejected here
-        with a clear error instead of letting a replacement policy fail
-        mid-simulation.
+        with a clear error instead of failing mid-simulation.
         """
         geometry = self.geometry
         config = self.config
         num_sets = geometry.num_sets
         num_bands = config.num_bands
-        # CacheGeometry.address_group arithmetic, hoisted out of the
-        # per-set loop: groups are contiguous runs of sets_per_group sets.
+        # H-YAPD address groups (paper Figure 5) are contiguous runs of
+        # sets_per_group sets; any sets left over join the last group.
         require_positive(num_bands, "num_groups")
         sets_per_group = max(num_sets // num_bands, 1)
         last_group = min((num_sets - 1) // sets_per_group, num_bands - 1)
@@ -210,33 +198,15 @@ class SetAssociativeCache:
             eligible_per_set += [eligible] * (end - len(eligible_per_set))
         return eligible_per_set
 
-    def eligible_ways(self, set_index: int) -> List[int]:
-        """Ways usable for this set under the current configuration."""
-        return list(self._eligible[set_index])
-
-    def effective_associativity(self, set_index: int) -> int:
-        """Number of usable ways for this set."""
-        return len(self._eligible[set_index])
-
     # ------------------------------------------------------------------
-    def lookup(self, address: int) -> AccessResult:
-        """Probe without modifying any state (no LRU update)."""
-        block = address >> self._offset_bits
-        set_index = block & self._set_mask
-        tags = self._tags[set_index]
-        tag = block >> self._set_bits
-        if tag in tags:
-            way = tags.index(tag)
-            return AccessResult(True, way, self._latencies[way], set_index)
-        return AccessResult(False, None, None, set_index)
-
     def access_way(self, address: int, write: bool = False) -> int:
-        """:meth:`access` on plain ints: the way that hit, or -1 on a miss.
+        """Look up ``address``: the way that hit, or -1 on a miss.
 
-        Only eligible ways are ever filled, so the first tag match in the
-        set is the hit (a block is never resident twice: :meth:`fill`
-        re-probes). This is the hierarchy's per-access path; it builds
-        no result object.
+        A hit updates LRU (and the dirty bit for writes). Misses do *not*
+        allocate — call :meth:`fill` when the refill arrives, which is
+        how the hierarchy models non-blocking misses. Only eligible ways
+        are ever filled, so the first tag match in the set is the hit (a
+        block is never resident twice: :meth:`fill` re-probes).
         """
         block = address >> self._offset_bits
         set_index = block & self._set_mask
@@ -248,28 +218,13 @@ class SetAssociativeCache:
         way = tags.index(tag)
         self.hits += 1
         self.way_hits[way] += 1
-        if self._recency is not None:
-            recency = self._recency[set_index]
-            if recency[-1] != way:
-                recency.remove(way)
-                recency.append(way)
-        else:
-            self._policies[set_index].touch(way)
+        recency = self._recency[set_index]
+        if recency[-1] != way:
+            recency.remove(way)
+            recency.append(way)
         if write:
             self._dirty[set_index][way] = True
         return way
-
-    def access(self, address: int, write: bool = False) -> AccessResult:
-        """Look up ``address``; on a hit update LRU (and dirty for writes).
-
-        Misses do *not* allocate — call :meth:`fill` when the refill
-        arrives, which is how the hierarchy models non-blocking misses.
-        """
-        way = self.access_way(address, write)
-        set_index = (address >> self._offset_bits) & self._set_mask
-        if way < 0:
-            return AccessResult(False, None, None, set_index)
-        return AccessResult(True, way, self._latencies[way], set_index)
 
     def fill(self, address: int, dirty: bool = False) -> AccessResult:
         """Install the block of ``address``, evicting if necessary."""
@@ -277,13 +232,11 @@ class SetAssociativeCache:
         set_index = block & self._set_mask
         tags = self._tags[set_index]
         tag = block >> self._set_bits
-        recency = None if self._recency is None else self._recency[set_index]
+        recency = self._recency[set_index]
         if tag in tags:
             # Another outstanding miss already refilled this block.
             way = tags.index(tag)
-            if recency is None:
-                self._policies[set_index].touch(way)
-            elif recency[-1] != way:
+            if recency[-1] != way:
                 recency.remove(way)
                 recency.append(way)
             if dirty:
@@ -293,7 +246,7 @@ class SetAssociativeCache:
         dirty_bits = self._dirty[set_index]
         evicted_block: Optional[int] = None
         evicted_dirty = False
-        if recency is not None and len(recency) == len(eligible):
+        if len(recency) == len(eligible):
             empty = ()  # a full recency list is a full set
         else:
             empty = [w for w in eligible if tags[w] is None]
@@ -305,19 +258,13 @@ class SetAssociativeCache:
             # experiment.
             way = empty[block % len(empty)]
         else:
-            if recency is None:
-                way = self._policies[set_index].victim(eligible)
-            else:
-                way = recency.pop(0)
+            way = recency.pop(0)
             evicted_block = (tags[way] << self._set_bits) | set_index
             evicted_dirty = dirty_bits[way]
             self.evictions += 1
         tags[way] = tag
         dirty_bits[way] = dirty
-        if recency is None:
-            self._policies[set_index].touch(way)
-        else:
-            recency.append(way)
+        recency.append(way)
         return AccessResult(
             False,
             way,

@@ -56,23 +56,3 @@ def to_ns(seconds: float) -> float:
 def to_mw(watts: float) -> float:
     """Express a power in milliwatts."""
     return watts / MW
-
-
-def to_uw(watts: float) -> float:
-    """Express a power in microwatts."""
-    return watts / UW
-
-
-def to_mv(volts: float) -> float:
-    """Express a voltage in millivolts."""
-    return volts / MV
-
-
-def to_um(metres: float) -> float:
-    """Express a length in micrometres."""
-    return metres / UM
-
-
-def to_nm(metres: float) -> float:
-    """Express a length in nanometres."""
-    return metres / NM

@@ -20,7 +20,7 @@ On top of those primitives sits the perf-regression layer:
 
 The live-serving layer adds :mod:`repro.obs.rollup` (rolling-window
 SLO aggregation with streaming quantile sketches),
-:mod:`repro.obs.promtext` (Prometheus text exposition + strict parser),
+:mod:`repro.obs.promtext` (Prometheus text exposition),
 :mod:`repro.obs.reqlog` (JSONL request logs, request ids and the
 bounded span ring behind ``GET /debug/traces``) and
 :mod:`repro.obs.dashboard` (the self-contained live HTML page at
@@ -46,10 +46,7 @@ from repro.obs.provenance import (
     provenance_stamp,
     working_tree_dirty,
 )
-from repro.obs.promtext import (
-    parse_exposition,
-    render_exposition,
-)
+from repro.obs.promtext import render_exposition
 from repro.obs.regress import (
     IMPROVED,
     NEUTRAL,
@@ -62,7 +59,6 @@ from repro.obs.reqlog import RequestLog, SpanRing, new_request_id
 from repro.obs.rollup import QuantileSketch, RequestRollup
 from repro.obs.sampler import ResourceSampler
 from repro.obs.summary import (
-    load_spans,
     load_spans_counted,
     render_summary,
     summarize_spans,
@@ -73,7 +69,6 @@ from repro.obs.trace import (
     Tracer,
     configure_tracing,
     disable_tracing,
-    get_tracer,
     span,
     tracing_enabled,
 )
@@ -100,12 +95,9 @@ __all__ = [
     "configure_tracing",
     "disable_tracing",
     "get_metrics",
-    "get_tracer",
     "git_revision",
-    "load_spans",
     "load_spans_counted",
     "new_request_id",
-    "parse_exposition",
     "provenance_stamp",
     "render_exposition",
     "render_summary",

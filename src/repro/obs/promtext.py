@@ -15,11 +15,8 @@ understands, with no third-party client library:
   ``{endpoint,quantile}`` labels plus windowed request/rate/status
   gauges.
 
-The module also ships :func:`parse_exposition`, a deliberately strict
-parser used by the golden-format tests and the CI smoke job: it rejects
-malformed names, duplicate samples, samples without a preceding ``TYPE``
-line and non-float values — if our own parser accepts the output, a real
-scraper will too (the reverse is not guaranteed, hence the strictness).
+``tests/exposition.py`` holds the strict parser the tests and the CI
+smoke job check this output with.
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 __all__ = [
     "metric_name",
     "render_exposition",
-    "parse_exposition",
     "CONTENT_TYPE",
 ]
 
@@ -40,17 +36,6 @@ CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 #: Everything outside this set collapses to '_' in a metric name.
 _NAME_OK = re.compile(r"[^a-zA-Z0-9_:]")
-
-#: Valid exposition metric name (the parser enforces it).
-_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-
-#: One sample line: name, optional {labels}, value.
-_SAMPLE_RE = re.compile(
-    r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})?\s+(\S+)$"
-)
-
-#: One label inside a label set: name="escaped value".
-_LABEL_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
 
 
 def metric_name(name: str, prefix: str = "repro") -> str:
@@ -242,119 +227,3 @@ def render_exposition(
     for source, snapshot in registry_snapshots:
         _render_registry_snapshot(writer, snapshot, source)
     return writer.text()
-
-
-# ----------------------------------------------------------------------
-# strict parsing (tests, CI smoke)
-# ----------------------------------------------------------------------
-def _parse_value(raw: str) -> float:
-    if raw == "+Inf":
-        return float("inf")
-    if raw == "-Inf":
-        return float("-inf")
-    if raw == "NaN":
-        return float("nan")
-    return float(raw)  # raises ValueError on garbage
-
-
-def parse_exposition(
-    text: str,
-) -> Dict[str, Dict[str, object]]:
-    """Strictly parse exposition text into families.
-
-    Returns ``{family_name: {"type": ..., "samples": [(sample_name,
-    labels_dict, value), ...]}}``. Raises :class:`ValueError` on any
-    deviation: unknown line shapes, samples before their TYPE header,
-    invalid names, duplicate (name, labels) samples, unparsable values.
-    """
-    families: Dict[str, Dict[str, object]] = {}
-    seen_samples: set = set()
-    current: Optional[str] = None
-
-    def family_of(sample_name: str) -> Optional[str]:
-        for suffix in ("_bucket", "_sum", "_count", "_total", ""):
-            if suffix and sample_name.endswith(suffix):
-                base = sample_name[: -len(suffix)] if suffix else sample_name
-                if base in families or sample_name in families:
-                    return sample_name if sample_name in families else base
-        return sample_name if sample_name in families else None
-
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        if line.startswith("# HELP "):
-            continue
-        if line.startswith("# TYPE "):
-            parts = line.split(None, 3)
-            if len(parts) != 4:
-                raise ValueError(f"line {lineno}: malformed TYPE line")
-            _, _, name, kind = parts
-            if not _NAME_RE.match(name):
-                raise ValueError(f"line {lineno}: invalid family name {name!r}")
-            if kind not in ("counter", "gauge", "histogram", "summary",
-                            "untyped"):
-                raise ValueError(f"line {lineno}: unknown type {kind!r}")
-            if name in families:
-                raise ValueError(f"line {lineno}: duplicate family {name!r}")
-            families[name] = {"type": kind, "samples": []}
-            current = name
-            continue
-        if line.startswith("#"):
-            raise ValueError(f"line {lineno}: unknown comment {line!r}")
-        match = _SAMPLE_RE.match(line)
-        if not match:
-            raise ValueError(f"line {lineno}: malformed sample {line!r}")
-        sample_name, label_blob, raw_value = match.groups()
-        family = family_of(sample_name)
-        if family is None or current is None:
-            raise ValueError(
-                f"line {lineno}: sample {sample_name!r} has no TYPE header"
-            )
-        labels: Dict[str, str] = {}
-        if label_blob:
-            inner = label_blob[1:-1]
-            matched = _LABEL_RE.findall(inner)
-            rebuilt = ",".join(f'{k}="{v}"' for k, v in matched)
-            if rebuilt != inner:
-                raise ValueError(f"line {lineno}: malformed labels {label_blob!r}")
-            for key, value in matched:
-                labels[key] = (
-                    value.replace('\\"', '"')
-                    .replace("\\n", "\n")
-                    .replace("\\\\", "\\")
-                )
-        try:
-            value = _parse_value(raw_value)
-        except ValueError:
-            raise ValueError(
-                f"line {lineno}: unparsable value {raw_value!r}"
-            ) from None
-        dedup_key = (sample_name, tuple(sorted(labels.items())))
-        if dedup_key in seen_samples:
-            raise ValueError(f"line {lineno}: duplicate sample {dedup_key!r}")
-        seen_samples.add(dedup_key)
-        families[family]["samples"].append((sample_name, labels, value))
-
-    # Histogram invariants: buckets cumulative, +Inf equals _count.
-    for name, family in families.items():
-        if family["type"] != "histogram":
-            continue
-        buckets = [
-            (labels, value)
-            for sample_name, labels, value in family["samples"]
-            if sample_name == f"{name}_bucket"
-        ]
-        previous = 0.0
-        for labels, value in buckets:
-            if "le" not in labels:
-                raise ValueError(f"{name}: bucket sample without le label")
-            if value < previous:
-                raise ValueError(f"{name}: buckets are not cumulative")
-            previous = value
-        counts = [
-            value for sample_name, _, value in family["samples"]
-            if sample_name == f"{name}_count"
-        ]
-        if buckets and counts and buckets[-1][1] != counts[0]:
-            raise ValueError(f"{name}: +Inf bucket != count")
-    return families

@@ -116,10 +116,6 @@ class SpanRing:
             self._ring.append(record)
             self._appended += 1
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._ring)
-
     def snapshot(self, limit: Optional[int] = None) -> Dict[str, object]:
         """The retained spans plus retention accounting.
 

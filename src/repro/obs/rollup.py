@@ -75,25 +75,6 @@ class QuantileSketch:
             if slot < self.capacity:
                 self._samples[slot] = value
 
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def samples(self) -> List[float]:
-        """The current reservoir (a copy; merge fodder for snapshots)."""
-        return list(self._samples)
-
-    def quantile(self, q: float) -> float:
-        """The ``q``-quantile estimate (linear interpolation)."""
-        return _quantile_of(sorted(self._samples), q)
-
-    def quantiles(
-        self, qs: Sequence[float] = SNAPSHOT_QUANTILES
-    ) -> Dict[str, float]:
-        """``{"0.5": ..., "0.95": ...}`` in one sort."""
-        ordered = sorted(self._samples)
-        return {f"{q:g}": _quantile_of(ordered, q) for q in qs}
-
     def reset(self) -> None:
         self.count = 0
         self.total = 0.0

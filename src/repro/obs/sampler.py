@@ -135,11 +135,3 @@ class ResourceSampler:
             ).value,
             "samples": self.registry.counter("proc.samples").value,
         }
-
-    # ------------------------------------------------------------------
-    def __enter__(self) -> "ResourceSampler":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.stop()
-        return False

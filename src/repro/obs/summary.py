@@ -15,7 +15,6 @@ import pathlib
 from typing import Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
-    "load_spans",
     "load_spans_counted",
     "summarize_spans",
     "render_summary",
@@ -52,11 +51,6 @@ def load_spans_counted(path: pathlib.Path) -> Tuple[List[dict], int]:
             else:
                 skipped += 1
     return spans, skipped
-
-
-def load_spans(path: pathlib.Path) -> List[dict]:
-    """Parse a JSONL trace; malformed or foreign lines are skipped."""
-    return load_spans_counted(path)[0]
 
 
 def summarize_spans(

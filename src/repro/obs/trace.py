@@ -37,7 +37,6 @@ __all__ = [
     "Tracer",
     "configure_tracing",
     "disable_tracing",
-    "get_tracer",
     "span",
     "tracing_enabled",
 ]
@@ -226,11 +225,6 @@ def disable_tracing() -> None:
 def tracing_enabled() -> bool:
     """Is a tracer currently active (or configured via the environment)?"""
     return _active_tracer() is not None
-
-
-def get_tracer() -> Optional[Tracer]:
-    """The active tracer, or ``None`` when tracing is disabled."""
-    return _active_tracer()
 
 
 def span(name: str, **attrs: object):

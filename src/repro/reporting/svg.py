@@ -1,13 +1,13 @@
 """A minimal SVG document builder (stdlib only).
 
 Just enough vector drawing for the reproduction's charts: rectangles,
-circles, lines, polylines and text, with numeric attributes rounded so
+circles, lines and text, with numeric attributes rounded so
 the output stays diff-friendly and deterministic.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 from xml.sax.saxutils import escape
 
 from repro.core.validation import require_positive
@@ -88,19 +88,6 @@ class SvgCanvas:
             f'stroke-width="{_fmt(width)}"{dash_attr}/>'
         )
 
-    def polyline(
-        self,
-        points: Sequence[Tuple[float, float]],
-        stroke: str = "#333333",
-        width: float = 1.0,
-    ) -> None:
-        """Append an open polyline."""
-        path = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
-        self._elements.append(
-            f'<polyline points="{path}" fill="none" stroke="{stroke}" '
-            f'stroke-width="{_fmt(width)}"/>'
-        )
-
     def text(
         self,
         x: float,
@@ -135,8 +122,3 @@ class SvgCanvas:
             f'height="{self.height}" fill="#ffffff"/>\n'
             f"{body}\n</svg>\n"
         )
-
-    @property
-    def element_count(self) -> int:
-        """Number of drawn elements (useful in tests)."""
-        return len(self._elements)

@@ -15,8 +15,6 @@ per chip):
   at most one (vertical / horizontal) power-down.
 * :class:`~repro.schemes.binning.NaiveBinning` — the Section 4.5 baseline:
   re-bin the whole cache at a uniformly higher latency.
-* :class:`~repro.schemes.adaptive.AdaptiveHybrid` — extension beyond the
-  paper's fixed policy: picks disable-vs-slow per workload.
 * :class:`~repro.schemes.vaca.DeepVACA` — multi-entry load-bypass
   buffers (the paper's discussed-and-rejected extension).
 * :mod:`repro.schemes.sensors` — on-die leakage-sensor measurement layer
@@ -29,7 +27,6 @@ from repro.schemes.hyapd import HYAPD
 from repro.schemes.vaca import DeepVACA, VACA
 from repro.schemes.hybrid import Hybrid, HybridHorizontal
 from repro.schemes.binning import NaiveBinning
-from repro.schemes.adaptive import AdaptiveHybrid
 
 __all__ = [
     "Decisions",
@@ -41,5 +38,4 @@ __all__ = [
     "Hybrid",
     "HybridHorizontal",
     "NaiveBinning",
-    "AdaptiveHybrid",
 ]

@@ -63,6 +63,3 @@ class Scheme(abc.ABC):
     @abc.abstractmethod
     def decide(self, chips: ChipColumns) -> Decisions:
         """Decide every chip of ``chips`` at once; never mutates them."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}()"

@@ -65,11 +65,6 @@ class SimResult:
             raise SimulationError("no instructions committed")
         return self.cycles / self.instructions
 
-    @property
-    def ipc(self) -> float:
-        """Committed instructions per cycle."""
-        return 1.0 / self.cpi
-
     def degradation_vs(self, baseline: "SimResult") -> float:
         """Fractional CPI increase relative to ``baseline``."""
         return self.cpi / baseline.cpi - 1.0

@@ -9,12 +9,12 @@ fetch until the branch resolves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.errors import TraceError
 from repro.uarch.isa import OpClass, MEMORY_OPS
 
-__all__ = ["TraceInstruction", "validate_trace", "count_classes"]
+__all__ = ["TraceInstruction"]
 
 #: Number of architectural registers the traces may reference.
 NUM_REGISTERS = 32
@@ -64,19 +64,3 @@ class TraceInstruction:
             raise TraceError("only branches can be mispredicted")
         if self.op is OpClass.STORE and self.dest is not None:
             raise TraceError("stores do not write a register")
-
-
-def validate_trace(trace: Iterable[TraceInstruction]) -> List[TraceInstruction]:
-    """Materialise and validate a trace; raises :class:`TraceError`."""
-    items = list(trace)
-    if not items:
-        raise TraceError("empty trace")
-    return items
-
-
-def count_classes(trace: Iterable[TraceInstruction]) -> dict:
-    """Histogram of operation classes (useful in tests and reports)."""
-    counts: dict = {}
-    for instr in trace:
-        counts[instr.op] = counts.get(instr.op, 0) + 1
-    return counts

@@ -29,8 +29,8 @@ handful of preallocated NumPy arrays, not a tree of
 The result is a :class:`ColumnarPopulation`: ``(num_chips, num_ways,
 num_bands, num_params)``-shaped parameter arrays the columnar circuit
 model (:mod:`repro.circuit.columnar`) consumes directly;
-:meth:`ColumnarPopulation.chip_map` and :meth:`ColumnarPopulation.from_maps`
-convert one chip to and from a per-chip map. Bit-identity to the scalar
+:meth:`ColumnarPopulation.from_maps` turns per-chip maps from another
+sampler into the same columns. Bit-identity to the scalar
 oracle, values and final stream positions, is asserted by
 ``tests/test_columnar_diff.py`` over randomized geometries, correlation
 factors and seeds, and the decoder is held to NumPy's ``Generator`` by
@@ -52,12 +52,11 @@ from repro.core.rng import (
     stream_states,
     uniforms,
 )
-from repro.variation.parameters import PARAMETER_NAMES, ProcessParameters
+from repro.variation.parameters import PARAMETER_NAMES
 from repro.variation.sampling import (
     CacheVariationMap,
     CacheVariationSampler,
     PERIPHERAL_SEGMENTS,
-    WayVariation,
 )
 
 __all__ = [
@@ -237,10 +236,6 @@ class ColumnarPopulation(NamedTuple):
     has_residuals: bool
 
     @property
-    def num_chips(self) -> int:
-        return self.die.shape[0]
-
-    @property
     def num_ways(self) -> int:
         return self.way_params.shape[1]
 
@@ -248,54 +243,12 @@ class ColumnarPopulation(NamedTuple):
     def num_bands(self) -> int:
         return self.bands.shape[2]
 
-    def chip_map(self, index: int) -> CacheVariationMap:
-        """Materialise chip ``index`` as a per-chip variation map.
-
-        The inverse of :meth:`from_maps`; the differential tests compare
-        it with the scalar oracle's map of the same chip with ``==``.
-        """
-        if not 0 <= index < self.num_chips:
-            raise ConfigurationError(f"chip index {index} out of range")
-        die = ProcessParameters(*self.die[index].tolist())
-        ways = []
-        for way in range(self.num_ways):
-            peripherals = {
-                name: ProcessParameters(
-                    *self.peripherals[index, way, seg].tolist()
-                )
-                for seg, name in enumerate(PERIPHERAL_SEGMENTS)
-            }
-            bands = tuple(
-                ProcessParameters(*self.bands[index, way, band].tolist())
-                for band in range(self.num_bands)
-            )
-            residuals = (
-                tuple(self.band_residuals[index, way].tolist())
-                if self.has_residuals
-                else ()
-            )
-            ways.append(
-                WayVariation(
-                    way=way,
-                    params=ProcessParameters(
-                        *self.way_params[index, way].tolist()
-                    ),
-                    bands=bands,
-                    band_residuals=residuals,
-                    **peripherals,
-                )
-            )
-        return CacheVariationMap(
-            chip_id=self.chip_ids[index], die=die, ways=tuple(ways)
-        )
-
     @classmethod
     def from_maps(
         cls, maps: Sequence[CacheVariationMap]
     ) -> "ColumnarPopulation":
-        """Per-chip variation maps as columns: the inverse of
-        :meth:`chip_map`. A way without residuals gets unit residuals;
-        maps whose ways or bands vary are refused."""
+        """Per-chip variation maps as columns. A way without residuals
+        gets unit residuals; maps whose ways or bands vary are refused."""
         ways = [cvmap.ways for cvmap in maps]
         try:
             columns = [np.array(rows, dtype=float) for rows in (

@@ -240,7 +240,7 @@ class GridVariationSampler:
                 self._chol @ white
             ) * sigma * np.sqrt(self.model.intra_fraction)
 
-        die = self._field_to_params(inter, field, 0).replace()
+        die = self._field_to_params(inter, field, 0)
         ways = []
         for way in range(self.num_ways):
             bands = tuple(

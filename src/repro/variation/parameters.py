@@ -110,29 +110,12 @@ class ProcessParameters(NamedTuple):
     metal_thickness: float
     ild_thickness: float
 
-    def as_dict(self) -> Dict[str, float]:
-        """Return the parameters as a name -> value mapping."""
-        return {name: getattr(self, name) for name in PARAMETER_NAMES}
-
-    def replace(self, **changes: float) -> "ProcessParameters":
-        """Return a copy with the given fields replaced."""
-        return self._replace(**changes)
-
-    def deviation_from(self, other: "ProcessParameters") -> Dict[str, float]:
-        """Fractional deviation of each parameter relative to ``other``."""
-        return {
-            name: (getattr(self, name) - getattr(other, name))
-            / getattr(other, name)
-            for name in PARAMETER_NAMES
-        }
-
 
 class VariationTable:
     """A complete set of :class:`ParameterSpec` (one per parameter).
 
-    The table knows how to produce the nominal :class:`ProcessParameters`
-    and how to turn per-parameter z-scores into concrete values; the
-    samplers use the latter so all distribution logic lives here.
+    The table gives the samplers the nominal :class:`ProcessParameters`
+    and each parameter's one-sigma deviation.
     """
 
     def __init__(self, specs: Dict[str, ParameterSpec]) -> None:
@@ -144,17 +127,6 @@ class VariationTable:
             raise ConfigurationError(f"variation table has unknown specs: {extra}")
         self._specs = dict(specs)
 
-    def spec(self, name: str) -> ParameterSpec:
-        """Return the spec for parameter ``name``."""
-        if name not in self._specs:
-            raise ConfigurationError(f"unknown parameter name {name!r}")
-        return self._specs[name]
-
-    @property
-    def specs(self) -> Dict[str, ParameterSpec]:
-        """All specs keyed by parameter name (copy)."""
-        return dict(self._specs)
-
     def nominal(self) -> ProcessParameters:
         """The nominal (zero-variation) parameter vector."""
         return ProcessParameters(
@@ -164,36 +136,6 @@ class VariationTable:
     def sigmas(self) -> Dict[str, float]:
         """One-sigma absolute deviation per parameter."""
         return {name: self._specs[name].sigma for name in PARAMETER_NAMES}
-
-    def from_z_scores(self, z: Dict[str, float]) -> ProcessParameters:
-        """Build parameters at the given per-parameter z-scores.
-
-        ``z`` maps parameter names to numbers of standard deviations away
-        from nominal; omitted parameters stay nominal.
-        """
-        values = {}
-        for name in PARAMETER_NAMES:
-            spec = self._specs[name]
-            values[name] = spec.nominal + spec.sigma * z.get(name, 0.0)
-        return ProcessParameters(**values)
-
-    def scaled(self, factor: float) -> "VariationTable":
-        """Return a copy with every 3-sigma range scaled by ``factor``.
-
-        Used by sensitivity/ablation experiments that widen or narrow the
-        process window.
-        """
-        require_positive(factor, "factor")
-        return VariationTable(
-            {
-                name: ParameterSpec(
-                    name=name,
-                    nominal=spec.nominal,
-                    three_sigma_fraction=spec.three_sigma_fraction * factor,
-                )
-                for name, spec in self._specs.items()
-            }
-        )
 
 
 #: The paper's Table 1 (45 nm PTM technology, Nassif variation limits).

@@ -16,8 +16,11 @@ row-band structure. Accordingly one cache sample consists of:
   the band offset with the row factor.
 
 :class:`CacheVariationSampler` holds this configuration; populations are
-drawn as columns by :mod:`repro.variation.columnar`, and a
-:class:`CacheVariationMap` is one chip of them.
+drawn as columns by :mod:`repro.variation.columnar`. A
+:class:`CacheVariationMap` is one chip from another sampler
+(:mod:`repro.variation.gridmodel`), which
+:meth:`~repro.variation.columnar.ColumnarPopulation.from_maps` turns
+into columns.
 """
 
 from __future__ import annotations
@@ -85,12 +88,6 @@ class WayVariation(NamedTuple):
     bands: Tuple[ProcessParameters, ...]
     band_residuals: Tuple[float, ...] = ()
 
-    def band_residual(self, band: int) -> float:
-        """Residual delay multiplier of ``band`` (1.0 when not sampled)."""
-        if not self.band_residuals:
-            return 1.0
-        return self.band_residuals[band]
-
     def peripheral(self, name: str) -> ProcessParameters:
         """Return the peripheral segment vector called ``name``."""
         if name not in PERIPHERAL_SEGMENTS:
@@ -105,26 +102,12 @@ class CacheVariationMap(NamedTuple):
     die: ProcessParameters
     ways: Tuple[WayVariation, ...]
 
-    @property
-    def num_ways(self) -> int:
-        return len(self.ways)
-
-    @property
-    def num_bands(self) -> int:
-        return len(self.ways[0].bands)
-
-    def band_vectors(self, band: int) -> Tuple[ProcessParameters, ...]:
-        """The array segment vectors of horizontal band ``band`` in every way."""
-        if not 0 <= band < self.num_bands:
-            raise ConfigurationError(f"band {band} out of range")
-        return tuple(way.bands[band] for way in self.ways)
-
 
 class CacheVariationSampler:
     """The hierarchical sampling configuration of one cache.
 
     :class:`~repro.variation.columnar.ColumnarPopulationSampler` draws
-    populations with it; :meth:`sample_chip` is a one-chip slice.
+    populations with it.
 
     Parameters
     ----------
@@ -244,18 +227,3 @@ class CacheVariationSampler:
 
     def __hash__(self) -> int:
         return hash((type(self), self.identity))
-
-    def sample_chip(self, seed: int, chip_id: int) -> CacheVariationMap:
-        """Draw the variation map of chip ``chip_id`` under experiment ``seed``.
-
-        Each chip gets an independent stream derived from the seed and
-        its id, so populations are stable under reordering and can be
-        sampled in parallel. A one-chip slice of
-        :class:`~repro.variation.columnar.ColumnarPopulationSampler`.
-        """
-        from repro.variation.columnar import ColumnarPopulationSampler
-
-        population = ColumnarPopulationSampler(self).sample_range(
-            seed, chip_id, chip_id + 1
-        )
-        return population.chip_map(0)

@@ -19,8 +19,7 @@ through the simulation kernel:
   shipped by the engine dispatch against this cache instead of
   regenerating the trace per job. Stats feed ``repro cache info``.
 * :func:`trace_key` — the cheap identity key the engine puts in job
-  dicts; :attr:`CompiledTrace.key` is the stronger content address
-  (SHA-256 over the packed buffers) used for verification.
+  dicts.
 
 Compilation is wrapped in a ``ctrace.compile`` span and replay (in
 :class:`repro.uarch.simulator.Simulator`) in ``ctrace.replay``, so
@@ -32,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from array import array
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.core.validation import require_positive
 from repro.obs.trace import span as trace_span
@@ -51,7 +50,6 @@ __all__ = [
 
 #: Stable op encoding; the enum's definition order is part of the format.
 OP_CODES: Dict[OpClass, int] = {op: code for code, op in enumerate(OpClass)}
-OP_TABLE: Tuple[OpClass, ...] = tuple(OpClass)
 
 #: ``-1`` marks "no register" / "no address" in the packed columns.
 _NONE = -1
@@ -76,8 +74,6 @@ class CompiledTrace:
         "addresses",
         "pcs",
         "mispredicts",
-        "_root",
-        "_digest",
     )
 
     def __init__(
@@ -92,7 +88,6 @@ class CompiledTrace:
         pcs: array,
         mispredicts: array,
         length: Optional[int] = None,
-        _root: Optional["CompiledTrace"] = None,
     ) -> None:
         self.profile_name = profile_name
         self.seed = seed
@@ -104,8 +99,6 @@ class CompiledTrace:
         self.pcs = pcs
         self.mispredicts = mispredicts
         self.length = len(ops) if length is None else length
-        self._root = _root
-        self._digest: Optional[str] = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -142,11 +135,6 @@ class CompiledTrace:
 
     # ------------------------------------------------------------------
     @property
-    def root_length(self) -> int:
-        """Length of the underlying buffers (>= :attr:`length`)."""
-        return len(self.ops)
-
-    @property
     def nbytes(self) -> int:
         """Bytes held by the packed instruction buffers."""
         return sum(
@@ -172,62 +160,7 @@ class CompiledTrace:
             self.ops, self.dests, self.src0, self.src1,
             self.addresses, self.pcs, self.mispredicts,
             length=length,
-            _root=self._root if self._root is not None else self,
         )
-
-    # ------------------------------------------------------------------
-    @property
-    def key(self) -> str:
-        """Content address: SHA-256 over the first :attr:`length` entries.
-
-        Hashing the view (not the root buffers) keeps the address
-        prefix-stable: ``compile(n).key == compile(m).prefix(n).key``,
-        which is exactly the generator's prefix property restated over
-        packed bytes.
-        """
-        if self._digest is None:
-            digest = hashlib.sha256()
-            digest.update(f"ctrace-content:{self.length}:".encode("utf-8"))
-            n = self.length
-            for arr in (
-                self.ops, self.dests, self.src0, self.src1,
-                self.addresses, self.pcs, self.mispredicts,
-            ):
-                digest.update(
-                    arr.tobytes() if n == len(arr) else arr[:n].tobytes()
-                )
-            self._digest = digest.hexdigest()
-        return self._digest
-
-    # ------------------------------------------------------------------
-    def instructions(self) -> Iterator[TraceInstruction]:
-        """Reconstruct the (validated) instruction objects of this view."""
-        op_table = OP_TABLE
-        ops = self.ops
-        dests = self.dests
-        src0 = self.src0
-        src1 = self.src1
-        addresses = self.addresses
-        pcs = self.pcs
-        mispredicts = self.mispredicts
-        for i in range(self.length):
-            s0 = src0[i]
-            s1 = src1[i]
-            dest = dests[i]
-            address = addresses[i]
-            yield TraceInstruction(
-                op=op_table[ops[i]],
-                dest=None if dest < 0 else dest,
-                srcs=() if s0 < 0 else ((s0,) if s1 < 0 else (s0, s1)),
-                address=None if address < 0 else address,
-                pc=pcs[i],
-                mispredicted=bool(mispredicts[i]),
-            )
-
-    __iter__ = instructions
-
-    def __len__(self) -> int:
-        return self.length
 
 
 # ----------------------------------------------------------------------
@@ -266,9 +199,7 @@ def trace_key(profile_name: str, seed: int, length: int) -> str:
     Cheap to compute without compiling: generation is deterministic per
     ``(profile, seed)`` and ``generate(n)`` is a prefix of
     ``generate(m)``, so the identity fully determines the content. The
-    engine ships this key to pool workers;
-    :attr:`CompiledTrace.key` hashes the actual buffers when a content
-    check is wanted.
+    engine ships this key to pool workers.
     """
     return hashlib.sha256(
         f"ctrace:{profile_name}:{seed}:{length}".encode("utf-8")

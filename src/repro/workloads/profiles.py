@@ -116,11 +116,6 @@ class BenchmarkProfile:
         require_positive(self.chase_region, "chase_region")
         require_in_range(self.chase_chains, 1, 4, "chase_chains")
 
-    @property
-    def compute_frac(self) -> float:
-        """Fraction of instructions that are plain compute."""
-        return 1.0 - self.load_frac - self.store_frac - self.branch_frac
-
 
 def _p(name, suite, load, store, branch, fp, mult, mispred, dep, ws_kb,
        loc, stream, chase, code_kb=32, sbuf_kb=8, stride=4,

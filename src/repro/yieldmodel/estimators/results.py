@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from repro.core.errors import ConfigurationError
 from repro.yieldmodel.constraints import YieldConstraints
 
 __all__ = [
@@ -62,16 +61,6 @@ class EstimateReport:
     samples_total: int
     batches: int
     pilot_samples: int
-
-    def estimate_for(self, figure: str) -> YieldEstimate:
-        """The estimate of one tracked figure (e.g. ``"regular.base"``)."""
-        for estimate in self.estimates:
-            if estimate.figure == figure:
-                return estimate
-        raise ConfigurationError(
-            f"no estimate for figure {figure!r}; tracked: "
-            f"{[e.figure for e in self.estimates]}"
-        )
 
 
 # ----------------------------------------------------------------------

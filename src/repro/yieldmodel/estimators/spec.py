@@ -128,15 +128,12 @@ class EstimatorSpec:
 
         Only the fields the chosen kind actually consumes are included,
         so e.g. changing ``strata`` never invalidates an IS estimate.
-        ``fixed`` contributes just its name — a fixed estimate's key
-        depends only on the population identity, exactly as before this
-        layer existed.
+        ``fixed`` reads only its sample cap and its interval confidence.
         """
         identity: Dict[str, object] = {"kind": self.kind}
-        if self.kind == "fixed":
-            return identity
-        identity["batch_size"] = self.batch_size
-        identity["ci_target"] = self.ci_target
+        if self.kind != "fixed":
+            identity["batch_size"] = self.batch_size
+            identity["ci_target"] = self.ci_target
         identity["max_chips"] = self.max_chips
         identity["confidence"] = self.confidence
         if self.kind == "stratified":

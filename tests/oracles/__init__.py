@@ -4,23 +4,24 @@ These are frozen copies of the per-stage simulator that production
 replaced with one fused kernel: ``pipeline.py`` (the stage-method
 ``PipelineEngine``), ``hierarchy.py`` and ``setassoc.py`` (the
 dataclass-per-access cache hierarchy) and ``replacement.py`` (the
-per-set LRU policy object). Only their imports differ from the originals,
-so that each oracle module uses its oracle siblings. ``classify.py`` is
-the per-chip classification (``ChipCase``, with its own scalar
-delay-to-cycles and limit checks) before its leakage facts were cached,
-``columnar.py`` the columnar sampler's per-chip ``Generator`` draws
-before populations were decoded from raw stream words, and
-``schemes.py`` the per-chip scheme rescues (``RescueOutcome``, the
-paper schemes and ``AdaptiveHybrid``) before they became array
+per-set LRU policy object). Only their imports differ from the
+originals, so that each oracle module uses its oracle siblings, and the
+``CacheGeometry`` address methods they called, which are functions of
+``setassoc.py`` now. ``classify.py`` is the per-chip classification
+(``ChipCase``, with its own scalar delay-to-cycles and limit checks)
+before its leakage facts were cached, ``columnar.py`` the columnar
+sampler's per-chip ``Generator`` draws before populations were decoded
+from raw stream words, and ``schemes.py`` the per-chip scheme rescues
+(``RescueOutcome`` and the paper schemes) before they became array
 decisions. ``sampling.py`` is the scalar per-parameter sampler and
 ``circuit.py`` the composed per-stage circuit physics (devices, wires,
 SRAM stages, decoder, access path) that populations were drawn and
 evaluated with before the columnar sampler and kernel became the only
-production path, with the per-chip result types it returns. They are
-never imported by ``src/``; their job is to pin every statistic the
-production code reports, bit for bit.
+production path, with the per-chip result types it returns.
+``compiled.py`` decodes a compiled trace back into the instructions
+these oracles replay. They are never imported by ``src/``; their job is
+to pin every statistic the production code reports, bit for bit.
 """
-
 from __future__ import annotations
 
 from typing import Iterable, Optional
@@ -45,8 +46,8 @@ def simulate(
 ) -> SimResult:
     """What ``Simulator.run`` returned before the fused kernel.
 
-    ``trace`` is a plain ``TraceInstruction`` iterable or a compiled
-    trace; the oracle engine reads either through its own fetch paths.
+    ``trace`` is a ``TraceInstruction`` iterable; ``compiled.instructions``
+    reads one out of a compiled trace.
     """
     hierarchy = MemoryHierarchy(
         config=PAPER_HIERARCHY,

@@ -58,10 +58,13 @@ from repro.variation.sampling import (
     WayVariation,
 )
 
+from .sampling import chip_map
+
 __all__ = [
     "CacheCircuitResult",
     "WayCircuitResult",
     "access_path_delay",
+    "band_residual",
     "bitline_capacitance",
     "bitline_delay",
     "cell_leakage",
@@ -497,13 +500,21 @@ def access_path_delay(
 # ----------------------------------------------------------------------
 # whole-cache evaluation
 # ----------------------------------------------------------------------
+def band_residual(way: WayVariation, band: int) -> float:
+    """Residual delay multiplier of ``band`` (1.0 when not sampled); once
+    ``WayVariation.band_residual``."""
+    if not way.band_residuals:
+        return 1.0
+    return way.band_residuals[band]
+
+
 def evaluate_way_reference(
     self: CacheCircuitModel, way: WayVariation
 ) -> WayCircuitResult:
     """Composed per-stage evaluation of one way under model ``self``."""
     band_delays = tuple(
         access_path_delay(way, band, self.tech, self.org, self.sizing)
-        * way.band_residual(band)
+        * band_residual(way, band)
         * self._delay_scale
         for band in range(self.org.num_bands)
     )
@@ -546,7 +557,7 @@ def evaluate_population_pair(
 ) -> Tuple[CircuitColumns, CircuitColumns]:
     """The reference for the columnar pair evaluation: every chip of
     ``population`` through the composed physics, as columns."""
-    maps = [population.chip_map(i) for i in range(population.num_chips)]
+    maps = [chip_map(population, i) for i in range(len(population.chip_ids))]
     return tuple(
         from_circuits([evaluate(model, m) for m in maps])
         for model in (regular_model, hyapd_model)

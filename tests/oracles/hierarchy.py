@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.cache.geometry import CacheGeometry
-from .setassoc import SetAssociativeCache, WayConfig
+from .setassoc import SetAssociativeCache, WayConfig, block_address
 from repro.core import units
 from repro.core.validation import require_positive
 from repro.yieldmodel.constraints import BASE_ACCESS_CYCLES
@@ -129,7 +129,7 @@ class MemoryHierarchy:
             )
 
         # L1 miss: check the L2 (allocating both levels on the way back).
-        block = self.l1d.geometry.block_address(address)
+        block = block_address(self.l1d.geometry, address)
         l2_result = self.l2.access(address, write=False)
         self.l2_accesses += 1
         if l2_result.hit:

@@ -36,6 +36,7 @@ from collections import deque
 from typing import Deque, Dict, Iterable, Iterator, List, Optional
 
 from .hierarchy import MemoryHierarchy
+from .setassoc import block_address
 from repro.core.errors import SimulationError
 from repro.uarch.config import CoreConfig
 from repro.uarch.isa import FU_KIND, FU_LATENCIES, OpClass
@@ -467,7 +468,7 @@ class PipelineEngine:
 
             # Instruction cache: pay the miss latency when entering a new
             # block; the 2-cycle hit latency is part of the front end.
-            block = self.hierarchy.l1i.geometry.block_address(inst.pc)
+            block = block_address(self.hierarchy.l1i.geometry, inst.pc)
             if block != self._last_fetch_block:
                 self._last_fetch_block = block
                 latency = self.hierarchy.instruction_fetch(inst.pc)

@@ -1,17 +1,18 @@
 """Reference LRU replacement policy: a frozen copy of ``LRUPolicy``.
 
 The oracle cache keeps one instance per set, exactly as the production
-cache did before it folded LRU into per-set recency lists.
+cache did before it folded LRU into per-set recency lists. Only the base
+class differs from the original: the policy interface it implemented
+left ``src/`` with the other replacement policies.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.cache.replacement import ReplacementPolicy
 from repro.core.errors import ConfigurationError, SimulationError
 
-__all__ = ["ReplacementPolicy", "LRUPolicy"]
+__all__ = ["LRUPolicy"]
 
 #: Raised when a victim is requested from a set with no usable ways.
 #: H-YAPD band disables on a cache with fewer ways than bands can mask
@@ -26,8 +27,8 @@ _NO_CANDIDATES = (
 )
 
 
-class LRUPolicy(ReplacementPolicy):
-    """True least-recently-used."""
+class LRUPolicy:
+    """True least-recently-used replacement state of one cache set."""
 
     def __init__(self) -> None:
         self._order: List[int] = []  # most recent last

@@ -10,7 +10,12 @@ way its vector, its peripheral and band segments and its residuals.
 is what ``ColumnarPopulationSampler`` must reproduce chip for chip,
 value for value and to the last word of each stream;
 ``sample_range`` is the oracle-only stand-in for
-``ColumnarPopulationSampler.sample_range``. Never imported by ``src/``.
+``ColumnarPopulationSampler.sample_range``. ``chip_map`` is one chip of
+a columnar population as a per-chip map (once
+``ColumnarPopulation.chip_map``), and ``columnar_chip`` the production
+sampler's draw of one chip as one (once
+``CacheVariationSampler.sample_chip``), so tests compare them with the
+scalar maps by ``==``. Never imported by ``src/``.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.core.errors import ConfigurationError
 from repro.core.rng import spawn
 from repro.variation.columnar import (
     ColumnarPopulation,
@@ -32,7 +38,13 @@ from repro.variation.sampling import (
     WayVariation,
 )
 
-__all__ = ["sample_chip", "sample_range", "sample_reference"]
+__all__ = [
+    "chip_map",
+    "columnar_chip",
+    "sample_chip",
+    "sample_range",
+    "sample_reference",
+]
 
 
 def _clip(self: CacheVariationSampler, name: str, value: float) -> float:
@@ -151,3 +163,56 @@ def sample_range(
         sample_chip(self.sampler, seed, chip_id)
         for chip_id in range(start, stop)
     ])
+
+
+def chip_map(population: ColumnarPopulation, index: int) -> CacheVariationMap:
+    """Row ``index`` of ``population`` as a per-chip variation map.
+
+    The inverse of :meth:`ColumnarPopulation.from_maps`.
+    """
+    if not 0 <= index < len(population.chip_ids):
+        raise ConfigurationError(f"chip index {index} out of range")
+    ways = []
+    for way in range(population.num_ways):
+        peripherals = {
+            name: ProcessParameters(
+                *population.peripherals[index, way, seg].tolist()
+            )
+            for seg, name in enumerate(PERIPHERAL_SEGMENTS)
+        }
+        bands = tuple(
+            ProcessParameters(*population.bands[index, way, band].tolist())
+            for band in range(population.num_bands)
+        )
+        residuals = (
+            tuple(population.band_residuals[index, way].tolist())
+            if population.has_residuals
+            else ()
+        )
+        ways.append(
+            WayVariation(
+                way=way,
+                params=ProcessParameters(
+                    *population.way_params[index, way].tolist()
+                ),
+                bands=bands,
+                band_residuals=residuals,
+                **peripherals,
+            )
+        )
+    return CacheVariationMap(
+        chip_id=population.chip_ids[index],
+        die=ProcessParameters(*population.die[index].tolist()),
+        ways=tuple(ways),
+    )
+
+
+def columnar_chip(
+    sampler: CacheVariationSampler, seed: int, chip_id: int
+) -> CacheVariationMap:
+    """Chip ``chip_id`` of experiment ``seed``, drawn by the columnar
+    sampler as a one-chip population."""
+    population = ColumnarPopulationSampler(sampler).sample_range(
+        seed, chip_id, chip_id + 1
+    )
+    return chip_map(population, 0)

@@ -6,10 +6,8 @@ calls, over the ``ChipCase`` interface (facts, ``max_leakage_way``,
 ``leakage_after_disabling_way``, ``way_cycles_without_band`` and the
 circuit's per-way results). ``OracleScheme`` carries the original
 ``Scheme`` base's ``_pass_through`` and ``_lost``, and every outcome is
-a ``RescueOutcome``, the original outcome type verbatim.
-``AdaptiveHybrid`` is the original per-chip ``rescue``, ``_candidates``
-and ``_choose`` of the adaptive scheme. Only the base class, the
-imports, the circuit helpers (``band_array_leakage``,
+a ``RescueOutcome``, the original outcome type verbatim. Only the base
+class, the imports, the circuit helpers (``band_array_leakage``,
 ``total_peripheral_leakage`` and ``delay_without_band``, once circuit
 methods, now functions of ``.classify``) and the constraint checks
 (``meets_delay`` and ``meets_leakage``, once ``YieldConstraints``
@@ -20,11 +18,10 @@ Never imported by ``src/``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.validation import require_in_range
-from repro.schemes.adaptive import Estimator
 from repro.yieldmodel.classify import VACA_MAX_CYCLES
 from repro.yieldmodel.constraints import BASE_ACCESS_CYCLES
 
@@ -38,7 +35,6 @@ from .classify import (
 )
 
 __all__ = [
-    "AdaptiveHybrid",
     "DeepVACA",
     "HYAPD",
     "Hybrid",
@@ -511,95 +507,4 @@ class NaiveBinning(OracleScheme):
             configuration=case.configuration,
             way_cycles=way_cycles,
             note=f"entire cache re-binned at {self.target_cycles} cycles",
-        )
-
-
-class AdaptiveHybrid(OracleScheme):
-    """Hybrid that picks keep-slow vs disable per predicted degradation.
-
-    Parameters
-    ----------
-    estimator:
-        Predicts fractional CPI degradation of a candidate configuration
-        for the target workload.
-    """
-
-    name = "Adaptive-Hybrid"
-
-    def __init__(self, estimator: Estimator) -> None:
-        self.estimator = estimator
-
-    def _candidates(self, case: ChipCase, leakiest: int, gated: List[float]):
-        """All single-disable-or-none configurations that meet constraints.
-
-        Only *sensible* disables are considered: a slow way, or the
-        leakiest way when the chip violates the power limit — never a
-        healthy way. ``leakiest`` and ``gated`` are the chip's leakage
-        readings (``max_leakage_way`` and ``leakage_after_disabling_way``
-        of every way).
-        """
-        # Option A: no power-down (pure VACA behaviour).
-        if not case.leakage_violation and max(case.way_cycles) <= VACA_MAX_CYCLES:
-            yield None, case.way_cycles
-        # Option B: disable exactly one offending way.
-        candidates = {
-            w
-            for w, cycles in enumerate(case.way_cycles)
-            if cycles > BASE_ACCESS_CYCLES
-        }
-        if case.leakage_violation:
-            candidates.add(leakiest)
-        for way in sorted(candidates):
-            cycles_ok = all(
-                case.way_cycles[w] <= VACA_MAX_CYCLES
-                for w in range(case.circuit.num_ways)
-                if w != way
-            )
-            leak_ok = meets_leakage(case.constraints, gated[way])
-            if cycles_ok and leak_ok:
-                yield way, tuple(
-                    None if w == way else case.way_cycles[w]
-                    for w in range(case.circuit.num_ways)
-                )
-
-    def rescue(self, case: ChipCase) -> RescueOutcome:
-        if case.passes:
-            return self._pass_through(case)
-        return self._choose(
-            case,
-            case.max_leakage_way(),
-            [
-                case.leakage_after_disabling_way(way)
-                for way in range(case.circuit.num_ways)
-            ],
-        )
-
-    def _choose(
-        self, case: ChipCase, leakiest: int, gated: List[float]
-    ) -> RescueOutcome:
-        """The cheapest feasible option for the failing ``case``."""
-        best = None
-        best_cost = float("inf")
-        for disabled_way, way_cycles in self._candidates(
-            case, leakiest, gated
-        ):
-            cost = self.estimator(way_cycles)
-            if cost < best_cost:
-                best, best_cost = (disabled_way, way_cycles), cost
-        if best is None:
-            return self._lost(case, "no feasible single power-down option")
-
-        disabled_way, way_cycles = best
-        note = (
-            "kept all ways (VACA mode)"
-            if disabled_way is None
-            else f"disabled way {disabled_way}"
-        )
-        return RescueOutcome(
-            scheme=self.name,
-            saved=True,
-            configuration=case.configuration,
-            disabled_way=disabled_way,
-            way_cycles=way_cycles,
-            note=f"{note}; predicted degradation {best_cost:.2%}",
         )

@@ -24,11 +24,55 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cache.geometry import CacheGeometry
-from .replacement import LRUPolicy, ReplacementPolicy
+from .replacement import LRUPolicy
 from repro.core.errors import ConfigurationError
+from repro.core.validation import require_positive
 from repro.yieldmodel.constraints import BASE_ACCESS_CYCLES
 
-__all__ = ["WayConfig", "AccessResult", "SetAssociativeCache"]
+__all__ = [
+    "AccessResult",
+    "SetAssociativeCache",
+    "WayConfig",
+    "address_group",
+    "block_address",
+    "set_of",
+    "tag_of",
+]
+
+
+# ----------------------------------------------------------------------
+# address mapping: the original ``CacheGeometry`` methods, as functions
+# ----------------------------------------------------------------------
+def block_address(geometry: CacheGeometry, address: int) -> int:
+    """The block-aligned identifier of ``address``."""
+    return address >> (geometry.block_bytes.bit_length() - 1)
+
+
+def set_of(geometry: CacheGeometry, address: int) -> int:
+    """The set ``address`` maps to."""
+    return block_address(geometry, address) & (geometry.num_sets - 1)
+
+
+def tag_of(geometry: CacheGeometry, address: int) -> int:
+    """The tag of ``address``."""
+    return block_address(geometry, address) >> (
+        geometry.num_sets.bit_length() - 1
+    )
+
+
+def address_group(
+    geometry: CacheGeometry, set_index: int, num_groups: int
+) -> int:
+    """The H-YAPD address group of a set (paper Figure 5).
+
+    The paper partitions the line (set) space into ``num_groups``
+    contiguous ranges; each range occupies a *different* horizontal
+    band in each way, so disabling one band removes exactly one
+    candidate way per group.
+    """
+    require_positive(num_groups, "num_groups")
+    sets_per_group = max(geometry.num_sets // num_groups, 1)
+    return min(set_index // sets_per_group, num_groups - 1)
 
 
 @dataclass(frozen=True)
@@ -135,7 +179,7 @@ class SetAssociativeCache:
         Way latencies and disables; defaults to all ways at the base
         latency.
     policy_factory:
-        Creates one :class:`ReplacementPolicy` per set (default LRU).
+        Creates one replacement policy per set (default LRU).
     name:
         Label used in statistics.
     """
@@ -144,7 +188,7 @@ class SetAssociativeCache:
         self,
         geometry: CacheGeometry,
         config: Optional[WayConfig] = None,
-        policy_factory: Callable[[], ReplacementPolicy] = LRUPolicy,
+        policy_factory: Callable[[], LRUPolicy] = LRUPolicy,
         name: str = "cache",
     ) -> None:
         self.geometry = geometry
@@ -165,7 +209,7 @@ class SetAssociativeCache:
             {w: None for w in range(geometry.associativity)}
             for _ in range(geometry.num_sets)
         ]
-        self._policies: List[ReplacementPolicy] = [
+        self._policies: List[LRUPolicy] = [
             policy_factory() for _ in range(geometry.num_sets)
         ]
         # The way configuration is frozen, so each set's eligible-way
@@ -176,7 +220,7 @@ class SetAssociativeCache:
         # policy fail mid-simulation.
         group_eligible: Dict[int, Tuple[int, ...]] = {}
         for set_index in range(geometry.num_sets):
-            group = geometry.address_group(set_index, self.config.num_bands)
+            group = address_group(geometry, set_index, self.config.num_bands)
             if group not in group_eligible:
                 eligible = tuple(
                     w
@@ -201,7 +245,7 @@ class SetAssociativeCache:
 
     # ------------------------------------------------------------------
     def _group(self, set_index: int) -> int:
-        return self.geometry.address_group(set_index, self.config.num_bands)
+        return address_group(self.geometry, set_index, self.config.num_bands)
 
     def eligible_ways(self, set_index: int) -> List[int]:
         """Ways usable for this set under the current configuration."""
@@ -214,8 +258,8 @@ class SetAssociativeCache:
     # ------------------------------------------------------------------
     def lookup(self, address: int) -> AccessResult:
         """Probe without modifying any state (no LRU update)."""
-        set_index = self.geometry.set_index(address)
-        tag = self.geometry.tag(address)
+        set_index = set_of(self.geometry, address)
+        tag = tag_of(self.geometry, address)
         for way in self._eligible[set_index]:
             line = self._lines[set_index][way]
             if line is not None and line.tag == tag:
@@ -261,7 +305,7 @@ class SetAssociativeCache:
                 line.dirty = True
             return probe
         set_index = probe.set_index
-        tag = self.geometry.tag(address)
+        tag = tag_of(self.geometry, address)
         eligible = self._eligible[set_index]
         empty = [w for w in eligible if self._lines[set_index][w] is None]
         evicted_block: Optional[int] = None
@@ -272,7 +316,7 @@ class SetAssociativeCache:
             # long-lived hot blocks in the low ways and starve the high
             # ways of hits, which would bias every per-way-latency
             # experiment.
-            way = empty[self.geometry.block_address(address) % len(empty)]
+            way = empty[block_address(self.geometry, address) % len(empty)]
         else:
             way = self._policies[set_index].victim(eligible)
             victim = self._lines[set_index][way]

@@ -26,12 +26,17 @@ def hyapd_config(band: int) -> WayConfig:
     return WayConfig(latencies=(4, 4, 4, 4), disabled_band=band, num_bands=4)
 
 
+def eligible_ways(cache: SetAssociativeCache, set_index: int) -> list:
+    """The ways the cache may fill in ``set_index``."""
+    return list(cache._eligible[set_index])
+
+
 class TestMappingInvariants:
     @pytest.mark.parametrize("band", range(4))
     def test_every_set_loses_exactly_one_way(self, band):
         cache = SetAssociativeCache(GEOM, hyapd_config(band))
         for set_index in range(GEOM.num_sets):
-            assert cache.effective_associativity(set_index) == 3
+            assert len(eligible_ways(cache, set_index)) == 3
 
     @pytest.mark.parametrize("band", range(4))
     def test_lost_way_differs_per_group(self, band):
@@ -39,7 +44,7 @@ class TestMappingInvariants:
         sets_per_group = GEOM.num_sets // 4
         lost = []
         for group in range(4):
-            eligible = set(cache.eligible_ways(group * sets_per_group))
+            eligible = set(eligible_ways(cache, group * sets_per_group))
             missing = set(range(4)) - eligible
             assert len(missing) == 1
             lost.append(missing.pop())
@@ -48,21 +53,21 @@ class TestMappingInvariants:
     def test_paper_example_band0(self):
         """Paper: with h-way 0 off, lines 0-31 may live in ways 1, 2, 3."""
         cache = SetAssociativeCache(GEOM, hyapd_config(0))
-        assert cache.eligible_ways(0) == [1, 2, 3]
+        assert eligible_ways(cache, 0) == [1, 2, 3]
 
     def test_paper_example_last_group(self):
         """...while the last address group loses a different way (its own
         rotation maps group 3 to band 0 in way 1)."""
         cache = SetAssociativeCache(GEOM, hyapd_config(0))
         last_group_set = GEOM.num_sets - 1
-        assert 0 in cache.eligible_ways(last_group_set)
-        assert cache.effective_associativity(last_group_set) == 3
+        assert 0 in eligible_ways(cache, last_group_set)
+        assert len(eligible_ways(cache, last_group_set)) == 3
 
     def test_no_disable_keeps_all_ways(self):
         config = WayConfig(latencies=(4, 4, 4, 4))
         cache = SetAssociativeCache(GEOM, config)
         for set_index in range(0, GEOM.num_sets, 17):
-            assert cache.effective_associativity(set_index) == 4
+            assert len(eligible_ways(cache, set_index)) == 4
 
 
 class TestHitMissEquivalence:
@@ -88,7 +93,7 @@ class TestHitMissEquivalence:
         for set_index, tag in accesses:
             a = addr(set_index, tag)
             for cache in (hyapd, yapd):
-                if not cache.access(a).hit:
+                if cache.access_way(a) < 0:
                     cache.fill(a)
         assert hyapd.misses == yapd.misses
         assert hyapd.hits == yapd.hits
@@ -101,6 +106,6 @@ class TestHitMissEquivalence:
             set_index = group * sets_per_group + 1
             for tag in range(8):
                 a = addr(set_index, tag)
-                if not cache.access(a).hit:
+                if cache.access_way(a) < 0:
                     result = cache.fill(a)
                     assert result.way != blocked_way

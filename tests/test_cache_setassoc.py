@@ -3,14 +3,8 @@
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
-from repro.cache import (
-    CacheGeometry,
-    FIFOPolicy,
-    LRUPolicy,
-    RandomPolicy,
-    SetAssociativeCache,
-    WayConfig,
-)
+from oracles.setassoc import block_address, set_of, tag_of
+from repro.cache import CacheGeometry, SetAssociativeCache, WayConfig
 from repro.core import units
 from repro.core.errors import ConfigurationError
 
@@ -20,6 +14,17 @@ GEOM = CacheGeometry(16 * units.KB, 4, 32)
 def addr(set_index: int, tag: int) -> int:
     """Build an address in a given set with a given tag."""
     return ((tag << 7) | set_index) << 5
+
+
+def resident_way(cache: SetAssociativeCache, address: int) -> int:
+    """The way holding ``address``'s block, or -1; changes no state."""
+    tags = cache._tags[set_of(cache.geometry, address)]
+    tag = tag_of(cache.geometry, address)
+    return tags.index(tag) if tag in tags else -1
+
+
+def resident(cache: SetAssociativeCache, address: int) -> bool:
+    return resident_way(cache, address) >= 0
 
 
 class TestWayConfig:
@@ -49,19 +54,10 @@ class TestBasicBehaviour:
     def test_miss_then_fill_then_hit(self):
         cache = SetAssociativeCache(GEOM)
         a = addr(3, 7)
-        assert not cache.access(a).hit
-        cache.fill(a)
-        result = cache.access(a)
-        assert result.hit
-        assert result.latency == 4
-
-    def test_lookup_does_not_touch_state(self):
-        cache = SetAssociativeCache(GEOM)
-        a = addr(3, 7)
-        cache.fill(a)
-        before_hits = cache.hits
-        assert cache.lookup(a).hit
-        assert cache.hits == before_hits
+        assert cache.access_way(a) == -1
+        filled = cache.fill(a)
+        assert cache.access_way(a) == filled.way
+        assert filled.latency == 4
 
     def test_eviction_after_assoc_exhausted(self):
         cache = SetAssociativeCache(GEOM)
@@ -69,27 +65,27 @@ class TestBasicBehaviour:
         for tag in tags:
             cache.fill(addr(0, tag))
         # tag 0 was LRU and must be gone
-        assert not cache.lookup(addr(0, 0)).hit
-        assert cache.lookup(addr(0, 4)).hit
+        assert not resident(cache, addr(0, 0))
+        assert resident(cache, addr(0, 4))
         assert cache.evictions == 1
 
     def test_lru_respects_recency(self):
         cache = SetAssociativeCache(GEOM)
         for tag in range(4):
             cache.fill(addr(0, tag))
-        cache.access(addr(0, 0))  # make tag 0 MRU
+        cache.access_way(addr(0, 0))  # make tag 0 MRU
         cache.fill(addr(0, 9))  # evicts tag 1, not tag 0
-        assert cache.lookup(addr(0, 0)).hit
-        assert not cache.lookup(addr(0, 1)).hit
+        assert resident(cache, addr(0, 0))
+        assert not resident(cache, addr(0, 1))
 
     def test_dirty_tracking(self):
         cache = SetAssociativeCache(GEOM)
         a = addr(0, 1)
         cache.fill(a)
-        cache.access(a, write=True)
+        cache.access_way(a, write=True)
         for tag in range(2, 6):
             result = cache.fill(addr(0, tag))
-            if result.evicted_block == GEOM.block_address(a):
+            if result.evicted_block == block_address(GEOM, a):
                 assert result.evicted_dirty
                 break
         else:
@@ -106,14 +102,14 @@ class TestBasicBehaviour:
     def test_statistics(self):
         cache = SetAssociativeCache(GEOM)
         a = addr(0, 1)
-        cache.access(a)
+        cache.access_way(a)
         cache.fill(a)
-        cache.access(a)
+        cache.access_way(a)
         assert cache.accesses == 2
         assert cache.miss_rate == pytest.approx(0.5)
         cache.reset_statistics()
         assert cache.accesses == 0
-        assert cache.lookup(a).hit  # contents survive the reset
+        assert resident(cache, a)  # contents survive the reset
 
 
 class TestWayDisable:
@@ -122,13 +118,18 @@ class TestWayDisable:
         cache = SetAssociativeCache(GEOM, config)
         for tag in range(20):
             cache.fill(addr(0, tag))
-            result = cache.lookup(addr(0, tag))
-            assert result.way != 3
+            assert resident_way(cache, addr(0, tag)) != 3
 
     def test_effective_associativity(self):
+        """With two ways off, a set holds two blocks."""
         config = WayConfig(latencies=(4, 4, None, None))
         cache = SetAssociativeCache(GEOM, config)
-        assert cache.effective_associativity(0) == 2
+        for tag in range(3):
+            cache.fill(addr(0, tag))
+        assert [resident(cache, addr(0, tag)) for tag in range(3)] == [
+            False, True, True,
+        ]
+        assert cache.evictions == 1
 
     def test_three_way_capacity(self):
         """With one way off, 4 distinct tags cannot coexist in a set."""
@@ -136,7 +137,7 @@ class TestWayDisable:
         cache = SetAssociativeCache(GEOM, config)
         for tag in range(4):
             cache.fill(addr(0, tag))
-        hits = sum(cache.lookup(addr(0, tag)).hit for tag in range(4))
+        hits = sum(resident(cache, addr(0, tag)) for tag in range(4))
         assert hits == 3
 
     def test_per_way_latency_reported(self):
@@ -144,45 +145,12 @@ class TestWayDisable:
         cache = SetAssociativeCache(GEOM, config)
         seen = set()
         for tag in range(4):
-            a = addr(0, tag)
-            cache.fill(a)
-            seen.add(cache.lookup(a).latency)
+            seen.add(cache.fill(addr(0, tag)).latency)
         assert seen == {4, 5}
 
     def test_config_way_count_must_match(self):
         with pytest.raises(ConfigurationError):
             SetAssociativeCache(GEOM, WayConfig(latencies=(4, 4)))
-
-
-class TestReplacementPolicies:
-    def test_fifo_ignores_recency(self):
-        cache = SetAssociativeCache(GEOM, policy_factory=FIFOPolicy)
-        for tag in range(4):
-            cache.fill(addr(0, tag))
-        cache.access(addr(0, 0))  # touch does not matter for FIFO
-        cache.fill(addr(0, 9))
-        assert not cache.lookup(addr(0, 0)).hit
-
-    def test_random_policy_is_deterministic_per_seed(self):
-        import numpy as np
-
-        def factory():
-            return RandomPolicy(np.random.default_rng(3))
-
-        caches = []
-        for _ in range(2):
-            cache = SetAssociativeCache(GEOM, policy_factory=factory)
-            for tag in range(8):
-                cache.fill(addr(0, tag))
-            caches.append(
-                tuple(cache.lookup(addr(0, tag)).hit for tag in range(8))
-            )
-        assert caches[0] == caches[1]
-
-    def test_victim_requires_candidates(self):
-        policy = LRUPolicy()
-        with pytest.raises(ConfigurationError):
-            policy.victim([])
 
 
 @hsettings(max_examples=30, deadline=None)
@@ -193,10 +161,10 @@ def test_cache_never_exceeds_capacity(tags):
     """Property: a set holds at most `associativity` distinct blocks."""
     cache = SetAssociativeCache(GEOM)
     for tag in tags:
-        if not cache.access(addr(5, tag)).hit:
+        if cache.access_way(addr(5, tag)) < 0:
             cache.fill(addr(5, tag))
-    resident = sum(cache.lookup(addr(5, tag)).hit for tag in set(tags))
-    assert resident <= GEOM.associativity
+    held = sum(resident(cache, addr(5, tag)) for tag in set(tags))
+    assert held <= GEOM.associativity
     recent = list(dict.fromkeys(reversed(tags)))[: GEOM.associativity]
     # the most recently used block is always resident
-    assert cache.lookup(addr(5, recent[0])).hit
+    assert resident(cache, addr(5, recent[0]))

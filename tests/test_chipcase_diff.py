@@ -42,7 +42,6 @@ from repro.schemes import (
     HYAPD,
     VACA,
     YAPD,
-    AdaptiveHybrid,
     DeepVACA,
     Hybrid,
     HybridHorizontal,
@@ -81,13 +80,6 @@ SENSORS = (
 )
 
 
-def _degradation(way_cycles):
-    """A deterministic estimator for AdaptiveHybrid's choice."""
-    disabled = sum(1 for c in way_cycles if c is None)
-    slow = sum(1 for c in way_cycles if c is not None and c > 4)
-    return 0.011 * disabled + 0.004 * slow
-
-
 def _schemes():
     return [
         YAPD(),
@@ -99,7 +91,6 @@ def _schemes():
         HybridHorizontal(),
         NaiveBinning(),
         NaiveBinning(target_cycles=6),
-        AdaptiveHybrid(_degradation),
     ]
 
 
@@ -116,7 +107,6 @@ def _oracle_schemes():
         o.HybridHorizontal(),
         o.NaiveBinning(),
         o.NaiveBinning(target_cycles=6),
-        o.AdaptiveHybrid(_degradation),
     ]
 
 

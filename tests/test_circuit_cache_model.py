@@ -42,6 +42,7 @@ from oracles.classify import (
     delay_without_band,
     total_peripheral_leakage,
 )
+from oracles.sampling import columnar_chip
 
 NOMINAL = TABLE1.nominal()
 
@@ -170,7 +171,7 @@ class TestEvaluatedChips:
     def test_evaluate_shape(self):
         sampler = CacheVariationSampler()
         model = CacheCircuitModel()
-        result = _evaluate(model, sampler.sample_chip(seed=1, chip_id=0))
+        result = _evaluate(model, columnar_chip(sampler, seed=1, chip_id=0))
         assert result.num_ways == 4
         assert result.num_bands == 4
         assert result.access_delay == max(result.way_delays)
@@ -179,19 +180,19 @@ class TestEvaluatedChips:
     def test_evaluate_deterministic(self):
         sampler = CacheVariationSampler()
         model = CacheCircuitModel()
-        cvmap = sampler.sample_chip(seed=1, chip_id=0)
+        cvmap = columnar_chip(sampler, seed=1, chip_id=0)
         assert _evaluate(model, cvmap) == _evaluate(model, cvmap)
 
     def test_band_mismatch_rejected(self):
         sampler = CacheVariationSampler(num_bands=2)
         model = CacheCircuitModel()
         with pytest.raises(ConfigurationError):
-            _evaluate(model, sampler.sample_chip(seed=1, chip_id=0))
+            _evaluate(model, columnar_chip(sampler, seed=1, chip_id=0))
 
     def test_way_mismatch_rejected(self):
         sampler = CacheVariationSampler(num_ways=2)
         with pytest.raises(ConfigurationError, match="2 ways"):
-            _evaluate(CacheCircuitModel(), sampler.sample_chip(1, 0))
+            _evaluate(CacheCircuitModel(), columnar_chip(sampler, 1, 0))
         with pytest.raises(ConfigurationError, match="4 ways"):
             YieldStudy(
                 seed=1, count=10, organization=CacheOrganization(num_ways=8)
@@ -200,7 +201,7 @@ class TestEvaluatedChips:
     def test_delay_without_band_reduces(self):
         sampler = CacheVariationSampler()
         result = _evaluate(
-            CacheCircuitModel(), sampler.sample_chip(seed=2, chip_id=3)
+            CacheCircuitModel(), columnar_chip(sampler, seed=2, chip_id=3)
         )
         for way in result.ways:
             critical = critical_band(way)
@@ -209,7 +210,7 @@ class TestEvaluatedChips:
     def test_band_array_leakage_sums(self):
         sampler = CacheVariationSampler()
         result = _evaluate(
-            CacheCircuitModel(), sampler.sample_chip(seed=2, chip_id=3)
+            CacheCircuitModel(), columnar_chip(sampler, seed=2, chip_id=3)
         )
         total_bands = sum(
             band_array_leakage(result, b) for b in range(result.num_bands)
@@ -221,7 +222,7 @@ class TestEvaluatedChips:
         sampler = CacheVariationSampler(
             path_residual_sigma=0.0, outlier_band_prob=0.0
         )
-        cvmap = sampler.sample_chip(seed=3, chip_id=0)
+        cvmap = columnar_chip(sampler, seed=3, chip_id=0)
         base = _evaluate(CacheCircuitModel(), cvmap)
         boosted = cvmap.ways[0]._replace(band_residuals=(2.0, 1.0, 1.0, 1.0))
         cvmap = cvmap._replace(ways=(boosted,) + cvmap.ways[1:])

@@ -19,28 +19,28 @@ class TestEffectiveThreshold:
         )
 
     def test_shorter_channel_lowers_vt(self):
-        short = NOMINAL.replace(lgate=NOMINAL.lgate * 0.9)
+        short = NOMINAL._replace(lgate=NOMINAL.lgate * 0.9)
         assert devices.effective_threshold(short, TECH45) < NOMINAL.vt
 
     def test_longer_channel_raises_vt(self):
-        long_ = NOMINAL.replace(lgate=NOMINAL.lgate * 1.1)
+        long_ = NOMINAL._replace(lgate=NOMINAL.lgate * 1.1)
         assert devices.effective_threshold(long_, TECH45) > NOMINAL.vt
 
     def test_rolloff_magnitude(self):
         """A small excursion (2%) stays above the floor and drops Vt by
         exactly vt_rolloff * fractional shortfall."""
-        short = NOMINAL.replace(lgate=NOMINAL.lgate * 0.98)
+        short = NOMINAL._replace(lgate=NOMINAL.lgate * 0.98)
         drop = NOMINAL.vt - devices.effective_threshold(short, TECH45)
         assert drop == pytest.approx(TECH45.vt_rolloff * 0.02, rel=1e-6)
 
     def test_extreme_rolloff_hits_floor(self):
         """A deep excursion saturates at the 20 mV floor instead of going
         negative."""
-        short = NOMINAL.replace(lgate=NOMINAL.lgate * 0.9)
+        short = NOMINAL._replace(lgate=NOMINAL.lgate * 0.9)
         assert devices.effective_threshold(short, TECH45) == pytest.approx(0.02)
 
     def test_floor(self):
-        tiny = NOMINAL.replace(lgate=NOMINAL.lgate * 0.5, vt=0.05)
+        tiny = NOMINAL._replace(lgate=NOMINAL.lgate * 0.5, vt=0.05)
         assert devices.effective_threshold(tiny, TECH45) >= 0.02
 
 
@@ -54,7 +54,7 @@ class TestDriveCurrent:
         assert two == pytest.approx(2 * one)
 
     def test_low_vt_drives_harder(self):
-        fast = NOMINAL.replace(vt=NOMINAL.vt * 0.8)
+        fast = NOMINAL._replace(vt=NOMINAL.vt * 0.8)
         assert devices.drive_current(
             1e-6, fast, TECH45
         ) > devices.drive_current(1e-6, NOMINAL, TECH45)
@@ -66,8 +66,8 @@ class TestDriveCurrent:
     def test_alpha_power_exponent(self):
         """Doubling overdrive raises current by 2**alpha."""
         tech = TECH45.replace(vt_rolloff=0.0)
-        low = NOMINAL.replace(vt=tech.vdd - 0.2)
-        high = NOMINAL.replace(vt=tech.vdd - 0.4)
+        low = NOMINAL._replace(vt=tech.vdd - 0.2)
+        high = NOMINAL._replace(vt=tech.vdd - 0.4)
         ratio = devices.drive_current(1e-6, high, tech) / devices.drive_current(
             1e-6, low, tech
         )
@@ -77,7 +77,7 @@ class TestDriveCurrent:
 class TestSubthresholdLeakage:
     def test_exponential_in_vt(self):
         """One subthreshold swing of Vt = 10x leakage."""
-        lower = NOMINAL.replace(vt=NOMINAL.vt - TECH45.subthreshold_swing)
+        lower = NOMINAL._replace(vt=NOMINAL.vt - TECH45.subthreshold_swing)
         ratio = devices.subthreshold_current(
             1e-6, lower, TECH45
         ) / devices.subthreshold_current(1e-6, NOMINAL, TECH45)
@@ -86,7 +86,7 @@ class TestSubthresholdLeakage:
     def test_paper_cited_l_sensitivity(self):
         """Paper Section 1: ~10% channel-length reduction gives a multi-x
         subthreshold leakage increase (it cites 3x at 65 nm)."""
-        short = NOMINAL.replace(lgate=NOMINAL.lgate * 0.9)
+        short = NOMINAL._replace(lgate=NOMINAL.lgate * 0.9)
         ratio = devices.subthreshold_current(
             1e-6, short, TECH45
         ) / devices.subthreshold_current(1e-6, NOMINAL, TECH45)
@@ -96,7 +96,7 @@ class TestSubthresholdLeakage:
         """A 3-sigma Vt + L excursion produces the 5-10x leakage factors
         the paper's Section 2 cites (gate-length roll-off carries most of
         the threshold swing in the calibrated model)."""
-        low = NOMINAL.replace(
+        low = NOMINAL._replace(
             vt=NOMINAL.vt * (1 - 0.18), lgate=NOMINAL.lgate * 0.97
         )
         ratio = devices.subthreshold_current(
@@ -122,7 +122,7 @@ class TestStageDelay:
         assert wide == pytest.approx(narrow / 2)
 
     def test_slow_corner_is_slower(self):
-        slow = NOMINAL.replace(
+        slow = NOMINAL._replace(
             vt=NOMINAL.vt * 1.18, lgate=NOMINAL.lgate * 1.1
         )
         assert devices.stage_delay(1e-6, 1e-15, slow, TECH45) > devices.stage_delay(
@@ -138,7 +138,7 @@ class TestStageDelay:
         """Longer channel (higher Vt via roll-off, lower W/L) = slower."""
         base = devices.stage_delay(1e-6, 1e-15, NOMINAL, TECH45)
         varied = devices.stage_delay(
-            1e-6, 1e-15, NOMINAL.replace(lgate=NOMINAL.lgate * scale), TECH45
+            1e-6, 1e-15, NOMINAL._replace(lgate=NOMINAL.lgate * scale), TECH45
         )
         if scale > 1.0:
             assert varied >= base
@@ -149,7 +149,7 @@ class TestStageDelay:
 class TestDelayLeakageTradeoff:
     def test_fast_devices_leak(self):
         """The inverse correlation that drives Figure 8."""
-        fast = NOMINAL.replace(lgate=NOMINAL.lgate * 0.93, vt=NOMINAL.vt * 0.9)
+        fast = NOMINAL._replace(lgate=NOMINAL.lgate * 0.93, vt=NOMINAL.vt * 0.9)
         assert devices.stage_delay(1e-6, 1e-15, fast, TECH45) < devices.stage_delay(
             1e-6, 1e-15, NOMINAL, TECH45
         )

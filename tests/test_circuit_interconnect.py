@@ -15,19 +15,19 @@ class TestResistance:
         assert interconnect.wire_resistance_per_m(NOMINAL, TECH45) > 0
 
     def test_narrow_line_resists_more(self):
-        narrow = NOMINAL.replace(metal_width=NOMINAL.metal_width * 0.67)
+        narrow = NOMINAL._replace(metal_width=NOMINAL.metal_width * 0.67)
         assert interconnect.wire_resistance_per_m(
             narrow, TECH45
         ) > interconnect.wire_resistance_per_m(NOMINAL, TECH45)
 
     def test_thin_metal_resists_more(self):
-        thin = NOMINAL.replace(metal_thickness=NOMINAL.metal_thickness * 0.67)
+        thin = NOMINAL._replace(metal_thickness=NOMINAL.metal_thickness * 0.67)
         assert interconnect.wire_resistance_per_m(
             thin, TECH45
         ) > interconnect.wire_resistance_per_m(NOMINAL, TECH45)
 
     def test_reciprocal_area(self):
-        half = NOMINAL.replace(metal_width=NOMINAL.metal_width / 2)
+        half = NOMINAL._replace(metal_width=NOMINAL.metal_width / 2)
         assert interconnect.wire_resistance_per_m(half, TECH45) == pytest.approx(
             2 * interconnect.wire_resistance_per_m(NOMINAL, TECH45)
         )
@@ -44,7 +44,7 @@ class TestResistance:
 
 class TestCapacitance:
     def test_thin_dielectric_raises_ground_cap(self):
-        thin = NOMINAL.replace(ild_thickness=NOMINAL.ild_thickness * 0.65)
+        thin = NOMINAL._replace(ild_thickness=NOMINAL.ild_thickness * 0.65)
         assert interconnect.wire_capacitance_per_m(
             thin, TECH45
         ) > interconnect.wire_capacitance_per_m(NOMINAL, TECH45)
@@ -52,19 +52,19 @@ class TestCapacitance:
     def test_wide_line_raises_cap_two_ways(self):
         """Wider lines add area cap AND shrink spacing (coupling up) —
         the paper's point that line-space is not independent."""
-        wide = NOMINAL.replace(metal_width=NOMINAL.metal_width * 1.33)
+        wide = NOMINAL._replace(metal_width=NOMINAL.metal_width * 1.33)
         assert interconnect.wire_capacitance_per_m(
             wide, TECH45
         ) > interconnect.wire_capacitance_per_m(NOMINAL, TECH45)
 
     def test_thick_metal_raises_coupling(self):
-        thick = NOMINAL.replace(metal_thickness=NOMINAL.metal_thickness * 1.33)
+        thick = NOMINAL._replace(metal_thickness=NOMINAL.metal_thickness * 1.33)
         assert interconnect.wire_capacitance_per_m(
             thick, TECH45
         ) > interconnect.wire_capacitance_per_m(NOMINAL, TECH45)
 
     def test_spacing_floor_prevents_blowup(self):
-        huge = NOMINAL.replace(metal_width=TECH45.wire_pitch * 1.5)
+        huge = NOMINAL._replace(metal_width=TECH45.wire_pitch * 1.5)
         value = interconnect.wire_capacitance_per_m(huge, TECH45)
         assert value < 1e-8  # finite, no division blow-up
 
@@ -107,7 +107,7 @@ class TestElmore:
         falls less than linearly thanks to the fringe term. (A
         driver-dominated net can actually speed up at this corner — the
         load shrinks — which is why the test pins the RC-product case.)"""
-        bad = NOMINAL.replace(
+        bad = NOMINAL._replace(
             metal_width=NOMINAL.metal_width * 0.67,
             metal_thickness=NOMINAL.metal_thickness * 0.67,
         )

@@ -191,9 +191,8 @@ class TestSamplerDifferential:
         for index, chip_id in enumerate(chip_ids):
             # NamedTuple equality: exact float comparison over the die
             # vector, every way/peripheral/band vector and the residuals.
-            assert population.chip_map(index) == sampling_oracle.sample_chip(
-                sampler, seed, chip_id
-            )
+            assert sampling_oracle.chip_map(population, index) == \
+                sampling_oracle.sample_chip(sampler, seed, chip_id)
 
     @pytest.mark.parametrize(
         "sampler,seed,chip_ids", [_CASES[i] for i in range(0, 150, 15)]
@@ -201,7 +200,8 @@ class TestSamplerDifferential:
     def test_from_maps_inverts_chip_map(self, sampler, seed, chip_ids):
         population = _sample(sampler, seed, chip_ids)
         rebuilt = ColumnarPopulation.from_maps(
-            [population.chip_map(i) for i in range(len(chip_ids))]
+            [sampling_oracle.chip_map(population, i)
+             for i in range(len(chip_ids))]
         )
         assert rebuilt.chip_ids == population.chip_ids
         assert rebuilt.has_residuals == population.has_residuals
@@ -210,13 +210,15 @@ class TestSamplerDifferential:
         ):
             assert getattr(rebuilt, name).tobytes() == \
                 getattr(population, name).tobytes()
-        # sample_chip is the one-chip slice of the same population.
-        assert sampler.sample_chip(seed, chip_ids[1]) == \
-            population.chip_map(1)
+        # A one-chip range is the same chip as the population's row.
+        assert sampling_oracle.columnar_chip(sampler, seed, chip_ids[1]) \
+            == sampling_oracle.chip_map(population, 1)
 
     def test_from_maps_refuses_ragged_and_empty(self):
         maps = [
-            CacheVariationSampler(num_ways=ways).sample_chip(1, 0)
+            sampling_oracle.columnar_chip(
+                CacheVariationSampler(num_ways=ways), 1, 0
+            )
             for ways in (4, 2)
         ]
         with pytest.raises(ConfigurationError):
@@ -235,9 +237,9 @@ class TestSamplerDifferential:
     def test_chip_map_index_bounds(self):
         population = _columns_for(CacheVariationSampler()).sample_range(1, 0, 2)
         with pytest.raises(ConfigurationError):
-            population.chip_map(2)
+            sampling_oracle.chip_map(population, 2)
         with pytest.raises(ConfigurationError):
-            population.chip_map(-1)
+            sampling_oracle.chip_map(population, -1)
 
     def test_invalid_ranges_rejected(self):
         columnar = _columns_for(CacheVariationSampler())
@@ -257,7 +259,10 @@ class TestCircuitDifferential:
             num_ways=sampler.num_ways, banks_per_way=sampler.num_bands
         )
         population = _sample(sampler, seed, chip_ids)
-        maps = [population.chip_map(i) for i in range(len(chip_ids))]
+        maps = [
+            sampling_oracle.chip_map(population, i)
+            for i in range(len(chip_ids))
+        ]
         for temperature in _TEMPERATURES:
             tech = TECH45.replace(temperature=temperature)
             regular_model = CacheCircuitModel(tech=tech, org=org, hyapd=False)
@@ -282,7 +287,7 @@ class TestCircuitDifferential:
         model = CacheCircuitModel(
             tech=TECH45.replace(temperature=temperature), hyapd=hyapd
         )
-        cvmap = CacheVariationSampler().sample_chip(9, 4)
+        cvmap = sampling_oracle.columnar_chip(CacheVariationSampler(), 9, 4)
         one = evaluate_population(model, ColumnarPopulation.from_maps([cvmap]))
         assert circuit(one, 0) == circuit_oracle.evaluate(model, cvmap)
         assert circuit(model.nominal(), 0) == circuit_oracle.evaluate(
@@ -466,7 +471,7 @@ class TestStudyDifferential:
             return sampling_oracle.sample_range(self, seed, start, stop)
 
         def oracle_evaluate(regular_model, hyapd_model, population):
-            evaluated.append(population.num_chips)
+            evaluated.append(len(population.chip_ids))
             return circuit_oracle.evaluate_population_pair(
                 regular_model, hyapd_model, population
             )

@@ -3,10 +3,10 @@
 The production cache keeps per-set tag, dirty and recency lists and the
 pipeline replays compiled traces; both must be *bit-identical* to the
 reference implementations in ``tests/oracles``. These tests sweep 150
-randomized (profile, geometry, way-configuration, policy) configurations
-through the access/fill loop of both caches, under LRU, FIFO and random
-replacement, and assert equality of every observable: each access and
-fill result, hit/miss/eviction/per-way counters and resident line state.
+randomized (profile, geometry, way-configuration) LRU configurations
+through the access/fill loop of both caches and assert equality of every
+observable: each access's hit way and each fill result,
+hit/miss/eviction/per-way counters and resident line state.
 A pipeline subset compares the full :class:`SimResult` of the kernel on a
 compiled trace against the oracle engine on the generated instruction
 stream, including cycle counts.
@@ -20,14 +20,12 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
 import pytest
 
 from oracles import simulate as oracle_simulate
-from oracles.replacement import LRUPolicy as OracleLRUPolicy
+from oracles.compiled import content_key, instructions
 from oracles.setassoc import SetAssociativeCache as OracleCache
 from repro.cache.geometry import CacheGeometry
-from repro.cache.replacement import FIFOPolicy, LRUPolicy, RandomPolicy
 from repro.cache.setassoc import SetAssociativeCache, WayConfig
 from repro.core.errors import ConfigurationError
 from repro.uarch import Simulator
@@ -54,8 +52,6 @@ _GEOMETRIES = (
 )
 
 _OVERLAYS = ("healthy", "vaca", "yapd", "hyapd", "hybrid")
-
-_POLICIES = ("lru", "fifo", "random")
 
 
 def _overlay_config(rng: random.Random, ways: int, overlay: str) -> WayConfig:
@@ -85,16 +81,6 @@ def _overlay_config(rng: random.Random, ways: int, overlay: str) -> WayConfig:
     return WayConfig(latencies=tuple(latencies))
 
 
-def _policy_factory(kind: str, oracle: bool = False):
-    if kind == "lru":
-        return OracleLRUPolicy if oracle else LRUPolicy
-    if kind == "fifo":
-        return FIFOPolicy
-    # Seeded per set-construction: both caches of a differential pair get
-    # identical per-set random streams.
-    return lambda: RandomPolicy(np.random.default_rng(97))
-
-
 def _make_cases(count: int):
     rng = random.Random(20060805)
     cases = []
@@ -102,13 +88,15 @@ def _make_cases(count: int):
         profile = rng.choice(_PROFILE_NAMES)
         geometry = rng.choice(_GEOMETRIES)
         overlay = rng.choice(_OVERLAYS)
-        policy = rng.choice(_POLICIES)
+        # Each case once drew one of three replacement policies here;
+        # drawing the slot keeps every case's configuration and id.
+        rng.randrange(3)
         seed = rng.randrange(1, 50)
         config = _overlay_config(rng, geometry.associativity, overlay)
         cases.append(
             pytest.param(
-                profile, geometry, config, policy, seed,
-                id=f"{index:03d}-{profile}-{overlay}-{policy}",
+                profile, geometry, config, seed,
+                id=f"{index:03d}-{profile}-{overlay}-lru",
             )
         )
     return cases
@@ -122,15 +110,31 @@ _RESULT_FIELDS = (
 )
 
 
-def _replay(cache, trace):
-    """access(); fill() on miss — the fields of every result, in order."""
+def _replay(cache: SetAssociativeCache, trace):
+    """access_way(); fill() on miss — the hit way (-1 on a miss) of every
+    access and the fields of every fill, in order."""
     results = []
-    for instr in trace.instructions():
+    for instr in instructions(trace):
+        if instr.address is None:
+            continue
+        write = instr.op is OpClass.STORE
+        way = cache.access_way(instr.address, write=write)
+        results.append(way)
+        if way < 0:
+            fill = cache.fill(instr.address, dirty=write)
+            results.append(tuple(getattr(fill, f) for f in _RESULT_FIELDS))
+    return results
+
+
+def _oracle_replay(cache: OracleCache, trace):
+    """:func:`_replay` through the oracle cache's ``access``."""
+    results = []
+    for instr in instructions(trace):
         if instr.address is None:
             continue
         write = instr.op is OpClass.STORE
         result = cache.access(instr.address, write=write)
-        results.append(tuple(getattr(result, f) for f in _RESULT_FIELDS))
+        results.append(result.way if result.hit else -1)
         if not result.hit:
             fill = cache.fill(instr.address, dirty=write)
             results.append(tuple(getattr(fill, f) for f in _RESULT_FIELDS))
@@ -171,22 +175,17 @@ def _cache_state(cache: SetAssociativeCache):
     )
 
 
-@pytest.mark.parametrize("profile,geometry,config,policy,seed", _CASES)
-def test_run_compiled_matches_reference(profile, geometry, config, policy, seed):
+@pytest.mark.parametrize("profile,geometry,config,seed", _CASES)
+def test_run_compiled_matches_reference(profile, geometry, config, seed):
     """The in-place cache's access/fill loop against the oracle cache's.
 
     (Named for the batched replay this battery used to check; the
     per-access loop is now the only replay.)
     """
     trace = get_compiled_trace(get_profile(profile), seed, 600)
-    reference = OracleCache(
-        geometry, config=config,
-        policy_factory=_policy_factory(policy, oracle=True),
-    )
-    cache = SetAssociativeCache(
-        geometry, config=config, policy_factory=_policy_factory(policy)
-    )
-    assert _replay(cache, trace) == _replay(reference, trace)
+    reference = OracleCache(geometry, config=config)
+    cache = SetAssociativeCache(geometry, config=config)
+    assert _replay(cache, trace) == _oracle_replay(reference, trace)
     assert _cache_state(cache) == _oracle_state(reference)
 
 
@@ -247,9 +246,9 @@ class TestCompiledTraceCache:
         # Content addresses prove the generator's prefix property: the
         # first 250 packed instructions of the long compilation are the
         # 250-instruction compilation.
-        assert long.prefix(250).key == short.key
-        assert list(long.prefix(250).instructions()) == list(
-            short.instructions()
+        assert content_key(long.prefix(250)) == content_key(short)
+        assert list(instructions(long.prefix(250))) == list(
+            instructions(short)
         )
 
     def test_cache_serves_prefixes_and_counts_hits(self):
@@ -269,7 +268,7 @@ class TestCompiledTraceCache:
         long = get_compiled_trace(profile, 31, 400)
         assert len(long.ops) >= 400
         # The overlap is bit-identical (prefix property).
-        assert long.prefix(100).key == short.key
+        assert content_key(long.prefix(100)) == content_key(short)
 
     def test_trace_key_is_identity_stable(self):
         assert trace_key("gzip", 2006, 1000) == trace_key("gzip", 2006, 1000)
@@ -290,18 +289,13 @@ class TestZeroWayGuard:
                 config=WayConfig(latencies=(4,), disabled_band=0),
             )
 
-    def test_policies_reject_empty_candidates_with_config_error(self):
-        for policy in (LRUPolicy(), FIFOPolicy(), RandomPolicy()):
-            with pytest.raises(ConfigurationError, match="eligible ways"):
-                policy.victim([])
-
 
 # ----------------------------------------------------------------------
 # flamegraph attribution: compile vs replay spans
 # ----------------------------------------------------------------------
 def test_compile_and_replay_spans_are_traced(tmp_path, monkeypatch):
     from repro.cli import main
-    from repro.obs import configure_tracing, disable_tracing, load_spans
+    from repro.obs import configure_tracing, disable_tracing, load_spans_counted
     from repro.workloads import clear_trace_cache
 
     trace_file = tmp_path / "t.jsonl"
@@ -313,7 +307,7 @@ def test_compile_and_replay_spans_are_traced(tmp_path, monkeypatch):
         Simulator().run(compiled, warmup=100)
     finally:
         disable_tracing()
-    names = {record["name"] for record in load_spans(trace_file)}
+    names = {record["name"] for record in load_spans_counted(trace_file)[0]}
     assert "ctrace.compile" in names
     assert "ctrace.replay" in names
     # And the flamegraph renders both, so time is attributed to

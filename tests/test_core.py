@@ -23,14 +23,6 @@ class TestUnits:
 
     def test_power_round_trips(self):
         assert units.to_mw(0.005) == pytest.approx(5.0)
-        assert units.to_uw(1e-6) == pytest.approx(1.0)
-
-    def test_length_round_trips(self):
-        assert units.to_nm(45e-9) == pytest.approx(45.0)
-        assert units.to_um(0.25e-6) == pytest.approx(0.25)
-
-    def test_voltage_round_trip(self):
-        assert units.to_mv(0.220) == pytest.approx(220.0)
 
     def test_data_sizes(self):
         assert 16 * units.KB == 16384

@@ -20,6 +20,7 @@ import random
 
 import pytest
 
+from oracles.setassoc import address_group, set_of
 from repro.cache import CacheGeometry, SetAssociativeCache, WayConfig
 
 #: Number of randomized configurations (the issue requires >= 100).
@@ -67,6 +68,11 @@ def _hyapd_cache(cfg: dict) -> SetAssociativeCache:
     )
 
 
+def _eligible(cache: SetAssociativeCache, set_index: int) -> list:
+    """The ways the cache may fill in ``set_index``."""
+    return list(cache._eligible[set_index])
+
+
 def _yapd_cache(cfg: dict) -> SetAssociativeCache:
     return SetAssociativeCache(
         cfg["geometry"],
@@ -91,13 +97,13 @@ def test_randomized_config_is_equivalent(index):
     # and which way is lost rotates through all of them.
     lost_ways = set()
     for set_index in range(geometry.num_sets):
-        eligible = hyapd.eligible_ways(set_index)
+        eligible = _eligible(hyapd, set_index)
         assert len(eligible) == ways - 1, (
             f"config {index}: set {set_index} has {len(eligible)} candidate "
             f"ways, expected {ways - 1}"
         )
         (lost,) = set(range(ways)) - set(eligible)
-        group = geometry.address_group(set_index, cfg["num_bands"])
+        group = address_group(geometry, set_index, cfg["num_bands"])
         assert (group + lost) % cfg["num_bands"] == cfg["disabled_band"]
         lost_ways.add(lost)
     assert lost_ways == set(range(ways))
@@ -106,19 +112,19 @@ def test_randomized_config_is_equivalent(index):
     # miss fills the positionally-equivalent way (i-th eligible way of
     # the set in both organisations).
     for step, (address, write) in enumerate(cfg["accesses"]):
-        h_result = hyapd.access(address, write=write)
-        y_result = yapd.access(address, write=write)
-        assert h_result.hit == y_result.hit, (
+        h_hit = hyapd.access_way(address, write=write) >= 0
+        y_hit = yapd.access_way(address, write=write) >= 0
+        assert h_hit == y_hit, (
             f"config {index}, access {step}: H-YAPD "
-            f"{'hit' if h_result.hit else 'miss'} but YAPD "
-            f"{'hit' if y_result.hit else 'miss'} at {address:#x}"
+            f"{'hit' if h_hit else 'miss'} but YAPD "
+            f"{'hit' if y_hit else 'miss'} at {address:#x}"
         )
-        if not h_result.hit:
+        if not h_hit:
             h_fill = hyapd.fill(address, dirty=write)
             y_fill = yapd.fill(address, dirty=write)
             set_index = h_fill.set_index
-            h_pos = hyapd.eligible_ways(set_index).index(h_fill.way)
-            y_pos = yapd.eligible_ways(set_index).index(y_fill.way)
+            h_pos = _eligible(hyapd, set_index).index(h_fill.way)
+            y_pos = _eligible(yapd, set_index).index(y_fill.way)
             assert h_pos == y_pos, (
                 f"config {index}, access {step}: fills diverged "
                 f"positionally (H-YAPD way {h_fill.way} at {h_pos}, "
@@ -148,9 +154,11 @@ def test_disabled_band_way_is_never_used():
     cache = _hyapd_cache(cfg)
     geometry = cfg["geometry"]
     for address, write in cfg["accesses"]:
-        result = cache.access(address, write=write)
-        if not result.hit:
-            result = cache.fill(address, dirty=write)
-        group = geometry.address_group(result.set_index, cfg["num_bands"])
-        band = (group + result.way) % cfg["num_bands"]
+        way = cache.access_way(address, write=write)
+        if way < 0:
+            way = cache.fill(address, dirty=write).way
+        group = address_group(
+            geometry, set_of(geometry, address), cfg["num_bands"]
+        )
+        band = (group + way) % cfg["num_bands"]
         assert band != cfg["disabled_band"]

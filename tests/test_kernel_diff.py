@@ -26,6 +26,7 @@ import random
 import pytest
 
 from oracles import simulate as oracle_simulate
+from oracles.compiled import instructions
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.cache.setassoc import WayConfig
 from repro.core.errors import SimulationError
@@ -113,9 +114,9 @@ def test_kernel_matches_oracle(
 ):
     trace = get_compiled_trace(get_profile(profile), seed, length)
     if feed == "list":
-        kernel_input = list(trace.instructions())
+        kernel_input = list(instructions(trace))
     elif feed == "iterator":
-        kernel_input = trace.instructions()
+        kernel_input = instructions(trace)
     else:
         kernel_input = trace
     simulator = Simulator(
@@ -123,7 +124,7 @@ def test_kernel_matches_oracle(
     )
     kernel = _outcome(lambda: simulator.run(kernel_input, warmup=warmup))
     oracle = _outcome(lambda: oracle_simulate(
-        trace.instructions(), warmup, core, config, uniform
+        instructions(trace), warmup, core, config, uniform
     ))
     assert kernel == oracle
     if warmup >= length:
@@ -162,7 +163,7 @@ def test_paper_configurations_match_oracle(profile, cycles, uniform):
     kernel = Simulator(
         core=core, l1d_config=config, uniform_load_latency=uniform
     ).run(trace, warmup=150)
-    oracle = oracle_simulate(trace, 150, core, config, uniform)
+    oracle = oracle_simulate(instructions(trace), 150, core, config, uniform)
     assert repr(kernel) == repr(oracle)
 
 

@@ -15,8 +15,7 @@ from repro.obs import (
     MetricsRegistry,
     configure_tracing,
     disable_tracing,
-    get_tracer,
-    load_spans,
+    load_spans_counted,
     render_summary,
     span,
     summarize_spans,
@@ -135,12 +134,15 @@ class TestMetricsConcurrency:
                 counter.inc()
 
         worker = threading.Thread(target=workload)
-        with sampler:
+        sampler.start()
+        try:
             worker.start()
             import time as _time
             _time.sleep(0.05)
             stop.set()
             worker.join()
+        finally:
+            sampler.stop()
         summary = sampler.summary()
         assert summary["samples"] >= 1
         assert summary["cpu_user_seconds"] > 0.0
@@ -168,7 +170,7 @@ class TestTracer:
         with span("outer", kind="test") as outer:
             with span("inner") as inner:
                 inner.set(items=3)
-        records = load_spans(path)
+        records = load_spans_counted(path)[0]
         assert [r["name"] for r in records] == ["inner", "outer"]
         by_name = {r["name"]: r for r in records}
         assert by_name["inner"]["parent_id"] == by_name["outer"]["span_id"]
@@ -183,7 +185,7 @@ class TestTracer:
         with pytest.raises(RuntimeError):
             with span("broken"):
                 raise RuntimeError("boom")
-        [record] = load_spans(tmp_path / "t.jsonl")
+        [record] = load_spans_counted(tmp_path / "t.jsonl")[0]
         assert record["attrs"]["error"] == "RuntimeError"
 
     def test_configure_exports_env_and_disable_clears_it(self, tmp_path):
@@ -191,13 +193,13 @@ class TestTracer:
         assert os.environ["REPRO_TRACE_FILE"] == str(tmp_path / "t.jsonl")
         disable_tracing()
         assert "REPRO_TRACE_FILE" not in os.environ
-        assert get_tracer() is None
+        assert not tracing_enabled()
 
     def test_unserialisable_attrs_keep_timing(self, tmp_path):
         configure_tracing(tmp_path / "t.jsonl")
         with span("odd", payload=object()):
             pass
-        [record] = load_spans(tmp_path / "t.jsonl")
+        [record] = load_spans_counted(tmp_path / "t.jsonl")[0]
         assert record["name"] == "odd"  # default=str stringified the attr
 
 
@@ -216,11 +218,11 @@ class TestSummary:
             + json.dumps(good) + "\n",
             encoding="utf-8",
         )
-        spans = load_spans(path)
+        spans = load_spans_counted(path)[0]
         assert len(spans) == 2
 
     def test_malformed_lines_are_counted(self, tmp_path):
-        from repro.obs import load_spans_counted, summary_text
+        from repro.obs import summary_text
 
         path = tmp_path / "t.jsonl"
         good = {"name": "ok", "dur": 0.5, "pid": 1}
@@ -358,7 +360,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert "engine statistics" in out
         assert f"trace spans written to {trace_file}" in out
-        records = load_spans(trace_file)
+        records = load_spans_counted(trace_file)[0]
         assert records, "traced run produced no spans"
         names = {r["name"] for r in records}
         assert "engine.population" in names

@@ -489,7 +489,7 @@ class TestEngineProvenance:
     def test_traced_dispatch_carries_provenance(self, tmp_path, monkeypatch):
         from repro.engine import configure_engine
         from repro.experiments import ExperimentSettings
-        from repro.obs import configure_tracing, load_spans
+        from repro.obs import configure_tracing, load_spans_counted
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         trace = tmp_path / "t.jsonl"
@@ -501,7 +501,8 @@ class TestEngineProvenance:
         ))
         disable_tracing()
         dispatches = [
-            r for r in load_spans(trace) if r["name"] == "engine.dispatch"
+            r for r in load_spans_counted(trace)[0]
+            if r["name"] == "engine.dispatch"
         ]
         assert dispatches
         attrs = dispatches[0]["attrs"]

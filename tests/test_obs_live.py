@@ -21,11 +21,8 @@ import pytest
 
 from repro.obs.dashboard import dashboard_html
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.promtext import (
-    metric_name,
-    parse_exposition,
-    render_exposition,
-)
+from exposition import parse_exposition
+from repro.obs.promtext import metric_name, render_exposition
 from repro.obs.reqlog import RequestLog, SpanRing, new_request_id
 from repro.obs.rollup import QuantileSketch, RequestRollup, _quantile_of
 
@@ -33,6 +30,11 @@ from repro.obs.rollup import QuantileSketch, RequestRollup, _quantile_of
 # ----------------------------------------------------------------------
 # quantile sketches
 # ----------------------------------------------------------------------
+def _quantile(sketch: QuantileSketch, q: float) -> float:
+    """The sketch's ``q``-quantile, read as the rollup reads it."""
+    return _quantile_of(sorted(sketch._samples), q)
+
+
 def test_sketch_exact_below_capacity():
     rng = random.Random(7)
     values = [rng.gauss(10.0, 3.0) for _ in range(300)]
@@ -41,11 +43,11 @@ def test_sketch_exact_below_capacity():
         sketch.observe(value)
     ordered = sorted(values)
     for q in (0.0, 0.25, 0.5, 0.95, 0.99, 1.0):
-        assert sketch.quantile(q) == _quantile_of(ordered, q)
+        assert _quantile(sketch, q) == _quantile_of(ordered, q)
     assert sketch.count == 300
     assert sketch.min == min(values)
     assert sketch.max == max(values)
-    assert sketch.mean == pytest.approx(sum(values) / len(values))
+    assert sketch.total == pytest.approx(sum(values))
 
 
 def test_sketch_accuracy_bounds_above_capacity():
@@ -56,11 +58,11 @@ def test_sketch_accuracy_bounds_above_capacity():
     sketch = QuantileSketch(capacity=512, seed=9)
     for _ in range(20000):
         sketch.observe(rng.random())
-    estimates = sketch.quantiles((0.5, 0.95, 0.99))
-    for q_text, estimate in estimates.items():
-        assert abs(estimate - float(q_text)) < 0.1, (q_text, estimate)
+    for q in (0.5, 0.95, 0.99):
+        estimate = _quantile(sketch, q)
+        assert abs(estimate - q) < 0.1, (q, estimate)
     assert sketch.count == 20000
-    assert len(sketch.samples()) == 512
+    assert len(sketch._samples) == 512
 
 
 def test_sketch_is_deterministic_and_resets():
@@ -68,14 +70,14 @@ def test_sketch_is_deterministic_and_resets():
         sketch = QuantileSketch(capacity=64, seed=5)
         for i in range(1000):
             sketch.observe((i * 37) % 101)
-        return sketch.quantiles()
+        return list(sketch._samples)
 
     assert run() == run()
     sketch = QuantileSketch(capacity=64, seed=5)
     sketch.observe(1.0)
     sketch.reset()
     assert sketch.count == 0
-    assert sketch.quantile(0.5) == 0.0
+    assert _quantile(sketch, 0.5) == 0.0
 
 
 def test_quantile_of_edge_cases():

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
+from oracles.sampling import chip_map
 from repro.variation.columnar import ColumnarPopulationSampler
 from repro.variation.parameters import PARAMETER_NAMES, TABLE1
 from repro.variation.sampling import CacheVariationSampler
@@ -152,4 +153,4 @@ class TestResidualColumns:
             population.band_residuals,
             np.ones_like(population.band_residuals),
         )
-        assert population.chip_map(0).ways[0].band_residuals == ()
+        assert chip_map(population, 0).ways[0].band_residuals == ()

@@ -1,7 +1,9 @@
-"""Property tests: replacement-policy invariants under random workloads.
+"""Property tests: LRU invariants under random workloads.
 
-The LRU invariants the cache model relies on, checked against a
-straightforward reference model over seeded random access sequences:
+The differential batteries hold the cache's per-set recency lists to the
+oracle cache, whose per-set policy is ``tests/oracles/replacement.py``'s
+``LRUPolicy``. These tests check that policy against a straightforward
+reference model over seeded random access sequences:
 
 * the victim is always one of the eligible candidates;
 * never-touched candidates are evicted before any touched one;
@@ -9,19 +11,15 @@ straightforward reference model over seeded random access sequences:
 * a touch moves a way to most-recently-used (it cannot be the next
   victim while another touched candidate exists);
 * victim selection is a pure query — it never mutates policy state.
-
-FIFO and random get the basic safety properties too, since experiments
-may swap them in via ``policy_factory``.
 """
 
 from __future__ import annotations
 
 import random
 
-import numpy as np
 import pytest
 
-from repro.cache.replacement import FIFOPolicy, LRUPolicy, RandomPolicy
+from oracles.replacement import LRUPolicy
 from repro.core.errors import ConfigurationError
 
 NUM_SEQUENCES = 30
@@ -110,42 +108,9 @@ def test_lru_victim_is_least_recent_candidate(seed):
             assert policy.victim(candidates) != victim
 
 
-@pytest.mark.parametrize("policy_cls", [LRUPolicy, FIFOPolicy])
+@pytest.mark.parametrize("policy_cls", [LRUPolicy])
 def test_empty_candidates_raise(policy_cls):
     # Zero-way sets (H-YAPD masking every way of a group) are a
     # configuration problem, not a simulator invariant violation.
     with pytest.raises(ConfigurationError):
         policy_cls().victim([])
-    with pytest.raises(ConfigurationError):
-        RandomPolicy().victim([])
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_fifo_evicts_in_fill_order(seed):
-    rng = random.Random(seed)
-    ways = 4
-    policy = FIFOPolicy()
-    fills = list(range(ways))
-    rng.shuffle(fills)
-    for way in fills:
-        policy.touch(way)
-    # Hits must not reorder FIFO.
-    for _ in range(10):
-        policy.touch(rng.choice(fills))
-    candidates = list(range(ways))
-    evicted = []
-    for _ in range(ways):
-        victim = policy.victim(candidates)
-        evicted.append(victim)
-        policy.touch(victim)  # re-fill, goes to the back of the queue
-    assert evicted == fills
-
-
-def test_random_policy_is_deterministic_per_seed_and_in_range():
-    candidates = [1, 3, 5, 7]
-    a = RandomPolicy(np.random.default_rng(42))
-    b = RandomPolicy(np.random.default_rng(42))
-    picks = [a.victim(candidates) for _ in range(50)]
-    assert picks == [b.victim(candidates) for _ in range(50)]
-    assert set(picks) <= set(candidates)
-    assert len(set(picks)) > 1  # actually random, not constant

@@ -2,9 +2,8 @@
 
 Every scheme decides a whole population with one array call
 (``Scheme.decide`` over ``ChipColumns``). The original per-chip
-``rescue`` bodies live in ``tests/oracles/schemes.py`` (the paper
-schemes and ``AdaptiveHybrid``) and the original per-chip population
-result in ``tests/oracles/classify.py``. Over 102 seeded populations
+``rescue`` bodies live in ``tests/oracles/schemes.py`` and the original
+per-chip population result in ``tests/oracles/classify.py``. Over 102 seeded populations
 (regular and H-YAPD architectures; nominal, relaxed and strict limits;
 2, 4 and 8 ways) this battery asserts that:
 
@@ -44,7 +43,6 @@ from repro.schemes import (
     HYAPD,
     VACA,
     YAPD,
-    AdaptiveHybrid,
     DeepVACA,
     Hybrid,
     HybridHorizontal,
@@ -84,13 +82,6 @@ SENSORS = (
 )
 
 
-def _degradation(way_cycles):
-    """A deterministic estimator for AdaptiveHybrid's choice."""
-    disabled = sum(1 for c in way_cycles if c is None)
-    slow = sum(1 for c in way_cycles if c is not None and c > 4)
-    return 0.011 * disabled + 0.004 * slow
-
-
 def _pairs():
     """(production scheme, oracle scheme) pairs, parameter variants too."""
     o = oracle_schemes
@@ -107,7 +98,6 @@ def _pairs():
         (HybridHorizontal(0.0), o.HybridHorizontal(0.0)),
         (NaiveBinning(), o.NaiveBinning()),
         (NaiveBinning(target_cycles=6), o.NaiveBinning(target_cycles=6)),
-        (AdaptiveHybrid(_degradation), o.AdaptiveHybrid(_degradation)),
     ]
 
 

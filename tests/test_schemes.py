@@ -1,9 +1,8 @@
-"""Tests for YAPD, H-YAPD, VACA, Hybrid, binning, and adaptive schemes."""
+"""Tests for YAPD, H-YAPD, VACA, Hybrid and binning schemes."""
 
 import pytest
 
 from repro.schemes import (
-    AdaptiveHybrid,
     HYAPD,
     Hybrid,
     HybridHorizontal,
@@ -11,7 +10,6 @@ from repro.schemes import (
     VACA,
     YAPD,
 )
-from repro.schemes.adaptive import TableEstimator
 from repro.core.errors import ConfigurationError
 from tests.conftest import configuration, decision_row, make_chip
 
@@ -233,41 +231,6 @@ class TestNaiveBinning:
     def test_rejects_sub_base_target(self):
         with pytest.raises(ConfigurationError):
             NaiveBinning(3)
-
-
-class TestAdaptiveHybrid:
-    def test_prefers_cheaper_option(self, one_slow_way_chip):
-        """With VACA predicted costlier than disabling, it disables."""
-        estimator = TableEstimator(
-            {
-                (4, 4, 4, 5): 0.03,
-                (4, 4, 4, None): 0.01,
-            }
-        )
-        outcome = _row(AdaptiveHybrid(estimator), one_slow_way_chip)
-        assert outcome.saved
-        assert outcome.disabled_way == 3
-
-    def test_prefers_keeping_way_when_cheap(self, one_slow_way_chip):
-        estimator = TableEstimator(
-            {
-                (4, 4, 4, 5): 0.005,
-                (4, 4, 4, None): 0.02,
-            }
-        )
-        outcome = _row(AdaptiveHybrid(estimator), one_slow_way_chip)
-        assert outcome.saved
-        assert outcome.disabled_way is None
-
-    def test_canonicalisation_ignores_way_order(self):
-        estimator = TableEstimator({(4, 4, 4, 5): 0.01})
-        assert estimator((5, 4, 4, 4)) == pytest.approx(0.01)
-        assert estimator((4, 5, 4, 4)) == pytest.approx(0.01)
-
-    def test_unfixable_chip_lost(self):
-        estimator = TableEstimator({}, default=0.0)
-        case = make_chip([0.9, 0.9, 1.4, 1.4])
-        assert not _row(AdaptiveHybrid(estimator), case).saved
 
 
 class TestOutcomeInvariants:

@@ -47,10 +47,10 @@ import time
 
 import pytest
 
+from exposition import parse_exposition
 from repro.engine.store import canonical_json
 from repro.engine.core import Engine, EngineConfig
 from repro.experiments.common import ExperimentSettings
-from repro.obs.promtext import parse_exposition
 from repro.obs.trace import configure_tracing, disable_tracing
 from repro.serve import ServeClient, ServeConfig, ServeError, ServerThread
 
@@ -893,6 +893,32 @@ def test_undersized_estimate_refused_before_admission(served):
     after = _counters(engine)
     for name in ("serve.errors", "serve.request.cold"):
         assert after.get(name, 0) == before.get(name, 0), name
+
+
+def test_fixed_estimates_with_other_confidence_or_cap_are_not_warm(served):
+    """A fixed estimate's confidence and sample cap are part of its key:
+    a repeat that changes either is computed, not answered with the
+    first request's bounds."""
+    from repro.serve.protocol import estimate_payload
+    from repro.yieldmodel.constraints import NOMINAL_POLICY
+    from repro.yieldmodel.estimators import EstimatorSpec
+
+    engine, host, port = served
+    reference = Engine(EngineConfig(workers=1, persistent=False))
+    settings = ExperimentSettings(seed=47, chips=300)
+    with ServeClient(host, port) as client:
+        for first, second in (
+            ({"kind": "fixed", "confidence": 0.90},
+             {"kind": "fixed", "confidence": 0.99}),
+            ({"kind": "fixed"}, {"kind": "fixed", "max_chips": 100}),
+        ):
+            client.estimate(seed=47, chips=300, estimator=first)
+            answer = client.estimate(seed=47, chips=300, estimator=second)
+            expected = estimate_payload(reference.estimate(
+                settings, NOMINAL_POLICY,
+                estimator=EstimatorSpec.from_payload(second),
+            ))
+            assert answer == json.loads(json.dumps(expected))
 
 
 # ----------------------------------------------------------------------

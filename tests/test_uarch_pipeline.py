@@ -18,7 +18,6 @@ from repro.cache.setassoc import WayConfig
 from repro.core.errors import SimulationError, TraceError
 from repro.uarch import PAPER_CORE, Simulator, TraceInstruction
 from repro.uarch.isa import OpClass
-from repro.uarch.trace import count_classes, validate_trace
 
 
 def ialu(dest=None, srcs=(), pc=0):
@@ -68,15 +67,6 @@ class TestTraceValidation:
     def test_at_most_two_sources(self):
         with pytest.raises(TraceError):
             TraceInstruction(op=OpClass.IALU, dest=1, srcs=(1, 2, 3))
-
-    def test_validate_trace_rejects_empty(self):
-        with pytest.raises(TraceError):
-            validate_trace([])
-
-    def test_count_classes(self):
-        counts = count_classes([ialu(dest=1), ialu(dest=2), load(3, 0x10)])
-        assert counts[OpClass.IALU] == 2
-        assert counts[OpClass.LOAD] == 1
 
 
 class TestThroughput:
@@ -227,10 +217,6 @@ class TestAccounting:
     def test_empty_trace_rejected(self):
         with pytest.raises(SimulationError):
             run([])
-
-    def test_cpi_and_ipc_consistent(self):
-        result = run([ialu(dest=i % 28) for i in range(100)])
-        assert result.cpi * result.ipc == pytest.approx(1.0)
 
     def test_warmup_shrinks_measured_window(self):
         trace = [load(i % 28, 0x100 + (i % 4) * 4096) for i in range(200)]

@@ -66,8 +66,8 @@ class TestGridCorrelationModel:
 class TestGridVariationSampler:
     def test_map_shape_matches_hierarchical(self):
         cvmap = GridVariationSampler().sample_chip(seed=1, chip_id=0)
-        assert cvmap.num_ways == 4
-        assert cvmap.num_bands == 4
+        assert len(cvmap.ways) == 4
+        assert len(cvmap.ways[0].bands) == 4
         assert len(cvmap.ways[0].band_residuals) == 4
 
     def test_deterministic(self):

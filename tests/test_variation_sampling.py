@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
+from oracles.sampling import columnar_chip
 from repro.core.errors import ConfigurationError
 from repro.variation.columnar import (
     ColumnarPopulation,
@@ -29,38 +30,29 @@ def draw(seed: int, count: int, **kwargs) -> ColumnarPopulation:
 
 class TestSamplerStructure:
     def test_shape(self):
-        cvmap = make_sampler().sample_chip(seed=1, chip_id=0)
-        assert cvmap.num_ways == 4
-        assert cvmap.num_bands == 4
+        cvmap = columnar_chip(make_sampler(), seed=1, chip_id=0)
+        assert len(cvmap.ways) == 4
         for way in cvmap.ways:
             assert len(way.bands) == 4
             assert len(way.band_residuals) == 4
 
     def test_reproducible_per_chip(self):
-        a = make_sampler().sample_chip(seed=9, chip_id=5)
-        b = make_sampler().sample_chip(seed=9, chip_id=5)
+        a = columnar_chip(make_sampler(), seed=9, chip_id=5)
+        b = columnar_chip(make_sampler(), seed=9, chip_id=5)
         assert a == b
 
     def test_chips_differ(self):
-        a = make_sampler().sample_chip(seed=9, chip_id=5)
-        b = make_sampler().sample_chip(seed=9, chip_id=6)
+        a = columnar_chip(make_sampler(), seed=9, chip_id=5)
+        b = columnar_chip(make_sampler(), seed=9, chip_id=6)
         assert a != b
 
     def test_seed_changes_population(self):
-        a = make_sampler().sample_chip(seed=1, chip_id=0)
-        b = make_sampler().sample_chip(seed=2, chip_id=0)
+        a = columnar_chip(make_sampler(), seed=1, chip_id=0)
+        b = columnar_chip(make_sampler(), seed=2, chip_id=0)
         assert a != b
 
-    def test_band_vectors_helper(self):
-        cvmap = make_sampler().sample_chip(seed=1, chip_id=0)
-        vectors = cvmap.band_vectors(2)
-        assert len(vectors) == 4
-        assert vectors[1] == cvmap.ways[1].bands[2]
-        with pytest.raises(ConfigurationError):
-            cvmap.band_vectors(9)
-
     def test_peripheral_lookup(self):
-        cvmap = make_sampler().sample_chip(seed=1, chip_id=0)
+        cvmap = columnar_chip(make_sampler(), seed=1, chip_id=0)
         for name in PERIPHERAL_SEGMENTS:
             assert cvmap.ways[0].peripheral(name) is not None
         with pytest.raises(ConfigurationError):
@@ -148,9 +140,8 @@ class TestSamplerStatistics:
 
     def test_residuals_disabled(self):
         sampler = make_sampler(path_residual_sigma=0.0, outlier_band_prob=0.0)
-        cvmap = sampler.sample_chip(seed=1, chip_id=0)
+        cvmap = columnar_chip(sampler, seed=1, chip_id=0)
         assert cvmap.ways[0].band_residuals == ()
-        assert cvmap.ways[0].band_residual(2) == 1.0
 
 
 class TestPopulationDraws:
@@ -172,4 +163,5 @@ class TestPopulationDraws:
 def test_sampling_is_pure(seed, chip):
     """Property: sampling any chip twice yields identical maps."""
     sampler = CacheVariationSampler()
-    assert sampler.sample_chip(seed, chip) == sampler.sample_chip(seed, chip)
+    assert columnar_chip(sampler, seed, chip) == \
+        columnar_chip(sampler, seed, chip)

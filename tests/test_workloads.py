@@ -48,7 +48,11 @@ class TestSuiteComposition:
 
     def test_mix_fractions_valid(self):
         for profile in SPEC2000_ALL:
-            assert profile.compute_frac > 0.1
+            compute = (
+                1.0 - profile.load_frac - profile.store_frac
+                - profile.branch_frac
+            )
+            assert compute > 0.1
             assert 0 <= profile.stream_frac + profile.chase_frac <= 1
 
     def test_profile_validation(self):

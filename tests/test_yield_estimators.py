@@ -49,6 +49,12 @@ from repro.yieldmodel.statistics import wilson_interval
 from oracles import circuit as circuit_oracle
 
 
+def _estimate(report, figure: str):
+    """The report's estimate of one tracked figure (``"regular.base"``)."""
+    [estimate] = [e for e in report.estimates if e.figure == figure]
+    return estimate
+
+
 def _blob(report) -> str:
     return json.dumps(encode_estimate(report), sort_keys=True)
 
@@ -122,7 +128,11 @@ def test_spec_identity_depends_only_on_consumed_fields():
     a = EstimatorSpec(kind="is", strata=4)
     b = EstimatorSpec(kind="is", strata=8)
     assert a.identity() == b.identity()
-    assert EstimatorSpec(kind="fixed").identity() == {"kind": "fixed"}
+    assert EstimatorSpec(kind="fixed").identity() == {
+        "kind": "fixed", "max_chips": None, "confidence": 0.95,
+    }
+    assert EstimatorSpec(kind="fixed", batch_size=16).identity() == \
+        EstimatorSpec(kind="fixed").identity()
     assert "tilt_scale" in EstimatorSpec(kind="is").identity()
     assert "strata" in EstimatorSpec(kind="stratified").identity()
 
@@ -217,7 +227,7 @@ def test_is_unbiased_against_brute_force_across_random_configs():
                 and all(d <= cons.delay_limit for d in c.way_delays)
             )
             low, high = wilson_interval(ships, brute_n)
-            estimate = report.estimate_for(figure)
+            estimate = _estimate(report, figure)
             signed_errors.append(estimate.estimate - ships / brute_n)
             if estimate.ci_high < low or high < estimate.ci_low:
                 disagreements += 1
@@ -235,7 +245,7 @@ def test_is_effective_sample_size_is_sane():
     runner = BatchRunner()
     spec = EstimatorSpec(kind="is", pilot_chips=60)
     report = estimate_is(runner, spec, 11, 200, RELAXED_POLICY)
-    estimate = report.estimate_for("regular.base")
+    estimate = _estimate(report, "regular.base")
     # ESS of a weighted sample lies in (0, N_weighted].
     assert 0.0 < estimate.ess <= report.samples_total - report.pilot_samples
 
@@ -257,8 +267,8 @@ def test_stratified_agrees_with_fixed_within_ci():
             policy,
         )
         for figure in ("regular.base", "horizontal.base"):
-            f = fixed.estimate_for(figure)
-            s = strat.estimate_for(figure)
+            f = _estimate(fixed, figure)
+            s = _estimate(strat, figure)
             assert s.ci_low <= f.ci_high and f.ci_low <= s.ci_high, (
                 policy.name,
                 figure,
@@ -363,8 +373,8 @@ def test_adaptive_stops_early_on_tail_yield():
     )
     assert adaptive.samples_total * 5 <= fixed.samples_total
     for figure in ("regular.base", "horizontal.base"):
-        a = adaptive.estimate_for(figure)
-        f = fixed.estimate_for(figure)
+        a = _estimate(adaptive, figure)
+        f = _estimate(fixed, figure)
         assert a.ci_halfwidth <= 0.02
         assert a.ci_low <= f.ci_high and f.ci_low <= a.ci_high
 
@@ -383,8 +393,8 @@ def test_adaptive_without_target_matches_fixed_exactly():
     )
     assert adaptive.samples_total == 300
     for figure in ("regular.base", "horizontal.base"):
-        a = adaptive.estimate_for(figure)
-        f = fixed.estimate_for(figure)
+        a = _estimate(adaptive, figure)
+        f = _estimate(fixed, figure)
         assert a.estimate == f.estimate
         assert (a.ci_low, a.ci_high) == (f.ci_low, f.ci_high)
 
@@ -436,7 +446,7 @@ def test_fixed_estimate_reports_the_population(policy):
         ("regular.base", False), ("horizontal.base", True)
     ):
         ships = int(population.chips(horizontal).passes.sum())
-        estimate = report.estimate_for(figure)
+        estimate = _estimate(report, figure)
         assert estimate.samples == population.population == 300
         assert estimate.estimate == ships / 300
         assert (estimate.ci_low, estimate.ci_high) == \
@@ -444,7 +454,7 @@ def test_fixed_estimate_reports_the_population(policy):
 
 
 def test_estimate_dispatch_carries_population_provenance(tmp_path):
-    from repro.obs import configure_tracing, load_spans
+    from repro.obs import configure_tracing, load_spans_counted
     from repro.obs.trace import disable_tracing
 
     trace = tmp_path / "t.jsonl"
@@ -460,7 +470,8 @@ def test_estimate_dispatch_carries_population_provenance(tmp_path):
     finally:
         disable_tracing()
     dispatches = [
-        r["attrs"] for r in load_spans(trace) if r["name"] == "engine.dispatch"
+        r["attrs"] for r in load_spans_counted(trace)[0]
+        if r["name"] == "engine.dispatch"
     ]
     assert sorted(a["chips"] for a in dispatches) == [16, 16, 32]
     stamp = engine.provenance()
@@ -518,6 +529,39 @@ def test_estimate_key_separates_specs_and_fixed_population_key_is_legacy():
         settings, NOMINAL_POLICY, EstimatorSpec(kind="is", tilt_scale=1.5)
     )
     assert a != b
+
+
+def test_fixed_estimate_keys_carry_confidence_and_cap(tmp_path):
+    """A fixed estimate draws ``max_chips`` chips and bounds them at
+    ``confidence``: specs that differ in either get their own key and
+    their own numbers, from the memo and from the store."""
+    settings = ExperimentSettings(seed=47, chips=300)
+    engine = Engine(EngineConfig(workers=1, cache_dir=tmp_path / "store"))
+    reference = Engine(EngineConfig(workers=1, persistent=False))
+    for first, second in (
+        (EstimatorSpec(kind="fixed", confidence=0.90),
+         EstimatorSpec(kind="fixed", confidence=0.99)),
+        (EstimatorSpec(kind="fixed"),
+         EstimatorSpec(kind="fixed", max_chips=100)),
+    ):
+        assert Engine.estimate_key(settings, NOMINAL_POLICY, first) != \
+            Engine.estimate_key(settings, NOMINAL_POLICY, second)
+        engine.estimate(settings, NOMINAL_POLICY, estimator=first)
+        expected = _blob(
+            reference.estimate(settings, NOMINAL_POLICY, estimator=second)
+        )
+        assert _blob(
+            engine.estimate(settings, NOMINAL_POLICY, estimator=second)
+        ) == expected
+        reopened = Engine(EngineConfig(workers=1, cache_dir=tmp_path / "store"))
+        assert _blob(
+            reopened.estimate(settings, NOMINAL_POLICY, estimator=second)
+        ) == expected
+    capped = engine.estimate(
+        settings, NOMINAL_POLICY, estimator=EstimatorSpec(kind="fixed", max_chips=100)
+    )
+    assert capped.samples_total == 100
+    assert capped.spec["max_chips"] == 100
 
 
 def test_estimate_emits_obs_gauges(tmp_path):
