@@ -277,11 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="queued requests per client before 429 (default 16)",
     )
     serve_parser.add_argument(
-        "--batch-window", type=float, default=0.01,
-        help="seconds compatible simulations wait to share one dispatch "
-             "(default 0.01)",
-    )
-    serve_parser.add_argument(
         "--drain-timeout", type=float, default=30.0,
         help="seconds to finish in-flight work on SIGTERM (default 30)",
     )
@@ -695,7 +690,6 @@ def _serve_command(args: argparse.Namespace) -> int:
         max_active=args.max_active,
         max_queued=args.max_queued,
         max_per_client=args.max_per_client,
-        batch_window=args.batch_window,
         drain_timeout=args.drain_timeout,
         window_seconds=args.window,
         window_count=args.window_count,

@@ -335,15 +335,13 @@ class Engine:
             seed=settings.seed, count=settings.chips, policy=policy
         )
         # Chips a live population already holds are not dispatched; the
-        # dispatched chips are offered on, as a study's own are.
-        columns = study.live_chips(settings.chips)
-        if columns is None:
-            data = self._chip_dispatcher(progress).run(
+        # dispatched chips (regular, horizontal: a population never reads
+        # the die-slot z) are offered on, as a study's own are.
+        return study.assemble(*study.chips(
+            lambda: self._chip_dispatcher(progress).run(
                 settings.seed, "chip", 0, settings.chips
-            )
-            columns = data.regular, data.horizontal
-            study.keep_live(*columns)
-        return study.assemble(*columns)
+            )[:2]
+        ))
 
     def _compute_population_adaptive(
         self,

@@ -28,6 +28,7 @@ page.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import pathlib
@@ -200,22 +201,46 @@ def _prepare_breakdown(horizontal: bool):
     return prepare
 
 
-def _prepare_serve_warm(engine):
-    """Warm-store query latency through the full HTTP stack."""
+def _serve_client(engine):
+    """A keep-alive client of a server over ``engine``, and the cleanup
+    that closes both."""
     from repro.serve.client import ServeClient
     from repro.serve.server import ServeConfig, ServerThread
 
     thread = ServerThread(engine, ServeConfig(port=0))
-    host, port = thread.start()
-    client = ServeClient(host, port)
+    client = ServeClient(*thread.start())
+
+    def cleanup():
+        client.close()
+        thread.stop()
+
+    return client, cleanup
+
+
+def _prepare_serve_warm(engine):
+    """Warm-store query latency through the full HTTP stack."""
+    client, cleanup = _serve_client(engine)
     client.population(seed=2006, chips=64)  # make the query warm
 
     def run():
         return client.population(seed=2006, chips=64)
 
-    def cleanup():
-        client.close()
-        thread.stop()
+    run.cleanup = cleanup
+    return run
+
+
+def _prepare_serve_cold_simulate(engine):
+    """Cold simulation latency through the full HTTP stack: each repeat
+    asks for a trace seed no one asked for yet (100 warmup and 200
+    measured instructions, as in perfbench's serve-mix), so the server
+    admits, batches, compiles the trace and simulates it."""
+    client, cleanup = _serve_client(engine)
+    seeds = itertools.count(1_000_000)
+
+    def run():
+        return client.simulate(
+            "gzip", seed=next(seeds), trace_length=200, warmup=100
+        )
 
     run.cleanup = cleanup
     return run
@@ -320,6 +345,7 @@ SUITES: Dict[str, List[Benchmark]] = {
     "serve": [
         Benchmark("serve.warm_query", _prepare_serve_warm),
         Benchmark("serve.coalesced_burst", _prepare_serve_burst),
+        Benchmark("serve.cold_simulate", _prepare_serve_cold_simulate),
     ],
     "estimators": [
         Benchmark("estimators.fixed_tail", _prepare_estimator("fixed")),

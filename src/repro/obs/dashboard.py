@@ -98,7 +98,8 @@ _DASH_SCRIPT = """
     text("q-queued", fmt(gauges["serve.queued"], 0));
     text("q-inflight", fmt(gauges["serve.flights"], 0));
     text("q-batchpend", fmt(gauges["serve.batch.pending"], 0));
-    text("q-fill", fmt(gauges["serve.batch.fill_ratio"], 2));
+    text("q-fill", fmt(counter(counters, "serve.batch.jobs") /
+                       (counter(counters, "serve.batch.dispatches") || 1), 2));
     text("adm-ok", fmt(counter(counters, "serve.admit.accepted"), 0));
     text("adm-429", fmt(counter(counters, "serve.admit.rejected_429"), 0));
     text("adm-503", fmt(counter(counters, "serve.admit.rejected_503"), 0));
@@ -219,6 +220,8 @@ def dashboard_html(
     p95_spark = sparkline_svg(
         [float(quantiles.get("0.95", 0.0) or 0.0) * 1e3]
     ).replace("<svg ", '<svg id="spark-p95" ', 1)
+    # Jobs per dispatch: how many cold simulations shared each one.
+    batch_fill = c("serve.batch.jobs") / max(1, c("serve.batch.dispatches"))
     panels = [
         _panel(
             "Requests (window)",
@@ -245,7 +248,7 @@ def dashboard_html(
             "</div>"
             f'<div>batch pending <b id="q-batchpend">'
             f'{g("serve.batch.pending"):.0f}</b> · fill '
-            f'<b id="q-fill">{g("serve.batch.fill_ratio"):.2f}</b></div>'
+            f'<b id="q-fill">{batch_fill:.2f}</b></div>'
             f'<div>admitted <b id="adm-ok">{c("serve.admit.accepted")}</b> · '
             f'429 <b id="adm-429">{c("serve.admit.rejected_429")}</b> · '
             f'503 <b id="adm-503">{c("serve.admit.rejected_503")}</b></div>',

@@ -4,7 +4,7 @@ A stdlib-only asyncio HTTP/JSON front end over the synchronous
 :mod:`repro.engine` library: population / simulation / experiment
 queries keyed by the engine's deterministic job identities, answered
 from the warm store when possible, coalesced when duplicated in flight,
-batched into shared pool dispatches when compatible, and admission-
+batched behind a running pool dispatch when compatible, and admission-
 controlled (bounded queues, per-client round-robin fairness, 429/503 on
 overload). Progress streams as chunked JSON lines; ``/metrics`` and
 ``/healthz`` expose the obs layer as a live dashboard; SIGTERM drains

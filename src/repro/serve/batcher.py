@@ -1,14 +1,15 @@
-"""Micro-batching of compatible simulation jobs.
+"""Micro-batching of compatible simulation jobs, by group commit.
 
 Simulation requests that share the same settings identity (seed, trace
 length, warmup) are *compatible*: the engine can run any number of them
 through one :meth:`Engine.simulate_many` call — and so one pool
-dispatch. The batcher holds each arriving request for a short window
-(default 10 ms); everything compatible that lands inside the window
-rides the same dispatch. Under a bursty sweep this turns N near-
-simultaneous requests into one trip through the process pool; under
-light load it costs at most the window, so the server sends only cold
-simulations here.
+dispatch. The batcher keeps no timer. A request whose identity has no
+dispatch running goes to the pool at the end of the event-loop turn it
+arrived in, with every compatible request of that turn. Requests that
+arrive while a dispatch of their identity runs wait, and all go as one
+dispatch the moment it returns. A lone request waits for nothing, and a
+burst still shares dispatches, batched behind the running one. The
+server sends only cold simulations here.
 
 Each dispatch runs ``simulate_many`` on the executor it is given (the
 server's thread pool). The server's coalescer keeps one flight per job,
@@ -21,23 +22,14 @@ from __future__ import annotations
 import asyncio
 from concurrent.futures import Executor
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["SimulationBatcher"]
 
-
-class _Bucket:
-    """Requests sharing one settings identity, awaiting the next flush."""
-
-    __slots__ = ("settings", "entries", "handle")
-
-    def __init__(self, settings) -> None:
-        self.settings = settings
-        #: (spec, future, progress callback or None) per request.
-        self.entries: List[Tuple[object, asyncio.Future, Optional[Callable]]] = []
-        self.handle: Optional[asyncio.TimerHandle] = None
+#: (spec, future, progress callback or None) per waiting request.
+_Entry = Tuple[object, asyncio.Future, Optional[Callable]]
 
 
 class SimulationBatcher:
@@ -46,24 +38,23 @@ class SimulationBatcher:
     def __init__(
         self,
         engine,
-        window: float = 0.01,
-        max_batch: int = 64,
         registry: Optional[MetricsRegistry] = None,
         executor: Optional[Executor] = None,
     ) -> None:
         self.engine = engine
         #: Where ``simulate_many`` runs (``None``: the loop's default).
         self.executor = executor
-        self.window = window
-        self.max_batch = max_batch
         self.registry = (
             registry if registry is not None else engine.metrics
         )
-        self._buckets: Dict[str, _Bucket] = {}
+        #: Settings key -> (settings, requests awaiting its next dispatch).
+        self._waiting: Dict[str, Tuple[object, List[_Entry]]] = {}
+        #: Settings keys with a dispatch scheduled or running.
+        self._busy: Set[str] = set()
         self._pending = 0
 
     def pending(self) -> int:
-        """Requests currently waiting for a flush."""
+        """Requests waiting for a dispatch or inside one."""
         return self._pending
 
     @staticmethod
@@ -81,67 +72,62 @@ class SimulationBatcher:
         """One simulation result, batched with compatible neighbours."""
         loop = asyncio.get_running_loop()
         key = self._settings_key(settings)
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            bucket = self._buckets[key] = _Bucket(settings)
         future: asyncio.Future = loop.create_future()
-        bucket.entries.append((spec, future, progress))
+        self._waiting.setdefault(key, (settings, []))[1].append(
+            (spec, future, progress)
+        )
         self._pending += 1
         self.registry.gauge("serve.batch.pending").set(self._pending)
-        if len(bucket.entries) >= self.max_batch:
-            self._flush(key)
-        elif bucket.handle is None:
-            bucket.handle = loop.call_later(self.window, self._flush, key)
+        if key not in self._busy:
+            self._busy.add(key)
+            loop.call_soon(self._dispatch, key)
         try:
             return await future
         finally:
             self._pending -= 1
             self.registry.gauge("serve.batch.pending").set(self._pending)
 
-    async def flush_all(self) -> None:
-        """Dispatch every waiting bucket now (drain path)."""
-        for key in list(self._buckets):
-            self._flush(key)
-        # Waiters resolve when their dispatch returns; yield until none wait.
-        while self._pending:
-            await asyncio.sleep(0.005)
-
     # ------------------------------------------------------------------
-    def _flush(self, key: str) -> None:
-        bucket = self._buckets.pop(key, None)
-        if bucket is None or not bucket.entries:
+    def _dispatch(self, key: str) -> None:
+        """Send ``key``'s waiting requests as one dispatch, or free ``key``
+        when none wait."""
+        batch = self._waiting.pop(key, None)
+        if batch is None:
+            self._busy.discard(key)
             return
-        if bucket.handle is not None:
-            bucket.handle.cancel()
-        specs = [spec for spec, _, _ in bucket.entries]
-        callbacks = [cb for _, _, cb in bucket.entries if cb is not None]
+        settings, entries = batch
+        specs = [spec for spec, _, _ in entries]
+        callbacks = [cb for _, _, cb in entries if cb is not None]
 
         def progress(done: int, total: int) -> None:
             for callback in callbacks:
                 callback(done, total)
 
-        self.registry.counter("serve.batch.dispatches").inc()
-        self.registry.counter("serve.batch.jobs").inc(len(specs))
-        self.registry.histogram(
-            "serve.batch.size", bounds=(1, 2, 4, 8, 16, 32, 64, 128)
-        ).observe(len(specs))
-        # How full the last dispatched batch was relative to max_batch —
-        # a live proxy for whether the window is catching bursts.
-        self.registry.gauge("serve.batch.fill_ratio").set(
-            len(specs) / self.max_batch
-        )
-        dispatch = asyncio.get_running_loop().run_in_executor(
-            self.executor,
-            partial(
-                self.engine.simulate_many, bucket.settings, specs,
-                progress=progress if callbacks else None,
-            ),
-        )
-        dispatch.add_done_callback(partial(self._resolve, bucket.entries))
+        loop = asyncio.get_running_loop()
+        try:
+            dispatch = loop.run_in_executor(
+                self.executor,
+                partial(
+                    self.engine.simulate_many, settings, specs,
+                    progress=progress if callbacks else None,
+                ),
+            )
+        except RuntimeError as exc:
+            # The pool refuses work once it is shut down (a drain that
+            # timed out): these waiters get that error, not a hang.
+            dispatch = loop.create_future()
+            dispatch.set_exception(exc)
+        else:
+            self.registry.counter("serve.batch.dispatches").inc()
+            self.registry.counter("serve.batch.jobs").inc(len(specs))
+            self.registry.histogram(
+                "serve.batch.size", bounds=(1, 2, 4, 8, 16, 32, 64, 128)
+            ).observe(len(specs))
+        dispatch.add_done_callback(partial(self._settle, key, entries))
 
-    @staticmethod
-    def _resolve(entries, dispatch: asyncio.Future) -> None:
-        """Hand each waiter its result, or the dispatch's one error."""
+    def _settle(self, key: str, entries: List[_Entry], dispatch) -> None:
+        """Hand each waiter its result, or the dispatch's one error; then
+        send the requests that queued behind it."""
         error = None if dispatch.cancelled() else dispatch.exception()
         for index, (_, waiter, _) in enumerate(entries):
             if waiter.done():
@@ -152,3 +138,4 @@ class SimulationBatcher:
                 waiter.set_exception(error)
             else:
                 waiter.set_result(dispatch.result()[index])
+        self._dispatch(key)

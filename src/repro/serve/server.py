@@ -16,8 +16,9 @@ HTTP/JSON API. The request path composes the rest of this package:
    result already in the engine's memo is answered on the loop; every
    other engine call (store reads, computation, whole experiments) runs
    on the server's one thread pool.
-5. **Batching** (:mod:`repro.serve.batcher`) — cold simulation jobs
-   landing within the batch window ride one pool dispatch.
+5. **Batching** (:mod:`repro.serve.batcher`) — cold simulations of one
+   settings identity share a pool dispatch, sent at the end of the loop
+   turn they arrived in or as soon as the running one returns.
 6. **Observability** — every request runs inside a ``serve.request``
    trace span (the existing JSONL format) carrying a request id that is
    echoed back as ``X-Repro-Request-Id``, recorded into the rolling
@@ -95,7 +96,6 @@ class ServeConfig:
     max_active: int = 8
     max_queued: int = 64
     max_per_client: int = 16
-    batch_window: float = 0.01
     drain_timeout: float = 30.0
     body_limit: int = 1 << 20
     keepalive_timeout: float = 75.0
@@ -219,8 +219,7 @@ class YieldServer:
             thread_name_prefix="repro-serve-pool",
         )
         self.batcher = SimulationBatcher(
-            engine, window=self.config.batch_window, registry=self.metrics,
-            executor=self.pool,
+            engine, registry=self.metrics, executor=self.pool
         )
         self.rollup = RequestRollup(
             window_seconds=self.config.window_seconds,
@@ -316,7 +315,6 @@ class YieldServer:
             or self.coalescer.flight_count()
             or self.batcher.pending()
         ):
-            await self.batcher.flush_all()
             await self.coalescer.drain()
             await asyncio.sleep(0.02)
         # Let drained handlers write their final responses out.
@@ -838,7 +836,7 @@ async def _handle_simulate(server: YieldServer, request: Request) -> Response:
     query = parse_simulation(request.json())
     held = await server._admitted(query.key, "simulation", request)
     if held:
-        # Only cold simulations wait out the batch window.
+        # Only cold simulations go through the batcher.
         request.disposition["batched"] = True
 
         async def start(flight: Flight):

@@ -32,7 +32,9 @@ import weakref
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -453,6 +455,28 @@ class YieldStudy:
                 if held is None or len(held) < len(columns):
                     _live_chips[key, hyapd] = columns
 
+    def chips(
+        self,
+        compute: Optional[
+            Callable[[], Tuple[CircuitColumns, CircuitColumns]]
+        ] = None,
+    ) -> Tuple[CircuitColumns, CircuitColumns]:
+        """Chips ``[0, count)`` under both architectures.
+
+        They are the first rows of a live population of these chips when
+        there is one (:meth:`live_chips`); otherwise ``compute()`` gives
+        them (default: drawn and evaluated here), and they are offered to
+        later studies.
+        """
+        columns = self.live_chips(self.count)
+        if columns is None:
+            columns = (
+                compute() if compute is not None
+                else self.evaluate(self.draw(0, self.count))
+            )
+            self.keep_live(*columns)
+        return columns
+
     def assemble(
         self, regular: CircuitColumns, horizontal: CircuitColumns
     ) -> PopulationResult:
@@ -473,14 +497,6 @@ class YieldStudy:
         )
 
     def run(self) -> PopulationResult:
-        """Sample, evaluate both architectures, derive limits, classify.
-
-        The chips are the first ``count`` rows of a live population with
-        the same chips when there is one (:meth:`live_chips`); otherwise
-        they are drawn and evaluated here, then offered to later studies.
-        """
-        columns = self.live_chips(self.count)
-        if columns is None:
-            columns = self.evaluate(self.draw(0, self.count))
-            self.keep_live(*columns)
-        return self.assemble(*columns)
+        """Sample (or share, see :meth:`chips`), evaluate both
+        architectures, derive limits, classify."""
+        return self.assemble(*self.chips())

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.circuit.columnar import CircuitColumns
 from repro.core.errors import ConfigurationError
-from repro.yieldmodel.analysis import derive_constraints
+from repro.yieldmodel.analysis import YieldStudy, derive_constraints
 from repro.yieldmodel.classify import ChipColumns
 from repro.yieldmodel.constraints import ConstraintPolicy, YieldConstraints
 from repro.yieldmodel.estimators.results import (
@@ -76,11 +76,14 @@ def _figure_circuits(data: ShardData) -> List[Tuple[str, CircuitColumns]]:
 
 
 def _wilson_estimates(
-    data: ShardData, constraints: YieldConstraints, confidence: float
+    regular: CircuitColumns,
+    horizontal: CircuitColumns,
+    constraints: YieldConstraints,
+    confidence: float,
 ) -> Tuple[YieldEstimate, ...]:
     estimates = []
-    total = data.count
-    for figure, circuits in _figure_circuits(data):
+    total = len(regular)
+    for figure, circuits in zip(FIGURES, (regular, horizontal)):
         ships = total - _failures(circuits, constraints)
         low, high = wilson_interval(ships, total, confidence)
         estimates.append(
@@ -110,16 +113,25 @@ def estimate_fixed(
     chips: int,
     policy: ConstraintPolicy,
 ) -> EstimateReport:
-    """Brute-force Monte Carlo over the full population, Wilson CIs."""
+    """Brute-force Monte Carlo over the full population, Wilson CIs.
+
+    The chips are the reference population's first rows: a live
+    population's when one holds them (:meth:`YieldStudy.chips`),
+    otherwise drawn here and offered on. The die-slot z goes unread.
+    """
     total = spec.sample_cap(chips)
-    data = runner.run(seed, "chip", 0, total)
-    constraints = derive_constraints(policy, data.regular)
+    regular, horizontal = YieldStudy(seed=seed, count=total).chips(
+        lambda: runner.run(seed, "chip", 0, total)[:2]
+    )
+    constraints = derive_constraints(policy, regular)
     return EstimateReport(
         kind="fixed",
         spec=spec.identity(),
         policy=policy.name,
         constraints=constraints,
-        estimates=_wilson_estimates(data, constraints, spec.confidence),
+        estimates=_wilson_estimates(
+            regular, horizontal, constraints, spec.confidence
+        ),
         samples_total=total,
         batches=1,
         pilot_samples=0,
@@ -158,7 +170,9 @@ def adaptive_chips(
             return data, len(parts)
         if spec.ci_target is not None:
             constraints = derive_constraints(policy, data.regular)
-            estimates = _wilson_estimates(data, constraints, spec.confidence)
+            estimates = _wilson_estimates(
+                data.regular, data.horizontal, constraints, spec.confidence
+            )
             if _max_halfwidth(estimates) <= spec.ci_target:
                 return data, len(parts)
 
@@ -185,7 +199,9 @@ def estimate_adaptive(
         spec=spec.identity(),
         policy=policy.name,
         constraints=constraints,
-        estimates=_wilson_estimates(data, constraints, spec.confidence),
+        estimates=_wilson_estimates(
+            data.regular, data.horizontal, constraints, spec.confidence
+        ),
         samples_total=data.count,
         batches=batches,
         pilot_samples=0,

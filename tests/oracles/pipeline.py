@@ -101,11 +101,6 @@ class _Inst:
         self.replays = 0
 
 
-#: Op-code -> OpClass decode table for packed traces; the order is the
-#: enum definition order, matching ``repro.workloads.compiled.OP_CODES``.
-_OP_TABLE = tuple(OpClass)
-
-
 class PipelineEngine:
     """Runs one trace through the configured core and hierarchy.
 
@@ -116,11 +111,8 @@ class PipelineEngine:
     hierarchy:
         The memory hierarchy (carries the yield-aware L1D configuration).
     trace:
-        Iterable of :class:`TraceInstruction` (consumed lazily), or a
-        :class:`repro.workloads.compiled.CompiledTrace` — the packed
-        fast path reads instruction fields straight out of the compiled
-        buffers, skipping per-instruction object construction and
-        re-validation (the trace was validated when compiled).
+        Iterable of :class:`TraceInstruction` (consumed lazily); decode a
+        compiled trace with ``oracles.compiled.instructions`` first.
     """
 
     def __init__(
@@ -132,17 +124,7 @@ class PipelineEngine:
     ) -> None:
         self.config = config
         self.hierarchy = hierarchy
-        # Detected by attribute, not isinstance: importing the compiled
-        # module here would be circular (workloads.generator imports
-        # repro.uarch.isa while repro.uarch's own __init__ runs).
-        if getattr(trace, "is_compiled_trace", False):
-            self._compiled = trace
-            self._compiled_pos = 0
-            self._trace: Optional[Iterator[TraceInstruction]] = None
-        else:
-            self._compiled = None
-            self._compiled_pos = 0
-            self._trace = iter(trace)
+        self._trace: Iterator[TraceInstruction] = iter(trace)
         self.lbb = LoadBypassBuffers(slack=config.lbb_slack)
         self.warmup_instructions = warmup_instructions
         self.warmup_cycle = 0
@@ -424,45 +406,22 @@ class PipelineEngine:
             return
         if len(self._frontend) >= 3 * self.config.fetch_width:
             return
-        compiled = self._compiled
         fetched = 0
         while fetched < self.config.fetch_width:
-            if compiled is not None:
-                # Packed fast path: read fields straight from the
-                # compiled buffers (validated once, at compile time).
-                pos = self._compiled_pos
-                if pos >= compiled.length:
-                    self._trace_exhausted = True
-                    break
-                self._compiled_pos = pos + 1
-                dest = compiled.dests[pos]
-                s0 = compiled.src0[pos]
-                s1 = compiled.src1[pos]
-                address = compiled.addresses[pos]
-                inst = _Inst(
-                    self._fetch_seq,
-                    _OP_TABLE[compiled.ops[pos]],
-                    None if dest < 0 else dest,
-                    () if s0 < 0 else ((s0,) if s1 < 0 else (s0, s1)),
-                    None if address < 0 else address,
-                    compiled.pcs[pos],
-                    bool(compiled.mispredicts[pos]),
-                )
-            else:
-                try:
-                    raw = next(self._trace)
-                except StopIteration:
-                    self._trace_exhausted = True
-                    break
-                inst = _Inst(
-                    self._fetch_seq,
-                    raw.op,
-                    raw.dest,
-                    raw.srcs,
-                    raw.address,
-                    raw.pc,
-                    raw.mispredicted,
-                )
+            try:
+                raw = next(self._trace)
+            except StopIteration:
+                self._trace_exhausted = True
+                break
+            inst = _Inst(
+                self._fetch_seq,
+                raw.op,
+                raw.dest,
+                raw.srcs,
+                raw.address,
+                raw.pc,
+                raw.mispredicted,
+            )
             self._fetch_seq += 1
             fetched += 1
 

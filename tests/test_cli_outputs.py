@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
+import pytest
+
 from repro.cli import _write_into_dir, _write_into_file, build_parser
 
 
@@ -49,3 +51,9 @@ class TestServeParser:
         assert args.port == 0
         assert args.workers == 2
         assert args.max_active == 4
+
+    def test_serve_has_no_batch_window(self, capsys):
+        # Cold simulations batch behind a running dispatch, not a timer.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--batch-window", "0.01"])
+        assert "--batch-window" in capsys.readouterr().err

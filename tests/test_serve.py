@@ -19,11 +19,14 @@ asserted here:
   lines are refused with 400;
 * a connection past the open-connection limit gets one 503 and is
   closed, and a slot freed by a closing client is reused;
-* only cold simulations wait out the batch window, and an estimate
-  whose sample cap leaves no room past its pilot is refused with 400;
-* a failing micro-batch fails only its own waiters, and a drain lets
-  an open batch and a mid-progress stream finish before the server's
-  pool stops;
+* only cold simulations go through the batcher, and an estimate whose
+  sample cap leaves no room past its pilot is refused with 400;
+* simulations that arrive while a dispatch of their settings identity
+  runs share the one dispatch after it; a failing dispatch fails only
+  its own waiters, and the batch queued behind it still runs; a drain
+  lets a queued batch and a mid-progress stream finish before the
+  server's pool stops; a queued simulation whose client resets still
+  runs and is stored;
 * identical streaming requests share one cold flight, and a stream
   whose client resets while queued gives its slot back when its flight
   settles;
@@ -212,17 +215,61 @@ def test_warm_repeat_zero_dispatch_bit_identical(served):
                 getattr(engine_columns, name).tobytes(), name
 
 
-def test_simulations_batch_into_shared_dispatch(served):
+def _hold_first_dispatches(monkeypatch, engine, failing_seed=None):
+    """Patch ``engine.simulate_many`` so the first dispatch of each
+    settings identity runs until the returned event is set; every
+    dispatch of ``failing_seed`` then raises."""
+    simulate_many, release = engine.simulate_many, threading.Event()
+    held, lock = set(), threading.Lock()
+
+    def held_first(settings, specs, progress=None):
+        identity = (settings.seed, settings.trace_length, settings.warmup)
+        with lock:
+            first = identity not in held
+            held.add(identity)
+        if first:
+            release.wait(30)
+        if settings.seed == failing_seed:
+            raise RuntimeError("simulation backend failed")
+        return simulate_many(settings, specs, progress=progress)
+
+    monkeypatch.setattr(engine, "simulate_many", held_first)
+    return release
+
+
+def _batch_counts(engine, before):
+    """(dispatches, jobs) of the batcher since the ``before`` counters."""
+    after = _counters(engine)
+    return tuple(
+        after.get(name, 0) - before.get(name, 0)
+        for name in ("serve.batch.dispatches", "serve.batch.jobs")
+    )
+
+
+def _until(condition, what: str, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, what
+        time.sleep(0.01)
+
+
+def _wait_batch_pending(host, port, count: int) -> None:
+    with ServeClient(host, port, client_id="probe") as probe:
+        _until(lambda: probe.healthz()["batch_pending"] >= count,
+               f"batch_pending never reached {count}")
+
+
+def test_simulations_batch_into_shared_dispatch(served, monkeypatch):
+    """Cold simulations that arrive while a dispatch of their settings
+    identity runs all go out in the one dispatch after it."""
     engine, host, port = served
+    release = _hold_first_dispatches(monkeypatch, engine)
     benchmarks = ["gzip", "mcf", "swim"]
     before = _counters(engine)
-
     results, errors = {}, []
-    barrier = threading.Barrier(len(benchmarks))
 
     def query(benchmark):
         try:
-            barrier.wait()
             with ServeClient(host, port) as client:
                 results[benchmark] = client.simulate(
                     benchmark, seed=44, trace_length=3000, warmup=300
@@ -230,28 +277,27 @@ def test_simulations_batch_into_shared_dispatch(served):
         except Exception as exc:  # noqa: BLE001
             errors.append(exc)
 
-    threads = [
-        threading.Thread(target=query, args=(b,)) for b in benchmarks
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60)
+    threads = [threading.Thread(target=query, args=("art",))]
+    try:
+        threads[0].start()
+        _until(lambda: _batch_counts(engine, before)[0] == 1,
+               "the first simulation was never dispatched")
+        threads += [
+            threading.Thread(target=query, args=(b,)) for b in benchmarks
+        ]
+        for t in threads[1:]:
+            t.start()
+        _wait_batch_pending(host, port, 1 + len(benchmarks))
+    finally:
+        release.set()
+        for t in threads:
+            t.join(timeout=60)
 
     assert not errors
-    assert set(results) == set(benchmarks)
+    assert set(results) == {"art", *benchmarks}
     assert all(r["kind"] == "simulation" for r in results.values())
-    after = _counters(engine)
-    dispatched = after.get("serve.batch.dispatches", 0) - before.get(
-        "serve.batch.dispatches", 0
-    )
-    jobs = after.get("serve.batch.jobs", 0) - before.get(
-        "serve.batch.jobs", 0
-    )
-    assert jobs == len(benchmarks)
-    # All three landed within the batch window → fewer dispatches than
-    # jobs; with full overlap exactly one.
-    assert dispatched <= 2
+    # The held dispatch, then one for everything queued behind it.
+    assert _batch_counts(engine, before) == (2, 1 + len(benchmarks))
 
 
 # ----------------------------------------------------------------------
@@ -859,9 +905,9 @@ def test_connections_past_the_limit_get_503(tmp_path, monkeypatch):
 # ----------------------------------------------------------------------
 # request rules: warm simulations, undersized estimates
 # ----------------------------------------------------------------------
-def test_warm_simulation_skips_the_batch_window(tmp_path):
+def test_warm_simulation_skips_the_batcher(tmp_path):
     engine = Engine(EngineConfig(workers=1, cache_dir=tmp_path / "store"))
-    thread = ServerThread(engine, ServeConfig(port=0, batch_window=0.5))
+    thread = ServerThread(engine, ServeConfig(port=0))
     host, port = thread.start()
     body = dict(benchmark="gzip", seed=61, trace_length=1000, warmup=100)
     try:
@@ -929,25 +975,24 @@ def _gauges(engine):
 
 
 def test_failing_batch_fails_only_its_waiters(tmp_path, monkeypatch):
+    """Each identity's first dispatch is held while two more simulations
+    of the failing identity and one of the good one queue behind it:
+    every waiter of a failing dispatch gets the same 500, the batch
+    queued behind a failure still gets its own dispatch, and the good
+    identity's requests all get 200."""
     engine = Engine(EngineConfig(workers=1, cache_dir=tmp_path / "store"))
     bad_seed, good_seed = 71, 72
-    simulate_many = engine.simulate_many
-
-    def failing(settings, specs, progress=None):
-        if settings.seed == bad_seed:
-            raise RuntimeError("simulation backend failed")
-        return simulate_many(settings, specs, progress=progress)
-
-    monkeypatch.setattr(engine, "simulate_many", failing)
-    thread = ServerThread(engine, ServeConfig(port=0, batch_window=0.5))
+    release = _hold_first_dispatches(
+        monkeypatch, engine, failing_seed=bad_seed
+    )
+    thread = ServerThread(engine, ServeConfig(port=0))
     host, port = thread.start()
-    jobs = [(bad_seed, b) for b in ("gzip", "mcf", "swim")]
-    jobs += [(good_seed, b) for b in ("gzip", "mcf")]
+    leaders = [(bad_seed, "gzip"), (good_seed, "gzip")]
+    queued = [(bad_seed, "mcf"), (bad_seed, "swim"), (good_seed, "mcf")]
+    jobs = leaders + queued
     outcomes = {}
-    barrier = threading.Barrier(len(jobs))
 
     def query(seed, benchmark):
-        barrier.wait()
         try:
             with ServeClient(host, port) as client:
                 client.simulate(
@@ -957,11 +1002,17 @@ def test_failing_batch_fails_only_its_waiters(tmp_path, monkeypatch):
         except ServeError as exc:
             outcomes[seed, benchmark] = (exc.status, exc.body)
 
+    threads = [threading.Thread(target=query, args=job) for job in jobs]
     try:
-        before = _counters(engine).get("serve.batch.dispatches", 0)
-        threads = [threading.Thread(target=query, args=job) for job in jobs]
-        for t in threads:
+        before = _counters(engine)
+        for t in threads[:len(leaders)]:
             t.start()
+        _until(lambda: _batch_counts(engine, before)[0] == len(leaders),
+               "the leading simulations were never dispatched")
+        for t in threads[len(leaders):]:
+            t.start()
+        _wait_batch_pending(host, port, len(jobs))
+        release.set()
         for t in threads:
             t.join(timeout=60)
         bad = [outcomes[job] for job in jobs if job[0] == bad_seed]
@@ -970,8 +1021,8 @@ def test_failing_batch_fails_only_its_waiters(tmp_path, monkeypatch):
         assert bad[0][1] == bad[1][1] == bad[2][1]
         assert "simulation backend failed" in bad[0][1]["error"]
         assert good == [(200, None), (200, None)]
-        # One batch per settings identity.
-        assert _counters(engine)["serve.batch.dispatches"] - before == 2
+        # Per identity: the held dispatch, then one for its queued batch.
+        assert _batch_counts(engine, before) == (4, len(jobs))
         with ServeClient(host, port) as client:
             health = client.healthz()
         assert health["flights"] == 0 and health["batch_pending"] == 0
@@ -980,6 +1031,10 @@ def test_failing_batch_fails_only_its_waiters(tmp_path, monkeypatch):
         for gauge in ("serve.flights", "serve.batch.pending", "serve.active"):
             assert gauges[gauge] == 0.0, gauge
     finally:
+        release.set()
+        for t in threads:
+            if t.is_alive():
+                t.join(timeout=60)
         thread.stop()
 
 
@@ -1006,8 +1061,10 @@ def test_drain_finishes_open_batch_and_stream(tmp_path, monkeypatch):
                           estimator=estimator)
 
     monkeypatch.setattr(engine, "population", paused)
-    # A window far longer than the test: only the drain flushes it.
-    thread = ServerThread(engine, ServeConfig(port=0, batch_window=5.0))
+    # The first simulation's dispatch runs until the drain is on, and a
+    # second one queues behind it.
+    held = _hold_first_dispatches(monkeypatch, engine)
+    thread = ServerThread(engine, ServeConfig(port=0))
     host, port = thread.start()
     outcome = {}
     progressed = threading.Event()
@@ -1021,25 +1078,26 @@ def test_drain_finishes_open_batch_and_stream(tmp_path, monkeypatch):
                     progressed.set()
         outcome["stream"] = events
 
-    def simulate():
+    def simulate(benchmark):
         with ServeClient(host, port, timeout=60) as client:
-            outcome["simulate"] = client.simulate(
-                "mcf", seed=94, trace_length=1000, warmup=100
+            outcome[benchmark] = client.simulate(
+                benchmark, seed=94, trace_length=1000, warmup=100
             )
 
     workers = [threading.Thread(target=stream),
-               threading.Thread(target=simulate)]
+               threading.Thread(target=simulate, args=("mcf",)),
+               threading.Thread(target=simulate, args=("gzip",))]
     idle = http.client.HTTPConnection(host, port, timeout=_GIVE_UP)
     try:
         _healthz_on(idle)  # a keep-alive connection for after the drain
-        for worker in workers:
-            worker.start()
+        counted = _counters(engine)
+        workers[0].start()
+        workers[1].start()
         assert progressed.wait(30), "the stream never reported progress"
-        deadline = time.monotonic() + 10
-        with ServeClient(host, port) as probe:
-            while probe.healthz()["batch_pending"] < 1:
-                assert time.monotonic() < deadline, "simulation not batched"
-                time.sleep(0.01)
+        _until(lambda: _batch_counts(engine, counted)[0] == 1,
+               "the first simulation was never dispatched")
+        workers[2].start()
+        _wait_batch_pending(host, port, 2)
         thread._loop.call_soon_threadsafe(thread.server.request_shutdown)
         deadline = time.monotonic() + 10
         while not thread.server.draining:
@@ -1049,10 +1107,14 @@ def test_drain_finishes_open_batch_and_stream(tmp_path, monkeypatch):
                      body=json.dumps({"seed": 95, "chips": 16}).encode())
         assert idle.getresponse().status == 503
         assert "stream" not in outcome  # still mid-progress
+        assert "mcf" not in outcome and "gzip" not in outcome
         release.set()
+        held.set()
         for worker in workers:
             worker.join(timeout=60)
-        assert outcome["simulate"]["kind"] == "simulation"
+        assert outcome["mcf"]["kind"] == outcome["gzip"]["kind"] == \
+            "simulation"
+        assert _batch_counts(engine, counted) == (2, 2)
         events = outcome["stream"]
         assert [e["event"] for e in events if e["event"] != "progress"] == [
             "accepted", "result"
@@ -1060,6 +1122,7 @@ def test_drain_finishes_open_batch_and_stream(tmp_path, monkeypatch):
         assert events[-1]["payload"]["kind"] == "population"
     finally:
         release.set()
+        held.set()
         idle.close()
         thread.stop()
     assert not thread._thread.is_alive()
@@ -1067,6 +1130,74 @@ def test_drain_finishes_open_batch_and_stream(tmp_path, monkeypatch):
     gauges = _gauges(engine)
     for gauge in ("serve.flights", "serve.batch.pending", "serve.active"):
         assert gauges[gauge] == 0.0, gauge
+
+
+def test_client_reset_while_queued_behind_a_dispatch(tmp_path, monkeypatch):
+    """A cold simulation whose client resets while it is queued behind a
+    running dispatch still runs in the next dispatch, and its result is
+    stored: the repeat is warm and equals a fresh engine's answer."""
+    from repro.serve.protocol import parse_simulation, simulation_payload
+
+    before = _pool_threads()
+    engine = Engine(EngineConfig(workers=1, cache_dir=tmp_path / "store"))
+    release = _hold_first_dispatches(monkeypatch, engine)
+    thread = ServerThread(engine, ServeConfig(port=0))
+    host, port = thread.start()
+    leader = dict(benchmark="gzip", seed=96, trace_length=1000, warmup=100)
+    queued = dict(leader, benchmark="mcf")
+    outcome = {}
+
+    def lead():
+        with ServeClient(host, port, timeout=60) as client:
+            outcome["leader"] = client.simulate(**leader)
+
+    worker = threading.Thread(target=lead)
+    sock = socket.create_connection((host, port), timeout=_GIVE_UP)
+    try:
+        counted = _counters(engine)
+        worker.start()
+        _until(lambda: _batch_counts(engine, counted)[0] == 1,
+               "the leading simulation was never dispatched")
+        body = json.dumps(queued)
+        sock.sendall(
+            b"POST /v1/simulate HTTP/1.1\r\nHost: test\r\n"
+            + f"Content-Length: {len(body)}\r\n\r\n{body}".encode()
+        )
+        _wait_batch_pending(host, port, 2)
+        # SO_LINGER 0: close with a reset, not a FIN.
+        sock.setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+        )
+        sock.close()
+        release.set()
+        worker.join(timeout=60)
+        assert outcome["leader"]["kind"] == "simulation"
+        health = _settled(host, port)
+        assert health["flights"] == health["batch_pending"] == 0
+        assert health["admission"]["active"] == 0
+        # The reset request's job ran in the dispatch after the held one.
+        assert _batch_counts(engine, counted) == (2, 2)
+        warm = _counters(engine).get("serve.request.warm", 0)
+        with ServeClient(host, port) as client:
+            repeat = client.simulate(**queued)
+        assert _counters(engine).get("serve.request.warm", 0) == warm + 1
+        query = parse_simulation(queued)
+        fresh = Engine(EngineConfig(workers=1, persistent=False))
+        expected = simulation_payload(
+            fresh.simulate_many(query.settings, [query.spec])[0]
+        )
+        assert repeat == json.loads(canonical_json(expected))
+        gauges = _gauges(engine)
+        for gauge in ("serve.flights", "serve.batch.pending", "serve.active"):
+            assert gauges[gauge] == 0.0, gauge
+    finally:
+        release.set()
+        sock.close()
+        if worker.is_alive():
+            worker.join(timeout=60)
+        thread.stop()
+    assert not thread._thread.is_alive()
+    assert _pool_threads() - before == set()
 
 
 # ----------------------------------------------------------------------
@@ -1205,10 +1336,10 @@ def test_identical_streams_share_one_cold_flight(tmp_path):
 
 def test_parameters_the_engine_refuses_get_400(tmp_path):
     """A bad way configuration and a one-chip population are refused by
-    the parser, before admission: a valid simulation in the same batch
-    window still gets 200, and ``serve.errors`` does not move."""
+    the parser, before admission: a valid simulation sent with it still
+    gets 200, and ``serve.errors`` does not move."""
     engine = Engine(EngineConfig(workers=1, cache_dir=tmp_path / "store"))
-    thread = ServerThread(engine, ServeConfig(port=0, batch_window=0.3))
+    thread = ServerThread(engine, ServeConfig(port=0))
     host, port = thread.start()
     outcomes = {}
     barrier = threading.Barrier(2)

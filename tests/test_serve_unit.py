@@ -8,6 +8,8 @@ in ``test_serve.py``.
 from __future__ import annotations
 
 import asyncio
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -259,11 +261,41 @@ class _Settings:
         self.warmup = warmup
 
 
+class _HeldEngine(_FakeEngine):
+    """A fake engine whose first dispatch runs until ``release`` is set,
+    then returns or, with ``fail_first``, raises."""
+
+    def __init__(self, fail_first=False):
+        super().__init__()
+        self.fail_first = fail_first
+        self.started = threading.Event()
+        self.release = threading.Event()
+
+    def simulate_many(self, settings, specs, progress=None):
+        first = not self.calls
+        results = super().simulate_many(settings, specs, progress)
+        if first:
+            self.started.set()
+            self.release.wait(10)
+            if self.fail_first:
+                raise RuntimeError("first dispatch failed")
+        return results
+
+
+async def _started(engine: _HeldEngine) -> None:
+    """Yield to the loop until the held engine's first dispatch runs."""
+    for _ in range(1000):
+        if engine.started.is_set():
+            return
+        await asyncio.sleep(0.005)
+    raise AssertionError("the first dispatch never started")
+
+
 class TestBatcher:
     def test_compatible_requests_share_one_dispatch(self):
         async def scenario():
             engine = _FakeEngine()
-            batcher = SimulationBatcher(engine, window=0.005)
+            batcher = SimulationBatcher(engine)
             settings = _Settings()
             results = await asyncio.gather(
                 batcher.simulate(settings, "gcc"),
@@ -282,7 +314,7 @@ class TestBatcher:
     def test_incompatible_settings_split_batches(self):
         async def scenario():
             engine = _FakeEngine()
-            batcher = SimulationBatcher(engine, window=0.005)
+            batcher = SimulationBatcher(engine)
             await asyncio.gather(
                 batcher.simulate(_Settings(seed=1), "gcc"),
                 batcher.simulate(_Settings(seed=2), "gcc"),
@@ -291,34 +323,94 @@ class TestBatcher:
 
         run(scenario())
 
-    def test_max_batch_flushes_immediately(self):
+    def test_lone_request_dispatches_after_one_loop_turn(self):
         async def scenario():
             engine = _FakeEngine()
-            # A long window that a full batch must not wait out.
-            batcher = SimulationBatcher(engine, window=5.0, max_batch=2)
-            settings = _Settings()
-            await asyncio.wait_for(
-                asyncio.gather(
-                    batcher.simulate(settings, "gcc"),
-                    batcher.simulate(settings, "mcf"),
-                ),
-                timeout=1.0,
-            )
-            assert len(engine.calls) == 1
+            batcher = SimulationBatcher(engine)
+            task = asyncio.ensure_future(batcher.simulate(_Settings(), "gcc"))
+            await asyncio.sleep(0)  # the request reaches the batcher
+            assert batcher.pending() == 1
+            await asyncio.sleep(0)  # the turn it arrived in has ended
+            counters = engine.metrics.snapshot()["counters"]
+            assert counters.get("serve.batch.dispatches") == 1
+            assert await task == "result:gcc"
+            assert batcher.pending() == 0
 
         run(scenario())
 
-    def test_flush_all_drains_pending(self):
+    def test_arrivals_during_a_dispatch_share_the_next_one(self):
+        async def scenario():
+            engine = _HeldEngine()
+            batcher = SimulationBatcher(engine)
+            settings = _Settings()
+            first = asyncio.ensure_future(batcher.simulate(settings, "gcc"))
+            await _started(engine)
+            queued = []
+            for spec in ("mcf", "swim", "art"):
+                queued.append(
+                    asyncio.ensure_future(batcher.simulate(settings, spec))
+                )
+                await asyncio.sleep(0.03)  # each in its own loop turn
+            assert batcher.pending() == 4
+            assert len(engine.calls) == 1  # nothing left behind the first
+            engine.release.set()
+            assert await asyncio.wait_for(first, 10) == "result:gcc"
+            assert await asyncio.wait_for(asyncio.gather(*queued), 10) == [
+                "result:mcf", "result:swim", "result:art"
+            ]
+            assert [specs for _, specs in engine.calls] == [
+                ["gcc"], ["mcf", "swim", "art"]
+            ]
+            counters = engine.metrics.snapshot()["counters"]
+            assert counters["serve.batch.dispatches"] == 2
+            assert counters["serve.batch.jobs"] == 4
+            assert batcher.pending() == 0
+
+        run(scenario())
+
+    def test_batch_behind_a_failing_dispatch_still_succeeds(self):
+        async def scenario():
+            engine = _HeldEngine(fail_first=True)
+            batcher = SimulationBatcher(engine)
+            settings = _Settings()
+            first = asyncio.ensure_future(batcher.simulate(settings, "gcc"))
+            await _started(engine)
+            queued = []
+            for spec in ("mcf", "swim"):
+                queued.append(
+                    asyncio.ensure_future(batcher.simulate(settings, spec))
+                )
+                await asyncio.sleep(0.03)
+            engine.release.set()
+            with pytest.raises(RuntimeError, match="first dispatch failed"):
+                await asyncio.wait_for(first, 10)
+            assert await asyncio.wait_for(asyncio.gather(*queued), 10) == [
+                "result:mcf", "result:swim"
+            ]
+            assert [specs for _, specs in engine.calls] == [
+                ["gcc"], ["mcf", "swim"]
+            ]
+            assert batcher.pending() == 0
+
+        run(scenario())
+
+    def test_dispatch_the_pool_refuses_fails_its_waiters(self):
         async def scenario():
             engine = _FakeEngine()
-            batcher = SimulationBatcher(engine, window=60.0)
-            settings = _Settings()
-            task = asyncio.ensure_future(batcher.simulate(settings, "gcc"))
-            await asyncio.sleep(0)
-            assert batcher.pending() == 1
-            await batcher.flush_all()
-            assert await task == "result:gcc"
+            pool = ThreadPoolExecutor(max_workers=1)
+            pool.shutdown()
+            batcher = SimulationBatcher(engine, executor=pool)
+            with pytest.raises(RuntimeError, match="shutdown"):
+                await asyncio.wait_for(
+                    batcher.simulate(_Settings(), "gcc"), 10
+                )
             assert batcher.pending() == 0
+            assert engine.calls == []
+            # The identity is free again: the next request is dispatched.
+            batcher.executor = None
+            assert await asyncio.wait_for(
+                batcher.simulate(_Settings(), "mcf"), 10
+            ) == "result:mcf"
 
         run(scenario())
 

@@ -19,6 +19,8 @@ asserts that:
 * a 2-worker engine shares what its workers computed, its chip shards
   draw every range they are sent and register nothing, and the
   ``engine.population`` bench case still samples on every repeat;
+* a fixed estimate of chips a live population holds reads its rows and
+  runs no chip job;
 * studies on more threads than cores, switching every microsecond, give
   their serial twins' bytes;
 * the sensor's columnar readings equal the per-chip oracle's bit for
@@ -46,7 +48,7 @@ from repro.circuit.cache_model import CacheCircuitModel
 from repro.circuit.organization import CacheOrganization
 from repro.circuit.technology import TECH45
 from repro.core import units
-from repro.engine.codec import encode_population
+from repro.engine.codec import encode_estimate, encode_population
 from repro.engine.core import Engine, EngineConfig
 from repro.experiments.common import ExperimentSettings
 from repro.obs.bench import SUITES
@@ -346,6 +348,24 @@ def test_two_worker_engine_shares_its_population(draws):
     analysis._live_chips.clear()  # recompute from nothing
     assert _bytes(study) == _bytes(YieldStudy(seed=seed, count=40).run())
     assert _bytes(smaller) == _bytes(YieldStudy(seed=seed, count=64).run())
+
+
+def test_fixed_estimate_reads_a_live_populations_rows(draws):
+    """A fixed estimate of chips a live population holds runs no chip job
+    of its own, and reports what a fresh engine reports."""
+    settings = ExperimentSettings(seed=9142, chips=300)
+    fixed = EstimatorSpec(kind="fixed")
+    engine = Engine(EngineConfig(workers=1, persistent=False))
+    engine.population(settings)
+    assert engine.stats.jobs_run == 1
+    report = engine.estimate(settings, estimator=fixed)
+    assert engine.stats.jobs_run == 1 and draws == [300]
+    analysis._live_chips.clear()  # recompute from nothing
+    fresh = Engine(EngineConfig(workers=1, persistent=False))
+    assert encode_estimate(report) == encode_estimate(
+        fresh.estimate(settings, estimator=fixed)
+    )
+    assert fresh.stats.jobs_run == 1 and draws == [300, 300]
 
 
 def test_bench_population_case_samples_every_repeat(draws):
