@@ -15,7 +15,7 @@ import sys
 from repro.cache.setassoc import WayConfig
 from repro.schemes import Hybrid, NaiveBinning, VACA, YAPD
 from repro.uarch import Simulator
-from repro.workloads import TraceGenerator, get_profile
+from repro.workloads import get_compiled_trace, get_profile
 from repro.yieldmodel import LossReason, YieldStudy, config_key
 
 TRACE = 12_000
@@ -41,7 +41,7 @@ def measure(benchmark: str, way_cycles, uniform=None) -> float:
         if uniform
         else Simulator().core,
     )
-    trace = TraceGenerator(profile, seed=7).generate(WARMUP + TRACE)
+    trace = get_compiled_trace(profile, 7, WARMUP + TRACE)
     return simulator.run(trace, warmup=WARMUP).cpi
 
 

@@ -402,7 +402,8 @@ def _cache_command(action: str) -> int:
         f"({ctrace['instructions']} instructions, "
         f"{ctrace['bytes'] / 1e6:.2f} MB packed), "
         f"hit rate {ctrace['hit_rate']:.0%} "
-        f"({ctrace['hits']} hits / {ctrace['misses']} misses)"
+        f"({ctrace['hits']} hits / {ctrace['misses']} misses), "
+        f"{ctrace['evictions']} evicted"
     )
     return 0
 

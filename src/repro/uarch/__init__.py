@@ -8,10 +8,11 @@ buffers in front of every functional unit that let a dependent stall one
 cycle when its load resolves in 5 cycles instead of 4.
 
 This subpackage implements that machine as a trace-driven, cycle-level
-simulator:
+simulator. Traces arrive compiled, as the packed columns of
+:class:`repro.workloads.compiled.CompiledTrace`:
 
-* :mod:`repro.uarch.isa` — operation classes and functional-unit kinds.
-* :mod:`repro.uarch.trace` — the dynamic instruction record.
+* :mod:`repro.uarch.isa` — operation classes, functional-unit kinds and
+  the architectural register count.
 * :mod:`repro.uarch.config` — core parameters (paper Section 5.2).
 * :mod:`repro.uarch.lbb` — load-bypass buffer accounting.
 * :mod:`repro.uarch.pipeline` — the scheduling/replay engine.
@@ -19,14 +20,12 @@ simulator:
 """
 
 from repro.uarch.isa import OpClass, FU_LATENCIES
-from repro.uarch.trace import TraceInstruction
 from repro.uarch.config import CoreConfig, PAPER_CORE
 from repro.uarch.simulator import SimResult, Simulator
 
 __all__ = [
     "OpClass",
     "FU_LATENCIES",
-    "TraceInstruction",
     "CoreConfig",
     "PAPER_CORE",
     "SimResult",

@@ -10,7 +10,12 @@ from __future__ import annotations
 import enum
 from typing import Dict
 
-__all__ = ["OpClass", "FU_LATENCIES", "FU_KIND", "MEMORY_OPS"]
+__all__ = [
+    "OpClass", "FU_LATENCIES", "FU_KIND", "MEMORY_OPS", "NUM_REGISTERS",
+]
+
+#: Number of architectural registers the traces may reference.
+NUM_REGISTERS = 32
 
 
 class OpClass(enum.Enum):

@@ -51,9 +51,8 @@ from typing import List
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.core.errors import SimulationError
 from repro.uarch.config import CoreConfig
-from repro.uarch.isa import FU_KIND, FU_LATENCIES, OpClass
+from repro.uarch.isa import FU_KIND, FU_LATENCIES, NUM_REGISTERS, OpClass
 from repro.uarch.lbb import LoadBypassBuffers
-from repro.uarch.trace import NUM_REGISTERS
 
 __all__ = ["PipelineEngine"]
 
@@ -119,8 +118,8 @@ class PipelineEngine:
         :meth:`MemoryHierarchy.instruction_fetch`.
     trace:
         A :class:`repro.workloads.compiled.CompiledTrace`; its columns
-        were validated when it was packed. :class:`repro.uarch.Simulator`
-        packs plain instruction iterables before they get here.
+        were checked when they were generated
+        (:func:`repro.workloads.compiled.check_columns`).
     warmup_instructions:
         Instructions whose commit ends the warmup window: counters and
         cache statistics are zeroed at the commit that reaches this

@@ -1,16 +1,16 @@
 """Top-level simulator interface and results.
 
 :class:`Simulator` wires a core configuration, a memory hierarchy (with a
-yield-aware L1D way configuration) and a trace into the pipeline engine
-and returns a :class:`SimResult` with CPI and the counters the paper's
-performance experiments need.
+yield-aware L1D way configuration) and a compiled trace into the
+pipeline engine and returns a :class:`SimResult` with CPI and the
+counters the paper's performance experiments need.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
 from repro.cache.hierarchy import HierarchyConfig, MemoryHierarchy, PAPER_HIERARCHY
 from repro.cache.setassoc import WayConfig
@@ -19,7 +19,6 @@ from repro.obs.metrics import get_metrics
 from repro.obs.trace import span as trace_span
 from repro.uarch.config import CoreConfig, PAPER_CORE
 from repro.uarch.pipeline import PipelineEngine
-from repro.uarch.trace import TraceInstruction
 
 __all__ = ["SimResult", "Simulator"]
 
@@ -97,27 +96,17 @@ class Simulator:
         self.l1d_config = l1d_config
         self.uniform_load_latency = uniform_load_latency
 
-    def run(
-        self,
-        trace: Iterable[TraceInstruction],
-        warmup: int = 0,
-    ) -> SimResult:
+    def run(self, trace, warmup: int = 0) -> SimResult:
         """Simulate ``trace`` to completion and return the result.
 
-        ``trace`` may be a :class:`repro.workloads.compiled.CompiledTrace`
-        or a plain iterable of :class:`TraceInstruction`, which is packed
-        into one first. The replay runs under a ``ctrace.replay`` span,
-        so flamegraphs attribute time to compile vs replay.
+        ``trace`` is a :class:`repro.workloads.compiled.CompiledTrace`,
+        as :func:`repro.workloads.get_compiled_trace` returns. The
+        replay runs under a ``ctrace.replay`` span, so flamegraphs
+        attribute time to compile vs replay.
 
         ``warmup`` instructions are executed first to warm the caches;
         CPI and all counters cover only the instructions after them.
         """
-        # Imported here: repro.workloads imports repro.uarch.isa, so a
-        # module-level import would be circular.
-        from repro.workloads.compiled import CompiledTrace
-
-        if not isinstance(trace, CompiledTrace):
-            trace = CompiledTrace.from_instructions(trace)
         hierarchy = MemoryHierarchy(
             config=self.hierarchy_config,
             l1d_config=self.l1d_config,

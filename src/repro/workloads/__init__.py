@@ -9,6 +9,14 @@ dependency tightness, and a memory-access model mixing streaming,
 random-with-locality, and pointer-chasing references over a configurable
 working set.
 
+Traces are generated as columns: :func:`compile_trace` fills the seven
+packed buffers the simulation kernel reads (op code, dest, two sources,
+data address, pc, mispredict flag) in one NumPy pass over the
+generator's draw blocks, and :func:`get_compiled_trace` caches them per
+``(profile, seed)`` under a fixed byte budget. There is no
+per-instruction object; the per-instruction generator they were derived
+from is the oracle in ``tests/oracles/``.
+
 The profiles are calibrated so the *population* spans the behaviours that
 drive the paper's performance results — memory-bound codes (mcf, art,
 swim) that are sensitive to losing a cache way, pointer-chasers whose
@@ -23,7 +31,6 @@ from repro.workloads.profiles import (
     SPEC2000_ALL,
     get_profile,
 )
-from repro.workloads.generator import TraceGenerator
 from repro.workloads.compiled import (
     CompiledTrace,
     clear_trace_cache,
@@ -39,7 +46,6 @@ __all__ = [
     "SPEC2000_FP",
     "SPEC2000_ALL",
     "get_profile",
-    "TraceGenerator",
     "CompiledTrace",
     "compile_trace",
     "get_compiled_trace",

@@ -65,6 +65,7 @@ __all__ = [
     "PopulationResult",
     "YieldStudy",
     "derive_constraints",
+    "forget_live_chips",
 ]
 
 #: Order in which loss reasons appear in the paper's tables. The 5-8 way
@@ -360,6 +361,13 @@ _live_chips: "weakref.WeakValueDictionary[tuple, CircuitColumns]" = (
     weakref.WeakValueDictionary()
 )
 _live_lock = threading.Lock()
+
+
+def forget_live_chips() -> None:
+    """Empty the live-chip index, so the next study of any chips draws
+    them (the populations it pointed at are not touched)."""
+    with _live_lock:
+        _live_chips.clear()
 
 
 @dataclass

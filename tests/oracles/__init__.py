@@ -18,9 +18,14 @@ decisions. ``sampling.py`` is the scalar per-parameter sampler and
 SRAM stages, decoder, access path) that populations were drawn and
 evaluated with before the columnar sampler and kernel became the only
 production path, with the per-chip result types it returns.
-``compiled.py`` decodes a compiled trace back into the instructions
-these oracles replay. They are never imported by ``src/``; their job is
-to pin every statistic the production code reports, bit for bit.
+``generator.py`` is the per-instruction trace generator and
+``trace.py`` its validated instruction record (``TraceInstruction``),
+from before traces were generated as columns; ``compiled.py`` packs
+instructions into a compiled trace (``from_instructions``, which
+hand-written test traces go through too) and decodes a compiled trace
+back into the instructions these oracles replay. They are never
+imported by ``src/``; their job is to pin every statistic the
+production code reports, bit for bit.
 """
 from __future__ import annotations
 

@@ -37,11 +37,11 @@ from typing import Deque, Dict, Iterable, Iterator, List, Optional
 
 from .hierarchy import MemoryHierarchy
 from .setassoc import block_address
+from .trace import TraceInstruction
 from repro.core.errors import SimulationError
 from repro.uarch.config import CoreConfig
-from repro.uarch.isa import FU_KIND, FU_LATENCIES, OpClass
+from repro.uarch.isa import FU_KIND, FU_LATENCIES, NUM_REGISTERS, OpClass
 from repro.uarch.lbb import LoadBypassBuffers
-from repro.uarch.trace import NUM_REGISTERS, TraceInstruction
 
 __all__ = ["PipelineEngine"]
 

@@ -24,6 +24,7 @@ import pytest
 
 from oracles import simulate as oracle_simulate
 from oracles.compiled import content_key, instructions
+from oracles.generator import TraceGenerator
 from oracles.setassoc import SetAssociativeCache as OracleCache
 from repro.cache.geometry import CacheGeometry
 from repro.cache.setassoc import SetAssociativeCache, WayConfig
@@ -32,6 +33,7 @@ from repro.uarch import Simulator
 from repro.uarch.isa import OpClass
 from repro.workloads import (
     SPEC2000_ALL,
+    clear_trace_cache,
     compile_trace,
     get_compiled_trace,
     get_profile,
@@ -40,6 +42,7 @@ from repro.workloads import (
 )
 
 _PROFILE_NAMES = tuple(p.name for p in SPEC2000_ALL)
+_BUDGET = "repro.workloads.compiled.TRACE_CACHE_BUDGET"
 
 #: Small geometries keep 150 replays fast while still exercising several
 #: set counts, associativities and block sizes (the paper's L1D last).
@@ -217,8 +220,6 @@ def _make_pipeline_cases(count: int):
     "profile,config,uniform,seed", _make_pipeline_cases(30)
 )
 def test_pipeline_compiled_matches_reference(profile, config, uniform, seed):
-    from repro.workloads import TraceGenerator
-
     prof = get_profile(profile)
     length, warmup = 700, 100
     compiled = get_compiled_trace(prof, seed, length)
@@ -269,6 +270,48 @@ class TestCompiledTraceCache:
         assert len(long.ops) >= 400
         # The overlap is bit-identical (prefix property).
         assert content_key(long.prefix(100)) == content_key(short)
+
+    def test_cache_evicts_least_recently_used_within_budget(
+        self, monkeypatch
+    ):
+        profile = get_profile("twolf")
+        size = compile_trace(profile, 0, 1000).nbytes
+        monkeypatch.setattr(_BUDGET, 3 * size)
+        clear_trace_cache()
+        try:
+            kept = get_compiled_trace(profile, 0, 1000)
+            get_compiled_trace(profile, 1, 1000)
+            get_compiled_trace(profile, 2, 1000)
+            get_compiled_trace(profile, 0, 400)  # refreshes seed 0
+            get_compiled_trace(profile, 3, 1000)  # past the budget
+            info = trace_cache_info()
+            assert info["bytes"] <= 3 * size
+            assert info["entries"] == 3
+            assert info["evictions"] == 1
+            # The refreshed entry stayed; the least recently used went.
+            assert get_compiled_trace(profile, 0, 1000).ops is kept.ops
+            misses = trace_cache_info()["misses"]
+            again = get_compiled_trace(profile, 1, 1000)
+            assert trace_cache_info()["misses"] == misses + 1
+            assert content_key(again) == content_key(
+                compile_trace(profile, 1, 1000)
+            )
+            assert trace_cache_info()["bytes"] <= 3 * size
+        finally:
+            clear_trace_cache()
+
+    def test_trace_larger_than_the_budget_is_not_cached(self, monkeypatch):
+        profile = get_profile("art")
+        monkeypatch.setattr(_BUDGET, 1000)
+        clear_trace_cache()
+        try:
+            trace = get_compiled_trace(profile, 4, 100)
+            assert trace.nbytes > 1000
+            info = trace_cache_info()
+            assert (info["entries"], info["bytes"]) == (0, 0)
+            assert info["evictions"] == 0
+        finally:
+            clear_trace_cache()
 
     def test_trace_key_is_identity_stable(self):
         assert trace_key("gzip", 2006, 1000) == trace_key("gzip", 2006, 1000)

@@ -26,7 +26,7 @@ import random
 import pytest
 
 from oracles import simulate as oracle_simulate
-from oracles.compiled import instructions
+from oracles.compiled import from_instructions, instructions
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.cache.setassoc import WayConfig
 from repro.core.errors import SimulationError
@@ -113,10 +113,12 @@ def test_kernel_matches_oracle(
     profile, seed, length, warmup, core, config, uniform, feed
 ):
     trace = get_compiled_trace(get_profile(profile), seed, length)
+    # Instruction lists and iterators reach the kernel packed by the
+    # oracle's from_instructions, as hand-written traces do.
     if feed == "list":
-        kernel_input = list(instructions(trace))
+        kernel_input = from_instructions(list(instructions(trace)))
     elif feed == "iterator":
-        kernel_input = instructions(trace)
+        kernel_input = from_instructions(instructions(trace))
     else:
         kernel_input = trace
     simulator = Simulator(

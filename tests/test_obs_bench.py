@@ -286,6 +286,30 @@ class TestHarness:
         counters = results[0].metrics["counters"]
         assert counters["engine.jobs.run"] >= 2
 
+    def test_cases_draw_their_own_chips(self, monkeypatch):
+        """The serve burst's 128-chip seed-2006 population can outlive
+        its suite; a later case that studies at most 128 chips of seed
+        2006 still draws them instead of reading that population's rows."""
+        from repro.variation.columnar import ColumnarPopulationSampler
+
+        run_suite("serve", repeats=1, warmup=0)
+        drawn = []
+        sample_range = ColumnarPopulationSampler.sample_range
+
+        def spy(self, seed, start, stop, *args, **kwargs):
+            drawn.append((seed, start, stop))
+            return sample_range(self, seed, start, stop, *args, **kwargs)
+
+        monkeypatch.setattr(ColumnarPopulationSampler, "sample_range", spy)
+        results = run_suite("schemes", repeats=1, warmup=0)
+        assert [r.bench for r in results] == [
+            "schemes.breakdown_vertical",
+            "schemes.breakdown_horizontal",
+        ]
+        # Both 96-chip cases drew their chips: one case's population is
+        # not the next case's either.
+        assert drawn == [(2006, 0, 96), (2006, 0, 96)]
+
 
 # ----------------------------------------------------------------------
 # reports (self-contained HTML)

@@ -14,9 +14,11 @@ exactly — and event counters are asserted on full runs.
 
 import pytest
 
+from oracles.compiled import from_instructions
+from oracles.trace import TraceInstruction
 from repro.cache.setassoc import WayConfig
 from repro.core.errors import SimulationError, TraceError
-from repro.uarch import PAPER_CORE, Simulator, TraceInstruction
+from repro.uarch import PAPER_CORE, Simulator
 from repro.uarch.isa import OpClass
 
 
@@ -31,7 +33,7 @@ def load(dest, address, srcs=(), pc=0):
 
 
 def run(trace, **kwargs):
-    return Simulator(**kwargs).run(list(trace))
+    return Simulator(**kwargs).run(from_instructions(trace))
 
 
 def per_op_cycles(make_trace, short=100, long=400, **kwargs):
@@ -42,6 +44,9 @@ def per_op_cycles(make_trace, short=100, long=400, **kwargs):
 
 
 class TestTraceValidation:
+    """The instruction record's own checks (the oracle's; production
+    checks the same rules on whole columns, see test_trace_columns)."""
+
     def test_load_needs_address(self):
         with pytest.raises(TraceError):
             TraceInstruction(op=OpClass.LOAD, dest=1)
@@ -220,13 +225,13 @@ class TestAccounting:
 
     def test_warmup_shrinks_measured_window(self):
         trace = [load(i % 28, 0x100 + (i % 4) * 4096) for i in range(200)]
-        full = Simulator().run(iter(trace), warmup=0)
-        warm = Simulator().run(iter(trace), warmup=100)
+        full = Simulator().run(from_instructions(trace), warmup=0)
+        warm = Simulator().run(from_instructions(trace), warmup=100)
         assert warm.instructions == 100
         assert warm.cycles < full.cycles
 
     def test_determinism(self):
         trace = [load(i % 28, (i * 3) % 4096 * 8) for i in range(200)]
-        a = Simulator().run(iter(trace))
-        b = Simulator().run(iter(trace))
+        a = Simulator().run(from_instructions(trace))
+        b = Simulator().run(from_instructions(trace))
         assert a == b

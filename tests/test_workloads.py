@@ -1,18 +1,41 @@
-"""Tests for benchmark profiles and the synthetic trace generator."""
+"""Tests for benchmark profiles and the traces generated from them.
 
+The trace checks read the production columns (``compile_trace``); the
+byte-for-byte comparison with the per-instruction oracle generator is
+``test_trace_columns.py``.
+"""
+
+import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
+from oracles.compiled import instructions
 from repro.core.errors import ConfigurationError
 from repro.uarch.isa import OpClass
 from repro.workloads import (
     SPEC2000_ALL,
     SPEC2000_FP,
     SPEC2000_INT,
-    TraceGenerator,
+    compile_trace,
+    get_compiled_trace,
     get_profile,
 )
-from repro.workloads.generator import _CHASE_REGS
+from repro.workloads.compiled import OP_CODES, _CHASE_REGS
+
+_COLUMNS = ("ops", "dests", "src0", "src1", "addresses", "pcs", "mispredicts")
+_FP_CODES = (OP_CODES[OpClass.FALU], OP_CODES[OpClass.FMULT])
+
+
+def columns(name, length, seed=2006):
+    """The trace's columns as NumPy arrays, by column name."""
+    trace = compile_trace(get_profile(name), seed, length)
+    return {
+        column: np.array(getattr(trace, column)) for column in _COLUMNS
+    }
+
+
+def same_trace(a, b) -> bool:
+    return all(np.array_equal(a[column], b[column]) for column in _COLUMNS)
 
 
 class TestSuiteComposition:
@@ -76,81 +99,72 @@ class TestSuiteComposition:
 
 class TestGeneratedTraces:
     def test_length(self):
-        trace = list(TraceGenerator(get_profile("gzip")).generate(5000))
-        assert len(trace) == 5000
+        trace = compile_trace(get_profile("gzip"), 2006, 5000)
+        assert trace.length == 5000
+        assert {len(getattr(trace, column)) for column in _COLUMNS} == {5000}
 
     def test_deterministic(self):
-        a = list(TraceGenerator(get_profile("gzip"), seed=5).generate(2000))
-        b = list(TraceGenerator(get_profile("gzip"), seed=5).generate(2000))
-        assert a == b
+        assert same_trace(columns("gzip", 2000, 5), columns("gzip", 2000, 5))
 
     def test_seed_sensitivity(self):
-        a = list(TraceGenerator(get_profile("gzip"), seed=5).generate(2000))
-        b = list(TraceGenerator(get_profile("gzip"), seed=6).generate(2000))
-        assert a != b
+        assert not same_trace(
+            columns("gzip", 2000, 5), columns("gzip", 2000, 6)
+        )
 
     def test_benchmarks_differ(self):
-        a = list(TraceGenerator(get_profile("gzip"), seed=5).generate(2000))
-        b = list(TraceGenerator(get_profile("mcf"), seed=5).generate(2000))
-        assert a != b
+        assert not same_trace(
+            columns("gzip", 2000, 5), columns("mcf", 2000, 5)
+        )
 
     @pytest.mark.parametrize("name", ["gzip", "mcf", "swim", "crafty"])
     def test_mix_matches_profile(self, name):
         profile = get_profile(name)
-        trace = list(TraceGenerator(profile).generate(20000))
-        loads = sum(1 for i in trace if i.op is OpClass.LOAD)
-        stores = sum(1 for i in trace if i.op is OpClass.STORE)
-        branches = sum(1 for i in trace if i.op is OpClass.BRANCH)
+        ops = columns(name, 20000)["ops"]
+        loads = np.count_nonzero(ops == OP_CODES[OpClass.LOAD])
+        stores = np.count_nonzero(ops == OP_CODES[OpClass.STORE])
+        branches = np.count_nonzero(ops == OP_CODES[OpClass.BRANCH])
         assert loads / 20000 == pytest.approx(profile.load_frac, abs=0.02)
         assert stores / 20000 == pytest.approx(profile.store_frac, abs=0.02)
         assert branches / 20000 == pytest.approx(profile.branch_frac, abs=0.02)
 
     def test_mispredict_rate(self):
         profile = get_profile("twolf")
-        trace = list(TraceGenerator(profile).generate(30000))
-        branches = [i for i in trace if i.op is OpClass.BRANCH]
-        rate = sum(i.mispredicted for i in branches) / len(branches)
+        trace = columns("twolf", 30000)
+        branches = trace["ops"] == OP_CODES[OpClass.BRANCH]
+        rate = trace["mispredicts"][branches].mean()
         assert rate == pytest.approx(profile.mispredict_rate, abs=0.03)
+        assert not trace["mispredicts"][~branches].any()
 
     def test_fp_suite_uses_fp_units(self):
-        trace = list(TraceGenerator(get_profile("swim")).generate(10000))
-        fp_ops = sum(
-            1 for i in trace if i.op in (OpClass.FALU, OpClass.FMULT)
-        )
-        int_trace = list(TraceGenerator(get_profile("gzip")).generate(10000))
-        fp_int = sum(
-            1 for i in int_trace if i.op in (OpClass.FALU, OpClass.FMULT)
-        )
+        fp_ops = np.isin(columns("swim", 10000)["ops"], _FP_CODES).sum()
+        fp_int = np.isin(columns("gzip", 10000)["ops"], _FP_CODES).sum()
         assert fp_ops > 1000
         assert fp_int == 0
 
     def test_chase_loads_form_chains(self):
-        profile = get_profile("mcf")
-        trace = list(TraceGenerator(profile).generate(5000))
-        chase = [
-            i
-            for i in trace
-            if i.op is OpClass.LOAD and i.dest in _CHASE_REGS
-        ]
-        assert chase, "mcf must emit chase loads"
-        for instr in chase:
-            assert instr.srcs == (instr.dest,)  # chain through one register
+        trace = columns("mcf", 5000)
+        chase = (trace["ops"] == OP_CODES[OpClass.LOAD]) & np.isin(
+            trace["dests"], _CHASE_REGS
+        )
+        assert chase.any(), "mcf must emit chase loads"
+        # chain through one register
+        assert np.array_equal(trace["src0"][chase], trace["dests"][chase])
+        assert (trace["src1"][chase] == -1).all()
 
     def test_addresses_within_regions(self):
-        profile = get_profile("vpr")
-        for instr in TraceGenerator(profile).generate(5000):
-            if instr.address is not None:
-                region = instr.address >> 28
-                assert region in (0x1, 0x2, 0x3)
+        addresses = columns("vpr", 5000)["addresses"]
+        regions = addresses[addresses >= 0] >> 28
+        assert regions.size
+        assert set(regions.tolist()) <= {0x1, 0x2, 0x3}
 
     def test_stream_addresses_stride(self):
         profile = get_profile("swim")
+        trace = columns("swim", 3000)
+        loads = trace["addresses"][trace["ops"] == OP_CODES[OpClass.LOAD]]
         streams = {}
-        for instr in TraceGenerator(profile).generate(3000):
-            if instr.op is OpClass.LOAD and instr.address is not None:
-                if instr.address >> 28 == 0x1:
-                    walker = (instr.address >> 24) & 0xF
-                    streams.setdefault(walker, []).append(instr.address)
+        for address in loads[loads >> 28 == 0x1].tolist():
+            walker = (address >> 24) & 0xF
+            streams.setdefault(walker, []).append(address)
         assert streams
         for addresses in streams.values():
             deltas = {
@@ -161,12 +175,15 @@ class TestGeneratedTraces:
     def test_pc_stays_in_code_footprint(self):
         profile = get_profile("gcc")
         base = 0x0040_0000
-        for instr in TraceGenerator(profile).generate(5000):
-            assert base <= instr.pc < base + profile.code_footprint + 4096
+        pcs = columns("gcc", 5000)["pcs"]
+        assert (pcs >= base).all()
+        assert (pcs < base + profile.code_footprint + 4096).all()
 
     def test_rejects_non_positive_length(self):
         with pytest.raises(ConfigurationError):
-            list(TraceGenerator(get_profile("gzip")).generate(0))
+            compile_trace(get_profile("gzip"), 2006, 0)
+        with pytest.raises(ConfigurationError):
+            get_compiled_trace(get_profile("gzip"), 2006, 0)
 
 
 @hsettings(max_examples=10, deadline=None)
@@ -175,7 +192,9 @@ class TestGeneratedTraces:
     length=st.integers(min_value=1, max_value=500),
 )
 def test_any_profile_generates_valid_traces(name, length):
-    """Property: every generated instruction passes TraceInstruction's own
-    validation (construction *is* validation) and carries a plausible pc."""
-    for instr in TraceGenerator(get_profile(name)).generate(length):
+    """Property: every generated row decodes into an instruction that
+    passes the oracle record's own validation (construction *is*
+    validation) and carries a plausible pc."""
+    trace = compile_trace(get_profile(name), 2006, length)
+    for instr in instructions(trace):
         assert instr.pc > 0
