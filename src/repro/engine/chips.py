@@ -1,52 +1,76 @@
-"""Chip-range dispatch: the one path from a chip range to the worker pool.
+"""The chip job: every population shard and every estimator batch.
 
-A :class:`BatchRunner` turns one tagged chip range into
-:func:`~repro.engine.workers.chip_shard` jobs, ships them through a
+This module alone knows the job's format. A :class:`BatchRunner` splits
+a tagged chip range into :func:`chip_shard` jobs, runs them on a
 :class:`~repro.engine.executor.ShardedExecutor` (the engine's own, when
-built by :class:`~repro.engine.core.Engine`), and merges the shards back
-in chip-id order. Populations (tag ``"chip"``) and every estimator batch
-come through here. Because every chip is keyed by ``(seed, tag,
-chip_id)`` alone and the executor returns results in job order, the
-merged batch is bit-identical at any worker count — nothing above this
-layer sees how the work was split.
+built by :class:`~repro.engine.core.Engine`) and joins the shards in
+chip-id order. A job draws its chips through
+:meth:`~repro.variation.columnar.ColumnarPopulationSampler.sample_range`,
+whose ``die_z`` hook applies the estimators' die-slot transforms, and
+evaluates both architectures with
+:meth:`~repro.yieldmodel.analysis.YieldStudy.evaluate`.
+
+Determinism contract: chip ``i`` of stream ``tag`` always draws from
+``spawn(seed, f"{tag}-{i}")``, both transforms are elementwise, and the
+executor returns results in job order, so the joined batch is
+bit-identical at any worker count. The ``"chip"`` tag is the reference
+population's stream, which makes pilot batches and adaptive populations
+strict prefixes of the brute-force population.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.circuit.columnar import CircuitColumns
 from repro.engine.executor import ShardedExecutor
 from repro.obs.trace import span as trace_span
+from repro.variation.columnar import ColumnarPopulationSampler
+from repro.yieldmodel.analysis import YieldStudy
+from repro.yieldmodel.estimators.sampling import ShardData, transform_die_slot
 
-__all__ = ["BatchRunner", "ShardData"]
+__all__ = ["BatchRunner", "chip_shard"]
 
 #: Smallest shard worth shipping to a worker.
 _MIN_SHARD = 16
 
+#: One chip job, plain data the pool pickles: ``seed``, ``tag``,
+#: ``start``, ``stop`` and the optional die-slot transforms ``shift``
+#: (IS mean tilt, list of floats) and ``stratum`` (``[index, strata]``).
+ChipJob = Dict[str, object]
 
-class ShardData(NamedTuple):
-    """One merged batch: circuit columns per architecture + die-slot z."""
 
-    regular: CircuitColumns
-    horizontal: CircuitColumns
-    die_z: np.ndarray  # (chips, 5) float64, the die-slot normals
+def chip_shard(job: ChipJob) -> ShardData:
+    """Draw, transform and evaluate one tagged chip range.
 
-    @classmethod
-    def join(cls, parts: Sequence["ShardData"]) -> "ShardData":
-        """Batches (or shards) in chip order as one batch."""
-        return cls(
-            CircuitColumns.concatenate([part[0] for part in parts]),
-            CircuitColumns.concatenate([part[1] for part in parts]),
-            np.concatenate([part[2] for part in parts]),
+    Module-level, so the pool pickles it by qualified name; the serial
+    path and the degraded-retry path call it in-process.
+    """
+    seed = int(job["seed"])
+    tag = str(job["tag"])
+    start = int(job["start"])
+    stop = int(job["stop"])
+    shift = job.get("shift")
+    stratum = job.get("stratum")
+    kept = []
+
+    def rewrite(die_z: np.ndarray) -> None:
+        transform_die_slot(die_z, shift, stratum)
+        kept.append(die_z.copy())
+
+    with trace_span(
+        "worker:chip_shard", tag=tag, start=start, stop=stop, seed=seed
+    ):
+        # The study's own models, so a population's chips match the
+        # live-chip key of the YieldStudy they are filed under.
+        study = YieldStudy(seed=seed)
+        population = ColumnarPopulationSampler(study.sampler).sample_range(
+            seed, start, stop, tag=tag, die_z=rewrite
         )
-
-    @property
-    def count(self) -> int:
-        return len(self.regular)
+        regular, horizontal = study.evaluate(population)
+        return ShardData(regular, horizontal, kept[0])
 
 
 class BatchRunner:
@@ -92,7 +116,7 @@ class BatchRunner:
         stop: int,
         shift: Optional[Sequence[float]],
         stratum: Optional[Tuple[int, int]],
-    ) -> List[dict]:
+    ) -> List[ChipJob]:
         """Split chip ids ``[start, stop)`` into shard jobs (one job on
         the serial path); the layout only affects load balance."""
         base = {
@@ -120,12 +144,6 @@ class BatchRunner:
         stratum: Optional[Tuple[int, int]] = None,
     ) -> ShardData:
         """Draw and evaluate chips ``[start, stop)`` of stream ``tag``."""
-        # Imported here, not at module top: this module is imported by
-        # repro.engine.core, and repro.engine.workers imports back into
-        # the estimators package — the lazy import keeps the package
-        # import graph acyclic.
-        from repro.engine.workers import chip_shard
-
         jobs = self._jobs(seed, tag, start, stop, shift, stratum)
         with trace_span(
             "engine.dispatch", tag=tag, chips=stop - start, jobs=len(jobs),

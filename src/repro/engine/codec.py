@@ -26,6 +26,10 @@ from repro.core.errors import ConfigurationError
 from repro.uarch.simulator import SimResult
 from repro.yieldmodel.analysis import PopulationResult
 from repro.yieldmodel.constraints import ConstraintPolicy, YieldConstraints
+from repro.yieldmodel.estimators.results import (
+    estimate_from_dict,
+    estimate_to_dict,
+)
 
 __all__ = [
     "encode_estimate",
@@ -152,15 +156,11 @@ def decode_population(payload: dict) -> PopulationResult:
 # ----------------------------------------------------------------------
 def encode_estimate(report) -> dict:
     """Flatten an :class:`EstimateReport` to JSON (floats exact)."""
-    from repro.yieldmodel.estimators.results import estimate_to_dict
-
     return estimate_to_dict(report)
 
 
 def decode_estimate(payload: dict):
     """Rebuild an :class:`EstimateReport` from a stored payload."""
-    from repro.yieldmodel.estimators.results import estimate_from_dict
-
     return estimate_from_dict(payload)
 
 

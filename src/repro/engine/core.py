@@ -1,15 +1,18 @@
 """The execution engine: sharded compute behind a two-level cache.
 
 Every expensive job the experiments need — evaluating a Monte Carlo chip
-population, running one pipeline simulation — funnels through one
-:class:`Engine`, which satisfies it from (in order):
+population or a yield estimate, running one pipeline simulation — funnels
+through one :class:`Engine`, which satisfies it from (in order):
 
 1. the **in-process memo** (same semantics the old per-module dicts had;
    ``clear_caches()`` empties exactly this level),
 2. the **persistent store** (`.repro_cache/` by default) keyed by the
    SHA-256 of the job's full identity, shared across processes and runs,
 3. **computation**, sharded over a :class:`~repro.engine.executor.ShardedExecutor`
-   when more than one worker is configured.
+   when more than one worker is configured. Populations and estimates
+   draw their chips through the one chip dispatcher,
+   :class:`~repro.engine.chips.BatchRunner`; simulations run
+   :func:`~repro.engine.workers.simulation_job`.
 
 Configuration comes from the environment (overridable per instance):
 
@@ -31,6 +34,7 @@ import numpy as np
 
 from repro.core.validation import env_int, env_positive_int, require_positive
 from repro.core.errors import ConfigurationError
+from repro.engine.chips import BatchRunner
 from repro.engine.codec import (
     decode_estimate,
     decode_population,
@@ -48,8 +52,11 @@ from repro.engine.workers import simulation_job
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import provenance_stamp
 from repro.obs.trace import span as trace_span, tracing_enabled
+from repro.yieldmodel.analysis import YieldStudy
 from repro.yieldmodel.constraints import ConstraintPolicy, NOMINAL_POLICY
+from repro.yieldmodel.estimators import adaptive_chips, run_estimate
 from repro.yieldmodel.estimators.spec import EstimatorSpec
+from repro.yieldmodel.statistics import wilson_interval
 
 __all__ = [
     "EngineConfig",
@@ -294,8 +301,6 @@ class Engine:
         population queries too (scheme-level gauges come from
         :meth:`PopulationResult.breakdown`).
         """
-        from repro.yieldmodel.statistics import wilson_interval
-
         for arch, horizontal in (("regular", False), ("horizontal", True)):
             passes = result.chips(horizontal).passes
             total = passes.shape[0]
@@ -314,8 +319,6 @@ class Engine:
     def _chip_dispatcher(self, progress: Optional[Callable[[int, int], None]]):
         """The one chip-range dispatcher, over this engine's executor:
         every population and every estimate draws its chips through it."""
-        from repro.yieldmodel.estimators import BatchRunner
-
         return BatchRunner(
             executor=self._executor,
             stats=self.stats,
@@ -329,8 +332,6 @@ class Engine:
         policy: ConstraintPolicy,
         progress: Optional[Callable[[int, int], None]] = None,
     ):
-        from repro.yieldmodel.analysis import YieldStudy
-
         study = YieldStudy(
             seed=settings.seed, count=settings.chips, policy=policy
         )
@@ -353,9 +354,6 @@ class Engine:
         """Exactly the chips the adaptive estimator stops at, capped at
         ``settings.chips``, assembled as a population: the result equals
         a fixed population of the stopping size."""
-        from repro.yieldmodel.analysis import YieldStudy
-        from repro.yieldmodel.estimators import adaptive_chips
-
         cap = min(spec.sample_cap(settings.chips), settings.chips)
         data, _ = adaptive_chips(
             self._chip_dispatcher(progress), spec, settings.seed, cap, policy
@@ -397,13 +395,11 @@ class Engine:
         """The yield estimate for ``settings``/``policy`` under a spec.
 
         Runs the estimator the spec selects (default: the engine
-        config's, else plain fixed-N) through the estimator batch
-        runner, sharded over this engine's executor — bit-deterministic
+        config's, else plain fixed-N) through the chip dispatcher,
+        sharded over this engine's executor — bit-deterministic
         for ``(seed, chips, policy, spec)`` at any worker count. Results
         are cached like every other engine job.
         """
-        from repro.yieldmodel.estimators import run_estimate
-
         spec = estimator if estimator is not None else self.config.estimator
         if spec is None:
             spec = EstimatorSpec()

@@ -1,16 +1,12 @@
-"""Job functions executed inside worker processes.
+"""The simulation job, executed inside worker processes.
 
-Both functions are module-level (picklable by qualified name) and take a
-single plain-data job argument, so the executor can ship them over a
-``ProcessPoolExecutor`` unchanged and also run them in-process for the
-serial path and the degraded-retry path.
-
-Determinism: a chip shard covers chip ids ``[start, stop)`` of one
-tagged stream and every chip's RNG is derived from ``(seed, tag,
-chip_id)`` alone, so any sharding of the id range concatenates to the
-exact serial population. A simulation job's trace RNG is derived from
+:func:`simulation_job` is module-level (picklable by qualified name) and
+takes a single plain-data job argument, so the executor can ship it over
+a ``ProcessPoolExecutor`` unchanged and also run it in-process for the
+serial path and the degraded-retry path. Its trace RNG is derived from
 ``(seed, benchmark)``, so one job is one complete, self-contained
-simulation.
+simulation. The chip job, behind every population and estimate, is
+:func:`repro.engine.chips.chip_shard`.
 """
 
 from __future__ import annotations
@@ -19,49 +15,10 @@ from typing import Dict
 
 from repro.obs.trace import span as trace_span
 
-__all__ = ["chip_shard", "simulation_job"]
-
-#: Chip shard job: plain-dict stream range (see :func:`chip_shard`).
-ChipJob = Dict[str, object]
+__all__ = ["simulation_job"]
 
 #: Simulation job: plain-dict identity (see :func:`simulation_job`).
 SimulationJob = Dict[str, object]
-
-
-def chip_shard(job: ChipJob):
-    """Draw and evaluate one tagged chip range: every population shard
-    and every estimator batch.
-
-    ``job`` carries ``seed``, ``tag``, ``start``, ``stop`` and the
-    optional die-slot transforms ``shift`` (IS mean tilt, list of
-    floats) and ``stratum`` (``[index, strata]``). Chip ``i`` of stream
-    ``tag`` always draws from ``spawn(seed, f"{tag}-{i}")``, so any
-    sharding of the range concatenates bit-identically — see
-    :func:`repro.yieldmodel.estimators.sampling.sample_shard`.
-    """
-    from repro.yieldmodel.estimators.sampling import sample_shard
-
-    seed = int(job["seed"])
-    tag = str(job["tag"])
-    start = int(job["start"])
-    stop = int(job["stop"])
-    shift = job.get("shift")
-    stratum = job.get("stratum")
-    with trace_span(
-        "worker:chip_shard", tag=tag, start=start, stop=stop, seed=seed
-    ):
-        return sample_shard(
-            seed,
-            tag,
-            start,
-            stop,
-            shift=None if shift is None else [float(v) for v in shift],
-            stratum=(
-                None
-                if stratum is None
-                else (int(stratum[0]), int(stratum[1]))
-            ),
-        )
 
 
 def simulation_job(job: SimulationJob):

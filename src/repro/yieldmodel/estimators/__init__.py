@@ -19,6 +19,10 @@ that reach the same yield figures at a fraction of the samples:
   from a pilot batch's near-limit chips) and reweighted by exact
   likelihood ratios computed on the raw standard-normal columns.
 
+Every estimator takes the chip dispatcher, the engine's
+:class:`repro.engine.chips.BatchRunner`, as its ``runner`` argument; the
+package imports no engine module.
+
 Everything is deterministic per ``(seed, spec)`` at any worker count:
 each chip's RNG comes from ``spawn(seed, f"{tag}-{chip_id}")`` alone, so
 shard layout never changes a single draw, and every stopping/allocation
@@ -37,15 +41,12 @@ from repro.yieldmodel.estimators.core import (
 )
 from repro.yieldmodel.estimators.normal import ndtri, normal_cdf
 from repro.yieldmodel.estimators.results import EstimateReport, YieldEstimate
-from repro.yieldmodel.estimators.runner import BatchRunner, ShardData
 from repro.yieldmodel.estimators.spec import EstimatorSpec
 
 __all__ = [
-    "BatchRunner",
     "ESTIMATOR_KINDS",
     "EstimateReport",
     "EstimatorSpec",
-    "ShardData",
     "YieldEstimate",
     "adaptive_chips",
     "estimate_adaptive",

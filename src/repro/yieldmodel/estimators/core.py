@@ -4,8 +4,9 @@ All four produce an :class:`~repro.yieldmodel.estimators.results.EstimateReport`
 tracking the base yield of both architectures. Shared discipline:
 
 * every chip comes from a tagged ``(seed, tag, chip_id)`` stream through
-  the :class:`~repro.yieldmodel.estimators.runner.BatchRunner`, so the
-  numbers are bit-deterministic at any worker count;
+  the chip dispatcher each estimator takes as ``runner`` (the engine's
+  :class:`~repro.engine.chips.BatchRunner`), so the numbers are
+  bit-deterministic at any worker count;
 * the ``"chip"`` tag is the reference population's own stream — pilots
   and adaptive batches are literal prefixes of the brute-force
   population;
@@ -21,7 +22,7 @@ tracking the base yield of both architectures. Shared discipline:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -35,10 +36,12 @@ from repro.yieldmodel.estimators.results import (
     FIGURES,
     YieldEstimate,
 )
-from repro.yieldmodel.estimators.runner import BatchRunner, ShardData
-from repro.yieldmodel.estimators.sampling import NUM_DIE_PARAMS
+from repro.yieldmodel.estimators.sampling import NUM_DIE_PARAMS, ShardData
 from repro.yieldmodel.estimators.spec import ESTIMATOR_KINDS, EstimatorSpec
 from repro.yieldmodel.statistics import wilson_interval, z_score
+
+if TYPE_CHECKING:
+    from repro.engine.chips import BatchRunner
 
 __all__ = [
     "ESTIMATOR_KINDS",

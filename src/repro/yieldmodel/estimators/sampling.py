@@ -1,40 +1,30 @@
-"""Shard-level sampling: the body of the one chip job.
+"""What the estimators add to the chip job: die-slot transforms and the
+batch type.
 
-:func:`sample_shard` is the worker body behind
-:func:`repro.engine.workers.chip_shard`, the job every population and
-every estimator batch runs: it draws chips ``[start, stop)`` of one
-tagged stream through
-:meth:`~repro.variation.columnar.ColumnarPopulationSampler.sample_range`,
-optionally transforms the die-level standard-normal slot there (stratum
-restriction, importance-sampling mean shift), evaluates both
-architectures with :meth:`~repro.yieldmodel.analysis.YieldStudy.evaluate`
-(the sampler and circuit models are a default ``YieldStudy``'s), and
-returns their circuit columns plus the die-slot z values the parent
-needs for exact likelihood ratios.
-
-Determinism contract: chip ``i`` of stream ``tag`` always draws from
-``spawn(seed, f"{tag}-{i}")``, and both transforms are elementwise, so
-any sharding of an id range concatenates bit-identically, at any worker
-count. The ``"chip"`` tag is the reference population's stream, which
-is what makes pilot batches and adaptive populations strict prefixes of
-the brute-force population. The differential battery holds sampling and
-evaluation to the scalar and composed oracles in ``tests/oracles/``.
+:func:`transform_die_slot` is the rewrite the chip job
+(:func:`repro.engine.chips.chip_shard`) applies to the die-level
+standard normals: a stratum restriction of the threshold-voltage column
+and an importance-sampling mean shift, both elementwise. A
+:class:`ShardData` is what the job returns and the estimators read.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.circuit.columnar import CircuitColumns
 from repro.core.errors import ConfigurationError
-from repro.variation.columnar import ColumnarPopulationSampler
 from repro.variation.parameters import PARAMETER_NAMES
-from repro.yieldmodel.analysis import YieldStudy
 from repro.yieldmodel.estimators.normal import ndtri, normal_cdf
 
-__all__ = ["NUM_DIE_PARAMS", "STRATUM_PARAM", "sample_shard"]
+__all__ = [
+    "NUM_DIE_PARAMS",
+    "STRATUM_PARAM",
+    "ShardData",
+    "transform_die_slot",
+]
 
 #: Size of the die-level z slot (the five Table 1 parameters).
 NUM_DIE_PARAMS = len(PARAMETER_NAMES)
@@ -47,6 +37,32 @@ STRATUM_PARAM = PARAMETER_NAMES.index("vt")
 #: draw extreme enough for Phi(z) to round to exactly 0 or 1 would
 #: otherwise map onto a stratum boundary (and ndtri's domain edge).
 _U_EPS = 1e-12
+
+
+class ShardData(NamedTuple):
+    """One batch of chips: circuit columns per architecture + die-slot z.
+
+    ``die_z[i]`` is chip ``i``'s die-slot standard-normal vector *after*
+    any transform, i.e. the z the chip was actually manufactured from,
+    which is what the importance-sampling likelihood ratio needs.
+    """
+
+    regular: CircuitColumns
+    horizontal: CircuitColumns
+    die_z: np.ndarray  # (chips, 5) float64, the die-slot normals
+
+    @classmethod
+    def join(cls, parts: Sequence["ShardData"]) -> "ShardData":
+        """Batches (or shards) in chip order as one batch."""
+        return cls(
+            CircuitColumns.concatenate([part.regular for part in parts]),
+            CircuitColumns.concatenate([part.horizontal for part in parts]),
+            np.concatenate([part.die_z for part in parts]),
+        )
+
+    @property
+    def count(self) -> int:
+        return len(self.regular)
 
 
 def _apply_stratum(die_z: np.ndarray, index: int, strata: int) -> None:
@@ -68,40 +84,23 @@ def _apply_stratum(die_z: np.ndarray, index: int, strata: int) -> None:
         column[i] = ndtri((index + u) / strata)
 
 
-def sample_shard(
-    seed: int,
-    tag: str,
-    start: int,
-    stop: int,
+def transform_die_slot(
+    die_z: np.ndarray,
     shift: Optional[Sequence[float]] = None,
     stratum: Optional[Tuple[int, int]] = None,
-) -> Tuple[CircuitColumns, CircuitColumns, np.ndarray]:
-    """Draw, transform and evaluate chips ``[start, stop)`` of one stream.
+) -> None:
+    """Rewrite the ``(chips, 5)`` die-slot normals in place.
 
-    Returns ``(regular, horizontal, die_z)``: both architectures' circuit
-    columns, and ``die_z[i]``, chip ``start + i``'s die-slot
-    standard-normal vector *after* any transform — i.e. the z the chip
-    was actually manufactured from, which is what the
-    importance-sampling likelihood ratio needs.
+    ``stratum`` (``(index, strata)``) restricts the stratum column to one
+    equiprobable stratum; ``shift`` (the IS mean tilt, one component per
+    die parameter) is then added to every row. Neither given leaves the
+    slot as drawn.
     """
     if shift is not None and len(shift) != NUM_DIE_PARAMS:
         raise ConfigurationError(
             f"shift must have {NUM_DIE_PARAMS} components, got {len(shift)}"
         )
-    kept = []
-
-    def rewrite(die_z: np.ndarray) -> None:
-        if stratum is not None:
-            _apply_stratum(die_z, stratum[0], stratum[1])
-        if shift is not None:
-            die_z += np.asarray(shift, dtype=float)
-        kept.append(die_z.copy())
-
-    # The study's own models, so a population's chips match the
-    # live-chip key of the YieldStudy they are filed under.
-    study = YieldStudy(seed=seed)
-    population = ColumnarPopulationSampler(study.sampler).sample_range(
-        seed, start, stop, tag=tag, die_z=rewrite
-    )
-    regular, horizontal = study.evaluate(population)
-    return regular, horizontal, kept[0]
+    if stratum is not None:
+        _apply_stratum(die_z, *stratum)
+    if shift is not None:
+        die_z += np.asarray(shift, dtype=float)

@@ -13,14 +13,12 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.errors import ConfigurationError
+from repro.yieldmodel.statistics import z_score
 
 __all__ = ["ESTIMATOR_KINDS", "EstimatorSpec"]
 
 #: Supported estimator kinds, in presentation order.
 ESTIMATOR_KINDS = ("fixed", "adaptive", "stratified", "is")
-
-#: Confidence levels the Wilson/normal intervals support.
-_CONFIDENCES = (0.90, 0.95, 0.99)
 
 
 @dataclass(frozen=True)
@@ -88,11 +86,7 @@ class EstimatorSpec:
             raise ConfigurationError(
                 f"tilt_scale must be in (0, 4], got {self.tilt_scale}"
             )
-        if round(self.confidence, 2) not in _CONFIDENCES:
-            raise ConfigurationError(
-                f"confidence must be one of {list(_CONFIDENCES)}, "
-                f"got {self.confidence}"
-            )
+        z_score(self.confidence)  # raises on a level with no z-score
 
     # ------------------------------------------------------------------
     @property

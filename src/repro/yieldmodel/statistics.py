@@ -40,7 +40,7 @@ _Z = {0.90: 1.6449, 0.95: 1.9600, 0.99: 2.5758}
 
 def _z_for(confidence: float) -> float:
     try:
-        return _Z[round(confidence, 2)]
+        return _Z[confidence]
     except KeyError:
         raise ConfigurationError(
             f"confidence must be one of {sorted(_Z)}, got {confidence}"

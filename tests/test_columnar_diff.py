@@ -17,8 +17,8 @@ once on the oracles alone, asserting equal yield breakdowns, loss-reason
 censuses, scatter outputs and byte-identical store payloads.
 
 The stream classes also pin the decoder to the per-chip ``Generator``
-draws of ``tests/oracles/columnar.py``, including the estimator
-layer's ``sample_shard`` (``{tag}-{chip_id}`` streams).
+draws of ``tests/oracles/columnar.py``, including the chip job
+``chip_shard`` (``{tag}-{chip_id}`` streams).
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from repro.circuit.columnar import (
 from repro.circuit.organization import CacheOrganization
 from repro.core.errors import ConfigurationError
 from repro.core.rng import spawn, stream_states
+from repro.engine.chips import chip_shard
 from repro.engine.codec import encode_population
 from repro.circuit.technology import TECH45
 from repro.variation.columnar import (
@@ -61,7 +62,6 @@ from repro.yieldmodel.analysis import (
 )
 from repro.yieldmodel.classify import ChipColumns, LossReason, config_key
 from repro.yieldmodel.constraints import NOMINAL_POLICY
-from repro.yieldmodel.estimators.sampling import sample_shard
 
 from oracles import circuit as circuit_oracle
 from oracles import sampling as sampling_oracle
@@ -586,7 +586,7 @@ class TestStreamIdentity:
 
 
 class TestShardDifferential:
-    """``sample_shard`` decodes its ``{tag}-{chip_id}`` streams exactly
+    """``chip_shard`` decodes its ``{tag}-{chip_id}`` streams exactly
     as the per-chip oracle draws them, before and after its stratum and
     shift transforms."""
 
@@ -602,9 +602,13 @@ class TestShardDifferential:
     def test_shard_matches_oracle_draws(
         self, monkeypatch, tag, start, stop, shift, stratum
     ):
-        got = sample_shard(2006, tag, start, stop, shift, stratum)
+        job = {
+            "seed": 2006, "tag": tag, "start": start, "stop": stop,
+            "shift": shift, "stratum": stratum,
+        }
+        got = chip_shard(job)
         monkeypatch.setattr(ColumnarPopulationSampler, "draw", oracle_draw)
-        want = sample_shard(2006, tag, start, stop, shift, stratum)
+        want = chip_shard(job)
         assert got[2].shape == (stop - start, 5)
         assert got[2].tobytes() == want[2].tobytes()
         for got_cols, want_cols in zip(got[:2], want[:2]):

@@ -23,6 +23,7 @@ import random
 import pytest
 
 from repro.core.errors import ConfigurationError
+from repro.engine.chips import BatchRunner, chip_shard
 from repro.engine.codec import encode_estimate, encode_population
 from repro.engine.core import Engine, EngineConfig
 from repro.experiments.common import ExperimentSettings
@@ -36,7 +37,6 @@ from repro.yieldmodel.constraints import (
     RELAXED_POLICY,
 )
 from repro.yieldmodel.estimators import (
-    BatchRunner,
     EstimatorSpec,
     ndtri,
     neyman_allocation,
@@ -44,6 +44,7 @@ from repro.yieldmodel.estimators import (
     run_estimate,
 )
 from repro.yieldmodel.estimators.core import estimate_is
+from repro.yieldmodel.estimators.sampling import STRATUM_PARAM
 from repro.yieldmodel.statistics import wilson_interval
 
 from oracles import circuit as circuit_oracle
@@ -155,8 +156,9 @@ def test_spec_validation_bounds():
         EstimatorSpec(ci_target=0.7)
     with pytest.raises(ConfigurationError):
         EstimatorSpec(strata=1)
-    with pytest.raises(ConfigurationError):
-        EstimatorSpec(confidence=0.5)
+    for confidence in (0.5, 0.951):
+        with pytest.raises(ConfigurationError):
+            EstimatorSpec(confidence=confidence)
 
 
 def test_spec_sample_cap_leaves_room_past_the_pilot():
@@ -279,16 +281,14 @@ def test_stratified_agrees_with_fixed_within_ci():
 
 def test_stratified_stratum_transform_preserves_measure():
     """Pooling K equiprobable strata reproduces the nominal marginal."""
-    from repro.yieldmodel.estimators.sampling import (
-        STRATUM_PARAM,
-        sample_shard,
-    )
-
     strata = 4
     per = 150
     pooled = []
     for h in range(strata):
-        _, _, die_z = sample_shard(99, "mt", 0, per, stratum=(h, strata))
+        _, _, die_z = chip_shard(
+            {"seed": 99, "tag": "mt", "start": 0, "stop": per,
+             "stratum": [h, strata]}
+        )
         values = [row[STRATUM_PARAM] for row in die_z]
         # Every value lies inside its stratum's quantile band.
         lo = -math.inf if h == 0 else ndtri(h / strata)
@@ -301,6 +301,17 @@ def test_stratified_stratum_transform_preserves_measure():
     # sample (up to Monte Carlo error at n=600).
     assert abs(mean) < 0.15
     assert abs(var - 1.0) < 0.2
+
+
+@pytest.mark.parametrize(
+    "transform", [{"shift": [0.5, 0.0, -0.3, 0.2]}, {"stratum": [4, 4]}]
+)
+def test_chip_job_refuses_a_malformed_die_slot_transform(transform):
+    """A shift needs one component per die parameter, and a stratum
+    index must name one of the strata."""
+    job = {"seed": 99, "tag": "mt", "start": 0, "stop": 4, **transform}
+    with pytest.raises(ConfigurationError):
+        chip_shard(job)
 
 
 def test_stratified_refuses_cap_smaller_than_pilot():

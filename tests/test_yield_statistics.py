@@ -57,8 +57,9 @@ class TestWilson:
             wilson_interval(1, 0)
         with pytest.raises(ConfigurationError):
             wilson_interval(5, 3)
-        with pytest.raises(ConfigurationError):
-            wilson_interval(1, 10, confidence=0.87)
+        for confidence in (0.87, 0.951):
+            with pytest.raises(ConfigurationError):
+                wilson_interval(1, 10, confidence=confidence)
 
     @given(
         st.integers(min_value=0, max_value=200),
