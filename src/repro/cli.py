@@ -38,9 +38,10 @@ provenance-stamped records to the ``BENCH_history.json`` trend store,
 ``compare`` classifies the latest run against a baseline
 (improved/neutral/regressed, bootstrap CI on median deltas), and
 ``report`` renders the history as one self-contained HTML page. ``run``
-refuses a dirty working tree unless ``--allow-dirty`` is passed, so the
-recorded git SHAs stay honest. ``repro run`` and ``repro bench run``
-both keep a background resource sampler going (RSS / CPU gauges).
+refuses a dirty working tree (changes to its own trend store aside)
+unless ``--allow-dirty`` is passed, so the recorded git SHAs stay
+honest. ``repro run`` and ``repro bench run`` both keep a background
+resource sampler going (RSS / CPU gauges).
 """
 
 from __future__ import annotations
@@ -216,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--baseline", default=None,
         help=(
             "baseline: a run-id prefix from the history, or a path to a "
-            "BENCH_*.json file (default: the previous run in the history)"
+            "history file (default: the previous run in the history)"
         ),
     )
     bench_compare.add_argument(
@@ -469,7 +470,7 @@ def _bench_history(args: argparse.Namespace) -> pathlib.Path:
 def _bench_run_command(args: argparse.Namespace) -> int:
     import time
 
-    from repro.obs import ResourceSampler, provenance_stamp, working_tree_dirty
+    from repro.obs import ResourceSampler, provenance_stamp
     from repro.obs.bench import (
         SUITES,
         append_history,
@@ -477,18 +478,8 @@ def _bench_run_command(args: argparse.Namespace) -> int:
         make_record,
         new_run_id,
         run_suite,
-        write_latest,
     )
 
-    if working_tree_dirty() is True and not args.allow_dirty:
-        print(
-            "error: the working tree has uncommitted changes, so the "
-            "recorded git SHA would misattribute these timings.\n"
-            "Commit (or stash) first, or pass --allow-dirty to record "
-            "anyway (the record is then flagged dirty).",
-            file=sys.stderr,
-        )
-        return 2
     suites = available_suites() if args.suite == "all" else [args.suite]
     unknown = [s for s in suites if s not in SUITES]
     if unknown:
@@ -500,6 +491,25 @@ def _bench_run_command(args: argparse.Namespace) -> int:
         return 2
 
     history = _bench_history(args)
+    provenance = provenance_stamp(
+        workers=args.workers,
+        config={
+            "suites": suites,
+            "repeats": args.repeats,
+            "warmup": args.warmup_runs,
+            "workers": args.workers,
+        },
+        ignore=history,
+    )
+    if provenance["dirty"] is True and not args.allow_dirty:
+        print(
+            "error: the working tree has uncommitted changes, so the "
+            "recorded git SHA would misattribute these timings.\n"
+            "Commit (or stash) first, or pass --allow-dirty to record "
+            "anyway (the record is then flagged dirty).",
+            file=sys.stderr,
+        )
+        return 2
     trace_path = None
     if not args.no_trace:
         trace_path = args.trace if args.trace is not None else DEFAULT_BENCH_TRACE
@@ -509,15 +519,6 @@ def _bench_run_command(args: argparse.Namespace) -> int:
     sampler.start()
     try:
         created = time.time()
-        provenance = provenance_stamp(
-            workers=args.workers,
-            config={
-                "suites": suites,
-                "repeats": args.repeats,
-                "warmup": args.warmup_runs,
-                "workers": args.workers,
-            },
-        )
         run_id = new_run_id(",".join(suites), created, provenance)
         print(f"== bench run {run_id} ==")
         print(
@@ -535,19 +536,16 @@ def _bench_run_command(args: argparse.Namespace) -> int:
                 workers=args.workers,
             )
             sampler.sample_now()  # refresh gauges before records snapshot them
-            suite_records = [
+            records.extend(
                 make_record(result, run_id, created, provenance)
                 for result in results
-            ]
-            records.extend(suite_records)
-            latest = write_latest(suite, suite_records)
+            )
             for result in results:
                 print(
                     f"  {result.bench:<28} median {result.median * 1e3:9.3f}ms"
                     f"  min {min(result.samples) * 1e3:9.3f}ms"
                     f"  max {max(result.samples) * 1e3:9.3f}ms"
                 )
-            print(f"  latest results -> {latest}")
         total = append_history(history, records)
         print(f"history -> {history} ({total} records)")
     finally:
@@ -578,16 +576,18 @@ def _resolve_baseline(
     if baseline_arg is not None:
         path = pathlib.Path(baseline_arg)
         if path.is_file():
-            base_records, _ = load_history(path)
+            base_records = [
+                r for r in load_history(path)[0]
+                if suite is None or r["suite"] == suite
+            ]
             base_ids = run_ids(base_records)
             if not base_ids:
                 raise ConfigurationError(
                     f"baseline file {path} holds no valid records"
+                    + (f" of suite {suite!r}" if suite is not None else "")
                 )
             return (
-                samples_by_bench(
-                    base_records, run_id=base_ids[-1], suite=suite
-                ),
+                samples_by_bench(base_records, run_id=base_ids[-1]),
                 f"file {path} (run {base_ids[-1]})",
             )
         matches = [i for i in ids if i.startswith(baseline_arg)]

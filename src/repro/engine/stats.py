@@ -163,10 +163,6 @@ class EngineStats:
                 elapsed = time.perf_counter() - start
                 self.registry.histogram(_STAGE_PREFIX + name).observe(elapsed)
 
-    def reset(self) -> None:
-        """Zero every counter and timing (the worker count is kept)."""
-        self.registry.reset()
-
     def summary(self) -> str:
         """Human-readable multi-line report (``repro run --stats``)."""
         lines = [

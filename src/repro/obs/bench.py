@@ -14,11 +14,10 @@ one:
   snapshot, and resource gauges from the background sampler.
 * **Trend store** (:func:`load_history` / :func:`append_history`) — a
   schema-versioned ``BENCH_history.json`` holding one provenance-stamped
-  record per benchmark per run, plus ``BENCH_<suite>.json`` latest-result
-  files. Individual garbled records are skipped with a count (the same
-  corruption-tolerance policy as the result store); a wrong *file*
-  schema version refuses loudly, because silently reinterpreting old
-  timings would poison every later comparison.
+  record per benchmark per run. Individual garbled records are skipped
+  with a count (the same corruption-tolerance policy as the result
+  store); a wrong *file* schema version refuses loudly, because silently
+  reinterpreting old timings would poison every later comparison.
 
 ``repro bench run|compare|report`` is the CLI surface;
 :mod:`repro.obs.regress` turns two runs into verdicts and
@@ -50,7 +49,6 @@ __all__ = [
     "SUITES",
     "append_history",
     "available_suites",
-    "latest_path",
     "load_history",
     "make_record",
     "new_run_id",
@@ -58,7 +56,6 @@ __all__ = [
     "run_suite",
     "samples_by_bench",
     "save_history",
-    "write_latest",
 ]
 
 #: Bump when the record layout changes incompatibly; gates every load.
@@ -174,7 +171,9 @@ def _prepare_population_store(engine):
 
 def _prepare_simulation(benchmark: str):
     def prepare(engine):
-        settings = _bench_settings(chips=16, benchmarks=(benchmark,))
+        settings = _bench_settings(
+            chips=16, trace_length=10_000, benchmarks=(benchmark,)
+        )
 
         def run():
             engine.clear_memory()
@@ -189,8 +188,7 @@ def _prepare_breakdown(horizontal: bool):
     def prepare(engine):
         from repro.experiments.common import scheme_set
 
-        settings = _bench_settings(chips=96)
-        pop = engine.population(settings)
+        pop = engine.population(_bench_settings(chips=2000))
         schemes = scheme_set(horizontal=horizontal)
 
         def run():
@@ -623,22 +621,6 @@ def append_history(
     records.extend(new_records)
     save_history(path, records)
     return len(records)
-
-
-def latest_path(suite: str, directory: pathlib.Path) -> pathlib.Path:
-    """Where the latest-result file of ``suite`` lives."""
-    return pathlib.Path(directory) / f"BENCH_{suite}.json"
-
-
-def write_latest(
-    suite: str,
-    records: Sequence[Dict[str, object]],
-    directory: pathlib.Path = pathlib.Path("."),
-) -> pathlib.Path:
-    """Write ``BENCH_<suite>.json`` holding just this run's records."""
-    path = latest_path(suite, directory)
-    save_history(path, records)
-    return path
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import pathlib
 import platform
 import subprocess
 import sys
@@ -54,17 +56,31 @@ def git_revision(cwd: Optional[str] = None) -> str:
     return sha if sha else "unknown"
 
 
-def working_tree_dirty(cwd: Optional[str] = None) -> Optional[bool]:
-    """Whether tracked files carry uncommitted changes.
+def working_tree_dirty(
+    cwd: Optional[str] = None, ignore: Optional[os.PathLike] = None
+) -> Optional[bool]:
+    """Whether tracked files anywhere in the work tree carry uncommitted
+    changes.
 
     Untracked files do not count (same semantics as ``git describe
-    --dirty``): the bench harness itself drops ``BENCH_*.json`` artifacts
-    into the tree, and those must not block the next run. ``None`` means
-    "cannot tell" (no git, no repository) — callers that enforce a clean
-    tree should treat that as clean rather than block runs from exported
-    tarballs.
+    --dirty``), and neither does ``ignore``: the trend store ``repro
+    bench run`` appends to may be tracked, and one run's records must not
+    block the next run. ``None`` means "cannot tell" (no git, no
+    repository) — callers that enforce a clean tree should treat that as
+    clean rather than block runs from exported tarballs.
     """
-    out = _git(["status", "--porcelain", "--untracked-files=no"], cwd=cwd)
+    pathspec = [":(top)"]
+    top = _git(["rev-parse", "--show-toplevel"], cwd=cwd) if ignore else None
+    if top:
+        root = pathlib.Path(top.strip()).resolve()
+        path = pathlib.Path(cwd or ".", ignore).resolve()
+        if root in path.parents:
+            relative = path.relative_to(root).as_posix()
+            pathspec.append(f":(top,exclude,literal){relative}")
+    out = _git(
+        ["status", "--porcelain", "--untracked-files=no", "--", *pathspec],
+        cwd=cwd,
+    )
     if out is None:
         return None
     return bool(out.strip())
@@ -80,6 +96,7 @@ def provenance_stamp(
     workers: int = 1,
     config: Optional[Dict[str, object]] = None,
     cwd: Optional[str] = None,
+    ignore: Optional[os.PathLike] = None,
 ) -> Dict[str, object]:
     """Everything a trend record needs to be comparable later.
 
@@ -92,10 +109,13 @@ def provenance_stamp(
         hashed into a short ``config_hash`` so records group cheaply.
     cwd:
         Directory whose git checkout is stamped (default: process cwd).
+    ignore:
+        A file whose changes do not make the checkout dirty (see
+        :func:`working_tree_dirty`).
     """
     return {
         "git_sha": git_revision(cwd=cwd),
-        "dirty": working_tree_dirty(cwd=cwd),
+        "dirty": working_tree_dirty(cwd=cwd, ignore=ignore),
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": sys.platform,

@@ -37,6 +37,7 @@ import contextlib
 import io
 import os
 import pathlib
+import shutil
 import sys
 import tempfile
 import threading
@@ -194,7 +195,6 @@ def serve(profile: Profile, log: pathlib.Path) -> None:
 
 
 def run_entry_points(profile: Profile, work: pathlib.Path) -> None:
-    baseline = ROOT / "benchmarks" / "baselines" / "BENCH_engine_baseline.json"
     with profile.active():  # what importing the CLI runs, every entry runs
         import repro.cli  # noqa: F401
     cli(profile, "list")
@@ -212,8 +212,10 @@ def run_entry_points(profile: Profile, work: pathlib.Path) -> None:
     cli(profile, "bench", "run", "--suite", "all", "--repeats", "1",
         "--warmup-runs", "0")
     cli(profile, "bench", "compare", "--warn-only")
+    # A baseline file, as CI passes the parent commit's history.
+    shutil.copy("BENCH_history.json", "parent.json")
     cli(profile, "bench", "compare", "--suite", "engine", "--baseline",
-        str(baseline), "--warn-only")
+        "parent.json", "--warn-only")
     cli(profile, "bench", "report", "bench.html")
     # A bare output path: the trace comes from BENCH_trace.jsonl.
     cli(profile, "trace", "flamegraph", "flame.html")

@@ -238,7 +238,7 @@ class TestWarmCache:
         engine = configure_engine(workers=1, cache_dir=tmp_path)
         population(settings)
         clear_caches()
-        engine.stats.reset()
+        engine.metrics.reset()
         population(settings)
         assert engine.stats.jobs_run == 0
         assert engine.stats.jobs_cached_disk == 1

@@ -69,6 +69,12 @@ class TestYieldExperiments:
         for row in result.rows:
             assert row[-1] == pytest.approx(100.0)
 
+    def test_fig1_parametric_loss_grows_as_features_shrink(self):
+        factors = run_experiment("fig1", FAST).data["factors"]
+        nodes = ("0.35", "0.25", "0.18", "0.13", "0.09")
+        parametric = [factors[node][2] for node in nodes]
+        assert parametric == sorted(parametric)
+
     def test_fig8_has_all_chips(self):
         result = run_experiment("fig8", FAST)
         assert len(result.data["normalized_leakage"]) == FAST.chips
@@ -132,6 +138,12 @@ class TestPerformanceExperiments:
         # YAPD has one number for all its configurations
         assert degs["3-1-0"]["YAPD"] == degs["4-0-0"]["YAPD"]
         assert set(weighted) == {"YAPD", "VACA", "Hybrid"}
+
+    def test_table6_weighted_sums_order(self):
+        weighted = run_experiment("table6", FAST).data["weighted"]
+        # Hybrid sits between YAPD and VACA (paper: 1.08/1.83/2.20)
+        assert weighted["YAPD"] <= weighted["Hybrid"] * 1.5
+        assert weighted["Hybrid"] <= weighted["VACA"] * 1.2
 
     def test_table6_vaca_monotone_in_slow_ways(self):
         degs = run_experiment("table6", FAST).data["degradations"]

@@ -307,16 +307,6 @@ class TestEngineStatsView:
         stats.jobs_cached_disk = 1
         assert stats.hit_ratio == pytest.approx(0.75)
 
-    def test_reset_keeps_workers(self):
-        stats = EngineStats(workers=4)
-        stats.jobs_run = 9
-        with stats.stage("x"):
-            pass
-        stats.reset()
-        assert stats.workers == 4
-        assert stats.jobs_run == 0
-        assert stats.stage_seconds == {}
-
     def test_engine_wires_store_metrics_into_same_registry(self, tmp_path):
         engine = configure_engine(workers=1, cache_dir=tmp_path)
         settings = ExperimentSettings(

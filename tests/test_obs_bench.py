@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import random
+import shutil
+import subprocess
 
 import pytest
 
@@ -12,6 +14,8 @@ from repro.core.errors import ConfigurationError
 from repro.engine import reset_engine
 from repro.obs import disable_tracing, provenance_stamp, working_tree_dirty
 from repro.obs.bench import (
+    SUITES,
+    Benchmark,
     BenchResult,
     HISTORY_SCHEMA_VERSION,
     append_history,
@@ -287,12 +291,12 @@ class TestHarness:
         assert counters["engine.jobs.run"] >= 2
 
     def test_cases_draw_their_own_chips(self, monkeypatch):
-        """The serve burst's 128-chip seed-2006 population can outlive
-        its suite; a later case that studies at most 128 chips of seed
-        2006 still draws them instead of reading that population's rows."""
+        """A suite run's 2000-chip seed-2006 population can outlive the
+        run; a later case that studies those chips still draws them
+        instead of reading that population's rows."""
         from repro.variation.columnar import ColumnarPopulationSampler
 
-        run_suite("serve", repeats=1, warmup=0)
+        run_suite("schemes", repeats=1, warmup=0)
         drawn = []
         sample_range = ColumnarPopulationSampler.sample_range
 
@@ -306,9 +310,9 @@ class TestHarness:
             "schemes.breakdown_vertical",
             "schemes.breakdown_horizontal",
         ]
-        # Both 96-chip cases drew their chips: one case's population is
-        # not the next case's either.
-        assert drawn == [(2006, 0, 96), (2006, 0, 96)]
+        # Both 2000-chip cases drew their chips: one case's population
+        # is not the next case's either.
+        assert drawn == [(2006, 0, 2000), (2006, 0, 2000)]
 
 
 # ----------------------------------------------------------------------
@@ -391,7 +395,10 @@ class TestBenchCli:
         assert len(records) == 8  # 2 runs x 4 benchmarks
         assert len(run_ids(records)) == 2
         assert all(r["provenance"]["python"] for r in records)
-        assert (tmp_path / "BENCH_engine.json").is_file()
+        # The trend store is the only record a run writes.
+        assert [p.name for p in tmp_path.glob("BENCH_*.json")] == [
+            "BENCH_history.json"
+        ]
 
         # Compare the two runs' records with known, equal timings: this
         # test checks the CLI round trip, and two-repeat host timings
@@ -431,12 +438,52 @@ class TestBenchCli:
     ):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(
-            "repro.obs.working_tree_dirty", lambda cwd=None: True
+            "repro.obs.provenance.working_tree_dirty",
+            lambda cwd=None, ignore=None: True,
         )
         assert main(["bench", "run", "--suite", "engine"]) == 2
         err = capsys.readouterr().err
         assert "uncommitted changes" in err
         assert not (tmp_path / "BENCH_history.json").exists()
+
+    @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+    @pytest.mark.parametrize("cwd, history", [
+        (".", "BENCH_history.json"),
+        ("bench", "../BENCH_history.json"),
+    ])
+    def test_runs_do_not_dirty_their_own_checkout(
+        self, tmp_path, monkeypatch, cwd, history
+    ):
+        """The tracked trend store a run appends to never makes the next
+        run refuse; any other tracked change does, wherever it is."""
+        noop = Benchmark("noop.pass", lambda engine: lambda: None)
+        monkeypatch.setitem(SUITES, "noop", [noop])
+        for path in ("src/mod.py", "bench/README"):
+            (tmp_path / path).parent.mkdir(exist_ok=True)
+            (tmp_path / path).write_text("x = 1\n", encoding="utf-8")
+        save_history(tmp_path / "BENCH_history.json", [])
+        for args in (
+            ["init", "-q"],
+            ["add", "."],
+            ["-c", "user.name=t", "-c", "user.email=t@t",
+             "commit", "-qm", "x"],
+        ):
+            subprocess.run(
+                ["git", "-C", str(tmp_path), *args],
+                check=True, capture_output=True,
+            )
+        monkeypatch.chdir(tmp_path / cwd)
+        argv = [
+            "bench", "run", "--suite", "noop", "--repeats", "1",
+            "--warmup-runs", "0", "--no-trace", "--history", history,
+        ]
+        assert main(argv) == 0
+        assert main(argv) == 0
+        records, _ = load_history(tmp_path / "BENCH_history.json")
+        assert len(run_ids(records)) == 2
+        assert [r["provenance"]["dirty"] for r in records] == [False, False]
+        (tmp_path / "src" / "mod.py").write_text("x = 2\n", encoding="utf-8")
+        assert main(argv) == 2
 
     def test_compare_detects_synthetic_regression(
         self, tmp_path, capsys, monkeypatch
@@ -470,6 +517,30 @@ class TestBenchCli:
         ]) == 0
         out = capsys.readouterr().out
         assert "neutral" in out
+
+    def test_compare_baseline_file_takes_the_suites_last_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A baseline file whose last run is of another suite still
+        yields the asked suite's last run."""
+        monkeypatch.chdir(tmp_path)
+        baseline_file = tmp_path / "parent.json"
+        save_history(baseline_file, [
+            _record(run_id="r-engine", samples=[0.1] * 5),
+            _record(bench="schemes.breakdown_vertical", suite="schemes",
+                    run_id="r-schemes", samples=[0.1] * 5),
+        ])
+        save_history(
+            tmp_path / "BENCH_history.json",
+            [_record(run_id="r-new", samples=[0.1] * 5)],
+        )
+        assert main([
+            "bench", "compare", "--baseline", str(baseline_file),
+            "--suite", "engine",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "(run r-engine)" in out
+        assert "overall: neutral" in out
 
     def test_compare_without_records_errors(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
