@@ -40,8 +40,9 @@ provenance-stamped records to the ``BENCH_history.json`` trend store,
 ``report`` renders the history as one self-contained HTML page. ``run``
 refuses a dirty working tree (changes to its own trend store aside)
 unless ``--allow-dirty`` is passed, so the recorded git SHAs stay
-honest. ``repro run`` and ``repro bench run`` both keep a background
-resource sampler going (RSS / CPU gauges).
+honest. ``repro run --stats`` prints the process's peak RSS, and
+``repro bench run`` records peak RSS and CPU time; each is read from
+``/proc`` and ``os.times()`` when it is reported.
 """
 
 from __future__ import annotations
@@ -58,7 +59,12 @@ from repro.experiments import (
     available_experiments,
     run_experiment,
 )
-from repro.obs import configure_tracing, disable_tracing, summary_text
+from repro.obs import (
+    configure_tracing,
+    disable_tracing,
+    read_resources,
+    summary_text,
+)
 from repro.yieldmodel.estimators import ESTIMATOR_KINDS, EstimatorSpec
 
 __all__ = ["main", "build_parser"]
@@ -217,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--baseline", default=None,
         help=(
             "baseline: a run-id prefix from the history, or a path to a "
-            "history file (default: the previous run in the history)"
+            "history file whose latest run of each suite is that suite's "
+            "baseline (default: each suite's previous run in the history)"
         ),
     )
     bench_compare.add_argument(
@@ -470,7 +477,7 @@ def _bench_history(args: argparse.Namespace) -> pathlib.Path:
 def _bench_run_command(args: argparse.Namespace) -> int:
     import time
 
-    from repro.obs import ResourceSampler, provenance_stamp
+    from repro.obs import provenance_stamp
     from repro.obs.bench import (
         SUITES,
         append_history,
@@ -515,8 +522,6 @@ def _bench_run_command(args: argparse.Namespace) -> int:
         trace_path = args.trace if args.trace is not None else DEFAULT_BENCH_TRACE
         trace_path.parent.mkdir(parents=True, exist_ok=True)
         configure_tracing(trace_path)
-    sampler = ResourceSampler()
-    sampler.start()
     try:
         created = time.time()
         run_id = new_run_id(",".join(suites), created, provenance)
@@ -535,7 +540,6 @@ def _bench_run_command(args: argparse.Namespace) -> int:
                 warmup=args.warmup_runs,
                 workers=args.workers,
             )
-            sampler.sample_now()  # refresh gauges before records snapshot them
             records.extend(
                 make_record(result, run_id, created, provenance)
                 for result in results
@@ -549,12 +553,12 @@ def _bench_run_command(args: argparse.Namespace) -> int:
         total = append_history(history, records)
         print(f"history -> {history} ({total} records)")
     finally:
-        resources = sampler.stop()
         if trace_path is not None:
             disable_tracing()
     if trace_path is not None:
         print(f"trace spans -> {trace_path}")
-    if resources.get("rss_peak_bytes"):
+    resources = read_resources()
+    if resources["rss_peak_bytes"]:
         print(
             f"peak rss {resources['rss_peak_bytes'] / 1e6:.1f} MB, "
             f"cpu {resources['cpu_user_seconds']:.2f}s user / "
@@ -563,54 +567,8 @@ def _bench_run_command(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_baseline(
-    baseline_arg: Optional[str],
-    records,
-    ids,
-    suite: Optional[str],
-):
-    """The baseline's per-bench samples and a description of its origin."""
-    from repro.core.errors import ConfigurationError
-    from repro.obs.bench import load_history, run_ids, samples_by_bench
-
-    if baseline_arg is not None:
-        path = pathlib.Path(baseline_arg)
-        if path.is_file():
-            base_records = [
-                r for r in load_history(path)[0]
-                if suite is None or r["suite"] == suite
-            ]
-            base_ids = run_ids(base_records)
-            if not base_ids:
-                raise ConfigurationError(
-                    f"baseline file {path} holds no valid records"
-                    + (f" of suite {suite!r}" if suite is not None else "")
-                )
-            return (
-                samples_by_bench(base_records, run_id=base_ids[-1]),
-                f"file {path} (run {base_ids[-1]})",
-            )
-        matches = [i for i in ids if i.startswith(baseline_arg)]
-        if len(matches) != 1:
-            raise ConfigurationError(
-                f"baseline {baseline_arg!r} matches {len(matches)} runs in "
-                f"the history; known run ids: {ids}"
-            )
-        return (
-            samples_by_bench(records, run_id=matches[0], suite=suite),
-            f"run {matches[0]}",
-        )
-    base_id = ids[-2] if len(ids) >= 2 else ids[-1]
-    origin = f"run {base_id}" + (
-        " (latest run compared against itself: only one run recorded)"
-        if len(ids) < 2
-        else ""
-    )
-    return samples_by_bench(records, run_id=base_id, suite=suite), origin
-
-
 def _bench_compare_command(args: argparse.Namespace) -> int:
-    from repro.obs.bench import load_history, run_ids, samples_by_bench
+    from repro.obs.bench import load_history, suite_pairs
     from repro.obs.regress import REGRESSED, compare_runs, worst_verdict
 
     history = _bench_history(args)
@@ -619,26 +577,30 @@ def _bench_compare_command(args: argparse.Namespace) -> int:
         print(f"warning: skipped {skipped} malformed history record(s)")
     if args.suite is not None:
         records = [r for r in records if r["suite"] == args.suite]
-    ids = run_ids(records)
-    if not ids:
+    if not records:
         print(
             f"error: no bench records in {history}; "
             "run `repro bench run` first",
             file=sys.stderr,
         )
         return 2
-    current_id = ids[-1]
-    current = samples_by_bench(records, run_id=current_id, suite=args.suite)
-    baseline, origin = _resolve_baseline(args.baseline, records, ids, args.suite)
-    print(f"== bench compare: run {current_id} vs {origin} ==")
-    comparisons, unmatched = compare_runs(
-        baseline, current, tolerance=args.tolerance
-    )
-    for comparison in comparisons:
-        print(f"  {comparison.describe()}")
-    for name in unmatched:
-        print(f"  {name:<28} (present in only one of the runs)")
-    overall = worst_verdict(comparisons)
+    judged = []
+    for pair in suite_pairs(records, args.baseline):
+        print(
+            f"== bench compare {pair.suite}: run {pair.run_id} "
+            f"vs {pair.origin} =="
+        )
+        comparisons, unmatched = compare_runs(
+            pair.baseline, pair.current, tolerance=args.tolerance
+        )
+        for comparison in comparisons:
+            print(f"  {comparison.describe()}")
+        for name in unmatched:
+            print(f"  {name:<28} (present in only one of the runs)")
+        verdict = worst_verdict(comparisons) or "none (nothing in common)"
+        print(f"verdict {pair.suite}: {verdict}")
+        judged.extend(comparisons)
+    overall = worst_verdict(judged)
     if overall is None:
         print("no benchmarks in common with the baseline")
         return 2
@@ -649,7 +611,7 @@ def _bench_compare_command(args: argparse.Namespace) -> int:
 
 
 def _bench_report_command(args: argparse.Namespace) -> int:
-    from repro.obs.bench import load_history, run_ids, samples_by_bench
+    from repro.obs.bench import load_history, suite_pairs
     from repro.obs.regress import compare_runs
     from repro.obs.report import render_bench_report
 
@@ -657,14 +619,12 @@ def _bench_report_command(args: argparse.Namespace) -> int:
     records, skipped = load_history(history)
     if args.suite is not None:
         records = [r for r in records if r["suite"] == args.suite]
-    comparisons = None
-    ids = run_ids(records)
-    if len(ids) >= 2:
-        comparisons, _ = compare_runs(
-            samples_by_bench(records, run_id=ids[-2], suite=args.suite),
-            samples_by_bench(records, run_id=ids[-1], suite=args.suite),
-            tolerance=args.tolerance,
-        )
+    comparisons = []
+    for pair in suite_pairs(records):
+        if pair.baseline_id != pair.run_id:  # a suite with one run has none
+            comparisons.extend(compare_runs(
+                pair.baseline, pair.current, tolerance=args.tolerance
+            )[0])
     out = render_bench_report(
         records, args.out, skipped=skipped, comparisons=comparisons
     )
@@ -764,8 +724,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "serve":
         return _serve_command(args)
 
-    from repro.obs import ResourceSampler
-
     trace_length, trace_path = _split_trace_arg(args.trace)
     if trace_path is not None:
         # Enable before the engine exists so pool workers (forked during
@@ -804,8 +762,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if overrides:
         configure_engine(**overrides)
 
-    sampler = ResourceSampler()
-    sampler.start()
     try:
         settings = _settings_from_args(args, trace_length)
         if args.command == "run":
@@ -816,18 +772,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                 result = run_experiment(name, settings)
                 _emit(result, args.out)
 
-        resources = sampler.stop()
         if args.stats:
             print(get_engine().stats.summary())
-            if resources.get("rss_peak_bytes"):
-                print(
-                    f"peak rss           "
-                    f"{resources['rss_peak_bytes'] / 1e6:.1f} MB"
-                )
+            peak = read_resources()["rss_peak_bytes"]
+            if peak:
+                print(f"peak rss           {peak / 1e6:.1f} MB")
         if trace_path is not None:
             print(f"trace spans written to {trace_path}")
     finally:
-        sampler.stop()
         if trace_path is not None:
             disable_tracing()
     return 0

@@ -49,21 +49,16 @@ __all__ = [
 ]
 
 
-def _env_int(name: str, default: int) -> int:
-    """Integer env var with a :class:`ConfigurationError` naming it."""
-    return env_int(name, default)
-
-
 @dataclass(frozen=True)
 class ExperimentSettings:
     """Identity of one reproduction run."""
 
-    seed: int = field(default_factory=lambda: _env_int("REPRO_SEED", 2006))
-    chips: int = field(default_factory=lambda: _env_int("REPRO_CHIPS", 2000))
+    seed: int = field(default_factory=lambda: env_int("REPRO_SEED", 2006))
+    chips: int = field(default_factory=lambda: env_int("REPRO_CHIPS", 2000))
     trace_length: int = field(
-        default_factory=lambda: _env_int("REPRO_TRACE", 30_000)
+        default_factory=lambda: env_int("REPRO_TRACE", 30_000)
     )
-    warmup: int = field(default_factory=lambda: _env_int("REPRO_WARMUP", 20_000))
+    warmup: int = field(default_factory=lambda: env_int("REPRO_WARMUP", 20_000))
     benchmarks: Optional[Tuple[str, ...]] = field(
         default_factory=lambda: (
             tuple(os.environ["REPRO_BENCHMARKS"].split(","))

@@ -6,10 +6,11 @@ every experiment entry point. Tracing is off by default (the disabled
 :func:`span` path is a no-op object); enable it with
 ``repro run ... --trace out.jsonl`` or ``REPRO_TRACE_FILE``. Metrics are
 always on: instruments are plain counters touched once per job (and
-thread-safe, so the background :class:`ResourceSampler` can share a
-registry with experiment code), and
-:class:`~repro.engine.stats.EngineStats` is a thin view over the
-engine's registry.
+thread-safe, so serve's pool threads can share the engine's registry
+with its event loop), and :class:`~repro.engine.stats.EngineStats` is a
+thin view over the engine's registry. :func:`read_resources` reads the
+process's RSS, peak RSS and CPU time at the moment a caller reports
+them.
 
 On top of those primitives sits the perf-regression layer:
 :mod:`repro.obs.bench` (provenance-stamped benchmark harness and the
@@ -28,7 +29,7 @@ bounded span ring behind ``GET /debug/traces``) and
 
 See :mod:`repro.obs.trace`, :mod:`repro.obs.metrics`,
 :mod:`repro.obs.summary`, :mod:`repro.obs.provenance`,
-:mod:`repro.obs.sampler`, :mod:`repro.obs.bench`,
+:mod:`repro.obs.resources`, :mod:`repro.obs.bench`,
 :mod:`repro.obs.regress` and :mod:`repro.obs.report`.
 """
 
@@ -56,8 +57,8 @@ from repro.obs.regress import (
     compare_runs,
 )
 from repro.obs.reqlog import RequestLog, SpanRing, new_request_id
+from repro.obs.resources import read_resources
 from repro.obs.rollup import QuantileSketch, RequestRollup
-from repro.obs.sampler import ResourceSampler
 from repro.obs.summary import (
     load_spans_counted,
     render_summary,
@@ -85,7 +86,6 @@ __all__ = [
     "REGRESSED",
     "RequestLog",
     "RequestRollup",
-    "ResourceSampler",
     "Span",
     "SpanRing",
     "Tracer",
@@ -99,6 +99,7 @@ __all__ = [
     "load_spans_counted",
     "new_request_id",
     "provenance_stamp",
+    "read_resources",
     "render_exposition",
     "render_summary",
     "reset_metrics",

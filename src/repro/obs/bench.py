@@ -10,8 +10,9 @@ one:
   non-persistent engine, memo cleared between repeats, so every timed
   run recomputes).
 * **Harness** (:func:`run_suite`) — warmup + repeated timed runs on
-  ``time.perf_counter``, a per-benchmark engine ``MetricsRegistry``
-  snapshot, and resource gauges from the background sampler.
+  ``time.perf_counter`` and a per-benchmark engine ``MetricsRegistry``
+  snapshot; :func:`make_record` adds the process's peak RSS and CPU
+  time, read as the record is made.
 * **Trend store** (:func:`load_history` / :func:`append_history`) — a
   schema-versioned ``BENCH_history.json`` holding one provenance-stamped
   record per benchmark per run. Individual garbled records are skipped
@@ -40,6 +41,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.errors import ConfigurationError
 from repro.obs.metrics import get_metrics
 from repro.obs.provenance import config_hash
+from repro.obs.resources import read_resources
 
 __all__ = [
     "Benchmark",
@@ -47,6 +49,7 @@ __all__ = [
     "HISTORY_SCHEMA_VERSION",
     "DEFAULT_HISTORY_PATH",
     "SUITES",
+    "SuitePair",
     "append_history",
     "available_suites",
     "load_history",
@@ -56,6 +59,7 @@ __all__ = [
     "run_suite",
     "samples_by_bench",
     "save_history",
+    "suite_pairs",
 ]
 
 #: Bump when the record layout changes incompatibly; gates every load.
@@ -483,17 +487,6 @@ def _estimator_snapshot(gauges: Dict[str, float]) -> Dict[str, object]:
     return out
 
 
-def _resource_snapshot() -> Dict[str, float]:
-    """Resource gauges from the process-wide registry (sampler output)."""
-    registry = get_metrics()
-    snap = {
-        "rss_peak_bytes": registry.gauge("proc.rss_peak_bytes").value,
-        "cpu_user_seconds": registry.gauge("proc.cpu_user_seconds").value,
-        "cpu_system_seconds": registry.gauge("proc.cpu_system_seconds").value,
-    }
-    return {key: value for key, value in snap.items() if value}
-
-
 # ----------------------------------------------------------------------
 # records and the trend store
 # ----------------------------------------------------------------------
@@ -519,7 +512,10 @@ def make_record(
         "max": round(max(result.samples), 9),
         "provenance": provenance,
         "metrics": result.metrics,
-        "resources": _resource_snapshot(),
+        "resources": {
+            key: value for key, value in read_resources().items()
+            if key != "rss_bytes" and value
+        },
     }
 
 
@@ -650,3 +646,79 @@ def samples_by_bench(
             continue
         out[record["bench"]] = [float(s) for s in record["samples"]]
     return out
+
+
+@dataclass(frozen=True)
+class SuitePair:
+    """One suite's latest run and the baseline run it is judged against."""
+
+    suite: str
+    run_id: str
+    #: ``None`` when a baseline file holds no run of this suite.
+    baseline_id: Optional[str]
+    #: Where the baseline came from, for the compare header.
+    origin: str
+    current: Dict[str, List[float]]
+    baseline: Dict[str, List[float]]
+
+
+def suite_pairs(
+    records: Sequence[Dict[str, object]], baseline: Optional[str] = None
+) -> List[SuitePair]:
+    """Pair each suite's latest run in ``records`` with its baseline.
+
+    A history may interleave runs of different suites (CI writes one
+    suite per run), so runs are paired within a suite. The baseline is
+    the suite's previous run (the latest run itself when it is the only
+    one), or, when ``baseline`` is given, the run of ``records`` whose id
+    it prefixes, or the suite's latest run in the history file at that
+    path.
+    """
+    others: Optional[List[Dict[str, object]]] = None
+    named: Optional[str] = None
+    if baseline is not None and pathlib.Path(baseline).is_file():
+        others = load_history(pathlib.Path(baseline))[0]
+        if not others:
+            raise ConfigurationError(
+                f"baseline file {baseline} holds no valid records"
+            )
+    elif baseline is not None:
+        ids = run_ids(records)
+        matches = [i for i in ids if i.startswith(baseline)]
+        if len(matches) != 1:
+            raise ConfigurationError(
+                f"baseline {baseline!r} matches {len(matches)} runs in "
+                f"the history; known run ids: {ids}"
+            )
+        named = matches[0]
+    pairs: List[SuitePair] = []
+    for suite in dict.fromkeys(str(r["suite"]) for r in records):
+        ids = run_ids([r for r in records if r["suite"] == suite])
+        source = records
+        if others is not None:
+            source = others
+            theirs = run_ids([r for r in others if r["suite"] == suite])
+            base_id = theirs[-1] if theirs else None
+            origin = f"file {baseline} " + (
+                f"(run {base_id})" if base_id else f"(no run of suite {suite})"
+            )
+        elif named is not None:
+            base_id, origin = named, f"run {named}"
+        else:
+            base_id = ids[-2] if len(ids) >= 2 else ids[-1]
+            origin = f"run {base_id}" + (
+                "" if len(ids) >= 2 else
+                " (latest run compared against itself: only one run recorded)"
+            )
+        pairs.append(SuitePair(
+            suite=suite,
+            run_id=ids[-1],
+            baseline_id=base_id,
+            origin=origin,
+            current=samples_by_bench(records, run_id=ids[-1], suite=suite),
+            baseline=(
+                samples_by_bench(source, run_id=base_id, suite=suite)
+                if base_id is not None else {}
+            ),
+        ))
+    return pairs

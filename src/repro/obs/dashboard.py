@@ -14,7 +14,8 @@ and redraws:
   counters), coalescing and batching effectiveness;
 * yield-estimator quality gauges (``yield.estimate.*`` /
   ``yield.ci_halfwidth.*`` / ``yield.samples.*``) with CI bars;
-* process RSS/CPU from the continuously running /proc sampler.
+* process RSS/CPU, the ``proc.*`` gauges serve writes into its engine
+  registry whenever it renders a snapshot.
 
 Everything dynamic lives in the script; the Python side only provides
 the skeleton and the first snapshot, so the page keeps working (static)
@@ -105,10 +106,9 @@ _DASH_SCRIPT = """
     text("adm-503", fmt(counter(counters, "serve.admit.rejected_503"), 0));
     text("co-leader", fmt(counter(counters, "serve.coalesce.leader"), 0));
     text("co-joined", fmt(counter(counters, "serve.coalesce.joined"), 0));
-    function pgauge(name) { return gauges[name] || pg[name] || 0; }
-    text("proc-rss", fmt(pgauge("proc.rss_bytes") / 1048576, 1) + " MiB");
-    text("proc-cpu", fmt(pgauge("proc.cpu_user_seconds") +
-                         pgauge("proc.cpu_system_seconds"), 1) + " s");
+    text("proc-rss", fmt(gauges["proc.rss_bytes"] / 1048576, 1) + " MiB");
+    text("proc-cpu", fmt(gauges["proc.cpu_user_seconds"] +
+                         gauges["proc.cpu_system_seconds"], 1) + " s");
     var eps = rollup.endpoints || {}, body = "";
     Object.keys(eps).sort().forEach(function (ep) {
       var s = eps[ep], sq = s.quantiles || {};
@@ -185,7 +185,6 @@ def dashboard_html(
     engine = snapshot.get("engine") or {}
     gauges = engine.get("gauges") or {}
     counters = engine.get("counters") or {}
-    proc = (snapshot.get("process") or {}).get("gauges") or {}
     server = snapshot.get("server") or {}
 
     def g(name: str, default: float = 0.0) -> float:
@@ -199,14 +198,6 @@ def dashboard_html(
             return int(counters.get(name, 0))
         except (TypeError, ValueError):
             return 0
-
-    def pgauge(name: str) -> float:
-        # The /proc sampler feeds the engine registry in serve mode, but
-        # older snapshots kept proc.* in the process-wide one.
-        try:
-            return float(gauges.get(name, proc.get(name, 0.0)))
-        except (TypeError, ValueError):
-            return 0.0
 
     def q(key: str) -> str:
         value = quantiles.get(key)
@@ -262,9 +253,9 @@ def dashboard_html(
         _panel(
             "Process",
             f'<div>RSS <b id="proc-rss">'
-            f'{pgauge("proc.rss_bytes") / 1048576:.1f} MiB</b> · '
+            f'{g("proc.rss_bytes") / 1048576:.1f} MiB</b> · '
             f'CPU <b id="proc-cpu">'
-            f'{pgauge("proc.cpu_user_seconds") + pgauge("proc.cpu_system_seconds"):.1f}'
+            f'{g("proc.cpu_user_seconds") + g("proc.cpu_system_seconds"):.1f}'
             " s</b></div>"
             f'<div>uptime <b id="uptime">'
             f'{float(server.get("uptime_seconds", 0.0)):.0f} s</b></div>',

@@ -19,8 +19,9 @@ anything the container lacks.
 
 Thread safety: mutation through :meth:`Counter.inc`, :meth:`Gauge.set`
 and :meth:`Histogram.observe` takes a per-instrument lock, and the
-registry locks instrument creation — the background resource sampler
-(:mod:`repro.obs.sampler`) shares registries with experiment threads.
+registry locks instrument creation — serve's pool threads
+(:mod:`repro.serve.server`) share the engine's registry with its event
+loop.
 Direct writes to ``Counter.value`` (the :class:`EngineStats` property
 setters) stay unlocked and remain confined to the engine's own thread.
 """

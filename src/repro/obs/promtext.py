@@ -204,24 +204,16 @@ def _render_rollup(writer: _Writer, rollup: Dict[str, object]) -> None:
 def render_exposition(
     registry_snapshots: Sequence[Tuple[str, Dict[str, object]]],
     rollup: Optional[Dict[str, object]] = None,
-    extra_gauges: Optional[Dict[str, float]] = None,
 ) -> str:
     """Render the whole exposition page.
 
     ``registry_snapshots`` is an ordered list of ``(source_label,
     registry.snapshot())`` pairs; when two registries carry the same
-    instrument name (the serve engine registry and the process-wide one
-    can both hold ``proc.*`` gauges) the **first** one wins, keeping the
-    page free of duplicate samples. ``extra_gauges`` are pre-sanitized
-    one-off values (server uptime, draining flag).
+    instrument name (serve's engine registry and the process-wide one
+    can both hold ``yield.*`` gauges) the **first** one wins, keeping
+    the page free of duplicate samples.
     """
     writer = _Writer()
-    if extra_gauges:
-        for name, value in extra_gauges.items():
-            writer.family(
-                metric_name(name), "gauge", f"{name} (server gauge)",
-                [("", {}, float(value))],
-            )
     if rollup is not None:
         _render_rollup(writer, rollup)
     for source, snapshot in registry_snapshots:

@@ -51,7 +51,12 @@ th { background: #eee; }
 """
 
 
-def _document(title: str, body: str, head_extra: str = "") -> str:
+def html_document(title: str, body: str, head_extra: str = "") -> str:
+    """The shared self-contained document shell.
+
+    ``head_extra`` lets callers (the live dashboard) add inline
+    ``<style>``/``<script>`` blocks — never external references.
+    """
     return (
         "<!DOCTYPE html>\n"
         '<html lang="en"><head><meta charset="utf-8">\n'
@@ -59,15 +64,6 @@ def _document(title: str, body: str, head_extra: str = "") -> str:
         f"<style>{_STYLE}</style>\n{head_extra}"
         f"</head><body>\n<h1>{html.escape(title)}</h1>\n{body}\n</body></html>\n"
     )
-
-
-def html_document(title: str, body: str, head_extra: str = "") -> str:
-    """Public wrapper over the shared self-contained document shell.
-
-    ``head_extra`` lets callers (the live dashboard) add inline
-    ``<style>``/``<script>`` blocks — never external references.
-    """
-    return _document(title, body, head_extra)
 
 
 # ----------------------------------------------------------------------
@@ -81,11 +77,6 @@ def sparkline_svg(
     Shared by the bench trend report and the live serve dashboard — one
     sparkline idiom everywhere, zero network references.
     """
-    return _sparkline(values, width, height)
-
-
-def _sparkline(values: Sequence[float], width: int = 180, height: int = 36) -> str:
-    """Inline-SVG polyline of ``values`` (chronological, left to right)."""
     if not values:
         return '<span class="dim">no data</span>'
     if len(values) == 1:
@@ -143,7 +134,7 @@ def bench_report_html(
     if not records:
         parts.append("<p>No benchmark records yet — run "
                      "<b>repro bench run</b> first.</p>")
-        return _document(title, "\n".join(parts))
+        return html_document(title, "\n".join(parts))
 
     newest = max(records, key=lambda r: float(r.get("created", 0.0)))
     parts.append(
@@ -186,13 +177,13 @@ def bench_report_html(
         high = float(latest.get("max", medians[-1]))
         parts.append(
             f"<tr><td>{html.escape(bench)}</td>"
-            f"<td>{_sparkline(medians)}</td>"
+            f"<td>{sparkline_svg(medians)}</td>"
             f"<td>{len(history)}</td>"
             f"<td>{_fmt_ms(medians[-1])}</td>"
             f"<td>{_fmt_ms(low)} &ndash; {_fmt_ms(high)}</td></tr>"
         )
     parts.append("</table>")
-    return _document(title, "\n".join(parts))
+    return html_document(title, "\n".join(parts))
 
 
 def render_bench_report(
@@ -317,7 +308,7 @@ def flamegraph_html(
         )
     if not spans:
         parts.append("<p>No spans in the trace.</p>")
-        return _document(title, "\n".join(parts))
+        return html_document(title, "\n".join(parts))
     root = build_flame_tree(spans)
     pids = {s.get("pid") for s in spans if s.get("pid") is not None}
     parts.append(
@@ -332,7 +323,7 @@ def flamegraph_html(
     ):
         _render_node(child, root.total, 0, body)
     parts.extend(body)
-    return _document(title, "\n".join(parts))
+    return html_document(title, "\n".join(parts))
 
 
 def render_flamegraph(

@@ -28,8 +28,8 @@ HTTP/JSON API. The request path composes the rest of this package:
    ``Accept: application/json`` (registry snapshots + the rollup),
    Prometheus text exposition otherwise; ``/healthz`` reports
    engine/store/cache/admission state; ``/dashboard`` serves a
-   self-contained live HTML dashboard; a /proc resource sampler runs
-   for the server's lifetime.
+   self-contained live HTML dashboard. Both read the process's RSS and
+   CPU time, uptime and connection count at the moment they answer.
 
 Progress streams as chunked ``application/x-ndjson``: one JSON object
 per line (``accepted``, ``progress``, ``result`` / ``error`` events).
@@ -57,8 +57,8 @@ from repro.engine.store import canonical_json
 from repro.obs.promtext import CONTENT_TYPE as PROM_CONTENT_TYPE
 from repro.obs.promtext import render_exposition
 from repro.obs.reqlog import RequestLog, SpanRing, new_request_id
+from repro.obs.resources import read_resources
 from repro.obs.rollup import RequestRollup
-from repro.obs.sampler import ResourceSampler
 from repro.obs.trace import span as trace_span
 from repro.serve.admission import AdmissionController, RejectedError
 from repro.serve.batcher import SimulationBatcher
@@ -104,7 +104,6 @@ class ServeConfig:
     request_log: Optional[str] = None
     dashboard: bool = True
     trace_ring: int = 256
-    sampler_interval: float = 1.0
 
 
 class Request:
@@ -230,9 +229,6 @@ class YieldServer:
             RequestLog(self.config.request_log)
             if self.config.request_log else None
         )
-        self.sampler = ResourceSampler(
-            registry=self.metrics, interval=self.config.sampler_interval
-        )
         self.router = Router()
         self.router.add("GET", "/healthz", _handle_healthz)
         self.router.add("GET", "/metrics", _handle_metrics)
@@ -263,11 +259,23 @@ class YieldServer:
         name = self._server.sockets[0].getsockname()
         self.host, self.port = name[0], name[1]
         self.started = time.time()
-        # The /proc sampler runs for the server's whole life so the
-        # RSS/CPU gauges on /metrics and /dashboard are always current;
-        # shutdown() stops the thread before the loop is released.
-        self.sampler.start()
         return self.host, self.port
+
+    def metrics_snapshot(self) -> dict:
+        """The engine registry's snapshot, scrape-time gauges written first.
+
+        The ``proc.*`` readings, uptime, draining flag and open-connection
+        count are values of this moment: both ``/metrics`` forms and
+        ``/dashboard`` write them into the registry just before reading
+        it, so each shows the same gauges.
+        """
+        gauge = self.metrics.gauge
+        for name, value in read_resources().items():
+            gauge(f"proc.{name}").set(value)
+        gauge("serve.uptime_seconds").set(time.time() - self.started)
+        gauge("serve.draining").set(1.0 if self.draining else 0.0)
+        gauge("serve.connections").set(len(self._connections))
+        return self.metrics.snapshot()
 
     async def wait_closed(self) -> None:
         """Block until a shutdown completes."""
@@ -297,12 +305,9 @@ class YieldServer:
             task.cancel()
         if self._connections:
             await asyncio.gather(*self._connections, return_exceptions=True)
-        # Stop the pool and the sampler thread *after* the drain (the
-        # sampler's gauges stay live for late /metrics scrapes) but before
-        # releasing the loop, so no thread outlives the server and no
-        # gauge writes land afterwards.
+        # Stop the pool after the drain but before releasing the loop,
+        # so no thread outlives the server.
         self.pool.shutdown(wait=True, cancel_futures=True)
-        self.sampler.stop()
         if self.request_log is not None:
             self.request_log.close()
         self._closed.set()
@@ -755,7 +760,7 @@ def _metrics_payload(server: YieldServer) -> dict:
     from repro.obs.metrics import get_metrics
 
     return {
-        "engine": server.engine.metrics.snapshot(),
+        "engine": server.metrics_snapshot(),
         "process": get_metrics().snapshot(),
         "rollup": server.rollup.snapshot(),
         "server": {
@@ -776,15 +781,10 @@ async def _handle_metrics(server: YieldServer, request: Request) -> Response:
     # the process-wide one.
     text = render_exposition(
         [
-            ("engine", server.engine.metrics.snapshot()),
+            ("engine", server.metrics_snapshot()),
             ("process", get_metrics().snapshot()),
         ],
         rollup=server.rollup.snapshot(),
-        extra_gauges={
-            "serve.uptime_seconds": time.time() - server.started,
-            "serve.draining": 1.0 if server.draining else 0.0,
-            "serve.connections": float(len(server._connections)),
-        },
     )
     return Response.text(200, text, content_type=PROM_CONTENT_TYPE)
 

@@ -38,23 +38,19 @@ __all__ = [
 _Z = {0.90: 1.6449, 0.95: 1.9600, 0.99: 2.5758}
 
 
-def _z_for(confidence: float) -> float:
+def z_score(confidence: float) -> float:
+    """Two-sided normal z-score for a supported confidence level.
+
+    Shared by :func:`wilson_interval` and the estimator layer's
+    normal-approximation intervals, so both always quote the same
+    critical value for the same confidence.
+    """
     try:
         return _Z[confidence]
     except KeyError:
         raise ConfigurationError(
             f"confidence must be one of {sorted(_Z)}, got {confidence}"
         ) from None
-
-
-def z_score(confidence: float) -> float:
-    """Two-sided normal z-score for a supported confidence level.
-
-    The public face of the table behind :func:`wilson_interval`, shared
-    with the estimator layer's normal-approximation intervals so both
-    always quote the same critical value for the same confidence.
-    """
-    return _z_for(confidence)
 
 
 def wilson_interval(
@@ -65,7 +61,7 @@ def wilson_interval(
         raise ConfigurationError("total must be > 0")
     if not 0 <= successes <= total:
         raise ConfigurationError("successes must be within [0, total]")
-    z = _z_for(confidence)
+    z = z_score(confidence)
     p = successes / total
     denom = 1 + z**2 / total
     centre = (p + z**2 / (2 * total)) / denom

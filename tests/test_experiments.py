@@ -1,5 +1,8 @@
 """Tests for the experiment harness (small populations / short traces)."""
 
+import os
+import re
+
 import pytest
 
 from repro.experiments import (
@@ -176,6 +179,37 @@ class TestPerformanceExperiments:
         assert data[0]["reduction"] <= data[1]["reduction"] <= data[2]["reduction"]
         assert data[0]["cost"] <= data[1]["cost"] <= data[2]["cost"]
 
+    def test_ablation_lbb_dispatches_its_simulations_at_once(self, tmp_path):
+        """Cold, at two workers, the baselines and both slow-way sweeps
+        reach the pool in one dispatch, not one in-process dispatch per
+        cell."""
+        from repro.engine import configure_engine, reset_engine
+        from repro.experiments.ablations import run_ablation_lbb
+        from repro.obs import (
+            configure_tracing,
+            disable_tracing,
+            load_spans_counted,
+        )
+
+        settings = ExperimentSettings(
+            seed=31, chips=150, trace_length=300, warmup=100,
+            benchmarks=("gzip", "mcf"),
+        )
+        trace = tmp_path / "t.jsonl"
+        configure_tracing(trace)
+        configure_engine(workers=2, cache_dir=tmp_path / "cache")
+        try:
+            run_ablation_lbb(settings)
+        finally:
+            disable_tracing()
+            reset_engine()
+        jobs = [
+            r["attrs"]["jobs"] for r in load_spans_counted(trace)[0]
+            if r["name"] == "engine.dispatch"
+            and r["attrs"].get("kind") == "simulation"
+        ]
+        assert jobs == [3 * len(settings.benchmarks)]
+
 
 class TestCLI:
     def test_list(self, capsys):
@@ -237,6 +271,9 @@ class TestCLI:
             out = capsys.readouterr().out
             assert "engine statistics" in out
             assert "workers            2" in out
+            if os.path.exists("/proc/self/status"):
+                # Read from /proc when it is printed.
+                assert re.search(r"^peak rss +\d+\.\d MB$", out, re.M), out
         finally:
             reset_engine()  # --workers reconfigured the global engine
 

@@ -84,9 +84,21 @@ class TestMetrics:
         registry.histogram("lat").observe(0.25)
         json.dumps(registry.snapshot())
 
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="needs /proc"
+    )
+    def test_read_resources_reads_rss_peak_and_cpu(self):
+        from repro.obs import read_resources
+
+        readings = read_resources()
+        assert readings["rss_bytes"] > 0
+        assert readings["rss_peak_bytes"] >= readings["rss_bytes"]
+        assert readings["cpu_user_seconds"] > 0.0
+        assert readings["cpu_system_seconds"] >= 0.0
+
 
 class TestMetricsConcurrency:
-    """The background sampler shares registries with experiment threads."""
+    """Serve's pool threads share the engine registry with its event loop."""
 
     def test_concurrent_inc_and_observe_lose_nothing(self):
         import threading
@@ -118,38 +130,6 @@ class TestMetricsConcurrency:
         assert sum(hist.bucket_counts) == total
         assert hist.total == pytest.approx(0.5 * total)
         assert registry.gauge("g").value == per_thread - 1
-
-    def test_sampler_thread_shares_registry_with_worker(self):
-        import threading
-
-        from repro.obs import ResourceSampler
-
-        registry = MetricsRegistry()
-        sampler = ResourceSampler(registry, interval=0.002)
-        stop = threading.Event()
-
-        def workload():
-            counter = registry.counter("work")
-            while not stop.is_set():
-                counter.inc()
-
-        worker = threading.Thread(target=workload)
-        sampler.start()
-        try:
-            worker.start()
-            import time as _time
-            _time.sleep(0.05)
-            stop.set()
-            worker.join()
-        finally:
-            sampler.stop()
-        summary = sampler.summary()
-        assert summary["samples"] >= 1
-        assert summary["cpu_user_seconds"] > 0.0
-        if os.path.exists("/proc/self/status"):
-            assert summary["rss_bytes"] > 0
-            assert summary["rss_peak_bytes"] >= summary["rss_bytes"]
-        assert registry.counter("work").value > 0
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import shutil
 import subprocess
@@ -395,6 +396,11 @@ class TestBenchCli:
         assert len(records) == 8  # 2 runs x 4 benchmarks
         assert len(run_ids(records)) == 2
         assert all(r["provenance"]["python"] for r in records)
+        # Each record carries the process's peak RSS and CPU time.
+        for record in records:
+            assert record["resources"]["cpu_user_seconds"] > 0
+            if os.path.exists("/proc/self/status"):
+                assert record["resources"]["rss_peak_bytes"] > 0
         # The trend store is the only record a run writes.
         assert [p.name for p in tmp_path.glob("BENCH_*.json")] == [
             "BENCH_history.json"
@@ -541,6 +547,52 @@ class TestBenchCli:
         out = capsys.readouterr().out
         assert "(run r-engine)" in out
         assert "overall: neutral" in out
+
+    def test_runs_pair_within_their_suite(self, tmp_path, capsys, monkeypatch):
+        """A history written one suite per run (engine, serve, engine,
+        serve) gives each suite a verdict against its own baseline."""
+        monkeypatch.chdir(tmp_path)
+        history = tmp_path / "H.json"
+        save_history(history, [
+            _record(bench=f"{suite}.case", suite=suite,
+                    run_id=f"r{created}-{suite}", created=float(created),
+                    samples=[0.1] * 5)
+            for created, suite in enumerate(
+                ("engine", "serve", "engine", "serve"), start=1
+            )
+        ])
+
+        def compare(*extra):
+            code = main(["bench", "compare", "--history", str(history),
+                         *extra])
+            out = capsys.readouterr().out
+            return code, out, [
+                line for line in out.splitlines()
+                if line.startswith("verdict ")
+            ]
+
+        code, out, verdicts = compare()
+        assert code == 0
+        assert verdicts == ["verdict engine: neutral",
+                            "verdict serve: neutral"]
+        assert "run r3-engine vs run r1-engine" in out
+        assert "run r4-serve vs run r2-serve" in out
+        # A named run is the baseline of the suites it holds.
+        code, out, verdicts = compare("--baseline", "r1")
+        assert code == 0
+        assert verdicts == ["verdict engine: neutral",
+                            "verdict serve: none (nothing in common)"]
+        # A baseline file gives each suite that suite's latest run there.
+        code, out, verdicts = compare("--baseline", str(history))
+        assert code == 0 and len(verdicts) == 2
+        assert f"vs file {history} (run r2-serve)" not in out
+        assert f"vs file {history} (run r4-serve)" in out
+
+        assert main(["bench", "report", "out.html",
+                     "--history", str(history)]) == 0
+        page = (tmp_path / "out.html").read_text(encoding="utf-8")
+        assert "Verdicts vs baseline" in page
+        assert page.count('<td class="neutral">neutral</td>') == 2
 
     def test_compare_without_records_errors(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -201,13 +201,15 @@ def _sample_registry() -> MetricsRegistry:
 
 def test_exposition_golden_format():
     registry = _sample_registry()
+    # Scrape-time values are plain registry gauges (serve writes them
+    # just before it snapshots the registry).
+    registry.gauge("serve.uptime_seconds").set(12.5)
     rollup = RequestRollup(window_seconds=10.0, windows=3)
     rollup.record("/v1/population", 200, 0.02, warm=True, now=50.0)
     rollup.record("/v1/population", 503, 0.001, now=55.0)
     text = render_exposition(
         [("engine", registry.snapshot())],
         rollup=rollup.snapshot(now=55.0),
-        extra_gauges={"serve.uptime_seconds": 12.5},
     )
     lines = text.splitlines()
     assert "# TYPE repro_serve_requests_total counter" in lines
@@ -228,6 +230,7 @@ def test_exposition_golden_format():
         for line in lines
     )
     assert 'repro_serve_window_responses{endpoint="/v1/population",class="5xx"} 1' in lines
+    assert "# TYPE repro_serve_uptime_seconds gauge" in lines
     assert "repro_serve_uptime_seconds 12.5" in lines
     assert text.endswith("\n")
 
@@ -378,10 +381,10 @@ def test_dashboard_is_self_contained():
         "engine": {
             "gauges": {"serve.active": 2, "yield.estimate.regular.base": 0.9,
                        "yield.ci_halfwidth.regular.base": 0.04,
-                       "yield.samples.regular.base": 64},
+                       "yield.samples.regular.base": 64,
+                       "proc.rss_bytes": 50 << 20},
             "counters": {"serve.admit.accepted": 5},
         },
-        "process": {"gauges": {"proc.rss_bytes": 50 << 20}},
         "server": {"uptime_seconds": 42.0, "draining": False},
     }
     page = dashboard_html(snapshot, refresh_seconds=1.0)
@@ -394,4 +397,5 @@ def test_dashboard_is_self_contained():
         assert f'id="{anchor}"' in page
     assert "/v1/population" in page
     assert "12</td>" in page  # initial server-side endpoint row
+    assert '<b id="proc-rss">50.0 MiB</b>' in page  # from the engine gauges
     assert "REPRO_REFRESH_MS = 1000" in page

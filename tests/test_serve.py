@@ -552,37 +552,34 @@ def test_request_log_written_as_jsonl(tmp_path):
     assert health_entry["seconds"] >= 0
 
 
-def test_sampler_thread_stops_with_server(tmp_path):
-    # Other servers (the module fixture) may be live with their own
-    # samplers; only threads born with THIS server must die with it.
-    before = {
-        t.ident for t in threading.enumerate()
-        if t.name.startswith("repro-resource-sampler")
-    }
+def test_first_scrape_reads_resources_with_no_thread(tmp_path):
+    # Other servers (the module fixture) may be live at the same time;
+    # only the threads born with THIS server are checked.
+    before = {t.ident for t in threading.enumerate()}
     engine = Engine(EngineConfig(workers=1, cache_dir=tmp_path / "store"))
-    thread = ServerThread(
-        engine, ServeConfig(port=0, sampler_interval=0.05)
-    )
+    thread = ServerThread(engine, ServeConfig(port=0))
     host, port = thread.start()
     try:
-        deadline = time.time() + 10
         with ServeClient(host, port) as client:
-            while time.time() < deadline:
-                gauges = client.metrics()["engine"]["gauges"]
-                if gauges.get("proc.rss_bytes", 0) > 0:
-                    break
-                time.sleep(0.05)
-            else:
-                pytest.fail("resource sampler never published gauges")
+            gauges = client.metrics()["engine"]["gauges"]  # no waiting
+            client.population(seed=16, chips=20)  # cold: runs on the pool
+            born = [
+                t for t in threading.enumerate() if t.ident not in before
+            ]
     finally:
         thread.stop()
-    # The background /proc sampler must not outlive the server.
-    lingering = [
-        t for t in threading.enumerate()
-        if t.name.startswith("repro-resource-sampler")
-        and t.ident not in before
-    ]
-    assert lingering == []
+    if os.path.exists("/proc/self/status"):
+        assert gauges["proc.rss_bytes"] > 0
+        assert gauges["proc.rss_peak_bytes"] >= gauges["proc.rss_bytes"]
+    assert gauges["proc.cpu_user_seconds"] > 0
+    assert gauges["serve.uptime_seconds"] >= 0
+    names = sorted(t.name for t in born)
+    assert thread._thread in born, names
+    assert all(
+        t is thread._thread or t.name.startswith("repro-serve-pool")
+        for t in born
+    ), names
+    assert not any(t.is_alive() for t in born), names
 
 
 def test_burst_exposes_consistent_prometheus_metrics(tmp_path):
