@@ -55,6 +55,7 @@ from repro.obs.trace import span as trace_span, tracing_enabled
 from repro.yieldmodel.analysis import YieldStudy
 from repro.yieldmodel.constraints import ConstraintPolicy, NOMINAL_POLICY
 from repro.yieldmodel.estimators import adaptive_chips, run_estimate
+from repro.yieldmodel.estimators.results import FIGURES
 from repro.yieldmodel.estimators.spec import EstimatorSpec
 from repro.yieldmodel.statistics import wilson_interval
 
@@ -178,7 +179,6 @@ class Engine:
         """Memo then store; ``None`` when the job must be computed."""
         if key in self._memo:
             self.stats.jobs_cached_memory += 1
-            self.metrics.counter(f"engine.memo.hit.{kind}").inc()
             return self._memo[key]
         if self.store is not None:
             payload = self.store.load(kind, key)
@@ -274,47 +274,41 @@ class Engine:
             "engine.population", chips=settings.chips, seed=settings.seed,
             estimator=spec.kind if spec is not None else "fixed",
         ) as sp:
-            cached = self._lookup("population", key, decode_population)
-            if cached is not None:
+            result = self._lookup("population", key, decode_population)
+            if result is not None:
                 sp.set(source="cache")
-                self._emit_estimator_gauges(cached)
-                return cached
-            sp.set(source="computed")
-            with self.stats.stage("population"):
-                if adaptive:
-                    result = self._compute_population_adaptive(
-                        settings, policy, spec, progress
-                    )
-                else:
-                    result = self._compute_population(
-                        settings, policy, progress
-                    )
-            self._settle("population", key, result, encode_population)
-        self._emit_estimator_gauges(result)
+            else:
+                sp.set(source="computed")
+                with self.stats.stage("population"):
+                    if adaptive:
+                        result = self._compute_population_adaptive(
+                            settings, policy, spec, progress
+                        )
+                    else:
+                        result = self._compute_population(
+                            settings, policy, progress
+                        )
+                self._settle("population", key, result, encode_population)
+        self._emit_yield_gauges(_population_figures(result))
         return result
 
-    def _emit_estimator_gauges(self, result) -> None:
-        """Base-yield estimate + Wilson CI half-width + sample count.
+    def _emit_yield_gauges(self, figures) -> None:
+        """Publish each base-yield figure's estimate, Wilson CI
+        half-width and sample count, and its effective sample size when
+        it has one; the only writer of ``yield.*`` gauges.
 
-        Published per architecture into the engine registry, so a serve
-        deployment surfaces estimator quality on /metrics for plain
-        population queries too (scheme-level gauges come from
-        :meth:`PopulationResult.breakdown`).
+        ``figures`` holds ``(figure, estimate, ci_halfwidth, samples,
+        ess)`` rows, ``ess`` ``None`` for a population. The figures are
+        the fixed set ``regular.base`` and ``horizontal.base``, so the
+        series count is bounded by construction.
         """
-        for arch, horizontal in (("regular", False), ("horizontal", True)):
-            passes = result.chips(horizontal).passes
-            total = passes.shape[0]
-            if total <= 0:
-                continue
-            ships = int(np.count_nonzero(passes))
-            low, high = wilson_interval(ships, total)
-            self.metrics.gauge(f"yield.estimate.{arch}.base").set(
-                ships / total
-            )
-            self.metrics.gauge(f"yield.ci_halfwidth.{arch}.base").set(
-                (high - low) / 2.0
-            )
-            self.metrics.gauge(f"yield.samples.{arch}.base").set(total)
+        gauge = self.metrics.gauge
+        for figure, estimate, halfwidth, samples, ess in figures:
+            gauge(f"yield.estimate.{figure}").set(estimate)
+            gauge(f"yield.ci_halfwidth.{figure}").set(halfwidth)
+            gauge(f"yield.samples.{figure}").set(samples)
+            if ess is not None:
+                gauge(f"yield.ess.{figure}").set(ess)
 
     def _chip_dispatcher(self, progress: Optional[Callable[[int, int], None]]):
         """The one chip-range dispatcher, over this engine's executor:
@@ -408,38 +402,22 @@ class Engine:
             "engine.estimate", kind=spec.kind, chips=settings.chips,
             seed=settings.seed, policy=policy.name,
         ) as sp:
-            cached = self._lookup("estimate", key, decode_estimate)
-            if cached is not None:
+            report = self._lookup("estimate", key, decode_estimate)
+            if report is not None:
                 sp.set(source="cache")
-                self._emit_estimate_gauges(cached)
-                return cached
-            sp.set(source="computed")
-            with self.stats.stage("estimate"):
-                report = run_estimate(
-                    self._chip_dispatcher(progress), spec, settings.seed,
-                    settings.chips, policy,
-                )
-            self._settle("estimate", key, report, encode_estimate)
-        self._emit_estimate_gauges(report)
+            else:
+                sp.set(source="computed")
+                with self.stats.stage("estimate"):
+                    report = run_estimate(
+                        self._chip_dispatcher(progress), spec, settings.seed,
+                        settings.chips, policy,
+                    )
+                self._settle("estimate", key, report, encode_estimate)
+        self._emit_yield_gauges(
+            (e.figure, e.estimate, e.ci_halfwidth, e.samples, e.ess)
+            for e in report.estimates
+        )
         return report
-
-    def _emit_estimate_gauges(self, report) -> None:
-        """Estimate / CI half-width / samples / ESS per tracked figure.
-
-        The figure set is fixed (``regular.base``, ``horizontal.base``),
-        so the series count is bounded by construction — no label
-        cardinality cap needed at this emission site.
-        """
-        for estimate in report.estimates:
-            name = estimate.figure
-            self.metrics.gauge(f"yield.estimate.{name}").set(
-                estimate.estimate
-            )
-            self.metrics.gauge(f"yield.ci_halfwidth.{name}").set(
-                estimate.ci_halfwidth
-            )
-            self.metrics.gauge(f"yield.samples.{name}").set(estimate.samples)
-            self.metrics.gauge(f"yield.ess.{name}").set(estimate.ess)
 
     # ------------------------------------------------------------------
     # simulations
@@ -541,6 +519,19 @@ class Engine:
             if results[index] is None:
                 results[index] = self._memo[key]
         return results
+
+
+def _population_figures(result):
+    """A population's base-yield rows for :meth:`Engine._emit_yield_gauges`:
+    ships over chips per architecture, with the Wilson interval's
+    half-width and no effective sample size."""
+    for figure, horizontal in zip(FIGURES, (False, True)):
+        passes = result.chips(horizontal).passes
+        total = passes.shape[0]
+        if total > 0:
+            ships = int(np.count_nonzero(passes))
+            low, high = wilson_interval(ships, total)
+            yield figure, ships / total, (high - low) / 2.0, total, None
 
 
 # ----------------------------------------------------------------------

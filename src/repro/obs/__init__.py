@@ -5,12 +5,14 @@ dispatch, the persistent store, pool workers, the pipeline simulator and
 every experiment entry point. Tracing is off by default (the disabled
 :func:`span` path is a no-op object); enable it with
 ``repro run ... --trace out.jsonl`` or ``REPRO_TRACE_FILE``. Metrics are
-always on: instruments are plain counters touched once per job (and
-thread-safe, so serve's pool threads can share the engine's registry
-with its event loop), and :class:`~repro.engine.stats.EngineStats` is a
-thin view over the engine's registry. :func:`read_resources` reads the
-process's RSS, peak RSS and CPU time at the moment a caller reports
-them.
+always on and live in one place, the engine's
+:class:`~repro.obs.metrics.MetricsRegistry`: instruments are plain
+counters touched once per job (and thread-safe, so serve's pool threads
+can share the engine's registry with its event loop),
+:class:`~repro.engine.stats.EngineStats` is a thin view over it, and the
+engine alone publishes the ``yield.*`` estimator gauges.
+:func:`read_resources` reads the process's RSS, peak RSS and CPU time at
+the moment a caller reports them.
 
 On top of those primitives sits the perf-regression layer:
 :mod:`repro.obs.bench` (provenance-stamped benchmark harness and the
@@ -38,8 +40,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    get_metrics,
-    reset_metrics,
 )
 from repro.obs.provenance import (
     config_hash,
@@ -94,7 +94,6 @@ __all__ = [
     "config_hash",
     "configure_tracing",
     "disable_tracing",
-    "get_metrics",
     "git_revision",
     "load_spans_counted",
     "new_request_id",
@@ -102,7 +101,6 @@ __all__ = [
     "read_resources",
     "render_exposition",
     "render_summary",
-    "reset_metrics",
     "span",
     "summarize_spans",
     "summary_text",

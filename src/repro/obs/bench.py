@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
-from repro.obs.metrics import get_metrics
 from repro.obs.provenance import config_hash
 from repro.obs.resources import read_resources
 
@@ -433,11 +432,7 @@ def run_suite(
                 cleanup()
         snapshot = engine.metrics.snapshot()
         metrics: Dict[str, object] = {"counters": snapshot["counters"]}
-        # Engine gauges lead; breakdown-level estimates land in the
-        # process-wide registry (scheme benches publish there).
-        estimator = _estimator_snapshot(
-            {**get_metrics().snapshot()["gauges"], **snapshot["gauges"]}
-        )
+        estimator = _estimator_snapshot(snapshot["gauges"])
         if estimator:
             metrics["estimator"] = estimator
         results.append(
@@ -454,13 +449,15 @@ def run_suite(
 
 
 def _estimator_snapshot(gauges: Dict[str, float]) -> Dict[str, object]:
-    """Statistical-efficiency readout from the ``yield.*`` gauges.
+    """Statistical-efficiency readout from the engine's ``yield.*`` gauges.
 
-    For every published estimate: the point value, the 95% CI
+    For every figure the case published: the point value, the 95% CI
     half-width, the sample count, and ``samples_per_ci_width`` — how
     many Monte Carlo chips bought one unit of interval width (higher is
     costlier; a smarter estimator drives it down). Recorded into the
     bench history so estimator efficiency trends alongside wall-clock.
+    A figure with no samples was not published by this case: the
+    registry is reset between cases, which leaves its gauges at 0.
     """
     out: Dict[str, object] = {}
     for name, value in gauges.items():
@@ -469,7 +466,7 @@ def _estimator_snapshot(gauges: Dict[str, float]) -> Dict[str, object]:
         key = name[len("yield.estimate."):]
         half = gauges.get(f"yield.ci_halfwidth.{key}")
         samples = gauges.get(f"yield.samples.{key}")
-        if half is None or samples is None:
+        if half is None or not samples:
             continue
         width = 2.0 * float(half)
         entry: Dict[str, object] = {

@@ -13,9 +13,14 @@ and redraws:
 * queue pressure (active/queued gauges, admission accept/reject
   counters), coalescing and batching effectiveness;
 * yield-estimator quality gauges (``yield.estimate.*`` /
-  ``yield.ci_halfwidth.*`` / ``yield.samples.*``) with CI bars;
-* process RSS/CPU, the ``proc.*`` gauges serve writes into its engine
-  registry whenever it renders a snapshot.
+  ``yield.ci_halfwidth.*`` / ``yield.samples.*``, one row per base-yield
+  figure the engine published) with CI bars;
+* process RSS/CPU and uptime, the ``proc.*`` and
+  ``serve.uptime_seconds`` gauges serve writes into its engine registry
+  whenever it renders a snapshot.
+
+Every reading comes from the ``engine`` registry snapshot and the
+``rollup`` of the ``/metrics`` JSON.
 
 Everything dynamic lives in the script; the Python side only provides
 the skeleton and the first snapshot, so the page keeps working (static)
@@ -81,9 +86,8 @@ _DASH_SCRIPT = """
   }
   function render(data) {
     var rollup = data.rollup || {}, total = rollup.total || {};
-    var eng = data.engine || {}, proc = data.process || {};
+    var eng = data.engine || {};
     var gauges = eng.gauges || {}, counters = eng.counters || {};
-    var pg = proc.gauges || {};
     var q = total.quantiles || {};
     text("win-count", fmt(total.count, 0));
     text("win-rate", fmt(total.rate, 2) + "/s");
@@ -118,18 +122,14 @@ _DASH_SCRIPT = """
         "</td><td>" + fmt((s.error_rate || 0) * 100, 1) + "%</td></tr>";
     });
     rows("ep-rows", body);
-    var allGauges = {};
-    [pg, gauges].forEach(function (src) {
-      Object.keys(src).forEach(function (k) { allGauges[k] = src[k]; });
-    });
-    var ybody = "", names = Object.keys(allGauges).filter(function (n) {
+    var ybody = "", names = Object.keys(gauges).filter(function (n) {
       return n.indexOf("yield.estimate.") === 0;
     }).sort();
     names.forEach(function (n) {
       var key = n.slice("yield.estimate.".length);
-      var est = allGauges[n];
-      var half = allGauges["yield.ci_halfwidth." + key];
-      var samples = allGauges["yield.samples." + key];
+      var est = gauges[n];
+      var half = gauges["yield.ci_halfwidth." + key];
+      var samples = gauges["yield.samples." + key];
       var bar = Math.round(Math.max(0, Math.min(1, est)) * 160);
       var err = Math.round(Math.max(0, Math.min(1, half || 0)) * 160);
       ybody += "<tr><td>" + esc(key) + "</td><td>" + fmt(est * 100, 2) +
@@ -139,8 +139,7 @@ _DASH_SCRIPT = """
         'px"></span></td></tr>';
     });
     rows("yield-rows", ybody);
-    var server = data.server || {};
-    text("uptime", fmt(server.uptime_seconds, 0) + " s");
+    text("uptime", fmt(gauges["serve.uptime_seconds"], 0) + " s");
     text("updated", new Date().toLocaleTimeString());
     var status = document.getElementById("status");
     if (status) { status.textContent = "live"; status.className = ""; }
@@ -185,7 +184,6 @@ def dashboard_html(
     engine = snapshot.get("engine") or {}
     gauges = engine.get("gauges") or {}
     counters = engine.get("counters") or {}
-    server = snapshot.get("server") or {}
 
     def g(name: str, default: float = 0.0) -> float:
         try:
@@ -258,7 +256,7 @@ def dashboard_html(
             f'{g("proc.cpu_user_seconds") + g("proc.cpu_system_seconds"):.1f}'
             " s</b></div>"
             f'<div>uptime <b id="uptime">'
-            f'{float(server.get("uptime_seconds", 0.0)):.0f} s</b></div>',
+            f'{g("serve.uptime_seconds"):.0f} s</b></div>',
         ),
     ]
 
@@ -279,7 +277,7 @@ def dashboard_html(
         "<th>p50</th><th>p95</th><th>p99</th><th>errors</th></tr></thead>"
         f'<tbody id="ep-rows">{endpoint_rows}</tbody></table>\n'
         "<h2>Yield estimator quality</h2>\n"
-        "<table><thead><tr><th>scheme</th><th>yield</th><th>95% CI</th>"
+        "<table><thead><tr><th>figure</th><th>yield</th><th>95% CI</th>"
         "<th>samples</th><th>estimate &amp; half-width</th></tr></thead>"
         '<tbody id="yield-rows"></tbody></table>'
     )

@@ -5,13 +5,13 @@ A :class:`MetricsRegistry` hands out named :class:`Counter`,
 created on first use and shared by name, so any layer can say
 ``registry.counter("store.load.hit").inc()`` without coordination.
 
-Two registries exist in practice:
-
-* every :class:`~repro.engine.core.Engine` owns one, which backs its
-  :class:`~repro.engine.stats.EngineStats` view and its store counters;
-* a process-wide registry (:func:`get_metrics`) collects instrument
-  readings from code that has no engine in reach — notably the pipeline
-  simulator running inside a pool worker.
+Every :class:`~repro.engine.core.Engine` owns one registry, and it is
+the only one: it backs the engine's
+:class:`~repro.engine.stats.EngineStats` view, its store counters and
+its ``yield.*`` gauges, and serve writes its own instruments into the
+engine's registry too. Code with no engine in reach (the model layers,
+the pipeline simulator in a pool worker) publishes no metrics; its
+timings travel as trace-span attributes.
 
 Everything here is plain Python on purpose: instruments sit on hot-ish
 paths (once per job, never per simulated cycle) and must not pull in
@@ -37,8 +37,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "get_metrics",
-    "reset_metrics",
 ]
 
 
@@ -58,7 +56,7 @@ class Counter:
 
 
 class Gauge:
-    """Last-written value (e.g. events per second of the latest run)."""
+    """Last-written value (e.g. the latest base-yield estimate)."""
 
     __slots__ = ("name", "value", "_lock")
 
@@ -219,22 +217,3 @@ class MetricsRegistry:
             hist.min = float("inf")
             hist.max = float("-inf")
 
-
-# ----------------------------------------------------------------------
-# the process-wide registry
-# ----------------------------------------------------------------------
-_METRICS: Optional[MetricsRegistry] = None
-
-
-def get_metrics() -> MetricsRegistry:
-    """The process-wide registry (for code with no engine in reach)."""
-    global _METRICS
-    if _METRICS is None:
-        _METRICS = MetricsRegistry()
-    return _METRICS
-
-
-def reset_metrics() -> None:
-    """Forget the process-wide registry (tests)."""
-    global _METRICS
-    _METRICS = None

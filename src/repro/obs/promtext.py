@@ -1,9 +1,10 @@
 """Prometheus text exposition (format 0.0.4) over the metrics substrate.
 
-Renders a :class:`~repro.obs.metrics.MetricsRegistry` snapshot — plus
-the serve layer's :class:`~repro.obs.rollup.RequestRollup` windowed
-summaries — as the plain-text format every Prometheus-compatible scraper
-understands, with no third-party client library:
+Renders one :class:`~repro.obs.metrics.MetricsRegistry` snapshot (serve's
+engine registry, the only one) — plus the serve layer's
+:class:`~repro.obs.rollup.RequestRollup` windowed summaries — as the
+plain-text format every Prometheus-compatible scraper understands, with
+no third-party client library:
 
 * counters become ``repro_<name>_total`` with a ``# TYPE ... counter``
   header;
@@ -77,51 +78,36 @@ def _labels(pairs: Dict[str, object]) -> str:
     return "{" + inner + "}"
 
 
-class _Writer:
-    """Accumulates families; guards against duplicate sample names."""
+def _family(
+    lines: List[str], name: str, kind: str, help_text: str,
+    samples: Sequence[Tuple[str, Dict[str, object], float]],
+) -> None:
+    """Append one metric family to ``lines``: HELP/TYPE then its samples.
 
-    def __init__(self) -> None:
-        self.lines: List[str] = []
-        self._seen_families: set = set()
-
-    def family(
-        self, name: str, kind: str, help_text: str,
-        samples: Sequence[Tuple[str, Dict[str, object], float]],
-    ) -> None:
-        """Emit one metric family: HELP/TYPE then its samples.
-
-        ``samples`` entries are ``(suffix, labels, value)``; the suffix
-        ("_bucket", "_sum", ...) is empty for plain counters/gauges.
-        """
-        if name in self._seen_families:
-            return  # first writer wins (engine registry over process)
-        self._seen_families.add(name)
-        self.lines.append(f"# HELP {name} {help_text}")
-        self.lines.append(f"# TYPE {name} {kind}")
-        for suffix, labels, value in samples:
-            self.lines.append(
-                f"{name}{suffix}{_labels(labels)} {_fmt(value)}"
-            )
-
-    def text(self) -> str:
-        return "\n".join(self.lines) + "\n"
+    ``samples`` entries are ``(suffix, labels, value)``; the suffix
+    ("_bucket", "_sum", ...) is empty for plain counters/gauges.
+    """
+    lines.append(f"# HELP {name} {help_text}")
+    lines.append(f"# TYPE {name} {kind}")
+    for suffix, labels, value in samples:
+        lines.append(f"{name}{suffix}{_labels(labels)} {_fmt(value)}")
 
 
 def _render_registry_snapshot(
-    writer: _Writer, snapshot: Dict[str, object], source: str
+    lines: List[str], snapshot: Dict[str, object]
 ) -> None:
     for name, value in snapshot.get("counters", {}).items():
         flat = metric_name(name)
         if not flat.endswith("_total"):
             flat += "_total"
-        writer.family(
-            flat, "counter", f"{name} ({source} registry counter)",
+        _family(
+            lines, flat, "counter", f"{name} (engine registry counter)",
             [("", {}, float(value))],
         )
     for name, value in snapshot.get("gauges", {}).items():
-        writer.family(
-            metric_name(name), "gauge", f"{name} ({source} registry gauge)",
-            [("", {}, float(value))],
+        _family(
+            lines, metric_name(name), "gauge",
+            f"{name} (engine registry gauge)", [("", {}, float(value))],
         )
     for name, hist in snapshot.get("histograms", {}).items():
         flat = metric_name(name)
@@ -135,13 +121,13 @@ def _render_registry_snapshot(
         samples.append(("_bucket", {"le": "+Inf"}, float(hist["count"])))
         samples.append(("_sum", {}, float(hist["sum"])))
         samples.append(("_count", {}, float(hist["count"])))
-        writer.family(
-            flat, "histogram", f"{name} ({source} registry histogram)",
+        _family(
+            lines, flat, "histogram", f"{name} (engine registry histogram)",
             samples,
         )
 
 
-def _render_rollup(writer: _Writer, rollup: Dict[str, object]) -> None:
+def _render_rollup(lines: List[str], rollup: Dict[str, object]) -> None:
     endpoints: Dict[str, Dict[str, object]] = dict(
         rollup.get("endpoints", {})
     )
@@ -174,48 +160,41 @@ def _render_rollup(writer: _Writer, rollup: Dict[str, object]) -> None:
             dispositions.append(
                 ("", {"endpoint": endpoint, "kind": flag}, float(count))
             )
-    writer.family(
-        "repro_serve_latency_seconds", "summary",
+    _family(
+        lines, "repro_serve_latency_seconds", "summary",
         f"request latency quantiles over the last {span:g}s window",
         latency,
     )
-    writer.family(
-        "repro_serve_window_requests", "gauge",
+    _family(
+        lines, "repro_serve_window_requests", "gauge",
         f"requests finished in the last {span:g}s, per endpoint", requests,
     )
-    writer.family(
-        "repro_serve_window_rate", "gauge",
+    _family(
+        lines, "repro_serve_window_rate", "gauge",
         "windowed request rate per second, per endpoint", rates,
     )
-    writer.family(
-        "repro_serve_window_error_rate", "gauge",
+    _family(
+        lines, "repro_serve_window_error_rate", "gauge",
         "windowed 4xx+5xx share of responses, per endpoint", errors,
     )
-    writer.family(
-        "repro_serve_window_responses", "gauge",
+    _family(
+        lines, "repro_serve_window_responses", "gauge",
         "windowed responses per status class, per endpoint", statuses,
     )
-    writer.family(
-        "repro_serve_window_disposition", "gauge",
+    _family(
+        lines, "repro_serve_window_disposition", "gauge",
         "windowed warm/cold/coalesced/batched request counts", dispositions,
     )
 
 
 def render_exposition(
-    registry_snapshots: Sequence[Tuple[str, Dict[str, object]]],
+    snapshot: Dict[str, object],
     rollup: Optional[Dict[str, object]] = None,
 ) -> str:
-    """Render the whole exposition page.
-
-    ``registry_snapshots`` is an ordered list of ``(source_label,
-    registry.snapshot())`` pairs; when two registries carry the same
-    instrument name (serve's engine registry and the process-wide one
-    can both hold ``yield.*`` gauges) the **first** one wins, keeping
-    the page free of duplicate samples.
-    """
-    writer = _Writer()
+    """Render the whole exposition page: the rollup's families, then
+    those of one ``registry.snapshot()``."""
+    lines: List[str] = []
     if rollup is not None:
-        _render_rollup(writer, rollup)
-    for source, snapshot in registry_snapshots:
-        _render_registry_snapshot(writer, snapshot, source)
-    return writer.text()
+        _render_rollup(lines, rollup)
+    _render_registry_snapshot(lines, snapshot)
+    return "\n".join(lines) + "\n"

@@ -30,6 +30,7 @@ from __future__ import annotations
 import random
 import threading
 import time
+import zlib
 from typing import Dict, List, Optional, Sequence
 
 __all__ = ["QuantileSketch", "RequestRollup"]
@@ -157,9 +158,11 @@ class RequestRollup:
         ring = self._series.get(endpoint)
         if ring is None:
             # Seed per (endpoint, slot) so reservoirs are independent but
-            # a rerun of the same traffic reproduces the same estimates.
+            # a rerun of the same traffic reproduces the same estimates;
+            # crc32, unlike hash(), is the same in every process.
+            base = zlib.crc32(endpoint.encode("utf-8")) & 0xFFFF
             ring = self._series[endpoint] = [
-                _Window(self.sketch_capacity, seed=hash(endpoint) & 0xFFFF ^ i)
+                _Window(self.sketch_capacity, seed=base ^ i)
                 for i in range(self.windows)
             ]
         return ring

@@ -25,8 +25,8 @@ HTTP/JSON API. The request path composes the rest of this package:
    window rollup (:mod:`repro.obs.rollup`), retained in a bounded span
    ring (``GET /debug/traces``) and optionally appended to a JSONL
    request log. ``/metrics`` is content-negotiated: JSON for
-   ``Accept: application/json`` (registry snapshots + the rollup),
-   Prometheus text exposition otherwise; ``/healthz`` reports
+   ``Accept: application/json`` (the engine registry's snapshot + the
+   rollup), Prometheus text exposition otherwise; ``/healthz`` reports
    engine/store/cache/admission state; ``/dashboard`` serves a
    self-contained live HTML dashboard. Both read the process's RSS and
    CPU time, uptime and connection count at the moment they answer.
@@ -757,34 +757,19 @@ async def _handle_healthz(server: YieldServer, request: Request) -> Response:
 
 def _metrics_payload(server: YieldServer) -> dict:
     """The JSON form of /metrics (also the dashboard's data source)."""
-    from repro.obs.metrics import get_metrics
-
     return {
         "engine": server.metrics_snapshot(),
-        "process": get_metrics().snapshot(),
         "rollup": server.rollup.snapshot(),
-        "server": {
-            "draining": server.draining,
-            "uptime_seconds": round(time.time() - server.started, 3),
-        },
     }
 
 
 async def _handle_metrics(server: YieldServer, request: Request) -> Response:
-    from repro.obs.metrics import get_metrics
-
     accept = request.headers.get("accept", "")
     if "application/json" in accept.lower():
         return Response(200, _metrics_payload(server))
-    # Default (and anything Prometheus-shaped): text exposition. The
-    # engine registry leads so its instruments win name collisions with
-    # the process-wide one.
+    # Default (and anything Prometheus-shaped): text exposition.
     text = render_exposition(
-        [
-            ("engine", server.metrics_snapshot()),
-            ("process", get_metrics().snapshot()),
-        ],
-        rollup=server.rollup.snapshot(),
+        server.metrics_snapshot(), rollup=server.rollup.snapshot()
     )
     return Response.text(200, text, content_type=PROM_CONTENT_TYPE)
 

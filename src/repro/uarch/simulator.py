@@ -15,7 +15,6 @@ from typing import Dict, Optional
 from repro.cache.hierarchy import HierarchyConfig, MemoryHierarchy, PAPER_HIERARCHY
 from repro.cache.setassoc import WayConfig
 from repro.core.errors import SimulationError
-from repro.obs.metrics import get_metrics
 from repro.obs.trace import span as trace_span
 from repro.uarch.config import CoreConfig, PAPER_CORE
 from repro.uarch.pipeline import PipelineEngine
@@ -124,22 +123,11 @@ class Simulator:
             raise SimulationError(
                 "trace too short: nothing committed after warmup"
             )
-        # Throughput instruments: visible via the process-wide registry
-        # even when this runs inside a pool worker.
-        metrics = get_metrics()
-        metrics.counter("simulator.runs").inc()
-        metrics.counter("simulator.instructions").inc(engine.committed)
-        metrics.counter("simulator.cycles").inc(engine.cycle)
         if elapsed > 0.0:
-            rate = engine.committed / elapsed
-            metrics.gauge("simulator.events_per_second").set(rate)
-            metrics.histogram(
-                "simulator.run_seconds"
-            ).observe(elapsed)
             sp.set(
                 instructions=engine.committed,
                 cycles=engine.cycle,
-                events_per_second=round(rate, 1),
+                events_per_second=round(engine.committed / elapsed, 1),
             )
         return SimResult(
             instructions=engine.committed - warmup,

@@ -157,70 +157,6 @@ class LossBreakdown:
         return out
 
 
-#: Cap on distinct ``{arch}.{label}`` gauge series minted by
-#: :func:`_emit_estimator_gauges` over a process lifetime. Scheme names
-#: are caller-supplied, so a long-lived serve process evaluating
-#: ad-hoc scheme sets could otherwise mint unbounded series — the same
-#: hazard ``RequestRollup`` bounds by collapsing unknown paths into
-#: ``<other>``. 32 covers the paper's scheme vocabulary many times over.
-_GAUGE_SERIES_CAP = 32
-
-_gauge_series_seen: set = set()
-_gauge_series_lock = threading.Lock()
-
-
-def _gauge_series_label(arch: str, name: str) -> str:
-    """Admit ``{arch}.{name}`` as a gauge series, or collapse it.
-
-    First-come-first-served up to :data:`_GAUGE_SERIES_CAP` distinct
-    labels; everything past the cap lands on ``{arch}.<other>`` (the
-    overflow series itself is pre-admitted so it never consumes the
-    budget). Keeps ``/metrics`` output bounded no matter what scheme
-    names flow through breakdowns.
-    """
-    key = f"{arch}.{name}"
-    with _gauge_series_lock:
-        if key in _gauge_series_seen:
-            return key
-        if len(_gauge_series_seen) < _GAUGE_SERIES_CAP:
-            _gauge_series_seen.add(key)
-            return key
-    return f"{arch}.<other>"
-
-
-def _emit_estimator_gauges(breakdown: LossBreakdown, horizontal: bool) -> None:
-    """Publish estimator-quality gauges for one loss breakdown.
-
-    Every breakdown is a set of binomial yield estimates (base and one
-    per scheme); alongside each point estimate we publish its 95% Wilson
-    CI half-width and the sample count, so statistical efficiency —
-    "how many chips bought how tight an interval" — is visible on
-    ``/metrics`` and the live dashboard, not just in offline reports
-    (ROADMAP: report estimator variance alongside yield). Series labels
-    are capped via :func:`_gauge_series_label`.
-    """
-    from repro.obs.metrics import get_metrics
-    from repro.yieldmodel.statistics import wilson_interval
-
-    total = breakdown.population
-    if total <= 0:
-        return
-    registry = get_metrics()
-    arch = "horizontal" if horizontal else "regular"
-    targets = [("base", breakdown.base_total)]
-    targets.extend(
-        (name, breakdown.scheme_total(name))
-        for name in breakdown.scheme_losses
-    )
-    for name, losses in targets:
-        ships = total - losses
-        low, high = wilson_interval(ships, total)
-        key = _gauge_series_label(arch, name)
-        registry.gauge(f"yield.estimate.{key}").set(ships / total)
-        registry.gauge(f"yield.ci_halfwidth.{key}").set((high - low) / 2.0)
-        registry.gauge(f"yield.samples.{key}").set(total)
-
-
 class PopulationResult:
     """One Monte Carlo population: both architectures' circuit columns
     and their classification (:class:`ChipColumns`, derived once, here).
@@ -280,7 +216,7 @@ class PopulationResult:
         """Build a Tables 2/3-style loss breakdown for ``schemes``."""
         chips = self._chips[horizontal]
         failing = ~chips.passes
-        result = LossBreakdown(
+        return LossBreakdown(
             base_counts=_loss_counts(chips, failing),
             scheme_losses={
                 scheme.name: _loss_counts(
@@ -290,8 +226,6 @@ class PopulationResult:
             },
             population=chips.count,
         )
-        _emit_estimator_gauges(result, horizontal)
-        return result
 
     def configuration_census(
         self, scheme: "Scheme", horizontal: bool = False

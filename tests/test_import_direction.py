@@ -1,12 +1,15 @@
 """The engine imports the yield model; the yield model never imports the
-engine.
+engine; the model layers publish no metrics.
 
 The engine runs the yield model's work (populations, estimates, the chip
 job in ``repro.engine.chips``), so its imports of ``repro.yieldmodel``
 belong at module top, where they are seen and ordered. The yield model
 takes the engine's chip dispatcher as an argument, so it may name
-``repro.engine`` only for type checkers. Both rules are read from the
-source with :mod:`ast`; no module of ``src/repro`` is imported.
+``repro.engine`` only for type checkers. The engine's registry is the
+only metrics registry, so the model layers, which have no engine in
+reach, never import ``repro.obs.metrics`` (tracing spans stay theirs).
+The rules are read from the source with :mod:`ast`; no module of
+``src/repro`` is imported.
 """
 
 from __future__ import annotations
@@ -87,6 +90,26 @@ def _local_yieldmodel_imports(source: str, package: str) -> List[int]:
     })
 
 
+def _metrics_modules() -> List[str]:
+    """``repro.obs.metrics`` and each name ``repro.obs`` re-exports from it."""
+    init = (SRC / "repro" / "obs" / "__init__.py").read_text(encoding="utf-8")
+    return ["repro.obs.metrics"] + [
+        "repro.obs." + name.rsplit(".", 1)[1]
+        for _, name, _, _ in _imports(init, "repro.obs")
+        if name.startswith("repro.obs.metrics.")
+    ]
+
+
+def _metrics_imports(source: str, package: str) -> List[int]:
+    """Lines that import ``repro.obs.metrics`` or a name from it."""
+    banned = _metrics_modules()
+    return sorted({
+        line
+        for line, name, _, _ in _imports(source, package)
+        if any(_within(name, module) for module in banned)
+    })
+
+
 def _violations(package: str, check) -> List[str]:
     files = sorted((SRC / pathlib.Path(*package.split("."))).rglob("*.py"))
     assert files, f"no sources for {package}"
@@ -104,6 +127,35 @@ def test_yieldmodel_imports_no_engine_at_run_time():
 
 def test_engine_imports_yieldmodel_at_module_top():
     assert _violations("repro.engine", _local_yieldmodel_imports) == []
+
+
+@pytest.mark.parametrize(
+    "package",
+    ["variation", "circuit", "cache", "schemes", "yieldmodel", "uarch",
+     "workloads"],
+)
+def test_model_layers_import_no_metrics(package):
+    assert _violations(f"repro.{package}", _metrics_imports) == []
+
+
+@pytest.mark.parametrize(
+    "source,lines",
+    [
+        ("from repro.obs.metrics import MetricsRegistry\n", [1]),
+        ("def f():\n    from repro.obs.metrics import Gauge\n", [2]),
+        ("import repro.obs.metrics\n", [1]),
+        ("from repro.obs import metrics\n", [1]),
+        ("from repro.obs import MetricsRegistry\n", [1]),
+        ("from ...obs import metrics\n", [1]),
+        ("from repro.obs.trace import span as trace_span\n", []),
+        ("from repro.obs import span, tracing_enabled\n", []),
+    ],
+)
+def test_metrics_scanner_sees_each_import_form(source, lines):
+    """Direct, local, relative and re-exported imports of the metrics
+    module are seen; tracing imports are not (from a module of
+    ``repro.yieldmodel.estimators``)."""
+    assert _metrics_imports(source, "repro.yieldmodel.estimators") == lines
 
 
 @pytest.mark.parametrize(

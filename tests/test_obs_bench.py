@@ -291,6 +291,18 @@ class TestHarness:
         counters = results[0].metrics["counters"]
         assert counters["engine.jobs.run"] >= 2
 
+    def test_records_carry_only_published_estimates(self):
+        """The registry is reset between cases, so a case that estimates
+        nothing records no estimator block, not zeroed figures."""
+        results = {
+            r.bench: r.metrics
+            for r in run_suite("engine", repeats=1, warmup=0)
+        }
+        assert "estimator" not in results["engine.store_roundtrip"]
+        estimator = results["engine.population"]["estimator"]
+        assert sorted(estimator) == ["horizontal.base", "regular.base"]
+        assert all(entry["samples"] == 64 for entry in estimator.values())
+
     def test_cases_draw_their_own_chips(self, monkeypatch):
         """A suite run's 2000-chip seed-2006 population can outlive the
         run; a later case that studies those chips still draws them

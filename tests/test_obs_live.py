@@ -5,7 +5,8 @@ Covers the three new obs modules end to end, without a socket:
 * quantile sketches — exact below capacity, bounded rank error above it
   (seeded reservoir, so the assertions are deterministic);
 * rolling-window rollups — rotation, in-place recycling, aging-out,
-  and integrity under many threaded writers;
+  integrity under many threaded writers, and sketch seeds that are the
+  same in every process;
 * Prometheus text exposition — a golden-format check plus the strict
   parser rejecting malformed pages;
 * request logs, span rings, and the self-contained dashboard page.
@@ -14,7 +15,10 @@ Covers the three new obs modules end to end, without a socket:
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -25,6 +29,8 @@ from exposition import parse_exposition
 from repro.obs.promtext import metric_name, render_exposition
 from repro.obs.reqlog import RequestLog, SpanRing, new_request_id
 from repro.obs.rollup import QuantileSketch, RequestRollup, _quantile_of
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 
 # ----------------------------------------------------------------------
@@ -179,6 +185,34 @@ def test_rollup_threaded_writers_keep_integrity():
         assert total == snap["total"]["count"]
 
 
+#: Reads one 64-sample window's quantiles after 5000 records.
+_ROLLUP_QUANTILES = """
+import random
+from repro.obs.rollup import RequestRollup
+
+rollup = RequestRollup(window_seconds=10.0, windows=1, sketch_capacity=64)
+rng = random.Random(5)
+for _ in range(5000):
+    rollup.record("/v1/population", 200, rng.random() * 5.0, now=1.0)
+snapshot = rollup.snapshot(now=1.0)
+print(snapshot["endpoints"]["/v1/population"]["quantiles"])
+"""
+
+
+def test_rollup_sketches_are_seeded_alike_in_every_process():
+    """A rerun of the same traffic reads the same quantiles, whatever
+    salt ``PYTHONHASHSEED`` gives the interpreter's string hashes."""
+    readings = set()
+    for hashseed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=SRC)
+        done = subprocess.run(
+            [sys.executable, "-c", _ROLLUP_QUANTILES],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        readings.add(done.stdout)
+    assert len(readings) == 1, readings
+
+
 def test_rollup_validates_configuration():
     with pytest.raises(ValueError):
         RequestRollup(window_seconds=0.0)
@@ -208,8 +242,7 @@ def test_exposition_golden_format():
     rollup.record("/v1/population", 200, 0.02, warm=True, now=50.0)
     rollup.record("/v1/population", 503, 0.001, now=55.0)
     text = render_exposition(
-        [("engine", registry.snapshot())],
-        rollup=rollup.snapshot(now=55.0),
+        registry.snapshot(), rollup=rollup.snapshot(now=55.0)
     )
     lines = text.splitlines()
     assert "# TYPE repro_serve_requests_total counter" in lines
@@ -242,7 +275,7 @@ def test_exposition_round_trips_through_strict_parser():
     nasty = '/we"ird\\path'
     rollup.record(nasty, 200, 0.01, now=10.0)
     text = render_exposition(
-        [("engine", registry.snapshot())], rollup=rollup.snapshot(now=10.0)
+        registry.snapshot(), rollup=rollup.snapshot(now=10.0)
     )
     families = parse_exposition(text)
     assert families["repro_serve_requests_total"]["type"] == "counter"
@@ -259,19 +292,6 @@ def test_exposition_round_trips_through_strict_parser():
         for _, labels, _ in families["repro_serve_window_requests"]["samples"]
     ]
     assert {"endpoint": nasty} in labels
-
-
-def test_first_registry_wins_name_collisions():
-    first, second = MetricsRegistry(), MetricsRegistry()
-    first.gauge("proc.rss_bytes").set(111)
-    second.gauge("proc.rss_bytes").set(999)
-    text = render_exposition(
-        [("engine", first.snapshot()), ("process", second.snapshot())]
-    )
-    families = parse_exposition(text)
-    assert families["repro_proc_rss_bytes"]["samples"] == [
-        ("repro_proc_rss_bytes", {}, 111.0)
-    ]
 
 
 @pytest.mark.parametrize(
@@ -382,10 +402,10 @@ def test_dashboard_is_self_contained():
             "gauges": {"serve.active": 2, "yield.estimate.regular.base": 0.9,
                        "yield.ci_halfwidth.regular.base": 0.04,
                        "yield.samples.regular.base": 64,
-                       "proc.rss_bytes": 50 << 20},
+                       "proc.rss_bytes": 50 << 20,
+                       "serve.uptime_seconds": 42.0},
             "counters": {"serve.admit.accepted": 5},
         },
-        "server": {"uptime_seconds": 42.0, "draining": False},
     }
     page = dashboard_html(snapshot, refresh_seconds=1.0)
     # Zero network references: no absolute URLs, no external resources.
@@ -398,4 +418,5 @@ def test_dashboard_is_self_contained():
     assert "/v1/population" in page
     assert "12</td>" in page  # initial server-side endpoint row
     assert '<b id="proc-rss">50.0 MiB</b>' in page  # from the engine gauges
+    assert '<b id="uptime">42 s</b>' in page
     assert "REPRO_REFRESH_MS = 1000" in page

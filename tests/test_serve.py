@@ -31,7 +31,9 @@ asserted here:
   whose client resets while queued gives its slot back when its flight
   settles;
 * a way configuration, latency or chip count the engine would refuse
-  gets 400 before admission, and leaves a batch-mate's 200 alone.
+  gets 400 before admission, and leaves a batch-mate's 200 alone;
+* ``/metrics`` holds the engine registry and the rollup, nothing else,
+  and its text form shows each yield gauge once.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from exposition import parse_exposition
 from repro.engine.store import canonical_json
 from repro.engine.core import Engine, EngineConfig
 from repro.experiments.common import ExperimentSettings
+from repro.obs.promtext import metric_name
 from repro.obs.trace import configure_tracing, disable_tracing
 from repro.serve import ServeClient, ServeConfig, ServeError, ServerThread
 
@@ -103,12 +106,55 @@ def test_metrics_serves_registry_snapshot(served):
         client.population(seed=11, chips=20)
         metrics = client.metrics()
     assert "serve.requests" in metrics["engine"]["counters"]
-    assert metrics["server"]["draining"] is False
+    assert metrics["engine"]["gauges"]["serve.draining"] == 0.0
     # The rolling-window view rides along in the JSON representation.
     rollup = metrics["rollup"]
     assert rollup["window_seconds"] > 0
     assert rollup["total"]["count"] >= 1
     assert "/v1/population" in rollup["endpoints"]
+
+
+def test_metrics_serve_one_registry_and_its_yield_gauges(tmp_path):
+    """After a population, a simulation and an experiment, /metrics
+    holds the engine registry and the rollup and nothing else, and the
+    text form shows each yield gauge once, with the engine's value."""
+    engine = Engine(EngineConfig(workers=1, cache_dir=tmp_path / "store"))
+    thread = ServerThread(engine, ServeConfig(port=0))
+    host, port = thread.start()
+    try:
+        with ServeClient(host, port) as client:
+            client.population(seed=12, chips=20)
+            client.simulate("gzip", seed=12, trace_length=300, warmup=100)
+            client.experiment("table2", seed=12, chips=40)
+            metrics = client.metrics()
+            text = client.metrics_text()
+    finally:
+        thread.stop()
+    assert sorted(metrics) == ["engine", "rollup"]
+    published = {
+        name: value
+        for name, value in engine.metrics.snapshot()["gauges"].items()
+        if name.startswith("yield.")
+    }
+    assert "yield.estimate.regular.base" in published
+    assert {
+        name for name in metrics["engine"]["gauges"]
+        if name.startswith("yield.")
+    } == set(published)
+    families = parse_exposition(text)
+    exposed = {
+        name: family for name, family in families.items()
+        if name.startswith("repro_yield_")
+    }
+    assert set(exposed) == {metric_name(name) for name in published}
+    for name, value in published.items():
+        flat = metric_name(name)
+        assert text.count(f"# TYPE {flat} gauge\n") == 1
+        assert exposed[flat]["samples"] == [(flat, {}, value)]
+    assert not [
+        line for line in text.splitlines()
+        if line.startswith("# HELP") and "process" in line
+    ]
 
 
 def test_unknown_endpoint_404_wrong_method_405(served):

@@ -7,7 +7,7 @@ Covers, per ISSUE 10:
 * Neyman-allocation property tests,
 * adaptive-stopping determinism at 1 vs 4 workers (byte-equal payloads),
 * parity with the composed circuit oracle for every estimator kind,
-* the zero-population guards and the gauge-cardinality cap,
+* the zero-population guards,
 * warm byte-identity through the engine store and the serve layer,
 * one chip path: a fixed estimate reports its population's limits, pass
   counts and Wilson bounds, estimate dispatches carry the population's
@@ -595,7 +595,7 @@ def test_estimate_emits_obs_gauges(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# satellite fixes: zero-population guards, gauge cardinality cap
+# satellite fixes: zero-population guards
 # ----------------------------------------------------------------------
 def test_loss_breakdown_zero_population_yields_zero():
     empty = LossBreakdown(base_counts={}, scheme_losses={"s": {}}, population=0)
@@ -612,26 +612,6 @@ def test_loss_breakdown_zero_base_loss_reduction_is_zero():
     )
     assert breakdown.loss_reduction("s") == 0.0
     assert breakdown.yield_with(None) == 1.0
-
-
-def test_estimator_gauge_series_are_capped():
-    saved = set(analysis._gauge_series_seen)
-    try:
-        analysis._gauge_series_seen.clear()
-        labels = set()
-        for index in range(3 * analysis._GAUGE_SERIES_CAP):
-            labels.add(analysis._gauge_series_label("regular", f"s{index}"))
-        assert len(labels) == analysis._GAUGE_SERIES_CAP + 1
-        assert "regular.<other>" in labels
-        # Admitted labels stay stable across repeat emissions.
-        assert analysis._gauge_series_label("regular", "s0") == "regular.s0"
-        assert (
-            analysis._gauge_series_label("regular", "brand-new")
-            == "regular.<other>"
-        )
-    finally:
-        analysis._gauge_series_seen.clear()
-        analysis._gauge_series_seen.update(saved)
 
 
 # ----------------------------------------------------------------------
