@@ -48,12 +48,13 @@ honest. ``repro run --stats`` prints the process's peak RSS, and
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import pathlib
 import sys
 from typing import List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
-from repro.engine import configure_engine, get_engine
+from repro.engine import Engine, EngineConfig
 from repro.experiments import (
     ExperimentSettings,
     available_experiments,
@@ -375,10 +376,19 @@ def _emit(result, out: Optional[pathlib.Path], single: bool = False) -> None:
         _write_into_dir(result, out)
 
 
-def _cache_command(action: str) -> int:
+def _engine(**flags) -> Engine:
+    """This call's one engine: the environment's configuration, with each
+    field whose flag is set (not ``None``) replaced."""
+    overrides = {
+        name: value for name, value in flags.items() if value is not None
+    }
+    return Engine(dataclasses.replace(EngineConfig.from_env(), **overrides))
+
+
+def _cache_command(action: str, engine: Engine) -> int:
     from repro.workloads.compiled import clear_trace_cache, trace_cache_info
 
-    store = get_engine().store
+    store = engine.store
     if action == "clear":
         dropped = clear_trace_cache()
         if store is None:
@@ -639,8 +649,7 @@ def _serve_command(args: argparse.Namespace) -> int:
     if args.trace is not None:
         args.trace.parent.mkdir(parents=True, exist_ok=True)
         configure_tracing(args.trace)
-    if args.workers is not None:
-        configure_engine(workers=args.workers)
+    engine = _engine(workers=args.workers)
     if args.window <= 0:
         raise ConfigurationError("--window must be positive")
     if args.window_count < 1:
@@ -666,7 +675,7 @@ def _serve_command(args: argparse.Namespace) -> int:
             flush=True,
         )
         print(
-            f"  workers {get_engine().config.workers}, "
+            f"  workers {engine.config.workers}, "
             f"max-active {config.max_active}, "
             f"max-queued {config.max_queued}",
             flush=True,
@@ -680,7 +689,7 @@ def _serve_command(args: argparse.Namespace) -> int:
             print(f"  request log {config.request_log}", flush=True)
 
     try:
-        run_server(config, engine=get_engine(), announce=announce)
+        run_server(config, engine=engine, announce=announce)
     finally:
         if args.trace is not None:
             disable_tracing()
@@ -713,7 +722,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "cache":
-        return _cache_command(args.action)
+        return _cache_command(args.action, _engine())
 
     if args.command == "trace":
         return _trace_command(args)
@@ -748,32 +757,29 @@ def main(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
-    overrides = {}
-    if args.workers is not None:
-        overrides["workers"] = args.workers
+    estimator = None
     if args.estimator is not None:
         try:
-            overrides["estimator"] = EstimatorSpec(
+            estimator = EstimatorSpec(
                 kind=args.estimator, ci_target=args.ci_target
             )
         except ConfigurationError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    if overrides:
-        configure_engine(**overrides)
 
     try:
+        engine = _engine(workers=args.workers, estimator=estimator)
         settings = _settings_from_args(args, trace_length)
         if args.command == "run":
-            result = run_experiment(args.experiment, settings)
+            result = run_experiment(args.experiment, settings, engine)
             _emit(result, args.out, single=True)
         else:  # `all`
             for name in available_experiments():
-                result = run_experiment(name, settings)
+                result = run_experiment(name, settings, engine)
                 _emit(result, args.out)
 
         if args.stats:
-            print(get_engine().stats.summary())
+            print(engine.stats.summary())
             peak = read_resources()["rss_peak_bytes"]
             if peak:
                 print(f"peak rss           {peak / 1e6:.1f} MB")

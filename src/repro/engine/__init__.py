@@ -14,7 +14,6 @@ from repro.engine.core import (
     SimulationSpec,
     configure_engine,
     get_engine,
-    reset_engine,
 )
 from repro.engine.executor import ShardedExecutor
 from repro.engine.stats import EngineStats
@@ -30,5 +29,4 @@ __all__ = [
     "SimulationSpec",
     "configure_engine",
     "get_engine",
-    "reset_engine",
 ]

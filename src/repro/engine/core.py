@@ -4,8 +4,8 @@ Every expensive job the experiments need — evaluating a Monte Carlo chip
 population or a yield estimate, running one pipeline simulation — funnels
 through one :class:`Engine`, which satisfies it from (in order):
 
-1. the **in-process memo** (same semantics the old per-module dicts had;
-   ``clear_caches()`` empties exactly this level),
+1. the **in-process memo** (:meth:`Engine.clear_memory` empties exactly
+   this level),
 2. the **persistent store** (`.repro_cache/` by default) keyed by the
    SHA-256 of the job's full identity, shared across processes and runs,
 3. **computation**, sharded over a :class:`~repro.engine.executor.ShardedExecutor`
@@ -65,7 +65,6 @@ __all__ = [
     "SimulationSpec",
     "get_engine",
     "configure_engine",
-    "reset_engine",
 ]
 
 #: One simulation request: (benchmark, way_cycles, uniform_latency).
@@ -172,7 +171,7 @@ class Engine:
     # cache plumbing
     # ------------------------------------------------------------------
     def clear_memory(self) -> None:
-        """Drop the in-process memo (the old ``clear_caches`` semantics)."""
+        """Drop the in-process memo; the persistent store is untouched."""
         self._memo.clear()
 
     def _lookup(self, kind: str, key: str, decode):
@@ -537,6 +536,11 @@ def _population_figures(result):
 # ----------------------------------------------------------------------
 # the process-wide engine
 # ----------------------------------------------------------------------
+# Everything in the program is handed its engine. This one is kept for the
+# benchmark harness alone: perfbench/passes.py and perfbench/serve_mix.py
+# build it with configure_engine(), and passes.py then calls the
+# two-argument run_experiment(), whose engine=None default reads it. Both
+# go once the harness builds and passes its own engine.
 _ENGINE: Optional[Engine] = None
 
 
@@ -553,8 +557,7 @@ def configure_engine(**overrides) -> Engine:
 
     Accepts any :class:`EngineConfig` field (``workers``, ``cache_dir``,
     ``persistent``, ``max_cache_bytes``, ``job_timeout``, ``estimator``);
-    unspecified fields come from the environment. The CLI's ``--workers``
-    and ``--estimator`` flags and the tests go through here.
+    unspecified fields come from the environment.
     """
     global _ENGINE
     config = EngineConfig.from_env()
@@ -564,9 +567,3 @@ def configure_engine(**overrides) -> Engine:
         config = replace(config, **overrides)
     _ENGINE = Engine(config)
     return _ENGINE
-
-
-def reset_engine() -> None:
-    """Forget the process-wide engine (tests; env changes take effect)."""
-    global _ENGINE
-    _ENGINE = None

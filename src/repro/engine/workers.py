@@ -27,8 +27,8 @@ def simulation_job(job: SimulationJob):
     ``job`` carries ``seed``, ``trace_length``, ``warmup``, ``benchmark``,
     and either ``way_cycles`` (list with ``None`` for disabled ways) or
     ``uniform_latency`` (naive binning), matching
-    :func:`repro.experiments.common.simulate_config`. The dispatcher
-    also ships the compiled-trace cache key (``ctrace``); the worker
+    :meth:`repro.engine.core.Engine.simulate`. The dispatcher also
+    ships the compiled-trace cache key (``ctrace``); the worker
     resolves it against its process-level compiled-trace cache, so one
     (benchmark, seed) stream is generated and packed once per worker
     instead of once per job.

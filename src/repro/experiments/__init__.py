@@ -1,14 +1,16 @@
 """Experiment harness: one module per paper table/figure.
 
-Each experiment module exposes ``run(settings) -> ExperimentResult``; the
-registry in :mod:`repro.experiments.runner` maps experiment ids (``fig8``,
-``table2``, ...) to them. Results carry both structured rows (for tests
-and downstream analysis) and rendered text in the shape the paper prints.
+Each experiment module exposes ``run(settings, engine) ->
+ExperimentResult``; the registry in :mod:`repro.experiments.runner` maps
+experiment ids (``fig8``, ``table2``, ...) to them. Results carry both
+structured rows (for tests and downstream analysis) and rendered text in
+the shape the paper prints.
 
 Population-level inputs (the 2000-chip Monte Carlo, the per-benchmark
-pipeline runs) are memoised per settings within a process, so running
-``table2`` after ``fig8`` reuses the same simulated chips, exactly like
-the paper derives all of Section 5.1 from one HSPICE campaign.
+pipeline runs) are memoised per settings in the engine the experiments
+are handed, so running ``table2`` after ``fig8`` on one engine reuses the
+same simulated chips, exactly like the paper derives all of Section 5.1
+from one HSPICE campaign.
 """
 
 from repro.experiments.common import ExperimentResult, ExperimentSettings

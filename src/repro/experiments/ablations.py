@@ -14,14 +14,12 @@
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 from repro.experiments.common import (
     ExperimentResult,
     ExperimentSettings,
     benchmark_names,
-    simulate_config,
-    simulate_many,
 )
 from repro.schemes import DeepVACA, HYAPD, YAPD, VACA
 from repro.variation.sampling import CacheVariationSampler
@@ -29,10 +27,15 @@ from repro.variation.spatial import CorrelationFactors
 from repro.yieldmodel import YieldStudy
 from repro.yieldmodel.constraints import BASE_ACCESS_CYCLES
 
+if TYPE_CHECKING:
+    from repro.engine import Engine
+
 __all__ = ["run_ablation_corr", "run_ablation_lbb"]
 
 
-def run_ablation_corr(settings: ExperimentSettings) -> ExperimentResult:
+def run_ablation_corr(
+    settings: ExperimentSettings, engine: Engine
+) -> ExperimentResult:
     """Sweep spatial correlation; compare YAPD vs H-YAPD loss reduction."""
     chips = min(settings.chips, 800)
     rows: List[List[object]] = []
@@ -89,16 +92,16 @@ def _slow_way(slack: int) -> Tuple[int, ...]:
     return (BASE_ACCESS_CYCLES,) * 3 + (BASE_ACCESS_CYCLES + slack,)
 
 
-def run_ablation_lbb(settings: ExperimentSettings) -> ExperimentResult:
+def run_ablation_lbb(
+    settings: ExperimentSettings, engine: Engine
+) -> ExperimentResult:
     """Load-bypass buffer depth: yield saved vs performance cost."""
-    from repro.experiments.common import population
-
-    pop = population(settings)
+    pop = engine.population(settings)
     names = benchmark_names(settings)
     # Every simulation the sweep reads, in one batch, so the engine
     # dispatches the cache misses to the worker pool at once; the
     # per-cell lookups below then hit the in-process memo.
-    simulate_many(
+    engine.simulate_many(
         settings,
         [(name, None, None) for name in names]
         + [(name, _slow_way(slack), None) for slack in (1, 2) for name in names],
@@ -114,9 +117,9 @@ def run_ablation_lbb(settings: ExperimentSettings) -> ExperimentResult:
             cost = 0.0
         else:
             degs = [
-                simulate_config(
+                engine.simulate(
                     settings, name, way_cycles=_slow_way(slack)
-                ).degradation_vs(simulate_config(settings, name))
+                ).degradation_vs(engine.simulate(settings, name))
                 for name in names
             ]
             cost = sum(degs) / len(degs)

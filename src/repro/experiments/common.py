@@ -12,11 +12,11 @@ scaling without touching code:
 * ``REPRO_SEED`` — experiment seed.
 
 The expensive inputs — the evaluated chip population and per-benchmark
-pipeline results — are produced by the :mod:`repro.engine` subsystem:
-parallel across worker processes (``REPRO_WORKERS`` / ``--workers``),
-memoised in-process, and persisted under ``.repro_cache/`` so repeated
-runs skip completed work. :func:`clear_caches` drops only the in-process
-level, exactly as the old per-module dicts did.
+pipeline results — come from the :class:`~repro.engine.Engine` each
+experiment is handed (``engine.population``, ``engine.simulate``,
+``engine.simulate_many``, ``engine.estimate``): parallel across worker
+processes, memoised in that engine, and persisted in its store so
+repeated runs skip completed work.
 """
 
 from __future__ import annotations
@@ -27,24 +27,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.validation import env_int, require_positive
-from repro.engine import SimulationSpec, get_engine
 from repro.schemes import Hybrid, HybridHorizontal, HYAPD, VACA, YAPD
-from repro.uarch import SimResult
 from repro.workloads import SPEC2000_ALL, get_profile
-from repro.yieldmodel import PopulationResult
-from repro.yieldmodel.constraints import (
-    ConstraintPolicy,
-    NOMINAL_POLICY,
-)
 
 __all__ = [
     "ExperimentSettings",
     "ExperimentResult",
     "render_table",
-    "population",
     "benchmark_names",
-    "simulate_config",
-    "simulate_many",
     "scheme_set",
 ]
 
@@ -123,16 +113,6 @@ def render_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> st
     return "\n".join(lines)
 
 
-# ----------------------------------------------------------------------
-# expensive inputs (computed by the engine: parallel + two-level cache)
-# ----------------------------------------------------------------------
-def population(
-    settings: ExperimentSettings, policy: ConstraintPolicy = NOMINAL_POLICY
-) -> PopulationResult:
-    """The evaluated Monte Carlo chip population for these settings."""
-    return get_engine().population(settings, policy)
-
-
 def benchmark_names(settings: ExperimentSettings) -> List[str]:
     """The benchmark subset this run simulates."""
     if settings.benchmarks is not None:
@@ -140,48 +120,8 @@ def benchmark_names(settings: ExperimentSettings) -> List[str]:
     return [profile.name for profile in SPEC2000_ALL]
 
 
-def simulate_config(
-    settings: ExperimentSettings,
-    benchmark: str,
-    way_cycles: Optional[Tuple[Optional[int], ...]] = None,
-    uniform_latency: Optional[int] = None,
-) -> SimResult:
-    """Run (cached) one benchmark under one L1D configuration.
-
-    ``way_cycles`` is a tuple of per-way latencies with ``None`` for
-    disabled ways; ``None`` overall means the healthy baseline.
-    ``uniform_latency`` selects naive binning instead (the scheduler's
-    predicted load latency is raised to match).
-    """
-    return get_engine().simulate(
-        settings, benchmark, way_cycles=way_cycles, uniform_latency=uniform_latency
-    )
-
-
-def simulate_many(
-    settings: ExperimentSettings, specs: List[SimulationSpec]
-) -> List[SimResult]:
-    """Run a batch of simulations, dispatching the misses in parallel.
-
-    ``specs`` entries are ``(benchmark, way_cycles, uniform_latency)``;
-    results come back in the same order. Experiments that sweep
-    benchmark × configuration call this once up front so independent
-    jobs land on the worker pool together.
-    """
-    return get_engine().simulate_many(settings, specs)
-
-
 def scheme_set(horizontal: bool = False):
     """The scheme instances a loss table compares (paper column order)."""
     if horizontal:
         return [HYAPD(), VACA(), HybridHorizontal()]
     return [YAPD(), VACA(), Hybrid()]
-
-
-def clear_caches() -> None:
-    """Drop in-process memoised populations and simulations (tests use this).
-
-    The persistent ``.repro_cache/`` store is untouched; use
-    ``repro cache clear`` for that.
-    """
-    get_engine().clear_memory()

@@ -20,7 +20,7 @@ so it takes its chips from the paper population when that is live (see
 
 from __future__ import annotations
 
-from typing import List
+from typing import TYPE_CHECKING, List
 
 from repro.circuit.organization import CacheOrganization
 from repro.circuit.technology import TECH45
@@ -31,13 +31,18 @@ from repro.variation.spatial import MeshLayout
 from repro.yieldmodel import LossReason, YieldStudy
 from repro.yieldmodel.statistics import scheme_yield_interval
 
+if TYPE_CHECKING:
+    from repro.engine import Engine
+
 __all__ = ["run_ablation_assoc", "run_ablation_temperature"]
 
 #: (ways, mesh rows, mesh cols) sweep points; per-way capacity fixed.
 _ASSOC_SWEEP = ((2, 1, 2), (4, 2, 2), (8, 2, 4))
 
 
-def run_ablation_assoc(settings: ExperimentSettings) -> ExperimentResult:
+def run_ablation_assoc(
+    settings: ExperimentSettings, engine: Engine
+) -> ExperimentResult:
     """Yield pipeline at 2/4/8 ways (the paper evaluates only 4)."""
     chips = min(settings.chips, 800)
     rows: List[List[object]] = []
@@ -102,7 +107,9 @@ def run_ablation_assoc(settings: ExperimentSettings) -> ExperimentResult:
 _TEMPERATURES = (300.0, 358.0, 400.0)
 
 
-def run_ablation_temperature(settings: ExperimentSettings) -> ExperimentResult:
+def run_ablation_temperature(
+    settings: ExperimentSettings, engine: Engine
+) -> ExperimentResult:
     """Yield-loss composition vs binning temperature."""
     chips = min(settings.chips, 800)
     draws = YieldStudy(seed=settings.seed, count=chips).draw(0, chips)

@@ -11,10 +11,14 @@ the obs gauges track over time.
 
 from __future__ import annotations
 
-from repro.engine import get_engine
+from typing import TYPE_CHECKING
+
 from repro.experiments.common import ExperimentResult, ExperimentSettings
 from repro.yieldmodel.constraints import PAPER_POLICIES
 from repro.yieldmodel.estimators import ESTIMATOR_KINDS, EstimatorSpec
+
+if TYPE_CHECKING:
+    from repro.engine import Engine
 
 __all__ = ["run", "DEFAULT_CI_TARGET"]
 
@@ -56,9 +60,8 @@ def _specs(base: EstimatorSpec, chips: int) -> dict:
     }
 
 
-def run(settings: ExperimentSettings) -> ExperimentResult:
+def run(settings: ExperimentSettings, engine: Engine) -> ExperimentResult:
     """Compare all four estimators at a matched CI target."""
-    engine = get_engine()
     base = engine.config.estimator
     if base is None or base.ci_target is None:
         ci_target = (

@@ -10,7 +10,12 @@ breakdown and checks its internal consistency.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.experiments.common import ExperimentResult, ExperimentSettings
+
+if TYPE_CHECKING:
+    from repro.engine import Engine
 
 __all__ = ["run", "TECHNOLOGY_NODES", "YIELD_FACTORS"]
 
@@ -28,7 +33,7 @@ YIELD_FACTORS = {
 }
 
 
-def run(settings: ExperimentSettings) -> ExperimentResult:
+def run(settings: ExperimentSettings, engine: Engine) -> ExperimentResult:
     """Render the Figure 1 breakdown."""
     rows = []
     for node in TECHNOLOGY_NODES:

@@ -11,14 +11,13 @@ nominal limits.
 from __future__ import annotations
 
 import math
-from typing import List
+from typing import TYPE_CHECKING, List
 
 from repro.core import units
-from repro.experiments.common import (
-    ExperimentResult,
-    ExperimentSettings,
-    population,
-)
+from repro.experiments.common import ExperimentResult, ExperimentSettings
+
+if TYPE_CHECKING:
+    from repro.engine import Engine
 
 __all__ = ["run", "density_grid"]
 
@@ -49,9 +48,9 @@ def density_grid(xs: List[float], ys: List[float]) -> str:
     return "\n".join(lines)
 
 
-def run(settings: ExperimentSettings) -> ExperimentResult:
+def run(settings: ExperimentSettings, engine: Engine) -> ExperimentResult:
     """Regenerate the Figure 8 scatter for the regular architecture."""
-    pop = population(settings)
+    pop = engine.population(settings)
     norm_leak, delays = pop.scatter(horizontal=False)
     delays_ns = [units.to_ns(d) for d in delays]
 

@@ -10,16 +10,18 @@ constraint policies.
 
 from __future__ import annotations
 
-from typing import List
+from typing import TYPE_CHECKING, List
 
 from repro.experiments.common import (
     ExperimentResult,
     ExperimentSettings,
-    population,
     scheme_set,
 )
 from repro.yieldmodel.analysis import LossBreakdown
 from repro.yieldmodel.constraints import RELAXED_POLICY, STRICT_POLICY
+
+if TYPE_CHECKING:
+    from repro.engine import Engine
 
 __all__ = ["run_table2", "run_table3", "run_table4", "run_table5"]
 
@@ -78,9 +80,9 @@ def _breakdown_result(
     )
 
 
-def run_table2(settings: ExperimentSettings) -> ExperimentResult:
+def run_table2(settings: ExperimentSettings, engine: Engine) -> ExperimentResult:
     """Table 2: sources of yield loss, regular power-down cache."""
-    pop = population(settings)
+    pop = engine.population(settings)
     breakdown = pop.breakdown(scheme_set(horizontal=False), horizontal=False)
     return _breakdown_result(
         "table2",
@@ -90,9 +92,9 @@ def run_table2(settings: ExperimentSettings) -> ExperimentResult:
     )
 
 
-def run_table3(settings: ExperimentSettings) -> ExperimentResult:
+def run_table3(settings: ExperimentSettings, engine: Engine) -> ExperimentResult:
     """Table 3: sources of yield loss, horizontal power-down cache."""
-    pop = population(settings)
+    pop = engine.population(settings)
     breakdown = pop.breakdown(scheme_set(horizontal=True), horizontal=True)
     return _breakdown_result(
         "table3",
@@ -104,9 +106,13 @@ def run_table3(settings: ExperimentSettings) -> ExperimentResult:
 
 
 def _totals_result(
-    experiment: str, title: str, settings: ExperimentSettings, horizontal: bool
+    experiment: str,
+    title: str,
+    settings: ExperimentSettings,
+    engine: Engine,
+    horizontal: bool,
 ) -> ExperimentResult:
-    pop = population(settings)
+    pop = engine.population(settings)
     schemes = scheme_set(horizontal)
     scheme_names = [scheme.name for scheme in schemes]
     headers = ["constraints", "# chips"] + scheme_names
@@ -143,23 +149,25 @@ def _totals_result(
     )
 
 
-def run_table4(settings: ExperimentSettings) -> ExperimentResult:
+def run_table4(settings: ExperimentSettings, engine: Engine) -> ExperimentResult:
     """Table 4: relaxed/strict totals, regular power-down."""
     return _totals_result(
         "table4",
         "Table 4: total yield losses for relaxed and strict constraints "
         "(regular power-down)",
         settings,
+        engine,
         horizontal=False,
     )
 
 
-def run_table5(settings: ExperimentSettings) -> ExperimentResult:
+def run_table5(settings: ExperimentSettings, engine: Engine) -> ExperimentResult:
     """Table 5: relaxed/strict totals, horizontal power-down."""
     return _totals_result(
         "table5",
         "Table 5: total yield losses for relaxed and strict constraints "
         "(horizontal power-down)",
         settings,
+        engine,
         horizontal=True,
     )

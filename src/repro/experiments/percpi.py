@@ -13,16 +13,17 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.experiments.common import (
     ExperimentResult,
     ExperimentSettings,
     benchmark_names,
-    simulate_config,
-    simulate_many,
 )
 from repro.yieldmodel.constraints import BASE_ACCESS_CYCLES
+
+if TYPE_CHECKING:
+    from repro.engine import Engine
 
 __all__ = ["run_fig9", "run_fig10", "run_sec45"]
 
@@ -32,6 +33,7 @@ _FIVE = BASE_ACCESS_CYCLES + 1
 
 def _per_benchmark(
     settings: ExperimentSettings,
+    engine: Engine,
     configs: List[Tuple[str, Optional[Tuple[Optional[int], ...]], Optional[int]]],
 ) -> Tuple[List[List[object]], dict]:
     """Rows of per-benchmark degradations for the given configurations."""
@@ -39,7 +41,7 @@ def _per_benchmark(
     # Prefetch the whole benchmark x configuration sweep in one batch so
     # the engine can dispatch every cache miss to the worker pool at once;
     # the per-cell lookups below then hit the in-process memo.
-    simulate_many(
+    engine.simulate_many(
         settings,
         [
             (name, cycles, uniform)
@@ -51,10 +53,10 @@ def _per_benchmark(
     rows: List[List[object]] = []
     series: dict = {label: {} for label, _, _ in configs}
     for name in names:
-        base = simulate_config(settings, name)
+        base = engine.simulate(settings, name)
         row: List[object] = [name, round(base.cpi, 3)]
         for label, cycles, uniform in configs:
-            result = simulate_config(
+            result = engine.simulate(
                 settings, name, way_cycles=cycles, uniform_latency=uniform
             )
             deg = result.degradation_vs(base)
@@ -69,10 +71,11 @@ def _per_benchmark(
     return rows, series
 
 
-def run_fig9(settings: ExperimentSettings) -> ExperimentResult:
+def run_fig9(settings: ExperimentSettings, engine: Engine) -> ExperimentResult:
     """Figure 9: CPI increase for configuration 3-1-0 (YAPD vs VACA)."""
     rows, series = _per_benchmark(
         settings,
+        engine,
         [
             ("YAPD", (_FOUR, _FOUR, _FOUR, None), None),
             ("VACA", (_FOUR, _FOUR, _FOUR, _FIVE), None),
@@ -91,10 +94,11 @@ def run_fig9(settings: ExperimentSettings) -> ExperimentResult:
     )
 
 
-def run_fig10(settings: ExperimentSettings) -> ExperimentResult:
+def run_fig10(settings: ExperimentSettings, engine: Engine) -> ExperimentResult:
     """Figure 10: CPI increase for configuration 2-2-0 (VACA/Hybrid)."""
     rows, series = _per_benchmark(
         settings,
+        engine,
         [("VACA", (_FOUR, _FOUR, _FIVE, _FIVE), None)],
     )
     return ExperimentResult(
@@ -110,10 +114,11 @@ def run_fig10(settings: ExperimentSettings) -> ExperimentResult:
     )
 
 
-def run_sec45(settings: ExperimentSettings) -> ExperimentResult:
+def run_sec45(settings: ExperimentSettings, engine: Engine) -> ExperimentResult:
     """Section 4.5: naive re-binning at 5 and 6 cycles."""
     rows, series = _per_benchmark(
         settings,
+        engine,
         [
             ("binning@5", None, _FIVE),
             ("binning@6", None, _FIVE + 1),

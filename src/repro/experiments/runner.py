@@ -1,6 +1,8 @@
 """Experiment registry and front door.
 
-Maps experiment ids to their run functions; the CLI and the benchmark
+Maps experiment ids to their run functions, each called as
+``run(settings, engine)``: populations, estimates and simulations come
+from the engine it is handed. The CLI, the server and the benchmark
 harness go through :func:`run_experiment`.
 """
 
@@ -9,7 +11,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.core.errors import ConfigurationError
-from repro.engine import get_engine
+from repro.engine import Engine, get_engine
 from repro.experiments import estimators, fig1, fig8, sec42, sensor_study
 from repro.experiments.designspace import (
     run_ablation_assoc,
@@ -28,8 +30,14 @@ from repro.experiments import table6
 
 __all__ = ["EXPERIMENTS", "available_experiments", "run_experiment"]
 
-#: Experiment id -> run function.
-EXPERIMENTS: Dict[str, Callable[[ExperimentSettings], ExperimentResult]] = {
+#: Experiment id -> run function. ``fig1`` and the sweeps that build
+#: their own ``YieldStudy`` per point (``ablation_corr``,
+#: ``ablation_assoc``, ``ablation_temperature``) leave the engine
+#: unused: their points are not engine jobs, so they are neither memoised
+#: nor stored.
+EXPERIMENTS: Dict[
+    str, Callable[[ExperimentSettings, Engine], ExperimentResult]
+] = {
     "fig1": fig1.run,
     "fig8": fig8.run,
     "table2": run_table2,
@@ -56,20 +64,27 @@ def available_experiments() -> List[str]:
 
 
 def run_experiment(
-    name: str, settings: Optional[ExperimentSettings] = None
+    name: str,
+    settings: Optional[ExperimentSettings] = None,
+    engine: Optional[Engine] = None,
 ) -> ExperimentResult:
-    """Run one experiment by id."""
+    """Run one experiment by id on ``engine``."""
     if name not in EXPERIMENTS:
         raise ConfigurationError(
             f"unknown experiment {name!r}; available: {available_experiments()}"
         )
     if settings is None:
         settings = ExperimentSettings()
+    if engine is None:
+        # perfbench/passes.py builds the process-wide engine with
+        # configure_engine(), calls this two-argument form and then reads
+        # that engine's stats and memo. This default goes once the
+        # harness passes its engine.
+        engine = get_engine()
     # Book the experiment's wall time as an engine stage so both
     # `repro run --stats` and `repro trace summary` (the stage timer
     # emits a `stage:experiment:<name>` span) break a run down per
     # artefact.
-    engine = get_engine()
     engine.metrics.counter(f"experiment.runs.{name}").inc()
     with engine.stats.stage(f"experiment:{name}"):
-        return EXPERIMENTS[name](settings)
+        return EXPERIMENTS[name](settings, engine)

@@ -10,25 +10,26 @@ the overhead is multiplicative).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.circuit import CacheCircuitModel
 from repro.core import units
-from repro.experiments.common import (
-    ExperimentResult,
-    ExperimentSettings,
-    population,
-)
+from repro.experiments.common import ExperimentResult, ExperimentSettings
+
+if TYPE_CHECKING:
+    from repro.engine import Engine
 
 __all__ = ["run"]
 
 
-def run(settings: ExperimentSettings) -> ExperimentResult:
+def run(settings: ExperimentSettings, engine: Engine) -> ExperimentResult:
     """Compare regular vs H-YAPD organisation delays."""
     regular = CacheCircuitModel(hyapd=False)
     horizontal = CacheCircuitModel(hyapd=True)
     nominal_regular = regular.nominal().access_delays.tolist()[0]
     nominal_horizontal = horizontal.nominal().access_delays.tolist()[0]
 
-    pop = population(settings)
+    pop = engine.population(settings)
     mean_regular = sum(pop.regular.access_delays.tolist()) / pop.population
     mean_horizontal = (
         sum(pop.horizontal.access_delays.tolist()) / pop.population

@@ -9,15 +9,14 @@ chips the sensor-driven flow ships that actually violate the limits.
 
 from __future__ import annotations
 
-from typing import List
+from typing import TYPE_CHECKING, List
 
-from repro.experiments.common import (
-    ExperimentResult,
-    ExperimentSettings,
-    population,
-)
+from repro.experiments.common import ExperimentResult, ExperimentSettings
 from repro.schemes import YAPD
 from repro.schemes.sensors import LeakageSensor, yield_with_sensor
+
+if TYPE_CHECKING:
+    from repro.engine import Engine
 
 __all__ = ["run"]
 
@@ -31,8 +30,8 @@ SWEEP = (
 )
 
 
-def run(settings: ExperimentSettings) -> ExperimentResult:
-    chips = population(settings).chips()
+def run(settings: ExperimentSettings, engine: Engine) -> ExperimentResult:
+    chips = engine.population(settings).chips()
     perfect_saved = int((YAPD().decide(chips).saved & ~chips.passes).sum())
 
     rows: List[List[object]] = []

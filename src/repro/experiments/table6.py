@@ -19,18 +19,18 @@ by their frequency.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.experiments.common import (
     ExperimentResult,
     ExperimentSettings,
     benchmark_names,
-    population,
-    simulate_config,
-    simulate_many,
 )
 from repro.schemes import Hybrid
 from repro.yieldmodel.constraints import BASE_ACCESS_CYCLES
+
+if TYPE_CHECKING:
+    from repro.engine import Engine
 
 __all__ = ["run", "CONFIG_ORDER", "config_way_cycles", "average_degradation"]
 
@@ -100,20 +100,21 @@ def config_way_cycles(
 
 def average_degradation(
     settings: ExperimentSettings,
+    engine: Engine,
     way_cycles: Tuple[Optional[int], ...],
 ) -> float:
     """Mean fractional CPI degradation of a configuration over the suite."""
     degs = []
     for name in benchmark_names(settings):
-        base = simulate_config(settings, name)
-        result = simulate_config(settings, name, way_cycles=way_cycles)
+        base = engine.simulate(settings, name)
+        result = engine.simulate(settings, name, way_cycles=way_cycles)
         degs.append(result.degradation_vs(base))
     return sum(degs) / len(degs)
 
 
-def run(settings: ExperimentSettings) -> ExperimentResult:
+def run(settings: ExperimentSettings, engine: Engine) -> ExperimentResult:
     """Regenerate Table 6."""
-    pop = population(settings)
+    pop = engine.population(settings)
     census = pop.configuration_census(Hybrid(), horizontal=False)
 
     schemes = ("YAPD", "VACA", "Hybrid")
@@ -126,7 +127,7 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
         for scheme in schemes
         if (cycles := config_way_cycles(config, scheme)) is not None
     }
-    simulate_many(
+    engine.simulate_many(
         settings,
         [(name, None, None) for name in benchmark_names(settings)]
         + [
@@ -143,7 +144,7 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
         if cycles is None:
             return None
         if cycles not in deg_cache:
-            deg_cache[cycles] = average_degradation(settings, cycles)
+            deg_cache[cycles] = average_degradation(settings, engine, cycles)
         return deg_cache[cycles]
 
     rows: List[List[object]] = []

@@ -848,7 +848,9 @@ async def _handle_experiment(server: YieldServer, request: Request) -> Response:
     query = parse_experiment(request.json())
 
     def start(flight: Flight):
-        return server._off_loop(run_experiment, query.name, query.settings)
+        return server._off_loop(
+            run_experiment, query.name, query.settings, server.engine
+        )
 
     held = await server._admitted(query.key, "experiment", request)
     return await server._run_flight(
@@ -859,10 +861,7 @@ async def _handle_experiment(server: YieldServer, request: Request) -> Response:
 # ----------------------------------------------------------------------
 # entry points
 # ----------------------------------------------------------------------
-async def _amain(config: ServeConfig, engine=None, announce=None) -> None:
-    from repro.engine import get_engine
-
-    engine = engine if engine is not None else get_engine()
+async def _amain(config: ServeConfig, engine, announce=None) -> None:
     server = YieldServer(engine, config)
     host, port = await server.start()
     loop = asyncio.get_running_loop()
@@ -876,15 +875,13 @@ async def _amain(config: ServeConfig, engine=None, announce=None) -> None:
     await server.wait_closed()
 
 
-def run_server(
-    config: Optional[ServeConfig] = None, engine=None, announce=None
-) -> None:
-    """Run the service until SIGTERM/SIGINT completes a graceful drain.
+def run_server(config: ServeConfig, engine, announce=None) -> None:
+    """Serve ``engine`` until SIGTERM/SIGINT completes a graceful drain.
 
     ``announce(server)`` (optional) is called once the socket is bound —
     the CLI prints the listening address through it.
     """
-    asyncio.run(_amain(config or ServeConfig(), engine, announce))
+    asyncio.run(_amain(config, engine, announce))
 
 
 class ServerThread:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.circuit.columnar import CircuitColumns
-from repro.engine import reset_engine
+from repro.engine import Engine
 from repro.schemes.base import Decisions
 from repro.yieldmodel.analysis import PopulationResult
 from repro.yieldmodel.classify import ChipColumns, LossReason, config_key
@@ -17,17 +17,29 @@ from repro.yieldmodel.constraints import YieldConstraints
 
 
 @pytest.fixture(scope="session", autouse=True)
-def _isolated_engine(tmp_path_factory):
-    """Keep the engine's persistent store out of the working tree.
+def _isolated_store(tmp_path_factory):
+    """Keep every engine's persistent store out of the working tree.
 
-    Tests get a per-session cache directory, so runs stay hermetic (no
-    stale `.repro_cache/` entries from older code) while populations
-    computed early in the session are still reused by later modules.
+    Engines built from the environment (the fixtures below, and the one
+    each CLI call builds) share a per-session cache directory, so runs
+    stay hermetic (no stale `.repro_cache/` entries from older code)
+    while populations computed early in the session are still reused by
+    later modules.
     """
     os.environ["REPRO_CACHE_DIR"] = str(tmp_path_factory.mktemp("repro-cache"))
-    reset_engine()
-    yield
-    reset_engine()
+
+
+@pytest.fixture
+def engine(_isolated_store) -> Engine:
+    """A fresh engine for one test, on the session's store."""
+    return Engine()
+
+
+@pytest.fixture(scope="module")
+def module_engine(_isolated_store) -> Engine:
+    """One engine a whole module shares, so its tests read the
+    populations and simulations earlier tests left in its memo."""
+    return Engine()
 
 
 def make_chip(

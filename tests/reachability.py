@@ -123,11 +123,10 @@ class Profile:
 
 
 def fresh_process_state() -> None:
-    """Forget what a new process would not have: engine, memo, traces."""
-    from repro.engine import reset_engine
+    """Forget what a new process would not have: compiled traces. (Each
+    ``repro`` call builds its own engine, so no memo carries over.)"""
     from repro.workloads.compiled import clear_trace_cache
 
-    reset_engine()
     clear_trace_cache()
 
 

@@ -12,28 +12,36 @@ import time
 import pytest
 
 from repro.engine import (
+    Engine,
+    EngineConfig,
     EngineStats,
     ResultStore,
     ShardedExecutor,
-    configure_engine,
-    reset_engine,
 )
 from repro.engine.codec import encode_population
 from repro.engine.store import SCHEMA_VERSION, canonical_json
 from repro.experiments import ExperimentSettings, run_experiment
-from repro.experiments.common import clear_caches, population, simulate_config
 
 #: Small-but-nontrivial settings shared by the determinism tests.
 SMALL = dict(seed=77, chips=48, trace_length=1500, warmup=500,
              benchmarks=("gzip", "mcf"))
 
+SRC = os.path.abspath(
+    os.path.join(os.path.dirname(__file__), os.pardir, "src")
+)
 
-@pytest.fixture(autouse=True)
-def _fresh_engine():
-    """Every test configures its own engine; always restore the default."""
-    yield
-    reset_engine()
-    clear_caches()
+
+def _subprocess_env(**extra) -> dict:
+    """This environment plus ``extra``, with this checkout's ``src`` first
+    on a fresh interpreter's import path."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def _stored_engine(path, workers: int = 1) -> Engine:
+    """A fresh engine (empty memo) on the store at ``path``."""
+    return Engine(EngineConfig(workers=workers, cache_dir=path))
 
 
 def population_digest(pop) -> str:
@@ -160,37 +168,31 @@ class TestDeterminism:
     def test_population_digest_identical_at_any_worker_count(self, tmp_path):
         digests = set()
         for workers in (1, 2, 4):
-            configure_engine(
-                workers=workers, cache_dir=tmp_path / f"w{workers}"
-            )
+            engine = _stored_engine(tmp_path / f"w{workers}", workers)
             settings = ExperimentSettings(**SMALL)
-            digests.add(population_digest(population(settings)))
+            digests.add(population_digest(engine.population(settings)))
         assert len(digests) == 1
 
     def test_store_roundtrip_is_bit_identical(self, tmp_path):
         settings = ExperimentSettings(**SMALL)
-        engine = configure_engine(workers=1, cache_dir=tmp_path)
+        engine = _stored_engine(tmp_path)
         fresh = population_digest(engine.population(settings))
-        engine = configure_engine(workers=1, cache_dir=tmp_path)
+        engine = _stored_engine(tmp_path)
         loaded = engine.population(settings)
         assert engine.stats.jobs_cached_disk == 1
         assert population_digest(loaded) == fresh
 
     def test_cache_hit_across_fresh_processes(self, tmp_path):
         script = (
-            "from repro.engine import get_engine\n"
+            "from repro.engine import Engine\n"
             "from repro.experiments import ExperimentSettings\n"
             f"s = ExperimentSettings(seed={SMALL['seed']}, chips=32,"
             " trace_length=1000, warmup=100, benchmarks=('gzip',))\n"
-            "e = get_engine()\n"
+            "e = Engine()\n"
             "e.population(s)\n"
             "print('RUN', e.stats.jobs_run, 'DISK', e.stats.jobs_cached_disk)\n"
         )
-        env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path))
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get(
-            "PYTHONPATH", ""
-        )
+        env = _subprocess_env(REPRO_CACHE_DIR=str(tmp_path))
         outputs = []
         for _ in range(2):
             proc = subprocess.run(
@@ -205,15 +207,44 @@ class TestDeterminism:
     def test_experiments_byte_identical_serial_vs_parallel(self, tmp_path):
         texts = {}
         for workers in (1, 4):
-            configure_engine(workers=workers, persistent=False)
-            clear_caches()
+            engine = Engine(EngineConfig(workers=workers, persistent=False))
             settings = ExperimentSettings(**SMALL)
             for name in ("fig8", "table2", "fig9"):
                 texts.setdefault(name, set()).add(
-                    run_experiment(name, settings).text
+                    run_experiment(name, settings, engine).text
                 )
         for name, variants in texts.items():
             assert len(variants) == 1, f"{name} differs across worker counts"
+
+
+    def test_two_argument_run_experiment_runs_on_the_configured_engine(
+        self, tmp_path
+    ):
+        """The benchmark harness's call, in a fresh process as it makes
+        it: ``configure_engine`` and then ``run_experiment`` with no
+        engine, after which the harness reads the configured engine's
+        stats. The experiment must count its job there and store its
+        population under that engine's directory, not the environment's.
+        """
+        script = (
+            "import sys\n"
+            "from repro.engine import configure_engine\n"
+            "from repro.experiments import ExperimentSettings, run_experiment\n"
+            "e = configure_engine(workers=1, cache_dir=sys.argv[1])\n"
+            "run_experiment('table2', ExperimentSettings(seed=12, chips=40))\n"
+            "runs = e.metrics.snapshot()['counters']['experiment.runs.table2']\n"
+            "print('RUN', e.stats.jobs_run, 'TABLE2', int(runs))\n"
+        )
+        store, elsewhere = tmp_path / "configured", tmp_path / "environment"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(store)],
+            capture_output=True, text=True, timeout=120,
+            env=_subprocess_env(REPRO_CACHE_DIR=str(elsewhere)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "RUN 1 TABLE2 1"
+        assert len(list((store / "population").glob("*.json"))) == 1
+        assert not elsewhere.exists()
 
 
 # ----------------------------------------------------------------------
@@ -222,37 +253,37 @@ class TestDeterminism:
 class TestWarmCache:
     def test_warm_store_skips_all_jobs(self, tmp_path):
         settings = ExperimentSettings(**SMALL)
-        configure_engine(workers=1, cache_dir=tmp_path)
-        run_experiment("fig8", settings)
-        run_experiment("fig9", settings)
+        engine = _stored_engine(tmp_path)
+        run_experiment("fig8", settings, engine)
+        run_experiment("fig9", settings, engine)
 
         # Fresh engine (fresh process semantics: empty memo, same store).
-        engine = configure_engine(workers=1, cache_dir=tmp_path)
-        run_experiment("fig8", settings)
-        run_experiment("fig9", settings)
+        engine = _stored_engine(tmp_path)
+        run_experiment("fig8", settings, engine)
+        run_experiment("fig9", settings, engine)
         assert engine.stats.jobs_run == 0
         assert engine.stats.jobs_cached_disk >= 1 + 6  # population + sims
 
-    def test_clear_caches_keeps_persistent_store(self, tmp_path):
+    def test_clear_memory_keeps_persistent_store(self, tmp_path):
         settings = ExperimentSettings(**SMALL)
-        engine = configure_engine(workers=1, cache_dir=tmp_path)
-        population(settings)
-        clear_caches()
+        engine = _stored_engine(tmp_path)
+        engine.population(settings)
+        engine.clear_memory()
         engine.metrics.reset()
-        population(settings)
+        engine.population(settings)
         assert engine.stats.jobs_run == 0
         assert engine.stats.jobs_cached_disk == 1
 
     def test_memo_returns_identical_object(self, tmp_path):
         settings = ExperimentSettings(**SMALL)
-        configure_engine(workers=1, cache_dir=tmp_path)
-        assert population(settings) is population(settings)
-        a = simulate_config(settings, "gzip")
-        assert a is simulate_config(settings, "gzip")
+        engine = _stored_engine(tmp_path)
+        assert engine.population(settings) is engine.population(settings)
+        a = engine.simulate(settings, "gzip")
+        assert a is engine.simulate(settings, "gzip")
 
     def test_simulate_many_handles_duplicates_and_order(self, tmp_path):
         settings = ExperimentSettings(**SMALL)
-        engine = configure_engine(workers=1, cache_dir=tmp_path)
+        engine = _stored_engine(tmp_path)
         specs = [
             ("gzip", None, None),
             ("mcf", None, None),
@@ -294,7 +325,7 @@ class TestEngineConfigFromEnv:
 
 class TestInflightDedup:
     def test_progress_callback_reports_completion(self, tmp_path):
-        engine = configure_engine(workers=1, cache_dir=tmp_path)
+        engine = _stored_engine(tmp_path)
         settings = ExperimentSettings(seed=125, chips=40)
         seen = []
         engine.population(settings, progress=lambda d, t: seen.append((d, t)))

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.experiments.common import (
-    ExperimentSettings,
-    benchmark_names,
-    clear_caches,
-    population,
-    simulate_config,
-)
+from repro.experiments.common import ExperimentSettings, benchmark_names
 
 
 class TestEnvironmentScaling:
@@ -60,33 +54,18 @@ class TestEnvironmentScaling:
 
 
 class TestMemoisation:
-    def test_population_cached_per_settings(self):
-        clear_caches()
-        settings = ExperimentSettings(chips=120)
-        a = population(settings)
-        b = population(settings)
-        assert a is b
+    """Settings that differ are distinct engine jobs. (The same settings
+    memoise to the same object: ``test_engine.py::TestWarmCache``.)"""
 
-    def test_population_distinct_per_seed(self):
-        clear_caches()
-        a = population(ExperimentSettings(chips=120, seed=1))
-        b = population(ExperimentSettings(chips=120, seed=2))
+    def test_population_distinct_per_seed(self, engine):
+        a = engine.population(ExperimentSettings(chips=120, seed=1))
+        b = engine.population(ExperimentSettings(chips=120, seed=2))
         assert a is not b
 
-    def test_simulation_cached(self):
-        clear_caches()
+    def test_simulation_distinct_per_config(self, engine):
         settings = ExperimentSettings(
             trace_length=1500, warmup=500, benchmarks=("gzip",)
         )
-        a = simulate_config(settings, "gzip")
-        b = simulate_config(settings, "gzip")
-        assert a is b
-
-    def test_simulation_distinct_per_config(self):
-        settings = ExperimentSettings(
-            trace_length=1500, warmup=500, benchmarks=("gzip",)
-        )
-        base = simulate_config(settings, "gzip")
-        slow = simulate_config(settings, "gzip", way_cycles=(4, 4, 4, 5))
+        base = engine.simulate(settings, "gzip")
+        slow = engine.simulate(settings, "gzip", way_cycles=(4, 4, 4, 5))
         assert base is not slow
-        clear_caches()

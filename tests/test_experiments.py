@@ -10,7 +10,7 @@ from repro.experiments import (
     available_experiments,
     run_experiment,
 )
-from repro.experiments.common import clear_caches, render_table
+from repro.experiments.common import render_table
 from repro.experiments.table6 import CONFIG_ORDER, config_way_cycles
 from repro.yieldmodel import LossReason
 
@@ -24,11 +24,12 @@ FAST = ExperimentSettings(
 )
 
 
-@pytest.fixture(autouse=True, scope="module")
-def _fresh_caches():
-    clear_caches()
-    yield
-    clear_caches()
+@pytest.fixture
+def experiment(module_engine):
+    """``experiment(name)`` runs one experiment at ``FAST`` on the
+    module's engine, so the module computes each population and
+    simulation once."""
+    return lambda name: run_experiment(name, FAST, module_engine)
 
 
 class TestInfrastructure:
@@ -49,11 +50,11 @@ class TestInfrastructure:
         ):
             assert required in names
 
-    def test_unknown_experiment_rejected(self):
+    def test_unknown_experiment_rejected(self, experiment):
         from repro.core.errors import ConfigurationError
 
         with pytest.raises(ConfigurationError):
-            run_experiment("table99", FAST)
+            experiment("table99")
 
     def test_render_table_alignment(self):
         text = render_table(["a", "bb"], [[1, 2.5], [30, 4]])
@@ -67,54 +68,54 @@ class TestInfrastructure:
 
 
 class TestYieldExperiments:
-    def test_fig1_is_self_consistent(self):
-        result = run_experiment("fig1", FAST)
+    def test_fig1_is_self_consistent(self, experiment):
+        result = experiment("fig1")
         for row in result.rows:
             assert row[-1] == pytest.approx(100.0)
 
-    def test_fig1_parametric_loss_grows_as_features_shrink(self):
-        factors = run_experiment("fig1", FAST).data["factors"]
+    def test_fig1_parametric_loss_grows_as_features_shrink(self, experiment):
+        factors = experiment("fig1").data["factors"]
         nodes = ("0.35", "0.25", "0.18", "0.13", "0.09")
         parametric = [factors[node][2] for node in nodes]
         assert parametric == sorted(parametric)
 
-    def test_fig8_has_all_chips(self):
-        result = run_experiment("fig8", FAST)
+    def test_fig8_has_all_chips(self, experiment):
+        result = experiment("fig8")
         assert len(result.data["normalized_leakage"]) == FAST.chips
         assert result.data["correlation"] < -0.3
 
-    def test_table2_structure(self):
-        result = run_experiment("table2", FAST)
+    def test_table2_structure(self, experiment):
+        result = experiment("table2")
         assert result.headers[2:] == ["YAPD", "VACA", "Hybrid"]
         total_row = result.rows[-1]
         assert total_row[0] == "total"
         breakdown = result.data["breakdown"]
         assert total_row[1] == breakdown.base_total
 
-    def test_table2_scheme_orderings(self):
-        breakdown = run_experiment("table2", FAST).data["breakdown"]
+    def test_table2_scheme_orderings(self, experiment):
+        breakdown = experiment("table2").data["breakdown"]
         assert breakdown.scheme_total("Hybrid") <= breakdown.scheme_total("YAPD")
         assert breakdown.scheme_total("Hybrid") <= breakdown.scheme_total("VACA")
         assert breakdown.scheme_losses["YAPD"].get(LossReason.DELAY_1, 0) == 0
 
-    def test_table3_base_exceeds_table2(self):
+    def test_table3_base_exceeds_table2(self, experiment):
         """The slower H-YAPD organisation fails more chips."""
-        t2 = run_experiment("table2", FAST).data["breakdown"]
-        t3 = run_experiment("table3", FAST).data["breakdown"]
+        t2 = experiment("table2").data["breakdown"]
+        t3 = experiment("table3").data["breakdown"]
         assert t3.base_total >= t2.base_total
 
-    def test_table4_strict_worse_than_relaxed(self):
-        result = run_experiment("table4", FAST)
+    def test_table4_strict_worse_than_relaxed(self, experiment):
+        result = experiment("table4")
         relaxed = result.data["breakdowns"]["relaxed"]
         strict = result.data["breakdowns"]["strict"]
         assert strict.base_total > relaxed.base_total
 
-    def test_table5_matches_table4_shape(self):
-        result = run_experiment("table5", FAST)
+    def test_table5_matches_table4_shape(self, experiment):
+        result = experiment("table5")
         assert [row[0] for row in result.rows] == ["relaxed", "strict"]
 
-    def test_sec42_overhead(self):
-        result = run_experiment("sec42", FAST)
+    def test_sec42_overhead(self, experiment):
+        result = experiment("sec42")
         assert result.data["nominal_overhead"] == pytest.approx(0.025)
         assert result.data["h_losses"] >= result.data["base_losses"]
 
@@ -131,8 +132,8 @@ class TestPerformanceExperiments:
         assert config_way_cycles("4-0-0", "VACA") is None
         assert config_way_cycles("4-0-0", "Hybrid") == (4, 4, 4, None)
 
-    def test_table6_structure_and_weighting(self):
-        result = run_experiment("table6", FAST)
+    def test_table6_structure_and_weighting(self, experiment):
+        result = experiment("table6")
         assert [row[0] for row in result.rows[:-1]] == list(CONFIG_ORDER)
         weighted = result.data["weighted"]
         degs = result.data["degradations"]
@@ -142,14 +143,14 @@ class TestPerformanceExperiments:
         assert degs["3-1-0"]["YAPD"] == degs["4-0-0"]["YAPD"]
         assert set(weighted) == {"YAPD", "VACA", "Hybrid"}
 
-    def test_table6_weighted_sums_order(self):
-        weighted = run_experiment("table6", FAST).data["weighted"]
+    def test_table6_weighted_sums_order(self, experiment):
+        weighted = experiment("table6").data["weighted"]
         # Hybrid sits between YAPD and VACA (paper: 1.08/1.83/2.20)
         assert weighted["YAPD"] <= weighted["Hybrid"] * 1.5
         assert weighted["Hybrid"] <= weighted["VACA"] * 1.2
 
-    def test_table6_vaca_monotone_in_slow_ways(self):
-        degs = run_experiment("table6", FAST).data["degradations"]
+    def test_table6_vaca_monotone_in_slow_ways(self, experiment):
+        degs = experiment("table6").data["degradations"]
         assert (
             degs["3-1-0"]["VACA"]
             <= degs["2-2-0"]["VACA"]
@@ -157,23 +158,23 @@ class TestPerformanceExperiments:
             <= degs["0-4-0"]["VACA"]
         )
 
-    def test_fig9_rows_cover_benchmarks(self):
-        result = run_experiment("fig9", FAST)
+    def test_fig9_rows_cover_benchmarks(self, experiment):
+        result = experiment("fig9")
         names = [row[0] for row in result.rows[:-1]]
         assert names == ["gzip", "mcf", "crafty"]
         assert result.rows[-1][0] == "average"
 
-    def test_fig10_vaca_only(self):
-        result = run_experiment("fig10", FAST)
+    def test_fig10_vaca_only(self, experiment):
+        result = experiment("fig10")
         assert result.headers == ["benchmark", "base CPI", "VACA"]
 
-    def test_sec45_binning_ordering(self):
-        series = run_experiment("sec45", FAST).data["series"]
+    def test_sec45_binning_ordering(self, experiment):
+        series = experiment("sec45").data["series"]
         for name in ("gzip", "crafty"):
             assert series["binning@6"][name] > series["binning@5"][name] > 0
 
-    def test_ablation_lbb_tradeoff(self):
-        result = run_experiment("ablation_lbb", FAST)
+    def test_ablation_lbb_tradeoff(self, experiment):
+        result = experiment("ablation_lbb")
         data = result.data
         # deeper buffers never lose yield, never get cheaper
         assert data[0]["reduction"] <= data[1]["reduction"] <= data[2]["reduction"]
@@ -183,7 +184,7 @@ class TestPerformanceExperiments:
         """Cold, at two workers, the baselines and both slow-way sweeps
         reach the pool in one dispatch, not one in-process dispatch per
         cell."""
-        from repro.engine import configure_engine, reset_engine
+        from repro.engine import Engine, EngineConfig
         from repro.experiments.ablations import run_ablation_lbb
         from repro.obs import (
             configure_tracing,
@@ -197,12 +198,11 @@ class TestPerformanceExperiments:
         )
         trace = tmp_path / "t.jsonl"
         configure_tracing(trace)
-        configure_engine(workers=2, cache_dir=tmp_path / "cache")
+        engine = Engine(EngineConfig(workers=2, cache_dir=tmp_path / "cache"))
         try:
-            run_ablation_lbb(settings)
+            run_ablation_lbb(settings, engine)
         finally:
             disable_tracing()
-            reset_engine()
         jobs = [
             r["attrs"]["jobs"] for r in load_spans_counted(trace)[0]
             if r["name"] == "engine.dispatch"
@@ -264,34 +264,25 @@ class TestCLI:
 
     def test_run_workers_and_stats_flags(self, capsys):
         from repro.cli import main
-        from repro.engine import reset_engine
 
-        try:
-            assert main(["run", "fig1", "--workers", "2", "--stats"]) == 0
-            out = capsys.readouterr().out
-            assert "engine statistics" in out
-            assert "workers            2" in out
-            if os.path.exists("/proc/self/status"):
-                # Read from /proc when it is printed.
-                assert re.search(r"^peak rss +\d+\.\d MB$", out, re.M), out
-        finally:
-            reset_engine()  # --workers reconfigured the global engine
+        assert main(["run", "fig1", "--workers", "2", "--stats"]) == 0
+        out = capsys.readouterr().out
+        assert "engine statistics" in out
+        assert "workers            2" in out
+        if os.path.exists("/proc/self/status"):
+            # Read from /proc when it is printed.
+            assert re.search(r"^peak rss +\d+\.\d MB$", out, re.M), out
 
     def test_cache_subcommand(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main
-        from repro.engine import reset_engine
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        reset_engine()
-        try:
-            assert main(["run", "table2", "--chips", "120"]) == 0
-            capsys.readouterr()
-            assert main(["cache", "info"]) == 0
-            out = capsys.readouterr().out
-            assert "entries" in out and "population" in out
-            assert main(["cache", "clear"]) == 0
-            assert "removed" in capsys.readouterr().out
-            assert main(["cache", "info"]) == 0
-            assert "entries          0" in capsys.readouterr().out
-        finally:
-            reset_engine()
+        assert main(["run", "table2", "--chips", "120"]) == 0
+        capsys.readouterr()
+        assert main(["cache", "info"]) == 0
+        out = capsys.readouterr().out
+        assert "entries" in out and "population" in out
+        assert main(["cache", "clear"]) == 0
+        assert "removed" in capsys.readouterr().out
+        assert main(["cache", "info"]) == 0
+        assert "entries          0" in capsys.readouterr().out

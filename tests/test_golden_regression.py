@@ -83,8 +83,8 @@ def _check_or_update(name: str, payload: dict) -> None:
     _assert_matches(json.loads(json.dumps(payload)), golden)
 
 
-def test_table6_matches_golden():
-    result = run_experiment("table6", SMALL)
+def test_table6_matches_golden(module_engine):
+    result = run_experiment("table6", SMALL, module_engine)
     _check_or_update("table6_small", {
         "census": result.data["census"],
         "degradations": result.data["degradations"],
@@ -93,8 +93,8 @@ def test_table6_matches_golden():
     })
 
 
-def test_fig8_matches_golden():
-    result = run_experiment("fig8", SMALL)
+def test_fig8_matches_golden(module_engine):
+    result = run_experiment("fig8", SMALL, module_engine)
     _check_or_update("fig8_small", {
         "correlation": result.data["correlation"],
         "normalized_leakage": result.data["normalized_leakage"],

@@ -1,5 +1,6 @@
 """The engine imports the yield model; the yield model never imports the
-engine; the model layers publish no metrics.
+engine; the model layers publish no metrics; experiments and the server
+compute on the engine they are given.
 
 The engine runs the yield model's work (populations, estimates, the chip
 job in ``repro.engine.chips``), so its imports of ``repro.yieldmodel``
@@ -8,8 +9,11 @@ takes the engine's chip dispatcher as an argument, so it may name
 ``repro.engine`` only for type checkers. The engine's registry is the
 only metrics registry, so the model layers, which have no engine in
 reach, never import ``repro.obs.metrics`` (tracing spans stay theirs).
-The rules are read from the source with :mod:`ast`; no module of
-``src/repro`` is imported.
+Experiments are handed their engine and a server is built with one, so
+neither reaches the process-wide engine (``get_engine``,
+``configure_engine``); only ``run_experiment``'s ``engine=None`` default
+in ``repro/experiments/runner.py`` does. The rules are read from the
+source with :mod:`ast`; no module of ``src/repro`` is imported.
 """
 
 from __future__ import annotations
@@ -110,6 +114,27 @@ def _metrics_imports(source: str, package: str) -> List[int]:
     })
 
 
+#: The functions that reach the process-wide engine.
+PROCESS_ENGINE = ("get_engine", "configure_engine")
+
+
+def _process_engine_uses(source: str, package: str) -> List[int]:
+    """Lines that import a :data:`PROCESS_ENGINE` function from
+    ``repro.engine`` or name one as an attribute."""
+    imported = {
+        line
+        for line, name, _, _ in _imports(source, package)
+        if _within(name, "repro.engine")
+        and name.rsplit(".", 1)[-1] in PROCESS_ENGINE
+    }
+    named = {
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in PROCESS_ENGINE
+    }
+    return sorted(imported | named)
+
+
 def _violations(package: str, check) -> List[str]:
     files = sorted((SRC / pathlib.Path(*package.split("."))).rglob("*.py"))
     assert files, f"no sources for {package}"
@@ -127,6 +152,40 @@ def test_yieldmodel_imports_no_engine_at_run_time():
 
 def test_engine_imports_yieldmodel_at_module_top():
     assert _violations("repro.engine", _local_yieldmodel_imports) == []
+
+
+@pytest.mark.parametrize("package", ["serve", "experiments"])
+def test_serve_and_experiments_never_reach_the_process_wide_engine(package):
+    found = _violations(f"repro.{package}", _process_engine_uses)
+    assert [
+        where for where in found
+        if not where.startswith("repro/experiments/runner.py:")
+    ] == []
+
+
+@pytest.mark.parametrize(
+    "source,lines",
+    [
+        ("from repro.engine import get_engine\n", [1]),
+        ("from repro.engine.core import configure_engine as c\n", [1]),
+        ("from .. import engine\nengine.get_engine()\n", [2]),
+        ("import repro.engine\nrepro.engine.core.get_engine().stats\n", [2]),
+        (
+            "from typing import TYPE_CHECKING\n"
+            "if TYPE_CHECKING:\n"
+            "    from repro.engine import Engine\n"
+            "def run(settings, engine):\n"
+            "    return engine.population(settings)\n",
+            [],
+        ),
+        ("from repro.engine.store import canonical_json\n", []),
+    ],
+)
+def test_process_engine_scanner_sees_each_form(source, lines):
+    """Imported and attribute spellings of the process-wide engine's
+    functions are seen (from a module of ``repro.serve``); an engine
+    passed in, and other ``repro.engine`` names, are not."""
+    assert _process_engine_uses(source, "repro.serve") == lines
 
 
 @pytest.mark.parametrize(

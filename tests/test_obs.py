@@ -8,9 +8,8 @@ import os
 import pytest
 
 from repro.cli import _split_trace_arg, main
-from repro.engine import EngineStats, configure_engine, reset_engine
+from repro.engine import Engine, EngineConfig, EngineStats
 from repro.experiments import ExperimentSettings
-from repro.experiments.common import clear_caches
 from repro.obs import (
     MetricsRegistry,
     configure_tracing,
@@ -30,8 +29,6 @@ def _clean_tracing():
     disable_tracing()
     yield
     disable_tracing()
-    reset_engine()
-    clear_caches()
 
 
 # ----------------------------------------------------------------------
@@ -288,7 +285,7 @@ class TestEngineStatsView:
         assert stats.hit_ratio == pytest.approx(0.75)
 
     def test_engine_wires_store_metrics_into_same_registry(self, tmp_path):
-        engine = configure_engine(workers=1, cache_dir=tmp_path)
+        engine = Engine(EngineConfig(workers=1, cache_dir=tmp_path))
         settings = ExperimentSettings(
             seed=5, chips=16, trace_length=800, warmup=100,
             benchmarks=("gzip",),
@@ -298,7 +295,7 @@ class TestEngineStatsView:
         assert counters["store.save"] >= 1
         assert counters["engine.jobs.run"] == 1
         # A fresh engine on the same store reads it back.
-        engine = configure_engine(workers=1, cache_dir=tmp_path)
+        engine = Engine(EngineConfig(workers=1, cache_dir=tmp_path))
         engine.population(settings)
         counters = engine.metrics.snapshot()["counters"]
         assert counters["store.load.hit"] == 1
@@ -320,7 +317,6 @@ class TestCli:
         self, tmp_path, capsys, monkeypatch
     ):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        reset_engine()
         trace_file = tmp_path / "run.jsonl"
         code = main([
             "run", "fig8", "--chips", "64", "--seed", "123",
@@ -362,7 +358,6 @@ class TestCli:
     def test_trace_integer_still_sets_trace_length(self, tmp_path, capsys,
                                                    monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        reset_engine()
         code = main([
             "run", "fig1", "--trace", "1200", "--warmup", "300",
             "--chips", "16", "--seed", "9", "--benchmark", "gzip",

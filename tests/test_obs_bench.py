@@ -12,7 +12,6 @@ import pytest
 
 from repro.cli import main
 from repro.core.errors import ConfigurationError
-from repro.engine import reset_engine
 from repro.obs import disable_tracing, provenance_stamp, working_tree_dirty
 from repro.obs.bench import (
     SUITES,
@@ -49,7 +48,6 @@ def _clean_state():
     disable_tracing()
     yield
     disable_tracing()
-    reset_engine()
 
 
 def _samples(seed: int, center: float, spread: float, n: int = 20):
@@ -645,15 +643,14 @@ class TestEngineProvenance:
         assert stamp["workers"] == 2
         assert engine.provenance() is stamp
 
-    def test_traced_dispatch_carries_provenance(self, tmp_path, monkeypatch):
-        from repro.engine import configure_engine
+    def test_traced_dispatch_carries_provenance(self, tmp_path):
+        from repro.engine import Engine, EngineConfig
         from repro.experiments import ExperimentSettings
         from repro.obs import configure_tracing, load_spans_counted
 
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         trace = tmp_path / "t.jsonl"
         configure_tracing(trace)
-        engine = configure_engine(workers=1, cache_dir=tmp_path / "cache")
+        engine = Engine(EngineConfig(workers=1, cache_dir=tmp_path / "cache"))
         engine.population(ExperimentSettings(
             seed=5, chips=16, trace_length=800, warmup=100,
             benchmarks=("gzip",),

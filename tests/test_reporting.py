@@ -95,17 +95,17 @@ class TestCharts:
 
 
 class TestFigureWiring:
-    def test_fig8_produces_svg(self):
+    def test_fig8_produces_svg(self, engine):
         from repro.experiments import ExperimentSettings, run_experiment
 
         settings = ExperimentSettings(chips=150)
-        result = run_experiment("fig8", settings)
+        result = run_experiment("fig8", settings, engine)
         svg = figure_svg(result)
         assert svg is not None
         parse(svg)
 
-    def test_tables_produce_nothing(self):
+    def test_tables_produce_nothing(self, engine):
         from repro.experiments import ExperimentSettings, run_experiment
 
-        result = run_experiment("fig1", ExperimentSettings(chips=150))
+        result = run_experiment("fig1", ExperimentSettings(chips=150), engine)
         assert figure_svg(result) is None

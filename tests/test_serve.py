@@ -157,6 +157,28 @@ def test_metrics_serve_one_registry_and_its_yield_gauges(tmp_path):
     ]
 
 
+def test_experiment_computes_on_the_served_engine():
+    """``POST /v1/experiment`` runs on the engine the server was built
+    with, so the experiment's population job and its yield gauges reach
+    that server's ``/metrics``."""
+    from repro.yieldmodel.analysis import forget_live_chips
+
+    # Chips another test's engine still holds would spare the job.
+    forget_live_chips()
+    engine = Engine(EngineConfig(persistent=False))
+    thread = ServerThread(engine, ServeConfig(port=0))
+    host, port = thread.start()
+    try:
+        with ServeClient(host, port) as client:
+            client.experiment("table2", seed=12, chips=40)
+            served = client.metrics()["engine"]
+    finally:
+        thread.stop()
+    assert served["counters"]["experiment.runs.table2"] == 1
+    assert served["counters"]["engine.jobs.run"] >= 1
+    assert "yield.estimate.regular.base" in served["gauges"]
+
+
 def test_unknown_endpoint_404_wrong_method_405(served):
     engine, host, port = served
     with ServeClient(host, port) as client:

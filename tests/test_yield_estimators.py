@@ -675,20 +675,13 @@ def test_serve_estimate_rejects_bad_specs(tmp_path):
 # experiment + bench surfaces
 # ----------------------------------------------------------------------
 def test_estimators_experiment_runs_and_reports_all_kinds(tmp_path):
-    from repro.engine import core as engine_core
     from repro.experiments.runner import run_experiment
 
-    previous = engine_core._ENGINE
-    engine_core._ENGINE = Engine(
-        EngineConfig(workers=1, cache_dir=tmp_path / "exp")
+    engine = Engine(EngineConfig(workers=1, cache_dir=tmp_path / "exp"))
+    result = run_experiment(
+        "estimators", ExperimentSettings(seed=2006, chips=300), engine
     )
-    try:
-        result = run_experiment(
-            "estimators", ExperimentSettings(seed=2006, chips=300)
-        )
-        kinds = {row[1] for row in result.rows}
-        assert kinds == {"fixed", "adaptive", "stratified", "is"}
-        policies = {row[0] for row in result.rows}
-        assert policies == {p.name for p in PAPER_POLICIES}
-    finally:
-        engine_core._ENGINE = previous
+    kinds = {row[1] for row in result.rows}
+    assert kinds == {"fixed", "adaptive", "stratified", "is"}
+    policies = {row[0] for row in result.rows}
+    assert policies == {p.name for p in PAPER_POLICIES}
