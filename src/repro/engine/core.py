@@ -30,8 +30,6 @@ import pathlib
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.core.validation import env_int, env_positive_int, require_positive
 from repro.core.errors import ConfigurationError
 from repro.engine.chips import BatchRunner
@@ -57,7 +55,6 @@ from repro.yieldmodel.constraints import ConstraintPolicy, NOMINAL_POLICY
 from repro.yieldmodel.estimators import adaptive_chips, run_estimate
 from repro.yieldmodel.estimators.results import FIGURES
 from repro.yieldmodel.estimators.spec import EstimatorSpec
-from repro.yieldmodel.statistics import wilson_interval
 
 __all__ = [
     "EngineConfig",
@@ -288,7 +285,10 @@ class Engine:
                             settings, policy, progress
                         )
                 self._settle("population", key, result, encode_population)
-        self._emit_yield_gauges(_population_figures(result))
+        self._emit_yield_gauges(
+            (figure, *base, None)
+            for figure, base in zip(FIGURES, result.base_yields)
+        )
         return result
 
     def _emit_yield_gauges(self, figures) -> None:
@@ -518,19 +518,6 @@ class Engine:
             if results[index] is None:
                 results[index] = self._memo[key]
         return results
-
-
-def _population_figures(result):
-    """A population's base-yield rows for :meth:`Engine._emit_yield_gauges`:
-    ships over chips per architecture, with the Wilson interval's
-    half-width and no effective sample size."""
-    for figure, horizontal in zip(FIGURES, (False, True)):
-        passes = result.chips(horizontal).passes
-        total = passes.shape[0]
-        if total > 0:
-            ships = int(np.count_nonzero(passes))
-            low, high = wilson_interval(ships, total)
-            yield figure, ships / total, (high - low) / 2.0, total, None
 
 
 # ----------------------------------------------------------------------

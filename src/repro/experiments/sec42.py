@@ -35,8 +35,8 @@ def run(settings: ExperimentSettings, engine: Engine) -> ExperimentResult:
         sum(pop.horizontal.access_delays.tolist()) / pop.population
     )
 
-    base_losses = pop.population - int(pop.chips(False).passes.sum())
-    h_losses = pop.population - int(pop.chips(True).passes.sum())
+    base_losses = pop.population - pop.chips(False).ships
+    h_losses = pop.population - pop.chips(True).ships
 
     rows = [
         ["nominal access delay, regular (ps)", round(units.to_ps(nominal_regular), 1)],

@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
 from typing import (
-    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple,
+    TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence,
+    Tuple,
 )
 
 import numpy as np
@@ -50,17 +51,24 @@ from repro.variation.columnar import (
 )
 from repro.variation.montecarlo import PAPER_POPULATION
 from repro.variation.sampling import CacheVariationSampler
-from repro.yieldmodel.classify import ChipColumns, LossReason, config_key
+from repro.yieldmodel.classify import (
+    ChipColumns,
+    LossReason,
+    config_key,
+    loss_counts,
+)
 from repro.yieldmodel.constraints import (
     ConstraintPolicy,
     NOMINAL_POLICY,
     YieldConstraints,
 )
+from repro.yieldmodel.statistics import wilson_interval
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
     from repro.schemes.base import Scheme
 
 __all__ = [
+    "BaseYield",
     "LossBreakdown",
     "PopulationResult",
     "YieldStudy",
@@ -157,11 +165,22 @@ class LossBreakdown:
         return out
 
 
+class BaseYield(NamedTuple):
+    """One architecture's base yield: the share of its chips that ship,
+    the half-width of its 95% Wilson interval, and its chip count."""
+
+    estimate: float
+    ci_halfwidth: float
+    samples: int
+
+
 class PopulationResult:
     """One Monte Carlo population: both architectures' circuit columns
     and their classification (:class:`ChipColumns`, derived once, here).
 
-    Every table is counted from these read-only columns.
+    Every table is counted from these read-only columns. ``base_yields``
+    holds both architectures' :class:`BaseYield`, regular first, also
+    derived once (empty for a population of no chips).
     """
 
     def __init__(
@@ -182,6 +201,9 @@ class PopulationResult:
         self._chips = (
             ChipColumns(regular, constraints),
             ChipColumns(horizontal, constraints),
+        )
+        self.base_yields = tuple(
+            _base_yield(chips) for chips in self._chips if chips.count
         )
 
     @property
@@ -215,12 +237,11 @@ class PopulationResult:
     ) -> LossBreakdown:
         """Build a Tables 2/3-style loss breakdown for ``schemes``."""
         chips = self._chips[horizontal]
-        failing = ~chips.passes
         return LossBreakdown(
-            base_counts=_loss_counts(chips, failing),
+            base_counts=dict(chips.base_counts),
             scheme_losses={
-                scheme.name: _loss_counts(
-                    chips, failing & ~scheme.decide(chips).saved
+                scheme.name: loss_counts(
+                    chips.loss_codes[~scheme.decide(chips).saved]
                 )
                 for scheme in schemes
             },
@@ -258,21 +279,9 @@ class PopulationResult:
         return [leak / mean for leak in leakages], delays
 
 
-def _loss_counts(
-    chips: ChipColumns, among: np.ndarray
-) -> Dict[LossReason, int]:
-    """Chips per loss reason among the failing rows ``among`` selects
-    (a leaky chip in the leakage bucket whatever its delays; the rest by
-    their number of delay-violating ways)."""
-    leaky = among & chips.leakage_violation
-    counts: Dict[LossReason, int] = {}
-    if leaky.any():
-        counts[LossReason.LEAKAGE] = int(np.count_nonzero(leaky))
-    slow_ways = chips.delay_violations.sum(axis=1)[among & ~leaky]
-    for ways, count in enumerate(np.bincount(slow_ways).tolist()):
-        if ways and count:
-            counts[LossReason.delay(ways)] = count
-    return counts
+def _base_yield(chips: ChipColumns) -> BaseYield:
+    low, high = wilson_interval(chips.ships, chips.count)
+    return BaseYield(chips.ships / chips.count, (high - low) / 2.0, chips.count)
 
 
 def derive_constraints(

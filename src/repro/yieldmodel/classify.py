@@ -3,11 +3,14 @@
 :class:`ChipColumns` binds a population's circuit columns to a set of
 constraints and derives, once, everything the schemes and the tables
 need, one row per chip: per-way access cycles, the delay-violating ways,
-the leakage verdict, and the two leakage readings the schemes decide on
-(true by default, measured in the sensor study). :func:`config_key`
-gives a row's "a-b-c" way-latency configuration key of Table 6 (a ways
-at 4 cycles, b at 5, c at 6 or more), and :class:`LossReason` its loss
-bucket.
+the leakage verdict, each chip's loss-reason code, and the two leakage
+readings the schemes decide on (true by default, measured in the sensor
+study). It also counts, once, its failing chips per loss reason and its
+shipping chips. :func:`config_key` gives a row's "a-b-c" way-latency
+configuration key of Table 6 (a ways at 4 cycles, b at 5, c at 6 or
+more), and :class:`LossReason` its loss bucket. :func:`loss_counts` is
+the one loss count: over all of a population's codes it gives the base
+counts, over a scheme's unsaved rows its residual losses.
 
 Bucket semantics follow the paper's tables: a chip that violates the
 leakage limit is counted under "Leakage Constraint" whether or not it also
@@ -20,7 +23,7 @@ leakage-bucket chips, which fixes this reading); the "Delay Constraint
 from __future__ import annotations
 
 import enum
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -33,6 +36,7 @@ __all__ = [
     "ChipColumns",
     "config_key",
     "cycles_for_delays",
+    "loss_counts",
 ]
 
 #: VACA supports exactly one extra cycle (single-entry load-bypass buffers).
@@ -97,13 +101,33 @@ def cycles_for_delays(
     )
 
 
+def loss_counts(codes: np.ndarray) -> Dict[LossReason, int]:
+    """Chips per loss reason among loss-reason ``codes`` (see
+    :attr:`ChipColumns.loss_codes`): leakage first, then the delay
+    buckets by ascending way count; passing chips and empty buckets are
+    left out."""
+    counts: Dict[LossReason, int] = {}
+    for code, count in enumerate(np.bincount(codes).tolist()):
+        if code and count:
+            counts[
+                LossReason.LEAKAGE if code == 1
+                else LossReason.delay(code - 1)
+            ] = count
+    return counts
+
+
 class ChipColumns:
     """A population's classification as read-only columns, one row per chip.
 
-    Classified from the circuit columns once, here. The two leakage
-    readings the schemes decide on — ``way_gated_leakage[i, w]``, the
-    total leakage with way ``w`` gated off, and ``leakiest_way[i]`` —
-    default to the true values; the sensor study passes measured ones
+    Classified from the circuit columns once, here. ``loss_codes[i]`` is
+    chip ``i``'s loss reason: 0 when it passes, 1 for leakage (whatever
+    its delays), ``1 + k`` for delay over ``k`` ways, so ascending codes
+    are the tables' row order. ``base_counts`` counts the failing chips
+    per reason (shared: copy it before changing it) and ``ships`` the
+    passing ones. The two leakage readings the schemes decide on —
+    ``way_gated_leakage[i, w]``, the total leakage with way ``w`` gated
+    off, and ``leakiest_way[i]`` — default to the true values; the
+    sensor study passes measured ones
     (:func:`repro.schemes.sensors.yield_with_sensor`).
     """
 
@@ -122,9 +146,13 @@ class ChipColumns:
         self.delay_violations = ~(way_delays <= constraints.delay_limit)
         self.total_leakage = total
         self.leakage_violation = ~(total <= constraints.leakage_limit)
-        self.passes = ~(
-            self.leakage_violation | self.delay_violations.any(axis=1)
+        slow_ways = self.delay_violations.sum(axis=1)
+        self.loss_codes = np.where(
+            self.leakage_violation, 1, slow_ways + (slow_ways > 0)
         )
+        self.passes = self.loss_codes == 0
+        self.base_counts = loss_counts(self.loss_codes)
+        self.ships = self.count - sum(self.base_counts.values())
         self.way_gated_leakage = (
             total[:, None] - circuits.way_leakages
             if way_gated_leakage is None

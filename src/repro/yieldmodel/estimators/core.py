@@ -71,7 +71,7 @@ def _passing(
 
 
 def _failures(circuits: CircuitColumns, constraints: YieldConstraints) -> int:
-    return int((~_passing(circuits, constraints)).sum())
+    return len(circuits) - ChipColumns(circuits, constraints).ships
 
 
 def _figure_circuits(data: ShardData) -> List[Tuple[str, CircuitColumns]]:

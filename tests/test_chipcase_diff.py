@@ -21,7 +21,16 @@ population) this battery asserts that:
   ``reconstrained`` give results equal to the original per-chip
   population's, on the study populations and on the rectangular
   populations inside each ragged seed (ragged populations themselves
-  have no columnar form).
+  have no columnar form);
+* the counts ``ChipColumns`` derives once — every row's loss code, the
+  base counts and the ship count — and every scheme's residual counts
+  equal the per-chip ``breakdown``'s, value for value and in the
+  tables' row order (leakage first, then the delay buckets by ascending
+  way count, empty buckets left out). This holds on every other study
+  population, on 48 random rectangular populations of 2, 4 and 8 ways
+  whose random limits fill every delay bucket from 1 to 8 ways, under
+  each policy's ``reconstrained`` limits, on the sensor study's
+  measured columns, and on a population of no chips.
 """
 
 from __future__ import annotations
@@ -54,8 +63,12 @@ from repro.schemes.sensors import (
 )
 from repro.variation.sampling import CacheVariationSampler
 from repro.variation.spatial import MeshLayout
-from repro.yieldmodel.analysis import PopulationResult, YieldStudy
-from repro.yieldmodel.classify import ChipColumns
+from repro.yieldmodel.analysis import (
+    LossBreakdown,
+    PopulationResult,
+    YieldStudy,
+)
+from repro.yieldmodel.classify import ChipColumns, LossReason, loss_counts
 from repro.yieldmodel.constraints import (
     NOMINAL_POLICY,
     RELAXED_POLICY,
@@ -72,6 +85,7 @@ LAYOUTS = ((2, 1, 2), (4, 2, 2), (8, 2, 4))
 CHIPS = 24
 STUDY_SEEDS = range(108)
 RAGGED_SEEDS = range(36)
+RANDOM_SEEDS = range(48)
 
 SENSORS = (
     LeakageSensor(relative_noise=0.0, quantisation_levels=0),
@@ -294,3 +308,156 @@ def test_population_results_match_oracle(build, seed):
             assert got.horizontal is pop.horizontal
             assert got.breakdown(_schemes()) == \
                 want.breakdown(_oracle_schemes())
+
+
+def _random_population(seed: int) -> PopulationResult:
+    """A rectangular population of random circuits: 2, 4 or 8 ways of 2
+    or 4 bands, 2 to 40 chips, held to a random delay limit inside the
+    way delays' range (so any number of ways can miss it) and a leakage
+    limit near the regular chips' mean total."""
+    rng = random.Random(seed)
+    ways = (2, 4, 8)[seed % 3]
+    shape = (ways, rng.choice((2, 4)))
+    count = rng.randrange(2, 41)
+    regular, horizontal = (
+        from_circuits([
+            _random_circuit(rng, i, shape, hyapd=hyapd) for i in range(count)
+        ])
+        for hyapd in (False, True)
+    )
+    constraints = YieldConstraints(
+        delay_limit=rng.uniform(1e-9, 3e-9),
+        leakage_limit=rng.uniform(0.7, 1.3)
+        * float(regular.total_leakage.mean()),
+    )
+    return PopulationResult(
+        constraints, regular, horizontal, policy=POLICIES[(seed // 3) % 3]
+    )
+
+
+def _no_chips() -> PopulationResult:
+    """Study seed 0's population cut to no chips (limits kept)."""
+    pop = _study_population(0)
+    rows = np.arange(0)
+    return PopulationResult(
+        pop.constraints, pop.regular.take(rows), pop.horizontal.take(rows)
+    )
+
+
+def _row_order(counts):
+    """``counts`` as (reason, count) pairs in the tables' row order:
+    the enum's, leakage first, then delay by ascending way count."""
+    return [(reason, counts[reason]) for reason in LossReason
+            if reason in counts]
+
+
+def _code(case) -> int:
+    """The loss code of an oracle case: 0 passes, 1 leakage, 1 + k
+    delay over k ways."""
+    if case.passes:
+        return 0
+    if case.leakage_violation:
+        return 1
+    return 1 + len(case.delay_violating_ways)
+
+
+def _assert_counts_match(
+    chips: ChipColumns, cases, got: LossBreakdown, want: LossBreakdown
+) -> None:
+    """``chips``' codes and derived counts, and the breakdown ``got``
+    over them, equal the oracle breakdown ``want`` over ``cases``, in
+    value and in row order."""
+    assert chips.loss_codes.tolist() == [_code(case) for case in cases]
+    assert list(chips.base_counts.items()) == _row_order(want.base_counts)
+    assert chips.ships == len(cases) - want.base_total
+    assert got.population == want.population == len(cases)
+    assert list(got.base_counts.items()) == _row_order(want.base_counts)
+    assert list(got.scheme_losses) == list(want.scheme_losses)
+    for name, losses in want.scheme_losses.items():
+        assert list(got.scheme_losses[name].items()) == _row_order(losses)
+
+
+def _assert_population_counts_match(pop, expected) -> None:
+    for horizontal in (False, True):
+        _assert_counts_match(
+            pop.chips(horizontal),
+            expected.select(horizontal),
+            pop.breakdown(_schemes(), horizontal),
+            expected.breakdown(_oracle_schemes(), horizontal),
+        )
+
+
+def _assert_measured_counts_match(pop, expected) -> None:
+    """The sensor study's measured columns count as the oracle counts
+    the per-chip measured cases, and ``yield_with_sensor`` agrees."""
+    chips = pop.chips()
+    for sensor in SENSORS:
+        failing, measured = measured_failing(chips, sensor)
+        cases = [
+            OracleMeasured(expected.cases[index], sensor)
+            for index in failing.tolist()
+        ]
+        schemes = _schemes()
+        _assert_counts_match(
+            measured,
+            cases,
+            LossBreakdown(
+                base_counts=dict(measured.base_counts),
+                scheme_losses={
+                    scheme.name: loss_counts(
+                        measured.loss_codes[~scheme.decide(measured).saved]
+                    )
+                    for scheme in schemes
+                },
+                population=measured.count,
+            ),
+            OraclePopulation(pop.constraints, cases, cases).breakdown(
+                _oracle_schemes()
+            ),
+        )
+        for scheme, oracle in zip(schemes, _oracle_schemes()):
+            assert yield_with_sensor(chips, scheme, sensor) == \
+                oracle_yield_with_sensor(expected.cases, oracle, sensor)
+
+
+def _count_params():
+    params = [
+        pytest.param(_study_population, seed, id=f"study-{seed}")
+        for seed in STUDY_SEEDS[::2]
+    ]
+    params += [
+        pytest.param(_random_population, seed, id=f"random-{seed}")
+        for seed in RANDOM_SEEDS
+    ]
+    return params + [
+        pytest.param(lambda seed: _no_chips(), 0, id="no-chips")
+    ]
+
+
+@pytest.mark.parametrize("build,seed", _count_params())
+def test_derived_counts_match_oracle(build, seed):
+    """Codes, base counts, ship count and residual counts, in value and
+    row order, at the population's own limits, under every policy's
+    reconstrained limits, and on the measured columns."""
+    pop = build(seed)
+    expected = OraclePopulation.of(pop)
+    _assert_population_counts_match(pop, expected)
+    _assert_measured_counts_match(pop, expected)
+    if pop.population == 0:
+        assert pop.base_yields == ()
+        return
+    for policy in POLICIES:
+        _assert_population_counts_match(
+            pop.reconstrained(policy), expected.reconstrained(policy)
+        )
+
+
+def test_random_populations_fill_every_bucket():
+    """The random populations reach leakage and all eight delay
+    buckets, so the row-order checks see every reason."""
+    seen = set()
+    for seed in RANDOM_SEEDS:
+        pop = _random_population(seed)
+        for horizontal in (False, True):
+            seen.update(pop.chips(horizontal).base_counts)
+    assert seen == set(LossReason) - {LossReason.NONE}

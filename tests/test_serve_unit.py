@@ -8,11 +8,15 @@ in ``test_serve.py``.
 from __future__ import annotations
 
 import asyncio
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
+from repro.engine import Engine, EngineConfig
+from repro.experiments import ExperimentSettings
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.admission import AdmissionController, RejectedError
 from repro.serve.batcher import SimulationBatcher
@@ -23,8 +27,11 @@ from repro.serve.protocol import (
     parse_experiment,
     parse_population,
     parse_simulation,
+    population_payload,
 )
 from repro.serve.router import RouteError, Router
+from repro.yieldmodel.classify import loss_counts
+from repro.yieldmodel.statistics import wilson_interval
 
 
 def run(coro):
@@ -520,3 +527,73 @@ class TestProtocol:
         a = parse_experiment({"name": "table2", "seed": 1})
         b = parse_experiment({"name": "table2", "seed": 2})
         assert a.key != b.key
+
+
+# ----------------------------------------------------------------------
+# warm population answers
+# ----------------------------------------------------------------------
+def _spy(monkeypatch, function) -> list:
+    """Count every call of ``function`` made through a name a ``repro``
+    module binds it to; one entry per call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    sites = [
+        module for name, module in sorted(sys.modules.items())
+        if name.startswith("repro.")
+        and vars(module).get(function.__name__) is function
+    ]
+    assert sites, f"no repro module binds {function.__name__}"
+    for module in sites:
+        monkeypatch.setattr(module, function.__name__, counted)
+    return calls
+
+
+def _yield_gauges(engine: Engine) -> dict:
+    return {
+        name: value
+        for name, value in engine.metrics.snapshot()["gauges"].items()
+        if name.startswith("yield.")
+    }
+
+
+class TestWarmPopulation:
+    """A warm population answer does no chip-array work: the loss counts
+    and base yields are derived once, with the population."""
+
+    def test_repeats_count_nothing(self, monkeypatch):
+        counts = _spy(monkeypatch, loss_counts)
+        wilsons = _spy(monkeypatch, wilson_interval)
+        engine = Engine(EngineConfig(persistent=False))
+        settings = ExperimentSettings(seed=12, chips=64)
+        result = engine.population(settings)
+        payload = population_payload(result)
+        gauges = _yield_gauges(engine)
+        assert counts and wilsons  # the cold answer derived them
+        cold = (len(counts), len(wilsons))
+        for _ in range(100):
+            assert population_payload(result) == payload
+        for _ in range(100):
+            assert engine.population(settings) is result
+            assert _yield_gauges(engine) == gauges
+        assert (len(counts), len(wilsons)) == cold
+
+    def test_gauges_are_the_base_yields(self):
+        """The gauges carry each architecture's ships over chips and its
+        Wilson half-width, as counted from the pass column."""
+        engine = Engine(EngineConfig(persistent=False))
+        result = engine.population(ExperimentSettings(seed=12, chips=64))
+        gauges = _yield_gauges(engine)
+        for figure, horizontal in (("regular.base", False),
+                                   ("horizontal.base", True)):
+            passes = result.chips(horizontal).passes
+            ships = int(np.count_nonzero(passes))
+            low, high = wilson_interval(ships, passes.shape[0])
+            assert gauges[f"yield.estimate.{figure}"] == ships / 64
+            assert gauges[f"yield.ci_halfwidth.{figure}"] == \
+                (high - low) / 2.0
+            assert gauges[f"yield.samples.{figure}"] == 64
+        assert len(gauges) == 6
