@@ -643,17 +643,16 @@ def _bench_report_command(args: argparse.Namespace) -> int:
 
 
 def _serve_command(args: argparse.Namespace) -> int:
-    from repro.core.errors import ConfigurationError
     from repro.serve.server import ServeConfig, run_server
 
-    if args.trace is not None:
-        args.trace.parent.mkdir(parents=True, exist_ok=True)
-        configure_tracing(args.trace)
-    engine = _engine(workers=args.workers)
     if args.window <= 0:
         raise ConfigurationError("--window must be positive")
     if args.window_count < 1:
         raise ConfigurationError("--window-count must be >= 1")
+    if args.trace is not None:
+        args.trace.parent.mkdir(parents=True, exist_ok=True)
+        configure_tracing(args.trace)
+    engine = _engine(workers=args.workers)
     config = ServeConfig(
         host=args.host,
         port=args.port,
@@ -698,48 +697,16 @@ def _serve_command(args: argparse.Namespace) -> int:
 
 
 def _bench_command(args: argparse.Namespace) -> int:
-    from repro.core.errors import ConfigurationError
-
-    try:
-        if args.bench_command == "run":
-            return _bench_run_command(args)
-        if args.bench_command == "compare":
-            return _bench_compare_command(args)
-        return _bench_report_command(args)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.bench_command == "run":
+        return _bench_run_command(args)
+    if args.bench_command == "compare":
+        return _bench_compare_command(args)
+    return _bench_report_command(args)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    if args.command == "list":
-        for name in available_experiments():
-            print(name)
-        return 0
-
-    if args.command == "cache":
-        return _cache_command(args.action, _engine())
-
-    if args.command == "trace":
-        return _trace_command(args)
-
-    if args.command == "bench":
-        return _bench_command(args)
-
-    if args.command == "serve":
-        return _serve_command(args)
-
+def _experiment_command(args: argparse.Namespace) -> int:
+    """``repro run`` and ``repro all``."""
     trace_length, trace_path = _split_trace_arg(args.trace)
-    if trace_path is not None:
-        # Enable before the engine exists so pool workers (forked during
-        # dispatch) inherit the tracer and append to the same file.
-        trace_path.parent.mkdir(parents=True, exist_ok=True)
-        configure_tracing(trace_path)
-
     if args.ci_target is not None and args.estimator is None:
         print(
             "error: --ci-target requires --estimator "
@@ -757,17 +724,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
-    estimator = None
-    if args.estimator is not None:
-        try:
+    if trace_path is not None:
+        # Enable before the engine exists so pool workers (forked during
+        # dispatch) inherit the tracer and append to the same file.
+        trace_path.parent.mkdir(parents=True, exist_ok=True)
+        configure_tracing(trace_path)
+    try:
+        estimator = None
+        if args.estimator is not None:
             estimator = EstimatorSpec(
                 kind=args.estimator, ci_target=args.ci_target
             )
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    try:
         engine = _engine(workers=args.workers, estimator=estimator)
         settings = _settings_from_args(args, trace_length)
         if args.command == "run":
@@ -789,6 +756,34 @@ def main(argv: Optional[List[str]] = None) -> int:
         if trace_path is not None:
             disable_tracing()
     return 0
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """CLI entry point.
+
+    A :class:`ConfigurationError` (a bad flag, environment variable,
+    engine or server setting) is answered with ``error: <message>`` on
+    stderr and exit status 2, not a traceback.
+    """
+    args = build_parser().parse_args(argv)
+
+    if args.command == "list":
+        for name in available_experiments():
+            print(name)
+        return 0
+    if args.command == "trace":
+        return _trace_command(args)
+    try:
+        if args.command == "cache":
+            return _cache_command(args.action, _engine())
+        if args.command == "bench":
+            return _bench_command(args)
+        if args.command == "serve":
+            return _serve_command(args)
+        return _experiment_command(args)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -9,6 +9,9 @@ chip-id order. A job draws its chips through
 whose ``die_z`` hook applies the estimators' die-slot transforms, and
 evaluates both architectures with
 :meth:`~repro.yieldmodel.analysis.YieldStudy.evaluate`.
+:meth:`BatchRunner.reference` hands out the first chips of the
+reference stream, from a live population's rows when the engine that
+built the runner holds them.
 
 Determinism contract: chip ``i`` of stream ``tag`` always draws from
 ``spawn(seed, f"{tag}-{i}")``, both transforms are elementwise, and the
@@ -25,6 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.circuit.columnar import CircuitColumns
 from repro.engine.executor import ShardedExecutor
 from repro.obs.trace import span as trace_span
 from repro.variation.columnar import ColumnarPopulationSampler
@@ -40,6 +44,9 @@ _MIN_SHARD = 16
 #: ``start``, ``stop`` and the optional die-slot transforms ``shift``
 #: (IS mean tilt, list of floats) and ``stratum`` (``[index, strata]``).
 ChipJob = Dict[str, object]
+
+#: Both architectures' circuit columns of one chip range.
+ChipPair = Tuple[CircuitColumns, CircuitColumns]
 
 
 def chip_shard(job: ChipJob) -> ShardData:
@@ -64,7 +71,7 @@ def chip_shard(job: ChipJob) -> ShardData:
         "worker:chip_shard", tag=tag, start=start, stop=stop, seed=seed
     ):
         # The study's own models, so a population's chips match the
-        # live-chip key of the YieldStudy they are filed under.
+        # live-chip key of the YieldStudy the engine files them under.
         study = YieldStudy(seed=seed)
         population = ColumnarPopulationSampler(study.sampler).sample_range(
             seed, start, stop, tag=tag, die_z=rewrite
@@ -91,6 +98,10 @@ class BatchRunner:
         Optional ``provenance()`` returning extra attributes for each
         ``engine.dispatch`` span (the engine's provenance stamp when
         tracing is on).
+    share:
+        Optional ``share(study, compute)`` returning ``study``'s chips,
+        from live rows or ``compute()`` (the engine's live-chip index);
+        only :meth:`reference` asks it. Default: always compute.
     """
 
     def __init__(
@@ -99,6 +110,9 @@ class BatchRunner:
         stats=None,
         progress: Optional[Callable[[int, int], None]] = None,
         provenance: Optional[Callable[[], Dict[str, object]]] = None,
+        share: Optional[
+            Callable[[YieldStudy, Callable[[], ChipPair]], ChipPair]
+        ] = None,
     ) -> None:
         self.executor = (
             executor if executor is not None else ShardedExecutor()
@@ -106,6 +120,7 @@ class BatchRunner:
         self.stats = stats
         self.progress = progress
         self.provenance = provenance if provenance is not None else dict
+        self.share = share
 
     # ------------------------------------------------------------------
     def _jobs(
@@ -153,3 +168,16 @@ class BatchRunner:
                 chip_shard, jobs, self.stats, progress=self.progress
             )
         return ShardData.join(shards)
+
+    def reference(self, seed: int, count: int) -> ChipPair:
+        """Chips ``[0, count)`` of the reference ``chip`` stream, both
+        architectures (a fixed population or estimate never reads the
+        die-slot z): a live population's rows when ``share`` has them,
+        otherwise dispatched."""
+
+        def compute() -> ChipPair:
+            return self.run(seed, "chip", 0, count)[:2]
+
+        if self.share is None:
+            return compute()
+        return self.share(YieldStudy(seed=seed, count=count), compute)

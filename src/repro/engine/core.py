@@ -5,7 +5,7 @@ population or a yield estimate, running one pipeline simulation — funnels
 through one :class:`Engine`, which satisfies it from (in order):
 
 1. the **in-process memo** (:meth:`Engine.clear_memory` empties exactly
-   this level),
+   this level, and the live-chip index below),
 2. the **persistent store** (`.repro_cache/` by default) keyed by the
    SHA-256 of the job's full identity, shared across processes and runs,
 3. **computation**, sharded over a :class:`~repro.engine.executor.ShardedExecutor`
@@ -13,6 +13,14 @@ through one :class:`Engine`, which satisfies it from (in order):
    draw their chips through the one chip dispatcher,
    :class:`~repro.engine.chips.BatchRunner`; simulations run
    :func:`~repro.engine.workers.simulation_job`.
+
+Chips are shared within one engine. Chip ``i``'s row depends only on its
+stream ``spawn(seed, f"chip-{i}")``, the sampler, the technology and the
+organisation, so the first ``n`` rows of a population are the ``n``-chip
+population byte for byte. Each engine keeps a *live-chip index* of the
+populations it computed: a fixed population, a fixed estimate and a
+:meth:`Engine.study` take their chips from a live population's rows when
+the index holds enough of them (see :meth:`Engine._shared_chips`).
 
 Configuration comes from the environment (overridable per instance):
 
@@ -27,12 +35,16 @@ from __future__ import annotations
 
 import os
 import pathlib
+import threading
+import weakref
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.validation import env_int, env_positive_int, require_positive
 from repro.core.errors import ConfigurationError
-from repro.engine.chips import BatchRunner
+from repro.engine.chips import BatchRunner, ChipPair
 from repro.engine.codec import (
     decode_estimate,
     decode_population,
@@ -50,7 +62,7 @@ from repro.engine.workers import simulation_job
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import provenance_stamp
 from repro.obs.trace import span as trace_span, tracing_enabled
-from repro.yieldmodel.analysis import YieldStudy
+from repro.yieldmodel.analysis import PopulationResult, YieldStudy
 from repro.yieldmodel.constraints import ConstraintPolicy, NOMINAL_POLICY
 from repro.yieldmodel.estimators import adaptive_chips, run_estimate
 from repro.yieldmodel.estimators.results import FIGURES
@@ -128,6 +140,12 @@ class Engine:
             workers=self.config.workers, timeout=self.config.job_timeout
         )
         self._memo: Dict[str, object] = {}
+        #: The live-chip index: ``(chips key, hyapd)`` to the circuit
+        #: columns of the largest live population of those chips this
+        #: engine computed (see :meth:`_shared_chips`). Values are weak:
+        #: the index never keeps a population alive, and needs no bound.
+        self._live_chips = weakref.WeakValueDictionary()
+        self._live_lock = threading.Lock()
         self._provenance: Optional[Dict[str, object]] = None
 
     def provenance(self) -> Dict[str, object]:
@@ -168,8 +186,12 @@ class Engine:
     # cache plumbing
     # ------------------------------------------------------------------
     def clear_memory(self) -> None:
-        """Drop the in-process memo; the persistent store is untouched."""
+        """Drop the in-process memo and empty the live-chip index, so
+        the next study of any chips draws them; the persistent store is
+        untouched."""
         self._memo.clear()
+        with self._live_lock:
+            self._live_chips.clear()
 
     def _lookup(self, kind: str, key: str, decode):
         """Memo then store; ``None`` when the job must be computed."""
@@ -247,9 +269,9 @@ class Engine:
 
         ``progress`` (optional) is called as ``progress(done, total)``
         after each dispatched shard completes; cache hits, and
-        populations whose chips a live population already holds (see
-        :meth:`YieldStudy.live_chips`), dispatch nothing and never call
-        it.
+        populations whose chips a live population of this engine
+        already holds (see :meth:`_shared_chips`), dispatch nothing and
+        never call it.
         ``estimator`` (default: the engine config's spec) selects how the
         population is sized: ``None``/``fixed`` evaluate exactly
         ``settings.chips`` chips; ``adaptive`` draws batches of the same
@@ -311,13 +333,48 @@ class Engine:
 
     def _chip_dispatcher(self, progress: Optional[Callable[[int, int], None]]):
         """The one chip-range dispatcher, over this engine's executor:
-        every population and every estimate draws its chips through it."""
+        every population and every estimate draws its chips through it,
+        and its :meth:`~BatchRunner.reference` shares this engine's
+        live chips."""
         return BatchRunner(
             executor=self._executor,
             stats=self.stats,
             progress=progress,
             provenance=self._dispatch_provenance,
+            share=self._shared_chips,
         )
+
+    def _shared_chips(
+        self, study: YieldStudy, compute: Callable[[], ChipPair]
+    ) -> ChipPair:
+        """Chips ``[0, study.count)`` of ``study``'s chips, both
+        architectures: the first rows of a live population of the same
+        (seed, sampler, technology, organisation) when the index holds
+        that many, otherwise ``compute()``'s, offered to later studies
+        unless a larger population of those chips is live by then. The
+        one place that reads and fills the live-chip index."""
+        key = (study.seed, study.sampler, study.tech, study.organization)
+        with self._live_lock:
+            held = [self._live_chips.get((key, h)) for h in (False, True)]
+        if all(c is not None and len(c) >= study.count for c in held):
+            rows = np.arange(study.count)
+            return held[0].take(rows), held[1].take(rows)
+        columns = compute()
+        with self._live_lock:
+            for hyapd, computed in zip((False, True), columns):
+                live = self._live_chips.get((key, hyapd))
+                if live is None or len(live) < len(computed):
+                    self._live_chips[key, hyapd] = computed
+        return columns
+
+    def study(self, study: YieldStudy) -> PopulationResult:
+        """``study``'s population on this engine's live chips: a live
+        population's first rows when this engine holds them, otherwise
+        drawn and evaluated in process and offered on. Not an engine
+        job: it is neither memoised nor stored, and dispatches nothing."""
+        return study.assemble(*self._shared_chips(
+            study, lambda: study.evaluate(study.draw(0, study.count))
+        ))
 
     def _compute_population(
         self,
@@ -328,13 +385,8 @@ class Engine:
         study = YieldStudy(
             seed=settings.seed, count=settings.chips, policy=policy
         )
-        # Chips a live population already holds are not dispatched; the
-        # dispatched chips (regular, horizontal: a population never reads
-        # the die-slot z) are offered on, as a study's own are.
-        return study.assemble(*study.chips(
-            lambda: self._chip_dispatcher(progress).run(
-                settings.seed, "chip", 0, settings.chips
-            )[:2]
+        return study.assemble(*self._chip_dispatcher(progress).reference(
+            settings.seed, settings.chips
         ))
 
     def _compute_population_adaptive(
@@ -482,31 +534,16 @@ class Engine:
                     misses.append(index)
             sp.set(misses=len(misses))
             if misses:
-                # Ship compiled-trace cache keys, not traces: each worker
-                # resolves the key against its process-level compiled
-                # cache (repro.workloads.compiled), so a (benchmark,
-                # seed) stream is packed once per worker, not per job.
-                # The key is informational — the store identity (and so
-                # every cache key) is unchanged.
-                from repro.workloads.compiled import trace_key
-
-                jobs = []
-                for i in misses:
-                    identity = identities[i]
-                    job = dict(identity)
-                    job["ctrace"] = trace_key(
-                        identity["benchmark"],
-                        identity["seed"],
-                        identity["warmup"] + identity["trace_length"],
-                    )
-                    jobs.append(job)
+                # A job is its identity: each worker compiles a (benchmark,
+                # seed) trace once into its process-level cache
+                # (repro.workloads.compiled), not once per job.
                 with self.stats.stage("simulation"), trace_span(
                     "engine.dispatch", kind="simulation", jobs=len(misses),
                     **self._dispatch_provenance(),
                 ):
                     computed = self._executor.run(
                         simulation_job,
-                        jobs,
+                        [identities[i] for i in misses],
                         self.stats,
                         progress=progress,
                     )

@@ -27,15 +27,14 @@ def simulation_job(job: SimulationJob):
     ``job`` carries ``seed``, ``trace_length``, ``warmup``, ``benchmark``,
     and either ``way_cycles`` (list with ``None`` for disabled ways) or
     ``uniform_latency`` (naive binning), matching
-    :meth:`repro.engine.core.Engine.simulate`. The dispatcher also
-    ships the compiled-trace cache key (``ctrace``); the worker
-    resolves it against its process-level compiled-trace cache, so one
-    (benchmark, seed) stream is generated and packed once per worker
-    instead of once per job.
+    :meth:`repro.engine.core.Engine.simulate`. The trace comes from
+    the worker's process-level compiled-trace cache, keyed by
+    ``(benchmark, seed)``, so one stream is generated and packed once
+    per worker instead of once per job.
     """
     from repro.cache.setassoc import WayConfig
     from repro.uarch import PAPER_CORE, Simulator
-    from repro.workloads import get_compiled_trace, get_profile, trace_key
+    from repro.workloads import get_compiled_trace, get_profile
 
     seed = int(job["seed"])
     trace_length = int(job["trace_length"])
@@ -43,21 +42,13 @@ def simulation_job(job: SimulationJob):
     benchmark = str(job["benchmark"])
     way_cycles = job.get("way_cycles")
     uniform_latency = job.get("uniform_latency")
-    shipped_key = job.get("ctrace")
 
     with trace_span(
         "worker:simulation", benchmark=benchmark, instructions=trace_length
     ):
-        profile = get_profile(benchmark)
-        total = warmup + trace_length
-        if shipped_key is not None and shipped_key != trace_key(
-            profile.name, seed, total
-        ):
-            raise ValueError(
-                f"compiled-trace key mismatch for {benchmark!r}: the "
-                "dispatcher and worker disagree on the trace identity"
-            )
-        trace = get_compiled_trace(profile, seed, total)
+        trace = get_compiled_trace(
+            get_profile(benchmark), seed, warmup + trace_length
+        )
         core = PAPER_CORE
         l1d_config = None
         if uniform_latency is not None:

@@ -4,7 +4,9 @@
   on the same horizontal band failing across ways; scaling the way-level
   correlation factors (larger factor = *less* correlation, the paper's
   convention) and switching the shared band component on/off shows when
-  horizontal power-down beats vertical.
+  horizontal power-down beats vertical. The unscaled banded point is
+  the paper's configuration, so it takes its chips from the paper
+  population when the engine holds that live (:meth:`Engine.study`).
 * ``ablation_lbb`` — load-bypass buffer depth. The paper fixes
   single-entry buffers (one extra cycle) arguing deeper buffers buy
   little yield for a lot of performance; this sweep quantifies both
@@ -44,9 +46,9 @@ def run_ablation_corr(
         for band in (0.0, 1.3):
             factors = CorrelationFactors().scaled_ways(way_scale).with_band(band)
             sampler = CacheVariationSampler(factors=factors)
-            pop = YieldStudy(
-                seed=settings.seed, count=chips, sampler=sampler
-            ).run()
+            pop = engine.study(
+                YieldStudy(seed=settings.seed, count=chips, sampler=sampler)
+            )
             bd = pop.breakdown([YAPD()], horizontal=False)
             bdh = pop.breakdown([HYAPD()], horizontal=True)
             yapd = bd.loss_reduction("YAPD")

@@ -65,7 +65,7 @@ class ExperimentSettings:
             )
         require_positive(self.trace_length, "trace_length")
         if self.warmup < 0:
-            raise ValueError("warmup must be >= 0")
+            raise ConfigurationError(f"warmup must be >= 0, got {self.warmup}")
         if self.benchmarks is not None:
             # Validate eagerly: an unknown name raises ConfigurationError
             # here instead of deep inside an experiment run.

@@ -14,8 +14,8 @@
   sweep draws its chips once and evaluates them at each temperature.
 
 The 4-way point of the associativity sweep is the paper's configuration,
-so it takes its chips from the paper population when that is live (see
-:class:`~repro.yieldmodel.analysis.YieldStudy`).
+so it takes its chips from the paper population when the engine holds
+that live (see :meth:`~repro.engine.core.Engine.study`).
 """
 
 from __future__ import annotations
@@ -52,12 +52,12 @@ def run_ablation_assoc(
             mesh=MeshLayout(rows=mesh_rows, cols=mesh_cols), num_ways=ways
         )
         organization = CacheOrganization(num_ways=ways)
-        pop = YieldStudy(
+        pop = engine.study(YieldStudy(
             seed=settings.seed,
             count=chips,
             sampler=sampler,
             organization=organization,
-        ).run()
+        ))
         bd = pop.breakdown([YAPD(), VACA(), Hybrid()])
         low, high = scheme_yield_interval(pop, Hybrid())
         rows.append(

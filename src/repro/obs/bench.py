@@ -398,11 +398,11 @@ def run_suite(
     process-wide engine and its ``.repro_cache/`` are never touched), and
     its memo is cleared by the benchmarks that must recompute, so the
     numbers measure compute — not cache reads. Each case starts with an
-    empty memo and an empty live-chip index, so it never times less
-    work than it names by reading chips an earlier case computed.
+    empty memo and an empty live-chip index (``clear_memory`` empties
+    both), so it never times less work than it names by reading chips
+    an earlier case computed.
     """
     from repro.engine.core import Engine, EngineConfig
-    from repro.yieldmodel.analysis import forget_live_chips
 
     if suite not in SUITES:
         raise ConfigurationError(
@@ -416,7 +416,6 @@ def run_suite(
     results: List[BenchResult] = []
     for benchmark in SUITES[suite]:
         engine.clear_memory()
-        forget_live_chips()
         thunk = benchmark.prepare(engine)
         try:
             for _ in range(warmup):

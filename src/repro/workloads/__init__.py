@@ -37,7 +37,6 @@ from repro.workloads.compiled import (
     compile_trace,
     get_compiled_trace,
     trace_cache_info,
-    trace_key,
 )
 
 __all__ = [
@@ -49,7 +48,6 @@ __all__ = [
     "CompiledTrace",
     "compile_trace",
     "get_compiled_trace",
-    "trace_key",
     "trace_cache_info",
     "clear_trace_cache",
 ]

@@ -25,8 +25,6 @@ buffers:
   ``(profile name, seed)``, least recently used first out under a fixed
   byte budget (:data:`TRACE_CACHE_BUDGET`). Stats feed ``repro cache
   info`` and serve's ``/healthz``.
-* :func:`trace_key` — the cheap identity key the engine puts in job
-  dicts.
 
 The generator draws, from ``spawn(seed, "trace-<profile>")``: the four
 stream walkers' start offsets (``integers(0, steps)`` each), then per
@@ -44,7 +42,6 @@ Compilation is wrapped in a ``ctrace.compile`` span and replay (in
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from array import array
 from collections import OrderedDict
@@ -65,7 +62,6 @@ __all__ = [
     "check_columns",
     "compile_trace",
     "get_compiled_trace",
-    "trace_key",
     "trace_cache_info",
     "clear_trace_cache",
 ]
@@ -459,19 +455,6 @@ TRACE_CACHE_BUDGET = 32 * 1024 * 1024
 _CACHE_LOCK = threading.Lock()
 _TRACE_CACHE: "OrderedDict[Tuple[str, int], CompiledTrace]" = OrderedDict()
 _CACHE_STATS = {"hits": 0, "misses": 0, "evictions": 0, "bytes": 0}
-
-
-def trace_key(profile_name: str, seed: int, length: int) -> str:
-    """Identity key of the compiled trace for ``(profile, seed, length)``.
-
-    Cheap to compute without compiling: generation is deterministic per
-    ``(profile, seed)`` and ``compile_trace(n)`` is a prefix of
-    ``compile_trace(m)``, so the identity fully determines the content.
-    The engine ships this key to pool workers.
-    """
-    return hashlib.sha256(
-        f"ctrace:{profile_name}:{seed}:{length}".encode("utf-8")
-    ).hexdigest()
 
 
 def get_compiled_trace(

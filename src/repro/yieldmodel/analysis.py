@@ -12,12 +12,9 @@
    the H-YAPD architecture is held to the same absolute limits),
 4. classify every chip and apply any number of schemes.
 
-Steps 1 and 2 are skipped when the process already holds the chips: a
-study of ``n`` chips takes the first ``n`` rows of a live population with
-the same seed, sampler, technology and organisation, found in a
-weak-valued *live-chip index* (the rows are the same bytes a fresh draw
-and evaluation would give). Only whole computed populations enter the
-index; shards and :meth:`YieldStudy.assemble`'s inputs do not.
+A study always draws its own chips. Reusing the rows of a live
+population of the same chips is the engine's business
+(:meth:`repro.engine.core.Engine.study`): it owns the chip path.
 
 The result object holds the population as columns and counts from them
 the paper's loss-breakdown tables (Tables 2/3), the relaxed/strict totals
@@ -27,17 +24,12 @@ each scheme decides the whole population with one array call.
 
 from __future__ import annotations
 
-import threading
-import weakref
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
 from typing import (
-    TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence,
-    Tuple,
+    TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple,
 )
-
-import numpy as np
 
 from repro.circuit.cache_model import CacheCircuitModel
 from repro.circuit.columnar import CircuitColumns, evaluate_population_pair
@@ -73,7 +65,6 @@ __all__ = [
     "PopulationResult",
     "YieldStudy",
     "derive_constraints",
-    "forget_live_chips",
 ]
 
 #: Order in which loss reasons appear in the paper's tables. The 5-8 way
@@ -293,26 +284,6 @@ def derive_constraints(
     )
 
 
-#: The live-chip index: ``(chips key, hyapd)`` to the circuit columns of
-#: the largest live population of those chips (see
-#: :meth:`YieldStudy._chips_key`). Chip ``i``'s row depends only on its
-#: stream ``spawn(seed, f"chip-{i}")``, the sampler, the technology and
-#: the organisation, so the first ``n`` rows of any population of the
-#: same chips are the ``n``-chip population byte for byte. Values are
-#: weak: the index never keeps a population alive, and needs no bound.
-_live_chips: "weakref.WeakValueDictionary[tuple, CircuitColumns]" = (
-    weakref.WeakValueDictionary()
-)
-_live_lock = threading.Lock()
-
-
-def forget_live_chips() -> None:
-    """Empty the live-chip index, so the next study of any chips draws
-    them (the populations it pointed at are not touched)."""
-    with _live_lock:
-        _live_chips.clear()
-
-
 @dataclass
 class YieldStudy:
     """End-to-end Monte Carlo yield study.
@@ -376,69 +347,16 @@ class YieldStudy:
             population,
         )
 
-    def _chips_key(self) -> tuple:
-        """What fixes every row: seed, sampler type and configuration,
-        technology and organisation (not the count or the policy)."""
-        return (self.seed, self.sampler, self.tech, self.organization)
-
-    def live_chips(
-        self, count: int
-    ) -> Optional[Tuple[CircuitColumns, CircuitColumns]]:
-        """The first ``count`` chips of a live population of these chips,
-        both architectures, or ``None`` if no live one holds that many."""
-        key = self._chips_key()
-        with _live_lock:
-            held = [_live_chips.get((key, hyapd)) for hyapd in (False, True)]
-        if any(columns is None or len(columns) < count for columns in held):
-            return None
-        rows = np.arange(count)
-        return held[0].take(rows), held[1].take(rows)
-
-    def keep_live(
-        self, regular: CircuitColumns, horizontal: CircuitColumns
-    ) -> None:
-        """Offer computed chips ``[0, n)`` to later studies of these chips
-        for as long as something else keeps them alive."""
-        key = self._chips_key()
-        with _live_lock:
-            for hyapd, columns in ((False, regular), (True, horizontal)):
-                held = _live_chips.get((key, hyapd))
-                if held is None or len(held) < len(columns):
-                    _live_chips[key, hyapd] = columns
-
-    def chips(
-        self,
-        compute: Optional[
-            Callable[[], Tuple[CircuitColumns, CircuitColumns]]
-        ] = None,
-    ) -> Tuple[CircuitColumns, CircuitColumns]:
-        """Chips ``[0, count)`` under both architectures.
-
-        They are the first rows of a live population of these chips when
-        there is one (:meth:`live_chips`); otherwise ``compute()`` gives
-        them (default: drawn and evaluated here), and they are offered to
-        later studies.
-        """
-        columns = self.live_chips(self.count)
-        if columns is None:
-            columns = (
-                compute() if compute is not None
-                else self.evaluate(self.draw(0, self.count))
-            )
-            self.keep_live(*columns)
-        return columns
-
     def assemble(
         self, regular: CircuitColumns, horizontal: CircuitColumns
     ) -> PopulationResult:
         """Derive limits over the full population and classify every chip.
 
         ``regular``/``horizontal`` hold the population in chip-id order
-        (:meth:`run`'s chips, or the engine's concatenated chip shards).
-        Limits always come from the complete regular population (never
-        per shard), so assembly is independent of how the evaluation was
-        split. The columns may come from anywhere (another sampler's
-        chips, say), so they are never offered to later studies.
+        (:meth:`run`'s chips, the engine's concatenated chip shards, or
+        the rows of a live population the engine shares). Limits always
+        come from the complete regular population (never per shard), so
+        assembly is independent of how the evaluation was split.
         """
         return PopulationResult(
             constraints=derive_constraints(self.policy, regular),
@@ -448,6 +366,5 @@ class YieldStudy:
         )
 
     def run(self) -> PopulationResult:
-        """Sample (or share, see :meth:`chips`), evaluate both
-        architectures, derive limits, classify."""
-        return self.assemble(*self.chips())
+        """Sample, evaluate both architectures, derive limits, classify."""
+        return self.assemble(*self.evaluate(self.draw(0, self.count)))

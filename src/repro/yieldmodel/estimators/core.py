@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.circuit.columnar import CircuitColumns
 from repro.core.errors import ConfigurationError
-from repro.yieldmodel.analysis import YieldStudy, derive_constraints
+from repro.yieldmodel.analysis import derive_constraints
 from repro.yieldmodel.classify import ChipColumns
 from repro.yieldmodel.constraints import ConstraintPolicy, YieldConstraints
 from repro.yieldmodel.estimators.results import (
@@ -118,14 +118,12 @@ def estimate_fixed(
 ) -> EstimateReport:
     """Brute-force Monte Carlo over the full population, Wilson CIs.
 
-    The chips are the reference population's first rows: a live
-    population's when one holds them (:meth:`YieldStudy.chips`),
-    otherwise drawn here and offered on. The die-slot z goes unread.
+    The chips are the reference population's first rows
+    (:meth:`~repro.engine.chips.BatchRunner.reference`): a live
+    population's when the runner's engine holds one, otherwise drawn.
     """
     total = spec.sample_cap(chips)
-    regular, horizontal = YieldStudy(seed=seed, count=total).chips(
-        lambda: runner.run(seed, "chip", 0, total)[:2]
-    )
+    regular, horizontal = runner.reference(seed, total)
     constraints = derive_constraints(policy, regular)
     return EstimateReport(
         kind="fixed",

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import random
-import weakref
 
 import numpy as np
 import pytest
@@ -458,12 +457,7 @@ class TestStudyDifferential:
 
         fast = run()
         # Scalar draws per chip and composed evaluation per chip, turned
-        # into columns only at the end. ``fast`` stays live, so the
-        # oracle study gets an empty live-chip index of its own, and the
-        # counts prove the oracles ran.
-        monkeypatch.setattr(
-            analysis, "_live_chips", weakref.WeakValueDictionary()
-        )
+        # into columns only at the end; the counts prove the oracles ran.
         drawn, evaluated = [], []
 
         def oracle_sample_range(self, seed, start, stop):

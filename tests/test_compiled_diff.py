@@ -38,7 +38,6 @@ from repro.workloads import (
     get_compiled_trace,
     get_profile,
     trace_cache_info,
-    trace_key,
 )
 
 _PROFILE_NAMES = tuple(p.name for p in SPEC2000_ALL)
@@ -312,11 +311,6 @@ class TestCompiledTraceCache:
             assert info["evictions"] == 0
         finally:
             clear_trace_cache()
-
-    def test_trace_key_is_identity_stable(self):
-        assert trace_key("gzip", 2006, 1000) == trace_key("gzip", 2006, 1000)
-        assert trace_key("gzip", 2006, 1000) != trace_key("gzip", 2006, 1001)
-        assert trace_key("gzip", 2006, 1000) != trace_key("mcf", 2006, 1000)
 
 
 # ----------------------------------------------------------------------

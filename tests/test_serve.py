@@ -161,10 +161,6 @@ def test_experiment_computes_on_the_served_engine():
     """``POST /v1/experiment`` runs on the engine the server was built
     with, so the experiment's population job and its yield gauges reach
     that server's ``/metrics``."""
-    from repro.yieldmodel.analysis import forget_live_chips
-
-    # Chips another test's engine still holds would spare the job.
-    forget_live_chips()
     engine = Engine(EngineConfig(persistent=False))
     thread = ServerThread(engine, ServeConfig(port=0))
     host, port = thread.start()

@@ -1,11 +1,11 @@
-"""Battery: yield studies share the chips the process already holds.
+"""Battery: yield studies share the chips their engine already holds.
 
 Chip ``i``'s circuit row depends only on its stream ``spawn(seed,
 f"chip-{i}")``, the sampler's type and configuration, the technology and
-the organisation, so a study of ``n`` chips takes the first ``n`` rows
-of a live population with that identity from the live-chip index
-(``repro.yieldmodel.analysis``) instead of drawing them. This battery
-asserts that:
+the organisation, so a study of ``n`` chips on an engine
+(``Engine.study``, a fixed population, a fixed estimate) takes the first
+``n`` rows of a live population with that identity from the engine's
+live-chip index instead of drawing them. This battery asserts that:
 
 * a shared study makes no ``sample_range`` call and its store payload
   equals the same study run with nothing live, over 2-, 4- and 8-way
@@ -13,21 +13,24 @@ asserts that:
   organisations, and any policy;
 * a difference in any one identity field (seed, each sampler argument,
   a sampler subclass, temperature, organisation) means no sharing;
-* the index holds weak references only: a dropped holder is gone, and
+* the index holds weak references only: a dropped holder is gone,
   :meth:`YieldStudy.assemble` (which takes columns from anywhere, grid
-  chips included) registers nothing;
+  chips included) registers nothing, and ``clear_memory`` empties it;
 * a 2-worker engine shares what its workers computed, its chip shards
   draw every range they are sent and register nothing, and the
   ``engine.population`` bench case still samples on every repeat;
 * a fixed estimate of chips a live population holds reads its rows and
   runs no chip job;
+* chips are shared within one engine only: two live engines each draw
+  and count their own, and in ``repro all``'s yield half the paper
+  points of ``ablation_corr`` and ``ablation_assoc`` read the engine's
+  population;
 * studies on more threads than cores, switching every microsecond, give
   their serial twins' bytes;
 * the sensor's columnar readings equal the per-chip oracle's bit for
   bit on every failing chip, at every sensor setting.
 
-Every test starts from an empty index of its own, so populations other
-modules keep alive cannot answer it. Seeds are ones no fixture uses.
+Every test builds its own engine, so its index starts empty.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from repro.core import units
 from repro.engine.codec import encode_estimate, encode_population
 from repro.engine.core import Engine, EngineConfig
 from repro.experiments.common import ExperimentSettings
+from repro.experiments.runner import run_experiment
 from repro.obs.bench import SUITES
 from repro.schemes.sensors import LeakageSensor
 from repro.variation.columnar import (
@@ -61,7 +65,6 @@ from repro.variation.gridmodel import GridVariationSampler
 from repro.variation.parameters import ParameterSpec, VariationTable
 from repro.variation.sampling import CacheVariationSampler
 from repro.variation.spatial import PAPER_FACTORS, MeshLayout
-from repro.yieldmodel import analysis
 from repro.yieldmodel.analysis import YieldStudy
 from repro.yieldmodel.constraints import (
     NOMINAL_POLICY,
@@ -106,12 +109,10 @@ CONFIGS = [
 ]
 
 
-@pytest.fixture(autouse=True)
-def _empty_index(monkeypatch):
-    """An empty live-chip index for each test."""
-    monkeypatch.setattr(
-        analysis, "_live_chips", weakref.WeakValueDictionary()
-    )
+@pytest.fixture
+def engine():
+    """A serial engine with no store and an empty live-chip index."""
+    return Engine(EngineConfig(persistent=False))
 
 
 @pytest.fixture
@@ -140,6 +141,12 @@ def _bytes(result) -> str:
     return json.dumps(encode_population(result), sort_keys=True)
 
 
+def _held(engine, study):
+    """Both architectures' columns ``engine`` holds for ``study``'s chips."""
+    key = (study.seed, study.sampler, study.tech, study.organization)
+    return [engine._live_chips.get((key, hyapd)) for hyapd in (False, True)]
+
+
 # ----------------------------------------------------------------------
 # prefix identity
 # ----------------------------------------------------------------------
@@ -147,38 +154,45 @@ def _bytes(result) -> str:
     "seed,config", [pytest.param(s, c, id=i) for i, s, c in CONFIGS]
 )
 @pytest.mark.parametrize("policy", [NOMINAL_POLICY, STRICT_POLICY])
-def test_prefix_study_shares_the_live_chips(draws, seed, config, policy):
-    alone = _bytes(_study(seed, config, 24, policy).run())
-    assert draws == [24] and not analysis._live_chips  # nothing kept it
-    holder = _study(seed, config, 40, RELAXED_POLICY).run()
+def test_prefix_study_shares_the_live_chips(
+    engine, draws, seed, config, policy
+):
+    alone = _bytes(engine.study(_study(seed, config, 24, policy)))
+    assert draws == [24] and not engine._live_chips  # nothing kept it
+    holder = engine.study(_study(seed, config, 40, RELAXED_POLICY))
     del draws[:]
-    shared = _study(seed, config, 24, policy).run()
+    shared = engine.study(_study(seed, config, 24, policy))
     assert draws == []
     assert _bytes(shared) == alone
     # A study of the holder's own count shares too.
-    assert _bytes(_study(seed, config, 40, RELAXED_POLICY).run()) == \
-        _bytes(holder)
+    assert _bytes(engine.study(_study(seed, config, 40, RELAXED_POLICY))) \
+        == _bytes(holder)
     assert draws == []
 
 
-def test_a_larger_study_computes_and_replaces(draws):
+def test_a_larger_study_computes_and_replaces(engine, draws):
     seed, config = 9111, _config()
-    small = _study(seed, config, 16).run()
-    large = _study(seed, config, 32).run()
+    small = engine.study(_study(seed, config, 16))
+    large = engine.study(_study(seed, config, 32))
     assert draws == [16, 32]
-    key = (_study(seed, config, 1)._chips_key(), False)
-    assert analysis._live_chips[key] is large.regular
+    assert _held(engine, _study(seed, config, 1))[0] is large.regular
     assert small.regular.chip_ids == large.regular.chip_ids[:16]
 
 
-def test_a_smaller_population_never_displaces_a_larger(draws):
-    """One computed while a larger one was being computed, say."""
+def test_a_smaller_population_never_displaces_a_larger(engine, draws):
+    """A larger population of the same chips goes live while a smaller
+    one is computed: the smaller one is not filed over it."""
     seed, config = 9113, _config()
-    large = _study(seed, config, 32).run()
     study = _study(seed, config, 16)
-    study.keep_live(*study.evaluate(study.draw(0, 16)))
-    key = (study._chips_key(), False)
-    assert analysis._live_chips[key] is large.regular
+    large = []
+
+    def compute():
+        large.append(engine.study(_study(seed, config, 32)))
+        return study.evaluate(study.draw(0, 16))
+
+    engine._shared_chips(study, compute)
+    assert draws == [32, 16]
+    assert _held(engine, study)[0] is large[0].regular
 
 
 def test_shards_neither_look_up_nor_register(tmp_path, monkeypatch):
@@ -186,8 +200,8 @@ def test_shards_neither_look_up_nor_register(tmp_path, monkeypatch):
     though a live population holds some, and register none: only the
     engine offers a whole fixed population on."""
     seed = 9112
-    holder = _study(seed, _config(), 32).run()
-    key = (_study(seed, _config(), 1)._chips_key(), False)
+    engine = Engine(EngineConfig(workers=2, persistent=False))
+    holder = engine.study(_study(seed, _config(), 32))
     log = tmp_path / "draws"
     sample_range = ColumnarPopulationSampler.sample_range
 
@@ -203,19 +217,18 @@ def test_shards_neither_look_up_nor_register(tmp_path, monkeypatch):
         return sorted(tuple(map(int, line.split())) for line in lines)
 
     monkeypatch.setattr(ColumnarPopulationSampler, "sample_range", spy)
-    engine = Engine(EngineConfig(workers=2, persistent=False))
     # One 16-chip shard per adaptive batch, each run in process.
     engine.population(
         ExperimentSettings(seed=seed, chips=48),
         estimator=EstimatorSpec(kind="adaptive", batch_size=16),
     )
     assert drawn() == [(0, 16), (16, 32), (32, 48)]
-    assert analysis._live_chips[key] is holder.regular
+    assert _held(engine, _study(seed, _config(), 1))[0] is holder.regular
     # Four 16-chip shards over the pool; the engine registers the whole.
     fixed = engine.population(ExperimentSettings(seed=seed, chips=64))
     assert drawn() == [(0, 16), (16, 32), (32, 48), (48, 64)]
     assert fixed.regular.chip_ids[:32] == holder.regular.chip_ids
-    assert analysis._live_chips[key] is fixed.regular
+    assert _held(engine, _study(seed, _config(), 1))[0] is fixed.regular
 
 
 # ----------------------------------------------------------------------
@@ -270,22 +283,21 @@ def _variants():
 @pytest.mark.parametrize(
     "config", [pytest.param(c, id=i) for i, c in _variants()]
 )
-def test_one_field_apart_shares_nothing(draws, config):
+def test_one_field_apart_shares_nothing(engine, draws, config):
     seed = 9121
-    holder = _study(seed, _config(), 40).run()
-    other = _study(seed, config, 24)
-    assert other._chips_key() != _study(seed, _config(), 24)._chips_key()
-    other.run()
+    holder = engine.study(_study(seed, _config(), 40))
+    engine.study(_study(seed, config, 24))
     assert draws == [40, 24]
-    _study(seed + 1, _config(), 24).run()  # the seed too
+    engine.study(_study(seed + 1, _config(), 24))  # the seed too
     assert draws == [40, 24, 24]
     assert holder.population == 40
 
 
-def test_equal_configurations_are_one_identity():
-    """The paper point of each sweep rebuilds the paper configuration."""
-    paper = _study(2006, (CacheVariationSampler(), TECH45,
-                          CacheOrganization()), 800)._chips_key()
+def test_equal_configurations_are_one_identity(engine, draws):
+    """The paper point of each sweep rebuilds the paper configuration,
+    and shares the paper chips."""
+    paper = engine.study(_study(2006, (CacheVariationSampler(), TECH45,
+                                       CacheOrganization()), 24))
     rebuilt = [
         (CacheVariationSampler(
             factors=PAPER_FACTORS.scaled_ways(1.0).with_band(1.3)),
@@ -296,7 +308,9 @@ def test_equal_configurations_are_one_identity():
          CacheOrganization()),
     ]
     for config in rebuilt:
-        assert _study(2006, config, 800)._chips_key() == paper
+        assert _bytes(engine.study(_study(2006, config, 24))) == \
+            _bytes(paper)
+    assert draws == [24]
     assert CacheVariationSampler() != _Subclass()
     assert hash(CacheVariationSampler()) == hash(CacheVariationSampler())
 
@@ -304,18 +318,18 @@ def test_equal_configurations_are_one_identity():
 # ----------------------------------------------------------------------
 # weak references
 # ----------------------------------------------------------------------
-def test_a_dropped_holder_is_not_shared(draws):
+def test_a_dropped_holder_is_not_shared(engine, draws):
     seed, config = 9131, _config()
-    holder = _study(seed, config, 40).run()
+    holder = engine.study(_study(seed, config, 40))
     reference = weakref.ref(holder.regular)
     del holder
     assert reference() is None  # no cycle keeps a population alive
-    assert not analysis._live_chips
-    _study(seed, config, 24).run()
+    assert not engine._live_chips
+    engine.study(_study(seed, config, 24))
     assert draws == [40, 24]
 
 
-def test_assemble_registers_nothing(draws):
+def test_assemble_registers_nothing(engine, draws):
     """Grid chips through a default study's assemble (as the correlation
     example does) never answer a later default study."""
     seed = 9132
@@ -327,10 +341,19 @@ def test_assemble_registers_nothing(draws):
             CacheCircuitModel(), CacheCircuitModel(hyapd=True), population
         )
     )
-    assert not analysis._live_chips
-    stock = YieldStudy(seed=seed, count=24).run()
+    stock = engine.study(YieldStudy(seed=seed, count=24))
     assert draws == [24]
     assert _bytes(stock) != _bytes(grid)
+
+
+def test_clear_memory_empties_the_index(engine, draws):
+    seed, config = 9133, _config()
+    holder = engine.study(_study(seed, config, 40))
+    engine.clear_memory()
+    assert not engine._live_chips
+    engine.study(_study(seed, config, 24))
+    assert draws == [40, 24]
+    assert holder.population == 40
 
 
 # ----------------------------------------------------------------------
@@ -342,10 +365,10 @@ def test_two_worker_engine_shares_its_population(draws):
     engine.population(ExperimentSettings(seed=seed, chips=96))
     del draws[:]  # the workers, or the degraded in-process path
     jobs = engine.stats.jobs_run
-    study = YieldStudy(seed=seed, count=40).run()
+    study = engine.study(YieldStudy(seed=seed, count=40))
     smaller = engine.population(ExperimentSettings(seed=seed, chips=64))
     assert draws == [] and engine.stats.jobs_run == jobs
-    analysis._live_chips.clear()  # recompute from nothing
+    # A plain run draws its own chips.
     assert _bytes(study) == _bytes(YieldStudy(seed=seed, count=40).run())
     assert _bytes(smaller) == _bytes(YieldStudy(seed=seed, count=64).run())
 
@@ -360,12 +383,48 @@ def test_fixed_estimate_reads_a_live_populations_rows(draws):
     assert engine.stats.jobs_run == 1
     report = engine.estimate(settings, estimator=fixed)
     assert engine.stats.jobs_run == 1 and draws == [300]
-    analysis._live_chips.clear()  # recompute from nothing
     fresh = Engine(EngineConfig(workers=1, persistent=False))
     assert encode_estimate(report) == encode_estimate(
         fresh.estimate(settings, estimator=fixed)
     )
     assert fresh.stats.jobs_run == 1 and draws == [300, 300]
+
+
+def test_two_live_engines_each_count_their_own_chips(draws):
+    """An engine never reads the chips another engine holds: while A's
+    population is live, B draws and counts its own, as does a third
+    engine once both are dropped."""
+    settings = ExperimentSettings(seed=12, chips=40)
+    first = Engine(EngineConfig(persistent=False))
+    second = Engine(EngineConfig(persistent=False))
+    texts = [
+        run_experiment("table2", settings, engine).text
+        for engine in (first, second)
+    ]
+    assert first.stats.jobs_run == second.stats.jobs_run == 1
+    assert draws == [40, 40] and texts[0] == texts[1]
+    del first, second
+    third = Engine(EngineConfig(persistent=False))
+    assert run_experiment("table2", settings, third).text == texts[0]
+    assert third.stats.jobs_run == 1 and draws == [40, 40, 40]
+
+
+def test_ablation_paper_points_read_the_population(draws):
+    """``repro all``'s yield half: after the engine's population, the
+    paper point of ``ablation_corr`` (way scale 1.0, band 1.3) and of
+    ``ablation_assoc`` (4 ways) draws no chips, and each table reads as
+    on an engine that holds no population."""
+    settings = ExperimentSettings(seed=9161, chips=48)
+    names = ("ablation_corr", "ablation_assoc")
+    alone = Engine(EngineConfig(persistent=False))
+    want = [run_experiment(name, settings, alone).text for name in names]
+    assert draws == [48] * 9  # six correlation points, three ways
+    del draws[:]
+    engine = Engine(EngineConfig(persistent=False))
+    engine.population(settings)
+    got = [run_experiment(name, settings, engine).text for name in names]
+    assert draws == [48] * 8 and got == want
+    assert engine.stats.jobs_run == 1
 
 
 def test_bench_population_case_samples_every_repeat(draws):
@@ -380,21 +439,17 @@ def test_bench_population_case_samples_every_repeat(draws):
 # ----------------------------------------------------------------------
 # threads
 # ----------------------------------------------------------------------
-def test_threads_give_their_serial_twins(monkeypatch):
+def test_threads_give_their_serial_twins(engine):
     jobs = [
         (seed, count)
         for seed in (9151, 9152, 9153)
         for count in (8, 24, 40, 16)
     ]
-    twins = {}
-    for seed, count in jobs:  # serial, each on an empty index
-        monkeypatch.setattr(
-            analysis, "_live_chips", weakref.WeakValueDictionary()
-        )
-        twins[seed, count] = _bytes(YieldStudy(seed=seed, count=count).run())
-    monkeypatch.setattr(
-        analysis, "_live_chips", weakref.WeakValueDictionary()
-    )
+    # A plain run draws its own chips: the serial twins share nothing.
+    twins = {
+        (seed, count): _bytes(YieldStudy(seed=seed, count=count).run())
+        for seed, count in jobs
+    }
     threads_count = 2 * (os.cpu_count() or 1) + 3
     work = [jobs[:] for _ in range(threads_count)]
     for index, queue in enumerate(work):
@@ -408,7 +463,7 @@ def test_threads_give_their_serial_twins(monkeypatch):
         try:
             start.wait(timeout=60)
             for seed, count in work[index]:
-                result = YieldStudy(seed=seed, count=count).run()
+                result = engine.study(YieldStudy(seed=seed, count=count))
                 kept.append(result)
                 results[index].append(((seed, count), _bytes(result)))
         except Exception as exc:  # reported below
@@ -435,7 +490,8 @@ def test_threads_give_their_serial_twins(monkeypatch):
             assert got == twins[key], key
     # A lost update would leave a smaller population in the index.
     for seed in (9151, 9152, 9153):
-        assert YieldStudy(seed=seed, count=1).live_chips(40) is not None
+        held = _held(engine, YieldStudy(seed=seed, count=1))
+        assert [len(columns) for columns in held] == [40, 40]
 
 
 # ----------------------------------------------------------------------
