@@ -21,8 +21,7 @@ pipeline models stores as non-blocking through a store buffer).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.cache.geometry import CacheGeometry
 from repro.core.errors import ConfigurationError
@@ -104,8 +103,10 @@ class SetAssociativeCache:
     """Functional set-associative LRU cache with yield-aware configuration.
 
     Each set keeps a tag list and a dirty list indexed by way (``None``
-    marks an empty way) and a recency list of its filled ways, least
-    recent first.
+    marks an empty way), a recency list of its filled ways, least recent
+    first, and a free list of its empty eligible ways. A set's lists are
+    made at its first fill, so a simulation builds none for the sets it
+    never touches; a set not yet filled misses.
 
     Parameters
     ----------
@@ -142,17 +143,17 @@ class SetAssociativeCache:
         self._set_bits = num_sets.bit_length() - 1
         self._set_mask = num_sets - 1
         self._latencies = self.config.latencies
-        self._tags: List[List[Optional[int]]] = list(
-            map(list, repeat((None,) * ways, num_sets))
-        )
-        self._dirty: List[List[bool]] = list(
-            map(list, repeat((False,) * ways, num_sets))
-        )
-        # Every filled way is in its set's recency list and nothing else
-        # is, so a set has an empty eligible way exactly when its list is
-        # shorter than its eligible ways, and the victim is the list's
-        # head.
-        self._recency: List[List[int]] = list(map(list, repeat((), num_sets)))
+        # A set's tag, dirty, recency and free lists are made at its first
+        # fill. Until then its tags read as the shared all-empty tuple (so
+        # every lookup misses) and its other lists as None. Every filled
+        # way is in its set's recency list, least recent first, and every
+        # empty eligible way in its free list, in ascending order: a set
+        # is full exactly when its free list is empty, and its victim is
+        # the recency list's head.
+        self._tags: List[Sequence[Optional[int]]] = [(None,) * ways] * num_sets
+        self._dirty: List[Optional[List[bool]]] = [None] * num_sets
+        self._recency: List[Optional[List[int]]] = [None] * num_sets
+        self._free: List[Optional[List[int]]] = [None] * num_sets
         self._eligible = self._eligible_per_set()
         # statistics
         self.hits = 0
@@ -242,21 +243,24 @@ class SetAssociativeCache:
             if dirty:
                 self._dirty[set_index][way] = True
             return AccessResult(True, way, self._latencies[way], set_index)
-        eligible = self._eligible[set_index]
-        dirty_bits = self._dirty[set_index]
+        free = self._free[set_index]
+        if free is None:  # the set's first fill
+            ways = self.geometry.associativity
+            tags = self._tags[set_index] = [None] * ways
+            dirty_bits = self._dirty[set_index] = [False] * ways
+            recency = self._recency[set_index] = []
+            free = self._free[set_index] = list(self._eligible[set_index])
+        else:
+            dirty_bits = self._dirty[set_index]
         evicted_block: Optional[int] = None
         evicted_dirty = False
-        if len(recency) == len(eligible):
-            empty = ()  # a full recency list is a full set
-        else:
-            empty = [w for w in eligible if tags[w] is None]
-        if empty:
+        if free:
             # Spread cold fills across the empty ways (hash by block
             # address): always picking the lowest index would park the
             # long-lived hot blocks in the low ways and starve the high
             # ways of hits, which would bias every per-way-latency
             # experiment.
-            way = empty[block % len(empty)]
+            way = free.pop(block % len(free))
         else:
             way = recency.pop(0)
             evicted_block = (tags[way] << self._set_bits) | set_index

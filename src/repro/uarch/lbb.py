@@ -64,14 +64,17 @@ class LoadBypassBuffers:
         """
         if duration > self.slack:
             return False
-        cycles = range(cycle, cycle + duration)
-        if any(self._occupancy.get(c, 0) >= self.capacity for c in cycles):
-            self.overflows += 1
-            return False
-        for c in cycles:
-            occupancy = self._occupancy.get(c, 0) + 1
-            self._occupancy[c] = occupancy
-            self.peak = max(self.peak, occupancy)
+        occupancy = self._occupancy
+        end = cycle + duration
+        for c in range(cycle, end):
+            if occupancy.get(c, 0) >= self.capacity:
+                self.overflows += 1
+                return False
+        for c in range(cycle, end):
+            held = occupancy.get(c, 0) + 1
+            occupancy[c] = held
+            if held > self.peak:
+                self.peak = held
         self.total_stalls += 1
         return True
 

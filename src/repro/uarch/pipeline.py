@@ -35,18 +35,27 @@ Kernel
 iteration is one cycle with something to do, and runs the stages in this
 order: completion and miss-discovery events, commit, issue, dispatch,
 fetch, then a jump to the next cycle at which anything can happen.
-Instruction fields are read straight from the compiled trace's columns
-by sequence number, so the only per-instruction object is
-:class:`_Inst`. Functional-unit pools and the next cycle's reservations
-(load-bypass occupancy and slow-way port blocking) are small lists
-indexed by pool.
+
+A simulation allocates nothing per instruction. Its state lives in
+per-run lists indexed by sequence number (the trace index): the cycle an
+instruction may dispatch, its ready time, the wake-up it broadcasts, its
+done cycle (a sentinel later than any cycle until it issues, so
+"completed" is ``done <= cycle``), up to two producers, the count of
+producers not yet issued, and a waiters list made only for a producer
+that gets one. Fetch, dispatch and commit run in program order, so the
+front end is the sequence range ``[dispatched, position)`` and the ROB is
+``[committed, dispatched)``. The heaps hold ints: completion cycles, and
+``time << bits | seq`` keys for ready instructions and late-load
+discovery, which order as ``(time, seq)`` pairs would. Functional-unit
+pools and the next cycle's reservations (load-bypass occupancy and
+slow-way port blocking) are small lists indexed by pool.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from typing import List
+import sys
+from typing import List, Optional
 
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.core.errors import SimulationError
@@ -71,37 +80,11 @@ _OP_LATENCY = tuple(FU_LATENCIES[op] for op in _OPS)
 #: The pool a slow L1D way blocks for one cycle (its cache port).
 _MEM_POOL = _POOLS.index("mem")
 _IDLE_POOLS = (0,) * len(_POOLS)
-
-
-class _Inst:
-    """Mutable per-instruction pipeline state; ``seq`` is its trace index."""
-
-    __slots__ = (
-        "seq",
-        "op",
-        "fetch_cycle",
-        "producers",
-        "waiters",
-        "remaining",
-        "ready_time",
-        "issued",
-        "done",
-        "wake_time",
-        "completed",
-    )
-
-    def __init__(self, seq: int, op: int, fetch_cycle: int) -> None:
-        self.seq = seq
-        self.op = op
-        self.fetch_cycle = fetch_cycle
-        self.producers: List["_Inst"] = []
-        self.waiters: List["_Inst"] = []
-        self.remaining = 0
-        self.ready_time = 0
-        self.issued = False
-        self.done = -1
-        self.wake_time = -1
-        self.completed = False
+#: The done cycle of an instruction that has not issued.
+_NEVER = sys.maxsize
+#: The load-bypass occupancy before each multiple of this many cycles is
+#: dropped at the first simulated cycle past it.
+_RELEASE_INTERVAL = 50_000
 
 
 class PipelineEngine:
@@ -170,13 +153,17 @@ class PipelineEngine:
 
         trace = self.trace
         length = trace.length
-        ops = trace.ops
-        dests = trace.dests
-        src0 = trace.src0
-        src1 = trace.src1
+        # List copies of the small-valued columns: a list read is cheaper
+        # than an array read, and small ints are shared, so a copy costs
+        # one pointer per instruction. Addresses and pcs are large and
+        # read once each, so a copy would only build their ints up front.
+        ops = trace.ops[:length].tolist()
+        dests = trace.dests[:length].tolist()
+        src0 = trace.src0[:length].tolist()
+        src1 = trace.src1[:length].tolist()
+        mispredicts = trace.mispredicts[:length].tolist()
         addresses = trace.addresses
         pcs = trace.pcs
-        mispredicts = trace.mispredicts
 
         fetch_width = config.fetch_width
         frontend_limit = 3 * fetch_width
@@ -195,24 +182,41 @@ class PipelineEngine:
         l1i_latency = hierarchy.config.l1i_latency
         warmup = self.warmup_instructions
         warm = warmup == 0
+        never = _NEVER
+        # Heap keys pack (time, seq) as time << bits | seq.
+        bits = length.bit_length()
+        mask = (1 << bits) - 1
+
+        # Per-instruction state, indexed by sequence number.
+        dispatch_at = [0] * length  # fetch cycle + front-end depth
+        ready_time = [0] * length
+        wake = [0] * length  # the cycle dependents may issue from
+        done = [never] * length
+        producer0 = [-1] * length  # producers not completed at dispatch
+        producer1 = [-1] * length
+        unissued = [0] * length  # of those, the ones not yet issued
+        waiters: List[Optional[List[int]]] = [None] * length
 
         cycle = 0
         warmup_cycle = 0
         last_commit_cycle = 0
+        release_at = _RELEASE_INTERVAL
         # fetch
         position = 0  # next trace index to fetch (= its sequence number)
         exhausted = False
-        blocked_on = None  # the unissued mispredicted branch, if any
+        blocked_on = -1  # the unissued mispredicted branch, if any
         stall_until = 0
         last_fetch_block = None
-        # window
-        frontend = deque()  # fetched, awaiting dispatch
-        rob = deque()
+        # window: the front end is [dispatched, position), the ROB
+        # [committed, dispatched) (``committed`` counts commits, so it is
+        # also the ROB head's sequence number)
+        dispatched = 0
         iq_used = 0
-        last_writer: List = [None] * NUM_REGISTERS
-        ready: List = []  # heap of (ready_time, seq, inst)
-        events: List = []  # heap of (time, kind, seq, inst)
-        deferred: List[_Inst] = []
+        last_writer = [-1] * NUM_REGISTERS
+        ready: List[int] = []  # heap of ready_time << bits | seq
+        completions: List[int] = []  # heap of done cycles
+        discoveries: List[int] = []  # heap of exec_start << bits | seq
+        deferred: List[int] = []
         # Latest revised wake-up of any miss-discovered load. While
         # ``cycle >= revision_horizon`` — every instruction window with
         # no pending slow load — the issue stage skips the producer
@@ -235,28 +239,31 @@ class PipelineEngine:
 
         try:
             while True:
-                # -- events: completions, and misses discovered at execute
-                while events and events[0][0] <= cycle:
-                    _, kind, _, inst = heappop(events)
-                    if kind == 0:
-                        inst.completed = True
-                    else:
-                        # Consumers issued in the shadow replay on their
-                        # own; the rest are re-timed for the refill.
-                        wake = inst.done - sched
-                        if wake <= cycle:
-                            wake = cycle + 1
-                        inst.wake_time = wake
-                        if wake > revision_horizon:
-                            revision_horizon = wake
+                # Keys below this are due: their time is at most this cycle.
+                due = (cycle + 1) << bits
+                # -- events: completions (which only mark cycles to
+                # visit: done <= cycle is completion), and misses
+                # discovered at execute
+                while completions and completions[0] <= cycle:
+                    heappop(completions)
+                while discoveries and discoveries[0] < due:
+                    seq = heappop(discoveries) & mask
+                    # Consumers issued in the shadow replay on their own;
+                    # the rest are re-timed for the refill.
+                    revised = done[seq] - sched
+                    if revised <= cycle:
+                        revised = cycle + 1
+                    wake[seq] = revised
+                    if revised > revision_horizon:
+                        revision_horizon = revised
 
                 # -- commit
                 count = 0
-                while rob and count < commit_width:
-                    head = rob[0]
-                    if not head.completed or head.done > cycle:
-                        break
-                    rob.popleft()
+                while (
+                    committed < dispatched
+                    and count < commit_width
+                    and done[committed] <= cycle
+                ):
                     committed += 1
                     last_commit_cycle = cycle
                     count += 1
@@ -276,7 +283,7 @@ class PipelineEngine:
                         self._reset_hierarchy_statistics()
 
                 # -- issue
-                if ready and ready[0][0] <= cycle:
+                if ready and ready[0] < due:
                     if reserved_cycle == cycle:
                         pool_used, reserved = reserved, pool_used
                     else:
@@ -284,46 +291,46 @@ class PipelineEngine:
                     check_revised = revision_horizon > cycle
                     issued = 0
                     while ready and issued < issue_width:
-                        entry = ready[0]
-                        if entry[0] > cycle:
+                        key = ready[0]
+                        if key >= due:
                             break
                         heappop(ready)
-                        inst = entry[2]
-                        if inst.issued or entry[0] < inst.ready_time:
+                        seq = key & mask
+                        if done[seq] != never or key >> bits < ready_time[seq]:
                             continue  # stale heap entry
-                        producers = inst.producers
+                        first = producer0[seq]
+                        second = producer1[seq]
                         if check_revised:
                             # A producer's wake-up may have been revised
                             # after this entry was queued (miss discovery):
                             # re-time the consumer without an issue slot.
                             revised = 0
-                            for producer in producers:
-                                if producer.wake_time > revised:
-                                    revised = producer.wake_time
+                            if first >= 0:
+                                revised = wake[first]
+                            if second >= 0 and wake[second] > revised:
+                                revised = wake[second]
                             if revised > cycle:
-                                if revised > inst.ready_time:
-                                    inst.ready_time = revised
-                                heappush(
-                                    ready, (inst.ready_time, inst.seq, inst)
-                                )
+                                if revised > ready_time[seq]:
+                                    ready_time[seq] = revised
+                                heappush(ready, ready_time[seq] << bits | seq)
                                 continue
-                        op = inst.op
+                        op = ops[seq]
                         pool = op_pool[op]
                         if pool_used[pool] >= pool_sizes[pool]:
-                            deferred.append(inst)  # structural hazard
+                            deferred.append(seq)  # structural hazard
                             continue
 
                         # Will the data actually be there at execute?
                         exec_start = cycle + sched
                         data_ready = 0
-                        for producer in producers:
-                            if not producer.issued:
-                                raise SimulationError(
-                                    "consumer scheduled before its producer "
-                                    "issued"
-                                )
-                            if producer.done > data_ready:
-                                data_ready = producer.done
+                        if first >= 0:
+                            data_ready = done[first]
+                        if second >= 0 and done[second] > data_ready:
+                            data_ready = done[second]
+                        if data_ready == never:
+                            raise SimulationError(
+                                "consumer scheduled before its producer issued"
+                            )
                         pool_used[pool] += 1
                         issued += 1
                         shortfall = data_ready - exec_start
@@ -338,11 +345,9 @@ class PipelineEngine:
                                 retry = data_ready - sched
                                 if retry <= cycle:
                                     retry = cycle + 1
-                                if retry > inst.ready_time:
-                                    inst.ready_time = retry
-                                heappush(
-                                    ready, (inst.ready_time, inst.seq, inst)
-                                )
+                                if retry > ready_time[seq]:
+                                    ready_time[seq] = retry
+                                heappush(ready, ready_time[seq] << bits | seq)
                                 continue
                             # Absorbed by a load-bypass buffer: the operand
                             # occupies this FU's input, blocking one issue
@@ -353,14 +358,12 @@ class PipelineEngine:
                                 reserved_cycle = cycle + 1
                             reserved[pool] += 1
 
-                        inst.issued = True
                         iq_used -= 1
-                        seq = inst.seq
                         if op == _LOAD:
                             access = data_access(addresses[seq], False)
                             latency = access[0]
                             loads += 1
-                            done = exec_start + latency
+                            finish = exec_start + latency
                             if latency > predicted and access[1]:
                                 # A 5-cycle way holds its cache port one
                                 # cycle longer, blocking one memory issue
@@ -373,97 +376,120 @@ class PipelineEngine:
                             if latency > predicted + lbb_slack:
                                 # A miss for the scheduler: discovered at
                                 # this load's execute stage.
-                                heappush(events, (exec_start, 1, seq, inst))
+                                heappush(discoveries, exec_start << bits | seq)
                             # Dependents wake on the predicted latency,
                             # delayed by this load's own bypass slip.
-                            wake = predicted + exec_start - sched
+                            broadcast = predicted + exec_start - sched
                         elif op == _STORE:
                             data_access(addresses[seq], True)
                             stores += 1
-                            done = exec_start + op_latency[op]
-                            wake = done
+                            finish = exec_start + op_latency[op]
+                            broadcast = finish
                         else:
-                            done = exec_start + op_latency[op]
-                            wake = done - sched
-                        inst.done = done
-                        heappush(events, (done, 0, seq, inst))
-                        inst.wake_time = wake
-                        for consumer in inst.waiters:
-                            if consumer.issued:
-                                continue
-                            consumer.remaining -= 1
-                            if wake > consumer.ready_time:
-                                consumer.ready_time = wake
-                            if consumer.remaining <= 0:
-                                heappush(
-                                    ready,
-                                    (consumer.ready_time, consumer.seq,
-                                     consumer),
-                                )
-                        inst.waiters.clear()
+                            finish = exec_start + op_latency[op]
+                            broadcast = finish - sched
+                        done[seq] = finish
+                        heappush(completions, finish)
+                        wake[seq] = broadcast
+                        consumers = waiters[seq]
+                        if consumers is not None:
+                            waiters[seq] = None
+                            for consumer in consumers:
+                                if done[consumer] != never:
+                                    continue
+                                if broadcast > ready_time[consumer]:
+                                    ready_time[consumer] = broadcast
+                                left = unissued[consumer] - 1
+                                unissued[consumer] = left
+                                if left <= 0:
+                                    heappush(
+                                        ready,
+                                        ready_time[consumer] << bits
+                                        | consumer,
+                                    )
                         if mispredicts[seq]:
                             mispredicted += 1
-                            if done + 1 > stall_until:
-                                stall_until = done + 1
-                            if blocked_on is inst:
-                                blocked_on = None
+                            if finish + 1 > stall_until:
+                                stall_until = finish + 1
+                            if blocked_on == seq:
+                                blocked_on = -1
                     if deferred:
-                        for inst in deferred:  # retry next cycle
-                            if cycle + 1 > inst.ready_time:
-                                inst.ready_time = cycle + 1
-                            heappush(ready, (inst.ready_time, inst.seq, inst))
+                        retry = cycle + 1
+                        for seq in deferred:  # retry next cycle
+                            if retry > ready_time[seq]:
+                                ready_time[seq] = retry
+                            heappush(ready, ready_time[seq] << bits | seq)
                         deferred.clear()
 
-                # -- dispatch
-                count = 0
-                while (
-                    frontend
-                    and count < fetch_width
-                    and len(rob) < rob_size
-                    and iq_used < iq_size
-                ):
-                    inst = frontend[0]
-                    if inst.fetch_cycle + frontend_stages > cycle:
-                        break
-                    frontend.popleft()
-                    rob.append(inst)
+                # -- dispatch: in order, up to the fetch width and the
+                # free ROB and issue-queue entries
+                end = dispatched + fetch_width
+                if end > position:
+                    end = position
+                if end > committed + rob_size:
+                    end = committed + rob_size
+                if end > dispatched + iq_size - iq_used:
+                    end = dispatched + iq_size - iq_used
+                soonest = cycle + 1
+                while dispatched < end and dispatch_at[dispatched] <= cycle:
+                    seq = dispatched
+                    dispatched += 1
                     iq_used += 1
-                    count += 1
-                    seq = inst.seq
-                    ready_time = cycle + 1
-                    for src in (src0[seq], src1[seq]):
-                        if src < 0:
-                            break
+                    time = soonest
+                    waiting = 0
+                    src = src0[seq]
+                    if src >= 0:
                         producer = last_writer[src]
-                        if producer is None or producer.completed:
-                            continue
-                        inst.producers.append(producer)
-                        if producer.issued:
-                            if producer.wake_time > ready_time:
-                                ready_time = producer.wake_time
-                        else:
-                            inst.remaining += 1
-                            producer.waiters.append(inst)
-                    inst.ready_time = ready_time
+                        if producer >= 0 and done[producer] > cycle:
+                            producer0[seq] = producer
+                            if done[producer] != never:
+                                if wake[producer] > time:
+                                    time = wake[producer]
+                            else:
+                                waiting = 1
+                                queue = waiters[producer]
+                                if queue is None:
+                                    waiters[producer] = [seq]
+                                else:
+                                    queue.append(seq)
+                        src = src1[seq]
+                        if src >= 0:
+                            producer = last_writer[src]
+                            if producer >= 0 and done[producer] > cycle:
+                                producer1[seq] = producer
+                                if done[producer] != never:
+                                    if wake[producer] > time:
+                                        time = wake[producer]
+                                else:
+                                    waiting += 1
+                                    queue = waiters[producer]
+                                    if queue is None:
+                                        waiters[producer] = [seq]
+                                    else:
+                                        queue.append(seq)
+                    ready_time[seq] = time
                     dest = dests[seq]
                     if dest >= 0:
-                        last_writer[dest] = inst
-                    if inst.remaining == 0:
-                        heappush(ready, (ready_time, seq, inst))
+                        last_writer[dest] = seq
+                    if waiting:
+                        unissued[seq] = waiting
+                    else:
+                        heappush(ready, time << bits | seq)
 
                 # -- fetch
                 if (
-                    blocked_on is None
+                    blocked_on < 0
                     and cycle >= stall_until
                     and not exhausted
-                    and len(frontend) < frontend_limit
+                    and position - dispatched < frontend_limit
                 ):
                     fetched = 0
+                    arrival = cycle + frontend_stages
                     while fetched < fetch_width:
                         if position >= length:
                             exhausted = True
                             break
-                        inst = _Inst(position, ops[position], cycle)
+                        dispatch_at[position] = arrival
                         fetched += 1
                         # Instruction cache: pay the miss latency when
                         # entering a new block; the hit latency is part
@@ -475,16 +501,15 @@ class PipelineEngine:
                             extra = instruction_fetch(pc) - l1i_latency
                             if extra > 0 and cycle + extra > stall_until:
                                 stall_until = cycle + extra
-                        frontend.append(inst)
                         mispredicted_branch = mispredicts[position]
                         position += 1
                         if mispredicted_branch:
-                            blocked_on = inst
+                            blocked_on = position - 1
                             break
                         if cycle < stall_until:
                             break
 
-                if exhausted and not rob and not frontend:
+                if exhausted and committed == position:
                     break
                 if cycle - last_commit_cycle > _DEADLOCK_LIMIT:
                     raise SimulationError(
@@ -493,29 +518,40 @@ class PipelineEngine:
                     )
 
                 # -- next cycle: the earliest future one at which anything
-                # can happen (0 while there is none)
-                upcoming = 0
-                if events and events[0][0] > cycle:
-                    upcoming = events[0][0]
+                # can happen (0 while there is none). Both event heaps hold
+                # only future cycles here: the due ones were handled above,
+                # and issue pushes cycles past this one (sched >= 1).
+                upcoming = completions[0] if completions else 0
+                if discoveries:
+                    time = discoveries[0] >> bits
+                    if not upcoming or time < upcoming:
+                        upcoming = time
                 if ready:
-                    time = ready[0][0]
+                    # An entry due by now (left when the issue width
+                    # filled) proposes nothing, so it waits for the next
+                    # other event: a known skew, kept until a change that
+                    # alters every simulation result anyway (ROADMAP).
+                    time = ready[0] >> bits
                     if time > cycle and (not upcoming or time < upcoming):
                         upcoming = time
-                if frontend:
-                    time = frontend[0].fetch_cycle + frontend_stages
+                if dispatched < position:
+                    time = dispatch_at[dispatched]
                     if time > cycle and (not upcoming or time < upcoming):
                         upcoming = time
                 if (
                     not exhausted
-                    and blocked_on is None
-                    and len(frontend) < frontend_limit
+                    and blocked_on < 0
+                    and position - dispatched < frontend_limit
                 ):
                     time = stall_until if stall_until > cycle else cycle + 1
                     if not upcoming or time < upcoming:
                         upcoming = time
                 cycle = upcoming if upcoming else cycle + 1
-                if cycle % 50_000 == 0:
+                if cycle >= release_at:
+                    # Holds are only queried from cycle + sched on.
                     lbb.release_before(cycle)
+                    release_at = cycle - cycle % _RELEASE_INTERVAL
+                    release_at += _RELEASE_INTERVAL
         finally:
             self.cycle = cycle
             self.warmup_cycle = warmup_cycle

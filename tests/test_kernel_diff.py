@@ -13,7 +13,12 @@ reports must equal the oracle's exactly, so these tests compare the
   4/5/6, YAPD, Hybrid, H-YAPD bands, uniform 5/6 binning with the raised
   predicted latency), ``lbb_slack`` 0/1/2 and fetch/issue widths 2/4/8;
 * the 11 L1D configurations of the paper's performance artefacts on
-  every profile, at a short window;
+  every profile at a short window, and on a few profiles at the
+  benchmark's paper-cold window (500 warmup + 1,000 measured);
+* prefix views of a longer compiled trace (how ``get_compiled_trace``
+  serves a shorter request) at lengths on either side of the powers of
+  two where the kernel's packed ``time << bits | seq`` heap keys gain a
+  bit, against a fresh compile of that length and the oracle;
 * a wiring test: ``Simulator.run`` goes through ``PipelineEngine.run``
   and calls ``MemoryHierarchy.data_access`` once per load and store and
   ``instruction_fetch`` once per fetch-block change, warmup included.
@@ -35,6 +40,7 @@ from repro.uarch import PAPER_CORE, Simulator
 from repro.uarch.isa import OpClass, MEMORY_OPS
 from repro.uarch.pipeline import PipelineEngine
 from repro.workloads import SPEC2000_ALL, get_compiled_trace, get_profile
+from repro.workloads.compiled import compile_trace
 
 _PROFILE_NAMES = tuple(p.name for p in SPEC2000_ALL)
 
@@ -133,8 +139,9 @@ def test_kernel_matches_oracle(
         assert kernel.startswith("SimulationError: trace too short")
 
 
-def _paper_cases():
-    """Every (profile, L1D configuration) the performance artefacts run."""
+def _paper_variants():
+    """(label, L1D way cycles, uniform binning latency) of every L1D
+    configuration the performance artefacts run."""
     configs = {
         config_way_cycles(config, scheme)
         for config in CONFIG_ORDER
@@ -148,25 +155,64 @@ def _paper_cases():
     ]
     variants += [(f"uniform{u}", None, u) for u in (5, 6)]
     assert len(variants) == 11
+    return variants
+
+
+def _paper_cases(profiles):
     return [
         pytest.param(profile, cycles, uniform, id=f"{profile}-{label}")
-        for profile in _PROFILE_NAMES
-        for label, cycles, uniform in variants
+        for profile in profiles
+        for label, cycles, uniform in _paper_variants()
     ]
 
 
-@pytest.mark.parametrize("profile,cycles,uniform", _paper_cases())
-def test_paper_configurations_match_oracle(profile, cycles, uniform):
-    trace = get_compiled_trace(get_profile(profile), 2006, 450)
+def _kernel_and_oracle(trace, warmup, cycles, uniform):
+    """The kernel's and the oracle's SimResult reprs for one run."""
     core = PAPER_CORE
     if uniform is not None:
         core = core.replace(predicted_load_latency=uniform)
     config = None if cycles is None else WayConfig(latencies=cycles)
     kernel = Simulator(
         core=core, l1d_config=config, uniform_load_latency=uniform
-    ).run(trace, warmup=150)
-    oracle = oracle_simulate(instructions(trace), 150, core, config, uniform)
-    assert repr(kernel) == repr(oracle)
+    ).run(trace, warmup=warmup)
+    oracle = oracle_simulate(
+        instructions(trace), warmup, core, config, uniform
+    )
+    return repr(kernel), repr(oracle)
+
+
+@pytest.mark.parametrize(
+    "profile,cycles,uniform", _paper_cases(_PROFILE_NAMES)
+)
+def test_paper_configurations_match_oracle(profile, cycles, uniform):
+    trace = get_compiled_trace(get_profile(profile), 2006, 450)
+    kernel, oracle = _kernel_and_oracle(trace, 150, cycles, uniform)
+    assert kernel == oracle
+
+
+@pytest.mark.parametrize(
+    "profile,cycles,uniform", _paper_cases(("ammp", "mcf", "gzip"))
+)
+def test_paper_cold_window_matches_oracle(profile, cycles, uniform):
+    """The benchmark's paper-cold window: 500 warmup + 1,000 measured."""
+    trace = compile_trace(get_profile(profile), 2006, 1500)
+    kernel, oracle = _kernel_and_oracle(trace, 500, cycles, uniform)
+    assert kernel == oracle
+
+
+@pytest.mark.parametrize("length", (255, 256, 257, 1023, 1024, 1025))
+@pytest.mark.parametrize("profile", ("equake", "twolf"))
+def test_prefix_view_matches_fresh_compile_and_oracle(profile, length):
+    longer = compile_trace(get_profile(profile), 31, 1100)
+    view = longer.prefix(length)
+    assert view.length == length and len(view.ops) == 1100
+    fresh = compile_trace(get_profile(profile), 31, length)
+    cycles = (4, 5, 5, 6)  # VACA: slow-way hits, bypass holds and replays
+    warmup = length // 3
+    kernel, oracle = _kernel_and_oracle(view, warmup, cycles, None)
+    assert kernel == oracle
+    simulator = Simulator(l1d_config=WayConfig(latencies=cycles))
+    assert kernel == repr(simulator.run(fresh, warmup=warmup))
 
 
 def test_simulator_runs_through_the_instrumented_entry_points(monkeypatch):

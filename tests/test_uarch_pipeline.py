@@ -16,10 +16,14 @@ import pytest
 
 from oracles.compiled import from_instructions
 from oracles.trace import TraceInstruction
+from repro.cache.hierarchy import MemoryHierarchy
 from repro.cache.setassoc import WayConfig
 from repro.core.errors import SimulationError, TraceError
 from repro.uarch import PAPER_CORE, Simulator
 from repro.uarch.isa import OpClass
+from repro.uarch.pipeline import PipelineEngine
+from repro.workloads import get_profile
+from repro.workloads.compiled import compile_trace
 
 
 def ialu(dest=None, srcs=(), pc=0):
@@ -235,3 +239,18 @@ class TestAccounting:
         a = Simulator().run(from_instructions(trace))
         b = Simulator().run(from_instructions(trace))
         assert a == b
+
+    def test_bypass_occupancy_is_released_at_each_50k_cycle_boundary(self):
+        # mcf's chase misses stretch 6,000 instructions past 100,000
+        # cycles, and the 5-cycle ways make bypass holds all along. The
+        # loop jumps over idle cycles, so it rarely lands on a multiple
+        # of 50,000 itself; the occupancy must be dropped when it passes
+        # one.
+        trace = compile_trace(get_profile("mcf"), 7, 6000)
+        hierarchy = MemoryHierarchy(l1d_config=WayConfig((4, 5, 5, 5)))
+        engine = PipelineEngine(PAPER_CORE, hierarchy, trace)
+        engine.run()
+        assert engine.cycle >= 100_000
+        assert engine.lbb.total_stalls > 0
+        last_boundary = engine.cycle // 50_000 * 50_000
+        assert min(engine.lbb._occupancy) >= last_boundary
