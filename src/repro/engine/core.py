@@ -18,9 +18,14 @@ Chips are shared within one engine. Chip ``i``'s row depends only on its
 stream ``spawn(seed, f"chip-{i}")``, the sampler, the technology and the
 organisation, so the first ``n`` rows of a population are the ``n``-chip
 population byte for byte. Each engine keeps a *live-chip index* of the
-populations it computed: a fixed population, a fixed estimate and a
-:meth:`Engine.study` take their chips from a live population's rows when
-the index holds enough of them (see :meth:`Engine._shared_chips`).
+populations it computed: a fixed population, a fixed estimate and each
+study of :meth:`Engine.studies` take their chips from a live
+population's rows when the index holds enough of them (see
+:meth:`Engine._shared_chips`). The studies of one
+:meth:`Engine.studies` call that the index misses share draws too: each
+(seed, draw program) group decodes its chip streams once, and each
+study rescales that draw with its own sampler, so a sweep over
+correlation scales or temperatures draws each chip once.
 
 Configuration comes from the environment (overridable per instance):
 
@@ -38,7 +43,7 @@ import pathlib
 import threading
 import weakref
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,6 +67,11 @@ from repro.engine.workers import simulation_job
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import provenance_stamp
 from repro.obs.trace import span as trace_span, tracing_enabled
+from repro.variation.columnar import (
+    ColumnarPopulation,
+    ColumnarPopulationSampler,
+    RawDraws,
+)
 from repro.yieldmodel.analysis import PopulationResult, YieldStudy
 from repro.yieldmodel.constraints import ConstraintPolicy, NOMINAL_POLICY
 from repro.yieldmodel.estimators import adaptive_chips, run_estimate
@@ -113,6 +123,29 @@ class EngineConfig:
             persistent=os.environ.get("REPRO_CACHE", "1") != "0",
             max_cache_bytes=env_int("REPRO_CACHE_MB", 512) * 1024 * 1024,
             job_timeout=env_positive_int("REPRO_JOB_TIMEOUT", 900),
+        )
+
+
+class _GroupDraw:
+    """One (seed, draw program) group's raw draws, drawn at first use
+    over the group's largest count."""
+
+    def __init__(self, count: int) -> None:
+        self.count = count
+        self.draws: Optional[RawDraws] = None
+
+    def population(
+        self, study: YieldStudy, columnar: ColumnarPopulationSampler
+    ) -> ColumnarPopulation:
+        """``study``'s chips, finalized by its sampler from the group's
+        draws; the first study to ask draws them."""
+        if self.draws is None:
+            drawn = columnar.sample_range(study.seed, 0, self.count)
+            self.draws = drawn.draws
+            if study.count == self.count:
+                return drawn
+        return columnar.finalize(
+            range(study.count), self.draws.first(study.count)
         )
 
 
@@ -367,14 +400,35 @@ class Engine:
                     self._live_chips[key, hyapd] = computed
         return columns
 
-    def study(self, study: YieldStudy) -> PopulationResult:
-        """``study``'s population on this engine's live chips: a live
-        population's first rows when this engine holds them, otherwise
-        drawn and evaluated in process and offered on. Not an engine
-        job: it is neither memoised nor stored, and dispatches nothing."""
-        return study.assemble(*self._shared_chips(
-            study, lambda: study.evaluate(study.draw(0, study.count))
-        ))
+    def studies(self, studies: Sequence[YieldStudy]) -> List[PopulationResult]:
+        """Each study's population, in order, on this engine's live chips.
+
+        A study takes a live population's first rows when this engine
+        holds them (:meth:`_shared_chips`). The others are drawn once
+        per (seed, draw program): a group draws lazily, at its first
+        study that misses, over its largest count, and each of its
+        missing studies finalizes the first rows of that draw with its
+        own sampler, which equals the study's own draw bit for bit
+        (:attr:`~repro.variation.columnar.ColumnarPopulationSampler.program`).
+        Groups are taken one at a time, so at most one group's draws
+        are alive. Not an engine job: nothing is memoised, stored or
+        dispatched.
+        """
+        groups: Dict[tuple, list] = {}
+        for index, study in enumerate(studies):
+            columnar = ColumnarPopulationSampler(study.sampler)
+            groups.setdefault((study.seed, columnar.program), []).append(
+                (index, study, columnar)
+            )
+        results: List[Optional[PopulationResult]] = [None] * len(studies)
+        for members in groups.values():
+            draw = _GroupDraw(max(study.count for _, study, _ in members))
+            for index, study, columnar in members:
+                results[index] = study.assemble(*self._shared_chips(
+                    study,
+                    lambda: study.evaluate(draw.population(study, columnar)),
+                ))
+        return results
 
     def _compute_population(
         self,

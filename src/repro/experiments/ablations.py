@@ -4,9 +4,13 @@
   on the same horizontal band failing across ways; scaling the way-level
   correlation factors (larger factor = *less* correlation, the paper's
   convention) and switching the shared band component on/off shows when
-  horizontal power-down beats vertical. The unscaled banded point is
-  the paper's configuration, so it takes its chips from the paper
-  population when the engine holds that live (:meth:`Engine.study`).
+  horizontal power-down beats vertical. The six points are one
+  :meth:`~repro.engine.core.Engine.studies` call. Scaling the way
+  factors changes how draws are scaled, not which draws are made, so
+  the three band-0 points share one draw and the two other banded
+  points another; the unscaled banded point is the paper's
+  configuration, so it takes its chips from the paper population when
+  the engine holds that live.
 * ``ablation_lbb`` — load-bypass buffer depth. The paper fixes
   single-entry buffers (one extra cycle) arguing deeper buffers buy
   little yield for a lot of performance; this sweep quantifies both
@@ -40,30 +44,40 @@ def run_ablation_corr(
 ) -> ExperimentResult:
     """Sweep spatial correlation; compare YAPD vs H-YAPD loss reduction."""
     chips = min(settings.chips, 800)
+    points = [
+        (way_scale, band)
+        for way_scale in (0.5, 1.0, 2.0)
+        for band in (0.0, 1.3)
+    ]
+    populations = engine.studies([
+        YieldStudy(
+            seed=settings.seed,
+            count=chips,
+            sampler=CacheVariationSampler(
+                factors=CorrelationFactors().scaled_ways(way_scale)
+                .with_band(band)
+            ),
+        )
+        for way_scale, band in points
+    ])
     rows: List[List[object]] = []
     sweep = []
-    for way_scale in (0.5, 1.0, 2.0):
-        for band in (0.0, 1.3):
-            factors = CorrelationFactors().scaled_ways(way_scale).with_band(band)
-            sampler = CacheVariationSampler(factors=factors)
-            pop = engine.study(
-                YieldStudy(seed=settings.seed, count=chips, sampler=sampler)
-            )
-            bd = pop.breakdown([YAPD()], horizontal=False)
-            bdh = pop.breakdown([HYAPD()], horizontal=True)
-            yapd = bd.loss_reduction("YAPD")
-            hyapd = bdh.loss_reduction("H-YAPD")
-            sweep.append((way_scale, band, yapd, hyapd))
-            rows.append(
-                [
-                    way_scale,
-                    band,
-                    bd.base_total,
-                    f"{yapd:.1%}",
-                    f"{hyapd:.1%}",
-                    "H-YAPD" if hyapd > yapd else "YAPD",
-                ]
-            )
+    for (way_scale, band), pop in zip(points, populations):
+        bd = pop.breakdown([YAPD()], horizontal=False)
+        bdh = pop.breakdown([HYAPD()], horizontal=True)
+        yapd = bd.loss_reduction("YAPD")
+        hyapd = bdh.loss_reduction("H-YAPD")
+        sweep.append((way_scale, band, yapd, hyapd))
+        rows.append(
+            [
+                way_scale,
+                band,
+                bd.base_total,
+                f"{yapd:.1%}",
+                f"{hyapd:.1%}",
+                "H-YAPD" if hyapd > yapd else "YAPD",
+            ]
+        )
     return ExperimentResult(
         experiment="ablation_corr",
         title=(

@@ -11,11 +11,14 @@
   with a T-scaled swing, mobility falling with T) shift both the leakage
   spread and the delay distribution, moving the balance between the two
   loss mechanisms. Temperature enters only the circuit model, so the
-  sweep draws its chips once and evaluates them at each temperature.
+  sweep's three points are one draw program: the 300 K and 400 K points
+  share one draw, evaluated at each temperature.
 
-The 4-way point of the associativity sweep is the paper's configuration,
-so it takes its chips from the paper population when the engine holds
-that live (see :meth:`~repro.engine.core.Engine.study`).
+Each sweep is one :meth:`~repro.engine.core.Engine.studies` call. The
+4-way point of the associativity sweep and the 358 K point of the
+temperature sweep are the paper's configuration (``TECH45`` is
+calibrated at 358 K), so they take their chips from the paper
+population when the engine holds that live.
 """
 
 from __future__ import annotations
@@ -45,25 +48,28 @@ def run_ablation_assoc(
 ) -> ExperimentResult:
     """Yield pipeline at 2/4/8 ways (the paper evaluates only 4)."""
     chips = min(settings.chips, 800)
-    rows: List[List[object]] = []
-    data = {}
-    for ways, mesh_rows, mesh_cols in _ASSOC_SWEEP:
-        sampler = CacheVariationSampler(
-            mesh=MeshLayout(rows=mesh_rows, cols=mesh_cols), num_ways=ways
-        )
-        organization = CacheOrganization(num_ways=ways)
-        pop = engine.study(YieldStudy(
+    studies = [
+        YieldStudy(
             seed=settings.seed,
             count=chips,
-            sampler=sampler,
-            organization=organization,
-        ))
+            sampler=CacheVariationSampler(
+                mesh=MeshLayout(rows=mesh_rows, cols=mesh_cols),
+                num_ways=ways,
+            ),
+            organization=CacheOrganization(num_ways=ways),
+        )
+        for ways, mesh_rows, mesh_cols in _ASSOC_SWEEP
+    ]
+    rows: List[List[object]] = []
+    data = {}
+    for study, pop in zip(studies, engine.studies(studies)):
+        ways = study.organization.num_ways
         bd = pop.breakdown([YAPD(), VACA(), Hybrid()])
         low, high = scheme_yield_interval(pop, Hybrid())
         rows.append(
             [
                 ways,
-                organization.capacity_bytes // 1024,
+                study.organization.capacity_bytes // 1024,
                 bd.base_total,
                 f"{bd.loss_reduction('YAPD'):.1%}",
                 f"{bd.loss_reduction('VACA'):.1%}",
@@ -112,13 +118,17 @@ def run_ablation_temperature(
 ) -> ExperimentResult:
     """Yield-loss composition vs binning temperature."""
     chips = min(settings.chips, 800)
-    draws = YieldStudy(seed=settings.seed, count=chips).draw(0, chips)
+    populations = engine.studies([
+        YieldStudy(
+            seed=settings.seed,
+            count=chips,
+            tech=TECH45.replace(temperature=temperature),
+        )
+        for temperature in _TEMPERATURES
+    ])
     rows: List[List[object]] = []
     data = {}
-    for temperature in _TEMPERATURES:
-        tech = TECH45.replace(temperature=temperature)
-        study = YieldStudy(seed=settings.seed, count=chips, tech=tech)
-        pop = study.assemble(*study.evaluate(draws))
+    for temperature, pop in zip(_TEMPERATURES, populations):
         bd = pop.breakdown([Hybrid()])
         leak = bd.base_counts.get(LossReason.LEAKAGE, 0)
         delay = bd.base_total - leak

@@ -30,10 +30,11 @@ from repro.experiments import table6
 
 __all__ = ["EXPERIMENTS", "available_experiments", "run_experiment"]
 
-#: Experiment id -> run function. ``fig1`` and ``ablation_temperature``
-#: leave the engine unused. ``ablation_corr`` and ``ablation_assoc`` run
-#: each point as ``engine.study``, which takes a point's chips from a
-#: live population of that engine when it holds them. None of these
+#: Experiment id -> run function. ``fig1`` leaves the engine unused.
+#: ``ablation_corr``, ``ablation_assoc`` and ``ablation_temperature``
+#: run their points as one ``engine.studies`` call, which takes a
+#: point's chips from a live population of that engine when it holds
+#: them and draws the rest once per (seed, draw program). None of these
 #: points is an engine job, so they are neither memoised nor stored.
 EXPERIMENTS: Dict[
     str, Callable[[ExperimentSettings, Engine], ExperimentResult]

@@ -7,12 +7,13 @@ one:
 
 * **Suites** (:data:`SUITES`) — small, deterministic benchmark sets that
   exercise one hot path each through the real :class:`Engine` (a scratch,
-  non-persistent engine, memo cleared between repeats, so every timed
-  run recomputes).
-* **Harness** (:func:`run_suite`) — warmup + repeated timed runs on
-  ``time.perf_counter`` and a per-benchmark engine ``MetricsRegistry``
-  snapshot; :func:`make_record` adds the process's peak RSS and CPU
-  time, read as the record is made.
+  non-persistent engine per case, memo cleared between repeats, so every
+  timed run recomputes).
+* **Harness** (:func:`run_suite`) — every case's warmups, then rounds
+  that time each case once on ``time.perf_counter``, alternating the
+  case order, and a per-case engine ``MetricsRegistry`` snapshot;
+  :func:`make_record` adds the process's peak RSS and CPU time, read as
+  the record is made.
 * **Trend store** (:func:`load_history` / :func:`append_history`) — a
   schema-versioned ``BENCH_history.json`` holding one provenance-stamped
   record per benchmark per run. Individual garbled records are skipped
@@ -28,6 +29,7 @@ page.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import os
@@ -169,6 +171,20 @@ def _prepare_population_store(engine):
         return decode_population(store.load("population", key))
 
     run.cleanup = tmp.cleanup
+    return run
+
+
+def _prepare_correlation_sweep(engine):
+    """``ablation_corr`` at 200 chips: six correlation points, none of
+    them the rows of a live population."""
+    from repro.experiments.runner import run_experiment
+
+    settings = _bench_settings(chips=200)
+
+    def run():
+        engine.clear_memory()
+        return run_experiment("ablation_corr", settings, engine)
+
     return run
 
 
@@ -334,6 +350,7 @@ SUITES: Dict[str, List[Benchmark]] = {
         Benchmark("engine.store_roundtrip", _prepare_store_roundtrip),
         Benchmark("engine.store_10k", _prepare_store_10k),
         Benchmark("engine.population_store", _prepare_population_store),
+        Benchmark("engine.correlation_sweep", _prepare_correlation_sweep),
     ],
     "pipeline": [
         Benchmark("pipeline.sim_gzip", _prepare_simulation("gzip")),
@@ -394,13 +411,16 @@ def run_suite(
 ) -> List[BenchResult]:
     """Run every benchmark of ``suite`` and return raw results.
 
-    A scratch non-persistent :class:`Engine` is built per suite run (the
-    process-wide engine and its ``.repro_cache/`` are never touched), and
-    its memo is cleared by the benchmarks that must recompute, so the
-    numbers measure compute — not cache reads. Each case starts with an
-    empty memo and an empty live-chip index (``clear_memory`` empties
-    both), so it never times less work than it names by reading chips
-    an earlier case computed.
+    Each case gets its own scratch non-persistent :class:`Engine` (the
+    process-wide engine and its ``.repro_cache/`` are never touched), so
+    it never times less work than it names by reading chips or memo
+    entries another case computed, and its metrics snapshot is its own.
+    Cases that must recompute clear their engine's memo, so the numbers
+    measure compute, not cache reads. Every case is prepared and warmed
+    up first; then each of ``repeats`` rounds times every case once,
+    alternating the case order between rounds, so a contention burst
+    spreads over the cases instead of moving one case's samples. Each
+    case's cleanup runs after the last round.
     """
     from repro.engine.core import Engine, EngineConfig
 
@@ -412,23 +432,26 @@ def run_suite(
         raise ConfigurationError("repeats must be >= 1")
     if warmup < 0:
         raise ConfigurationError("warmup must be >= 0")
-    engine = Engine(EngineConfig(workers=workers, persistent=False))
-    results: List[BenchResult] = []
-    for benchmark in SUITES[suite]:
-        engine.clear_memory()
-        thunk = benchmark.prepare(engine)
-        try:
+    cases = []
+    with contextlib.ExitStack() as cleanups:
+        for benchmark in SUITES[suite]:
+            engine = Engine(EngineConfig(workers=workers, persistent=False))
+            thunk = benchmark.prepare(engine)
+            cleanup = getattr(thunk, "cleanup", None)
+            if cleanup is not None:
+                cleanups.callback(cleanup)
+            cases.append((benchmark, engine, thunk, []))
             for _ in range(warmup):
                 thunk()
-            samples: List[float] = []
-            for _ in range(repeats):
+        for round_index in range(repeats):
+            for _, _, thunk, samples in (
+                cases if round_index % 2 == 0 else cases[::-1]
+            ):
                 start = time.perf_counter()
                 thunk()
                 samples.append(time.perf_counter() - start)
-        finally:
-            cleanup = getattr(thunk, "cleanup", None)
-            if cleanup is not None:
-                cleanup()
+    results: List[BenchResult] = []
+    for benchmark, engine, _, samples in cases:
         snapshot = engine.metrics.snapshot()
         metrics: Dict[str, object] = {"counters": snapshot["counters"]}
         estimator = _estimator_snapshot(snapshot["gauges"])
@@ -443,7 +466,6 @@ def run_suite(
                 metrics=metrics,
             )
         )
-        engine.metrics.reset()
     return results
 
 
@@ -455,8 +477,8 @@ def _estimator_snapshot(gauges: Dict[str, float]) -> Dict[str, object]:
     many Monte Carlo chips bought one unit of interval width (higher is
     costlier; a smarter estimator drives it down). Recorded into the
     bench history so estimator efficiency trends alongside wall-clock.
-    A figure with no samples was not published by this case: the
-    registry is reset between cases, which leaves its gauges at 0.
+    Each case has its own engine, so only the figures it published
+    appear; a figure with no samples is skipped.
     """
     out: Dict[str, object] = {}
     for name, value in gauges.items():

@@ -204,16 +204,4 @@ class MetricsRegistry:
             },
         }
 
-    def reset(self) -> None:
-        """Zero every instrument (instances stay registered and shared)."""
-        for counter in self._counters.values():
-            counter.value = 0.0
-        for gauge in self._gauges.values():
-            gauge.value = 0.0
-        for hist in self._histograms.values():
-            hist.bucket_counts = [0] * (len(hist.bounds) + 1)
-            hist.count = 0
-            hist.total = 0.0
-            hist.min = float("inf")
-            hist.max = float("-inf")
 

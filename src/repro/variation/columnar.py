@@ -30,7 +30,19 @@ The result is a :class:`ColumnarPopulation`: ``(num_chips, num_ways,
 num_bands, num_params)``-shaped parameter arrays the columnar circuit
 model (:mod:`repro.circuit.columnar`) consumes directly;
 :meth:`ColumnarPopulation.from_maps` turns per-chip maps from another
-sampler into the same columns. Bit-identity to the scalar
+sampler into the same columns.
+
+The draw program is an identity. :attr:`ColumnarPopulationSampler.program`
+keys everything the decoding step reads apart from the seed and the
+labels, so two samplers with equal keys decode equal raw draws from
+every stream. Their scales may differ: the way-mesh factors 0.5x, 1x
+and 2x the paper's are one program, while a zero factor drops its slot
+and makes another. Raw draws carry their program, and
+:meth:`~ColumnarPopulationSampler.finalize` of any sampler with that
+program turns them into that sampler's own population bit for bit, so
+a sweep that only rescales decodes each chip stream once
+(:meth:`repro.engine.core.Engine.studies`); ``finalize`` refuses draws
+of another program. Bit-identity to the scalar
 oracle, values and final stream positions, is asserted by
 ``tests/test_columnar_diff.py`` over randomized geometries, correlation
 factors and seeds, and the decoder is held to NumPy's ``Generator`` by
@@ -212,12 +224,22 @@ class RawDraws(NamedTuple):
     segment slots; slots a zero correlation factor never draws stay
     zero, which the finalize arithmetic multiplies by a zero scale), and
     ``residuals`` the per-(way, band) delay residuals: the lognormal
-    core times, on an outlier hit, the outlier scale.
+    core times, on an outlier hit, the outlier scale. ``program`` is the
+    :attr:`~ColumnarPopulationSampler.program` that decoded them.
     """
 
     head_z: np.ndarray  # (C, head_n)
     way_z: np.ndarray  # (C, W, n + rest_n)
     residuals: np.ndarray  # (C, W, B), ones when residuals are disabled
+    program: tuple
+
+    def first(self, count: int) -> "RawDraws":
+        """The draws of the first ``count`` chips, as views."""
+        return self._replace(
+            head_z=self.head_z[:count],
+            way_z=self.way_z[:count],
+            residuals=self.residuals[:count],
+        )
 
 
 class ColumnarPopulation(NamedTuple):
@@ -225,6 +247,10 @@ class ColumnarPopulation(NamedTuple):
 
     All arrays share the leading chip axis; the trailing axis is always
     the five Table 1 parameters in :data:`PARAMETER_NAMES` order.
+    ``draws`` are the raw draws the columns were finalized from, which
+    another sampler of the same program may finalize too; ``None`` for
+    columns from per-chip maps, or drawn through ``sample_range``'s
+    ``die_z`` hook, which rewrites them.
     """
 
     chip_ids: Tuple[int, ...]
@@ -234,6 +260,7 @@ class ColumnarPopulation(NamedTuple):
     bands: np.ndarray  # (C, W, B, P)
     band_residuals: np.ndarray  # (C, W, B)
     has_residuals: bool
+    draws: Optional[RawDraws] = None
 
     @property
     def num_ways(self) -> int:
@@ -327,6 +354,13 @@ class ColumnarPopulationSampler:
         ``_way_src``/``_way_dst`` map its columns into ``way_z`` rows and
         ``_residual_src`` picks the residual normals; ``_cell`` maps a
         test op to its flat (way, band) residual cell.
+
+        ``program`` keys everything :meth:`draw` reads apart from the
+        seed and the labels: these layouts, the geometry, and the
+        residual and outlier parameters its decoding applies (the
+        outlier scale range only when there are outlier tests). The
+        die, band, way and row scales are not in it; whether each
+        factor is zero is, through the layouts.
         """
         sampler = self.sampler
         kinds = [NORMAL] * self._head_n
@@ -358,6 +392,15 @@ class ColumnarPopulationSampler:
         self._way_src = slot[way_src]
         self._way_dst = np.array(way_dst, dtype=np.intp)
         self._residual_src = slot[residual_ops]
+        self.program = (
+            kind.tobytes(), self._head_n, self._way_src.tobytes(),
+            self._way_dst.tobytes(), self._residual_src.tobytes(),
+            cell.tobytes(), self.num_ways, self.num_bands,
+            sampler.outlier_band_prob, sampler.path_residual_sigma,
+            sampler._residual_mean,
+            # A program without outlier tests never reads the range.
+            tuple(sampler.outlier_scale_range) if cells else None,
+        )
 
     # ------------------------------------------------------------------
     # stream decoding
@@ -373,6 +416,7 @@ class ColumnarPopulationSampler:
             residuals=np.ones(
                 (num_chips, self.num_ways, self.num_bands)
             ),
+            program=self.program,
         )
 
     def draw(self, seed: int, labels: Sequence[str]) -> RawDraws:
@@ -435,7 +479,15 @@ class ColumnarPopulationSampler:
         scale, which reproduces the oracle's "skip the draw, keep the
         centre" branch exactly (``x + 0.0 == x`` for the strictly
         positive centres involved).
+
+        ``raw`` may come from any sampler with this sampler's
+        :attr:`program`; draws of another program are refused.
         """
+        if raw.program != self.program:
+            raise ConfigurationError(
+                "raw draws of another draw program cannot be finalized "
+                "by this sampler"
+            )
         sampler = self.sampler
         n = _NUM_PARAMS
         num_chips = len(chip_ids)
@@ -490,6 +542,7 @@ class ColumnarPopulationSampler:
             bands=rest[:, :, _NUM_PERI:, :],
             band_residuals=raw.residuals,
             has_residuals=self._draw_residuals,
+            draws=raw,
         )
 
     # ------------------------------------------------------------------
@@ -509,7 +562,8 @@ class ColumnarPopulationSampler:
         split of an id range concatenates to the whole range; tag
         ``"chip"`` is the reference population. ``die_z`` (optional) is
         called with the ``(chips, 5)`` die-slot standard normals before
-        they are scaled, and may rewrite them in place.
+        they are scaled, and may rewrite them in place; the population
+        then carries no draws.
         """
         if not 0 <= start <= stop:
             raise ConfigurationError(f"invalid chip range [{start}, {stop})")
@@ -520,6 +574,7 @@ class ColumnarPopulationSampler:
             )
         chip_ids = range(start, stop)
         raw = self.draw(seed, [f"{tag}-{chip_id}" for chip_id in chip_ids])
-        if die_z is not None:
-            die_z(raw.head_z[:, :_NUM_PARAMS])
-        return self.finalize(chip_ids, raw)
+        if die_z is None:
+            return self.finalize(chip_ids, raw)
+        die_z(raw.head_z[:, :_NUM_PARAMS])
+        return self.finalize(chip_ids, raw)._replace(draws=None)

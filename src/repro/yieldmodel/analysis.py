@@ -13,8 +13,9 @@
 4. classify every chip and apply any number of schemes.
 
 A study always draws its own chips. Reusing the rows of a live
-population of the same chips is the engine's business
-(:meth:`repro.engine.core.Engine.study`): it owns the chip path.
+population of the same chips, or one draw across the studies of a sweep,
+is the engine's business (:meth:`repro.engine.core.Engine.studies`): it
+owns the chip path.
 
 The result object holds the population as columns and counts from them
 the paper's loss-breakdown tables (Tables 2/3), the relaxed/strict totals
@@ -326,12 +327,6 @@ class YieldStudy:
                 "to assemble()"
             )
 
-    def draw(self, start: int, stop: int) -> ColumnarPopulation:
-        """The process parameters of chip ids ``[start, stop)``."""
-        return ColumnarPopulationSampler(self.sampler).sample_range(
-            self.seed, start, stop
-        )
-
     def evaluate(
         self, population: ColumnarPopulation
     ) -> Tuple[CircuitColumns, CircuitColumns]:
@@ -367,4 +362,7 @@ class YieldStudy:
 
     def run(self) -> PopulationResult:
         """Sample, evaluate both architectures, derive limits, classify."""
-        return self.assemble(*self.evaluate(self.draw(0, self.count)))
+        population = ColumnarPopulationSampler(self.sampler).sample_range(
+            self.seed, 0, self.count
+        )
+        return self.assemble(*self.evaluate(population))

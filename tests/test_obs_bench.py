@@ -279,6 +279,7 @@ class TestHarness:
             "engine.store_roundtrip",
             "engine.store_10k",
             "engine.population_store",
+            "engine.correlation_sweep",
         ]
         for result in results:
             assert len(result.samples) == 2
@@ -290,7 +291,7 @@ class TestHarness:
         assert counters["engine.jobs.run"] >= 2
 
     def test_records_carry_only_published_estimates(self):
-        """The registry is reset between cases, so a case that estimates
+        """Each case has its own registry, so a case that estimates
         nothing records no estimator block, not zeroed figures."""
         results = {
             r.bench: r.metrics
@@ -300,6 +301,38 @@ class TestHarness:
         estimator = results["engine.population"]["estimator"]
         assert sorted(estimator) == ["horizontal.base", "regular.base"]
         assert all(entry["samples"] == 64 for entry in estimator.values())
+
+    def test_repeats_alternate_cases_on_their_own_engines(
+        self, monkeypatch
+    ):
+        """Every case warms up first; then each round times every case
+        once, in alternating order, and each case runs on its own
+        engine; cleanups run after the last round."""
+        calls = []
+
+        def case(name):
+            def prepare(engine):
+                def run():
+                    calls.append((name, engine))
+
+                run.cleanup = lambda: calls.append((f"cleanup {name}", None))
+                return run
+
+            return Benchmark(name, prepare)
+
+        monkeypatch.setitem(SUITES, "pair", [case("A"), case("B")])
+        results = run_suite("pair", repeats=3, warmup=1)
+        names = [name for name, _ in calls]
+        assert names[:2] == ["A", "B"]  # the warmups
+        assert names[2:8] == ["A", "B", "B", "A", "A", "B"]
+        assert sorted(names[8:]) == ["cleanup A", "cleanup B"]
+        engines = {name: {id(e) for n, e in calls if n == name}
+                   for name in ("A", "B")}
+        assert len(engines["A"]) == len(engines["B"]) == 1
+        assert engines["A"] != engines["B"]
+        assert [(r.bench, len(r.samples)) for r in results] == [
+            ("A", 3), ("B", 3)
+        ]
 
     def test_cases_draw_their_own_chips(self, monkeypatch):
         """A suite run's 2000-chip seed-2006 population can outlive the
@@ -403,7 +436,7 @@ class TestBenchCli:
         assert history.is_file()
         records, skipped = load_history(history)
         assert skipped == 0
-        assert len(records) == 8  # 2 runs x 4 benchmarks
+        assert len(records) == 10  # 2 runs x 5 benchmarks
         assert len(run_ids(records)) == 2
         assert all(r["provenance"]["python"] for r in records)
         # Each record carries the process's peak RSS and CPU time.

@@ -2,10 +2,14 @@
 
 Chip ``i``'s circuit row depends only on its stream ``spawn(seed,
 f"chip-{i}")``, the sampler's type and configuration, the technology and
-the organisation, so a study of ``n`` chips on an engine
-(``Engine.study``, a fixed population, a fixed estimate) takes the first
-``n`` rows of a live population with that identity from the engine's
-live-chip index instead of drawing them. This battery asserts that:
+the organisation, so a study of ``n`` chips on an engine (a study of
+``Engine.studies``, a fixed population, a fixed estimate) takes the
+first ``n`` rows of a live population with that identity from the
+engine's live-chip index instead of drawing them. The studies of one
+``Engine.studies`` call that miss the index share draws: samplers with
+one draw program decode equal raw draws, so each (seed, program) group
+draws once and every study finalizes that draw. This battery asserts
+that:
 
 * a shared study makes no ``sample_range`` call and its store payload
   equals the same study run with nothing live, over 2-, 4- and 8-way
@@ -27,6 +31,15 @@ live-chip index instead of drawing them. This battery asserts that:
   population;
 * studies on more threads than cores, switching every microsecond, give
   their serial twins' bytes;
+* equal draw-program keys hold exactly when raw draws are equal, and a
+  sampler's ``finalize`` of another sampler's draws of its program is
+  its own ``sample_range``; draws of another program are refused, and a
+  population drawn through the ``die_z`` hook carries none;
+* a sweep's populations equal each study's ``YieldStudy.run()`` on 1-
+  and 2-worker engines, with and without a live paper population, and
+  it draws once per (seed, program) group that misses the index; the
+  ten simulation-free artefacts of ``repro all`` draw and evaluate the
+  pinned chip counts, each artefact reading as when run alone;
 * the sensor's columnar readings equal the per-chip oracle's bit for
   bit on every failing chip, at every sensor setting.
 
@@ -35,6 +48,7 @@ Every test builds its own engine, so its index starts empty.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import random
@@ -44,6 +58,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hsettings, strategies as st
 
 from oracles.classify import measure_ways
 from repro.circuit.columnar import evaluate_population_pair
@@ -51,9 +66,10 @@ from repro.circuit.cache_model import CacheCircuitModel
 from repro.circuit.organization import CacheOrganization
 from repro.circuit.technology import TECH45
 from repro.core import units
+from repro.core.errors import ConfigurationError
 from repro.engine.codec import encode_estimate, encode_population
 from repro.engine.core import Engine, EngineConfig
-from repro.experiments.common import ExperimentSettings
+from repro.experiments.common import ExperimentSettings, scheme_set
 from repro.experiments.runner import run_experiment
 from repro.obs.bench import SUITES
 from repro.schemes.sensors import LeakageSensor
@@ -65,6 +81,7 @@ from repro.variation.gridmodel import GridVariationSampler
 from repro.variation.parameters import ParameterSpec, VariationTable
 from repro.variation.sampling import CacheVariationSampler
 from repro.variation.spatial import PAPER_FACTORS, MeshLayout
+from repro.yieldmodel import analysis
 from repro.yieldmodel.analysis import YieldStudy
 from repro.yieldmodel.constraints import (
     NOMINAL_POLICY,
@@ -141,6 +158,12 @@ def _bytes(result) -> str:
     return json.dumps(encode_population(result), sort_keys=True)
 
 
+def _one(engine, study):
+    """``study``'s population as a sweep of one."""
+    (result,) = engine.studies([study])
+    return result
+
+
 def _held(engine, study):
     """Both architectures' columns ``engine`` holds for ``study``'s chips."""
     key = (study.seed, study.sampler, study.tech, study.organization)
@@ -157,23 +180,23 @@ def _held(engine, study):
 def test_prefix_study_shares_the_live_chips(
     engine, draws, seed, config, policy
 ):
-    alone = _bytes(engine.study(_study(seed, config, 24, policy)))
+    alone = _bytes(_one(engine, _study(seed, config, 24, policy)))
     assert draws == [24] and not engine._live_chips  # nothing kept it
-    holder = engine.study(_study(seed, config, 40, RELAXED_POLICY))
+    holder = _one(engine, _study(seed, config, 40, RELAXED_POLICY))
     del draws[:]
-    shared = engine.study(_study(seed, config, 24, policy))
+    shared = _one(engine, _study(seed, config, 24, policy))
     assert draws == []
     assert _bytes(shared) == alone
     # A study of the holder's own count shares too.
-    assert _bytes(engine.study(_study(seed, config, 40, RELAXED_POLICY))) \
+    assert _bytes(_one(engine, _study(seed, config, 40, RELAXED_POLICY))) \
         == _bytes(holder)
     assert draws == []
 
 
 def test_a_larger_study_computes_and_replaces(engine, draws):
     seed, config = 9111, _config()
-    small = engine.study(_study(seed, config, 16))
-    large = engine.study(_study(seed, config, 32))
+    small = _one(engine, _study(seed, config, 16))
+    large = _one(engine, _study(seed, config, 32))
     assert draws == [16, 32]
     assert _held(engine, _study(seed, config, 1))[0] is large.regular
     assert small.regular.chip_ids == large.regular.chip_ids[:16]
@@ -187,8 +210,10 @@ def test_a_smaller_population_never_displaces_a_larger(engine, draws):
     large = []
 
     def compute():
-        large.append(engine.study(_study(seed, config, 32)))
-        return study.evaluate(study.draw(0, 16))
+        large.append(_one(engine, _study(seed, config, 32)))
+        return study.evaluate(
+            ColumnarPopulationSampler(study.sampler).sample_range(seed, 0, 16)
+        )
 
     engine._shared_chips(study, compute)
     assert draws == [32, 16]
@@ -201,7 +226,7 @@ def test_shards_neither_look_up_nor_register(tmp_path, monkeypatch):
     engine offers a whole fixed population on."""
     seed = 9112
     engine = Engine(EngineConfig(workers=2, persistent=False))
-    holder = engine.study(_study(seed, _config(), 32))
+    holder = _one(engine, _study(seed, _config(), 32))
     log = tmp_path / "draws"
     sample_range = ColumnarPopulationSampler.sample_range
 
@@ -285,10 +310,10 @@ def _variants():
 )
 def test_one_field_apart_shares_nothing(engine, draws, config):
     seed = 9121
-    holder = engine.study(_study(seed, _config(), 40))
-    engine.study(_study(seed, config, 24))
+    holder = _one(engine, _study(seed, _config(), 40))
+    _one(engine, _study(seed, config, 24))
     assert draws == [40, 24]
-    engine.study(_study(seed + 1, _config(), 24))  # the seed too
+    _one(engine, _study(seed + 1, _config(), 24))  # the seed too
     assert draws == [40, 24, 24]
     assert holder.population == 40
 
@@ -296,7 +321,7 @@ def test_one_field_apart_shares_nothing(engine, draws, config):
 def test_equal_configurations_are_one_identity(engine, draws):
     """The paper point of each sweep rebuilds the paper configuration,
     and shares the paper chips."""
-    paper = engine.study(_study(2006, (CacheVariationSampler(), TECH45,
+    paper = _one(engine, _study(2006, (CacheVariationSampler(), TECH45,
                                        CacheOrganization()), 24))
     rebuilt = [
         (CacheVariationSampler(
@@ -308,7 +333,7 @@ def test_equal_configurations_are_one_identity(engine, draws):
          CacheOrganization()),
     ]
     for config in rebuilt:
-        assert _bytes(engine.study(_study(2006, config, 24))) == \
+        assert _bytes(_one(engine, _study(2006, config, 24))) == \
             _bytes(paper)
     assert draws == [24]
     assert CacheVariationSampler() != _Subclass()
@@ -320,12 +345,12 @@ def test_equal_configurations_are_one_identity(engine, draws):
 # ----------------------------------------------------------------------
 def test_a_dropped_holder_is_not_shared(engine, draws):
     seed, config = 9131, _config()
-    holder = engine.study(_study(seed, config, 40))
+    holder = _one(engine, _study(seed, config, 40))
     reference = weakref.ref(holder.regular)
     del holder
     assert reference() is None  # no cycle keeps a population alive
     assert not engine._live_chips
-    engine.study(_study(seed, config, 24))
+    _one(engine, _study(seed, config, 24))
     assert draws == [40, 24]
 
 
@@ -341,17 +366,17 @@ def test_assemble_registers_nothing(engine, draws):
             CacheCircuitModel(), CacheCircuitModel(hyapd=True), population
         )
     )
-    stock = engine.study(YieldStudy(seed=seed, count=24))
+    stock = _one(engine, YieldStudy(seed=seed, count=24))
     assert draws == [24]
     assert _bytes(stock) != _bytes(grid)
 
 
 def test_clear_memory_empties_the_index(engine, draws):
     seed, config = 9133, _config()
-    holder = engine.study(_study(seed, config, 40))
+    holder = _one(engine, _study(seed, config, 40))
     engine.clear_memory()
     assert not engine._live_chips
-    engine.study(_study(seed, config, 24))
+    _one(engine, _study(seed, config, 24))
     assert draws == [40, 24]
     assert holder.population == 40
 
@@ -365,7 +390,7 @@ def test_two_worker_engine_shares_its_population(draws):
     engine.population(ExperimentSettings(seed=seed, chips=96))
     del draws[:]  # the workers, or the degraded in-process path
     jobs = engine.stats.jobs_run
-    study = engine.study(YieldStudy(seed=seed, count=40))
+    study = _one(engine, YieldStudy(seed=seed, count=40))
     smaller = engine.population(ExperimentSettings(seed=seed, chips=64))
     assert draws == [] and engine.stats.jobs_run == jobs
     # A plain run draws its own chips.
@@ -418,12 +443,13 @@ def test_ablation_paper_points_read_the_population(draws):
     names = ("ablation_corr", "ablation_assoc")
     alone = Engine(EngineConfig(persistent=False))
     want = [run_experiment(name, settings, alone).text for name in names]
-    assert draws == [48] * 9  # six correlation points, three ways
+    assert draws == [48] * 5  # two correlation programs, three ways
     del draws[:]
     engine = Engine(EngineConfig(persistent=False))
     engine.population(settings)
     got = [run_experiment(name, settings, engine).text for name in names]
-    assert draws == [48] * 8 and got == want
+    # The population, two correlation programs, the 2- and 8-way points.
+    assert draws == [48] * 5 and got == want
     assert engine.stats.jobs_run == 1
 
 
@@ -463,7 +489,7 @@ def test_threads_give_their_serial_twins(engine):
         try:
             start.wait(timeout=60)
             for seed, count in work[index]:
-                result = engine.study(YieldStudy(seed=seed, count=count))
+                result = _one(engine, YieldStudy(seed=seed, count=count))
                 kept.append(result)
                 results[index].append(((seed, count), _bytes(result)))
         except Exception as exc:  # reported below
@@ -492,6 +518,237 @@ def test_threads_give_their_serial_twins(engine):
     for seed in (9151, 9152, 9153):
         held = _held(engine, YieldStudy(seed=seed, count=1))
         assert [len(columns) for columns in held] == [40, 40]
+
+
+# ----------------------------------------------------------------------
+# sweeps: one draw per (seed, draw program)
+# ----------------------------------------------------------------------
+#: Values each sampler field of the program battery takes. Outlier
+#: probabilities are wide apart, so 48 chips tell any two of them (and
+#: any two scale ranges) apart by their draws.
+_PROGRAM_FIELDS = {
+    "way_scale": st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    "band": st.sampled_from([0.0, 1.3]),
+    "row": st.sampled_from([0.0, 0.05, 0.1]),
+    "sigma": st.sampled_from([0.0, 0.22, 0.4]),
+    "outlier_prob": st.sampled_from([0.0, 0.25, 0.5]),
+    "outlier_range": st.sampled_from([(1.1, 2.1), (1.5, 3.0)]),
+    # (ways, mesh, bands)
+    "geometry": st.sampled_from([
+        (2, (1, 2), 1), (2, (1, 2), 3), (4, (2, 2), 2), (4, (2, 2), 4),
+        (8, (2, 4), 2),
+    ]),
+}
+
+
+def _program_sampler(way_scale, band, row, sigma, outlier_prob,
+                     outlier_range, geometry) -> CacheVariationSampler:
+    ways, mesh, bands = geometry
+    return CacheVariationSampler(
+        factors=dataclasses.replace(
+            PAPER_FACTORS.scaled_ways(way_scale).with_band(band), row=row
+        ),
+        mesh=MeshLayout(*mesh), num_ways=ways, num_bands=bands,
+        path_residual_sigma=sigma, outlier_band_prob=outlier_prob,
+        outlier_scale_range=outlier_range,
+    )
+
+
+@st.composite
+def _sampler_pairs(draw):
+    """Two samplers; each field of the second is the first's, or
+    redrawn one time in three."""
+    first = {name: draw(values) for name, values in _PROGRAM_FIELDS.items()}
+    second = {
+        name: draw(_PROGRAM_FIELDS[name])
+        if draw(st.integers(0, 2)) == 0 else value
+        for name, value in first.items()
+    }
+    return _program_sampler(**first), _program_sampler(**second)
+
+
+def _raw(raw):
+    return [(a.shape, a.tobytes())
+            for a in (raw.head_z, raw.way_z, raw.residuals)]
+
+
+_LABELS = [f"chip-{i}" for i in range(48)]
+
+
+@hsettings(max_examples=60, deadline=None)
+@given(pair=_sampler_pairs(), seed=st.integers(0, 2**31))
+def test_equal_program_keys_are_equal_draws(pair, seed):
+    first, second = (ColumnarPopulationSampler(s) for s in pair)
+    same = first.program == second.program
+    assert same == (
+        _raw(first.draw(seed, _LABELS)) == _raw(second.draw(seed, _LABELS))
+    )
+    if pair[0] == pair[1]:
+        assert same
+
+
+@hsettings(max_examples=60, deadline=None)
+@given(pair=_sampler_pairs(), seed=st.integers(0, 2**31))
+def test_finalize_of_another_samplers_draws_is_its_own_sample(pair, seed):
+    first, second = (ColumnarPopulationSampler(s) for s in pair)
+    drawn = first.sample_range(seed, 0, 12)
+    if first.program != second.program:
+        with pytest.raises(ConfigurationError, match="draw program"):
+            second.finalize(range(12), drawn.draws)
+        return
+    got = second.finalize(range(12), drawn.draws)
+    want = second.sample_range(seed, 0, 12)
+    # Also over the first rows of a larger draw.
+    prefix = second.finalize(range(5), drawn.draws.first(5))
+    assert got.chip_ids == want.chip_ids and got.has_residuals == \
+        want.has_residuals
+    for name in ("die", "way_params", "peripherals", "bands",
+                 "band_residuals"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert getattr(prefix, name).tobytes() == \
+            getattr(want, name)[:5].tobytes()
+
+
+def test_rewritten_draws_are_not_shared():
+    """Draws carry their program; a population drawn through the
+    ``die_z`` hook carries none, and ``finalize`` refuses draws of
+    another program."""
+    columnar = ColumnarPopulationSampler(CacheVariationSampler())
+    plain = columnar.sample_range(5, 0, 8)
+    assert plain.draws.program == columnar.program
+    rewritten = columnar.sample_range(5, 0, 8, die_z=lambda z: None)
+    assert rewritten.draws is None
+    assert rewritten.die.tobytes() == plain.die.tobytes()
+    unbanded = ColumnarPopulationSampler(
+        CacheVariationSampler(factors=PAPER_FACTORS.with_band(0.0))
+    )
+    with pytest.raises(ConfigurationError, match="draw program"):
+        unbanded.finalize(range(8), plain.draws)
+    # Scaled way factors are the paper's program; a zero scale is not.
+    for scale, same in ((0.5, True), (2.0, True), (0.0, False)):
+        scaled = ColumnarPopulationSampler(CacheVariationSampler(
+            factors=PAPER_FACTORS.scaled_ways(scale)
+        ))
+        assert (scaled.program == columnar.program) == same
+
+
+def _scaled(way_scale, band):
+    return CacheVariationSampler(
+        factors=PAPER_FACTORS.scaled_ways(way_scale).with_band(band)
+    )
+
+
+def _sweep(seed):
+    """A sweep over every kind of group: rescaled samplers of the
+    paper's and the unbanded program, at two counts; two temperatures
+    of the paper program; other ways; another seed."""
+    studies = [
+        YieldStudy(seed=seed, count=32, sampler=_scaled(way_scale, band))
+        for way_scale in (0.5, 1.0, 2.0)
+        for band in (0.0, 1.3)
+    ]
+    studies += [
+        YieldStudy(seed=seed, count=16, sampler=_scaled(2.0, 0.0)),
+        YieldStudy(seed=seed, count=24,
+                   tech=TECH45.replace(temperature=300.0)),
+        YieldStudy(seed=seed, count=32,
+                   tech=TECH45.replace(temperature=358.0)),
+        YieldStudy(
+            seed=seed, count=24,
+            sampler=CacheVariationSampler(
+                mesh=MeshLayout(rows=2, cols=4), num_ways=8
+            ),
+            organization=CacheOrganization(num_ways=8),
+        ),
+        YieldStudy(seed=seed + 1, count=24, sampler=_scaled(0.5, 1.3)),
+    ]
+    return studies
+
+
+@pytest.mark.parametrize("live", [False, True], ids=["cold", "live-paper"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_sweep_equals_its_studies_run_alone(workers, live):
+    seed = 9181
+    engine = Engine(EngineConfig(workers=workers, persistent=False))
+    if live:
+        holder = engine.population(ExperimentSettings(seed=seed, chips=40))
+    studies = _sweep(seed)
+    results = engine.studies(studies)
+    assert len(results) == len(studies)
+    for study, result in zip(studies, results):
+        alone = study.run()
+        assert _bytes(result) == _bytes(alone)
+        for horizontal in (False, True):
+            schemes = scheme_set(horizontal=horizontal)
+            assert result.breakdown(schemes, horizontal=horizontal) == \
+                alone.breakdown(schemes, horizontal=horizontal)
+    if live:
+        assert holder.population == 40
+
+
+def test_one_draw_per_group_that_misses(engine, draws):
+    """Each (seed, program) group that misses the index draws once, at
+    its first miss, over its largest count; a group whose every study
+    hits draws nothing."""
+    seed = 9182
+    engine.population(ExperimentSettings(seed=seed, chips=48))
+    del draws[:]
+    engine.studies([
+        # The paper program: the paper point hits, the scaled ones miss.
+        YieldStudy(seed=seed, count=24, sampler=_scaled(0.5, 1.3)),
+        YieldStudy(seed=seed, count=40),
+        YieldStudy(seed=seed, count=40, sampler=_scaled(2.0, 1.3)),
+        # The unbanded program: every study misses.
+        YieldStudy(seed=seed, count=16, sampler=_scaled(0.5, 0.0)),
+        YieldStudy(seed=seed, count=32, sampler=_scaled(1.0, 0.0)),
+        YieldStudy(seed=seed + 1, count=8, sampler=_scaled(2.0, 0.0)),
+    ])
+    assert draws == [40, 32, 8]
+    engine.studies([
+        YieldStudy(seed=seed, count=24),
+        YieldStudy(seed=seed, count=48,
+                   tech=TECH45.replace(temperature=358.0)),
+    ])
+    assert draws == [40, 32, 8]
+
+
+#: The simulation-free artefacts of ``repro all``, in its order.
+YIELD_SWEEP = (
+    "fig8", "table2", "table3", "table4", "table5", "sec42",
+    "ablation_corr", "ablation_sensor", "ablation_assoc",
+    "ablation_temperature",
+)
+
+
+def test_yield_sweep_chip_counts(monkeypatch, draws):
+    """Seeds 3 and 4 at 400 chips on one engine: per seed, the
+    population (400 chips), one draw per correlation program (2 x 400),
+    the 2- and 8-way points (2 x 400) and one temperature draw (400);
+    every point but the paper's is evaluated, and the 358 K point reads
+    the population's rows. Each artefact reads as when run alone."""
+    evaluated = []
+    pair = analysis.evaluate_population_pair
+
+    def spy(regular, horizontal, population):
+        evaluated.append(len(population.chip_ids))
+        return pair(regular, horizontal, population)
+
+    monkeypatch.setattr(analysis, "evaluate_population_pair", spy)
+    engine = Engine(EngineConfig(persistent=False))
+    results = {
+        (name, seed): run_experiment(
+            name, ExperimentSettings(seed=seed, chips=400), engine
+        )
+        for seed in (3, 4)
+        for name in YIELD_SWEEP
+    }
+    assert (sum(draws), sum(evaluated)) == (4800, 8000)
+    for (name, seed), result in results.items():
+        alone = run_experiment(
+            name, ExperimentSettings(seed=seed, chips=400),
+            Engine(EngineConfig(persistent=False)),
+        )
+        assert (alone.text, alone.data) == (result.text, result.data), name
 
 
 # ----------------------------------------------------------------------

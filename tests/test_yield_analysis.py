@@ -6,6 +6,7 @@ import pytest
 from repro.circuit.organization import CacheOrganization
 from repro.core.errors import ConfigurationError
 from repro.schemes import HYAPD, Hybrid, HybridHorizontal, VACA, YAPD
+from repro.variation.columnar import ColumnarPopulationSampler
 from repro.variation.sampling import CacheVariationSampler
 from repro.variation.spatial import MeshLayout
 from repro.yieldmodel import LossReason, YieldStudy
@@ -156,7 +157,7 @@ class TestStudyRefusals:
         def draw(*args):
             raise AssertionError("a refused study drew chips")
 
-        monkeypatch.setattr(YieldStudy, "draw", draw)
+        monkeypatch.setattr(ColumnarPopulationSampler, "sample_range", draw)
         with pytest.raises(ConfigurationError, match="16 violating ways"):
             YieldStudy(
                 seed=1,
